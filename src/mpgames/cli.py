@@ -234,9 +234,7 @@ def _solve_entropy(game, mode, budget):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 @click.option("--budget", type=int, default=10**6, show_default=True,
               help="strategy-enumeration budget for auxiliary brute force")
-@click.option("--tol", type=str, default=None,
-              help="unused for exact modes; accepted for interface parity")
-def solve(input_path, mode, as_json, budget, tol):
+def solve(input_path, mode, as_json, budget):
     """Solve a game file (winner / value / top class / full analysis)."""
     try:
         kind, game = _load_game(input_path)

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .numeric import NEG_INF, bottom, top, zeros
+from .iteration import gap_iteration
+from .numeric import NEG_INF, bottom, zeros
 from .oracle import restrict
 
 
@@ -52,32 +53,13 @@ def decide_constant_value(oracle, params: SepParams, *, tie_order=None):
     `tie_order` optionally permutes state indices before the argmin scan;
     the result set is order-independent (it is the full argmin set) and the
     hook exists purely for the invariance test."""
-    delta = params.delta
-    eps = delta / 8
-    cap = params.cap
-    threshold = Fraction(3, 4) * delta
-
-    fast = getattr(oracle, "gap_loop", None)
-    if fast is not None:
-        u, ell, hit = fast(eps, delta, cap)
-        calls = ell
-    else:
-        u = zeros(oracle.n)
-        ell = 0
-        hit = False
-        while ell < cap:
-            u = oracle.eval(u, eps)
-            ell += 1
-            if top(u) - bottom(u) <= threshold * ell:
-                hit = True
-                break
-        calls = ell
+    u, ell, hit = gap_iteration(oracle, params.delta, params.cap)
     if hit:
-        return DecideOutcome(None, ell, calls, u)
+        return DecideOutcome(None, ell, ell, u)
     b = bottom(u)
     order = tie_order if tie_order is not None else range(oracle.n)
     low = frozenset(i for i in order if u[i] == b)
-    return DecideOutcome(low, ell, calls, u)
+    return DecideOutcome(low, ell, ell, u)
 
 
 def extend(oracle, dominion_states, seed):

@@ -28,7 +28,7 @@ from math import ceil, gcd
 import mpmath
 
 from .dominion import SepParams, top_class
-from .graphs import tarjan_scc
+from .graphs import is_state_id, state_ids_error, tarjan_scc
 from .iteration import (
     SUB,
     SUPER,
@@ -1012,6 +1012,9 @@ def parse_entropy(obj) -> EntropyGame:
     except KeyError as exc:
         raise GameFormatError(f"missing key {exc}") from exc
     all_ids = list(d_ids) + list(t_ids) + list(p_ids)
+    bad_ids = state_ids_error(all_ids)
+    if bad_ids:
+        raise GameFormatError(bad_ids)
     if len(set(all_ids)) != len(all_ids):
         raise GameFormatError("state identifiers must be unique across kinds")
     d_index = {s: j for j, s in enumerate(d_ids)}
@@ -1023,6 +1026,8 @@ def parse_entropy(obj) -> EntropyGame:
     seen = set()
     for rec in records:
         src, dst = rec.get("from"), rec.get("to")
+        if not (is_state_id(src) and is_state_id(dst)):
+            raise GameFormatError(f"edge record {rec!r} violates alternation")
         if (src, dst) in seen:
             raise GameFormatError(f"duplicate edge {src!r} -> {dst!r}")
         seen.add((src, dst))

@@ -1,6 +1,23 @@
-"""Small graph helpers: strongly connected components and reachability."""
+"""Small graph helpers: strongly connected components, reachability, and
+the node labels game files may use."""
 
 from __future__ import annotations
+
+
+def is_state_id(value) -> bool:
+    """State identifiers in game files are strings or integers (not bool)."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def state_ids_error(ids):
+    """Why `ids` cannot name the states of one game file, or None.  Reports
+    sort the ids, so they are all strings or all integers."""
+    for sid in ids:
+        if not is_state_id(sid):
+            return f"state identifier {sid!r} is not a string or an integer"
+    if len({type(sid) for sid in ids}) > 1:
+        return "state identifiers mix strings and integers"
+    return None
 
 
 def tarjan_scc(adj):

@@ -21,9 +21,6 @@ from .numeric import (
 SUB = "sub"
 SUPER = "super"
 
-# store the orbit for the certificate pass when n*len fits, replay otherwise
-ORBIT_MEMORY_BUDGET = 200_000
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -118,41 +115,46 @@ def build_certificates(orbit, lam_lo: Fraction, lam_hi: Fraction, eps: Fraction)
     )
 
 
+def gap_iteration(oracle, delta: Fraction, cap: int):
+    """Iterate u <- eval(u, delta/8) from 0 until the normalized gap
+    condition top(u) - bottom(u) <= (3/4)*delta*l holds or l reaches `cap`,
+    through the oracle's `gap_loop` hook when it has one.  Returns
+    (u, l, hit), hit telling whether the gap condition stopped the loop."""
+    fast = getattr(oracle, "gap_loop", None)
+    if fast is not None:
+        return fast(delta / 8, delta, cap)
+    eps = delta / 8
+    threshold = Fraction(3, 4) * delta
+    u = zeros(oracle.n)
+    ell = 0
+    while ell < cap:
+        u = oracle.eval(u, eps)
+        ell += 1
+        if top(u) - bottom(u) <= threshold * ell:
+            return u, ell, True
+    return u, ell, False
+
+
 def approximate_constant_mean_payoff(oracle, delta: Fraction, max_iter: int):
     """For an operator with state-independent mean payoff, return an interval
     of width <= delta containing it, with verifiable certificates.
 
-    First loop: u <- eval(u, delta/8) until top(u) - bottom(u) <= (3/4)*delta*l.
-    Then kappa = bottom(u)/l, lam = top(u)/l, and the second pass rebuilds the
-    orbit to assemble the sub/super witness vectors."""
+    First loop (`gap_iteration`): u <- eval(u, delta/8) until
+    top(u) - bottom(u) <= (3/4)*delta*l.  Then kappa = bottom(u)/l,
+    lam = top(u)/l, and the second pass replays the orbit to assemble the
+    sub/super witness vectors."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     eps = delta / 8
-    threshold = Fraction(3, 4) * delta
-
-    fast = getattr(oracle, "gap_loop", None)
-    if fast is not None:
-        u, ell, hit = fast(eps, delta, max_iter)
-        if not hit:
-            raise IterationCapExceeded(f"no convergence within {max_iter} iterations")
-    else:
-        u = zeros(oracle.n)
-        ell = 0
-        while True:
-            u = oracle.eval(u, eps)
-            ell += 1
-            if top(u) - bottom(u) <= threshold * ell:
-                break
-            if ell >= max_iter:
-                raise IterationCapExceeded(
-                    f"no convergence within {max_iter} iterations"
-                )
+    u, ell, hit = gap_iteration(oracle, delta, max_iter)
+    if not hit:
+        raise IterationCapExceeded(f"no convergence within {max_iter} iterations")
     kappa = Fraction(bottom(u)) / ell
     lam = Fraction(top(u)) / ell
 
-    fast2 = getattr(oracle, "replay_loop", None)
-    if fast2 is not None:
-        x, y = fast2(eps, ell, kappa, lam)
+    fast = getattr(oracle, "replay_loop", None)
+    if fast is not None:
+        x, y = fast(eps, ell, kappa, lam)
         sub = Certificate(kappa - eps, x, SUB)
         sup = Certificate(lam + eps, y, SUPER)
     else:
@@ -162,15 +164,8 @@ def approximate_constant_mean_payoff(oracle, delta: Fraction, max_iter: int):
 
 
 def _certificates_by_replay(oracle, eps, ell, kappa, lam):
-    store = oracle.n * ell <= ORBIT_MEMORY_BUDGET
-    if store:
-        orbit = [zeros(oracle.n)]
-        v = orbit[0]
-        for _ in range(ell - 1):
-            v = oracle.eval(v, eps)
-            orbit.append(v)
-        return build_certificates(orbit, kappa, lam, eps)
-    # replay without storing
+    """`build_certificates` over the orbit F~^i(0), i = 0..ell-1, replayed
+    one iterate at a time instead of stored."""
     v = zeros(oracle.n)
     x = v
     y = v

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from ._smpgfast import Kernel
 from .dominion import Dominion, SepParams, top_class
-from .graphs import tarjan_scc
+from .graphs import is_state_id, state_ids_error, tarjan_scc
 from .iteration import (
     SUB,
     SUPER,
@@ -637,6 +637,9 @@ def parse_smpg(obj) -> StochasticGame:
     except KeyError as exc:
         raise GameFormatError(f"missing key {exc}") from exc
     all_ids = list(min_ids) + list(max_ids) + list(nat_ids)
+    bad_ids = state_ids_error(all_ids)
+    if bad_ids:
+        raise GameFormatError(bad_ids)
     if len(set(all_ids)) != len(all_ids):
         raise GameFormatError("state identifiers must be unique across kinds")
     min_index = {s: j for j, s in enumerate(min_ids)}
@@ -645,8 +648,14 @@ def parse_smpg(obj) -> StochasticGame:
     min_edges = [[] for _ in min_ids]
     max_edges = [[] for _ in max_ids]
     nat_edges = [[] for _ in nat_ids]
+    seen = set()
     for rec in records:
         src, dst = rec.get("from"), rec.get("to")
+        if not (is_state_id(src) and is_state_id(dst)):
+            raise GameFormatError(f"edge record {rec!r} violates alternation")
+        if (src, dst) in seen:
+            raise GameFormatError(f"duplicate edge {src!r} -> {dst!r}")
+        seen.add((src, dst))
         if src in min_index and dst in max_index:
             min_edges[min_index[src]].append((max_index[dst], int(rec.get("a", 0))))
         elif src in max_index and dst in nat_index:

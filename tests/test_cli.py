@@ -32,6 +32,45 @@ def write_game(tmp_path, name, obj):
     return str(path)
 
 
+# malformed variants of the cycle_game / entropy_tribune_choice files
+
+
+def list_state(obj):
+    obj["min_states"] = [["m0"]]
+
+
+def list_endpoint(obj):
+    obj["edges"][0]["from"] = ["m0"]
+
+
+def bool_id(obj):
+    obj["min_states"] = [True]
+    for edge in obj["edges"]:
+        for end in ("from", "to"):
+            if edge[end] == "m0":
+                edge[end] = True
+
+
+def mixed_ids(obj):
+    obj["max_states"] = [0]
+    for edge in obj["edges"]:
+        for end in ("from", "to"):
+            if edge[end] == "x0":
+                edge[end] = 0
+
+
+def duplicate_edge(obj):
+    obj["edges"].append(dict(obj["edges"][0]))
+
+
+def entropy_list_state(obj):
+    obj["d_states"] = [["d0"]]
+
+
+def entropy_dict_endpoint(obj):
+    obj["edges"][0]["to"] = {"t0": 0}
+
+
 @pytest.fixture
 def smpg_file(tmp_path):
     return write_game(tmp_path, "g.json", mg.game_to_json(nature_half_game()))
@@ -112,6 +151,25 @@ class TestSolve:
         path.write_text('{"type": "smpg"')
         res = runner.invoke(main, ["solve", str(path)])
         assert res.exit_code == 1
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("kind, mutate", [
+        ("smpg", list_state), ("smpg", list_endpoint), ("smpg", bool_id),
+        ("smpg", mixed_ids), ("smpg", duplicate_edge),
+        ("entropy", entropy_list_state),
+        ("entropy", entropy_dict_endpoint),
+    ])
+    def test_bad_state_ids_exit_one(self, runner, tmp_path, kind, mutate):
+        """Ids that are not strings or integers (bool included), a mix of
+        both, and duplicate edges are input errors, not crashes."""
+        obj = (mg.game_to_json(cycle_game()) if kind == "smpg"
+               else mg.entropy_to_json(entropy_tribune_choice()))
+        mutate(obj)
+        res = runner.invoke(main, ["solve",
+                                   write_game(tmp_path, "bad.json", obj)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output
         assert "Traceback" not in res.output
 
     def test_wrong_type_field(self, runner, tmp_path):

@@ -151,6 +151,23 @@ class TestApproximateConstantMeanPayoff:
         assert res.sub.lam == res.interval.lo
         assert res.sup.lam == res.interval.hi
 
+    def test_streamed_replay_matches_stored_orbit(self):
+        """Without a replay hook the certificates are built while replaying
+        the orbit; they equal build_certificates over the stored orbit."""
+        orc = AdversarialOracle(
+            2, lambda x: ((x[0] + 2 * x[1]) / 3 + 1, (x[0] + x[1]) / 2 - 1))
+        delta = F(1, 16)
+        eps = delta / 8
+        res = approximate_constant_mean_payoff(orc, delta, 1000)
+        ell = res.iterations
+        assert ell > 10
+        orbit = [zeros(2)]
+        for _ in range(ell):
+            orbit.append(orc.eval(orbit[-1], eps))
+        u = orbit.pop()
+        kappa, lam = min(u) / ell, max(u) / ell
+        assert (res.sub, res.sup) == build_certificates(orbit, kappa, lam, eps)
+
     def test_cap_exceeded(self):
         # distinct per-state drifts never satisfy the gap condition
         orc = FunctionOracle(2, lambda x: (x[0] + 1, x[1] - 1))

@@ -1,6 +1,7 @@
 """Turn-based stochastic mean-payoff backend."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 
 import mpgames as mg
 from mpgames import NEG_INF, Exhausted
+from mpgames import _smpgfast
+from mpgames._smpgfast import Kernel
 from mpgames.numeric import vec, zeros
 from mpgames.stochastic import round_to_denominator
 
@@ -105,28 +108,95 @@ class TestRoundingOracle:
         exact = mg.shapley_eval(g, x)
         assert all(abs(a - e) <= F(1, 16) for a, e in zip(out, exact))
 
-    def test_fast_path_matches_generic(self):
-        """gap_loop/replay_loop agree with the generic loops they replace."""
+    @staticmethod
+    def _generic_loops(g, q, delta, cap):
+        """The generic Fraction loops that gap_loop/replay_loop replace:
+        the gap loop on the rounding oracle, then the certificate vectors
+        built from the stored orbit."""
+        orc = mg.rounding_oracle(g, q)
+        eps = delta / 8
+        orbit = [zeros(orc.n)]
+        hit = False
+        while len(orbit) <= cap:
+            orbit.append(orc.eval(orbit[-1], eps))
+            if max(orbit[-1]) - min(orbit[-1]) <= F(3, 4) * delta * (
+                    len(orbit) - 1):
+                hit = True
+                break
+        u = orbit.pop()
+        ell = len(orbit)
+        kappa, lam = min(u) / ell, max(u) / ell
+        sub, sup = mg.build_certificates(orbit, kappa, lam, eps)
+        return (u, ell, hit), (kappa, lam), (sub.vec, sup.vec), orbit
+
+    @staticmethod
+    def _dense_game(rng, n, M, lo, hi):
+        """Every Min state moves to every Max state and every Max state to
+        every Nature state: n**3 (Min edge, Max edge) pairs per step."""
+        nat_edges = []
+        for _ in range(n):
+            if M == 1:
+                nat_edges.append([(rng.randrange(n), 1)])
+            else:
+                a, b = rng.sample(range(n), 2)
+                nat_edges.append([(a, 1), (b, M - 1)])
+        return mg.make_game(
+            [f"m{j}" for j in range(n)], [f"x{i}" for i in range(n)],
+            [f"n{k}" for k in range(n)],
+            [[(i, rng.randint(lo, hi)) for i in range(n)] for _ in range(n)],
+            [[(k, rng.randint(lo, hi)) for k in range(n)] for _ in range(n)],
+            nat_edges, M,
+        )
+
+    def _check_fast_path(self, g, cap, numpy_step, monkeypatch):
+        st = g.stats()
+        q = 4 * st.mu**2
+        delta = F(1, st.mu**2)
+        gap, (kappa, lam), replay, orbit = self._generic_loops(
+            g, q, delta, cap)
+        fast = mg.rounding_oracle(g, q)
+        assert fast.gap_loop(delta / 8, delta, cap) == gap
+        ell = gap[1]
+        assert fast.replay_loop(delta / 8, ell, kappa, lam) == replay
+        # the chosen kernel step against the Python-int loops, bit for bit
+        kernel = Kernel(g)
+        gap_args = (q, delta.numerator, delta.denominator, cap)
+        replay_args = (q, ell, int(kappa * q * ell), int(lam * q * ell))
+        assert (kernel._numpy_step(q, cap) is not None) == numpy_step
+        assert (kernel._numpy_step(q, ell, second=True)
+                is not None) == numpy_step
+        chosen = (kernel.gap_loop(*gap_args), kernel.replay_loop(*replay_args))
+        monkeypatch.setattr(_smpgfast, "NUMPY_MIN_PAIRS", math.inf)
+        python_int = (kernel.gap_loop(*gap_args),
+                      kernel.replay_loop(*replay_args))
+        monkeypatch.undo()
+        assert chosen == python_int
+        u, _, _ = chosen[0]
+        x, y = chosen[1]
+        assert all(type(v) is int for v in u + x + y)
+        return orbit, q
+
+    def test_fast_path_matches_generic(self, monkeypatch):
+        """gap_loop/replay_loop agree with the generic loops they replace,
+        on every kernel path: small random games (Python-int loop), a dense
+        game (numpy step), a dense game with payoffs near 10**15 (int64
+        bound fails: bigint loop) and a dense M = 2 game whose iterates hit
+        exact halves at negative numerators (numpy half-to-even rounding)."""
         rng = random.Random(17)
         for _ in range(15):
-            g = mg.random_smpg(rng)
-            st = g.stats()
-            q = 4 * st.mu**2
-            fast = mg.rounding_oracle(g, q)
-            slow = mg.rounding_oracle(g, q)
-            delta = F(1, st.mu**2)
-            cap = 200
-            got = fast.gap_loop(delta / 8, delta, cap)
-            # generic reference loop
-            u = zeros(slow.n)
-            ell, hit = 0, False
-            while ell < cap:
-                u = slow.eval(u, delta / 8)
-                ell += 1
-                if max(u) - min(u) <= F(3, 4) * delta * ell:
-                    hit = True
-                    break
-            assert got == (u, ell, hit)
+            self._check_fast_path(mg.random_smpg(rng), 200, False,
+                                  monkeypatch)
+        rng = random.Random(19)
+        dense = self._dense_game(rng, 6, 1, -3, 3)
+        huge = self._dense_game(rng, 6, 1, -10**15, 10**15)
+        halves = self._dense_game(rng, 6, 2, -3, 1)
+        for g in (dense, huge, halves):
+            assert Kernel(g).pairs >= _smpgfast.NUMPY_MIN_PAIRS
+        self._check_fast_path(dense, 300, True, monkeypatch)
+        self._check_fast_path(huge, 40, False, monkeypatch)
+        orbit, q = self._check_fast_path(halves, 40, True, monkeypatch)
+        assert any(v < 0 and (v * q).denominator == 2
+                   for u in orbit for v in mg.shapley_eval(halves, u))
 
 
 class TestBounds:
