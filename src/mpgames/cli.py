@@ -7,7 +7,6 @@ budget/iteration cap exceeded.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import random
@@ -20,13 +19,8 @@ import click
 from . import cex as cexmod
 from . import entropy as ent
 from . import stochastic as smpg
-from .iteration import (
-    SUB,
-    Certificate,
-    Exhausted,
-    IterationCapExceeded,
-    WinnerVerdict,
-)
+from .graphs import GameFormatError
+from .iteration import Certificate, Exhausted, IterationCapExceeded
 from .numeric import NEG_INF
 
 EXIT_OK = 0
@@ -59,7 +53,7 @@ def _load_game(path):
         return "smpg", smpg.parse_smpg(obj)
     if kind == "entropy":
         return "entropy", ent.parse_entropy(obj)
-    raise smpg.GameFormatError(f'unsupported or missing "type" in {path}')
+    raise GameFormatError(f'unsupported or missing "type" in {path}')
 
 
 def _cert_record(cert: Certificate, states=None) -> dict:
@@ -199,7 +193,7 @@ def _sub_states(game) -> dict:
 
 def _solve_entropy(game, mode, budget):
     if mode == "winner":
-        raise smpg.GameFormatError(
+        raise GameFormatError(
             "winner mode is not defined for matrix-multiplicative games"
         )
     sol = ent.solve_entropy_game(game, budget=budget)
@@ -242,7 +236,7 @@ def solve(input_path, mode, as_json, budget):
             code, report = _solve_smpg(game, mode, budget)
         else:
             code, report = _solve_entropy(game, mode, budget)
-    except (smpg.GameFormatError, ent.GameFormatError, ValueError) as exc:
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     except IterationCapExceeded as exc:
@@ -268,7 +262,7 @@ def certify(input_path, cert_path):
             report = json.load(fh)
         records = report.get("certificates", [])
         if not records:
-            raise smpg.GameFormatError("report carries no certificates")
+            raise GameFormatError("report carries no certificates")
         ok = True
         for rec in records:
             cert = _cert_from_record(rec)
@@ -294,8 +288,7 @@ def certify(input_path, cert_path):
                         states["p_states"],
                     )
                 ok = ok and ent.check_entropy_certificate(target, cert)
-    except (smpg.GameFormatError, ent.GameFormatError, ValueError, KeyError,
-            json.JSONDecodeError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     if ok:
@@ -360,7 +353,7 @@ def brute(input_path, budget, pairs_path, as_json):
                                 ),
                                 s, _frac_str(iv.lo), _frac_str(iv.hi),
                             ])
-    except (smpg.GameFormatError, ent.GameFormatError) as exc:
+    except GameFormatError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     except ValueError as exc:
@@ -450,8 +443,7 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
 # bench
 
 
-def _bench_one(args):
-    path, budget = args
+def _bench_one(path, budget):
     start = time.perf_counter()
     kind, game = _load_game(path)
     if kind == "smpg":
@@ -474,20 +466,14 @@ def _bench_one(args):
 @main.command()
 @click.argument("inputs", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--budget", type=int, default=10**6, show_default=True)
 @click.option("--trace", type=click.Path(dir_okay=False), default=None,
               help="write a CSV trace instead of plain text")
-def bench(inputs, jobs, budget, trace):
-    """Time the solver on one or more game files."""
-    tasks = [(path, budget) for path in inputs]
+def bench(inputs, budget, trace):
+    """Time the solver on one or more game files, one after another."""
     try:
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-                rows = list(ex.map(_bench_one, tasks))
-        else:
-            rows = [_bench_one(t) for t in tasks]
-    except (smpg.GameFormatError, ent.GameFormatError, ValueError) as exc:
+        rows = [_bench_one(path, budget) for path in inputs]
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     if trace:

@@ -28,7 +28,15 @@ from math import ceil, gcd
 import mpmath
 
 from .dominion import SepParams, top_class
-from .graphs import is_state_id, state_ids_error, tarjan_scc
+from .graphs import (
+    GameFormatError,
+    edge_records,
+    is_state_id,
+    json_int,
+    json_list,
+    state_ids_error,
+    tarjan_scc,
+)
 from .iteration import (
     SUB,
     SUPER,
@@ -39,10 +47,6 @@ from .linalg import integer_rank
 from .numeric import NEG_INF, RationalInterval
 from .oracle import ShapleyOracle, restrict
 from .perron import perron_root
-
-
-class GameFormatError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -1005,10 +1009,11 @@ def parse_entropy(obj) -> EntropyGame:
     if not isinstance(obj, dict) or obj.get("type") != "entropy":
         raise GameFormatError('expected an object with "type": "entropy"')
     try:
-        d_ids = tuple(obj["d_states"])
-        t_ids = tuple(obj["t_states"])
-        p_ids = tuple(obj["p_states"])
-        records = obj["edges"]
+        d_ids, t_ids, p_ids = (
+            tuple(json_list(obj[key], f'"{key}"'))
+            for key in ("d_states", "t_states", "p_states")
+        )
+        records = edge_records(obj["edges"])
     except KeyError as exc:
         raise GameFormatError(f"missing key {exc}") from exc
     all_ids = list(d_ids) + list(t_ids) + list(p_ids)
@@ -1044,7 +1049,8 @@ def parse_entropy(obj) -> EntropyGame:
                 )
             t_edges[t_index[src]].append(p_index[dst])
         elif src in p_index and dst in d_index:
-            p_edges[p_index[src]].append((d_index[dst], int(rec.get("m", 1))))
+            m = json_int(rec.get("m", 1), f'"m" of edge {src!r} -> {dst!r}')
+            p_edges[p_index[src]].append((d_index[dst], m))
         else:
             raise GameFormatError(f"edge record {rec!r} violates alternation")
     return make_entropy_game(d_ids, t_ids, p_ids, d_edges, t_edges, p_edges)

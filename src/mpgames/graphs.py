@@ -1,7 +1,34 @@
 """Small graph helpers: strongly connected components, reachability, and
-the node labels game files may use."""
+the node labels and field types game files may use."""
 
 from __future__ import annotations
+
+
+class GameFormatError(ValueError):
+    """A game file or game description that is malformed."""
+
+
+def json_int(value, what):
+    """`value` if it is a JSON integer (an int, not a bool); a float or a
+    numeric string is an error rather than something to truncate."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GameFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value, what):
+    """`value` if it is a JSON list, else GameFormatError."""
+    if not isinstance(value, list):
+        raise GameFormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def edge_records(value):
+    """The "edges" list of a game file, each record an object."""
+    for rec in json_list(value, '"edges"'):
+        if not isinstance(rec, dict):
+            raise GameFormatError(f"edge record {rec!r} is not an object")
+    return value
 
 
 def is_state_id(value) -> bool:

@@ -4,11 +4,10 @@ certificate construction from normalized orbits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
-    NEG_INF,
     RationalInterval,
     bottom,
     top,
@@ -94,21 +93,21 @@ def fp_value_iteration(oracle, eps: Fraction, max_iter: int):
 
 
 def build_certificates(orbit, lam_lo: Fraction, lam_hi: Fraction, eps: Fraction):
-    """From orbit[i] = F~^i(0), i = 0..l-1, with bottom(F~^l(0)) >= lam_lo*l
-    and top(F~^l(0)) <= lam_hi*l, build
+    """From the iterates orbit = F~^i(0), i = 0..l-1 (any iterable), with
+    bottom(F~^l(0)) >= lam_lo*l and top(F~^l(0)) <= lam_hi*l, build
 
-        u_hat = sup_i (-i*lam_lo + orbit[i])   (sub witness)
-        u_bar = inf_i (-i*lam_hi + orbit[i])   (super witness)
+        u_hat = sup_i (-i*lam_lo + F~^i(0))   (sub witness)
+        u_bar = inf_i (-i*lam_hi + F~^i(0))   (super witness)
 
     and return the certificates (lam_lo - eps, u_hat, sub) and
     (lam_hi + eps, u_bar, super)."""
-    if not orbit:
+    orbit = iter(orbit)
+    x = y = next(orbit, None)
+    if x is None:
         raise ValueError("empty orbit")
-    x = orbit[0]
-    y = orbit[0]
-    for i in range(1, len(orbit)):
-        x = vec_sup(x, vec_add_scalar(-i * lam_lo, orbit[i]))
-        y = vec_inf(y, vec_add_scalar(-i * lam_hi, orbit[i]))
+    for i, v in enumerate(orbit, 1):
+        x = vec_sup(x, vec_add_scalar(-i * lam_lo, v))
+        y = vec_inf(y, vec_add_scalar(-i * lam_hi, v))
     return (
         Certificate(lam_lo - eps, x, SUB),
         Certificate(lam_hi + eps, y, SUPER),
@@ -158,22 +157,18 @@ def approximate_constant_mean_payoff(oracle, delta: Fraction, max_iter: int):
         sub = Certificate(kappa - eps, x, SUB)
         sup = Certificate(lam + eps, y, SUPER)
     else:
-        sub, sup = _certificates_by_replay(oracle, eps, ell, kappa, lam)
+        sub, sup = build_certificates(
+            _replayed_orbit(oracle, eps, ell), kappa, lam, eps
+        )
     interval = RationalInterval(kappa - eps, lam + eps)
     return ConstantValueResult(interval, sub, sup, ell)
 
 
-def _certificates_by_replay(oracle, eps, ell, kappa, lam):
-    """`build_certificates` over the orbit F~^i(0), i = 0..ell-1, replayed
-    one iterate at a time instead of stored."""
+def _replayed_orbit(oracle, eps, ell):
+    """The orbit F~^i(0), i = 0..ell-1, one iterate at a time instead of
+    stored."""
     v = zeros(oracle.n)
-    x = v
-    y = v
-    for i in range(1, ell):
+    yield v
+    for _ in range(1, ell):
         v = oracle.eval(v, eps)
-        x = vec_sup(x, vec_add_scalar(-i * kappa, v))
-        y = vec_inf(y, vec_add_scalar(-i * lam, v))
-    return (
-        Certificate(kappa - eps, x, SUB),
-        Certificate(lam + eps, y, SUPER),
-    )
+        yield v

@@ -16,15 +16,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._smpgfast import Kernel
-from .dominion import Dominion, SepParams, top_class
-from .graphs import is_state_id, state_ids_error, tarjan_scc
+from .dominion import SepParams, top_class
+from .graphs import (
+    GameFormatError,
+    edge_records,
+    is_state_id,
+    json_int,
+    json_list,
+    state_ids_error,
+    tarjan_scc,
+)
 from .iteration import (
     SUB,
-    SUPER,
     Certificate,
-    Exhausted,
-    WinnerVerdict,
     approximate_constant_mean_payoff,
+    value_iteration,
 )
 from .linalg import solve_linear
 from .numeric import (
@@ -32,13 +38,8 @@ from .numeric import (
     NOT_FOUND,
     NOT_UNIQUE,
     rational_in_interval,
-    zeros,
 )
 from .oracle import ShapleyOracle
-
-
-class GameFormatError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -334,45 +335,15 @@ def winner_iteration_bound(stats: GameStats) -> int:
 
 
 # ---------------------------------------------------------------------------
-# winner (exact value iteration with scaled-integer iterates)
+# winner
 
 
 def winner(game: StochasticGame):
     """Exact value iteration from 0 with cap 8 n^2 W M^(2 min(s, n-1)) + 1.
     Returns a WinnerVerdict, or Exhausted when the cap is hit (the value may
-    be 0 somewhere or non-constant).
-
-    Iterate l has denominator M^l; the loop keeps scaled integer numerators
-    so comparisons against 0 stay exact and gcd-free."""
-    stats = game.stats()
-    cap = winner_iteration_bound(stats) + 1
-    n = len(game.min_ids)
-    u = [0] * n  # numerators over scale
-    scale = 1
-    for it in range(1, cap + 1):
-        scale_next = scale * game.M
-        nxt = []
-        for j in range(n):
-            best = None
-            for i, a in game.min_edges[j]:
-                inner = None
-                for k, b in game.max_edges[i]:
-                    s = b * scale_next
-                    for l, num in game.nat_edges[k]:
-                        s += num * u[l]
-                    if inner is None or s > inner:
-                        inner = s
-                val = -a * scale_next + inner
-                if best is None or val < best:
-                    best = val
-            nxt.append(best)
-        u = nxt
-        scale = scale_next
-        if max(u) <= 0:
-            return WinnerVerdict("MinWinsAll", it, tuple(Fraction(v, scale) for v in u))
-        if min(u) >= 0:
-            return WinnerVerdict("MaxWinsAll", it, tuple(Fraction(v, scale) for v in u))
-    return Exhausted(cap, tuple(Fraction(v, scale) for v in u))
+    be 0 somewhere or non-constant)."""
+    cap = winner_iteration_bound(game.stats()) + 1
+    return value_iteration(exact_oracle(game), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +600,12 @@ def parse_smpg(obj) -> StochasticGame:
     if not isinstance(obj, dict) or obj.get("type") != "smpg":
         raise GameFormatError('expected an object with "type": "smpg"')
     try:
-        min_ids = tuple(obj["min_states"])
-        max_ids = tuple(obj["max_states"])
-        nat_ids = tuple(obj["nat_states"])
-        m = int(obj["denominator"])
-        records = obj["edges"]
+        min_ids, max_ids, nat_ids = (
+            tuple(json_list(obj[key], f'"{key}"'))
+            for key in ("min_states", "max_states", "nat_states")
+        )
+        m = json_int(obj["denominator"], '"denominator"')
+        records = edge_records(obj["edges"])
     except KeyError as exc:
         raise GameFormatError(f"missing key {exc}") from exc
     all_ids = list(min_ids) + list(max_ids) + list(nat_ids)
@@ -657,20 +629,22 @@ def parse_smpg(obj) -> StochasticGame:
             raise GameFormatError(f"duplicate edge {src!r} -> {dst!r}")
         seen.add((src, dst))
         if src in min_index and dst in max_index:
-            min_edges[min_index[src]].append((max_index[dst], int(rec.get("a", 0))))
+            a = json_int(rec.get("a", 0), f'"a" of edge {src!r} -> {dst!r}')
+            min_edges[min_index[src]].append((max_index[dst], a))
         elif src in max_index and dst in nat_index:
-            max_edges[max_index[src]].append((nat_index[dst], int(rec.get("b", 0))))
+            b = json_int(rec.get("b", 0), f'"b" of edge {src!r} -> {dst!r}')
+            max_edges[max_index[src]].append((nat_index[dst], b))
         elif src in nat_index and dst in min_index:
             num = rec.get("p_num")
-            nat_edges[nat_index[src]].append(
-                (min_index[dst], int(num) if num is not None else -1)
-            )
+            if num is not None:
+                json_int(num, f'"p_num" of edge {src!r} -> {dst!r}')
+            nat_edges[nat_index[src]].append((min_index[dst], num))
         else:
             raise GameFormatError(f"edge record {rec!r} violates alternation")
     for k, row in enumerate(nat_edges):
-        if len(row) == 1 and row[0][1] == -1:
+        if len(row) == 1 and row[0][1] is None:
             nat_edges[k] = [(row[0][0], m)]
-        elif any(num == -1 for _, num in row):
+        elif any(num is None for _, num in row):
             raise GameFormatError(
                 f'state {nat_ids[k]!r}: "p_num" required when a Nature state '
                 "has several successors"

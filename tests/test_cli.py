@@ -4,6 +4,7 @@ import csv
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from click.testing import CliRunner
@@ -69,6 +70,14 @@ def entropy_list_state(obj):
 
 def entropy_dict_endpoint(obj):
     obj["edges"][0]["to"] = {"t0": 0}
+
+
+def set_field(path, value, obj):
+    """Set the field of obj at path (keys and list indices) to value."""
+    *where, key = path
+    for step in where:
+        obj = obj[step]
+    obj[key] = value
 
 
 @pytest.fixture
@@ -153,15 +162,32 @@ class TestSolve:
         assert res.exit_code == 1
         assert "Traceback" not in res.output
 
+    # edges of cycle_game: 0 Min (a), 1 Max (b), 2 Nature (p_num); of
+    # entropy_tribune_choice: 3 is the People edge p2 -> d0 with m = 2
     @pytest.mark.parametrize("kind, mutate", [
         ("smpg", list_state), ("smpg", list_endpoint), ("smpg", bool_id),
         ("smpg", mixed_ids), ("smpg", duplicate_edge),
         ("entropy", entropy_list_state),
         ("entropy", entropy_dict_endpoint),
+        ("smpg", partial(set_field, ["denominator"], [1])),
+        ("smpg", partial(set_field, ["denominator"], 1.0)),
+        ("smpg", partial(set_field, ["edges"], [5])),
+        ("smpg", partial(set_field, ["edges"], {"a": 1})),
+        ("smpg", partial(set_field, ["min_states"], 5)),
+        ("smpg", partial(set_field, ["edges", 0, "a"], "1")),
+        ("smpg", partial(set_field, ["edges", 1, "b"], 1.9)),
+        ("smpg", partial(set_field, ["edges", 2, "p_num"], True)),
+        ("entropy", partial(set_field, ["edges"], [5])),
+        ("entropy", partial(set_field, ["d_states"], 5)),
+        ("entropy", partial(set_field, ["edges", 3, "m"], 2.9)),
+        ("entropy", partial(set_field, ["edges", 3, "m"], True)),
     ])
     def test_bad_state_ids_exit_one(self, runner, tmp_path, kind, mutate):
         """Ids that are not strings or integers (bool included), a mix of
-        both, and duplicate edges are input errors, not crashes."""
+        both, duplicate edges, numeric fields that are not JSON integers
+        (truncating 1.9 would solve another game), state lists and edges
+        that are not lists, and edge records that are not objects are input
+        errors, not crashes."""
         obj = (mg.game_to_json(cycle_game()) if kind == "smpg"
                else mg.entropy_to_json(entropy_tribune_choice()))
         mutate(obj)

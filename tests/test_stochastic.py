@@ -231,15 +231,42 @@ class TestWinner:
         res = mg.winner(cycle_game(a=2, b=2))
         assert res.outcome == "MinWinsAll"
 
-    def test_non_constant_value_exhausted(self):
-        g = mg.make_game(
+    @staticmethod
+    def _two_cycles():
+        """Two disjoint cycles with mean payoffs 5 and -5: not constant."""
+        return mg.make_game(
             ["m0", "m1"], ["x0", "x1"], ["n0", "n1"],
             [[(0, 0)], [(1, 0)]],
             [[(0, 5)], [(1, -5)]],
             [[(0, 1)], [(1, 1)]],
             1,
         )
-        assert isinstance(mg.winner(g), Exhausted)
+
+    def test_non_constant_value_exhausted(self):
+        assert isinstance(mg.winner(self._two_cycles()), Exhausted)
+
+    def test_hand_computed_runs(self):
+        """Verdict or Exhausted, iteration count and witness, worked out by
+        hand."""
+        # rewards 2 and -3 before a shared half/half Nature state:
+        # F(x) = (2 + s, -3 + s), s = (x0 + x1)/2, so s drops by 1/2 a step
+        half = mg.make_game(
+            ["m0", "m1"], ["x0", "x1"], ["n"],
+            [[(0, 0)], [(1, 0)]],
+            [[(0, 2)], [(0, -3)]],
+            [[(0, 1), (1, 1)]],
+            2,
+        )
+        cases = [
+            # F(x0, x1) = (x1 + 3, x0 - 1): (3, -1), then (2, 2)
+            (swap_shift_game(), mg.WinnerVerdict("MaxWinsAll", 2, (2, 2))),
+            # (2, -3), (3/2, -7/2), (1, -4), (1/2, -9/2), (0, -5)
+            (half, mg.WinnerVerdict("MinWinsAll", 5, (0, -5))),
+            # cap 8 n^2 W + 1 = 8 * 4 * 5 + 1 steps of (+5, -5)
+            (self._two_cycles(), Exhausted(161, (805, -805))),
+        ]
+        for game, expected in cases:
+            assert mg.winner(game) == expected
 
     def test_iteration_cap_matches_stats(self):
         g = cycle_game(a=0, b=2)
