@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-import mpmath
-
 from .entropy import EntropyGame, _fraction_to_iv, _iv_to_fractions, make_entropy_game
 from .numeric import RationalInterval
 
@@ -106,6 +104,8 @@ def flip_horizon(n: int, w: int, k_limit: int = 10**4) -> int:
 
 
 def _ln_bounds(x: Fraction, prec: int = 160):
+    import mpmath  # imported on first use, as in entropy.py
+
     saved = mpmath.iv.prec
     try:
         mpmath.iv.prec = prec

@@ -19,9 +19,9 @@ import click
 from . import cex as cexmod
 from . import entropy as ent
 from . import stochastic as smpg
-from .graphs import GameFormatError
-from .iteration import Certificate, Exhausted, IterationCapExceeded
-from .numeric import NEG_INF
+from .graphs import GameFormatError, json_list, state_ids_error
+from .iteration import SUB, SUPER, Certificate, Exhausted, IterationCapExceeded
+from .numeric import NEG_INF, RationalInterval, rational_in_interval
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -36,10 +36,20 @@ def _frac_str(v) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def _report_frac(value) -> Fraction:
+    """A rational written in a report: a "p/q" string or an integer."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise GameFormatError(f"{value!r} is not a rational")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise GameFormatError(f"{value!r} is not a rational") from exc
+
+
 def _parse_frac(s):
     if s == "-inf":
         return NEG_INF
-    return Fraction(s)
+    return _report_frac(s)
 
 
 def _load_game(path):
@@ -69,9 +79,11 @@ def _cert_record(cert: Certificate, states=None) -> dict:
 
 
 def _cert_from_record(rec) -> Certificate:
+    if not isinstance(rec, dict):
+        raise GameFormatError(f"certificate record {rec!r} is not an object")
     return Certificate(
-        Fraction(rec["lam"]),
-        tuple(_parse_frac(v) for v in rec["vec"]),
+        _report_frac(rec["lam"]),
+        tuple(_parse_frac(v) for v in json_list(rec["vec"], '"vec"')),
         rec["direction"],
         bool(rec.get("multiplicative", False)),
     )
@@ -200,14 +212,14 @@ def _solve_entropy(game, mode, budget):
     if mode == "topclass":
         return EXIT_OK, {
             "top_class": sorted(sol.blocks[0].d_ids),
-            "oracle_calls": sol.blocks[0].oracle_calls,
+            "iterations": sol.blocks[0].iterations,
         }
     report = {
         "values": {d: _interval_record(iv) for d, iv in sol.values.items()},
         "despot_strategy": sol.sigma,
         "tribune_strategy": sol.tau,
         "blocks": [sorted(b.d_ids) for b in sol.blocks],
-        "oracle_calls": sum(b.oracle_calls for b in sol.blocks),
+        "iterations": sum(b.iterations for b in sol.blocks),
         "certificates": [
             _cert_record(c, _sub_states(b.subgame))
             for b in sol.blocks
@@ -227,7 +239,7 @@ def _solve_entropy(game, mode, budget):
 )
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 @click.option("--budget", type=int, default=10**6, show_default=True,
-              help="strategy-enumeration budget for auxiliary brute force")
+              help="strategy-pair budget of the entropy solver's enumeration")
 def solve(input_path, mode, as_json, budget):
     """Solve a game file (winner / value / top class / full analysis)."""
     try:
@@ -250,51 +262,124 @@ def solve(input_path, mode, as_json, budget):
 # certify
 
 
+def _inside(rec, levels: RationalInterval) -> bool:
+    """Whether the interval record `rec` of a report lies inside `levels`."""
+    if not isinstance(rec, dict):
+        raise GameFormatError(f"interval {rec!r} is not an object")
+    lo, hi = _report_frac(rec["lo"]), _report_frac(rec["hi"])
+    return levels.lo <= lo <= hi <= levels.hi
+
+
+def _report_ids(states, key):
+    ids = json_list(states[key], f'"{key}"')
+    bad = state_ids_error(ids)
+    if bad:
+        raise GameFormatError(bad)
+    return ids
+
+
+def _cert_target(kind, game, states):
+    """The game, or the subgame named by a certificate record's "states";
+    None when those states do not induce a stochastic subgame."""
+    if states is None:
+        return game
+    if not isinstance(states, dict):
+        raise GameFormatError(f'"states" {states!r} is not an object')
+    if kind == "smpg":
+        idx = {s: j for j, s in enumerate(game.min_ids)}
+        return smpg.induced_subgame(
+            game, [idx[s] for s in _report_ids(states, "min_states")]
+        )
+    return ent.subgraph_on(
+        game, *(_report_ids(states, k) for k in ("d_states", "t_states",
+                                                  "p_states"))
+    )
+
+
+def _smpg_claims(report, pairs):
+    if len(pairs) != 1:
+        raise GameFormatError("a stochastic report has one certificate pair")
+    ((target, levels),) = pairs
+    if "top_class" in report and report["top_class"] != sorted(target.min_ids):
+        return "top_class is not the set of states the certificates hold on"
+    if "interval" in report and not _inside(report["interval"], levels):
+        return "interval is not inside the certified levels"
+    for key in ("value", "top_value"):
+        if key in report and _report_frac(report[key]) != rational_in_interval(
+            levels, target.stats().mu
+        ):
+            return (f"{key} is not the unique rational of denominator <= mu "
+                    "between the certified levels")
+    return None
+
+
+def _entropy_claims(report, pairs):
+    if "blocks" in report and report["blocks"] != [
+        sorted(target.d_ids) for target, _ in pairs
+    ]:
+        return "blocks are not the Despot sets the certificates hold on"
+    values = report.get("values", {})
+    if not isinstance(values, dict):
+        raise GameFormatError(f'"values" {values!r} is not an object')
+    # JSON object keys are strings, and a game's ids are all strings or all
+    # integers, so str() names each Despot unambiguously
+    levels = {str(d): lv for target, lv in pairs for d in target.d_ids}
+    for d, rec in values.items():
+        if d not in levels or not _inside(rec, levels[d]):
+            return f"the value of {d!r} is not inside its block's levels"
+    return None
+
+
+def _verify_report(kind, game, report):
+    """Why the report fails, or None: each (sub, super) certificate pair
+    must hold exactly on the (sub)game its states name, and the top class,
+    blocks, values and intervals the report claims must follow from the
+    levels of those pairs."""
+    if not isinstance(report, dict):
+        raise GameFormatError("a report must be a JSON object")
+    records = json_list(report.get("certificates", []), '"certificates"')
+    if not records:
+        raise GameFormatError("report carries no certificates")
+    if len(records) % 2:
+        raise GameFormatError("certificates must come in (sub, super) pairs")
+    check = (smpg.check_certificate if kind == "smpg"
+             else ent.check_entropy_certificate)
+    pairs = []
+    for sub_rec, sup_rec in zip(records[::2], records[1::2]):
+        sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
+        if ((sub.direction, sup.direction) != (SUB, SUPER)
+                or sub_rec.get("states") != sup_rec.get("states")):
+            raise GameFormatError(
+                "certificates must come in (sub, super) pairs on one state set"
+            )
+        target = _cert_target(kind, game, sub_rec.get("states"))
+        if target is None or not (check(target, sub) and check(target, sup)):
+            return "a certificate inequality does not hold"
+        pairs.append((target, RationalInterval(sub.lam, sup.lam)))
+    if kind == "smpg":
+        return _smpg_claims(report, pairs)
+    return _entropy_claims(report, pairs)
+
+
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("cert_path", type=click.Path(exists=True, dir_okay=False))
 def certify(input_path, cert_path):
-    """Re-verify the certificates of a solve report against a game file,
-    in exact arithmetic with zero tolerance."""
+    """Re-verify the certificates of a solve report against a game file, in
+    exact arithmetic with zero tolerance, and check that the top class,
+    blocks, values and intervals the report claims follow from them."""
     try:
         kind, game = _load_game(input_path)
         with open(cert_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-        records = report.get("certificates", [])
-        if not records:
-            raise GameFormatError("report carries no certificates")
-        ok = True
-        for rec in records:
-            cert = _cert_from_record(rec)
-            states = rec.get("states")
-            if kind == "smpg":
-                target = game
-                if states is not None:
-                    idx = {s: j for j, s in enumerate(game.min_ids)}
-                    target = smpg.induced_subgame(
-                        game, [idx[s] for s in states["min_states"]]
-                    )
-                    if target is None:
-                        ok = False
-                        continue
-                ok = ok and smpg.check_certificate(target, cert)
-            else:
-                target = game
-                if states is not None:
-                    target = ent.subgraph_on(
-                        game,
-                        states["d_states"],
-                        states["t_states"],
-                        states["p_states"],
-                    )
-                ok = ok and ent.check_entropy_certificate(target, cert)
+        failure = _verify_report(kind, game, report)
     except (ValueError, KeyError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-    if ok:
+    if failure is None:
         click.echo("all certificates verified")
         sys.exit(EXIT_OK)
-    click.echo("certificate verification FAILED", err=True)
+    click.echo(f"certificate verification FAILED: {failure}", err=True)
     sys.exit(EXIT_INPUT)
 
 
@@ -444,21 +529,22 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
 
 
 def _bench_one(path, budget):
+    """One bench row; `steps` counts oracle calls for a stochastic file and
+    damped witness steps for an entropy file."""
     start = time.perf_counter()
     kind, game = _load_game(path)
     if kind == "smpg":
-        sol = smpg.solve_top_class(game)
-        calls = sol.oracle_calls
+        steps = smpg.solve_top_class(game).oracle_calls
         n = len(game.min_ids)
     else:
         sol = ent.solve_entropy_game(game, budget=budget)
-        calls = sum(b.oracle_calls for b in sol.blocks)
+        steps = sum(b.iterations for b in sol.blocks)
         n = len(game.d_ids)
     return {
         "path": path,
         "kind": kind,
         "states": n,
-        "oracle_calls": calls,
+        "steps": steps,
         "seconds": round(time.perf_counter() - start, 6),
     }
 
@@ -476,6 +562,9 @@ def bench(inputs, budget, trace):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
+    except IterationCapExceeded as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_BUDGET)
     if trace:
         with open(trace, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -485,7 +574,7 @@ def bench(inputs, budget, trace):
         for row in rows:
             click.echo(
                 f"{row['path']}: kind={row['kind']} states={row['states']} "
-                f"calls={row['oracle_calls']} seconds={row['seconds']}"
+                f"steps={row['steps']} seconds={row['seconds']}"
             )
     sys.exit(EXIT_OK)
 

@@ -8,11 +8,13 @@ domain the one-step operator on positive vectors indexed by Despot states is
     T_d(x) = min_(d,t) max_(t,p) sum_(p,l) m_pl * x_l,
 
 and the per-state value is the growth rate lim T^k(1)_d^(1/k), a Perron root
-of an induced nonnegative matrix.  The solver works with the logarithmic
-conjugate F = log o T o exp, which is order-preserving and additively
-homogeneous, so all the generic value-iteration machinery applies; the final
-certificates are re-issued in multiplicative form so they can be checked in
-exact rational arithmetic.
+of an induced nonnegative matrix.  The solver peels top classes: strategy
+enumeration finds the top class of the residual game and brackets its value,
+and a damped iteration of T on integer vectors finds exact sub/super
+eigenvectors of the block, which serve as its certificates (checked in exact
+rational arithmetic) and give both players' strategies.  The logarithmic
+conjugate F = log o T o exp, order-preserving and additively homogeneous, is
+available as an oracle for the generic value-iteration machinery.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
 
-import mpmath
-
-from .dominion import SepParams, top_class
 from .graphs import (
     GameFormatError,
     edge_records,
@@ -37,15 +36,10 @@ from .graphs import (
     state_ids_error,
     tarjan_scc,
 )
-from .iteration import (
-    SUB,
-    SUPER,
-    Certificate,
-    approximate_constant_mean_payoff,
-)
+from .iteration import SUB, SUPER, Certificate, IterationCapExceeded
 from .linalg import integer_rank
 from .numeric import NEG_INF, RationalInterval
-from .oracle import ShapleyOracle, restrict
+from .oracle import ShapleyOracle
 from .perron import perron_root
 
 
@@ -224,12 +218,16 @@ def _iv_to_fractions(x):
 
 
 def _fraction_to_iv(x: Fraction):
+    import mpmath  # imported on first use: no solver needs interval arithmetic
+
     return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
 
 
 def exp_bounds(x, rel_bits: int = 80):
     """Rational (lower, upper) enclosure of e^x with relative width at most
     2^-rel_bits, via outward-rounded interval arithmetic."""
+    import mpmath
+
     x = Fraction(x)
     saved = mpmath.iv.prec
     try:
@@ -272,6 +270,8 @@ def certified_log_sum_exp(terms, eps) -> Fraction:
             return Fraction(res)
     except (OverflowError, ValueError):
         pass
+    import mpmath
+
     shift_fr = max(xs)
     saved = mpmath.iv.prec
     try:
@@ -680,7 +680,7 @@ def check_entropy_certificate(game: EntropyGame, cert: Certificate) -> bool:
     multiplicative certificate with positive rational entries."""
     if not cert.multiplicative:
         raise ValueError("entropy certificates are multiplicative")
-    if any(Fraction(v) <= 0 for v in cert.vec):
+    if any(v <= 0 for v in cert.vec):
         return False
     y = multiplicative_eval(game, [Fraction(v) for v in cert.vec])
     if cert.direction == SUB:
@@ -702,9 +702,7 @@ class BlockResult:
     sub: Certificate
     sup: Certificate
     delta: Fraction
-    R: Fraction
-    iterations: int
-    oracle_calls: int
+    iterations: int  # damped witness steps
 
 
 @dataclass(frozen=True)
@@ -763,87 +761,34 @@ def _irreducible(matrix) -> bool:
     return len(tarjan_scc(adj)) == 1
 
 
-def _certified_witness_bound(subgame, v_interval, delta, cap=30000):
-    """Certified seminorm bound: run the damped iteration u <- T(u) + u on
-    integer vectors from 1 and keep the first iterates satisfying the exact
-    sub/super inequalities at levels just below/above the value bracket.  The
-    minimum normalized ratio min_d T(u)_d/u_d is nondecreasing along the
-    damped orbit, so the search is monotone."""
-    w_v = delta / 64
-    lam_lo = v_interval.lo - w_v
-    lam_hi = v_interval.hi + w_v
-    if lam_lo <= 0:
-        raise RuntimeError("value bracket too coarse for witness extraction")
-    m = len(subgame.d_ids)
-    u = [1] * m
-    found_sub = None
-    found_sup = None
-    for it in range(cap):
+def _witness_certificates(subgame, v_interval, slack, cap=30000):
+    """Exact multiplicative sub/super certificates at the levels
+    v.lo - slack and v.hi + slack: run the damped iteration u <- T(u) + u on
+    integer vectors from 1 and keep the first iterates satisfying the sub and
+    the super inequality.  The minimum normalized ratio min_d T(u)_d/u_d is
+    nondecreasing along the damped orbit, so the search is monotone.  Returns
+    (sub, sup, steps), steps counting the evaluations of T; raises
+    IterationCapExceeded after `cap` of them."""
+    lam_lo = v_interval.lo - slack
+    lam_hi = v_interval.hi + slack
+    u = [1] * len(subgame.d_ids)
+    sub = sup = None
+    for steps in range(1, cap + 1):
         tu = multiplicative_eval(subgame, u)
-        if found_sub is None and all(
-            tv >= lam_lo * uv for tv, uv in zip(tu, u)
-        ):
-            found_sub = list(u)
-        if found_sup is None and all(
-            tv <= lam_hi * uv for tv, uv in zip(tu, u)
-        ):
-            found_sup = list(u)
-        if found_sub is not None and found_sup is not None:
-            break
+        if sub is None and all(tv >= lam_lo * uv for tv, uv in zip(tu, u)):
+            sub = Certificate(lam_lo, tuple(u), SUB, multiplicative=True)
+        if sup is None and all(tv <= lam_hi * uv for tv, uv in zip(tu, u)):
+            sup = Certificate(lam_hi, tuple(u), SUPER, multiplicative=True)
+        if sub is not None and sup is not None:
+            return sub, sup, steps
         u = [a + b for a, b in zip(tu, u)]
-        if it % 32 == 31:
-            g = 0
-            for v in u:
-                g = gcd(g, v)
+        if steps % 32 == 0:
+            g = gcd(*u)
             if g > 1:
                 u = [v // g for v in u]
-    if found_sub is None or found_sup is None:
-        raise RuntimeError(
-            "damped iteration found no eigenvector witnesses; falling back to "
-            "the a priori seminorm bound would exceed the iteration budget"
-        )
-    bounds = []
-    for vec in (found_sub, found_sup):
-        ratio = Fraction(max(vec), min(vec))
-        bounds.append(ln_upper(ratio))
-    return max(max(bounds), delta)
-
-
-def _score(game, p, x, eps):
-    """Certified log-domain People score at vector x (indexed by Despot,
-    NEG_INF off-support)."""
-    terms = [(m, x[l]) for l, m in game.p_edges[p] if x[l] is not NEG_INF]
-    if not terms:
-        return NEG_INF
-    return certified_log_sum_exp(terms, eps)
-
-
-def _multiplicative_certificates(subgame, res, shrink_bits=(70, 40, 20)):
-    """Convert the additive log-domain certificates of an ACMP result into
-    exactly verified multiplicative ones.  The witness vectors are rational
-    approximations of exp(x) with relative error 2^-80; the levels absorb
-    that error and a safety factor, then the inequalities are re-checked in
-    exact rational arithmetic."""
-    w_vec = tuple(sum(exp_bounds(v, 80)) / 2 for v in res.sub.vec)
-    z_vec = tuple(sum(exp_bounds(v, 80)) / 2 for v in res.sup.vec)
-    lam_sub_base = exp_bounds(res.sub.lam, 80)[0]
-    lam_sup_base = exp_bounds(res.sup.lam, 80)[1]
-    sub_cert = sup_cert = None
-    for bits in shrink_bits:
-        lam = lam_sub_base * (1 - Fraction(1, 2**bits))
-        cert = Certificate(lam, w_vec, SUB, multiplicative=True)
-        if check_entropy_certificate(subgame, cert):
-            sub_cert = cert
-            break
-    for bits in shrink_bits:
-        lam = lam_sup_base * (1 + Fraction(1, 2**bits))
-        cert = Certificate(lam, z_vec, SUPER, multiplicative=True)
-        if check_entropy_certificate(subgame, cert):
-            sup_cert = cert
-            break
-    if sub_cert is None or sup_cert is None:
-        raise RuntimeError("multiplicative certificate conversion failed")
-    return sub_cert, sup_cert
+    raise IterationCapExceeded(
+        f"damped iteration found no eigenvector witnesses within {cap} steps"
+    )
 
 
 def _solve_block(game: EntropyGame, budget: int):
@@ -866,87 +811,50 @@ def _solve_block(game: EntropyGame, budget: int):
     if ind is None:
         raise RuntimeError("top class candidate is not a dominion")
     v_int = brute.refine(best, delta / 64)
-    r_bound = _certified_witness_bound(ind.game, v_int, delta)
-    params = SepParams(delta=delta, R=r_bound)
-    if params.cap > 10**7:
-        raise RuntimeError("certified iteration cap is out of reach")
-    oracle = LogDomainOracle(game)
-    dom, calls = top_class(oracle, params)
-    if set(dom.states) != set(dmax):
-        raise RuntimeError(
-            "iterative top class disagrees with the enumerated one"
-        )
-    sub_oracle = restrict(oracle, sorted(dom.states))
-    delta2 = delta / 2
-    cap2 = 2 * SepParams(delta=delta2, R=r_bound).cap + 16
-    res = approximate_constant_mean_payoff(sub_oracle, delta2, cap2)
-    sub_cert, sup_cert = _multiplicative_certificates(ind.game, res)
+    # delta is at most half the smallest log-gap between distinct pair
+    # values, so levels delta/4 outside v_int still separate v from them
+    sub, sup, steps = _witness_certificates(ind.game, v_int, delta / 4)
+    if not (check_entropy_certificate(ind.game, sub)
+            and check_entropy_certificate(ind.game, sup)):
+        raise AssertionError("internal error: certificate failed verification")
     stats = game.stats()
-    lo = max(sub_cert.lam, Fraction(1))
-    hi = min(sup_cert.lam, Fraction(stats.n * stats.W))
-    interval = RationalInterval(min(lo, hi), hi)
+    interval = RationalInterval(max(sub.lam, 1),
+                                min(sup.lam, stats.n * stats.W))
 
-    # strategies: Tribune argmax at the sub witness, Despot argmin at the
-    # super witness, certified scores at precision delta/16, ties to the
-    # smallest index
-    eps_s = delta / 16
-    d_set = set(dmax)
-    v_p = {
-        p
-        for p in range(len(game.p_ids))
-        if any(l in d_set for l, _ in game.p_edges[p])
+    # the witnesses extended by zero off the block: a People sum is positive
+    # iff the People has an edge into the block, a Tribune maximum iff the
+    # Tribune has such a People; these People and Tribunes join the block
+    x = [0] * nd
+    y = [0] * nd
+    for i, d in enumerate(ind.d_sel):
+        x[d] = sub.vec[i]
+        y[d] = sup.vec[i]
+    p_sub = [sum(m * x[l] for l, m in row) for row in game.p_edges]
+    p_sup = [sum(m * y[l] for l, m in row) for row in game.p_edges]
+    t_sup = [max(p_sup[p] for p in row) for row in game.t_edges]
+    v_p = [p for p, s in enumerate(p_sup) if s]
+    v_t = [t for t, s in enumerate(t_sup) if s]
+    # exact strategies, ties to the smallest index: each Tribune takes the
+    # People of largest sum at the sub witness, each Despot the Tribune of
+    # smallest maximum at the super witness
+    tau = {
+        game.t_ids[t]: game.p_ids[max(game.t_edges[t], key=p_sub.__getitem__)]
+        for t in v_t
     }
-    v_t = {
-        t
-        for t in range(len(game.t_ids))
-        if any(p in v_p for p in game.t_edges[t])
+    sigma = {
+        game.d_ids[d]: game.t_ids[min(game.d_edges[d], key=t_sup.__getitem__)]
+        for d in ind.d_sel
     }
-    local = {g: i for i, g in enumerate(sorted(dmax))}
-    x_full = [NEG_INF] * nd
-    y_full = [NEG_INF] * nd
-    for g, i in local.items():
-        x_full[g] = res.sub.vec[i]
-        y_full[g] = res.sup.vec[i]
-    tau = {}
-    t_scores = {}
-    for t in sorted(v_t):
-        best_p = None
-        best_v = None
-        agg = NEG_INF
-        for p in game.t_edges[t]:
-            if p not in v_p:
-                continue
-            sx = _score(game, p, x_full, eps_s)
-            if best_v is None or sx > best_v:
-                best_v = sx
-                best_p = p
-            sy = _score(game, p, y_full, eps_s)
-            if agg is NEG_INF or sy > agg:
-                agg = sy
-        tau[game.t_ids[t]] = game.p_ids[best_p]
-        t_scores[t] = agg
-    sigma = {}
-    for d in sorted(dmax):
-        best_t = None
-        best_v = None
-        for t in game.d_edges[d]:
-            v = t_scores[t]
-            if best_v is None or v < best_v:
-                best_v = v
-                best_t = t
-        sigma[game.d_ids[d]] = game.t_ids[best_t]
     block = BlockResult(
-        d_ids=tuple(game.d_ids[d] for d in sorted(dmax)),
-        t_ids=tuple(game.t_ids[t] for t in sorted(v_t)),
-        p_ids=tuple(game.p_ids[p] for p in sorted(v_p)),
+        d_ids=tuple(game.d_ids[d] for d in ind.d_sel),
+        t_ids=tuple(game.t_ids[t] for t in v_t),
+        p_ids=tuple(game.p_ids[p] for p in v_p),
         subgame=ind.game,
         interval=interval,
-        sub=sub_cert,
-        sup=sup_cert,
+        sub=sub,
+        sup=sup,
         delta=delta,
-        R=r_bound,
-        iterations=res.iterations,
-        oracle_calls=calls + sub_oracle.calls,
+        iterations=steps,
     )
     return block, sigma, tau
 

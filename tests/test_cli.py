@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import mpgames as mg
+from mpgames import entropy as ent
 from mpgames.cli import main
 
 from conftest import (
@@ -78,6 +79,43 @@ def set_field(path, value, obj):
     for step in where:
         obj = obj[step]
     obj[key] = value
+
+
+def forged(path, value):
+    """A report edit: set the field at path to value."""
+    def forge(report):
+        set_field(path, value, report)
+        return report
+    return forge
+
+
+# three default draws (draw k of random_entropy_game(Random(seed)), named
+# e<seed>-<k>) of value 3 everywhere: their witness search takes about 3,000
+# damped steps at a slack of delta/4, and more than the 30,000-step cap at
+# delta/64
+DEFECT_GAMES = {
+    "e11-54": (
+        [[2], [0, 1, 2], [0, 1, 2]],
+        [[0], [1, 2], [0, 1, 2]],
+        [[(1, 1), (2, 2)], [(0, 3), (1, 1), (2, 2)],
+         [(0, 2), (1, 1), (2, 3)]],
+    ),
+    "e86-57": (
+        [[0, 1, 2], [1], [0, 1]],
+        [[2], [0, 1, 2], [0, 1, 2]],
+        [[(0, 2), (1, 3), (2, 2)], [(0, 1), (1, 1)], [(0, 3)]],
+    ),
+    "e239-27": (
+        [[0, 1, 2], [0], [1, 2]],
+        [[0, 1], [1, 2], [0]],
+        [[(0, 3)], [(1, 3), (2, 1)], [(0, 2), (1, 2), (2, 2)]],
+    ),
+}
+
+
+def defect_game(name):
+    return mg.make_entropy_game(("d0", "d1", "d2"), ("t0", "t1", "t2"),
+                                ("p0", "p1", "p2"), *DEFECT_GAMES[name])
 
 
 @pytest.fixture
@@ -150,6 +188,41 @@ class TestSolve:
         rep = json.loads(res.output)
         (iv,) = rep["values"].values()
         assert F(iv["lo"]) <= 3 <= F(iv["hi"])
+        assert rep["iterations"] >= 1 and "oracle_calls" not in rep
+
+    @pytest.mark.parametrize("name", sorted(DEFECT_GAMES))
+    def test_defect_games_solve_and_certify(self, runner, tmp_path, name):
+        g = defect_game(name)
+        sol = mg.solve_entropy_game(g)
+        br = mg.brute_force_entropy_values(g)
+        cmp, c = br.registry.compare, br.candidates
+        top = [did for k, did in enumerate(g.d_ids)
+               if all(cmp(c[k], c[j], br.coarse_tol, br.fine_tol) >= 0
+                      for j in range(len(c)))]
+        assert sorted(sol.blocks[0].d_ids) == top
+        pv = mg.pair_values_by_ids(g, sol.sigma, sol.tau, F(1, 2**40))
+        for d, did in enumerate(g.d_ids):
+            for iv in (sol.values[did], pv[d]):
+                assert iv.lo <= br.chi[d].hi and br.chi[d].lo <= iv.hi
+        path = write_game(tmp_path, "g.json", mg.entropy_to_json(g))
+        res = runner.invoke(main, ["solve", path, "--json"])
+        assert res.exit_code == 0
+        rep = tmp_path / "rep.json"
+        rep.write_text(res.output)
+        assert runner.invoke(main, ["certify", path, str(rep)]).exit_code == 0
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_exhausted_witness_search_exit_three(self, runner, tmp_path,
+                                                 monkeypatch, command):
+        monkeypatch.setattr(ent, "_witness_certificates",
+                            partial(ent._witness_certificates, cap=1))
+        path = write_game(tmp_path, "g.json",
+                          mg.entropy_to_json(defect_game("e11-54")))
+        res = runner.invoke(main, [command, path])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output
+        assert "Traceback" not in res.output
 
     def test_entropy_winner_rejected(self, runner, entropy_file):
         res = runner.invoke(main, ["solve", entropy_file, "--mode", "winner"])
@@ -235,6 +308,65 @@ class TestCertify:
         rep.write_text("{}")
         res = runner.invoke(main, ["certify", smpg_file, str(rep)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("forge", [
+        lambda report: [report],
+        forged(["certificates"], [5]),
+        forged(["certificates", 0, "vec"], 5),
+        forged(["certificates", 0, "lam"], [1]),
+        forged(["certificates", 0, "lam"], "1/0"),
+        forged(["certificates", 0, "states"], ["m1"]),
+        forged(["certificates", 0, "states", "min_states"], [["m1"]]),
+        forged(["interval"], ["1/1", "2/1"]),
+    ], ids=["list-report", "record-not-object", "vec-not-list", "lam-list",
+            "lam-zero-denominator", "states-list", "state-id-list",
+            "interval-list"])
+    def test_malformed_report_exit_one(self, runner, tmp_path, forge):
+        path = write_game(tmp_path, "g.json",
+                          mg.game_to_json(absorbing_game()))
+        report = forge(json.loads(
+            runner.invoke(main, ["solve", path, "--json"]).output))
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(report))
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("kind, mode, forges", [
+        ("smpg", "full", [forged(["top_value"], "1000/1")]),
+        ("smpg", "full",
+         [forged(["interval"], {"lo": "999/1", "hi": "1001/1"})]),
+        ("smpg", "full", [forged(["top_class"], ["bogus"])]),
+        ("smpg", "full",
+         [forged(["top_value"], "1000/1"),
+          forged(["interval"], {"lo": "999/1", "hi": "1001/1"}),
+          forged(["top_class"], ["bogus"])]),
+        ("smpg", "value", [forged(["value"], "1000/1")]),
+        ("entropy", "full", [forged(["blocks"], [["bogus"]])]),
+        ("entropy", "full",
+         [forged(["values", "d0"], {"lo": "1/1", "hi": "9/1"})]),
+        ("entropy", "full", [forged(["certificates", 0, "vec", 0], "-inf")]),
+    ], ids=["top_value", "interval", "top_class", "all-three", "value",
+            "blocks", "values", "vec-neg-inf"])
+    def test_forged_claims_fail(self, runner, tmp_path, kind, mode, forges):
+        """The certificates stay valid; the claims they bound do not."""
+        path = str(tmp_path / "g.json")
+        runner.invoke(main, ["gen-random", "--kind", kind, "--seed", "3",
+                             "--out", path])
+        res = runner.invoke(main, ["solve", path, "--mode", mode, "--json"])
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(report))
+        assert runner.invoke(main, ["certify", path, str(rep)]).exit_code == 0
+        for forge in forges:
+            forge(report)
+        rep.write_text(json.dumps(report))
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        assert res.exit_code == 1
+        assert "verification FAILED" in res.output
 
 
 class TestBrute:
@@ -329,6 +461,7 @@ class TestBench:
         with open(trace, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["kind"] for r in rows] == ["smpg", "entropy"]
+        assert all(int(r["steps"]) >= 1 for r in rows)
         assert all(float(r["seconds"]) >= 0 for r in rows)
 
     def test_plain_output(self, runner, smpg_file):
