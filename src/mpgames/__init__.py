@@ -90,6 +90,7 @@ from .stochastic import (
     BruteForceResult,
     ConstantValueSolution,
     GameFormatError,
+    GameSolution,
     GameStats,
     StochasticGame,
     StrategyPair,
@@ -111,6 +112,7 @@ from .stochastic import (
     separation_bound,
     shapley_eval,
     solve_constant_value,
+    solve_game,
     solve_top_class,
     winner,
     winner_iteration_bound,

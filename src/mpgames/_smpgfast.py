@@ -9,12 +9,16 @@ written once per representation:
   loops on small games and on large magnitudes;
 * `_int64_step`, vectorised over numpy int64 arrays: it serves the gap and
   replay loops on games with at least NUMPY_MIN_PAIRS (Min edge, Max edge)
-  pairs per step whose precomputed magnitude bound fits in int64.
+  pairs per step whose magnitude bound at the loop's end length fits in
+  int64.
 
 `Kernel.gap_loop` and `Kernel.replay_loop` are one driver each over
 whichever step `Kernel` selects.  Both implement exactly the recurrence of
 the generic Fraction-based loops: the same half-to-even rounding and the
-same exact stopping test.
+same exact stopping test.  `gap_loop` can resume from an iterate, so a
+caller may run one loop in segments (the early-certificate probe of
+`stochastic` stops at checkpoints) and each segment chooses its step by
+the length at which it ends.
 """
 
 from __future__ import annotations
@@ -160,12 +164,12 @@ class Kernel:
         return _int64_step(self._np, q, self.M)
 
     def _search_step(self, q, cap, second=False):
-        """The rounded step u -> round(F(u)) at the grid 1/q for loops of
-        at most `cap` steps, and the zero iterate it starts from: an int64
-        array for the numpy step, a list for the Python-int step."""
+        """The rounded step u -> round(F(u)) at the grid 1/q for loops that
+        end by step `cap`, and the type of its iterates: an int64 array for
+        the numpy step, a list for the Python-int step."""
         numpy_step = self._numpy_step(q, cap, second)
         if numpy_step is not None:
-            return numpy_step, np.zeros(self.n_min, dtype=np.int64)
+            return numpy_step, lambda u: np.asarray(u, dtype=np.int64)
         game, M = self.game, self.M
         c = q * M
 
@@ -175,19 +179,21 @@ class Kernel:
                 return out
             return [_round_div_half_even(v, M) for v in out]
 
-        return step, [0] * self.n_min
+        return step, list
 
-    def gap_loop(self, q, delta_num, delta_den, cap):
-        """Iterate u <- round(F(u)) from 0 until (top - bottom)/q <=
-        (3/4)*delta*ell, delta = delta_num/delta_den, or ell == cap.
-        Returns (u, ell, hit), u as a list of Python ints."""
-        step, u = self._search_step(q, cap)
+    def gap_loop(self, q, delta_num, delta_den, cap, u=None, ell=0):
+        """Iterate u <- round(F(u)) until (top - bottom)/q <=
+        (3/4)*delta*ell, delta = delta_num/delta_den, or ell == cap.  The
+        loop starts from 0, or resumes from the iterate `u` (numerators over
+        q) of length `ell`; the step is chosen for a loop that ends by
+        `cap`.  Returns (u, ell, hit), u as a list of Python ints."""
+        step, start = self._search_step(q, cap)
+        u = start([0] * self.n_min if u is None else u)
         # on int64 arrays the methods beat the builtins (2.2 against 2.7 us
         # for both on 12-16 entries, numpy 2.4)
         top, bottom = ((max, min) if isinstance(u, list)
                        else (np.ndarray.max, np.ndarray.min))
         lhs, rhs = 4 * delta_den, 3 * delta_num * q
-        ell = 0
         hit = False
         while ell < cap:
             u = step(u)
@@ -202,7 +208,8 @@ class Kernel:
         """Second certificate pass: with kappa = b_num/(q*ell) and
         lam = t_num/(q*ell), build x = sup_i(-i*kappa + u^i) and
         y = inf_i(-i*lam + u^i) over i = 0..ell-1, scaled by q*ell."""
-        step, u = self._search_step(q, ell, second=True)
+        step, start = self._search_step(q, ell, second=True)
+        u = start([0] * self.n_min)
         vectorised = not isinstance(u, list)
         x, y = u.copy(), u.copy()
         for i in range(1, ell):

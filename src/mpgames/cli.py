@@ -106,9 +106,16 @@ def _interval_record(iv) -> dict:
     }
 
 
+def _echo(message, err=False):
+    """click.echo to the current sys.stdout or sys.stderr.  Without an
+    explicit file, click caches a wrapper per stream, holding the stream
+    itself, so every stream a caller redirects to would stay alive."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _emit(report: dict, as_json: bool):
     if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        _echo(json.dumps(report, indent=2, sort_keys=True))
         return
     def render(value):
         if isinstance(value, dict):
@@ -121,9 +128,9 @@ def _emit(report: dict, as_json: bool):
 
     for key, value in report.items():
         if key == "certificates":
-            click.echo(f"certificates: {len(value)} (use --json to inspect)")
+            _echo(f"certificates: {len(value)} (use --json to inspect)")
         else:
-            click.echo(f"{key}: {render(value)}")
+            _echo(f"{key}: {render(value)}")
 
 
 @click.group()
@@ -170,21 +177,18 @@ def _solve_smpg(game, mode, budget):
             "oracle_calls": sol.oracle_calls,
         }
     # full: top class, then the constant value of its restriction
-    tc = smpg.solve_top_class(game)
-    sub = smpg.induced_subgame(game, sorted(tc.indices))
-    if sub is None:
-        raise RuntimeError("top class is not a dominion")
-    val = smpg.solve_constant_value(sub)
+    sol = smpg.solve_game(game)
+    val = sol.value
     return EXIT_OK, {
-        "top_class": sorted(tc.states),
+        "top_class": sorted(sol.top.states),
         "top_value": _frac_str(val.value),
         "interval": _interval_record(val.interval),
-        "oracle_calls": tc.oracle_calls + val.oracle_calls,
+        "oracle_calls": sol.oracle_calls,
         "min_strategy": val.strategies.sigma,
         "max_strategy": val.strategies.tau,
         "certificates": [
-            _cert_record(val.sub, _sub_states(sub)),
-            _cert_record(val.sup, _sub_states(sub)),
+            _cert_record(val.sub, _sub_states(sol.subgame)),
+            _cert_record(val.sup, _sub_states(sol.subgame)),
         ],
     }
 
@@ -249,10 +253,10 @@ def solve(input_path, mode, as_json, budget):
         else:
             code, report = _solve_entropy(game, mode, budget)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     except IterationCapExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
     _emit(report, as_json)
     sys.exit(code)
@@ -374,12 +378,12 @@ def certify(input_path, cert_path):
             report = json.load(fh)
         failure = _verify_report(kind, game, report)
     except (ValueError, KeyError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     if failure is None:
-        click.echo("all certificates verified")
+        _echo("all certificates verified")
         sys.exit(EXIT_OK)
-    click.echo(f"certificate verification FAILED: {failure}", err=True)
+    _echo(f"certificate verification FAILED: {failure}", err=True)
     sys.exit(EXIT_INPUT)
 
 
@@ -439,10 +443,10 @@ def brute(input_path, budget, pairs_path, as_json):
                                 s, _frac_str(iv.lo), _frac_str(iv.hi),
                             ])
     except GameFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
     _emit(report, as_json)
     sys.exit(EXIT_OK)
@@ -470,7 +474,7 @@ def gen_random(kind, seed, out):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        _echo(text)
     sys.exit(EXIT_OK)
 
 
@@ -488,7 +492,7 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
     try:
         inst = cexmod.build_cex_game(n, w)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     obj = ent.entropy_to_json(inst.game)
     text = json.dumps(obj, indent=2)
@@ -517,9 +521,9 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
                 writer.writerow(["k", "left", "right", "winner"])
                 writer.writerows(rows)
         else:
-            click.echo("k,left,right,winner")
+            _echo("k,left,right,winner")
             for row in rows:
-                click.echo(",".join(map(str, row)))
+                _echo(",".join(map(str, row)))
     _emit(meta, as_json)
     sys.exit(EXIT_OK)
 
@@ -560,10 +564,10 @@ def bench(inputs, budget, trace):
     try:
         rows = [_bench_one(path, budget) for path in inputs]
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     except IterationCapExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
     if trace:
         with open(trace, "w", newline="", encoding="utf-8") as fh:
@@ -572,7 +576,7 @@ def bench(inputs, budget, trace):
             writer.writerows(rows)
     else:
         for row in rows:
-            click.echo(
+            _echo(
                 f"{row['path']}: kind={row['kind']} states={row['states']} "
                 f"steps={row['steps']} seconds={row['seconds']}"
             )

@@ -5,6 +5,21 @@ receives B on its move, Nature moves according to rational rows with common
 denominator M.  The per-turn reward of a path through edges (j,i), (i,k) is
 B_ik - A_ij; the value of a state is the long-run average reward under
 optimal play.
+
+Solving searches approximately and certifies exactly.  `solve_game`,
+`solve_top_class` and `solve_constant_value` first run the rounded value
+iteration of the paper's first constancy decision (grid 1/q, q = 4 mu^2) and
+stop at checkpoints after 1, 2, 4, ... steps.  At each checkpoint they take
+the strategy pair greedy at the iterate, compute its exact gain chi and bias
+h, and check exactly that h + t chi is an invariant half-line of the Shapley
+operator F: F(h + t chi) = h + (t + 1) chi for all large t (Hoffman & Karp
+1966; Kohlberg 1980).  Then chi is the value vector, the top class is argmax
+chi, and h restricted to the top class is an exact fixed point F(h) = h +
+max chi of the subgame the top class induces: a sub and a super certificate
+at one level.  When no checkpoint passes by the decision's own stop (its gap
+condition, or the a priori cap 1 + ceil(8R/delta) with delta = 1/mu^2), the
+paper's path runs unchanged from 0: `top_class` peels dominions off and
+`approximate_constant_mean_payoff` brackets the value within delta.
 """
 
 from __future__ import annotations
@@ -12,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._smpgfast import Kernel
@@ -28,6 +43,7 @@ from .graphs import (
 )
 from .iteration import (
     SUB,
+    SUPER,
     Certificate,
     approximate_constant_mean_payoff,
     value_iteration,
@@ -37,6 +53,7 @@ from .numeric import (
     NEG_INF,
     NOT_FOUND,
     NOT_UNIQUE,
+    RationalInterval,
     rational_in_interval,
 )
 from .oracle import ShapleyOracle
@@ -373,6 +390,28 @@ class ConstantValueSolution:
     oracle_calls: int
 
 
+@dataclass(frozen=True)
+class TopClassSolution:
+    states: frozenset  # Min state ids
+    indices: frozenset
+    oracle_calls: int
+    params: SepParams
+
+
+@dataclass(frozen=True)
+class GameSolution:
+    """The top class, the subgame it induces, that subgame's constant value,
+    and the oracle calls of the whole solve."""
+
+    top: TopClassSolution
+    subgame: StochasticGame
+    value: ConstantValueSolution
+    oracle_calls: int
+
+
+_NOT_CONSTANT = "value reconstruction failed; the game value is not constant"
+
+
 def _sep_params(stats: GameStats) -> SepParams:
     delta = separation_bound(stats)
     r = bias_norm_bound(stats)
@@ -394,25 +433,9 @@ def _max_score(game, i, x):
     return best, best_k
 
 
-def solve_constant_value(game: StochasticGame):
-    """Exact value + optimal strategies + certificates for a game whose value
-    does not depend on the initial state.  delta = 1/mu^2 makes the interval
-    isolate a unique rational of denominator <= mu."""
-    stats = game.stats()
-    params = _sep_params(stats)
-    delta = params.delta
-    q = 4 * stats.mu**2
-    oracle = RoundingOracle(game, q)
-    res = approximate_constant_mean_payoff(oracle, delta, params.cap)
-    value = rational_in_interval(res.interval, stats.mu)
-    if value is NOT_FOUND or value is NOT_UNIQUE:
-        raise ValueError(
-            "value reconstruction failed; the game value is not constant"
-        )
-    if not (check_certificate(game, res.sub) and check_certificate(game, res.sup)):
-        raise AssertionError("internal error: certificate failed verification")
-    x = res.sub.vec
-    y = res.sup.vec
+def _strategies(game, x, y) -> StrategyPair:
+    """Max plays greedy at the sub witness x, Min greedy at the super
+    witness y (smallest index on ties)."""
     tau = {}
     for i in range(len(game.max_ids)):
         _, best_k = _max_score(game, i, x)
@@ -428,9 +451,119 @@ def solve_constant_value(game: StochasticGame):
                 best = val
                 best_i = i
         sigma[game.min_ids[j]] = game.max_ids[best_i]
+    return StrategyPair(sigma=sigma, tau=tau)
+
+
+# ---------------------------------------------------------------------------
+# early certificates: the invariant half-line of a greedy strategy pair
+
+
+def _greedy_pair(game, u, q):
+    """Index-based strategies greedy at x = u/q: tau maximises B + P x at
+    each Max state, sigma minimises -A plus that maximum at each Min state,
+    ties to the smallest index (rows are sorted by target index)."""
+    c = q * game.M
+    nat = [sum(num * u[l] for l, num in row) for row in game.nat_edges]
+    tau, best = [], []
+    for row in game.max_edges:
+        k, b = max(row, key=lambda e: e[1] * c + nat[e[0]])
+        tau.append(k)
+        best.append(b * c + nat[k])
+    sigma = [min(row, key=lambda e: best[e[0]] - e[1] * c)[0]
+             for row in game.min_edges]
+    return sigma, tau
+
+
+def _half_line_holds(game, chi, h) -> bool:
+    """Whether F(h + t chi) = h + (t + 1) chi for all large t.  F runs the
+    stages of `shapley_eval` on (slope, offset) pairs, which order as the
+    affine functions slope * t + offset do for large t: lexicographically."""
+    M = game.M
+    nat = [(Fraction(sum(num * chi[l] for l, num in row), M),
+            Fraction(sum(num * h[l] for l, num in row), M))
+           for row in game.nat_edges]
+    best = [max((nat[k][0], b + nat[k][1]) for k, b in row)
+            for row in game.max_edges]
+    out = [min((best[i][0], best[i][1] - a) for i, a in row)
+           for row in game.min_edges]
+    return all(f == (x, y + x) for f, x, y in zip(out, chi, h))
+
+
+def _half_line(game, stats, params):
+    """Search approximately, certify exactly.  Runs the rounded iteration of
+    the first constancy decision (grid 1/q, q = 4 mu^2, stopping on the gap
+    condition or at the a priori cap) in segments that end at 1, 2, 4, ...
+    steps and at its last iterate.  At each checkpoint it takes the strategy
+    pair greedy at the iterate u and the pair's exact gain chi and bias h,
+    each closed class anchored at the iterate's offset u_a/q - ell * chi_a,
+    and checks the invariant half-line exactly.  When it holds, F^k(h) =
+    h + k chi for all large k, so chi is the value vector (Kohlberg 1980).
+    Returns (chi, h, steps run), chi and h None when no checkpoint
+    passes."""
+    q = 4 * stats.mu**2
+    d = params.delta
+    kernel = Kernel(game)
+    u, ell, end = None, 0, 1
+    while True:
+        u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
+                                      min(end, params.cap), u, ell)
+        sigma, tau = _greedy_pair(game, u, q)
+        chi, h = markov_gain_bias(
+            *_pair_chain(game, sigma, tau), game.M,
+            anchor=lambda a, g: Fraction(u[a], q) - ell * g,
+        )
+        if _half_line_holds(game, chi, h):
+            return chi, h, ell
+        if hit or ell == params.cap:
+            return None, None, ell
+        end = 2 * ell
+
+
+def _fixed_point_solution(game, value, h, steps) -> ConstantValueSolution:
+    """The solution certified by an exact fixed point F(h) = value + h of
+    `game`: h is both the sub and the super witness at level value."""
+    sub = Certificate(value, h, SUB)
+    sup = Certificate(value, h, SUPER)
+    if not (check_certificate(game, sub) and check_certificate(game, sup)):
+        raise AssertionError("internal error: certificate failed verification")
     return ConstantValueSolution(
         value=value,
-        strategies=StrategyPair(sigma=sigma, tau=tau),
+        strategies=_strategies(game, h, h),
+        sub=sub,
+        sup=sup,
+        interval=RationalInterval(value, value),
+        iterations=steps,
+        oracle_calls=steps,
+    )
+
+
+def _top_class_solution(game, indices, calls, params) -> TopClassSolution:
+    return TopClassSolution(
+        states=frozenset(game.min_ids[i] for i in indices),
+        indices=frozenset(indices),
+        oracle_calls=calls,
+        params=params,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the paper's a priori path (the fallback)
+
+
+def _decided_constant_value(game, stats, params) -> ConstantValueSolution:
+    """Constant value by approximate_constant_mean_payoff from 0 with
+    delta = 1/mu^2, which makes the interval isolate a unique rational of
+    denominator <= mu."""
+    oracle = RoundingOracle(game, 4 * stats.mu**2)
+    res = approximate_constant_mean_payoff(oracle, params.delta, params.cap)
+    value = rational_in_interval(res.interval, stats.mu)
+    if value is NOT_FOUND or value is NOT_UNIQUE:
+        raise ValueError(_NOT_CONSTANT)
+    if not (check_certificate(game, res.sub) and check_certificate(game, res.sup)):
+        raise AssertionError("internal error: certificate failed verification")
+    return ConstantValueSolution(
+        value=value,
+        strategies=_strategies(game, res.sub.vec, res.sup.vec),
         sub=res.sub,
         sup=res.sup,
         interval=res.interval,
@@ -439,27 +572,71 @@ def solve_constant_value(game: StochasticGame):
     )
 
 
-@dataclass(frozen=True)
-class TopClassSolution:
-    states: frozenset  # Min state ids
-    indices: frozenset
-    oracle_calls: int
-    params: SepParams
+def _decided_top_class(game, stats, params) -> TopClassSolution:
+    """Top class by top_class with delta = 1/mu^2 and
+    R = 8 n W M^min(s, n-1), oracle precision delta/8."""
+    oracle = RoundingOracle(game, 4 * stats.mu**2)
+    dom, calls = top_class(oracle, params)
+    return _top_class_solution(game, dom.states, calls, params)
+
+
+# ---------------------------------------------------------------------------
+# solvers: the early certificate first, the paper's path when it fails
+
+
+def solve_constant_value(game: StochasticGame) -> ConstantValueSolution:
+    """Exact value + optimal strategies + certificates for a game whose value
+    does not depend on the initial state.  A passing half-line gives the
+    value as an exact fixed point (or refutes constancy at once); otherwise
+    the paper's a priori path decides."""
+    stats = game.stats()
+    params = _sep_params(stats)
+    chi, h, steps = _half_line(game, stats, params)
+    if chi is None:
+        sol = _decided_constant_value(game, stats, params)
+        return replace(sol, oracle_calls=steps + sol.oracle_calls)
+    if len(set(chi)) > 1:
+        raise ValueError(_NOT_CONSTANT)
+    return _fixed_point_solution(game, chi[0], tuple(h), steps)
+
+
+def _probe_top_class(game):
+    """(top class, its value, h) from a passing half-line, or (the paper's
+    top class, None, None); the oracle calls count the probe's steps."""
+    stats = game.stats()
+    params = _sep_params(stats)
+    chi, h, steps = _half_line(game, stats, params)
+    if chi is None:
+        tc = _decided_top_class(game, stats, params)
+        return replace(tc, oracle_calls=steps + tc.oracle_calls), None, None
+    value = max(chi)
+    indices = [j for j, v in enumerate(chi) if v == value]
+    return _top_class_solution(game, indices, steps, params), value, h
 
 
 def solve_top_class(game: StochasticGame) -> TopClassSolution:
-    """States of maximal value, via top_class with delta = 1/mu^2 and
-    R = 8 n W M^min(s, n-1), oracle precision delta/8."""
-    stats = game.stats()
-    params = _sep_params(stats)
-    oracle = RoundingOracle(game, 4 * stats.mu**2)
-    dom, calls = top_class(oracle, params)
-    return TopClassSolution(
-        states=frozenset(game.min_ids[i] for i in dom.states),
-        indices=frozenset(dom.states),
-        oracle_calls=calls,
-        params=params,
-    )
+    """States of maximal value: argmax chi of a passing half-line, else the
+    paper's top_class."""
+    return _probe_top_class(game)[0]
+
+
+def solve_game(game: StochasticGame) -> GameSolution:
+    """The top class and the constant value of the subgame it induces, from
+    one probe: a passing half-line certifies (max chi, h restricted to the
+    top class) as an exact fixed point of that subgame; otherwise the
+    paper's top_class, then its constant-value procedure on the subgame."""
+    top, value, h = _probe_top_class(game)
+    indices = sorted(top.indices)
+    sub = induced_subgame(game, indices)
+    if sub is None:
+        raise RuntimeError("top class is not a dominion")
+    if value is None:
+        sol = _decided_constant_value(sub, sub.stats(), _sep_params(sub.stats()))
+        return GameSolution(top, sub, sol,
+                            top.oracle_calls + sol.oracle_calls)
+    sol = _fixed_point_solution(sub, value, tuple(h[j] for j in indices),
+                                top.oracle_calls)
+    return GameSolution(top, sub, sol, top.oracle_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +649,14 @@ class BruteForceResult:
     pair_gains: tuple  # ((sigma, tau, gains), ...) with index-based maps
 
 
-def markov_gain(rows, r, M):
-    """Per-state long-run average reward of the Markov reward chain with
-    transition rows `rows` (lists of (col, numerator), denominator M) and
-    per-step rewards r.  Exact rationals: stationary distributions on the
-    recurrent classes, absorption systems for the transient part."""
+def markov_gain_bias(rows, r, M, anchor=None):
+    """Per-state long-run average reward (gain) g and bias h of the Markov
+    reward chain with transition rows `rows` (lists of (col, numerator),
+    denominator M) and per-step rewards r, in exact rationals: g = P g and
+    g + h = r + P h.  On each closed class one system gives the class's
+    gain and its bias with h = 0 at the class's smallest state a; h is then
+    shifted there to anchor(a, g) when `anchor` is given.  The transient
+    states solve the absorption systems.  Returns (gain, bias)."""
     n = len(rows)
     adj = [[l for l, _ in row] for row in rows]
     comps = tarjan_scc(adj)
@@ -484,35 +664,36 @@ def markov_gain(rows, r, M):
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    recurrent = []
-    for ci, comp in enumerate(comps):
-        closed = all(comp_of[w] == ci for v in comp for w in adj[v])
-        if closed:
-            recurrent.append(ci)
     gain = [None] * n
-    for ci in recurrent:
-        comp = sorted(comps[ci])
-        idx = {v: t for t, v in enumerate(comp)}
+    bias = [None] * n
+    for ci, comp in enumerate(comps):
+        if any(comp_of[w] != ci for v in comp for w in adj[v]):
+            continue  # not closed
+        comp = sorted(comp)
+        col = {v: t for t, v in enumerate(comp)}
         m = len(comp)
-        # pi (Q - I) = 0 with sum(pi) = 1: solve transposed system
+        # unknowns: g, then h_v for v in comp[1:] (h = 0 at comp[0]);
+        # one equation g + h_v - sum_l P_vl h_l = r_v per state v
         a = [[Fraction(0)] * m for _ in range(m)]
-        for v in comp:
+        for t, v in enumerate(comp):
+            a[t][0] = Fraction(1)
+            if t:
+                a[t][t] += 1
             for l, num in rows[v]:
-                a[idx[l]][idx[v]] += Fraction(num, M)
-            a[idx[v]][idx[v]] -= 1
-        # replace last equation by normalization
-        a[m - 1] = [Fraction(1)] * m
-        b = [Fraction(0)] * (m - 1) + [Fraction(1)]
-        pi = solve_linear(a, b)
-        g = sum(p * r[v] for p, v in zip(pi, comp))
-        for v in comp:
-            gain[v] = g
+                if col[l]:
+                    a[t][col[l]] -= Fraction(num, M)
+        sol = solve_linear(a, [r[v] for v in comp])
+        shift = anchor(comp[0], sol[0]) if anchor else Fraction(0)
+        for t, v in enumerate(comp):
+            gain[v] = sol[0]
+            bias[v] = (sol[t] if t else 0) + shift
     transient = [v for v in range(n) if gain[v] is None]
     if transient:
         idx = {v: t for t, v in enumerate(transient)}
         m = len(transient)
         a = [[Fraction(0)] * m for _ in range(m)]
-        b = [Fraction(0)] * m
+        b_gain = [Fraction(0)] * m
+        b_bias = [Fraction(r[v]) for v in transient]
         for v in transient:
             a[idx[v]][idx[v]] = Fraction(1)
             for l, num in rows[v]:
@@ -520,16 +701,20 @@ def markov_gain(rows, r, M):
                 if l in idx:
                     a[idx[v]][idx[l]] -= p
                 else:
-                    b[idx[v]] += p * gain[l]
-        sol = solve_linear(a, b)
+                    b_gain[idx[v]] += p * gain[l]
+                    b_bias[idx[v]] += p * bias[l]
+        g = solve_linear(a, b_gain)
+        h = solve_linear(a, [b - x for b, x in zip(b_bias, g)])
         for v in transient:
-            gain[v] = sol[idx[v]]
-    return gain
+            gain[v] = g[idx[v]]
+            bias[v] = h[idx[v]]
+    return gain, bias
 
 
-def pair_gain(game: StochasticGame, sigma, tau):
-    """Gains of the Markov reward chain induced by index-based positional
-    strategies sigma (Min idx -> Max idx) and tau (Max idx -> Nat idx)."""
+def _pair_chain(game: StochasticGame, sigma, tau):
+    """Transition rows and per-step rewards of the Markov reward chain on
+    the Min states induced by index-based positional strategies sigma
+    (Min idx -> Max idx) and tau (Max idx -> Nat idx)."""
     a_of = {
         (j, i): a for j in range(len(game.min_ids)) for i, a in game.min_edges[j]
     }
@@ -541,9 +726,15 @@ def pair_gain(game: StochasticGame, sigma, tau):
     for j in range(len(game.min_ids)):
         i = sigma[j]
         k = tau[i]
-        rows.append(list(game.nat_edges[k]))
+        rows.append(game.nat_edges[k])
         r.append(Fraction(b_of[(i, k)] - a_of[(j, i)]))
-    return markov_gain(rows, r, game.M)
+    return rows, r
+
+
+def pair_gain(game: StochasticGame, sigma, tau):
+    """Gains of the Markov reward chain induced by index-based positional
+    strategies sigma (Min idx -> Max idx) and tau (Max idx -> Nat idx)."""
+    return markov_gain_bias(*_pair_chain(game, sigma, tau), game.M)[0]
 
 
 def brute_force_values(game: StochasticGame, budget: int = 10**6):

@@ -95,6 +95,22 @@ def three_value_game():
     )
 
 
+def peel_game(w1, w2):
+    """Two disjoint deterministic 2-state cycles with mean payoffs w1 (m0,
+    m1) and w2 (m2, m3): A = -w on the Min edges, B = 0 on the Max edges.
+    The value is not constant, so the paper's top_class runs its first
+    decision to the a priori cap and peels the lower cycle off."""
+    w = (w1, w1, w2, w2)
+    return mg.make_game(
+        ["m0", "m1", "m2", "m3"], ["x0", "x1", "x2", "x3"],
+        ["n0", "n1", "n2", "n3"],
+        [[(j, -w[j])] for j in range(4)],
+        [[(i, 0)] for i in range(4)],
+        [[(1, 1)], [(0, 1)], [(3, 1)], [(2, 1)]],
+        1,
+    )
+
+
 def swap_shift_game():
     """Realizes F(x0, x1) = (x1 + 3, x0 - 1); constant value 1 with bias
     (2, 0)."""

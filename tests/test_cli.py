@@ -1,8 +1,12 @@
 """End-to-end command-line interface coverage."""
 
+import contextlib
 import csv
+import gc
+import io
 import json
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -468,3 +472,33 @@ class TestBench:
         res = runner.invoke(main, ["bench", smpg_file])
         assert res.exit_code == 0
         assert "kind=smpg" in res.output
+
+
+class TestInProcess:
+    def test_commands_release_redirected_streams(self, tmp_path):
+        """A caller that runs commands in-process, each with fresh
+        redirected stdout and stderr buffers, gets every buffer back: the
+        CLI keeps no reference to a stream it wrote to."""
+        path = write_game(tmp_path, "g.json",
+                          mg.game_to_json(nature_half_game()))
+        bad = write_game(tmp_path, "bad.json", {"type": "chess"})
+        rep = tmp_path / "rep.json"
+        streams = []
+        for args in (["solve", path, "--json"], ["certify", path, str(rep)],
+                     ["solve", bad]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    main.main(args=args, prog_name="mpgames",
+                              standalone_mode=False)
+                except SystemExit:
+                    pass
+            if args[0] == "solve" and args[1] == path:
+                rep.write_text(out.getvalue())
+            else:
+                assert (out.getvalue() + err.getvalue()).strip()
+            streams += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [ref() for ref in streams] == [None] * len(streams)

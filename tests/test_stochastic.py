@@ -6,11 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 import mpgames as mg
 from mpgames import NEG_INF, Exhausted
 from mpgames import _smpgfast
+from mpgames import stochastic as st
 from mpgames._smpgfast import Kernel
+from mpgames.cli import main
 from mpgames.numeric import vec, zeros
 from mpgames.stochastic import round_to_denominator
 
@@ -20,6 +23,7 @@ from conftest import (
     max_choice_game,
     min_choice_game,
     nature_half_game,
+    peel_game,
     swap_shift_game,
     three_value_game,
 )
@@ -198,6 +202,35 @@ class TestRoundingOracle:
         assert any(v < 0 and (v * q).denominator == 2
                    for u in orbit for v in mg.shapley_eval(halves, u))
 
+    def test_gap_loop_resumes_in_segments(self, monkeypatch):
+        """gap_loop run in segments ending at 1, 2, 4, ... (resuming from
+        the previous iterate) repeats one uninterrupted run bit for bit.  On
+        a dense M = 2 game with 8 states the a priori cap rules the numpy
+        step out, but the short segments run it."""
+        rng = random.Random(31)
+        dense = self._dense_game(rng, 8, 2, -3, 3)
+        games = [mg.random_smpg(rng) for _ in range(10)] + [dense]
+        end = 64
+        for g in games:
+            q = 4 * g.stats().mu**2
+            delta = mg.separation_bound(g.stats())
+            args = (q, delta.numerator, delta.denominator)
+            kernel = Kernel(g)
+            whole = kernel.gap_loop(*args, end)
+            u, ell, seg_end = None, 0, 1
+            while True:
+                u, ell, hit = kernel.gap_loop(*args, min(seg_end, end), u,
+                                              ell)
+                if hit or ell == end:
+                    break
+                seg_end = 2 * ell
+            assert (u, ell, hit) == whole
+        # the loop variables now belong to the dense game
+        assert kernel._numpy_step(q, st._sep_params(dense.stats()).cap) is None
+        assert kernel._numpy_step(q, end) is not None
+        monkeypatch.setattr(_smpgfast, "NUMPY_MIN_PAIRS", math.inf)
+        assert Kernel(dense).gap_loop(*args, end) == whole
+
 
 class TestBounds:
     def test_separation_examples(self):
@@ -348,6 +381,197 @@ class TestSolveTopClass:
     def test_three_values(self):
         sol = mg.solve_top_class(three_value_game())
         assert sol.states == frozenset({"m0", "m1"})
+
+
+def _brute_top(g):
+    chi = mg.brute_force_values(g).chi
+    best = max(chi)
+    return chi, best, frozenset(s for s, v in zip(g.min_ids, chi) if v == best)
+
+
+def _refuse_paper_path(monkeypatch):
+    """Make every entry to the paper's a priori path fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the paper's path ran")
+
+    monkeypatch.setattr(st, "top_class", refuse)
+    monkeypatch.setattr(st, "approximate_constant_mean_payoff", refuse)
+
+
+def _probe(g):
+    stats = g.stats()
+    return st._half_line(g, stats, st._sep_params(stats))
+
+
+# default draws random_smpg(Random(seed)), 5 per seed; (6, 2), (11, 0) and
+# (41, 4) have values that differ by state
+EARLY_SEEDS = range(50)
+NON_CONSTANT = {(6, 2), (11, 0), (41, 4)}
+
+
+class TestEarlyCertificate:
+    def test_default_draws_match_brute_force(self, tmp_path):
+        """On 250 default draws the probe certifies every game (no
+        fallback); top class, value, certificates, strategies and the value
+        mode agree with brute force, and `solve --json` passes `certify`."""
+        runner = CliRunner()
+        game_path, rep_path = tmp_path / "g.json", tmp_path / "r.json"
+        non_constant = set()
+        for seed in EARLY_SEEDS:
+            rng = random.Random(seed)
+            for draw in range(5):
+                g = mg.random_smpg(rng)
+                chi, best, top = _brute_top(g)
+                probe_chi, _, steps = _probe(g)
+                assert tuple(probe_chi) == chi and steps <= 8
+                sol = mg.solve_game(g)
+                assert sol.top.states == top == mg.solve_top_class(g).states
+                assert sol.value.value == best
+                assert sol.oracle_calls == steps
+                sub = sol.subgame
+                assert mg.check_certificate(sub, sol.value.sub)
+                assert mg.check_certificate(sub, sol.value.sup)
+                assert set(mg.frozen_pair_values(
+                    sub, sol.value.strategies)) == {best}
+                if len(set(chi)) > 1:
+                    non_constant.add((seed, draw))
+                    with pytest.raises(ValueError, match="not constant"):
+                        mg.solve_constant_value(g)
+                else:
+                    assert mg.solve_constant_value(g).value == best
+                game_path.write_text(json.dumps(mg.game_to_json(g)))
+                res = runner.invoke(main, ["solve", str(game_path), "--json"])
+                assert res.exit_code == 0
+                rep = json.loads(res.output)
+                assert rep["top_class"] == sorted(top)
+                assert F(rep["top_value"]) == best
+                rep_path.write_text(res.output)
+                assert runner.invoke(main, ["certify", str(game_path),
+                                            str(rep_path)]).exit_code == 0
+        assert non_constant == NON_CONSTANT
+
+    @pytest.mark.parametrize("make, top, value", [
+        (lambda: peel_game(14, 3), {"m0", "m1"}, 14),
+        (lambda: peel_game(3, 14), {"m2", "m3"}, 14),
+        (lambda: peel_game(6, 2), {"m0", "m1"}, 6),
+        (lambda: peel_game(10, 5), {"m0", "m1"}, 10),
+        (absorbing_game, {"m0"}, 5),
+        (three_value_game, {"m0", "m1"}, 2),
+    ], ids=["peel-14-3", "peel-3-14", "peel-6-2", "peel-10-5", "absorbing",
+            "three-value"])
+    def test_non_constant_games_need_no_decision(self, monkeypatch, make,
+                                                 top, value):
+        """Games whose paper path runs a decision to its a priori cap and
+        peels: the half-line gives the top class and value at step 1."""
+        g = make()
+        _refuse_paper_path(monkeypatch)
+        sol = mg.solve_game(g)
+        assert sol.top.states == top and sol.value.value == value
+        assert sol.oracle_calls == 1
+        assert mg.solve_top_class(g).states == top
+        sub = sol.subgame
+        assert mg.check_certificate(sub, sol.value.sub)
+        assert mg.check_certificate(sub, sol.value.sup)
+        assert set(mg.frozen_pair_values(sub, sol.value.strategies)) == {value}
+        with pytest.raises(ValueError, match="not constant"):
+            mg.solve_constant_value(g)
+
+    def test_equal_gain_classes_need_iterate_anchors(self, monkeypatch):
+        """random_smpg(Random(341)), draw 0: the greedy pairs have two
+        closed classes of equal gain -2.  Anchored at the iterate's offsets
+        the half-line holds; with the bias 0 at each class's anchor state it
+        holds at no checkpoint, and the solve would fall back."""
+        g = mg.random_smpg(random.Random(341))
+        _refuse_paper_path(monkeypatch)
+        chi, h, steps = _probe(g)
+        assert chi == [F(-2)] * 3
+        assert mg.solve_constant_value(g).value == -2
+        assert mg.solve_top_class(g).states == frozenset(g.min_ids)
+        monkeypatch.undo()
+        anchored = st.markov_gain_bias
+        monkeypatch.setattr(st, "markov_gain_bias",
+                            lambda rows, r, M, anchor=None:
+                            anchored(rows, r, M))
+        assert _probe(g)[0] is None
+
+    def test_pinned_mu_405_game(self, monkeypatch):
+        """random_smpg(Random(1), 5, 5, 5), draw 2 (mu = 405): the paper's
+        path runs 874,800 steps twice; the half-line holds at step 2."""
+        rng = random.Random(1)
+        g = [mg.random_smpg(rng, 5, 5, 5) for _ in range(3)][2]
+        assert g.stats().mu == 405
+        _refuse_paper_path(monkeypatch)
+        sol = mg.solve_game(g)
+        assert sol.value.value == F(2, 3) and sol.oracle_calls == 2
+        assert sol.top.states == frozenset(g.min_ids)
+
+    def test_bias_solves_the_chain(self):
+        """g = P g and g + h = r + P h exactly, on a chain with a transient
+        state between two closed classes; each class's smallest state takes
+        its anchor."""
+        rows = [[(0, 2)], [(1, 2)], [(0, 1), (1, 1)], [(2, 1), (3, 1)]]
+        r = [F(2), F(-2), F(1), F(3)]
+        gain, bias = st.markov_gain_bias(rows, r, 2,
+                                         anchor=lambda a, g: F(a) + g)
+        assert gain == [2, -2, 0, 0]
+        assert bias[0] == 2 and bias[1] == -1
+        for v, row in enumerate(rows):
+            assert gain[v] == sum(num * gain[l] for l, num in row) / 2
+            assert gain[v] + bias[v] == r[v] + sum(
+                num * bias[l] for l, num in row) / 2
+
+
+class TestPaperPath:
+    """The a priori path: the fallback when no checkpoint passes."""
+
+    def test_fallback_answers_unchanged(self, monkeypatch):
+        games = [peel_game(6, 2), nature_half_game()]
+        rng = random.Random(7)
+        games += [mg.random_smpg(rng) for _ in range(6)]
+        early = [mg.solve_game(g) for g in games]
+        monkeypatch.setattr(st, "_half_line", lambda *args: (None, None, 0))
+        for g, e in zip(games, early):
+            sol = mg.solve_game(g)
+            _, best, top = _brute_top(g)
+            assert sol.top.states == e.top.states == top
+            assert sol.value.value == e.value.value == best
+            assert mg.solve_top_class(g).states == top
+            assert mg.check_certificate(sol.subgame, sol.value.sub)
+            assert mg.check_certificate(sol.subgame, sol.value.sup)
+            assert set(mg.frozen_pair_values(
+                sol.subgame, sol.value.strategies)) == {best}
+
+    def test_fallback_counts(self, monkeypatch):
+        """With the probe returning nothing, the solvers report the paper
+        path's oracle calls exactly."""
+        monkeypatch.setattr(st, "_half_line", lambda *args: (None, None, 0))
+        assert mg.solve_top_class(peel_game(6, 2)).oracle_calls == 24580
+        assert mg.solve_constant_value(nature_half_game()).oracle_calls == 43
+        sol = mg.solve_game(peel_game(6, 2))
+        assert sol.oracle_calls == 24580 + 1
+
+    @pytest.mark.parametrize("make, cap, calls, states, iterations", [
+        (nature_half_game, 8193, 23, {0, 1}, 22),
+        (lambda: peel_game(6, 2), 24577, 24580, {0, 1}, 1),
+    ], ids=["nature-half", "peel-6-2"])
+    def test_pinned_counts(self, make, cap, calls, states, iterations):
+        """top_class and approximate_constant_mean_payoff called directly:
+        the counts of the a priori path stay as they were before the early
+        certificate existed."""
+        g = make()
+        stats = g.stats()
+        params = st._sep_params(stats)
+        assert params.cap == cap
+        oracle = mg.rounding_oracle(g, 4 * stats.mu**2)
+        dom, n_calls = mg.top_class(oracle, params)
+        assert (set(dom.states), n_calls) == (states, calls)
+        sub = mg.induced_subgame(g, sorted(dom.states))
+        sub_stats = sub.stats()
+        sub_params = st._sep_params(sub_stats)
+        res = mg.approximate_constant_mean_payoff(
+            mg.rounding_oracle(sub, 4 * sub_stats.mu**2), sub_params.delta,
+            sub_params.cap)
+        assert res.iterations == iterations
 
 
 class TestBruteForce:
