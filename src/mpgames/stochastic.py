@@ -9,14 +9,17 @@ optimal play.
 Solving searches approximately and certifies exactly.  `solve_game`,
 `solve_top_class` and `solve_constant_value` first run the rounded value
 iteration of the paper's first constancy decision (grid 1/q, q = 4 mu^2) and
-stop at checkpoints after 1, 2, 4, ... steps.  At each checkpoint they take
+stop at checkpoints whose lengths about double.  At each checkpoint they take
 the strategy pair greedy at the iterate, compute its exact gain chi and bias
 h, and check exactly that h + t chi is an invariant half-line of the Shapley
 operator F: F(h + t chi) = h + (t + 1) chi for all large t (Hoffman & Karp
-1966; Kohlberg 1980).  Then chi is the value vector, the top class is argmax
-chi, and h restricted to the top class is an exact fixed point F(h) = h +
-max chi of the subgame the top class induces: a sub and a super certificate
-at one level.  When no checkpoint passes by the decision's own stop (its gap
+1966; Kohlberg 1980).  When the iterate's pair fails, up to three more steps
+try the pair greedy at the mean of the last 2, 3 and 4 iterates, which
+certifies iterations caught in a short periodic orbit.  When the half-line
+holds, chi is the value vector, the top class is argmax chi, and h
+restricted to the top class is an exact fixed point F(h) = h + max chi of
+the subgame the top class induces: a sub and a super certificate at one
+level.  When no checkpoint passes by the decision's own stop (its gap
 condition, or the a priori cap 1 + ceil(8R/delta) with delta = 1/mu^2), the
 paper's path runs unchanged from 0: `top_class` peels dominions off and
 `approximate_constant_mean_payoff` brackets the value within delta.
@@ -489,15 +492,36 @@ def _half_line_holds(game, chi, h) -> bool:
     return all(f == (x, y + x) for f, x, y in zip(out, chi, h))
 
 
+_WINDOW = 4  # iterates averaged when a checkpoint's own greedy pair fails
+
+
+def _half_line_at(game, v, q, t):
+    """(chi, h) of the strategy pair greedy at x = v/q, each closed class
+    anchored at the offset v_a/q - t * chi_a, when the half-line holds;
+    else None."""
+    sigma, tau = _greedy_pair(game, v, q)
+    chi, h = markov_gain_bias(
+        *_pair_chain(game, sigma, tau), game.M,
+        anchor=lambda a, g: Fraction(v[a], q) - t * g,
+    )
+    return (chi, h) if _half_line_holds(game, chi, h) else None
+
+
 def _half_line(game, stats, params):
     """Search approximately, certify exactly.  Runs the rounded iteration of
     the first constancy decision (grid 1/q, q = 4 mu^2, stopping on the gap
-    condition or at the a priori cap) in segments that end at 1, 2, 4, ...
-    steps and at its last iterate.  At each checkpoint it takes the strategy
-    pair greedy at the iterate u and the pair's exact gain chi and bias h,
-    each closed class anchored at the iterate's offset u_a/q - ell * chi_a,
-    and checks the invariant half-line exactly.  When it holds, F^k(h) =
-    h + k chi for all large k, so chi is the value vector (Kohlberg 1980).
+    condition or at the a priori cap) in segments, the first ending at step
+    1 and each later one at twice the steps run so far, the last at its
+    final iterate.  At each checkpoint it takes the strategy pair greedy at
+    the iterate u and the pair's exact gain chi and bias h, each closed
+    class anchored at the iterate's offset u_a/q - ell * chi_a, and checks
+    the invariant half-line exactly.  When that fails it runs up to
+    _WINDOW - 1 more steps and tries the pair greedy at the mean of the
+    last 2, 3, ... iterates: on deterministic games the iterates often
+    settle into an orbit of period 2 or 4 around the half-line, at which no
+    single iterate's greedy pair is optimal.  When the half-line holds,
+    F^k(h) = h + k chi for all large k, so chi is the value vector
+    (Kohlberg 1980).
     Returns (chi, h, steps run), chi and h None when no checkpoint
     passes."""
     q = 4 * stats.mu**2
@@ -507,13 +531,18 @@ def _half_line(game, stats, params):
     while True:
         u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
                                       min(end, params.cap), u, ell)
-        sigma, tau = _greedy_pair(game, u, q)
-        chi, h = markov_gain_bias(
-            *_pair_chain(game, sigma, tau), game.M,
-            anchor=lambda a, g: Fraction(u[a], q) - ell * g,
-        )
-        if _half_line_holds(game, chi, h):
-            return chi, h, ell
+        found = _half_line_at(game, u, q, ell)
+        window = u
+        for j in range(2, _WINDOW + 1):
+            if found is not None or ell == params.cap:
+                break
+            u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
+                                          ell + 1, u, ell)
+            window = [a + b for a, b in zip(window, u)]
+            found = _half_line_at(game, window, j * q,
+                                  ell - Fraction(j - 1, 2))
+        if found is not None:
+            return (*found, ell)
         if hit or ell == params.cap:
             return None, None, ell
         end = 2 * ell

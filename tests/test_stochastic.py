@@ -494,6 +494,26 @@ class TestEarlyCertificate:
                             anchored(rows, r, M))
         assert _probe(g)[0] is None
 
+    def test_period_two_iterates_need_the_window_mean(self, monkeypatch):
+        """random_smpg(Random(1255), 4, 4, 4, m_choices=(1,), payoff_lo=-3,
+        payoff_hi=3): the iterates settle into a period-2 orbit, and the
+        pair greedy at any single iterate fails the half-line up to the gap
+        condition at step 86.  The pair greedy at the mean of iterates 1
+        and 2 holds."""
+        g = mg.random_smpg(random.Random(1255), 4, 4, 4, m_choices=(1,),
+                           payoff_lo=-3, payoff_hi=3)
+        chi = mg.brute_force_values(g).chi
+        assert set(chi) == {1}
+        _refuse_paper_path(monkeypatch)
+        probe_chi, _, steps = _probe(g)
+        assert tuple(probe_chi) == chi and steps == 2
+        sol = mg.solve_game(g)
+        assert sol.top.states == frozenset(g.min_ids)
+        assert sol.value.value == 1 and sol.oracle_calls == 2
+        assert set(mg.frozen_pair_values(g, sol.value.strategies)) == {1}
+        monkeypatch.setattr(st, "_WINDOW", 1)
+        assert _probe(g)[0] is None and _probe(g)[2] == 86
+
     def test_pinned_mu_405_game(self, monkeypatch):
         """random_smpg(Random(1), 5, 5, 5), draw 2 (mu = 405): the paper's
         path runs 874,800 steps twice; the half-line holds at step 2."""
