@@ -36,7 +36,6 @@ from .entropy import (
     brute_force_entropy_values,
     certified_log_sum_exp,
     check_entropy_certificate,
-    cw_norm_bound,
     entropy_dominion_by_graph,
     entropy_to_json,
     induced_entropy_subgame,

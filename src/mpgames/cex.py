@@ -60,14 +60,6 @@ def positive_root(n: int, w: int, tol) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _ones_quadratic(mat, k: int) -> int:
     """ones^T * mat^k * ones with exact integer arithmetic (iterated
     matrix-vector products)."""

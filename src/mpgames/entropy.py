@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 from .graphs import (
     GameFormatError,
@@ -153,7 +153,6 @@ def recession_eval(game: EntropyGame, x):
 
 
 _LN2_LO = Fraction(693147180, 10**9)  # rational lower bound of ln 2
-_LN2_HI = Fraction(693147181, 10**9)  # rational upper bound of ln 2
 _E_UPPER = Fraction(27182818285, 10**10)  # rational upper bound of e
 
 
@@ -161,8 +160,8 @@ def _is_pow2(v: int) -> bool:
     return v > 0 and v & (v - 1) == 0
 
 
-def log2_upper(x) -> Fraction:
-    """Rational upper bound of log2(x) for a positive rational x; exact when
+def log2_lower(x) -> Fraction:
+    """Rational lower bound of log2(x) for a positive rational x; exact when
     x is a power of two."""
     x = Fraction(x)
     if x <= 0:
@@ -171,26 +170,7 @@ def log2_upper(x) -> Fraction:
     if _is_pow2(num) and _is_pow2(den):
         return Fraction(num.bit_length() - den.bit_length())
     val = math.log2(num) - math.log2(den)
-    return Fraction(ceil(val * 2**20) + 2, 2**20)
-
-
-def log2_lower(x) -> Fraction:
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log2 requires a positive argument")
-    num, den = x.numerator, x.denominator
-    if _is_pow2(num) and _is_pow2(den):
-        return Fraction(num.bit_length() - den.bit_length())
-    val = math.log2(num) - math.log2(den)
     return Fraction(math.floor(val * 2**20) - 2, 2**20)
-
-
-def ln_upper(x) -> Fraction:
-    """Rational upper bound of ln(x) for rational x >= 1."""
-    l2 = log2_upper(x)
-    if l2 < 0:
-        raise ValueError("ln_upper expects x >= 1")
-    return l2 * _LN2_HI
 
 
 def ln_lower(x) -> Fraction:
@@ -551,16 +531,6 @@ def rank_profile(game: EntropyGame, budget: int = 10**6) -> RankProfile:
     return RankProfile(rank=r, selections=count, nu=nu, nu_hat=n * stats.W * nu)
 
 
-def cw_norm_bound(n: int, w: int, delta) -> Fraction:
-    """A priori seminorm bound for sub/super-eigenvectors at slack delta:
-    1200 * (n^3 * log2(max(W, 2)) + n^2 * log2(1/delta))."""
-    delta = Fraction(delta)
-    return 1200 * (
-        n**3 * log2_upper(Fraction(max(w, 2)))
-        + n**2 * log2_upper(1 / delta)
-    )
-
-
 # ---------------------------------------------------------------------------
 # brute force (bracketed, with on-demand refinement)
 
@@ -619,6 +589,17 @@ class BruteEntropyResult:
         return self.registry.values(key, tol)[st]
 
 
+def _budgeted_pair_count(game: EntropyGame, budget: int) -> int:
+    """The number of (Despot, Tribune) strategy pairs; ValueError when it
+    exceeds the budget."""
+    count = 1
+    for row in game.d_edges + game.t_edges:
+        count *= len(row)
+    if count > budget:
+        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
+    return count
+
+
 def brute_force_entropy_values(
     game: EntropyGame, budget: int = 10**6, profile: RankProfile | None = None
 ) -> BruteEntropyResult:
@@ -627,18 +608,12 @@ def brute_force_entropy_values(
     strategies exist).  Brackets start at width 2^-30 and are refined to
     1/(4*nu_hat) only when a comparison is ambiguous; equal-looking brackets
     at that width are genuinely equal by the separation bound."""
+    count = _budgeted_pair_count(game, budget)
     if profile is None:
         profile = rank_profile(game, budget)
     coarse = Fraction(1, 2**30)
     fine = min(coarse, Fraction(1, 4) / profile.nu_hat)
     nd = len(game.d_ids)
-    count = 1
-    for row in game.d_edges:
-        count *= len(row)
-    for row in game.t_edges:
-        count *= len(row)
-    if count > budget:
-        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
     reg = _ValueRegistry()
     chi_cand = None
     for sigma in itertools.product(*game.d_edges):
@@ -792,6 +767,7 @@ def _witness_certificates(subgame, v_interval, slack, cap=30000):
 
 
 def _solve_block(game: EntropyGame, budget: int):
+    _budgeted_pair_count(game, budget)
     profile = rank_profile(game, budget)
     brute = brute_force_entropy_values(game, budget, profile=profile)
     delta = _certified_separation(game, profile, brute)

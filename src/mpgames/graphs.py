@@ -98,15 +98,3 @@ def tarjan_scc(adj):
                 low[parent] = min(low[parent], low[v])
     return comps
 
-
-def reachable_from(adj, start):
-    """Set of vertices reachable from `start` (inclusive)."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen

@@ -77,10 +77,6 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def is_neg_inf(v) -> bool:
-    return v is NEG_INF
-
-
 def as_fraction(v):
     """Normalize a finite entry to Fraction; NEG_INF passes through."""
     if v is NEG_INF:

@@ -23,12 +23,19 @@ level.  When no checkpoint passes by the decision's own stop (its gap
 condition, or the a priori cap 1 + ceil(8R/delta) with delta = 1/mu^2), the
 paper's path runs unchanged from 0: `top_class` peels dominions off and
 `approximate_constant_mean_payoff` brackets the value within delta.
+
+Both paths iterate on integer numerators with the Python-int Shapley step
+of `_smpgfast.Kernel`; `shapley_eval` is the exact step that certificates
+are checked with.  Every reported strategy pair comes from one greedy rule,
+`_greedy_pair` on integer numerators: at the half-line's witness h, or Max
+greedy at the sub witness and Min greedy at the super witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -423,40 +430,6 @@ def _sep_params(stats: GameStats) -> SepParams:
     return SepParams(delta=delta, R=Fraction(r))
 
 
-def _max_score(game, i, x):
-    """max over (i,k) of B_ik + sum_l P_kl x_l, plus the argmax Nature state
-    (smallest index on ties)."""
-    best = None
-    best_k = None
-    for k, b in game.max_edges[i]:
-        val = b + _nature_sum(game.nat_edges[k], x, game.M)
-        if best is None or val > best:
-            best = val
-            best_k = k
-    return best, best_k
-
-
-def _strategies(game, x, y) -> StrategyPair:
-    """Max plays greedy at the sub witness x, Min greedy at the super
-    witness y (smallest index on ties)."""
-    tau = {}
-    for i in range(len(game.max_ids)):
-        _, best_k = _max_score(game, i, x)
-        tau[game.max_ids[i]] = game.nat_ids[best_k]
-    sigma = {}
-    for j in range(len(game.min_ids)):
-        best = None
-        best_i = None
-        for i, a in game.min_edges[j]:
-            inner, _ = _max_score(game, i, y)
-            val = -a + inner
-            if best is None or val < best:
-                best = val
-                best_i = i
-        sigma[game.min_ids[j]] = game.max_ids[best_i]
-    return StrategyPair(sigma=sigma, tau=tau)
-
-
 # ---------------------------------------------------------------------------
 # early certificates: the invariant half-line of a greedy strategy pair
 
@@ -475,6 +448,24 @@ def _greedy_pair(game, u, q):
     sigma = [min(row, key=lambda e: best[e[0]] - e[1] * c)[0]
              for row in game.min_edges]
     return sigma, tau
+
+
+def _numerators(x):
+    """Integer numerators of a rational vector over the least common
+    denominator, and that denominator."""
+    q = math.lcm(*(Fraction(v).denominator for v in x))
+    return [int(v * q) for v in x], q
+
+
+def _strategies(game, x, y) -> StrategyPair:
+    """Max plays greedy at the sub witness x, Min greedy at the super
+    witness y (smallest index on ties)."""
+    tau = _greedy_pair(game, *_numerators(x))[1]
+    sigma = _greedy_pair(game, *_numerators(y))[0]
+    return StrategyPair(
+        sigma={game.min_ids[j]: game.max_ids[i] for j, i in enumerate(sigma)},
+        tau={game.max_ids[i]: game.nat_ids[k] for i, k in enumerate(tau)},
+    )
 
 
 def _half_line_holds(game, chi, h) -> bool:

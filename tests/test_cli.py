@@ -5,7 +5,11 @@ import csv
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -502,3 +506,42 @@ class TestInProcess:
             del out, err
         gc.collect()
         assert [ref() for ref in streams] == [None] * len(streams)
+
+    def test_cli_loads_neither_numpy_nor_mpmath(self, tmp_path):
+        """A fresh interpreter that imports the CLI and runs one smpg and
+        one entropy solve + certify has loaded neither numpy nor mpmath."""
+        games = [
+            write_game(tmp_path, "g.json",
+                       mg.game_to_json(nature_half_game())),
+            write_game(tmp_path, "e.json",
+                       ent.entropy_to_json(entropy_tribune_choice())),
+        ]
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from mpgames.cli import main
+
+            def run(*args):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    try:
+                        main.main(args=list(args), prog_name="mpgames")
+                    except SystemExit as exc:
+                        assert not exc.code, (args, exc.code)
+                return out.getvalue()
+
+            for game in sys.argv[1:]:
+                report = game + ".report.json"
+                with open(report, "w") as fh:
+                    fh.write(run("solve", game, "--mode", "full", "--json"))
+                assert "verified" in run("certify", game, report)
+            print(sorted({"numpy", "mpmath"} & set(sys.modules)))
+        """)
+        src = os.path.dirname(os.path.dirname(mg.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", script, *games],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"

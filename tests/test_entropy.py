@@ -14,9 +14,7 @@ from mpgames.entropy import (
     certified_log_sum_exp,
     exp_bounds,
     ln_lower,
-    ln_upper,
     log2_lower,
-    log2_upper,
     matrix_values,
     pair_matrix,
 )
@@ -109,15 +107,14 @@ class TestRecessionEval:
 
 class TestCertifiedLogs:
     def test_log2_bounds_exact_on_powers(self):
-        assert log2_upper(F(8)) == 3 == log2_lower(F(8))
-        assert log2_upper(F(1, 4)) == -2
-        assert log2_lower(F(3)) < F(15849625, 10**7) < log2_upper(F(3))
-        assert log2_upper(F(3)) - log2_lower(F(3)) <= F(1, 2**17)
+        assert log2_lower(F(8)) == 3
+        assert log2_lower(F(1, 4)) == -2
+        assert F(15849625, 10**7) - F(1, 2**17) <= log2_lower(F(3))
+        assert log2_lower(F(3)) < F(15849625, 10**7)
 
     def test_ln_bounds(self):
         # ln 2 = 0.693147180559945...
         assert ln_lower(F(2)) < F(69314718056, 10**11)
-        assert ln_upper(F(2)) > F(69314718055, 10**11)
 
     def test_exp_bounds(self):
         # e = 2.7182818284590452...
@@ -178,8 +175,10 @@ class TestLogDomainOracle:
             out = orc.eval(zeros(n), eps)
             exact = mg.multiplicative_eval(g, [F(1)] * n)
             for v, t in zip(out, exact):
-                lo, hi = ln_lower(t) - eps, ln_upper(t) + eps
-                assert lo <= v <= hi
+                # ln t - eps <= v <= ln t + eps, the upper side as
+                # exp(v - eps) <= t
+                assert ln_lower(t) - eps <= v
+                assert exp_bounds(v - eps)[0] <= t
 
     def test_self_consistency_two_precisions(self):
         rng = random.Random(19)
@@ -263,20 +262,6 @@ class TestRankProfile:
         assert prof.nu_hat == len(g.d_ids) * g.stats().W * prof.nu
 
 
-class TestCwNormBound:
-    def test_examples(self):
-        assert mg.cw_norm_bound(1, 2, F(1, 2)) == 2400
-        assert mg.cw_norm_bound(2, 2, F(1, 4)) == 19200
-
-    def test_monotone_in_delta(self):
-        prev = None
-        for k in range(1, 12):
-            cur = mg.cw_norm_bound(3, 5, F(1, 2**k))
-            if prev is not None:
-                assert cur >= prev
-            prev = cur
-
-
 def two_block_game():
     """Two disconnected loops with weights 3 (block a) and 2 (block b)."""
     return mg.make_entropy_game(
@@ -303,6 +288,18 @@ class TestBruteForce:
     def test_budget(self):
         with pytest.raises(ValueError):
             mg.brute_force_entropy_values(entropy_tribune_choice(), budget=1)
+
+    def test_budget_checked_before_rank_enumeration(self, monkeypatch):
+        """A game over the pair budget is refused before rank_profile
+        enumerates the People choices, by the solver and by brute force."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank_profile ran on a refused game")
+
+        monkeypatch.setattr(mg.entropy, "rank_profile", refuse)
+        g = entropy_tribune_choice()
+        for run in (mg.solve_entropy_game, mg.brute_force_entropy_values):
+            with pytest.raises(ValueError, match="exceeds budget"):
+                run(g, budget=1)
 
     def test_values_in_range(self):
         rng = random.Random(37)

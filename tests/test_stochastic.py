@@ -1,7 +1,6 @@
 """Turn-based stochastic mean-payoff backend."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from click.testing import CliRunner
 
 import mpgames as mg
 from mpgames import NEG_INF, Exhausted
-from mpgames import _smpgfast
 from mpgames import stochastic as st
 from mpgames._smpgfast import Kernel
 from mpgames.cli import main
@@ -152,7 +150,7 @@ class TestRoundingOracle:
             nat_edges, M,
         )
 
-    def _check_fast_path(self, g, cap, numpy_step, monkeypatch):
+    def _check_fast_path(self, g, cap):
         st = g.stats()
         q = 4 * st.mu**2
         delta = F(1, st.mu**2)
@@ -162,51 +160,36 @@ class TestRoundingOracle:
         assert fast.gap_loop(delta / 8, delta, cap) == gap
         ell = gap[1]
         assert fast.replay_loop(delta / 8, ell, kappa, lam) == replay
-        # the chosen kernel step against the Python-int loops, bit for bit
+        # the kernel's own results are Python ints
         kernel = Kernel(g)
-        gap_args = (q, delta.numerator, delta.denominator, cap)
-        replay_args = (q, ell, int(kappa * q * ell), int(lam * q * ell))
-        assert (kernel._numpy_step(q, cap) is not None) == numpy_step
-        assert (kernel._numpy_step(q, ell, second=True)
-                is not None) == numpy_step
-        chosen = (kernel.gap_loop(*gap_args), kernel.replay_loop(*replay_args))
-        monkeypatch.setattr(_smpgfast, "NUMPY_MIN_PAIRS", math.inf)
-        python_int = (kernel.gap_loop(*gap_args),
-                      kernel.replay_loop(*replay_args))
-        monkeypatch.undo()
-        assert chosen == python_int
-        u, _, _ = chosen[0]
-        x, y = chosen[1]
+        u, _, _ = kernel.gap_loop(q, delta.numerator, delta.denominator, cap)
+        x, y = kernel.replay_loop(q, ell, int(kappa * q * ell),
+                                  int(lam * q * ell))
         assert all(type(v) is int for v in u + x + y)
         return orbit, q
 
-    def test_fast_path_matches_generic(self, monkeypatch):
+    def test_fast_path_matches_generic(self):
         """gap_loop/replay_loop agree with the generic loops they replace,
-        on every kernel path: small random games (Python-int loop), a dense
-        game (numpy step), a dense game with payoffs near 10**15 (int64
-        bound fails: bigint loop) and a dense M = 2 game whose iterates hit
-        exact halves at negative numerators (numpy half-to-even rounding)."""
+        bit for bit: on small random games, a dense game, a dense game with
+        payoffs near 10**15 and a dense M = 2 game whose iterates hit exact
+        halves at negative numerators (half-to-even rounding)."""
         rng = random.Random(17)
         for _ in range(15):
-            self._check_fast_path(mg.random_smpg(rng), 200, False,
-                                  monkeypatch)
+            self._check_fast_path(mg.random_smpg(rng), 200)
         rng = random.Random(19)
         dense = self._dense_game(rng, 6, 1, -3, 3)
         huge = self._dense_game(rng, 6, 1, -10**15, 10**15)
         halves = self._dense_game(rng, 6, 2, -3, 1)
-        for g in (dense, huge, halves):
-            assert Kernel(g).pairs >= _smpgfast.NUMPY_MIN_PAIRS
-        self._check_fast_path(dense, 300, True, monkeypatch)
-        self._check_fast_path(huge, 40, False, monkeypatch)
-        orbit, q = self._check_fast_path(halves, 40, True, monkeypatch)
+        self._check_fast_path(dense, 300)
+        self._check_fast_path(huge, 40)
+        orbit, q = self._check_fast_path(halves, 40)
         assert any(v < 0 and (v * q).denominator == 2
                    for u in orbit for v in mg.shapley_eval(halves, u))
 
-    def test_gap_loop_resumes_in_segments(self, monkeypatch):
+    def test_gap_loop_resumes_in_segments(self):
         """gap_loop run in segments ending at 1, 2, 4, ... (resuming from
-        the previous iterate) repeats one uninterrupted run bit for bit.  On
-        a dense M = 2 game with 8 states the a priori cap rules the numpy
-        step out, but the short segments run it."""
+        the previous iterate) repeats one uninterrupted run bit for bit, on
+        ten random games and a dense M = 2 game with 8 states."""
         rng = random.Random(31)
         dense = self._dense_game(rng, 8, 2, -3, 3)
         games = [mg.random_smpg(rng) for _ in range(10)] + [dense]
@@ -225,11 +208,6 @@ class TestRoundingOracle:
                     break
                 seg_end = 2 * ell
             assert (u, ell, hit) == whole
-        # the loop variables now belong to the dense game
-        assert kernel._numpy_step(q, st._sep_params(dense.stats()).cap) is None
-        assert kernel._numpy_step(q, end) is not None
-        monkeypatch.setattr(_smpgfast, "NUMPY_MIN_PAIRS", math.inf)
-        assert Kernel(dense).gap_loop(*args, end) == whole
 
 
 class TestBounds:
