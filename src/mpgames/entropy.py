@@ -448,13 +448,13 @@ def matrix_values(matrix, tol):
             comp_of[v] = ci
     vals = []
     for ci, comp in enumerate(comps):
-        cyclic = len(comp) > 1 or matrix[comp[0]][comp[0]] > 0
-        if cyclic:
+        if len(comp) == 1:
+            # the Perron root of a 1x1 block is its entry (0 when acyclic)
+            lo = hi = Fraction(matrix[comp[0]][comp[0]])
+        else:
             sub = [[matrix[i][j] for j in comp] for i in comp]
             rho = perron_root(sub, tol)
             lo, hi = rho.lo, rho.hi
-        else:
-            lo = hi = Fraction(0)
         # components are listed successors-first, so reachable values are done
         for v in comp:
             for w in adj[v]:
@@ -552,9 +552,14 @@ class _ValueRegistry:
         return list(self._store)
 
     def values(self, key, tol):
-        tol = Fraction(tol)
+        """The per-state brackets of `key` at width <= tol.  The stored
+        brackets are recomputed only when tol is finer than their own
+        tolerance, so a bracket refined by `compare` serves every later
+        lookup at a coarser tolerance: `_certified_separation` relies on
+        that to see fine brackets through its coarse reads."""
         ent = self._store[key]
-        if ent[0] is None or ent[0] > tol:
+        stored = ent[0]
+        if stored is not tol and (stored is None or stored > tol):
             ent[1] = matrix_values([list(row) for row in key], tol)
             ent[0] = tol
         return ent[1]
@@ -693,7 +698,17 @@ def _certified_separation(game, profile, brute) -> Fraction:
     verified log-gap between distinct growth rates of irreducible principal
     submatrices of achievable pair matrices (these exhaust the upper/lower
     values of all dominion restrictions), floored at the a priori bound
-    1/nu_hat and capped at 1/8."""
+    1/nu_hat and capped at 1/8.
+
+    Each candidate's bracket is read once, at the coarse tolerance, as
+    integer endpoints.  A pair whose brackets do not overlap is ordered
+    from them.  An overlapping pair goes to `compare`, which refines both
+    brackets to the fine tolerance, and both are read again.  That re-read
+    is what soundness rests on: the registry serves the stored fine bracket
+    to a coarse lookup, so two distinct values closer than the coarse width
+    still give a ratio big.lo / small.hi above 1.  With coarse brackets
+    only, such a pair would be skipped and delta could exceed half its
+    gap.  ln_lower runs once per distinct ratio."""
     reg = brute.registry
     full_keys = reg.keys()
     cands = set()
@@ -707,21 +722,39 @@ def _certified_separation(game, profile, brute) -> Fraction:
                 cands.add(reg.add(sub))
     cands = sorted(cands)
     coarse, fine = brute.coarse_tol, brute.fine_tol
+
+    def ends(key):
+        iv = reg.values(key, coarse)[0]
+        return (iv.lo.numerator, iv.lo.denominator,
+                iv.hi.numerator, iv.hi.denominator)
+
+    # a lone candidate has no pair, and its bracket is never needed
+    brackets = [ends(key) for key in cands] if len(cands) > 1 else []
+    logs = {}
     min_gap = None
-    for i in range(len(cands)):
+    for i, key_i in enumerate(cands):
         for j in range(i + 1, len(cands)):
-            c = reg.compare((cands[i], 0), (cands[j], 0), coarse, fine)
-            if c == 0:
+            a, b = brackets[i], brackets[j]
+            if a[2] * b[1] < b[0] * a[3]:
+                small, big = a, b
+            elif b[2] * a[1] < a[0] * b[3]:
+                small, big = b, a
+            else:
+                c = reg.compare((key_i, 0), (cands[j], 0), coarse, fine)
+                brackets[i] = a = ends(key_i)
+                brackets[j] = b = ends(cands[j])
+                if c == 0:
+                    continue
+                small, big = (a, b) if c < 0 else (b, a)
+            if small[2] <= 0:
                 continue
-            lo_key, hi_key = (cands[i], cands[j]) if c < 0 else (cands[j], cands[i])
-            small = reg.values(lo_key, coarse)[0]
-            big = reg.values(hi_key, coarse)[0]
-            if small.hi <= 0:
+            # big.lo / small.hi, over positive denominators
+            ratio = (big[0] * small[3], big[1] * small[2])
+            if ratio[0] <= ratio[1]:
                 continue
-            ratio_lo = Fraction(big.lo, small.hi)
-            if ratio_lo <= 1:
-                continue
-            g = ln_lower(ratio_lo)
+            g = logs.get(ratio)
+            if g is None:
+                g = logs[ratio] = ln_lower(Fraction(*ratio))
             if g > 0 and (min_gap is None or g < min_gap):
                 min_gap = g
     candidate = min_gap / 2 if min_gap is not None else Fraction(1, 8)

@@ -1,16 +1,23 @@
 """Certified Perron-root brackets for nonnegative integer matrices.
 
-Power iteration with Collatz-Wielandt bracketing in exact integer/rational
+Power iteration with Collatz-Wielandt bracketing in exact integer
 arithmetic: for a positive vector x, min_i (Ax)_i/x_i <= rho(A) <= max_i
 (Ax)_i/x_i.  Iteration runs on A + I (primitive whenever A is irreducible,
 so the brackets close even for periodic matrices) and the shift is removed
 from the reported interval.
+
+The iterates are positive integer vectors, so each ratio y_i/x_i is kept as
+the integer pair (y_i, x_i).  The best lower and upper ratios so far are
+such pairs, compared by cross-multiplication, and the stopping test
+hi - lo <= tol is one integer inequality.  The two endpoints become
+`Fraction`s only on return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .numeric import RationalInterval
 
@@ -66,26 +73,35 @@ def perron_root(matrix, tol, max_iter: int | None = None) -> RationalInterval:
     for row in matrix:
         if any(v < 0 for v in row):
             raise ValueError("matrix must be nonnegative")
+    tn, td = tol.numerator, tol.denominator
     # iterate on B = A + I
     b = [[int(v) + (1 if i == j else 0) for j, v in enumerate(row)]
          for i, row in enumerate(matrix)]
     x = [1] * n
-    best_lo = None
-    best_hi = None
+    # best lower and upper ratios so far as (numerator, denominator) pairs,
+    # starting from the trivial brackets 0/1 and 1/0 (+inf); the entries of
+    # x stay positive, so the first ratios replace both
+    bln, bld, bhn, bhd = 0, 1, 1, 0
     if max_iter is None:
-        bits = max(1, (tol.denominator // max(tol.numerator, 1)).bit_length())
+        bits = max(1, (td // max(tn, 1)).bit_length())
         max_iter = 5000 + 200 * n * bits
     for it in range(max_iter):
-        y = [sum(b[i][j] * x[j] for j in range(n)) for i in range(n)]
-        ratios = [Fraction(y[i], x[i]) for i in range(n)]
-        lo = min(ratios)
-        hi = max(ratios)
-        if best_lo is None or lo > best_lo:
-            best_lo = lo
-        if best_hi is None or hi < best_hi:
-            best_hi = hi
-        if best_hi - best_lo <= tol:
-            return RationalInterval(best_lo - 1, best_hi - 1)
+        y = [sum(map(mul, row, x)) for row in b]
+        ln = hn = y[0]
+        ld = hd = x[0]
+        for yi, xi in zip(y, x):
+            if yi * ld < ln * xi:
+                ln, ld = yi, xi
+            elif yi * hd > hn * xi:
+                hn, hd = yi, xi
+        if ln * bld > bln * ld:
+            bln, bld = ln, ld
+        if hn * bhd < bhn * hd:
+            bhn, bhd = hn, hd
+        # bhn/bhd - bln/bld <= tn/td
+        if (bhn * bld - bln * bhd) * td <= tn * bhd * bld:
+            return RationalInterval(Fraction(bln - bld, bld),
+                                    Fraction(bhn - bhd, bhd))
         x = y
         if it % 32 == 31:
             g = 0

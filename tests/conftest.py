@@ -156,6 +156,35 @@ def entropy_pair_loop():
     )
 
 
+# three default draws (draw k of random_entropy_game(Random(seed)), named
+# e<seed>-<k>) of value 3 everywhere: their witness search takes about 3,000
+# damped steps at a slack of delta/4, and more than the 30,000-step cap at
+# delta/64
+DEFECT_GAMES = {
+    "e11-54": (
+        [[2], [0, 1, 2], [0, 1, 2]],
+        [[0], [1, 2], [0, 1, 2]],
+        [[(1, 1), (2, 2)], [(0, 3), (1, 1), (2, 2)],
+         [(0, 2), (1, 1), (2, 3)]],
+    ),
+    "e86-57": (
+        [[0, 1, 2], [1], [0, 1]],
+        [[2], [0, 1, 2], [0, 1, 2]],
+        [[(0, 2), (1, 3), (2, 2)], [(0, 1), (1, 1)], [(0, 3)]],
+    ),
+    "e239-27": (
+        [[0, 1, 2], [0], [1, 2]],
+        [[0, 1], [1, 2], [0]],
+        [[(0, 3)], [(1, 3), (2, 1)], [(0, 2), (1, 2), (2, 2)]],
+    ),
+}
+
+
+def defect_game(name):
+    return mg.make_entropy_game(("d0", "d1", "d2"), ("t0", "t1", "t2"),
+                                ("p0", "p1", "p2"), *DEFECT_GAMES[name])
+
+
 @pytest.fixture
 def frac():
     return Fraction

@@ -1,5 +1,6 @@
 """Matrix-multiplicative Despot/Tribune/People backend."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 import mpgames as mg
 from mpgames import NEG_INF
+from mpgames import entropy as ent
 from mpgames.entropy import (
     GameFormatError,
     certified_log_sum_exp,
@@ -21,6 +23,8 @@ from mpgames.entropy import (
 from mpgames.numeric import vec, zeros
 
 from conftest import (
+    DEFECT_GAMES,
+    defect_game,
     entropy_despot_choice,
     entropy_loop,
     entropy_pair_loop,
@@ -365,6 +369,105 @@ class TestSolve:
                                                         block.sub)
                     assert mg.check_entropy_certificate(block.subgame,
                                                         block.sup)
+
+
+# (delta, witness steps) of each block and the value brackets, as solved
+# before the separation search moved to integer brackets
+CEX_HI = (
+    "34896740605806234618327214819654873083/"
+    "12628643436220038754328496543634157408")
+CEX_LO = (
+    "12484193301439034365287911290268563801/"
+    "4622404312992140449298728107698995424")
+PINNED_ANSWERS = {
+    "defect-e11-54": (
+        [("71428816899/13107200000000", 2936)],
+        {d: ("157214971183101/52428800000000",
+             "157357828816899/52428800000000") for d in ("d0", "d1", "d2")},
+    ),
+    "defect-e86-57": (
+        [("128197570941/20971520000000", 2618)],
+        {d: ("251530042429059/83886080000000",
+             "251786437570941/83886080000000") for d in ("d0", "d1", "d2")},
+    ),
+    "defect-e239-27": (
+        [("503190195321/104857600000000", 3332)],
+        {d: ("1257788009804679/419430400000000",
+             "1258794390195321/419430400000000") for d in ("d0", "d1", "d2")},
+    ),
+    "r2-666-0": ([("1/8", 1)], {"d0": ("95/32", "3")}),
+    "cex-2-2": (
+        [("1/8", 5), ("1/8", 1)],
+        {"d*": (CEX_LO, CEX_HI), "dl0": (CEX_LO, CEX_HI),
+         "dl1": (CEX_LO, CEX_HI), "dr0": ("63/32", "65/32")},
+    ),
+}
+
+
+def pinned_game(name):
+    if name.startswith("defect-"):
+        return defect_game(name[len("defect-"):])
+    if name == "r2-666-0":
+        return mg.random_entropy_game(random.Random(2), 6, 6, 6)
+    return mg.build_cex_game(2, 2).game
+
+
+class TestPinnedAnswers:
+    @pytest.mark.parametrize("name", sorted(PINNED_ANSWERS))
+    def test_delta_steps_and_values(self, name):
+        blocks, values = PINNED_ANSWERS[name]
+        sol = mg.solve_entropy_game(pinned_game(name))
+        assert [(b.delta, b.iterations) for b in sol.blocks] == [
+            (F(d), steps) for d, steps in blocks]
+        assert sol.values == {
+            d: mg.RationalInterval(F(lo), F(hi))
+            for d, (lo, hi) in values.items()}
+
+
+class TestCertifiedSeparation:
+    @staticmethod
+    def candidate_roots(full_keys, tol):
+        """Brackets at width tol of the Perron roots of the irreducible
+        principal submatrices of the given matrices."""
+        roots = {}
+        for key in full_keys:
+            for size in range(1, len(key) + 1):
+                for comb in itertools.combinations(range(len(key)), size):
+                    sub = tuple(tuple(key[i][j] for j in comb) for i in comb)
+                    if sub not in roots and ent._irreducible(sub):
+                        roots[sub] = ent.perron_root(sub, tol)
+        return list(roots.values())
+
+    @pytest.mark.parametrize("name", sorted(DEFECT_GAMES) + ["seeds"])
+    def test_fine_brackets_serve_coarse_reads(self, name):
+        """With the coarse tolerance raised to 1, distinct candidate values
+        overlap at the coarse level; the brackets that `compare` refines are
+        then read back through the coarse lookups, so delta stays at most
+        half the log-gap of every distinct pair (seen at width 2^-60)."""
+        if name == "seeds":
+            rng = random.Random(3)
+            games = [mg.random_entropy_game(rng) for _ in range(40)]
+        else:
+            games = [defect_game(name)]
+        refined = []
+        for g in games:
+            profile = ent.rank_profile(g)
+            brute = ent.brute_force_entropy_values(g, profile=profile)
+            reg = brute.registry
+            full_keys = reg.keys()
+            brute.coarse_tol = F(1)
+            compare = reg.compare
+            # the separation search hands only overlapping pairs to compare
+            reg.compare = lambda *args: refined.append(args) or compare(*args)
+            delta = ent._certified_separation(g, profile, brute)
+            roots = self.candidate_roots(full_keys, F(1, 2**60))
+            bound = exp_bounds(2 * delta)[1]
+            for a, b in itertools.combinations(roots, 2):
+                small, big = (a, b) if a.hi < b.lo else (b, a)
+                if small.hi < big.lo:
+                    # delta <= ln(big / small) / 2
+                    assert bound <= big.lo / small.hi
+        assert refined
 
 
 class TestJsonRoundTrip:

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from mpgames import BracketingFailure, char_poly, eval_poly, perron_root
+from mpgames.numeric import RationalInterval
 
 F = Fraction
 TOL = F(1, 10**9)
@@ -50,6 +52,62 @@ class TestPerronRoot:
             perron_root([[-1]], TOL)
         with pytest.raises(ValueError):
             perron_root([[1]], F(0))
+
+
+def fraction_power_iteration(matrix, tol):
+    """Test oracle: Collatz-Wielandt power iteration on A + I with a
+    `Fraction` for every ratio, the best brackets compared as `Fraction`s."""
+    n = len(matrix)
+    b = [[v + (i == j) for j, v in enumerate(row)]
+         for i, row in enumerate(matrix)]
+    x = [1] * n
+    best_lo = best_hi = None
+    for it in range(10**5):
+        y = [sum(b[i][j] * x[j] for j in range(n)) for i in range(n)]
+        ratios = [F(y[i], x[i]) for i in range(n)]
+        if best_lo is None or min(ratios) > best_lo:
+            best_lo = min(ratios)
+        if best_hi is None or max(ratios) < best_hi:
+            best_hi = max(ratios)
+        if best_hi - best_lo <= tol:
+            return RationalInterval(best_lo - 1, best_hi - 1)
+        x = y
+        if it % 32 == 31:
+            g = gcd(*x)
+            x = [v // g for v in x]
+    raise AssertionError("oracle brackets did not close")
+
+
+def random_irreducible(rng):
+    """A weighted n-cycle (periodic for n > 1, a positive 1x1 for n = 1),
+    with random extra entries half of the time.  Bare cycles stop at n = 3:
+    longer ones converge slowly enough to dominate the test's time."""
+    dense = rng.random() < 0.5
+    n = rng.randint(1, 5 if dense else 3)
+    m = [[rng.choice((0, 0, 1, 2, 3, 7)) if dense else 0 for _ in range(n)]
+         for _ in range(n)]
+    for i in range(n):
+        m[i][(i + 1) % n] = max(m[i][(i + 1) % n], rng.randint(1, 6))
+    return m
+
+
+class TestIntegerBrackets:
+    """perron_root returns exactly the interval of the Fraction iteration."""
+
+    FIXED = ([[0, 1], [2, 0]], [[0, 4], [1, 0]], [[5]], [[1]],
+             [[0, 1, 0], [0, 0, 3], [2, 0, 0]], [[10, 10], [1, 0]])
+
+    @pytest.mark.parametrize("tol", [F(1, 2**30), F(1, 10**60)])
+    def test_identical_to_fraction_iteration(self, tol):
+        rng = random.Random(11)
+        matrices = list(self.FIXED) + [random_irreducible(rng)
+                                       for _ in range(200)]
+        assert sum(len(m) == 1 for m in matrices) >= 20
+        for m in matrices:
+            iv = perron_root(m, tol)
+            assert iv == fraction_power_iteration(m, tol)
+            assert type(iv.lo) is type(iv.hi) is Fraction
+            assert iv.width <= tol
 
 
 class TestCharPoly:

@@ -72,6 +72,34 @@ class TestShapleyEval:
         with pytest.raises(ValueError):
             mg.shapley_eval(cycle_game(), zeros(2))
 
+    def test_matches_per_pair_reference(self):
+        """The operator as written, one Nature sum per (Min edge, Max edge)
+        pair, on default and larger draws with -inf entries in x."""
+        def reference(g, x):
+            out = []
+            for row in g.min_edges:
+                branches = []
+                for i, a in row:
+                    vals = []
+                    for k, b in g.max_edges[i]:
+                        terms = [(num, x[l]) for l, num in g.nat_edges[k]]
+                        if any(v is NEG_INF for _, v in terms):
+                            continue
+                        vals.append(b + F(sum(num * v for num, v in terms),
+                                          g.M))
+                    branches.append(-a + max(vals) if vals else NEG_INF)
+                out.append(NEG_INF if NEG_INF in branches else min(branches))
+            return tuple(out)
+
+        rng = random.Random(5)
+        for size in (3,) * 60 + (6,) * 20:
+            g = mg.random_smpg(rng, size, size, size)
+            for _ in range(3):
+                x = tuple(rng.choice((NEG_INF, F(rng.randint(-9, 9), 4),
+                                      rng.randint(-3, 3)))
+                          for _ in g.min_ids)
+                assert mg.shapley_eval(g, x) == reference(g, x)
+
 
 class TestRecessionEval:
     def test_zero_fixed(self):
@@ -502,6 +530,31 @@ class TestEarlyCertificate:
         sol = mg.solve_game(g)
         assert sol.value.value == F(2, 3) and sol.oracle_calls == 2
         assert sol.top.states == frozenset(g.min_ids)
+
+    def test_fixed_point_is_evaluated_once(self, monkeypatch):
+        """An early certificate checks F(h) = value + h with one exact
+        evaluation of F, not one per direction."""
+        inside, calls = [], []
+        real_eval, real_solution = st.shapley_eval, st._fixed_point_solution
+
+        def counted_eval(game, x):
+            if inside:
+                calls.append(x)
+            return real_eval(game, x)
+
+        def tracked_solution(*args):
+            inside.append(True)
+            try:
+                return real_solution(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(st, "shapley_eval", counted_eval)
+        monkeypatch.setattr(st, "_fixed_point_solution", tracked_solution)
+        _refuse_paper_path(monkeypatch)
+        sol = mg.solve_game(swap_shift_game())
+        assert calls == [sol.value.sub.vec]
+        assert sol.value.sub.vec == sol.value.sup.vec
 
     def test_bias_solves_the_chain(self):
         """g = P g and g + h = r + P h exactly, on a chain with a transient
