@@ -346,8 +346,8 @@ def _verify_report(kind, game, report):
         raise GameFormatError("report carries no certificates")
     if len(records) % 2:
         raise GameFormatError("certificates must come in (sub, super) pairs")
-    check = (smpg.check_certificate if kind == "smpg"
-             else ent.check_entropy_certificate)
+    check = (smpg.check_certificates if kind == "smpg"
+             else ent.check_entropy_certificates)
     pairs = []
     for sub_rec, sup_rec in zip(records[::2], records[1::2]):
         sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
@@ -357,7 +357,7 @@ def _verify_report(kind, game, report):
                 "certificates must come in (sub, super) pairs on one state set"
             )
         target = _cert_target(kind, game, sub_rec.get("states"))
-        if target is None or not (check(target, sub) and check(target, sup)):
+        if target is None or not check(target, (sub, sup)):
             return "a certificate inequality does not hold"
         pairs.append((target, RationalInterval(sub.lam, sup.lam)))
     if kind == "smpg":

@@ -12,7 +12,11 @@ of an induced nonnegative matrix.  The solver peels top classes: strategy
 enumeration finds the top class of the residual game and brackets its value,
 and a damped iteration of T on integer vectors finds exact sub/super
 eigenvectors of the block, which serve as its certificates (checked in exact
-rational arithmetic) and give both players' strategies.  The logarithmic
+rational arithmetic) and give both players' strategies.  The witness levels
+sit a slack outside the value bracket; the slack is half the log-gap between
+the top value and the nearest distinct growth rate of a pair matrix
+restricted to the block, so the strategies greedy at the witnesses are
+exactly optimal.  The logarithmic
 conjugate F = log o T o exp, order-preserving and additively homogeneous, is
 available as an oracle for the generic value-iteration machinery.
 """
@@ -555,8 +559,8 @@ class _ValueRegistry:
         """The per-state brackets of `key` at width <= tol.  The stored
         brackets are recomputed only when tol is finer than their own
         tolerance, so a bracket refined by `compare` serves every later
-        lookup at a coarser tolerance: `_certified_separation` relies on
-        that to see fine brackets through its coarse reads."""
+        lookup at a coarser tolerance: `_top_slack` relies on that to see
+        fine brackets through its coarse reads."""
         ent = self._store[key]
         stored = ent[0]
         if stored is not tol and (stored is None or stored > tol):
@@ -588,34 +592,28 @@ class BruteEntropyResult:
     coarse_tol: Fraction
     fine_tol: Fraction
     pair_count: int
+    profile: RankProfile  # sets fine_tol and the slack floor of the solver
 
     def refine(self, state: int, tol) -> RationalInterval:
         key, st = self.candidates[state]
         return self.registry.values(key, tol)[st]
 
 
-def _budgeted_pair_count(game: EntropyGame, budget: int) -> int:
-    """The number of (Despot, Tribune) strategy pairs; ValueError when it
-    exceeds the budget."""
-    count = 1
-    for row in game.d_edges + game.t_edges:
-        count *= len(row)
-    if count > budget:
-        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
-    return count
-
-
 def brute_force_entropy_values(
-    game: EntropyGame, budget: int = 10**6, profile: RankProfile | None = None
+    game: EntropyGame, budget: int = 10**6
 ) -> BruteEntropyResult:
     """chi_d = min over Despot strategies of max over Tribune strategies of
     the pair growth rate, componentwise (positional uniformly optimal
     strategies exist).  Brackets start at width 2^-30 and are refined to
     1/(4*nu_hat) only when a comparison is ambiguous; equal-looking brackets
-    at that width are genuinely equal by the separation bound."""
-    count = _budgeted_pair_count(game, budget)
-    if profile is None:
-        profile = rank_profile(game, budget)
+    at that width are genuinely equal by the separation bound.  A pair count
+    over the budget raises ValueError before the rank enumeration."""
+    count = 1
+    for row in game.d_edges + game.t_edges:
+        count *= len(row)
+    if count > budget:
+        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
+    profile = rank_profile(game, budget)
     coarse = Fraction(1, 2**30)
     fine = min(coarse, Fraction(1, 4) / profile.nu_hat)
     nd = len(game.d_ids)
@@ -648,6 +646,7 @@ def brute_force_entropy_values(
         coarse_tol=coarse,
         fine_tol=fine,
         pair_count=count,
+        profile=profile,
     )
 
 
@@ -658,14 +657,29 @@ def brute_force_entropy_values(
 def check_entropy_certificate(game: EntropyGame, cert: Certificate) -> bool:
     """Exact verification of lam * v <= T(v) (sub) or >= (super) for a
     multiplicative certificate with positive rational entries."""
-    if not cert.multiplicative:
-        raise ValueError("entropy certificates are multiplicative")
-    if any(v <= 0 for v in cert.vec):
-        return False
-    y = multiplicative_eval(game, [Fraction(v) for v in cert.vec])
-    if cert.direction == SUB:
-        return all(cert.lam * v <= w for v, w in zip(cert.vec, y))
-    return all(cert.lam * v >= w for v, w in zip(cert.vec, y))
+    return check_entropy_certificates(game, (cert,))
+
+
+def check_entropy_certificates(game: EntropyGame, certs) -> bool:
+    """`check_entropy_certificate` for every certificate, evaluating T once
+    per distinct vector."""
+    images = {}
+    for cert in certs:
+        if not cert.multiplicative:
+            raise ValueError("entropy certificates are multiplicative")
+        if any(v <= 0 for v in cert.vec):
+            return False
+        y = images.get(cert.vec)
+        if y is None:
+            y = images[cert.vec] = multiplicative_eval(
+                game, [Fraction(v) for v in cert.vec])
+        if cert.direction == SUB:
+            holds = all(cert.lam * v <= w for v, w in zip(cert.vec, y))
+        else:
+            holds = all(cert.lam * v >= w for v, w in zip(cert.vec, y))
+        if not holds:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +695,10 @@ class BlockResult:
     interval: RationalInterval  # multiplicative value bracket
     sub: Certificate
     sup: Certificate
+    # log-domain slack: half the log-gap between the block's value and the
+    # nearest distinct per-state rate of a pair matrix restricted to the
+    # block, in [1/nu_hat, 1/8]; the witness levels sit delta/4 outside a
+    # value bracket of width delta/64
     delta: Fraction
     iterations: int  # damped witness steps
 
@@ -693,80 +711,47 @@ class EntropySolution:
     blocks: tuple
 
 
-def _certified_separation(game, profile, brute) -> Fraction:
-    """A certified log-domain separation parameter: half the smallest
-    verified log-gap between distinct growth rates of irreducible principal
-    submatrices of achievable pair matrices (these exhaust the upper/lower
-    values of all dominion restrictions), floored at the a priori bound
-    1/nu_hat and capped at 1/8.
+def _top_slack(brute: BruteEntropyResult, best: int, top) -> Fraction:
+    """A certified log-domain slack for the witnesses of the top class D =
+    `top`, whose value v is that of state `best`: half the smallest verified
+    log-gap between v and a distinct per-state growth rate of the
+    D-principal submatrix of an achievable pair matrix, floored at the a
+    priori bound 1/nu_hat and capped at 1/8.
 
-    Each candidate's bracket is read once, at the coarse tolerance, as
-    integer endpoints.  A pair whose brackets do not overlap is ordered
-    from them.  An overlapping pair goes to `compare`, which refines both
-    brackets to the fine tolerance, and both are read again.  That re-read
-    is what soundness rests on: the registry serves the stored fine bracket
-    to a coarse lookup, so two distinct values closer than the coarse width
-    still give a ratio big.lo / small.hi above 1.  With coarse brackets
-    only, such a pair would be skipped and delta could exceed half its
-    gap.  ln_lower runs once per distinct ratio."""
-    reg = brute.registry
-    full_keys = reg.keys()
-    cands = set()
-    for key in full_keys:
-        nloc = len(key)
-        for size in range(1, nloc + 1):
-            for comb in itertools.combinations(range(nloc), size):
-                sub = [[key[i][j] for j in comb] for i in comb]
-                if not _irreducible(sub):
-                    continue
-                cands.add(reg.add(sub))
-    cands = sorted(cands)
-    coarse, fine = brute.coarse_tol, brute.fine_tol
+    Only these rates matter.  The witnesses x, y > 0 on D satisfy
+    T(x) >= lam_lo * x and T(y) <= lam_hi * y on the block, at levels within
+    a log-distance delta/2 of v.  A Tribune strategy greedy at x gives
+    A_DD x >= lam_lo * x for every Despot strategy, and a Despot strategy
+    greedy at y gives A_DD y <= lam_hi * y for every Tribune strategy, where
+    A_DD is the D-principal submatrix of the pair matrix.  Iterating these
+    inequalities bounds every per-state rate of A_DD below by lam_lo and
+    above by lam_hi respectively.  No rate other than v lies that close to
+    v, so both greedy strategies are exactly optimal on D.
 
-    def ends(key):
-        iv = reg.values(key, coarse)[0]
-        return (iv.lo.numerator, iv.lo.denominator,
-                iv.hi.numerator, iv.hi.denominator)
-
-    # a lone candidate has no pair, and its bracket is never needed
-    brackets = [ends(key) for key in cands] if len(cands) > 1 else []
-    logs = {}
-    min_gap = None
-    for i, key_i in enumerate(cands):
-        for j in range(i + 1, len(cands)):
-            a, b = brackets[i], brackets[j]
-            if a[2] * b[1] < b[0] * a[3]:
-                small, big = a, b
-            elif b[2] * a[1] < a[0] * b[3]:
-                small, big = b, a
-            else:
-                c = reg.compare((key_i, 0), (cands[j], 0), coarse, fine)
-                brackets[i] = a = ends(key_i)
-                brackets[j] = b = ends(cands[j])
-                if c == 0:
-                    continue
-                small, big = (a, b) if c < 0 else (b, a)
-            if small[2] <= 0:
+    Each comparison goes to `compare`, which refines overlapping brackets to
+    the fine tolerance, and both brackets are read after it.  The registry
+    serves the stored fine bracket to a coarse lookup, so two distinct
+    values closer than the coarse width still give a ratio big.lo / small.hi
+    above 1.  Read before `compare`, such a pair would give a ratio of at
+    most 1 and drop delta to the floor: still sound, as any brackets bound
+    the ratio from below, but too small a slack for the witness search."""
+    reg, coarse, fine = brute.registry, brute.coarse_tol, brute.fine_tol
+    v = brute.candidates[best]
+    least = None  # the smallest verified ratio big.lo / small.hi
+    for key in reg.keys():
+        sub = reg.add([[key[i][j] for j in top] for i in top])
+        for s in range(len(top)):
+            c = reg.compare(v, (sub, s), coarse, fine)
+            if c == 0:
                 continue
-            # big.lo / small.hi, over positive denominators
-            ratio = (big[0] * small[3], big[1] * small[2])
-            if ratio[0] <= ratio[1]:
-                continue
-            g = logs.get(ratio)
-            if g is None:
-                g = logs[ratio] = ln_lower(Fraction(*ratio))
-            if g > 0 and (min_gap is None or g < min_gap):
-                min_gap = g
-    candidate = min_gap / 2 if min_gap is not None else Fraction(1, 8)
-    return min(Fraction(1, 8), max(candidate, Fraction(1) / profile.nu_hat))
-
-
-def _irreducible(matrix) -> bool:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0] > 0
-    adj = [[j for j, v in enumerate(row) if v] for row in matrix]
-    return len(tarjan_scc(adj)) == 1
+            a = reg.values(v[0], coarse)[v[1]]
+            b = reg.values(sub, coarse)[s]
+            small, big = (a, b) if c < 0 else (b, a)
+            if small.hi > 0 and (least is None or big.lo / small.hi < least):
+                least = big.lo / small.hi
+    half_gap = ln_lower(least) / 2 if least is not None else Fraction(1, 8)
+    return min(Fraction(1, 8),
+               max(half_gap, Fraction(1) / brute.profile.nu_hat))
 
 
 def _witness_certificates(subgame, v_interval, slack, cap=30000):
@@ -800,10 +785,7 @@ def _witness_certificates(subgame, v_interval, slack, cap=30000):
 
 
 def _solve_block(game: EntropyGame, budget: int):
-    _budgeted_pair_count(game, budget)
-    profile = rank_profile(game, budget)
-    brute = brute_force_entropy_values(game, budget, profile=profile)
-    delta = _certified_separation(game, profile, brute)
+    brute = brute_force_entropy_values(game, budget)
     reg, cands = brute.registry, brute.candidates
     coarse, fine = brute.coarse_tol, brute.fine_tol
     nd = len(game.d_ids)
@@ -819,9 +801,10 @@ def _solve_block(game: EntropyGame, budget: int):
     ind = induced_entropy_subgame(game, dmax)
     if ind is None:
         raise RuntimeError("top class candidate is not a dominion")
+    delta = _top_slack(brute, best, dmax)
     v_int = brute.refine(best, delta / 64)
-    # delta is at most half the smallest log-gap between distinct pair
-    # values, so levels delta/4 outside v_int still separate v from them
+    # delta is at most half the smallest log-gap between v and a distinct
+    # rate on the block, so levels delta/4 outside v_int still separate them
     sub, sup, steps = _witness_certificates(ind.game, v_int, delta / 4)
     if not (check_entropy_certificate(ind.game, sub)
             and check_entropy_certificate(ind.game, sup)):

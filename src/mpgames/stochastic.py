@@ -385,14 +385,28 @@ def winner(game: StochasticGame):
 
 def check_certificate(game: StochasticGame, cert: Certificate) -> bool:
     """Exact verification of lam + v <= F(v) (sub) or >= (super)."""
-    if cert.multiplicative:
-        raise ValueError("stochastic certificates are additive")
-    y = shapley_eval(game, cert.vec)
-    if any(v is NEG_INF for v in y):
-        return False
-    if cert.direction == SUB:
-        return all(cert.lam + v <= w for v, w in zip(cert.vec, y))
-    return all(cert.lam + v >= w for v, w in zip(cert.vec, y))
+    return check_certificates(game, (cert,))
+
+
+def check_certificates(game: StochasticGame, certs) -> bool:
+    """`check_certificate` for every certificate, evaluating F once per
+    distinct vector: an early sub/super pair shares its vector h."""
+    images = {}
+    for cert in certs:
+        if cert.multiplicative:
+            raise ValueError("stochastic certificates are additive")
+        y = images.get(cert.vec)
+        if y is None:
+            y = images[cert.vec] = shapley_eval(game, cert.vec)
+        if any(v is NEG_INF for v in y):
+            return False
+        if cert.direction == SUB:
+            holds = all(cert.lam + v <= w for v, w in zip(cert.vec, y))
+        else:
+            holds = all(cert.lam + v >= w for v, w in zip(cert.vec, y))
+        if not holds:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from conftest import (
     defect_game,
     entropy_tribune_choice,
     nature_half_game,
+    swap_shift_game,
 )
 
 F = Fraction
@@ -273,6 +274,29 @@ class TestCertify:
         rep.write_text(res.output)
         res2 = runner.invoke(main, ["certify", entropy_file, str(rep)])
         assert res2.exit_code == 0
+
+    def test_shared_vector_is_evaluated_once(self, runner, tmp_path,
+                                             monkeypatch):
+        """An early-certified stochastic report carries one vector h for its
+        sub and super certificate, and certify evaluates F on h once."""
+        path = write_game(tmp_path, "g.json",
+                          mg.game_to_json(swap_shift_game()))
+        res = runner.invoke(main, ["solve", path, "--json"])
+        sub, sup = json.loads(res.output)["certificates"]
+        assert sub["vec"] == sup["vec"]
+        rep = tmp_path / "rep.json"
+        rep.write_text(res.output)
+        calls = []
+        real_eval = mg.stochastic.shapley_eval
+
+        def counted_eval(game, x):
+            calls.append(x)
+            return real_eval(game, x)
+
+        monkeypatch.setattr(mg.stochastic, "shapley_eval", counted_eval)
+        res2 = runner.invoke(main, ["certify", path, str(rep)])
+        assert res2.exit_code == 0
+        assert len(calls) == 1
 
     def test_tampered_certificate_fails(self, runner, smpg_file, tmp_path):
         res = runner.invoke(main, ["solve", smpg_file, "--json"])

@@ -355,8 +355,10 @@ class TestSolve:
 
     def test_stitched_strategies_reproduce_values(self):
         rng = random.Random(43)
-        for _ in range(15):
-            g = mg.random_entropy_game(rng)
+        games = [mg.random_entropy_game(rng) for _ in range(15)]
+        games += [defect_game(name) for name in sorted(DEFECT_GAMES)]
+        games.append(pinned_game("r2-666-1"))
+        for g in games:
             sol = mg.solve_entropy_game(g)
             br = mg.brute_force_entropy_values(g)
             pv = mg.pair_values_by_ids(g, sol.sigma, sol.tau, F(1, 2**40))
@@ -371,31 +373,40 @@ class TestSolve:
                                                         block.sup)
 
 
-# (delta, witness steps) of each block and the value brackets, as solved
-# before the separation search moved to integer brackets
+# (delta, witness steps) of each block and the exact value brackets: any
+# change to them is a change in the solver's answers
 CEX_HI = (
     "34896740605806234618327214819654873083/"
     "12628643436220038754328496543634157408")
 CEX_LO = (
     "12484193301439034365287911290268563801/"
     "4622404312992140449298728107698995424")
+R2_666_1_LO = (
+    "12640028202067678372289091274583023617376143898531385432044064074860"
+    "207762581/10927806329670472598731422415116161749222950825022061532612"
+    "76410675200000000")
+R2_666_1_HI = (
+    "90207564810484754490194156231867526081146481157819356290109315900820"
+    "997246573/77975675973813308311507811623605761023030817388460633526678"
+    "93556838400000000")
+DEFECT_E11_E86 = (
+    [("767071326747/6553600000000", 137)],
+    {d: ("77876128673253/26214400000000", "79410271326747/26214400000000")
+     for d in ("d0", "d1", "d2")},
+)
 PINNED_ANSWERS = {
-    "defect-e11-54": (
-        [("71428816899/13107200000000", 2936)],
-        {d: ("157214971183101/52428800000000",
-             "157357828816899/52428800000000") for d in ("d0", "d1", "d2")},
-    ),
-    "defect-e86-57": (
-        [("128197570941/20971520000000", 2618)],
-        {d: ("251530042429059/83886080000000",
-             "251786437570941/83886080000000") for d in ("d0", "d1", "d2")},
-    ),
+    "defect-e11-54": DEFECT_E11_E86,
+    "defect-e86-57": DEFECT_E11_E86,
     "defect-e239-27": (
-        [("503190195321/104857600000000", 3332)],
-        {d: ("1257788009804679/419430400000000",
-             "1258794390195321/419430400000000") for d in ("d0", "d1", "d2")},
+        [("7541337346323/104857600000000", 220)],
+        {d: ("1250749862653677/419430400000000",
+             "1265832537346323/419430400000000") for d in ("d0", "d1", "d2")},
     ),
     "r2-666-0": ([("1/8", 1)], {"d0": ("95/32", "3")}),
+    "r2-666-1": (
+        [("192036426219/52428800000000", 5)],
+        {f"d{i}": (R2_666_1_LO, R2_666_1_HI) for i in range(6)},
+    ),
     "cex-2-2": (
         [("1/8", 5), ("1/8", 1)],
         {"d*": (CEX_LO, CEX_HI), "dl0": (CEX_LO, CEX_HI),
@@ -407,8 +418,10 @@ PINNED_ANSWERS = {
 def pinned_game(name):
     if name.startswith("defect-"):
         return defect_game(name[len("defect-"):])
-    if name == "r2-666-0":
-        return mg.random_entropy_game(random.Random(2), 6, 6, 6)
+    if name.startswith("r2-666-"):
+        rng = random.Random(2)
+        draws = [mg.random_entropy_game(rng, 6, 6, 6) for _ in range(2)]
+        return draws[int(name[len("r2-666-"):])]
     return mg.build_cex_game(2, 2).game
 
 
@@ -426,24 +439,27 @@ class TestPinnedAnswers:
 
 class TestCertifiedSeparation:
     @staticmethod
-    def candidate_roots(full_keys, tol):
-        """Brackets at width tol of the Perron roots of the irreducible
-        principal submatrices of the given matrices."""
-        roots = {}
-        for key in full_keys:
-            for size in range(1, len(key) + 1):
-                for comb in itertools.combinations(range(len(key)), size):
-                    sub = tuple(tuple(key[i][j] for j in comb) for i in comb)
-                    if sub not in roots and ent._irreducible(sub):
-                        roots[sub] = ent.perron_root(sub, tol)
-        return list(roots.values())
+    def top_rates(g, top, tol):
+        """Brackets at width tol of the per-state growth rates of the
+        top-principal submatrices of every pair matrix of g."""
+        subs = {
+            tuple(tuple(m[i][j] for j in top) for i in top)
+            for sigma in itertools.product(*g.d_edges)
+            for tau in itertools.product(*g.t_edges)
+            for m in [pair_matrix(g, sigma, tau)]
+        }
+        return [iv for sub in subs for iv in matrix_values(sub, tol)]
 
     @pytest.mark.parametrize("name", sorted(DEFECT_GAMES) + ["seeds"])
     def test_fine_brackets_serve_coarse_reads(self, name):
-        """With the coarse tolerance raised to 1, distinct candidate values
-        overlap at the coarse level; the brackets that `compare` refines are
-        then read back through the coarse lookups, so delta stays at most
-        half the log-gap of every distinct pair (seen at width 2^-60)."""
+        """With the coarse tolerance raised to 1 and no bracket computed
+        before the slack pass, the top value and the rates on the top class
+        overlap at the coarse level; the brackets
+        that `compare` refines are then read back through the coarse
+        lookups.  So delta is at most half the log-gap between v and every
+        distinct rate (seen at width 2^-60), and above the a priori floor
+        1/nu_hat: read before `compare`, an overlapping pair gives a ratio
+        big.lo / small.hi of at most 1, which drops delta to that floor."""
         if name == "seeds":
             rng = random.Random(3)
             games = [mg.random_entropy_game(rng) for _ in range(40)]
@@ -451,22 +467,38 @@ class TestCertifiedSeparation:
             games = [defect_game(name)]
         refined = []
         for g in games:
-            profile = ent.rank_profile(g)
-            brute = ent.brute_force_entropy_values(g, profile=profile)
-            reg = brute.registry
-            full_keys = reg.keys()
+            block = mg.solve_entropy_game(g).blocks[0]
+            top = [g.d_ids.index(d) for d in block.d_ids]
+            brute = ent.brute_force_entropy_values(g)
+            # the same pair matrices, with no bracket computed yet
+            brute.registry, reg = ent._ValueRegistry(), brute.registry
+            for key in reg.keys():
+                brute.registry.add(key)
             brute.coarse_tol = F(1)
-            compare = reg.compare
-            # the separation search hands only overlapping pairs to compare
-            reg.compare = lambda *args: refined.append(args) or compare(*args)
-            delta = ent._certified_separation(g, profile, brute)
-            roots = self.candidate_roots(full_keys, F(1, 2**60))
+            reg, values = brute.registry, brute.registry.values
+
+            def spy(key, tol, fine=brute.fine_tol):
+                if tol is fine:
+                    refined.append(key)
+                return values(key, tol)
+
+            reg.values = spy
+            delta = ent._top_slack(brute, top[0], top)
+            tol = F(1, 2**60)
+            key, state = brute.candidates[top[0]]
+            v = matrix_values(key, tol)[state]
             bound = exp_bounds(2 * delta)[1]
-            for a, b in itertools.combinations(roots, 2):
-                small, big = (a, b) if a.hi < b.lo else (b, a)
-                if small.hi < big.lo:
+            distinct = False
+            for r in self.top_rates(g, top, tol):
+                small, big = (r, v) if r.hi < v.lo else (v, r)
+                if small.hi < big.lo and small.lo > 0:
                     # delta <= ln(big / small) / 2
                     assert bound <= big.lo / small.hi
+                    distinct = True
+            if distinct:
+                assert delta > 1 / brute.profile.nu_hat
+            else:
+                assert delta == F(1, 8)
         assert refined
 
 
