@@ -428,6 +428,7 @@ def brute(input_path, budget, pairs_path, as_json):
                     for s, iv in zip(game.d_ids, res.chi)
                 },
                 "pairs": res.pair_count,
+                "rank": res.profile.rank,
             }
             if pairs_path:
                 with open(pairs_path, "w", encoding="utf-8", newline="") as fh:

@@ -10,7 +10,9 @@ domain the one-step operator on positive vectors indexed by Despot states is
 and the per-state value is the growth rate lim T^k(1)_d^(1/k), a Perron root
 of an induced nonnegative matrix.  The solver peels top classes: strategy
 enumeration finds the top class of the residual game and brackets its value,
-and a damped iteration of T on integer vectors finds exact sub/super
+comparing brackets exactly by the separation bound of the game's rank (the
+maximal rank of its pair matrices, read off the same enumeration), and a
+damped iteration of T on integer vectors finds exact sub/super
 eigenvectors of the block, which serve as its certificates (checked in exact
 rational arithmetic) and give both players' strategies.  The witness levels
 sit a slack outside the value bracket; the slack is half the log-gap between
@@ -490,8 +492,8 @@ def pair_values_by_ids(game: EntropyGame, sigma_ids, tau_ids, tol):
 
 @dataclass(frozen=True)
 class RankProfile:
-    rank: int
-    selections: int
+    rank: int  # the game's rank: the maximal rank of its pair matrices
+    selections: int  # the distinct pair matrices ranked
     nu: Fraction  # multiplicative separation factor for distinct pair values
     nu_hat: Fraction  # log-domain separation denominator (n * W * nu)
 
@@ -506,33 +508,22 @@ def _nu_value(n: int, w: int, r: int) -> Fraction:
     return nu
 
 
-def rank_profile(game: EntropyGame, budget: int = 10**6) -> RankProfile:
-    """Maximal rank over the achievable pair matrices (full enumeration of
-    the per-Despot People choices when it fits in the budget, the trivial
-    bound n otherwise) and the derived separation factors."""
+def rank_profile(game: EntropyGame, matrices) -> RankProfile:
+    """The rank r of the game, the maximal rank of the given pair matrices
+    (the ambiguity matrices of its strategy pairs, the paper's rank), and
+    the separation factors nu(n, W, r) derived from it.
+
+    Every value the solver compares is a Perron root of a principal
+    submatrix of a pair matrix of the game: the per-state rates of the pair
+    matrices themselves, and those of their restrictions to the top class in
+    `_top_slack`.  A principal submatrix has rank at most that of the
+    matrix, so every such root is an eigenvalue of an integer matrix of rank
+    at most r, and nu(n, W, r) separates any two distinct ones."""
     stats = game.stats()
-    n = stats.n
-    choices = [
-        sorted({p for t in game.d_edges[d] for p in game.t_edges[t]})
-        for d in range(n)
-    ]
-    count = 1
-    for c in choices:
-        count *= len(c)
-    if count > budget:
-        r = n
-    else:
-        r = 1
-        for sel in itertools.product(*choices):
-            rows = []
-            for p in sel:
-                row = [0] * n
-                for l, m in game.p_edges[p]:
-                    row[l] = m
-                rows.append(row)
-            r = max(r, integer_rank(rows))
-    nu = _nu_value(n, stats.W, r)
-    return RankProfile(rank=r, selections=count, nu=nu, nu_hat=n * stats.W * nu)
+    r = max([1] + [integer_rank(m) for m in matrices])
+    nu = _nu_value(stats.n, stats.W, r)
+    return RankProfile(rank=r, selections=len(matrices), nu=nu,
+                       nu_hat=stats.n * stats.W * nu)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +538,11 @@ class _ValueRegistry:
         self._store = {}
 
     def add(self, matrix):
+        """Register a matrix and return its stored key: equal matrices share
+        one key tuple."""
         key = tuple(tuple(row) for row in matrix)
-        if key not in self._store:
-            self._store[key] = [None, None]  # [tol, per-state intervals]
-        return key
+        # [tol, per-state intervals, the stored key]
+        return self._store.setdefault(key, [None, None, key])[2]
 
     def keys(self):
         return list(self._store)
@@ -604,33 +596,34 @@ def brute_force_entropy_values(
 ) -> BruteEntropyResult:
     """chi_d = min over Despot strategies of max over Tribune strategies of
     the pair growth rate, componentwise (positional uniformly optimal
-    strategies exist).  Brackets start at width 2^-30 and are refined to
+    strategies exist).  One pass over the strategy pairs registers every pair
+    matrix; the game's rank, and with it the separation profile, is read from
+    the distinct ones.  Brackets start at width 2^-30 and are refined to
     1/(4*nu_hat) only when a comparison is ambiguous; equal-looking brackets
     at that width are genuinely equal by the separation bound.  A pair count
-    over the budget raises ValueError before the rank enumeration."""
+    over the budget raises ValueError before any pair matrix is built."""
     count = 1
     for row in game.d_edges + game.t_edges:
         count *= len(row)
     if count > budget:
         raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
-    profile = rank_profile(game, budget)
+    reg = _ValueRegistry()
+    taus = list(itertools.product(*game.t_edges))
+    grid = [
+        [reg.add(pair_matrix(game, sigma, tau)) for tau in taus]
+        for sigma in itertools.product(*game.d_edges)
+    ]
+    profile = rank_profile(game, reg.keys())
     coarse = Fraction(1, 2**30)
     fine = min(coarse, Fraction(1, 4) / profile.nu_hat)
-    nd = len(game.d_ids)
-    reg = _ValueRegistry()
     chi_cand = None
-    for sigma in itertools.product(*game.d_edges):
-        best = None
-        for tau_sel in itertools.product(*game.t_edges):
-            key = reg.add(pair_matrix(game, sigma, tau_sel))
-            cands = [(key, d) for d in range(nd)]
-            if best is None:
-                best = cands
-            else:
-                best = [
-                    b if reg.compare(b, c, coarse, fine) >= 0 else c
-                    for b, c in zip(best, cands)
-                ]
+    for keys in grid:
+        best = [(keys[0], d) for d in range(len(game.d_ids))]
+        for key in keys[1:]:
+            best = [
+                b if reg.compare(b, (key, d), coarse, fine) >= 0 else (key, d)
+                for d, b in enumerate(best)
+            ]
         if chi_cand is None:
             chi_cand = best
         else:

@@ -156,6 +156,17 @@ def entropy_pair_loop():
     )
 
 
+def entropy_shared_tribune():
+    """Two Despots share one Tribune, which picks the People row [1, 0] or
+    [0, 1] for both: each pair matrix repeats one row (rank 1), though the
+    two Despots facing different rows would give rank 2.  Value 1."""
+    return mg.make_entropy_game(
+        ["d0", "d1"], ["t0"], ["p0", "p1"],
+        [[0], [0]], [[0, 1]],
+        [[(0, 1)], [(1, 1)]],
+    )
+
+
 # three default draws (draw k of random_entropy_game(Random(seed)), named
 # e<seed>-<k>) of value 3 everywhere: their witness search takes about 3,000
 # damped steps at a slack of delta/4, and more than the 30,000-step cap at

@@ -13,6 +13,8 @@ import pytest
 import mpgames as mg
 from mpgames.numeric import zeros
 
+from conftest import DEFECT_GAMES, defect_game
+
 F = Fraction
 
 SMPG_SEED = 20260823
@@ -60,13 +62,11 @@ def entropy_corpus():
         g = mg.random_entropy_game(rng)
         sol = mg.solve_entropy_game(g)
         brute = mg.brute_force_entropy_values(g)
-        profile = mg.rank_profile(g)
         rows.append({
             "game": g,
             "stats": g.stats(),
             "solution": sol,
             "brute": brute,
-            "profile": profile,
         })
     return {"rows": rows, "elapsed": time.monotonic() - start}
 
@@ -221,15 +221,24 @@ class TestEntropyRangeAndSeparation:
                 assert iv.hi <= upper + row["brute"].coarse_tol
 
     def test_distinct_pair_values_separated(self, entropy_corpus):
+        """nu, derived from the maximal rank of the pair matrices, separates
+        their distinct per-state values: the corpus, the defect games, the
+        two Random(2) draws at n = 6 and three n = 7 draws."""
+        rng = random.Random(2)
+        extra = [defect_game(name) for name in sorted(DEFECT_GAMES)]
+        extra += [mg.random_entropy_game(rng, 6, 6, 6) for _ in range(2)]
+        extra += [mg.random_entropy_game(random.Random(7000 + s), 7, 7, 7)
+                  for s in (3, 5, 9)]
+        cases = [(row["game"], row["brute"]) for row in entropy_corpus["rows"]]
+        cases += [(g, mg.brute_force_entropy_values(g)) for g in extra]
         distinct_pairs = 0
-        for row in entropy_corpus["rows"]:
-            brute = row["brute"]
-            nu = row["profile"].nu
+        for g, brute in cases:
+            nu = brute.profile.nu
             reg = brute.registry
             refs = [
                 (key, s)
                 for key in reg.keys()
-                for s in range(len(row["game"].d_ids))
+                for s in range(len(g.d_ids))
             ]
             refs.sort(key=lambda c: reg.values(c[0], brute.fine_tol)[c[1]].lo)
             for a, b in zip(refs, refs[1:]):

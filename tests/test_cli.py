@@ -1,6 +1,7 @@
 """End-to-end command-line interface coverage."""
 
 import contextlib
+import copy
 import csv
 import gc
 import io
@@ -16,6 +17,8 @@ from functools import partial
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpgames as mg
 from mpgames import entropy as ent
@@ -26,6 +29,7 @@ from conftest import (
     absorbing_game,
     cycle_game,
     defect_game,
+    entropy_shared_tribune,
     entropy_tribune_choice,
     nature_half_game,
     swap_shift_game,
@@ -381,6 +385,18 @@ class TestBrute:
         rep = json.loads(res.output)
         assert rep["values"] == {"m1": "3/2", "m2": "3/2"}
 
+    def test_entropy_values_pairs_and_rank(self, runner, tmp_path):
+        """The rank is that of the pair matrices, 1 here, not that of a
+        per-Despot choice of People rows, 2 here."""
+        g = entropy_shared_tribune()
+        path = write_game(tmp_path, "g.json", mg.entropy_to_json(g))
+        res = runner.invoke(main, ["brute", path, "--json"])
+        assert res.exit_code == 0
+        rep = json.loads(res.output)
+        assert (rep["pairs"], rep["rank"]) == (2, 1)
+        assert all(F(iv["lo"]) <= 1 <= F(iv["hi"])
+                   for iv in rep["values"].values())
+
     def test_budget_exceeded_exit_three(self, runner, tmp_path):
         from conftest import min_choice_game
 
@@ -542,3 +558,97 @@ class TestInProcess:
                              timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
+
+
+# structural mutations of game files and solve reports, for the fuzz test
+
+WRONG_TYPES = (None, True, 1.5, "x", [], {}, [1], {"a": 1})
+NON_POSITIVE = (0, -1, "0/1", "-1/1")
+
+
+def json_spots(node):
+    """Every (container, key or index) location inside a JSON tree."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    spots = []
+    for key, child in items:
+        spots.append((node, key))
+        spots += json_spots(child)
+    return spots
+
+
+@st.composite
+def mutated(draw, obj):
+    """A deep copy of obj with one to three structural mutations: a dropped
+    key or element, a value of the wrong type, an unknown id, a duplicated
+    list element (duplicate ids or edges) or a non-positive number."""
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        spots = json_spots(obj)
+        if not spots:
+            break
+        parent, key = spots[draw(st.integers(0, len(spots) - 1))]
+        how = draw(st.sampled_from(
+            ["drop", "retype", "unknown", "duplicate", "non-positive"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "retype":
+            parent[key] = draw(st.sampled_from(WRONG_TYPES))
+        elif how == "unknown":
+            parent[key] = "zz"
+        elif how == "duplicate" and isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[key]))
+        else:  # a non-positive number, also in place of a duplicated key
+            parent[key] = draw(st.sampled_from(NON_POSITIVE))
+    return obj
+
+
+FUZZ_GAMES = {
+    "smpg": mg.game_to_json(nature_half_game()),
+    "smpg-absorbing": mg.game_to_json(absorbing_game()),
+    "entropy": mg.entropy_to_json(entropy_tribune_choice()),
+    "entropy-e11-54": mg.entropy_to_json(defect_game("e11-54")),
+}
+
+
+@pytest.fixture(scope="session")
+def fuzz_inputs(tmp_path_factory):
+    """A scratch directory and, per name, a game and its solve report."""
+    where = tmp_path_factory.mktemp("fuzz")
+    inputs = {}
+    for name, game in FUZZ_GAMES.items():
+        res = CliRunner().invoke(
+            main, ["solve", write_game(where, "g.json", game), "--json"])
+        inputs[name] = (game, json.loads(res.output))
+    return where, inputs
+
+
+class TestFuzz:
+    @staticmethod
+    def run(args):
+        res = CliRunner().invoke(main, args)
+        assert res.exception is None or isinstance(res.exception,
+                                                   SystemExit), res.exception
+        assert res.exit_code in (0, 1, 3)
+        assert "Traceback" not in res.output
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(name=st.sampled_from(sorted(FUZZ_GAMES)), part=st.booleans(),
+           data=st.data())
+    def test_mutated_games_and_reports(self, fuzz_inputs, name, part, data):
+        """solve and certify of a mutated game, or certify of a mutated
+        report, exit 0, 1 or 3 and print no stack trace."""
+        where, inputs = fuzz_inputs
+        game, report = inputs[name]
+        if part:
+            game = data.draw(mutated(game))
+        else:
+            report = data.draw(mutated(report))
+        path = write_game(where, "g.json", game)
+        rep = write_game(where, "rep.json", report)
+        self.run(["solve", path, "--json"])
+        self.run(["certify", path, rep])

@@ -28,6 +28,7 @@ from conftest import (
     entropy_despot_choice,
     entropy_loop,
     entropy_pair_loop,
+    entropy_shared_tribune,
     entropy_tribune_choice,
 )
 
@@ -243,7 +244,7 @@ class TestPairMachinery:
 
 class TestRankProfile:
     def test_rank_one(self):
-        prof = mg.rank_profile(entropy_pair_loop())
+        prof = mg.brute_force_entropy_values(entropy_pair_loop()).profile
         assert prof.rank == 1
 
     def test_rank_two(self):
@@ -252,7 +253,24 @@ class TestRankProfile:
             [[0], [1]], [[0], [1]],
             [[(0, 10), (1, 10)], [(0, 1)]],  # rows of [[10,10],[1,0]]
         )
-        assert mg.rank_profile(g).rank == 2
+        assert mg.brute_force_entropy_values(g).profile.rank == 2
+
+    @pytest.mark.parametrize("name", ["shared-tribune", "n7-7003"])
+    def test_rank_of_pair_matrices(self, name):
+        """The rank is the paper's: the maximal rank of the pair matrices,
+        each distinct one ranked once."""
+        if name == "shared-tribune":
+            g = entropy_shared_tribune()
+        else:
+            g = mg.random_entropy_game(random.Random(7003), 7, 7, 7)
+        matrices = {
+            tuple(map(tuple, pair_matrix(g, sigma, tau)))
+            for sigma in itertools.product(*g.d_edges)
+            for tau in itertools.product(*g.t_edges)
+        }
+        prof = mg.brute_force_entropy_values(g).profile
+        assert prof.rank == 1
+        assert prof.selections == len(matrices)
 
     def test_nu_formula_magnitude(self):
         from mpgames.entropy import _nu_value
@@ -262,7 +280,7 @@ class TestRankProfile:
 
     def test_nu_hat(self):
         g = entropy_pair_loop()
-        prof = mg.rank_profile(g)
+        prof = mg.brute_force_entropy_values(g).profile
         assert prof.nu_hat == len(g.d_ids) * g.stats().W * prof.nu
 
 
@@ -382,13 +400,11 @@ CEX_LO = (
     "12484193301439034365287911290268563801/"
     "4622404312992140449298728107698995424")
 R2_666_1_LO = (
-    "12640028202067678372289091274583023617376143898531385432044064074860"
-    "207762581/10927806329670472598731422415116161749222950825022061532612"
-    "76410675200000000")
+    "5520406181152723989970731073531753349815741781/"
+    "477261036481584080491452527385195315200000000")
 R2_666_1_HI = (
-    "90207564810484754490194156231867526081146481157819356290109315900820"
-    "997246573/77975675973813308311507811623605761023030817388460633526678"
-    "93556838400000000")
+    "39397253740705589725669553863561190348782659053/"
+    "3405509835452629349074238609730987622400000000")
 DEFECT_E11_E86 = (
     [("767071326747/6553600000000", 137)],
     {d: ("77876128673253/26214400000000", "79410271326747/26214400000000")
