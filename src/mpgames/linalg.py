@@ -1,27 +1,41 @@
-"""Exact linear algebra over rationals/integers (small systems only)."""
+"""Exact linear algebra on integer matrices, by fraction-free (Bareiss)
+elimination: every intermediate entry is a minor of the input, so every
+division is exact and no rational arithmetic runs inside the loops.
+`integer_rank` eliminates below the pivots; `integer_solve` eliminates
+above them too (Gauss-Jordan) and reads the solution off the last column."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
-def solve_linear(a, b):
-    """Solve A x = b exactly (Fractions), A square nonsingular.  Gaussian
-    elimination with first-nonzero pivoting."""
+def integer_solve(a, b):
+    """Solve A x = b exactly for a nonsingular square integer matrix A and
+    a rational vector b (ints or Fractions).  b is scaled by the lcm D of
+    its denominators, and [A | D b] is reduced fraction-free until every
+    row reads d x_i D = m_i with d = +-det A.  Returns x as Fractions;
+    ValueError when A is singular."""
     n = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    den = math.lcm(*(v.denominator for v in b))
+    m = [[*map(int, row), v.numerator * (den // v.denominator)]
+         for row, v in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
         if piv is None:
             raise ValueError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+        m[k], m[piv] = m[piv], m[k]
+        rk = m[k]
+        p = rk[k]
+        # whole rows: left of the pivot column, row k is zero and the rows
+        # above carry prev on their diagonal, which becomes p
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    return [Fraction(row[n], prev * den) for row in m]
 
 
 def integer_rank(matrix) -> int:

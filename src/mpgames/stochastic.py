@@ -58,7 +58,7 @@ from .iteration import (
     approximate_constant_mean_payoff,
     value_iteration,
 )
-from .linalg import solve_linear
+from .linalg import integer_solve
 from .numeric import (
     NEG_INF,
     NOT_FOUND,
@@ -104,11 +104,15 @@ class StochasticGame:
 
     def stats(self):
         n = len(self.min_ids)
+        # max |a - b| over the Max edges after a Min edge is at the
+        # smallest or the largest b
+        b_range = [(min(b for _, b in row), max(b for _, b in row))
+                   for row in self.max_edges]
         w = 0
-        for j in range(n):
-            for i, a in self.min_edges[j]:
-                for _, b in self.max_edges[i]:
-                    w = max(w, abs(a - b))
+        for row in self.min_edges:
+            for i, a in row:
+                lo, hi = b_range[i]
+                w = max(w, a - lo, hi - a)
         s = sum(1 for row in self.nat_edges if len(row) >= 2)
         m_exp = min(s, n - 1) if n > 1 else 0
         mu = n * self.M**m_exp
@@ -473,8 +477,8 @@ def _greedy_pair(game, u, q):
 def _numerators(x):
     """Integer numerators of a rational vector over the least common
     denominator, and that denominator."""
-    q = math.lcm(*(Fraction(v).denominator for v in x))
-    return [int(v * q) for v in x], q
+    q = math.lcm(*(v.denominator for v in x))
+    return [v.numerator * (q // v.denominator) for v in x], q
 
 
 def _strategies(game, x, y) -> StrategyPair:
@@ -491,16 +495,21 @@ def _strategies(game, x, y) -> StrategyPair:
 def _half_line_holds(game, chi, h) -> bool:
     """Whether F(h + t chi) = h + (t + 1) chi for all large t.  F runs the
     stages of `shapley_eval` on (slope, offset) pairs, which order as the
-    affine functions slope * t + offset do for large t: lexicographically."""
+    affine functions slope * t + offset do for large t: lexicographically.
+    The pairs are integers: chi and h are put over one common denominator
+    L, and every stage is scaled by L M, so Nature's rows need no
+    division."""
     M = game.M
-    nat = [(Fraction(sum(num * chi[l] for l, num in row), M),
-            Fraction(sum(num * h[l] for l, num in row), M))
+    num, L = _numerators([*chi, *h])
+    c, d = num[:len(chi)], num[len(chi):]
+    LM = L * M
+    nat = [(sum(p * c[l] for l, p in row), sum(p * d[l] for l, p in row))
            for row in game.nat_edges]
-    best = [max((nat[k][0], b + nat[k][1]) for k, b in row)
+    best = [max((nat[k][0], b * LM + nat[k][1]) for k, b in row)
             for row in game.max_edges]
-    out = [min((best[i][0], best[i][1] - a) for i, a in row)
+    out = [min((best[i][0], best[i][1] - a * LM) for i, a in row)
            for row in game.min_edges]
-    return all(f == (x, y + x) for f, x, y in zip(out, chi, h))
+    return all(f == (M * x, M * (y + x)) for f, x, y in zip(out, c, d))
 
 
 _WINDOW = 4  # iterates averaged when a checkpoint's own greedy pair fails
@@ -693,61 +702,56 @@ def markov_gain_bias(rows, r, M, anchor=None):
     """Per-state long-run average reward (gain) g and bias h of the Markov
     reward chain with transition rows `rows` (lists of (col, numerator),
     denominator M) and per-step rewards r, in exact rationals: g = P g and
-    g + h = r + P h.  On each closed class one system gives the class's
-    gain and its bias with h = 0 at the class's smallest state a; h is then
-    shifted there to anchor(a, g) when `anchor` is given.  The transient
-    states solve the absorption systems.  Returns (gain, bias)."""
+    g + h = r + P h.  One pass over the strongly connected components,
+    sinks first, solves one system per component, of that component's
+    size, on integers: each equation is scaled by M and solved by
+    `integer_solve`.  A closed class solves for its gain and its bias with
+    h = 0 at its smallest state a; h is then shifted there to anchor(a, g)
+    when `anchor` is given.  A transient component solves its absorption
+    systems, first for g and then for h, with its successors outside it
+    already solved.  Returns (gain, bias)."""
     n = len(rows)
-    adj = [[l for l, _ in row] for row in rows]
-    comps = tarjan_scc(adj)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
     gain = [None] * n
     bias = [None] * n
-    for ci, comp in enumerate(comps):
-        if any(comp_of[w] != ci for v in comp for w in adj[v]):
-            continue  # not closed
-        comp = sorted(comp)
+    for comp in tarjan_scc([[l for l, _ in row] for row in rows]):
+        comp.sort()
         col = {v: t for t, v in enumerate(comp)}
         m = len(comp)
-        # unknowns: g, then h_v for v in comp[1:] (h = 0 at comp[0]);
-        # one equation g + h_v - sum_l P_vl h_l = r_v per state v
-        a = [[Fraction(0)] * m for _ in range(m)]
+        a = [[0] * m for _ in range(m)]
+        if all(l in col for v in comp for l, _ in rows[v]):
+            # unknowns: g, then h_v for v in comp[1:] (h = 0 at comp[0]);
+            # one equation M g + M h_v - sum_l num_vl h_l = M r_v per state
+            for t, v in enumerate(comp):
+                a[t][0] = M
+                if t:
+                    a[t][t] += M
+                for l, num in rows[v]:
+                    if col[l]:
+                        a[t][col[l]] -= num
+            sol = integer_solve(a, [M * r[v] for v in comp])
+            shift = anchor(comp[0], sol[0]) if anchor else Fraction(0)
+            for t, v in enumerate(comp):
+                gain[v] = sol[0]
+                bias[v] = (sol[t] if t else 0) + shift
+            continue
+        # M x_v - sum_{l in comp} num_vl x_l = sum_{l outside} num_vl x_l
+        # for x = g, and for x = h with M (r_v - g_v) added on the right
+        b_gain = [0] * m
+        b_bias = [0] * m
         for t, v in enumerate(comp):
-            a[t][0] = Fraction(1)
-            if t:
-                a[t][t] += 1
+            a[t][t] = M
             for l, num in rows[v]:
-                if col[l]:
-                    a[t][col[l]] -= Fraction(num, M)
-        sol = solve_linear(a, [r[v] for v in comp])
-        shift = anchor(comp[0], sol[0]) if anchor else Fraction(0)
-        for t, v in enumerate(comp):
-            gain[v] = sol[0]
-            bias[v] = (sol[t] if t else 0) + shift
-    transient = [v for v in range(n) if gain[v] is None]
-    if transient:
-        idx = {v: t for t, v in enumerate(transient)}
-        m = len(transient)
-        a = [[Fraction(0)] * m for _ in range(m)]
-        b_gain = [Fraction(0)] * m
-        b_bias = [Fraction(r[v]) for v in transient]
-        for v in transient:
-            a[idx[v]][idx[v]] = Fraction(1)
-            for l, num in rows[v]:
-                p = Fraction(num, M)
-                if l in idx:
-                    a[idx[v]][idx[l]] -= p
+                if l in col:
+                    a[t][col[l]] -= num
                 else:
-                    b_gain[idx[v]] += p * gain[l]
-                    b_bias[idx[v]] += p * bias[l]
-        g = solve_linear(a, b_gain)
-        h = solve_linear(a, [b - x for b, x in zip(b_bias, g)])
-        for v in transient:
-            gain[v] = g[idx[v]]
-            bias[v] = h[idx[v]]
+                    b_gain[t] += num * gain[l]
+                    b_bias[t] += num * bias[l]
+        g = integer_solve(a, b_gain)
+        h = integer_solve(a, [b + M * (r[v] - x)
+                              for b, v, x in zip(b_bias, comp, g)])
+        for t, v in enumerate(comp):
+            gain[v] = g[t]
+            bias[v] = h[t]
     return gain, bias
 
 
@@ -755,19 +759,15 @@ def _pair_chain(game: StochasticGame, sigma, tau):
     """Transition rows and per-step rewards of the Markov reward chain on
     the Min states induced by index-based positional strategies sigma
     (Min idx -> Max idx) and tau (Max idx -> Nat idx)."""
-    a_of = {
-        (j, i): a for j in range(len(game.min_ids)) for i, a in game.min_edges[j]
-    }
-    b_of = {
-        (i, k): b for i in range(len(game.max_ids)) for k, b in game.max_edges[i]
-    }
     rows = []
     r = []
-    for j in range(len(game.min_ids)):
-        i = sigma[j]
+    for j, i in enumerate(sigma):
         k = tau[i]
         rows.append(game.nat_edges[k])
-        r.append(Fraction(b_of[(i, k)] - a_of[(j, i)]))
+        # of parallel edges, which make_game allows, the last as sorted
+        a = max(a for t, a in game.min_edges[j] if t == i)
+        b = max(b for t, b in game.max_edges[i] if t == k)
+        r.append(b - a)
     return rows, r
 
 

@@ -11,6 +11,7 @@ import mpgames as mg
 from mpgames import NEG_INF, Exhausted
 from mpgames import stochastic as st
 from mpgames._smpgfast import Kernel
+from mpgames.graphs import tarjan_scc
 from mpgames.cli import main
 from mpgames.numeric import vec, zeros
 from mpgames.stochastic import round_to_denominator
@@ -409,6 +410,22 @@ def _probe(g):
     return st._half_line(g, stats, st._sep_params(stats))
 
 
+def _solved_chain(rows, r, M, anchor):
+    """markov_gain_bias(rows, r, M, anchor), checked: M g = P' g and
+    M (g + h) = M r + P' h with P' the row numerators, and h = anchor(a, g)
+    (0 without an anchor) at the smallest state a of each closed class."""
+    gain, bias = st.markov_gain_bias(rows, r, M, anchor=anchor)
+    for v, row in enumerate(rows):
+        assert M * gain[v] == sum(num * gain[l] for l, num in row)
+        assert M * (gain[v] + bias[v]) == M * r[v] + sum(
+            num * bias[l] for l, num in row)
+    for comp in tarjan_scc([[l for l, _ in row] for row in rows]):
+        if all(l in comp for v in comp for l, _ in rows[v]):
+            a = min(comp)
+            assert bias[a] == (anchor(a, gain[a]) if anchor else 0)
+    return gain, bias
+
+
 # default draws random_smpg(Random(seed)), 5 per seed; (6, 2), (11, 0) and
 # (41, 4) have values that differ by state
 EARLY_SEEDS = range(50)
@@ -557,19 +574,88 @@ class TestEarlyCertificate:
         assert sol.value.sub.vec == sol.value.sup.vec
 
     def test_bias_solves_the_chain(self):
-        """g = P g and g + h = r + P h exactly, on a chain with a transient
-        state between two closed classes; each class's smallest state takes
-        its anchor."""
+        """g = P g and g + h = r + P h exactly, and each closed class's
+        smallest state takes its anchor: together these fix (g, h), on
+        chains with a transient state between two closed classes, a
+        transient state with a self-loop and one exit, a transient
+        component of two states, two closed classes of equal gain, and 300
+        pair chains of random draws with M = 1, 2 and 3."""
         rows = [[(0, 2)], [(1, 2)], [(0, 1), (1, 1)], [(2, 1), (3, 1)]]
         r = [F(2), F(-2), F(1), F(3)]
-        gain, bias = st.markov_gain_bias(rows, r, 2,
-                                         anchor=lambda a, g: F(a) + g)
+        shifted = lambda a, g: F(a) + g
+        gain, bias = _solved_chain(rows, r, 2, shifted)
         assert gain == [2, -2, 0, 0]
         assert bias[0] == 2 and bias[1] == -1
-        for v, row in enumerate(rows):
-            assert gain[v] == sum(num * gain[l] for l, num in row) / 2
-            assert gain[v] + bias[v] == r[v] + sum(
-                num * bias[l] for l, num in row) / 2
+        # state 1 stays with probability 2/3, else moves to state 0
+        gain, bias = _solved_chain([[(0, 3)], [(0, 1), (1, 2)]],
+                                   [F(1), F(5)], 3, None)
+        assert gain == [1, 1] and bias == [0, 12]
+        # states 2 and 3 reach each other and leave for 0 and 1
+        gain, _ = _solved_chain(
+            [[(0, 5)], [(1, 5)], [(0, 1), (2, 1), (3, 3)],
+             [(1, 2), (2, 2), (3, 1)]],
+            [F(1), F(-3), F(2, 3), F(-1, 2)], 5, shifted)
+        assert gain == [1, -3, F(-7, 5), F(-11, 5)]
+        # classes {0, 1} and {2}, both of gain 2, with state 3 between
+        gain, bias = _solved_chain(
+            [[(1, 2)], [(0, 2)], [(2, 2)], [(1, 1), (2, 1)]],
+            [F(1), F(3), F(2), F(0)], 2, lambda a, g: F(a, 7) - 3 * g)
+        assert gain == [2] * 4 and bias[2] == F(2, 7) - 6
+        rng = random.Random(14)
+        for t in range(300):
+            g = mg.random_smpg(rng, 8, 8, 8, m_choices=(1 + t % 3,))
+            sigma = [rng.choice(row)[0] for row in g.min_edges]
+            tau = [rng.choice(row)[0] for row in g.max_edges]
+            _solved_chain(*st._pair_chain(g, sigma, tau), g.M,
+                          (None, shifted)[t % 2])
+
+    def test_systems_fit_the_components(self, monkeypatch):
+        """random_smpg(Random(1000), 40, 40, 40) (28 Min states, M = 2):
+        every system that markov_gain_bias solves during solve_game is no
+        larger than the largest strongly connected component of its chain.
+        One dense system over all transient states would be 25 x 25."""
+        g = mg.random_smpg(random.Random(1000), 40, 40, 40)
+        assert len(g.min_ids) == 28 and g.M == 2
+        real_chain, real_solve = st.markov_gain_bias, st.integer_solve
+        limit, sizes = [], []
+
+        def chain(rows, r, M, anchor=None):
+            limit.append(max(map(len, tarjan_scc(
+                [[l for l, _ in row] for row in rows]))))
+            return real_chain(rows, r, M, anchor)
+
+        def solve(a, b):
+            sizes.append((len(a), limit[-1]))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(st, "markov_gain_bias", chain)
+        monkeypatch.setattr(st, "integer_solve", solve)
+        sol = mg.solve_game(g)
+        assert sol.value.value == F(4, 3)
+        assert sizes and all(size <= big for size, big in sizes)
+
+    @pytest.mark.parametrize("make", [
+        swap_shift_game,
+        lambda: mg.random_smpg(random.Random(341)),
+        lambda: mg.random_smpg(random.Random(1255), 4, 4, 4, m_choices=(1,),
+                               payoff_lo=-3, payoff_hi=3),
+        nature_half_game,
+    ], ids=["swap-shift", "r341", "r1255", "nature-half"])
+    def test_integer_half_line_is_exact(self, make):
+        """The passing (chi, h) holds, and fails once any one entry of chi
+        or of h moves up by 1/10^30; nature-half (M = 2) fails too if the
+        comparison drops the factor M."""
+        g = make()
+        chi, h, _ = _probe(g)
+        assert chi is not None and st._half_line_holds(g, chi, h)
+        eps = F(1, 10**30)
+        for j in range(len(chi)):
+            moved = list(chi)
+            moved[j] += eps
+            assert not st._half_line_holds(g, moved, h)
+            moved = list(h)
+            moved[j] += eps
+            assert not st._half_line_holds(g, chi, moved)
 
 
 class TestPaperPath:
