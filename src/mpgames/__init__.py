@@ -1,9 +1,10 @@
 """Oracle-driven solvers for zero-sum long-run average games.
 
-Two backends share one abstract interface (an order-preserving, additively
-homogeneous operator queried through an approximate oracle): turn-based
-stochastic mean-payoff games, and matrix-multiplicative Despot/Tribune/People
-games solved through their logarithmic conjugate.  Generic procedures decide
+Two backends: turn-based stochastic mean-payoff games, driven through one
+abstract interface (an order-preserving, additively homogeneous operator
+queried through an approximate oracle), and matrix-multiplicative
+Despot/Tribune/People games, certified by exact integer sub/super
+eigenvectors of their multiplicative operator.  Generic procedures decide
 winners, approximate state-independent values with machine-checkable
 certificates, and extract the set of states of maximal value.
 """
@@ -31,16 +32,13 @@ from .entropy import (
     BlockResult,
     EntropyGame,
     EntropySolution,
-    LogDomainOracle,
     RankProfile,
     brute_force_entropy_values,
-    certified_log_sum_exp,
     check_entropy_certificate,
     entropy_dominion_by_graph,
     entropy_to_json,
     induced_entropy_subgame,
     load_entropy,
-    log_domain_oracle,
     make_entropy_game,
     multiplicative_eval,
     pair_values,
@@ -62,7 +60,6 @@ from .iteration import (
     WinnerVerdict,
     approximate_constant_mean_payoff,
     build_certificates,
-    fp_value_iteration,
     value_iteration,
 )
 from .numeric import (

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .entropy import EntropyGame, _fraction_to_iv, _iv_to_fractions, make_entropy_game
-from .numeric import RationalInterval
+from .entropy import EntropyGame, make_entropy_game
+from .numeric import RationalInterval, ln_bracket
 
 
 def companion_matrix(n: int, w: int):
@@ -95,27 +95,13 @@ def flip_horizon(n: int, w: int, k_limit: int = 10**4) -> int:
     raise RuntimeError(f"no flip within {k_limit} horizons")
 
 
-def _ln_bounds(x: Fraction, prec: int = 160):
-    import mpmath  # imported on first use, as in entropy.py
-
-    saved = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = prec
-        r = mpmath.iv.log(_fraction_to_iv(x))
-        return _iv_to_fractions(r)
-    finally:
-        mpmath.iv.prec = saved
-
-
 def threshold_horizon(n: int, w: int) -> RationalInterval:
     """Bracket of k* = log(8(n-1)/(4n)) / log(lambda_n / lambda_(n-1)); the
     boosted slower branch dominates every horizon k <= k*."""
     if n < 2:
         raise ValueError("threshold needs n >= 2")
     q = Fraction(8 * (n - 1), 4 * n)
-    num_lo, num_hi = _ln_bounds(q)
-    if num_lo < 0:
-        num_lo = Fraction(0)  # q >= 1 always; clamp interval noise
+    num_lo, num_hi = ln_bracket(q, 160)
     tol = Fraction(1, 10**6)
     for _ in range(60):
         big = positive_root(n, w, tol)
@@ -123,8 +109,8 @@ def threshold_horizon(n: int, w: int) -> RationalInterval:
         if big.lo <= small.hi:
             tol /= 16
             continue
-        den_lo = _ln_bounds(Fraction(big.lo, small.hi))[0]
-        den_hi = _ln_bounds(Fraction(big.hi, small.lo))[1]
+        den_lo = ln_bracket(big.lo / small.hi, 160)[0]
+        den_hi = ln_bracket(big.hi / small.lo, 160)[1]
         if den_lo <= 0:
             tol /= 16
             continue

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 malformed input or violated precondition,
-2 winner iteration budget exhausted without a verdict, 3 explicit
-budget/iteration cap exceeded.
+Exit codes: 0 success, 1 malformed input (a missing or unreadable file
+included) or violated precondition, 2 winner iteration budget exhausted
+without a verdict or a usage error, 3 explicit budget/iteration cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _solve_entropy(game, mode, budget):
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input_path", type=click.Path())
 @click.option(
     "--mode",
     type=click.Choice(["winner", "value", "topclass", "full"]),
@@ -366,8 +367,8 @@ def _verify_report(kind, game, report):
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
-@click.argument("cert_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input_path", type=click.Path())
+@click.argument("cert_path", type=click.Path())
 def certify(input_path, cert_path):
     """Re-verify the certificates of a solve report against a game file, in
     exact arithmetic with zero tolerance, and check that the top class,
@@ -392,7 +393,7 @@ def certify(input_path, cert_path):
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("input_path", type=click.Path())
 @click.option("--budget", type=int, default=10**6, show_default=True)
 @click.option("--pairs", "pairs_path", type=click.Path(dir_okay=False),
               default=None, help="write the per-pair value table as CSV")
@@ -556,7 +557,7 @@ def _bench_one(path, budget):
 
 @main.command()
 @click.argument("inputs", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False))
+                type=click.Path())
 @click.option("--budget", type=int, default=10**6, show_default=True)
 @click.option("--trace", type=click.Path(dir_okay=False), default=None,
               help="write a CSV trace instead of plain text")

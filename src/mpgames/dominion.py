@@ -43,22 +43,17 @@ class DecideOutcome:
     final: tuple
 
 
-def decide_constant_value(oracle, params: SepParams, *, tie_order=None):
+def decide_constant_value(oracle, params: SepParams):
     """Run approximate value iteration (precision delta/8) for at most
     1 + ceil(8R/delta) steps.  If the normalized gap condition
     top(u) - bottom(u) <= (3/4)*delta*l triggers, the value is constant
     (Empty).  Otherwise every argmin state of the final iterate has value
-    below the maximum; that set is returned.
-
-    `tie_order` optionally permutes state indices before the argmin scan;
-    the result set is order-independent (it is the full argmin set) and the
-    hook exists purely for the invariance test."""
+    below the maximum; that set is returned."""
     u, ell, hit = gap_iteration(oracle, params.delta, params.cap)
     if hit:
         return DecideOutcome(None, ell, ell, u)
     b = bottom(u)
-    order = tie_order if tie_order is not None else range(oracle.n)
-    low = frozenset(i for i in order if u[i] == b)
+    low = frozenset(i for i in range(oracle.n) if u[i] == b)
     return DecideOutcome(low, ell, ell, u)
 
 

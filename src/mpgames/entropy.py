@@ -18,9 +18,7 @@ rational arithmetic) and give both players' strategies.  The witness levels
 sit a slack outside the value bracket; the slack is half the log-gap between
 the top value and the nearest distinct growth rate of a pair matrix
 restricted to the block, so the strategies greedy at the witnesses are
-exactly optimal.  The logarithmic
-conjugate F = log o T o exp, order-preserving and additively homogeneous, is
-available as an oracle for the generic value-iteration machinery.
+exactly optimal.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ from .graphs import (
 )
 from .iteration import SUB, SUPER, Certificate, IterationCapExceeded
 from .linalg import integer_rank
-from .numeric import NEG_INF, RationalInterval
-from .oracle import ShapleyOracle
+from .numeric import NEG_INF, RationalInterval, exp_bracket, ln_bracket
 from .perron import perron_root
 
 
@@ -187,53 +184,19 @@ def ln_lower(x) -> Fraction:
     return l2 * _LN2_LO
 
 
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _ = t
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError("non-finite value")
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
-
-
-def _iv_to_fractions(x):
-    """Rational (lo, hi) endpoints of an interval-arithmetic value."""
-    a, b = x._mpi_
-    return _mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b)
-
-
-def _fraction_to_iv(x: Fraction):
-    import mpmath  # imported on first use: no solver needs interval arithmetic
-
-    return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
-
-
+# Kept only because perfbench/spans.py wraps this name; no solver calls it.
 def exp_bounds(x, rel_bits: int = 80):
     """Rational (lower, upper) enclosure of e^x with relative width at most
-    2^-rel_bits, via outward-rounded interval arithmetic."""
-    import mpmath
-
-    x = Fraction(x)
-    saved = mpmath.iv.prec
-    try:
-        for prec in (rel_bits + 40, 2 * rel_bits + 80, 4 * rel_bits + 200,
-                     8 * rel_bits + 600):
-            mpmath.iv.prec = prec
-            e = mpmath.iv.exp(_fraction_to_iv(x))
-            lo, hi = _iv_to_fractions(e)
-            if lo > 0 and hi - lo <= lo * Fraction(1, 2**rel_bits):
-                return lo, hi
-    finally:
-        mpmath.iv.prec = saved
-    raise RuntimeError("interval exponential failed to converge")
+    2^-rel_bits."""
+    return exp_bracket(x, rel_bits)
 
 
+# Kept only because perfbench/spans.py wraps this name; no solver calls it.
 def certified_log_sum_exp(terms, eps) -> Fraction:
     """A rational within eps of log(sum_i m_i * e^(x_i)) for integer weights
     m_i >= 1 and rational x_i.  Fast float64 path with a conservative static
-    error envelope; outward-rounded interval arithmetic with doubling
-    precision otherwise.  Deterministic for fixed (terms, eps)."""
+    error envelope; exact rational ln/exp brackets otherwise.  Deterministic
+    for fixed (terms, eps)."""
     if not terms:
         raise ValueError("empty term list")
     eps = Fraction(eps)
@@ -256,76 +219,16 @@ def certified_log_sum_exp(terms, eps) -> Fraction:
             return Fraction(res)
     except (OverflowError, ValueError):
         pass
-    import mpmath
-
+    # Relative width 2^-bits for the sum, and 2^-bits for each ln end, give
+    # a bracket of width at most 3 * 2^-bits < eps.
+    bits = (eps.denominator // eps.numerator).bit_length() + 2
     shift_fr = max(xs)
-    saved = mpmath.iv.prec
-    try:
-        for prec in (80, 160, 320, 640, 1280, 2560):
-            mpmath.iv.prec = prec
-            s = mpmath.iv.mpf(0)
-            for (m, _), v in zip(terms, xs):
-                s += m * mpmath.iv.exp(_fraction_to_iv(v - shift_fr))
-            r = mpmath.iv.log(s)
-            r_lo, r_hi = _iv_to_fractions(r)
-            lo = shift_fr + r_lo
-            hi = shift_fr + r_hi
-            if hi - lo <= eps:
-                return (lo + hi) / 2
-    finally:
-        mpmath.iv.prec = saved
-    raise RuntimeError("interval log-sum-exp failed to converge")
-
-
-# ---------------------------------------------------------------------------
-# the log-domain operator oracle
-
-
-class LogDomainOracle(ShapleyOracle):
-    """eps-accurate evaluation of F = log o T o exp.  The -inf support is
-    structural and exact: a People score is -inf iff it has no finite
-    successor, Tribune maxima skip -inf branches, Despot minima propagate
-    them.  Finite People scores are certified log-sum-exp values; the min/max
-    combination of dyadic rationals is exact, so the composite error stays
-    within eps."""
-
-    def __init__(self, game: EntropyGame):
-        super().__init__(len(game.d_ids))
-        self.game = game
-
-    def _eval(self, x, eps):
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        g = self.game
-        pscores = []
-        for row in g.p_edges:
-            terms = [(m, x[l]) for l, m in row if x[l] is not NEG_INF]
-            pscores.append(
-                certified_log_sum_exp(terms, eps) if terms else NEG_INF
-            )
-        tvals = []
-        for row in g.t_edges:
-            vals = [pscores[p] for p in row if pscores[p] is not NEG_INF]
-            tvals.append(max(vals) if vals else NEG_INF)
-        out = []
-        for row in g.d_edges:
-            branches = [tvals[t] for t in row]
-            if any(b is NEG_INF for b in branches):
-                out.append(NEG_INF)
-            else:
-                out.append(min(branches))
-        return tuple(out)
-
-    def restrict_native(self, subset):
-        ind = induced_entropy_subgame(self.game, subset)
-        if ind is None:
-            return None
-        return LogDomainOracle(ind.game)
-
-
-def log_domain_oracle(game: EntropyGame) -> LogDomainOracle:
-    return LogDomainOracle(game)
+    lo = hi = Fraction(0)
+    for (m, _), v in zip(terms, xs):
+        e_lo, e_hi = exp_bracket(v - shift_fr, bits)
+        lo += m * e_lo
+        hi += m * e_hi
+    return shift_fr + (ln_bracket(lo, bits)[0] + ln_bracket(hi, bits)[1]) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Generic value-iteration procedures: winner decision (exact and
-finite-precision), constant-value approximation with certificates, and
-certificate construction from normalized orbits."""
+"""Generic value-iteration procedures: exact winner decision,
+constant-value approximation with certificates, and certificate
+construction from normalized orbits."""
 
 from __future__ import annotations
 
@@ -72,22 +72,6 @@ def value_iteration(oracle, max_iter: int):
         if top(u) <= 0:
             return WinnerVerdict("MinWinsAll", it, u)
         if bottom(u) >= 0:
-            return WinnerVerdict("MaxWinsAll", it, u)
-    return Exhausted(max_iter, u)
-
-
-def fp_value_iteration(oracle, eps: Fraction, max_iter: int):
-    """Finite-precision winner decision: stop when l*eps + top(u) <= 0 or
-    -l*eps + bottom(u) >= 0.  Correct whenever the lower CW number exceeds
-    2*eps or the upper one is below -2*eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    u = zeros(oracle.n)
-    for it in range(1, max_iter + 1):
-        u = oracle.eval(u, eps)
-        if it * eps + top(u) <= 0:
-            return WinnerVerdict("MinWinsAll", it, u)
-        if -it * eps + bottom(u) >= 0:
             return WinnerVerdict("MaxWinsAll", it, u)
     return Exhausted(max_iter, u)
 

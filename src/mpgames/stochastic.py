@@ -483,9 +483,10 @@ def _numerators(x):
 
 def _strategies(game, x, y) -> StrategyPair:
     """Max plays greedy at the sub witness x, Min greedy at the super
-    witness y (smallest index on ties)."""
-    tau = _greedy_pair(game, *_numerators(x))[1]
-    sigma = _greedy_pair(game, *_numerators(y))[0]
+    witness y (smallest index on ties); one greedy pass when x == y."""
+    sigma, tau = _greedy_pair(game, *_numerators(x))
+    if y != x:
+        sigma = _greedy_pair(game, *_numerators(y))[0]
     return StrategyPair(
         sigma={game.min_ids[j]: game.max_ids[i] for j, i in enumerate(sigma)},
         tau={game.max_ids[i]: game.nat_ids[k] for i, k in enumerate(tau)},

@@ -491,6 +491,31 @@ class TestBench:
         assert "kind=smpg" in res.output
 
 
+class TestUnreadableInput:
+    """A missing file or a directory where a file belongs is malformed
+    input: exit 1 with a one-line error, not a usage error (2) and no
+    traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "{missing}"],
+        ["solve", "{dir}"],
+        ["brute", "{missing}"],
+        ["brute", "{dir}"],
+        ["bench", "{game}", "{missing}"],
+        ["certify", "{missing}", "{game}"],
+        ["certify", "{game}", "{missing}"],
+        ["certify", "{game}", "{dir}"],
+    ], ids=" ".join)
+    def test_exit_one(self, runner, smpg_file, tmp_path, args):
+        paths = {"game": smpg_file, "dir": str(tmp_path),
+                 "missing": str(tmp_path / "missing.json")}
+        res = runner.invoke(main, [a.format(**paths) for a in args])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "error" in res.output.lower()
+
+
 class TestInProcess:
     def test_commands_release_redirected_streams(self, tmp_path):
         """A caller that runs commands in-process, each with fresh
@@ -522,7 +547,8 @@ class TestInProcess:
 
     def test_cli_loads_neither_numpy_nor_mpmath(self, tmp_path):
         """A fresh interpreter that imports the CLI and runs one smpg and
-        one entropy solve + certify has loaded neither numpy nor mpmath."""
+        one entropy solve + certify, brute force on the entropy game and
+        gen-cex has loaded neither numpy nor mpmath."""
         games = [
             write_game(tmp_path, "g.json",
                        mg.game_to_json(nature_half_game())),
@@ -547,6 +573,8 @@ class TestInProcess:
                 with open(report, "w") as fh:
                     fh.write(run("solve", game, "--mode", "full", "--json"))
                 assert "verified" in run("certify", game, report)
+            assert "values" in run("brute", sys.argv[-1], "--json")
+            assert "k_star" in run("gen-cex", "--n", "3", "--w", "4", "--json")
             print(sorted({"numpy", "mpmath"} & set(sys.modules)))
         """)
         src = os.path.dirname(os.path.dirname(mg.__file__))

@@ -1,5 +1,6 @@
 """Constant-value decision, dominion extension, top-class extraction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,31 @@ F = Fraction
 
 def params(delta, r):
     return SepParams(delta=F(delta), R=F(r))
+
+
+def self_loops(*rewards):
+    """Min state i -> Max state i -> Nature state i -> Min state i, with
+    reward rewards[i] on the Max edge: chi = rewards."""
+    n = len(rewards)
+    return mg.make_game(
+        [f"m{i}" for i in range(n)], [f"x{i}" for i in range(n)],
+        [f"n{i}" for i in range(n)],
+        [[(i, 0)] for i in range(n)],
+        [[(i, b)] for i, b in enumerate(rewards)],
+        [[(i, 1)] for i in range(n)],
+        1,
+    )
+
+
+def permute_min_states(game, order):
+    """The same game with Min state order[i] moved to index i."""
+    index = {j: i for i, j in enumerate(order)}
+    return mg.make_game(
+        [game.min_ids[j] for j in order], game.max_ids, game.nat_ids,
+        [game.min_edges[j] for j in order], game.max_edges,
+        [[(index[l], p) for l, p in row] for row in game.nat_edges],
+        game.M,
+    )
 
 
 class TestSepParams:
@@ -54,16 +80,16 @@ class TestDecideConstantValue:
         assert out.low_set is None
 
     def test_tie_order_invariance(self):
-        """The returned set is the full argmin set, independent of scan
-        order."""
-        orc1 = mg.exact_oracle(three_value_game())
-        base = decide_constant_value(orc1, params(F(1, 9), 24))
-        for order in ([2, 1, 0], [1, 0, 2], [0, 2, 1]):
-            orc2 = mg.exact_oracle(three_value_game())
-            out = decide_constant_value(
-                orc2, params(F(1, 9), 24), tie_order=order
-            )
-            assert out.low_set == base.low_set == frozenset({2})
+        """The returned set is the full argmin set, whatever the order of
+        the states: solving a game with its Min states permuted returns the
+        permuted set."""
+        for game, low in ((three_value_game(), {2}),
+                          (self_loops(-1, 2, -1), {0, 2})):
+            for order in itertools.permutations(range(3)):
+                out = decide_constant_value(
+                    mg.exact_oracle(permute_min_states(game, order)),
+                    params(F(1, 9), 24))
+                assert {order[i] for i in out.low_set} == low
 
 
 class TestExtend:

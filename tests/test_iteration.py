@@ -14,7 +14,6 @@ from mpgames import (
     WinnerVerdict,
     approximate_constant_mean_payoff,
     build_certificates,
-    fp_value_iteration,
     value_iteration,
 )
 from mpgames.numeric import hilbert_seminorm, vec, zeros
@@ -38,14 +37,6 @@ class AdversarialOracle(FunctionOracle):
 
     def _eval(self, x, eps):
         return tuple(v - eps for v in self.f(x))
-
-
-class AlternatingOracle(FunctionOracle):
-    """Perturbation alternates +eps / -eps between calls."""
-
-    def _eval(self, x, eps):
-        sign = 1 if self.calls % 2 else -1
-        return tuple(v + sign * eps for v in self.f(x))
 
 
 class TestValueIteration:
@@ -84,44 +75,6 @@ class TestValueIteration:
         assert res.outcome == "MaxWinsAll"
         lam, v = F(1), vec([2, 0])
         bound = -(-hilbert_seminorm(v) // lam)
-        assert res.iterations <= bound
-
-
-class TestFpValueIteration:
-    def test_positive_under_adversary(self):
-        orc = AdversarialOracle(1, lambda x: (x[0] + 1,))
-        res = fp_value_iteration(orc, F(1, 4), 50)
-        assert res.outcome == "MaxWinsAll"
-        assert res.iterations <= 2
-
-    def test_negative_under_adversary(self):
-        orc = AlternatingOracle(1, lambda x: (x[0] - 1,))
-        res = fp_value_iteration(orc, F(1, 4), 50)
-        assert res.outcome == "MinWinsAll"
-        assert res.iterations <= 2
-
-    def test_exhausted_on_identity(self):
-        class HalfAlternating(FunctionOracle):
-            def _eval(self, x, eps):
-                sign = 1 if self.calls % 2 else -1
-                return tuple(v + sign * eps / 2 for v in self.f(x))
-
-        orc = HalfAlternating(1, lambda x: x)
-        res = fp_value_iteration(orc, F(1, 4), 30)
-        assert isinstance(res, Exhausted)
-
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            fp_value_iteration(shift(1), F(0), 5)
-
-    def test_fp_bound_with_certificate(self):
-        """Stops within ceil(seminorm(v)/(lam - 2 eps)) when lam > 2 eps."""
-        eps = F(1, 8)
-        orc = AdversarialOracle(2, lambda x: (x[1] + 3, x[0] - 1))
-        res = fp_value_iteration(orc, eps, 200)
-        assert res.outcome == "MaxWinsAll"
-        lam, v = F(1), vec([2, 0])
-        bound = -(-hilbert_seminorm(v) // (lam - 2 * eps))
         assert res.iterations <= bound
 
 

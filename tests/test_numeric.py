@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from mpgames import (
 )
 from mpgames.numeric import (
     _simplest_between,
+    exp_bracket,
+    ln_bracket,
     vec_add_scalar,
     vec_inf,
     vec_le,
@@ -165,3 +168,54 @@ class TestRationalReconstruction:
         assert _simplest_between(F(-1, 2), F(1, 3)) == 0
         assert _simplest_between(F(5, 7), F(5, 7)) == F(5, 7)
         assert _simplest_between(F(-7, 20), F(-3, 10)) == F(-1, 3)
+
+
+def _reference(f, x) -> Fraction:
+    """f(x) to 50 significant digits, from mpmath."""
+    with mpmath.workdps(50):
+        v = f(mpmath.mpf(x.numerator) / x.denominator)
+        return F(mpmath.nstr(v, 50))
+
+
+LN_ARGS = (
+    F(1), F(1, 3), F(2, 3), F(1) + F(1, 10**20), F(1) - F(1, 10**20),
+    F(2), F(8), F(1, 4), F(2**100), F(1, 10**30), F(10**30), F(7, 5),
+)
+LN2_30 = F(693147180559945309417232121458, 10**30)  # ln 2 to 30 digits
+EXP_ARGS = (
+    F(0), F(1), F(-1), F(1, 3), F(-5, 7), F(1) + F(1, 10**20), F(100),
+    F(-100), F(1, 10**30), F(-1, 10**30), LN2_30, -3 * LN2_30,
+)
+
+
+class TestLnExpBrackets:
+    @pytest.mark.parametrize("bits", [1, 10, 53, 100])
+    @pytest.mark.parametrize("x", LN_ARGS, ids=str)
+    def test_ln(self, x, bits):
+        lo, hi = ln_bracket(x, bits)
+        assert lo <= _reference(mpmath.log, x) <= hi
+        assert hi - lo <= F(1, 2**bits)
+
+    def test_ln_exact_at_one(self):
+        assert ln_bracket(F(1), 80) == (0, 0)
+
+    @pytest.mark.parametrize("x", [F(0), F(-1), F(-1, 10**30)], ids=str)
+    def test_ln_rejects_non_positive(self, x):
+        with pytest.raises(ValueError):
+            ln_bracket(x, 53)
+
+    @pytest.mark.parametrize("bits", [1, 10, 53, 100])
+    @pytest.mark.parametrize("x", EXP_ARGS, ids=str)
+    def test_exp(self, x, bits):
+        lo, hi = exp_bracket(x, bits)
+        assert 0 < lo <= _reference(mpmath.exp, x) <= hi
+        assert hi - lo <= lo * F(1, 2**bits)
+
+    @given(st.integers(1, 10**12), st.integers(1, 10**12),
+           st.integers(1, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_exp_inverts_ln(self, p, q, bits):
+        """e^lo <= x <= e^hi for the ln bracket (lo, hi) of x = p/q."""
+        x = F(p, q)
+        lo, hi = ln_bracket(x, bits)
+        assert exp_bracket(lo, bits)[0] <= x <= exp_bracket(hi, bits)[1]

@@ -345,6 +345,27 @@ class TestSolveConstantValue:
         assert sol.interval.contains(sol.value)
         assert sol.interval.width <= mg.separation_bound(g.stats())
 
+    def test_fixed_point_takes_one_greedy_pass(self, monkeypatch):
+        """The exact fixed point is both witnesses, so one greedy pass at it
+        gives both strategies: one pass per probe try, plus one."""
+        calls = {"greedy": 0, "tries": 0}
+        greedy, half_line_at = st._greedy_pair, st._half_line_at
+
+        def count_greedy(*args):
+            calls["greedy"] += 1
+            return greedy(*args)
+
+        def count_tries(*args):
+            calls["tries"] += 1
+            return half_line_at(*args)
+
+        monkeypatch.setattr(st, "_greedy_pair", count_greedy)
+        monkeypatch.setattr(st, "_half_line_at", count_tries)
+        sol = mg.solve_constant_value(nature_half_game())
+        assert sol.iterations == 1
+        assert calls["tries"] >= 1
+        assert calls["greedy"] == calls["tries"] + 1
+
     def test_non_constant_rejected(self):
         with pytest.raises((ValueError, mg.IterationCapExceeded)):
             mg.solve_constant_value(absorbing_game())
