@@ -15,7 +15,6 @@ from .cex import (
     build_cex_game,
     companion_matrix,
     flip_horizon,
-    horizon_profile,
     positive_root,
     threshold_horizon,
 )
@@ -35,7 +34,6 @@ from .entropy import (
     RankProfile,
     brute_force_entropy_values,
     check_entropy_certificate,
-    entropy_dominion_by_graph,
     entropy_to_json,
     induced_entropy_subgame,
     load_entropy,
@@ -85,17 +83,17 @@ from .perron import BracketingFailure, char_poly, eval_poly, perron_root
 from .stochastic import (
     BruteForceResult,
     ConstantValueSolution,
+    ExactOracle,
     GameFormatError,
     GameSolution,
     GameStats,
+    RoundingOracle,
     StochasticGame,
     StrategyPair,
     TopClassSolution,
     bias_norm_bound,
     brute_force_values,
     check_certificate,
-    dominion_by_graph,
-    exact_oracle,
     frozen_pair_values,
     game_to_json,
     induced_subgame,
@@ -104,7 +102,6 @@ from .stochastic import (
     parse_smpg,
     random_smpg,
     recession_eval,
-    rounding_oracle,
     separation_bound,
     shapley_eval,
     solve_constant_value,

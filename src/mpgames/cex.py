@@ -79,13 +79,6 @@ def branch_weights(n: int, w: int, k: int):
     return left, right
 
 
-def horizon_profile(n: int, w: int, k: int) -> int:
-    """max of the two branch weights: the horizon-(k+1) value at the root
-    Despot of the constructed game."""
-    left, right = branch_weights(n, w, k)
-    return max(left, right)
-
-
 def flip_horizon(n: int, w: int, k_limit: int = 10**4) -> int:
     """Smallest k with left > right (the slow boosted branch wins ties)."""
     for k in range(k_limit + 1):

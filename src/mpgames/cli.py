@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 malformed input (a missing or unreadable file
-included) or violated precondition, 2 winner iteration budget exhausted
-without a verdict or a usage error, 3 explicit budget/iteration cap
-exceeded.
+included), an unwritable output path, a strategy-pair count over
+`--budget` or another violated precondition, 2 winner iteration budget
+exhausted without a verdict or a usage error, 3 iteration cap exceeded.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import random
 import sys
@@ -27,7 +28,7 @@ from .numeric import NEG_INF, RationalInterval, rational_in_interval
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_EXHAUSTED = 2
-EXIT_BUDGET = 3
+EXIT_CAP = 3
 
 
 def _frac_str(v) -> str:
@@ -65,6 +66,18 @@ def _load_game(path):
     if kind == "entropy":
         return "entropy", ent.parse_entropy(obj)
     raise GameFormatError(f'unsupported or missing "type" in {path}')
+
+
+def _write_out(path, write):
+    """Open `path` for writing and hand the file to `write`.  A path that
+    cannot be written (a missing directory, a directory) is one error line
+    and exit 1."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        _echo(f"error: cannot write {path}: {exc}", err=True)
+        sys.exit(EXIT_INPUT)
 
 
 def _cert_record(cert: Certificate, states=None) -> dict:
@@ -258,7 +271,7 @@ def solve(input_path, mode, as_json, budget):
         sys.exit(EXIT_INPUT)
     except IterationCapExceeded as exc:
         _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+        sys.exit(EXIT_CAP)
     _emit(report, as_json)
     sys.exit(code)
 
@@ -395,7 +408,7 @@ def certify(input_path, cert_path):
 @main.command()
 @click.argument("input_path", type=click.Path())
 @click.option("--budget", type=int, default=10**6, show_default=True)
-@click.option("--pairs", "pairs_path", type=click.Path(dir_okay=False),
+@click.option("--pairs", "pairs_path", type=click.Path(),
               default=None, help="write the per-pair value table as CSV")
 @click.option("--json", "as_json", is_flag=True)
 def brute(input_path, budget, pairs_path, as_json):
@@ -411,16 +424,13 @@ def brute(input_path, budget, pairs_path, as_json):
                 },
                 "pairs": len(res.pair_gains),
             }
-            if pairs_path:
-                with open(pairs_path, "w", encoding="utf-8", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["min_strategy", "max_strategy", "state",
-                                     "value"])
-                    for sigma, tau, gains in res.pair_gains:
-                        for s, v in zip(game.min_ids, gains):
-                            writer.writerow([" ".join(map(str, sigma)),
-                                             " ".join(map(str, tau)),
-                                             s, _frac_str(v)])
+            header = ["min_strategy", "max_strategy", "state", "value"]
+            rows = (
+                [" ".join(map(str, sigma)), " ".join(map(str, tau)), s,
+                 _frac_str(v)]
+                for sigma, tau, gains in res.pair_gains
+                for s, v in zip(game.min_ids, gains)
+            )
         else:
             res = ent.brute_force_entropy_values(game, budget=budget)
             report = {
@@ -431,25 +441,20 @@ def brute(input_path, budget, pairs_path, as_json):
                 "pairs": res.pair_count,
                 "rank": res.profile.rank,
             }
-            if pairs_path:
-                with open(pairs_path, "w", encoding="utf-8", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["pair_matrix", "state", "lo", "hi"])
-                    for key in res.registry.keys():
-                        vals = res.registry.values(key, res.fine_tol)
-                        for s, iv in zip(game.d_ids, vals):
-                            writer.writerow([
-                                ";".join(
-                                    " ".join(map(str, row)) for row in key
-                                ),
-                                s, _frac_str(iv.lo), _frac_str(iv.hi),
-                            ])
-    except GameFormatError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+            header = ["pair_matrix", "state", "lo", "hi"]
+            rows = (
+                [";".join(" ".join(map(str, row)) for row in key), s,
+                 _frac_str(iv.lo), _frac_str(iv.hi)]
+                for key in res.registry.keys()
+                for s, iv in zip(game.d_ids,
+                                 res.registry.values(key, res.fine_tol))
+            )
+        if pairs_path:
+            _write_out(pairs_path, lambda fh: csv.writer(fh).writerows(
+                itertools.chain([header], rows)))
     except ValueError as exc:
         _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+        sys.exit(EXIT_INPUT)
     _emit(report, as_json)
     sys.exit(EXIT_OK)
 
@@ -462,7 +467,7 @@ def brute(input_path, budget, pairs_path, as_json):
 @click.option("--kind", type=click.Choice(["smpg", "entropy"]), default="smpg",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=click.Path(), default=None,
               help="write to file instead of stdout")
 def gen_random(kind, seed, out):
     """Emit a random small game instance as JSON."""
@@ -473,8 +478,7 @@ def gen_random(kind, seed, out):
         obj = ent.entropy_to_json(ent.random_entropy_game(rng))
     text = json.dumps(obj, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(out, lambda fh: fh.write(text + "\n"))
     else:
         _echo(text)
     sys.exit(EXIT_OK)
@@ -483,10 +487,10 @@ def gen_random(kind, seed, out):
 @main.command("gen-cex")
 @click.option("--n", type=int, required=True, help="length of the fast chain")
 @click.option("--w", type=int, required=True, help="matrix weight")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=click.Path(), default=None)
 @click.option("--flip", "flip_max", type=int, default=None,
               help="emit a horizon trace CSV up to this horizon")
-@click.option("--flip-out", type=click.Path(dir_okay=False), default=None,
+@click.option("--flip-out", type=click.Path(), default=None,
               help="trace CSV path (default: stdout)")
 @click.option("--json", "as_json", is_flag=True)
 def gen_cex(n, w, out, flip_max, flip_out, as_json):
@@ -499,8 +503,7 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
     obj = ent.entropy_to_json(inst.game)
     text = json.dumps(obj, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(out, lambda fh: fh.write(text + "\n"))
     meta = {
         "n": inst.n,
         "w": inst.w,
@@ -518,10 +521,8 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
             rows.append([k, left, right,
                          "left" if left > right else "right"])
         if flip_out:
-            with open(flip_out, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["k", "left", "right", "winner"])
-                writer.writerows(rows)
+            _write_out(flip_out, lambda fh: csv.writer(fh).writerows(
+                [["k", "left", "right", "winner"], *rows]))
         else:
             _echo("k,left,right,winner")
             for row in rows:
@@ -559,7 +560,7 @@ def _bench_one(path, budget):
 @click.argument("inputs", nargs=-1, required=True,
                 type=click.Path())
 @click.option("--budget", type=int, default=10**6, show_default=True)
-@click.option("--trace", type=click.Path(dir_okay=False), default=None,
+@click.option("--trace", type=click.Path(), default=None,
               help="write a CSV trace instead of plain text")
 def bench(inputs, budget, trace):
     """Time the solver on one or more game files, one after another."""
@@ -570,12 +571,10 @@ def bench(inputs, budget, trace):
         sys.exit(EXIT_INPUT)
     except IterationCapExceeded as exc:
         _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+        sys.exit(EXIT_CAP)
     if trace:
-        with open(trace, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_out(trace, lambda fh: csv.writer(fh).writerows(
+            [list(rows[0]), *(row.values() for row in rows)]))
     else:
         for row in rows:
             _echo(

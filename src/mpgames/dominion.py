@@ -117,5 +117,7 @@ def top_class(oracle, params: SepParams):
 
 
 def top_class_call_budget(n: int, params: SepParams) -> int:
-    """Guaranteed oracle-call bound for top_class at precision delta/8."""
+    """Guaranteed oracle-call bound for top_class at precision delta/8.
+    Test oracle: the paper's bound of order R/sep on oracle calls
+    (`TestCallBudget`)."""
     return n * n + n * ceil(Fraction(8) * params.R / params.delta)

@@ -15,10 +15,10 @@ maximal rank of its pair matrices, read off the same enumeration), and a
 damped iteration of T on integer vectors finds exact sub/super
 eigenvectors of the block, which serve as its certificates (checked in exact
 rational arithmetic) and give both players' strategies.  The witness levels
-sit a slack outside the value bracket; the slack is half the log-gap between
-the top value and the nearest distinct growth rate of a pair matrix
-restricted to the block, so the strategies greedy at the witnesses are
-exactly optimal.
+sit a slack outside the value bracket; the slack is half an exact rational
+lower bound of the log-gap between the top value and the nearest distinct
+growth rate of a pair matrix restricted to the block, so the strategies
+greedy at the witnesses are exactly optimal.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ def multiplicative_eval(game: EntropyGame, x):
 
 def recession_eval(game: EntropyGame, x):
     """Recession operator in the log domain: multiplicities collapse to their
-    support, sums collapse to maxima, so F^hat_d = min_t max_p max_l x_l."""
+    support, sums collapse to maxima, so F^hat_d = min_t max_p max_l x_l.
+    Test oracle: the value vector is its fixed point (`TestRecessionEval`)."""
     out = []
     for row in game.d_edges:
         best = None
@@ -155,33 +156,7 @@ def recession_eval(game: EntropyGame, x):
 # certified logarithmic arithmetic
 
 
-_LN2_LO = Fraction(693147180, 10**9)  # rational lower bound of ln 2
 _E_UPPER = Fraction(27182818285, 10**10)  # rational upper bound of e
-
-
-def _is_pow2(v: int) -> bool:
-    return v > 0 and v & (v - 1) == 0
-
-
-def log2_lower(x) -> Fraction:
-    """Rational lower bound of log2(x) for a positive rational x; exact when
-    x is a power of two."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log2 requires a positive argument")
-    num, den = x.numerator, x.denominator
-    if _is_pow2(num) and _is_pow2(den):
-        return Fraction(num.bit_length() - den.bit_length())
-    val = math.log2(num) - math.log2(den)
-    return Fraction(math.floor(val * 2**20) - 2, 2**20)
-
-
-def ln_lower(x) -> Fraction:
-    """Rational lower bound of ln(x) for rational x >= 1 (clamped at 0)."""
-    l2 = log2_lower(x)
-    if l2 <= 0:
-        return Fraction(0)
-    return l2 * _LN2_LO
 
 
 # Kept only because perfbench/spans.py wraps this name; no solver calls it.
@@ -235,59 +210,28 @@ def certified_log_sum_exp(terms, eps) -> Fraction:
 # dominions and restrictions
 
 
-@dataclass(frozen=True)
-class InducedEntropy:
-    game: EntropyGame
-    d_sel: tuple  # original Despot indices (sorted)
-    t_sel: tuple  # original Tribune indices kept
-    p_sel: tuple  # original People indices kept
-
-
 def induced_entropy_subgame(game: EntropyGame, d_subset):
     """The subgame induced by a dominion D of Despot states: People keep
     their edges into D (surviving iff at least one remains), Tribunes keep
     their surviving People, and every Despot move must land on a surviving
     Tribune.  Returns None when the subset is not a dominion."""
-    d_sel = sorted(set(d_subset))
-    d_set = set(d_sel)
+    d_set = set(d_subset)
+    d_sel = sorted(d_set)
     v_p = {
         p
-        for p in range(len(game.p_ids))
-        if any(l in d_set for l, _ in game.p_edges[p])
+        for p, row in enumerate(game.p_edges)
+        if any(l in d_set for l, _ in row)
     }
-    v_t = {
-        t
-        for t in range(len(game.t_ids))
-        if any(p in v_p for p in game.t_edges[t])
-    }
-    for d in d_sel:
-        for t in game.d_edges[d]:
-            if t not in v_t:
-                return None
     t_sel = sorted({t for d in d_sel for t in game.d_edges[d]})
+    if not all(any(p in v_p for p in game.t_edges[t]) for t in t_sel):
+        return None
     p_sel = sorted({p for t in t_sel for p in game.t_edges[t] if p in v_p})
-    d_index = {j: i for i, j in enumerate(d_sel)}
-    t_index = {j: i for i, j in enumerate(t_sel)}
-    p_index = {j: i for i, j in enumerate(p_sel)}
-    sub = make_entropy_game(
-        tuple(game.d_ids[j] for j in d_sel),
-        tuple(game.t_ids[j] for j in t_sel),
-        tuple(game.p_ids[j] for j in p_sel),
-        tuple(tuple(t_index[t] for t in game.d_edges[j]) for j in d_sel),
-        tuple(
-            tuple(p_index[p] for p in game.t_edges[j] if p in p_index)
-            for j in t_sel
-        ),
-        tuple(
-            tuple((d_index[l], m) for l, m in game.p_edges[j] if l in d_set)
-            for j in p_sel
-        ),
+    return subgraph_on(
+        game,
+        [game.d_ids[d] for d in d_sel],
+        [game.t_ids[t] for t in t_sel],
+        [game.p_ids[p] for p in p_sel],
     )
-    return InducedEntropy(sub, tuple(d_sel), tuple(t_sel), tuple(p_sel))
-
-
-def entropy_dominion_by_graph(game: EntropyGame, d_subset) -> bool:
-    return induced_entropy_subgame(game, d_subset) is not None
 
 
 def subgraph_on(game: EntropyGame, d_ids, t_ids, p_ids) -> EntropyGame:
@@ -381,7 +325,8 @@ def pair_values(game: EntropyGame, sigma, tau, tol):
 
 def pair_values_by_ids(game: EntropyGame, sigma_ids, tau_ids, tol):
     """Pair values for id-based strategies (Despot id -> Tribune id,
-    Tribune id -> People id); used to confirm stitched strategies."""
+    Tribune id -> People id).  Test oracle: the stitched strategies are
+    optimal (`test_stitched_strategies_reproduce_values`)."""
     t_index = {s: j for j, s in enumerate(game.t_ids)}
     p_index = {s: j for j, s in enumerate(game.p_ids)}
     sigma = [t_index[sigma_ids[s]] for s in game.d_ids]
@@ -591,10 +536,10 @@ class BlockResult:
     interval: RationalInterval  # multiplicative value bracket
     sub: Certificate
     sup: Certificate
-    # log-domain slack: half the log-gap between the block's value and the
-    # nearest distinct per-state rate of a pair matrix restricted to the
-    # block, in [1/nu_hat, 1/8]; the witness levels sit delta/4 outside a
-    # value bracket of width delta/64
+    # log-domain slack: half an exact lower bound of the log-gap between the
+    # block's value and the nearest distinct per-state rate of a pair matrix
+    # restricted to the block, in [1/nu_hat, 1/8]; the witness levels sit
+    # delta/4 outside a value bracket of width delta/64
     delta: Fraction
     iterations: int  # damped witness steps
 
@@ -609,10 +554,11 @@ class EntropySolution:
 
 def _top_slack(brute: BruteEntropyResult, best: int, top) -> Fraction:
     """A certified log-domain slack for the witnesses of the top class D =
-    `top`, whose value v is that of state `best`: half the smallest verified
-    log-gap between v and a distinct per-state growth rate of the
-    D-principal submatrix of an achievable pair matrix, floored at the a
-    priori bound 1/nu_hat and capped at 1/8.
+    `top`, whose value v is that of state `best`: half an exact rational
+    lower bound (`ln_bracket` at 20 bits) of the smallest verified log-gap
+    between v and a distinct per-state growth rate of the D-principal
+    submatrix of an achievable pair matrix, floored at the a priori bound
+    1/nu_hat and capped at 1/8.
 
     Only these rates matter.  The witnesses x, y > 0 on D satisfy
     T(x) >= lam_lo * x and T(y) <= lam_hi * y on the block, at levels within
@@ -645,7 +591,8 @@ def _top_slack(brute: BruteEntropyResult, best: int, top) -> Fraction:
             small, big = (a, b) if c < 0 else (b, a)
             if small.hi > 0 and (least is None or big.lo / small.hi < least):
                 least = big.lo / small.hi
-    half_gap = ln_lower(least) / 2 if least is not None else Fraction(1, 8)
+    half_gap = (ln_bracket(least, 20)[0] / 2 if least is not None
+                else Fraction(1, 8))
     return min(Fraction(1, 8),
                max(half_gap, Fraction(1) / brute.profile.nu_hat))
 
@@ -694,27 +641,27 @@ def _solve_block(game: EntropyGame, budget: int):
         for d in range(nd)
         if reg.compare(cands[d], cands[best], coarse, fine) == 0
     ]
-    ind = induced_entropy_subgame(game, dmax)
-    if ind is None:
+    subgame = induced_entropy_subgame(game, dmax)
+    if subgame is None:
         raise RuntimeError("top class candidate is not a dominion")
     delta = _top_slack(brute, best, dmax)
     v_int = brute.refine(best, delta / 64)
     # delta is at most half the smallest log-gap between v and a distinct
     # rate on the block, so levels delta/4 outside v_int still separate them
-    sub, sup, steps = _witness_certificates(ind.game, v_int, delta / 4)
-    if not (check_entropy_certificate(ind.game, sub)
-            and check_entropy_certificate(ind.game, sup)):
+    sub, sup, steps = _witness_certificates(subgame, v_int, delta / 4)
+    if not (check_entropy_certificate(subgame, sub)
+            and check_entropy_certificate(subgame, sup)):
         raise AssertionError("internal error: certificate failed verification")
-    stats = game.stats()
-    interval = RationalInterval(max(sub.lam, 1),
-                                min(sup.lam, stats.n * stats.W))
+    bounds = value_bounds(game)
+    interval = RationalInterval(max(sub.lam, bounds.lo),
+                                min(sup.lam, bounds.hi))
 
     # the witnesses extended by zero off the block: a People sum is positive
     # iff the People has an edge into the block, a Tribune maximum iff the
     # Tribune has such a People; these People and Tribunes join the block
     x = [0] * nd
     y = [0] * nd
-    for i, d in enumerate(ind.d_sel):
+    for i, d in enumerate(dmax):
         x[d] = sub.vec[i]
         y[d] = sup.vec[i]
     p_sub = [sum(m * x[l] for l, m in row) for row in game.p_edges]
@@ -731,13 +678,13 @@ def _solve_block(game: EntropyGame, budget: int):
     }
     sigma = {
         game.d_ids[d]: game.t_ids[min(game.d_edges[d], key=t_sup.__getitem__)]
-        for d in ind.d_sel
+        for d in dmax
     }
     block = BlockResult(
-        d_ids=tuple(game.d_ids[d] for d in ind.d_sel),
+        d_ids=tuple(game.d_ids[d] for d in dmax),
         t_ids=tuple(game.t_ids[t] for t in v_t),
         p_ids=tuple(game.p_ids[p] for p in v_p),
-        subgame=ind.game,
+        subgame=subgame,
         interval=interval,
         sub=sub,
         sup=sup,

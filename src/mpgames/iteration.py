@@ -26,9 +26,9 @@ class Certificate:
     """(lam, vec) witnessing a Collatz-Wielandt inequality.
 
     Additive form (default): sub means lam + vec <= F(vec) coordinatewise,
-    super means lam + vec >= F(vec).  The entropy backend re-issues its
+    super means lam + vec >= F(vec).  The entropy backend issues its
     certificates in multiplicative form (lam * vec <= T(vec)), flagged by
-    `multiplicative`, so they stay machine-checkable in exact rationals."""
+    `multiplicative`: exact integer sub/super eigenvectors of T."""
 
     lam: Fraction
     vec: tuple

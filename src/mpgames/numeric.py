@@ -125,10 +125,6 @@ def vec_inf(x, y) -> tuple:
     return tuple(min(a, b) for a, b in zip(x, y, strict=True))
 
 
-def vec_le(x, y) -> bool:
-    return all(a <= b for a, b in zip(x, y, strict=True))
-
-
 @dataclass(frozen=True)
 class RationalInterval:
     lo: Fraction

@@ -40,8 +40,8 @@ class ShapleyOracle:
 
 
 class FunctionOracle(ShapleyOracle):
-    """Wrap an exact map f: tuple -> tuple as an oracle (used in tests and
-    for small hand-built operators)."""
+    """Wrap an exact map f: tuple -> tuple as an oracle.  Test oracle: the
+    generic procedures run on hand-built operators (`test_iteration.py`)."""
 
     def __init__(self, n, f):
         super().__init__(n)
@@ -90,7 +90,9 @@ def restrict(oracle, subset):
 
 def is_dominion(oracle, subset) -> bool:
     """subset is a dominion iff F^S(0) has no -inf coordinate.  Support
-    exactness makes one approximate evaluation decisive."""
+    exactness makes one approximate evaluation decisive.  Test oracle: the
+    paper's dominion characterisation, against the graph one
+    (`test_matches_graph_characterization`)."""
     sub = restrict(oracle, subset)
     out = sub.eval(zeros(sub.n), Fraction(1))
     return all(v is not NEG_INF for v in out)

@@ -50,6 +50,8 @@ def char_poly(matrix):
 
 
 def eval_poly(coeffs, x):
+    """Horner evaluation.  Test oracle: a sign change of the characteristic
+    polynomial certifies a Perron bracket (`TestSpectralEngine`)."""
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c

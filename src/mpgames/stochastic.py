@@ -201,7 +201,8 @@ def shapley_eval(game: StochasticGame, x):
 
 
 def recession_eval(game: StochasticGame, x):
-    """Recession operator: same min/max structure with payoffs dropped."""
+    """Recession operator: same min/max structure with payoffs dropped.
+    Test oracle: the value vector is its fixed point (`TestRecessionEval`)."""
     stripped = StochasticGame(
         game.min_ids,
         game.max_ids,
@@ -291,14 +292,6 @@ class RoundingOracle(ShapleyOracle):
         return RoundingOracle(sub, self.q)
 
 
-def exact_oracle(game):
-    return ExactOracle(game)
-
-
-def rounding_oracle(game, q: int):
-    return RoundingOracle(game, q)
-
-
 def induced_subgame(game: StochasticGame, subset):
     """The subgame induced by a dominion D (a set of Min-state indices):
     Nature states with all mass in D survive, Max moves are restricted to
@@ -348,13 +341,6 @@ def induced_subgame(game: StochasticGame, subset):
     )
 
 
-def dominion_by_graph(game: StochasticGame, subset) -> bool:
-    """Graph characterization of dominions (independent of the operator):
-    every Min move from the subset must reach a Max state with at least one
-    move into a Nature state whose whole row stays inside."""
-    return induced_subgame(game, subset) is not None
-
-
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -380,7 +366,7 @@ def winner(game: StochasticGame):
     Returns a WinnerVerdict, or Exhausted when the cap is hit (the value may
     be 0 somewhere or non-constant)."""
     cap = winner_iteration_bound(game.stats()) + 1
-    return value_iteration(exact_oracle(game), cap)
+    return value_iteration(ExactOracle(game), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +800,8 @@ def brute_force_values(game: StochasticGame, budget: int = 10**6):
 
 
 def frozen_pair_values(game: StochasticGame, strategies: StrategyPair):
-    """Re-evaluate a strategy pair given by ids; used to confirm optimality
-    of extracted strategies."""
+    """Re-evaluate a strategy pair given by ids.  Test oracle: the paper's
+    exact optimal positional strategies (`test_strategy_optimality_frozen`)."""
     min_index = {s: j for j, s in enumerate(game.min_ids)}
     max_index = {s: i for i, s in enumerate(game.max_ids)}
     nat_index = {s: k for k, s in enumerate(game.nat_ids)}

@@ -11,7 +11,6 @@ from mpgames import (
     build_cex_game,
     companion_matrix,
     flip_horizon,
-    horizon_profile,
     positive_root,
     threshold_horizon,
 )
@@ -77,9 +76,13 @@ class TestBranchWeights:
         assert branch_weights(2, 10, 2) == (230, 800)
 
     def test_profile_is_max(self):
-        for k in range(6):
-            left, right = branch_weights(2, 10, k)
-            assert horizon_profile(2, 10, k) == max(left, right)
+        """The root Despot's horizon-(k+1) value is the larger branch
+        weight, on both sides of the flip at k = 17."""
+        g = build_cex_game(2, 10).game
+        x = tuple(F(1) for _ in g.d_ids)
+        for k in range(20):
+            x = mg.multiplicative_eval(g, x)
+            assert x[0] == max(branch_weights(2, 10, k))
 
     def test_needs_two_branches(self):
         with pytest.raises(ValueError):
@@ -145,7 +148,7 @@ class TestBuildCexGame:
             x = tuple(F(1) for _ in g.d_ids)
             for k in range(8):
                 x = mg.multiplicative_eval(g, x)
-                assert x[0] == horizon_profile(n, w, k)
+                assert x[0] == max(branch_weights(n, w, k))
 
     def test_left_branch_strategy_recovers_companion_block(self):
         g = build_cex_game(2, 10).game

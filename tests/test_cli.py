@@ -397,13 +397,15 @@ class TestBrute:
         assert all(F(iv["lo"]) <= 1 <= F(iv["hi"])
                    for iv in rep["values"].values())
 
-    def test_budget_exceeded_exit_three(self, runner, tmp_path):
+    def test_budget_exceeded_exit_one(self, runner, tmp_path):
+        """A pair count over the budget exits 1, as in solve and bench."""
         from conftest import min_choice_game
 
         path = write_game(tmp_path, "g.json",
                           mg.game_to_json(min_choice_game()))
         res = runner.invoke(main, ["brute", path, "--budget", "1"])
-        assert res.exit_code == 3
+        assert res.exit_code == 1
+        assert "exceeds budget" in res.output
 
     def test_pairs_csv_smpg(self, runner, smpg_file, tmp_path):
         out = tmp_path / "pairs.csv"
@@ -492,9 +494,9 @@ class TestBench:
 
 
 class TestUnreadableInput:
-    """A missing file or a directory where a file belongs is malformed
-    input: exit 1 with a one-line error, not a usage error (2) and no
-    traceback."""
+    """A missing file or a directory where a file belongs, and an output
+    path in a missing directory or naming a directory, exit 1 with a
+    one-line error, not a usage error (2) and no traceback."""
 
     @pytest.mark.parametrize("args", [
         ["solve", "{missing}"],
@@ -505,10 +507,18 @@ class TestUnreadableInput:
         ["certify", "{missing}", "{game}"],
         ["certify", "{game}", "{missing}"],
         ["certify", "{game}", "{dir}"],
+        *([*opt, out] for opt in (
+            ["gen-random", "--out"],
+            ["gen-cex", "--n", "2", "--w", "2", "--out"],
+            ["gen-cex", "--n", "2", "--w", "2", "--flip", "3", "--flip-out"],
+            ["brute", "{game}", "--pairs"],
+            ["bench", "{game}", "--trace"],
+        ) for out in ("{missing_dir}", "{dir}")),
     ], ids=" ".join)
     def test_exit_one(self, runner, smpg_file, tmp_path, args):
         paths = {"game": smpg_file, "dir": str(tmp_path),
-                 "missing": str(tmp_path / "missing.json")}
+                 "missing": str(tmp_path / "missing.json"),
+                 "missing_dir": str(tmp_path / "missing" / "out.json")}
         res = runner.invoke(main, [a.format(**paths) for a in args])
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit)

@@ -70,7 +70,7 @@ class TestDecideConstantValue:
         assert out.low_set is None
 
     def test_absorbing_low_set(self):
-        orc = mg.exact_oracle(absorbing_game())
+        orc = mg.ExactOracle(absorbing_game())
         out = decide_constant_value(orc, params(F(1, 4), 40))
         assert out.low_set == frozenset({1})
 
@@ -87,24 +87,24 @@ class TestDecideConstantValue:
                           (self_loops(-1, 2, -1), {0, 2})):
             for order in itertools.permutations(range(3)):
                 out = decide_constant_value(
-                    mg.exact_oracle(permute_min_states(game, order)),
+                    mg.ExactOracle(permute_min_states(game, order)),
                     params(F(1, 9), 24))
                 assert {order[i] for i in out.low_set} == low
 
 
 class TestExtend:
     def test_seed_everything(self):
-        orc = mg.exact_oracle(absorbing_game())
+        orc = mg.ExactOracle(absorbing_game())
         result, _ = extend(orc, {0, 1}, {0, 1})
         assert result == {0, 1}
 
     def test_chain_propagation(self):
-        orc = mg.exact_oracle(chain3_game())
+        orc = mg.ExactOracle(chain3_game())
         result, _ = extend(orc, {0, 1, 2}, {0, 1})
         assert result == {0, 1, 2}
 
     def test_disjoint_subdominion_stays_disjoint(self):
-        orc = mg.exact_oracle(absorbing_game())
+        orc = mg.ExactOracle(absorbing_game())
         result, _ = extend(orc, {0, 1}, {0})
         assert result == {0}
         assert is_dominion(orc, {1})  # the untouched complement
@@ -113,7 +113,7 @@ class TestExtend:
         rng = random.Random(21)
         for _ in range(25):
             game = mg.random_smpg(rng)
-            orc = mg.exact_oracle(game)
+            orc = mg.ExactOracle(game)
             n = orc.n
             seed = {rng.randrange(n)}
             result, _ = extend(orc, set(range(n)), seed)
@@ -123,7 +123,7 @@ class TestExtend:
                 assert is_dominion(orc, rest)
 
     def test_empty_seed_rejected(self):
-        orc = mg.exact_oracle(absorbing_game())
+        orc = mg.ExactOracle(absorbing_game())
         with pytest.raises(ValueError):
             extend(orc, {0, 1}, set())
 
@@ -135,23 +135,23 @@ class TestTopClass:
         assert dom.states == frozenset({0, 1})
 
     def test_absorbing_game(self):
-        orc = mg.exact_oracle(absorbing_game())
+        orc = mg.ExactOracle(absorbing_game())
         dom, _ = top_class(orc, params(F(1, 4), 40))
         assert dom.states == frozenset({0})
 
     def test_three_values(self):
-        orc = mg.exact_oracle(three_value_game())
+        orc = mg.ExactOracle(three_value_game())
         dom, _ = top_class(orc, params(F(1, 9), 24))
         assert dom.states == frozenset({0, 1})
 
     def test_result_is_dominion(self):
-        orc = mg.exact_oracle(three_value_game())
+        orc = mg.ExactOracle(three_value_game())
         dom, _ = top_class(orc, params(F(1, 9), 24))
-        assert is_dominion(mg.exact_oracle(three_value_game()), dom.states)
+        assert is_dominion(mg.ExactOracle(three_value_game()), dom.states)
 
     def test_call_budget(self):
         p = params(F(1, 9), 24)
-        orc = mg.exact_oracle(three_value_game())
+        orc = mg.ExactOracle(three_value_game())
         _, calls = top_class(orc, p)
         assert calls <= top_class_call_budget(3, p)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,6 @@ from mpgames.entropy import (
     GameFormatError,
     certified_log_sum_exp,
     exp_bounds,
-    ln_lower,
-    log2_lower,
     matrix_values,
     pair_matrix,
 )
@@ -110,16 +109,6 @@ class TestRecessionEval:
 
 
 class TestCertifiedLogs:
-    def test_log2_bounds_exact_on_powers(self):
-        assert log2_lower(F(8)) == 3
-        assert log2_lower(F(1, 4)) == -2
-        assert F(15849625, 10**7) - F(1, 2**17) <= log2_lower(F(3))
-        assert log2_lower(F(3)) < F(15849625, 10**7)
-
-    def test_ln_bounds(self):
-        # ln 2 = 0.693147180559945...
-        assert ln_lower(F(2)) < F(69314718056, 10**11)
-
     def test_exp_bounds(self):
         # e = 2.7182818284590452...
         lo, hi = exp_bounds(F(1))
@@ -165,15 +154,40 @@ class TestDominions:
                 for sub in itertools.combinations(range(n), size):
                     out = mg.multiplicative_eval(
                         g, [int(d in sub) for d in range(n)])
-                    assert mg.entropy_dominion_by_graph(g, sub) == all(
-                        out[d] > 0 for d in sub)
+                    assert (mg.induced_entropy_subgame(g, sub)
+                            is not None) == all(out[d] > 0 for d in sub)
 
     def test_induced_subgame_round_trip(self):
         g = two_block_game()
-        ind = mg.induced_entropy_subgame(g, [0])
-        assert ind is not None
-        assert ind.game.d_ids == ("a0",)
+        sub = mg.induced_entropy_subgame(g, [0])
+        assert sub is not None
+        assert sub.d_ids == ("a0",)
         assert mg.induced_entropy_subgame(g, [1]) is not None
+
+    def test_induced_subgame_operator_agrees(self):
+        """On every dominion D, T of the induced subgame is T of the game
+        at the vector padded with 0 off D, read on D."""
+        rng = random.Random(17)
+        dominions = 0
+        for _ in range(30):
+            g = mg.random_entropy_game(rng, 4, 4, 4)
+            n = len(g.d_ids)
+            for size in range(1, n + 1):
+                for dom in itertools.combinations(range(n), size):
+                    sub = mg.induced_entropy_subgame(g, dom)
+                    if sub is None:
+                        continue
+                    dominions += 1
+                    assert sub.d_ids == tuple(g.d_ids[d] for d in dom)
+                    for _ in range(3):
+                        x = [rng.randint(0, 5) for _ in dom]
+                        full = [0] * n
+                        for d, v in zip(dom, x):
+                            full[d] = v
+                        out = mg.multiplicative_eval(g, full)
+                        assert mg.multiplicative_eval(sub, x) == tuple(
+                            out[d] for d in dom)
+        assert dominions >= 20
 
 
 class TestPairMachinery:
@@ -355,27 +369,27 @@ CEX_LO = (
     "12484193301439034365287911290268563801/"
     "4622404312992140449298728107698995424")
 R2_666_1_LO = (
-    "5520406181152723989970731073531753349815741781/"
-    "477261036481584080491452527385195315200000000")
+    "56528958320989686471143557635350665912991/"
+    "4887153013571420984232473880424400027648")
 R2_666_1_HI = (
-    "39397253740705589725669553863561190348782659053/"
-    "3405509835452629349074238609730987622400000000")
+    "403427885254931593368671072192249384247143/"
+    "34872420715034924534520203363645313253376")
 DEFECT_E11_E86 = (
-    [("767071326747/6553600000000", 137)],
-    {d: ("77876128673253/26214400000000", "79410271326747/26214400000000")
+    [("251355953/2147483648", 137)],
+    {d: ("25518447823/8589934592", "26021159729/8589934592")
      for d in ("d0", "d1", "d2")},
 )
 PINNED_ANSWERS = {
     "defect-e11-54": DEFECT_E11_E86,
     "defect-e86-57": DEFECT_E11_E86,
     "defect-e239-27": (
-        [("7541337346323/104857600000000", 220)],
-        {d: ("1250749862653677/419430400000000",
-             "1265832537346323/419430400000000") for d in ("d0", "d1", "d2")},
+        [("19306017/268435456", 220)],
+        {d: ("3201919455/1073741824", "3240531489/1073741824")
+         for d in ("d0", "d1", "d2")},
     ),
     "r2-666-0": ([("1/8", 1)], {"d0": ("95/32", "3")}),
     "r2-666-1": (
-        [("192036426219/52428800000000", 5)],
+        [("1966881/536870912", 5)],
         {f"d{i}": (R2_666_1_LO, R2_666_1_HI) for i in range(6)},
     ),
     "cex-2-2": (
@@ -406,6 +420,20 @@ class TestPinnedAnswers:
         assert sol.values == {
             d: mg.RationalInterval(F(lo), F(hi))
             for d, (lo, hi) in values.items()}
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ANSWERS))
+    def test_no_float_logarithm(self, name, monkeypatch):
+        """The slack comes from exact rational ln brackets: the solve gives
+        its pinned answers with every float logarithm refused."""
+        def refuse(*args):
+            raise AssertionError("float logarithm in the entropy solve")
+
+        monkeypatch.setattr(math, "log", refuse)
+        monkeypatch.setattr(math, "log2", refuse)
+        blocks, _ = PINNED_ANSWERS[name]
+        sol = mg.solve_entropy_game(pinned_game(name))
+        assert [(b.delta, b.iterations) for b in sol.blocks] == [
+            (F(d), steps) for d, steps in blocks]
 
 
 class TestCertifiedSeparation:

@@ -24,7 +24,6 @@ from mpgames.numeric import (
     ln_bracket,
     vec_add_scalar,
     vec_inf,
-    vec_le,
     vec_sup,
     zeros,
 )
@@ -90,7 +89,8 @@ class TestVectors:
         y = vec([0, 3])
         assert vec_sup(x, y) == vec([1, 3])
         assert vec_inf(x, y) == (F(0), NEG_INF)
-        assert vec_le(vec_inf(x, y), x) and vec_le(x, vec_sup(x, y))
+        assert all(a <= b for a, b in zip(vec_inf(x, y), x))
+        assert all(a <= b for a, b in zip(x, vec_sup(x, y)))
 
 
 class TestRationalInterval:

@@ -54,7 +54,7 @@ class TestRestrict:
         rng = random.Random(4)
         for _ in range(20):
             game = mg.random_smpg(rng)
-            orc = mg.exact_oracle(game)
+            orc = mg.ExactOracle(game)
             n = orc.n
             if n < 2:
                 continue
@@ -77,12 +77,12 @@ class TestIsDominion:
         assert is_dominion(swap_inc(), [0, 1])
 
     def test_absorbing_singleton(self):
-        orc = mg.exact_oracle(absorbing_game())
+        orc = mg.ExactOracle(absorbing_game())
         assert is_dominion(orc, [0])
         assert is_dominion(orc, [1])
 
     def test_draining_singleton_is_not(self):
-        orc = mg.exact_oracle(drain_game())
+        orc = mg.ExactOracle(drain_game())
         assert is_dominion(orc, [0])
         assert not is_dominion(orc, [1])
 
@@ -93,13 +93,12 @@ class TestIsDominion:
         rng = random.Random(11)
         for _ in range(30):
             game = mg.random_smpg(rng)
-            orc = mg.exact_oracle(game)
+            orc = mg.ExactOracle(game)
             n = orc.n
             for size in range(1, n + 1):
                 for sub in itertools.combinations(range(n), size):
-                    assert is_dominion(orc, sub) == mg.dominion_by_graph(
-                        game, sub
-                    )
+                    assert is_dominion(orc, sub) == (
+                        mg.induced_subgame(game, sub) is not None)
 
 
 class TestOracleContract:
@@ -121,7 +120,7 @@ class TestOracleContract:
         for _ in range(25):
             game = mg.random_smpg(rng)
             n = len(game.min_ids)
-            orc = mg.rounding_oracle(game, 64)
+            orc = mg.RoundingOracle(game, 64)
             x = vec(
                 [
                     NEG_INF
@@ -140,6 +139,6 @@ class TestOracleContract:
 
     def test_repeat_eval_deterministic(self):
         game = absorbing_game()
-        orc = mg.rounding_oracle(game, 16)
+        orc = mg.RoundingOracle(game, 16)
         x = vec([F(1, 3), F(-2, 7)])
         assert orc.eval(x, F(1, 8)) == orc.eval(x, F(1, 8))

@@ -120,7 +120,7 @@ class TestRecessionEval:
 
 class TestRoundingOracle:
     def test_integral_passthrough(self):
-        orc = mg.rounding_oracle(cycle_game(), 1)
+        orc = mg.RoundingOracle(cycle_game(), 1)
         assert orc.eval(zeros(1), F(1)) == vec([2])
 
     def test_round_half_to_even(self):
@@ -133,7 +133,7 @@ class TestRoundingOracle:
 
     def test_serves_requested_eps(self):
         g = nature_half_game()
-        orc = mg.rounding_oracle(g, 8)
+        orc = mg.RoundingOracle(g, 8)
         x = vec([F(1, 3), F(2, 7)])
         out = orc.eval(x, F(1, 16))
         exact = mg.shapley_eval(g, x)
@@ -144,7 +144,7 @@ class TestRoundingOracle:
         """The generic Fraction loops that gap_loop/replay_loop replace:
         the gap loop on the rounding oracle, then the certificate vectors
         built from the stored orbit."""
-        orc = mg.rounding_oracle(g, q)
+        orc = mg.RoundingOracle(g, q)
         eps = delta / 8
         orbit = [zeros(orc.n)]
         hit = False
@@ -185,7 +185,7 @@ class TestRoundingOracle:
         delta = F(1, st.mu**2)
         gap, (kappa, lam), replay, orbit = self._generic_loops(
             g, q, delta, cap)
-        fast = mg.rounding_oracle(g, q)
+        fast = mg.RoundingOracle(g, q)
         assert fast.gap_loop(delta / 8, delta, cap) == gap
         ell = gap[1]
         assert fast.replay_loop(delta / 8, ell, kappa, lam) == replay
@@ -720,14 +720,14 @@ class TestPaperPath:
         stats = g.stats()
         params = st._sep_params(stats)
         assert params.cap == cap
-        oracle = mg.rounding_oracle(g, 4 * stats.mu**2)
+        oracle = mg.RoundingOracle(g, 4 * stats.mu**2)
         dom, n_calls = mg.top_class(oracle, params)
         assert (set(dom.states), n_calls) == (states, calls)
         sub = mg.induced_subgame(g, sorted(dom.states))
         sub_stats = sub.stats()
         sub_params = st._sep_params(sub_stats)
         res = mg.approximate_constant_mean_payoff(
-            mg.rounding_oracle(sub, 4 * sub_stats.mu**2), sub_params.delta,
+            mg.RoundingOracle(sub, 4 * sub_stats.mu**2), sub_params.delta,
             sub_params.cap)
         assert res.iterations == iterations
 
@@ -767,7 +767,7 @@ class TestDominionGraph:
         rng = random.Random(41)
         for _ in range(20):
             g = mg.random_smpg(rng)
-            orc = mg.exact_oracle(g)
+            orc = mg.ExactOracle(g)
             n = orc.n
             for size in range(1, n + 1):
                 for sub in itertools.combinations(range(n), size):
