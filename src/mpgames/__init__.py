@@ -90,7 +90,6 @@ from .stochastic import (
     RoundingOracle,
     StochasticGame,
     StrategyPair,
-    TopClassSolution,
     bias_norm_bound,
     brute_force_values,
     check_certificate,
@@ -106,7 +105,6 @@ from .stochastic import (
     shapley_eval,
     solve_constant_value,
     solve_game,
-    solve_top_class,
     winner,
     winner_iteration_bound,
 )

@@ -184,17 +184,17 @@ def _solve_smpg(game, mode, budget):
                 _cert_record(sol.sup),
             ],
         }
+    # topclass and full: top class, then the constant value of its
+    # restriction
+    sol = smpg.solve_game(game)
     if mode == "topclass":
-        sol = smpg.solve_top_class(game)
         return EXIT_OK, {
-            "top_class": sorted(sol.states),
+            "top_class": sorted(sol.top_class),
             "oracle_calls": sol.oracle_calls,
         }
-    # full: top class, then the constant value of its restriction
-    sol = smpg.solve_game(game)
     val = sol.value
     return EXIT_OK, {
-        "top_class": sorted(sol.top.states),
+        "top_class": sorted(sol.top_class),
         "top_value": _frac_str(val.value),
         "interval": _interval_record(val.interval),
         "oracle_calls": sol.oracle_calls,
@@ -536,12 +536,13 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
 
 
 def _bench_one(path, budget):
-    """One bench row; `steps` counts oracle calls for a stochastic file and
-    damped witness steps for an entropy file."""
+    """One bench row; `steps` counts the oracle calls of `solve_game` for a
+    stochastic file and the damped witness steps of `solve_entropy_game`
+    for an entropy file."""
     start = time.perf_counter()
     kind, game = _load_game(path)
     if kind == "smpg":
-        steps = smpg.solve_top_class(game).oracle_calls
+        steps = smpg.solve_game(game).oracle_calls
         n = len(game.min_ids)
     else:
         sol = ent.solve_entropy_game(game, budget=budget)

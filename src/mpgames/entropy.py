@@ -649,8 +649,7 @@ def _solve_block(game: EntropyGame, budget: int):
     # delta is at most half the smallest log-gap between v and a distinct
     # rate on the block, so levels delta/4 outside v_int still separate them
     sub, sup, steps = _witness_certificates(subgame, v_int, delta / 4)
-    if not (check_entropy_certificate(subgame, sub)
-            and check_entropy_certificate(subgame, sup)):
+    if not check_entropy_certificates(subgame, (sub, sup)):
         raise AssertionError("internal error: certificate failed verification")
     bounds = value_bounds(game)
     interval = RationalInterval(max(sub.lam, bounds.lo),

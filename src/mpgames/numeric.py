@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class _NegInf:
@@ -258,8 +259,10 @@ def _atanh_fixed(a: int, b: int, p: int, up: bool) -> int:
     return total + 2 * t if up else total
 
 
+@lru_cache(maxsize=64)
 def _ln2_fixed(p: int, up: bool) -> int:
-    """2^p ln 2 = 2^p 2 atanh(1/3), rounded down (or up when `up`)."""
+    """2^p ln 2 = 2^p 2 atanh(1/3), rounded down (or up when `up`);
+    memoised, as every bracket at precision p needs both roundings."""
     return 2 * _atanh_fixed(1, 3, p, up)
 
 

@@ -6,10 +6,10 @@ denominator M.  The per-turn reward of a path through edges (j,i), (i,k) is
 B_ik - A_ij; the value of a state is the long-run average reward under
 optimal play.
 
-Solving searches approximately and certifies exactly.  `solve_game`,
-`solve_top_class` and `solve_constant_value` first run the rounded value
-iteration of the paper's first constancy decision (grid 1/q, q = 4 mu^2) and
-stop at checkpoints whose lengths about double.  At each checkpoint they take
+Solving searches approximately and certifies exactly.  `solve_game` and
+`solve_constant_value` first run the rounded value iteration of the paper's
+first constancy decision (grid 1/q, q = 4 mu^2) and stop at checkpoints
+whose lengths about double.  At each checkpoint they take
 the strategy pair greedy at the iterate, compute its exact gain chi and bias
 h, and check exactly that h + t chi is an invariant half-line of the Shapley
 operator F: F(h + t chi) = h + (t + 1) chi for all large t (Hoffman & Karp
@@ -55,6 +55,7 @@ from .iteration import (
     SUB,
     SUPER,
     Certificate,
+    IterationCapExceeded,
     approximate_constant_mean_payoff,
     value_iteration,
 )
@@ -411,22 +412,18 @@ class ConstantValueSolution:
 
 
 @dataclass(frozen=True)
-class TopClassSolution:
-    states: frozenset  # Min state ids
-    indices: frozenset
-    oracle_calls: int
-    params: SepParams
-
-
-@dataclass(frozen=True)
 class GameSolution:
-    """The top class, the subgame it induces, that subgame's constant value,
+    """The subgame the top class induces, that subgame's constant value,
     and the oracle calls of the whole solve."""
 
-    top: TopClassSolution
     subgame: StochasticGame
     value: ConstantValueSolution
     oracle_calls: int
+
+    @property
+    def top_class(self) -> frozenset:
+        """Min state ids of maximal value: the subgame's Min states."""
+        return frozenset(self.subgame.min_ids)
 
 
 _NOT_CONSTANT = "value reconstruction failed; the game value is not constant"
@@ -573,15 +570,6 @@ def _fixed_point_solution(game, value, h, steps) -> ConstantValueSolution:
     )
 
 
-def _top_class_solution(game, indices, calls, params) -> TopClassSolution:
-    return TopClassSolution(
-        states=frozenset(game.min_ids[i] for i in indices),
-        indices=frozenset(indices),
-        oracle_calls=calls,
-        params=params,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the paper's a priori path (the fallback)
 
@@ -589,13 +577,19 @@ def _top_class_solution(game, indices, calls, params) -> TopClassSolution:
 def _decided_constant_value(game, stats, params) -> ConstantValueSolution:
     """Constant value by approximate_constant_mean_payoff from 0 with
     delta = 1/mu^2, which makes the interval isolate a unique rational of
-    denominator <= mu."""
+    denominator <= mu.  Reaching the a priori cap 1 + ceil(8R/delta)
+    without the gap condition is decide_constant_value's verdict that the
+    value is not constant."""
     oracle = RoundingOracle(game, 4 * stats.mu**2)
-    res = approximate_constant_mean_payoff(oracle, params.delta, params.cap)
+    try:
+        res = approximate_constant_mean_payoff(oracle, params.delta,
+                                               params.cap)
+    except IterationCapExceeded:
+        raise ValueError(_NOT_CONSTANT) from None
     value = rational_in_interval(res.interval, stats.mu)
     if value is NOT_FOUND or value is NOT_UNIQUE:
         raise ValueError(_NOT_CONSTANT)
-    if not (check_certificate(game, res.sub) and check_certificate(game, res.sup)):
+    if not check_certificates(game, (res.sub, res.sup)):
         raise AssertionError("internal error: certificate failed verification")
     return ConstantValueSolution(
         value=value,
@@ -606,14 +600,6 @@ def _decided_constant_value(game, stats, params) -> ConstantValueSolution:
         iterations=res.iterations,
         oracle_calls=oracle.calls,
     )
-
-
-def _decided_top_class(game, stats, params) -> TopClassSolution:
-    """Top class by top_class with delta = 1/mu^2 and
-    R = 8 n W M^min(s, n-1), oracle precision delta/8."""
-    oracle = RoundingOracle(game, 4 * stats.mu**2)
-    dom, calls = top_class(oracle, params)
-    return _top_class_solution(game, dom.states, calls, params)
 
 
 # ---------------------------------------------------------------------------
@@ -636,43 +622,31 @@ def solve_constant_value(game: StochasticGame) -> ConstantValueSolution:
     return _fixed_point_solution(game, chi[0], tuple(h), steps)
 
 
-def _probe_top_class(game):
-    """(top class, its value, h) from a passing half-line, or (the paper's
-    top class, None, None); the oracle calls count the probe's steps."""
+def solve_game(game: StochasticGame) -> GameSolution:
+    """The top class, the subgame it induces and that subgame's constant
+    value, from one probe: a passing half-line gives the top class argmax
+    chi and certifies (max chi, h restricted to the top class) as an exact
+    fixed point of that subgame; otherwise the paper's top_class, then its
+    constant-value procedure on the subgame.  The oracle calls count the
+    probe's steps too."""
     stats = game.stats()
     params = _sep_params(stats)
     chi, h, steps = _half_line(game, stats, params)
     if chi is None:
-        tc = _decided_top_class(game, stats, params)
-        return replace(tc, oracle_calls=steps + tc.oracle_calls), None, None
-    value = max(chi)
-    indices = [j for j, v in enumerate(chi) if v == value]
-    return _top_class_solution(game, indices, steps, params), value, h
-
-
-def solve_top_class(game: StochasticGame) -> TopClassSolution:
-    """States of maximal value: argmax chi of a passing half-line, else the
-    paper's top_class."""
-    return _probe_top_class(game)[0]
-
-
-def solve_game(game: StochasticGame) -> GameSolution:
-    """The top class and the constant value of the subgame it induces, from
-    one probe: a passing half-line certifies (max chi, h restricted to the
-    top class) as an exact fixed point of that subgame; otherwise the
-    paper's top_class, then its constant-value procedure on the subgame."""
-    top, value, h = _probe_top_class(game)
-    indices = sorted(top.indices)
+        dom, calls = top_class(RoundingOracle(game, 4 * stats.mu**2), params)
+        indices, steps = sorted(dom.states), steps + calls
+    else:
+        value = max(chi)
+        indices = [j for j, v in enumerate(chi) if v == value]
     sub = induced_subgame(game, indices)
     if sub is None:
         raise RuntimeError("top class is not a dominion")
-    if value is None:
+    if chi is None:
         sol = _decided_constant_value(sub, sub.stats(), _sep_params(sub.stats()))
-        return GameSolution(top, sub, sol,
-                            top.oracle_calls + sol.oracle_calls)
+        return GameSolution(sub, sol, steps + sol.oracle_calls)
     sol = _fixed_point_solution(sub, value, tuple(h[j] for j in indices),
-                                top.oracle_calls)
-    return GameSolution(top, sub, sol, top.oracle_calls)
+                                steps)
+    return GameSolution(sub, sol, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def smpg_corpus():
     for _ in range(200):
         g = mg.random_smpg(rng)
         brute = mg.brute_force_values(g)
-        tc = mg.solve_top_class(g)
+        tc = mg.solve_game(g)
         verdict = mg.winner(g)
         sol = None
         if len(set(brute.chi)) == 1:
@@ -83,7 +83,7 @@ class TestStochasticOracleEquivalence:
             argmax = frozenset(
                 s for s, v in zip(g.min_ids, brute.chi) if v == best
             )
-            assert row["topclass"].states == argmax
+            assert row["topclass"].top_class == argmax
 
     def test_constant_values_match_exactly(self, smpg_corpus):
         solved = 0

@@ -1,14 +1,21 @@
 """The benchmark's span tracer wraps mpgames functions, methods and CLI
-commands by name (`perfbench/spans.py`); every name it lists must resolve,
-or the traced benchmark run (`perfbench/run.py --trace 1`) breaks."""
+commands by name (`perfbench/spans.py`) and reads work counts off their
+return values; every name it lists must resolve and every result it reads
+must keep its shape, or the traced benchmark run (`perfbench/run.py
+--trace 1`) breaks."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+import mpgames as mg
 from mpgames.cli import main
+
+from conftest import entropy_tribune_choice, nature_half_game
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,3 +49,30 @@ def test_traced_method_resolves(mod, cls, meth, span):
                          ids=[s for _, s in spans.COMMANDS])
 def test_traced_command_resolves(cmd, span):
     assert cmd in main.commands, span
+
+
+def test_traced_run_counts_work(tmp_path):
+    """A traced `solve --json` and `certify` of one stochastic and one
+    entropy game read the work counts off the return values the tracer
+    expects: a reshaped result fails here, not only in the traced run."""
+    runner = CliRunner()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name, obj in (
+                ("smpg", mg.game_to_json(nature_half_game())),
+                ("entropy", mg.entropy_to_json(entropy_tribune_choice()))):
+            game, report = tmp_path / f"{name}.json", tmp_path / "report.json"
+            game.write_text(json.dumps(obj))
+            res = runner.invoke(main, ["solve", str(game), "--json"])
+            assert res.exit_code == 0, res.output
+            report.write_text(res.output)
+            res = runner.invoke(main, ["certify", str(game), str(report)])
+            assert res.exit_code == 0, res.output
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(1)
+    for key in ("smpgfast.Kernel.gap_loop.steps",
+                "entropy.brute_force_entropy_values.pairs",
+                "entropy.rank_profile.selections"):
+        assert metrics[key] > 0, key

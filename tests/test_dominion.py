@@ -165,8 +165,8 @@ class TestTopClass:
             bf = mg.brute_force_values(game)
             mx = max(bf.chi)
             d_max = {j for j, v in enumerate(bf.chi) if v == mx}
-            sol = mg.solve_top_class(game)
-            assert sol.indices == frozenset(d_max)
+            sol = mg.solve_game(game)
+            assert sol.top_class == {game.min_ids[j] for j in d_max}
 
 
 class TestCallBudget:

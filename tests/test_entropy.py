@@ -332,6 +332,26 @@ class TestSolve:
             assert mg.check_entropy_certificate(block.subgame, block.sub)
             assert mg.check_entropy_certificate(block.subgame, block.sup)
 
+    @pytest.mark.parametrize("make", [
+        entropy_loop, entropy_tribune_choice, entropy_despot_choice,
+        entropy_pair_loop,
+    ], ids=["loop", "tribune-choice", "despot-choice", "pair-loop"])
+    def test_shared_witness_checked_once(self, make, monkeypatch):
+        """A single block whose sub and super witness share a vector: the
+        solve evaluates T once per witness step and once more to re-check
+        both certificates."""
+        calls = []
+        real_eval = ent.multiplicative_eval
+
+        def counted_eval(game, x):
+            calls.append(x)
+            return real_eval(game, x)
+
+        monkeypatch.setattr(ent, "multiplicative_eval", counted_eval)
+        (block,) = mg.solve_entropy_game(make()).blocks
+        assert block.sub.vec == block.sup.vec
+        assert len(calls) == block.iterations + 1
+
     def test_block_subgame_reconstructible(self):
         g = two_block_game()
         sol = mg.solve_entropy_game(g)

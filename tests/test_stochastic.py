@@ -1,5 +1,6 @@
 """Turn-based stochastic mean-payoff backend."""
 
+import csv
 import json
 import random
 from fractions import Fraction
@@ -367,7 +368,7 @@ class TestSolveConstantValue:
         assert calls["greedy"] == calls["tries"] + 1
 
     def test_non_constant_rejected(self):
-        with pytest.raises((ValueError, mg.IterationCapExceeded)):
+        with pytest.raises(ValueError, match="not constant"):
             mg.solve_constant_value(absorbing_game())
 
     def test_strategy_optimality_frozen(self):
@@ -399,16 +400,16 @@ class TestSolveConstantValue:
 
 class TestSolveTopClass:
     def test_constant_full(self):
-        sol = mg.solve_top_class(nature_half_game())
-        assert sol.states == frozenset({"m1", "m2"})
+        sol = mg.solve_game(nature_half_game())
+        assert sol.top_class == frozenset({"m1", "m2"})
 
     def test_absorbing(self):
-        sol = mg.solve_top_class(absorbing_game())
-        assert sol.states == frozenset({"m0"})
+        sol = mg.solve_game(absorbing_game())
+        assert sol.top_class == frozenset({"m0"})
 
     def test_three_values(self):
-        sol = mg.solve_top_class(three_value_game())
-        assert sol.states == frozenset({"m0", "m1"})
+        sol = mg.solve_game(three_value_game())
+        assert sol.top_class == frozenset({"m0", "m1"})
 
 
 def _brute_top(g):
@@ -429,6 +430,33 @@ def _refuse_paper_path(monkeypatch):
 def _probe(g):
     stats = g.stats()
     return st._half_line(g, stats, st._sep_params(stats))
+
+
+def _views(tmp_path, games):
+    """Per game, ((top class, oracle calls) of `solve --mode topclass`, the
+    same of `solve --mode full`, `bench` steps)."""
+    runner = CliRunner()
+    paths = []
+    for t, g in enumerate(games):
+        path = tmp_path / f"g{t}.json"
+        path.write_text(json.dumps(mg.game_to_json(g)))
+        paths.append(str(path))
+    trace = tmp_path / "bench.csv"
+    res = runner.invoke(main, ["bench", *paths, "--trace", str(trace)])
+    assert res.exit_code == 0, res.output
+    with open(trace, newline="") as fh:
+        steps = [int(row["steps"]) for row in csv.DictReader(fh)]
+    views = []
+    for path, bench_steps in zip(paths, steps):
+        reports = []
+        for mode in ("topclass", "full"):
+            res = runner.invoke(main, ["solve", path, "--mode", mode,
+                                       "--json"])
+            assert res.exit_code == 0, res.output
+            rep = json.loads(res.output)
+            reports.append((rep["top_class"], rep["oracle_calls"]))
+        views.append((*reports, bench_steps))
+    return views
 
 
 def _solved_chain(rows, r, M, anchor):
@@ -469,7 +497,7 @@ class TestEarlyCertificate:
                 probe_chi, _, steps = _probe(g)
                 assert tuple(probe_chi) == chi and steps <= 8
                 sol = mg.solve_game(g)
-                assert sol.top.states == top == mg.solve_top_class(g).states
+                assert sol.top_class == top
                 assert sol.value.value == best
                 assert sol.oracle_calls == steps
                 sub = sol.subgame
@@ -494,6 +522,19 @@ class TestEarlyCertificate:
                                             str(rep_path)]).exit_code == 0
         assert non_constant == NON_CONSTANT
 
+    def test_views_read_one_solve(self, tmp_path):
+        """`solve --mode topclass`, `solve --mode full` and `bench` report
+        the top class and the oracle calls of one solve_game."""
+        games = []
+        for seed in EARLY_SEEDS:
+            rng = random.Random(seed)
+            games += [mg.random_smpg(rng) for _ in range(5)]
+        for g, (topclass, full, steps) in zip(games, _views(tmp_path, games)):
+            sol = mg.solve_game(g)
+            assert topclass == full == (sorted(sol.top_class),
+                                        sol.oracle_calls)
+            assert steps == sol.oracle_calls
+
     @pytest.mark.parametrize("make, top, value", [
         (lambda: peel_game(14, 3), {"m0", "m1"}, 14),
         (lambda: peel_game(3, 14), {"m2", "m3"}, 14),
@@ -510,9 +551,8 @@ class TestEarlyCertificate:
         g = make()
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(g)
-        assert sol.top.states == top and sol.value.value == value
+        assert sol.top_class == top and sol.value.value == value
         assert sol.oracle_calls == 1
-        assert mg.solve_top_class(g).states == top
         sub = sol.subgame
         assert mg.check_certificate(sub, sol.value.sub)
         assert mg.check_certificate(sub, sol.value.sup)
@@ -530,7 +570,7 @@ class TestEarlyCertificate:
         chi, h, steps = _probe(g)
         assert chi == [F(-2)] * 3
         assert mg.solve_constant_value(g).value == -2
-        assert mg.solve_top_class(g).states == frozenset(g.min_ids)
+        assert mg.solve_game(g).top_class == frozenset(g.min_ids)
         monkeypatch.undo()
         anchored = st.markov_gain_bias
         monkeypatch.setattr(st, "markov_gain_bias",
@@ -552,7 +592,7 @@ class TestEarlyCertificate:
         probe_chi, _, steps = _probe(g)
         assert tuple(probe_chi) == chi and steps == 2
         sol = mg.solve_game(g)
-        assert sol.top.states == frozenset(g.min_ids)
+        assert sol.top_class == frozenset(g.min_ids)
         assert sol.value.value == 1 and sol.oracle_calls == 2
         assert set(mg.frozen_pair_values(g, sol.value.strategies)) == {1}
         monkeypatch.setattr(st, "_WINDOW", 1)
@@ -567,7 +607,7 @@ class TestEarlyCertificate:
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(g)
         assert sol.value.value == F(2, 3) and sol.oracle_calls == 2
-        assert sol.top.states == frozenset(g.min_ids)
+        assert sol.top_class == frozenset(g.min_ids)
 
     def test_fixed_point_is_evaluated_once(self, monkeypatch):
         """An early certificate checks F(h) = value + h with one exact
@@ -691,22 +731,45 @@ class TestPaperPath:
         for g, e in zip(games, early):
             sol = mg.solve_game(g)
             _, best, top = _brute_top(g)
-            assert sol.top.states == e.top.states == top
+            assert sol.top_class == e.top_class == top
             assert sol.value.value == e.value.value == best
-            assert mg.solve_top_class(g).states == top
             assert mg.check_certificate(sol.subgame, sol.value.sub)
             assert mg.check_certificate(sol.subgame, sol.value.sup)
             assert set(mg.frozen_pair_values(
                 sol.subgame, sol.value.strategies)) == {best}
 
-    def test_fallback_counts(self, monkeypatch):
+    def test_fallback_counts(self, monkeypatch, tmp_path):
         """With the probe returning nothing, the solvers report the paper
-        path's oracle calls exactly."""
+        path's oracle calls exactly, and every view of the one solve the
+        same: top_class's 24,580 and the subgame value's 1."""
         monkeypatch.setattr(st, "_half_line", lambda *args: (None, None, 0))
-        assert mg.solve_top_class(peel_game(6, 2)).oracle_calls == 24580
+        top = (["m0", "m1"], 24581)
+        assert _views(tmp_path, [peel_game(6, 2)]) == [(top, top, 24581)]
         assert mg.solve_constant_value(nature_half_game()).oracle_calls == 43
         sol = mg.solve_game(peel_game(6, 2))
         assert sol.oracle_calls == 24580 + 1
+
+    @pytest.mark.parametrize("make", [absorbing_game, lambda: peel_game(6, 2)],
+                             ids=["absorbing", "peel-6-2"])
+    def test_cap_means_not_constant(self, monkeypatch, tmp_path, make):
+        """With the probe returning nothing, value mode on a non-constant
+        game runs the constancy loop to its a priori cap without the gap
+        condition.  decide_constant_value, with the same loop and cap, calls
+        that non-constant, and so does value mode: "not constant", exit 1."""
+        monkeypatch.setattr(st, "_half_line", lambda *args: (None, None, 0))
+        g = make()
+        stats = g.stats()
+        params = st._sep_params(stats)
+        oracle = mg.RoundingOracle(g, 4 * stats.mu**2)
+        assert mg.decide_constant_value(oracle, params).low_set is not None
+        with pytest.raises(ValueError, match="not constant") as exc:
+            mg.solve_constant_value(g)
+        assert isinstance(exc.value.__context__, mg.IterationCapExceeded)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(mg.game_to_json(g)))
+        res = CliRunner().invoke(main, ["solve", str(path), "--mode",
+                                        "value"])
+        assert res.exit_code == 1 and "not constant" in res.output
 
     @pytest.mark.parametrize("make, cap, calls, states, iterations", [
         (nature_half_game, 8193, 23, {0, 1}, 22),
