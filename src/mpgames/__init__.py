@@ -36,7 +36,6 @@ from .entropy import (
     check_entropy_certificate,
     entropy_to_json,
     induced_entropy_subgame,
-    load_entropy,
     make_entropy_game,
     multiplicative_eval,
     pair_values,
@@ -82,7 +81,6 @@ from .oracle import (
 from .perron import BracketingFailure, char_poly, eval_poly, perron_root
 from .stochastic import (
     BruteForceResult,
-    ConstantValueSolution,
     ExactOracle,
     GameFormatError,
     GameSolution,
@@ -96,7 +94,6 @@ from .stochastic import (
     frozen_pair_values,
     game_to_json,
     induced_subgame,
-    load_smpg,
     make_game,
     parse_smpg,
     random_smpg,

@@ -156,7 +156,7 @@ def main():
 # solve
 
 
-def _solve_smpg(game, mode, budget):
+def _solve_smpg(game, mode):
     if mode == "winner":
         verdict = smpg.winner(game)
         if isinstance(verdict, Exhausted):
@@ -170,39 +170,37 @@ def _solve_smpg(game, mode, budget):
             "iterations": verdict.iterations,
             "witness": [_frac_str(v) for v in verdict.witness],
         }
+    # value, topclass and full read one solve_game: the top class, then
+    # the constant value of the subgame it induces
     if mode == "value":
         sol = smpg.solve_constant_value(game)
-        return EXIT_OK, {
+        head = {
             "value": _frac_str(sol.value),
             "interval": _interval_record(sol.interval),
             "iterations": sol.iterations,
-            "oracle_calls": sol.oracle_calls,
-            "min_strategy": sol.strategies.sigma,
-            "max_strategy": sol.strategies.tau,
-            "certificates": [
-                _cert_record(sol.sub),
-                _cert_record(sol.sup),
-            ],
         }
-    # topclass and full: top class, then the constant value of its
-    # restriction
-    sol = smpg.solve_game(game)
-    if mode == "topclass":
-        return EXIT_OK, {
+        states = None
+    else:
+        sol = smpg.solve_game(game)
+        if mode == "topclass":
+            return EXIT_OK, {
+                "top_class": sorted(sol.top_class),
+                "oracle_calls": sol.oracle_calls,
+            }
+        head = {
             "top_class": sorted(sol.top_class),
-            "oracle_calls": sol.oracle_calls,
+            "top_value": _frac_str(sol.value),
+            "interval": _interval_record(sol.interval),
         }
-    val = sol.value
+        states = _sub_states(sol.subgame)
     return EXIT_OK, {
-        "top_class": sorted(sol.top_class),
-        "top_value": _frac_str(val.value),
-        "interval": _interval_record(val.interval),
+        **head,
         "oracle_calls": sol.oracle_calls,
-        "min_strategy": val.strategies.sigma,
-        "max_strategy": val.strategies.tau,
+        "min_strategy": sol.strategies.sigma,
+        "max_strategy": sol.strategies.tau,
         "certificates": [
-            _cert_record(val.sub, _sub_states(sol.subgame)),
-            _cert_record(val.sup, _sub_states(sol.subgame)),
+            _cert_record(sol.sub, states),
+            _cert_record(sol.sup, states),
         ],
     }
 
@@ -227,6 +225,9 @@ def _solve_entropy(game, mode, budget):
             "winner mode is not defined for matrix-multiplicative games"
         )
     sol = ent.solve_entropy_game(game, budget=budget)
+    if mode == "value" and len(sol.blocks) > 1:
+        raise ValueError(f"the game value is not constant: "
+                         f"{len(sol.blocks)} value blocks")
     if mode == "topclass":
         return EXIT_OK, {
             "top_class": sorted(sol.blocks[0].d_ids),
@@ -263,7 +264,7 @@ def solve(input_path, mode, as_json, budget):
     try:
         kind, game = _load_game(input_path)
         if kind == "smpg":
-            code, report = _solve_smpg(game, mode, budget)
+            code, report = _solve_smpg(game, mode)
         else:
             code, report = _solve_entropy(game, mode, budget)
     except ValueError as exc:

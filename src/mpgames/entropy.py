@@ -24,7 +24,6 @@ greedy at the witnesses are exactly optimal.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -816,11 +815,6 @@ def entropy_to_json(game: EntropyGame) -> dict:
         "p_states": list(game.p_ids),
         "edges": edges,
     }
-
-
-def load_entropy(path) -> EntropyGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_entropy(json.load(fh))
 
 
 def random_entropy_game(

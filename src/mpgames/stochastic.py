@@ -6,23 +6,27 @@ denominator M.  The per-turn reward of a path through edges (j,i), (i,k) is
 B_ik - A_ij; the value of a state is the long-run average reward under
 optimal play.
 
-Solving searches approximately and certifies exactly.  `solve_game` and
-`solve_constant_value` first run the rounded value iteration of the paper's
-first constancy decision (grid 1/q, q = 4 mu^2) and stop at checkpoints
-whose lengths about double.  At each checkpoint they take
-the strategy pair greedy at the iterate, compute its exact gain chi and bias
-h, and check exactly that h + t chi is an invariant half-line of the Shapley
-operator F: F(h + t chi) = h + (t + 1) chi for all large t (Hoffman & Karp
-1966; Kohlberg 1980).  When the iterate's pair fails, up to three more steps
-try the pair greedy at the mean of the last 2, 3 and 4 iterates, which
-certifies iterations caught in a short periodic orbit.  When the half-line
-holds, chi is the value vector, the top class is argmax chi, and h
-restricted to the top class is an exact fixed point F(h) = h + max chi of
-the subgame the top class induces: a sub and a super certificate at one
-level.  When no checkpoint passes by the decision's own stop (its gap
-condition, or the a priori cap 1 + ceil(8R/delta) with delta = 1/mu^2), the
-paper's path runs unchanged from 0: `top_class` peels dominions off and
-`approximate_constant_mean_payoff` brackets the value within delta.
+Solving searches approximately and certifies exactly.  `solve_game` is the
+one solve; `solve_constant_value` and the CLI's value, topclass, full and
+bench read its result.  It first runs the rounded value iteration of the
+paper's first constancy decision (grid 1/q, q = 4 mu^2, delta = 1/mu^2) and
+stops at checkpoints whose lengths about double.  At each checkpoint it
+takes the strategy pair greedy at the iterate, computes its exact gain chi
+and bias h, and checks exactly that h + t chi is an invariant half-line of
+the Shapley operator F: F(h + t chi) = h + (t + 1) chi for all large t
+(Hoffman & Karp 1966; Kohlberg 1980).  When the iterate's pair fails, up to
+three more steps try the pair greedy at the mean of the last 2, 3 and 4
+iterates, which certifies iterations caught in a short periodic orbit.  When
+the half-line holds, chi is the value vector, the top class is argmax chi,
+and h restricted to the top class is an exact fixed point F(h) = h + max chi
+of the subgame the top class induces: a sub and a super certificate at one
+level.  When no checkpoint passes, the probe's own stop is the first
+decision.  It stops on the gap condition, at most _WINDOW - 1 window steps
+past it, and then the decision says "constant": every Min state is the top
+class.  Or it stops at the a priori cap 1 + ceil(8R/delta), and the paper's
+`top_class` runs from 0 and peels dominions off.  Either way
+`approximate_constant_mean_payoff` then brackets the top class's value
+within delta.
 
 Both paths iterate on integer numerators with the Python-int Shapley step
 of `_smpgfast.Kernel`; `shapley_eval` is the exact step that certificates
@@ -34,10 +38,9 @@ greedy at the sub witness and Min greedy at the super witness.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._smpgfast import Kernel
@@ -55,7 +58,6 @@ from .iteration import (
     SUB,
     SUPER,
     Certificate,
-    IterationCapExceeded,
     approximate_constant_mean_payoff,
     value_iteration,
 )
@@ -298,8 +300,11 @@ def induced_subgame(game: StochasticGame, subset):
     Nature states with all mass in D survive, Max moves are restricted to
     surviving Nature states, Min keeps all its moves.  Returns None when the
     subset is not a dominion (some Min move would reach a Max state with no
-    surviving choice)."""
+    surviving choice), and the game itself when the subset is every Min
+    state."""
     subset = sorted(set(subset))
+    if subset == list(range(len(game.min_ids))):
+        return game
     sub_set = set(subset)
     nat_keep = [
         k
@@ -401,23 +406,19 @@ def check_certificates(game: StochasticGame, certs) -> bool:
 
 
 @dataclass(frozen=True)
-class ConstantValueSolution:
+class GameSolution:
+    """The subgame the top class induces (the game itself when every Min
+    state is in the top class), that subgame's constant value with its
+    strategies, certificates and bracket, the iterations that certified it,
+    and the oracle calls of the whole solve."""
+
+    subgame: StochasticGame
     value: Fraction
     strategies: StrategyPair
     sub: Certificate
     sup: Certificate
-    interval: object
+    interval: RationalInterval
     iterations: int
-    oracle_calls: int
-
-
-@dataclass(frozen=True)
-class GameSolution:
-    """The subgame the top class induces, that subgame's constant value,
-    and the oracle calls of the whole solve."""
-
-    subgame: StochasticGame
-    value: ConstantValueSolution
     oracle_calls: int
 
     @property
@@ -526,8 +527,12 @@ def _half_line(game, stats, params):
     single iterate's greedy pair is optimal.  When the half-line holds,
     F^k(h) = h + k chi for all large k, so chi is the value vector
     (Kohlberg 1980).
-    Returns (chi, h, steps run), chi and h None when no checkpoint
-    passes."""
+    The probe stops after the window of the checkpoint at which the gap
+    condition first held (so up to _WINDOW - 1 steps past it), or at the
+    cap.  Returns (chi, h, steps run, stopped), chi and h None when no
+    checkpoint passes; stopped tells whether the gap condition held.  The
+    iteration from 0 is decide_constant_value's own loop, so stopped is its
+    verdict on the whole game: the value is constant."""
     q = 4 * stats.mu**2
     d = params.delta
     kernel = Kernel(game)
@@ -536,34 +541,34 @@ def _half_line(game, stats, params):
         u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
                                       min(end, params.cap), u, ell)
         found = _half_line_at(game, u, q, ell)
-        window = u
+        window, stopped = u, hit
         for j in range(2, _WINDOW + 1):
             if found is not None or ell == params.cap:
                 break
             u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
                                           ell + 1, u, ell)
+            stopped = stopped or hit
             window = [a + b for a, b in zip(window, u)]
             found = _half_line_at(game, window, j * q,
                                   ell - Fraction(j - 1, 2))
         if found is not None:
-            return (*found, ell)
-        if hit or ell == params.cap:
-            return None, None, ell
+            return (*found, ell, stopped)
+        if stopped or ell == params.cap:
+            return None, None, ell, stopped
         end = 2 * ell
 
 
-def _fixed_point_solution(game, value, h, steps) -> ConstantValueSolution:
+def _fixed_point_solution(game, value, h, steps) -> GameSolution:
     """The solution certified by an exact fixed point F(h) = value + h of
     `game`: h is both the sub and the super witness at level value."""
     if any(w != value + v for v, w in zip(h, shapley_eval(game, h))):
         raise AssertionError("internal error: certificate failed verification")
-    sub = Certificate(value, h, SUB)
-    sup = Certificate(value, h, SUPER)
-    return ConstantValueSolution(
+    return GameSolution(
+        subgame=game,
         value=value,
         strategies=_strategies(game, h, h),
-        sub=sub,
-        sup=sup,
+        sub=Certificate(value, h, SUB),
+        sup=Certificate(value, h, SUPER),
         interval=RationalInterval(value, value),
         iterations=steps,
         oracle_calls=steps,
@@ -574,31 +579,29 @@ def _fixed_point_solution(game, value, h, steps) -> ConstantValueSolution:
 # the paper's a priori path (the fallback)
 
 
-def _decided_constant_value(game, stats, params) -> ConstantValueSolution:
-    """Constant value by approximate_constant_mean_payoff from 0 with
-    delta = 1/mu^2, which makes the interval isolate a unique rational of
-    denominator <= mu.  Reaching the a priori cap 1 + ceil(8R/delta)
-    without the gap condition is decide_constant_value's verdict that the
-    value is not constant."""
+def _decided_constant_value(game, calls) -> GameSolution:
+    """Constant value of a game that the constancy decision found constant,
+    by approximate_constant_mean_payoff from 0 with delta = 1/mu^2, which
+    makes the interval isolate a unique rational of denominator <= mu.
+    `calls` counts the oracle calls already spent on the decision."""
+    stats = game.stats()
+    params = _sep_params(stats)
     oracle = RoundingOracle(game, 4 * stats.mu**2)
-    try:
-        res = approximate_constant_mean_payoff(oracle, params.delta,
-                                               params.cap)
-    except IterationCapExceeded:
-        raise ValueError(_NOT_CONSTANT) from None
+    res = approximate_constant_mean_payoff(oracle, params.delta, params.cap)
     value = rational_in_interval(res.interval, stats.mu)
     if value is NOT_FOUND or value is NOT_UNIQUE:
         raise ValueError(_NOT_CONSTANT)
     if not check_certificates(game, (res.sub, res.sup)):
         raise AssertionError("internal error: certificate failed verification")
-    return ConstantValueSolution(
+    return GameSolution(
+        subgame=game,
         value=value,
         strategies=_strategies(game, res.sub.vec, res.sup.vec),
         sub=res.sub,
         sup=res.sup,
         interval=res.interval,
         iterations=res.iterations,
-        oracle_calls=oracle.calls,
+        oracle_calls=calls + oracle.calls,
     )
 
 
@@ -606,47 +609,43 @@ def _decided_constant_value(game, stats, params) -> ConstantValueSolution:
 # solvers: the early certificate first, the paper's path when it fails
 
 
-def solve_constant_value(game: StochasticGame) -> ConstantValueSolution:
-    """Exact value + optimal strategies + certificates for a game whose value
-    does not depend on the initial state.  A passing half-line gives the
-    value as an exact fixed point (or refutes constancy at once); otherwise
-    the paper's a priori path decides."""
-    stats = game.stats()
-    params = _sep_params(stats)
-    chi, h, steps = _half_line(game, stats, params)
-    if chi is None:
-        sol = _decided_constant_value(game, stats, params)
-        return replace(sol, oracle_calls=steps + sol.oracle_calls)
-    if len(set(chi)) > 1:
-        raise ValueError(_NOT_CONSTANT)
-    return _fixed_point_solution(game, chi[0], tuple(h), steps)
-
-
 def solve_game(game: StochasticGame) -> GameSolution:
     """The top class, the subgame it induces and that subgame's constant
     value, from one probe: a passing half-line gives the top class argmax
     chi and certifies (max chi, h restricted to the top class) as an exact
-    fixed point of that subgame; otherwise the paper's top_class, then its
-    constant-value procedure on the subgame.  The oracle calls count the
-    probe's steps too."""
+    fixed point of that subgame.  Otherwise the probe's stop decides: on
+    the gap condition every Min state is the top class, at the cap the
+    paper's top_class finds it; then the paper's constant-value procedure
+    brackets the value on the subgame.  The oracle calls count the whole
+    solve."""
     stats = game.stats()
     params = _sep_params(stats)
-    chi, h, steps = _half_line(game, stats, params)
-    if chi is None:
-        dom, calls = top_class(RoundingOracle(game, 4 * stats.mu**2), params)
-        indices, steps = sorted(dom.states), steps + calls
-    else:
+    chi, h, steps, constant = _half_line(game, stats, params)
+    if chi is not None:
         value = max(chi)
         indices = [j for j, v in enumerate(chi) if v == value]
+    elif constant:
+        indices = range(len(game.min_ids))
+    else:
+        dom, calls = top_class(RoundingOracle(game, 4 * stats.mu**2), params)
+        indices, steps = sorted(dom.states), steps + calls
     sub = induced_subgame(game, indices)
     if sub is None:
         raise RuntimeError("top class is not a dominion")
     if chi is None:
-        sol = _decided_constant_value(sub, sub.stats(), _sep_params(sub.stats()))
-        return GameSolution(sub, sol, steps + sol.oracle_calls)
-    sol = _fixed_point_solution(sub, value, tuple(h[j] for j in indices),
-                                steps)
-    return GameSolution(sub, sol, steps)
+        return _decided_constant_value(sub, steps)
+    return _fixed_point_solution(sub, value, tuple(h[j] for j in indices),
+                                 steps)
+
+
+def solve_constant_value(game: StochasticGame) -> GameSolution:
+    """`solve_game` for a game whose value does not depend on the initial
+    state: raises ValueError "not constant" unless every Min state is in
+    the top class."""
+    sol = solve_game(game)
+    if len(sol.top_class) < len(game.min_ids):
+        raise ValueError(_NOT_CONSTANT)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -865,11 +864,6 @@ def game_to_json(game: StochasticGame) -> dict:
         "denominator": game.M,
         "edges": edges,
     }
-
-
-def load_smpg(path) -> StochasticGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_smpg(json.load(fh))
 
 
 def random_smpg(

@@ -176,6 +176,25 @@ class TestSolve:
         assert F(iv["lo"]) <= 3 <= F(iv["hi"])
         assert rep["iterations"] >= 1 and "oracle_calls" not in rep
 
+    def test_entropy_value_mode_needs_one_block(self, runner, tmp_path,
+                                                entropy_file):
+        """The first draw of random_entropy_game(Random(130)) has two
+        value blocks: value mode says "not constant" and exits 1, as for a
+        stochastic game.  A one-block game exits 0 with the full report."""
+        g = mg.random_entropy_game(random.Random(130))
+        assert len(mg.solve_entropy_game(g).blocks) == 2
+        path = write_game(tmp_path, "g.json", mg.entropy_to_json(g))
+        res = runner.invoke(main, ["solve", path, "--mode", "value"])
+        assert res.exit_code == 1 and "not constant" in res.output
+        assert isinstance(res.exception, SystemExit)
+        reports = []
+        for mode in ("value", "full"):
+            res = runner.invoke(main, ["solve", entropy_file, "--mode", mode,
+                                       "--json"])
+            assert res.exit_code == 0
+            reports.append(json.loads(res.output))
+        assert reports[0] == reports[1] and len(reports[0]["blocks"]) == 1
+
     @pytest.mark.parametrize("name", sorted(DEFECT_GAMES))
     def test_defect_games_solve_and_certify(self, runner, tmp_path, name):
         g = defect_game(name)

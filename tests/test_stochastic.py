@@ -418,13 +418,19 @@ def _brute_top(g):
     return chi, best, frozenset(s for s, v in zip(g.min_ids, chi) if v == best)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the paper's path ran")
+
+
+def _refuse_top_class(monkeypatch):
+    """Make the paper's top_class fail the test if it runs."""
+    monkeypatch.setattr(st, "top_class", _refuse)
+
+
 def _refuse_paper_path(monkeypatch):
     """Make every entry to the paper's a priori path fail the test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the paper's path ran")
-
-    monkeypatch.setattr(st, "top_class", refuse)
-    monkeypatch.setattr(st, "approximate_constant_mean_payoff", refuse)
+    _refuse_top_class(monkeypatch)
+    monkeypatch.setattr(st, "approximate_constant_mean_payoff", _refuse)
 
 
 def _probe(g):
@@ -432,9 +438,16 @@ def _probe(g):
     return st._half_line(g, stats, st._sep_params(stats))
 
 
+def _no_probe(*args):
+    """A probe that certifies nothing and stops at step 0 without the gap
+    condition, so that the paper's top_class decides."""
+    return None, None, 0, False
+
+
 def _views(tmp_path, games):
-    """Per game, ((top class, oracle calls) of `solve --mode topclass`, the
-    same of `solve --mode full`, `bench` steps)."""
+    """Per game, the `--json` reports of `solve --mode topclass`, `full`
+    and `value` by mode (value None where it exits 1 with "not constant"),
+    and `bench` steps."""
     runner = CliRunner()
     paths = []
     for t, g in enumerate(games):
@@ -448,15 +461,29 @@ def _views(tmp_path, games):
         steps = [int(row["steps"]) for row in csv.DictReader(fh)]
     views = []
     for path, bench_steps in zip(paths, steps):
-        reports = []
-        for mode in ("topclass", "full"):
+        reports = {}
+        for mode in ("topclass", "full", "value"):
             res = runner.invoke(main, ["solve", path, "--mode", mode,
                                        "--json"])
+            if mode == "value" and res.exit_code == 1:
+                assert "not constant" in res.output
+                reports[mode] = None
+                continue
             assert res.exit_code == 0, res.output
-            rep = json.loads(res.output)
-            reports.append((rep["top_class"], rep["oracle_calls"]))
-        views.append((*reports, bench_steps))
+            reports[mode] = json.loads(res.output)
+        views.append((reports, bench_steps))
     return views
+
+
+def _value_view_agrees(value, full):
+    """The value report says what the full report says of the same solve:
+    value, interval, oracle calls, strategies and certificates."""
+    assert value["value"] == full["top_value"]
+    for key in ("interval", "oracle_calls", "min_strategy", "max_strategy"):
+        assert value[key] == full[key]
+    fields = ("lam", "vec", "direction")
+    assert [[c[k] for k in fields] for c in value["certificates"]] == [
+        [c[k] for k in fields] for c in full["certificates"]]
 
 
 def _solved_chain(rows, r, M, anchor):
@@ -494,17 +521,17 @@ class TestEarlyCertificate:
             for draw in range(5):
                 g = mg.random_smpg(rng)
                 chi, best, top = _brute_top(g)
-                probe_chi, _, steps = _probe(g)
+                probe_chi, _, steps, _ = _probe(g)
                 assert tuple(probe_chi) == chi and steps <= 8
                 sol = mg.solve_game(g)
                 assert sol.top_class == top
-                assert sol.value.value == best
+                assert sol.value == best
                 assert sol.oracle_calls == steps
                 sub = sol.subgame
-                assert mg.check_certificate(sub, sol.value.sub)
-                assert mg.check_certificate(sub, sol.value.sup)
+                assert mg.check_certificate(sub, sol.sub)
+                assert mg.check_certificate(sub, sol.sup)
                 assert set(mg.frozen_pair_values(
-                    sub, sol.value.strategies)) == {best}
+                    sub, sol.strategies)) == {best}
                 if len(set(chi)) > 1:
                     non_constant.add((seed, draw))
                     with pytest.raises(ValueError, match="not constant"):
@@ -523,17 +550,33 @@ class TestEarlyCertificate:
         assert non_constant == NON_CONSTANT
 
     def test_views_read_one_solve(self, tmp_path):
-        """`solve --mode topclass`, `solve --mode full` and `bench` report
-        the top class and the oracle calls of one solve_game."""
+        """`solve --mode topclass`, `full` and `value` and `bench` report
+        the top class and the oracle calls of one solve_game; value mode
+        reports the full mode's value, interval, strategies and
+        certificates, and refuses the non-constant draws."""
         games = []
         for seed in EARLY_SEEDS:
             rng = random.Random(seed)
             games += [mg.random_smpg(rng) for _ in range(5)]
-        for g, (topclass, full, steps) in zip(games, _views(tmp_path, games)):
+        non_constant = set()
+        views = _views(tmp_path, games)
+        for t, (g, (reports, steps)) in enumerate(zip(games, views)):
             sol = mg.solve_game(g)
-            assert topclass == full == (sorted(sol.top_class),
-                                        sol.oracle_calls)
+            one = [sorted(sol.top_class), sol.oracle_calls]
+            for mode in ("topclass", "full"):
+                assert [reports[mode][k]
+                        for k in ("top_class", "oracle_calls")] == one
             assert steps == sol.oracle_calls
+            if reports["value"] is None:
+                non_constant.add(divmod(t, 5))
+            else:
+                # the top class is every Min state, and its subgame is the
+                # game: Max plays at every Max state, reached or not
+                assert sol.subgame is g
+                assert (sorted(reports["value"]["max_strategy"])
+                        == sorted(g.max_ids))
+                _value_view_agrees(reports["value"], reports["full"])
+        assert non_constant == NON_CONSTANT
 
     @pytest.mark.parametrize("make, top, value", [
         (lambda: peel_game(14, 3), {"m0", "m1"}, 14),
@@ -551,12 +594,12 @@ class TestEarlyCertificate:
         g = make()
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(g)
-        assert sol.top_class == top and sol.value.value == value
+        assert sol.top_class == top and sol.value == value
         assert sol.oracle_calls == 1
         sub = sol.subgame
-        assert mg.check_certificate(sub, sol.value.sub)
-        assert mg.check_certificate(sub, sol.value.sup)
-        assert set(mg.frozen_pair_values(sub, sol.value.strategies)) == {value}
+        assert mg.check_certificate(sub, sol.sub)
+        assert mg.check_certificate(sub, sol.sup)
+        assert set(mg.frozen_pair_values(sub, sol.strategies)) == {value}
         with pytest.raises(ValueError, match="not constant"):
             mg.solve_constant_value(g)
 
@@ -567,7 +610,7 @@ class TestEarlyCertificate:
         holds at no checkpoint, and the solve would fall back."""
         g = mg.random_smpg(random.Random(341))
         _refuse_paper_path(monkeypatch)
-        chi, h, steps = _probe(g)
+        chi, h, steps, _ = _probe(g)
         assert chi == [F(-2)] * 3
         assert mg.solve_constant_value(g).value == -2
         assert mg.solve_game(g).top_class == frozenset(g.min_ids)
@@ -589,14 +632,14 @@ class TestEarlyCertificate:
         chi = mg.brute_force_values(g).chi
         assert set(chi) == {1}
         _refuse_paper_path(monkeypatch)
-        probe_chi, _, steps = _probe(g)
+        probe_chi, _, steps, _ = _probe(g)
         assert tuple(probe_chi) == chi and steps == 2
         sol = mg.solve_game(g)
         assert sol.top_class == frozenset(g.min_ids)
-        assert sol.value.value == 1 and sol.oracle_calls == 2
-        assert set(mg.frozen_pair_values(g, sol.value.strategies)) == {1}
+        assert sol.value == 1 and sol.oracle_calls == 2
+        assert set(mg.frozen_pair_values(g, sol.strategies)) == {1}
         monkeypatch.setattr(st, "_WINDOW", 1)
-        assert _probe(g)[0] is None and _probe(g)[2] == 86
+        assert _probe(g) == (None, None, 86, True)
 
     def test_pinned_mu_405_game(self, monkeypatch):
         """random_smpg(Random(1), 5, 5, 5), draw 2 (mu = 405): the paper's
@@ -606,7 +649,7 @@ class TestEarlyCertificate:
         assert g.stats().mu == 405
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(g)
-        assert sol.value.value == F(2, 3) and sol.oracle_calls == 2
+        assert sol.value == F(2, 3) and sol.oracle_calls == 2
         assert sol.top_class == frozenset(g.min_ids)
 
     def test_fixed_point_is_evaluated_once(self, monkeypatch):
@@ -631,8 +674,8 @@ class TestEarlyCertificate:
         monkeypatch.setattr(st, "_fixed_point_solution", tracked_solution)
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(swap_shift_game())
-        assert calls == [sol.value.sub.vec]
-        assert sol.value.sub.vec == sol.value.sup.vec
+        assert calls == [sol.sub.vec]
+        assert sol.sub.vec == sol.sup.vec
 
     def test_bias_solves_the_chain(self):
         """g = P g and g + h = r + P h exactly, and each closed class's
@@ -692,7 +735,7 @@ class TestEarlyCertificate:
         monkeypatch.setattr(st, "markov_gain_bias", chain)
         monkeypatch.setattr(st, "integer_solve", solve)
         sol = mg.solve_game(g)
-        assert sol.value.value == F(4, 3)
+        assert sol.value == F(4, 3)
         assert sizes and all(size <= big for size, big in sizes)
 
     @pytest.mark.parametrize("make", [
@@ -707,7 +750,7 @@ class TestEarlyCertificate:
         or of h moves up by 1/10^30; nature-half (M = 2) fails too if the
         comparison drops the factor M."""
         g = make()
-        chi, h, _ = _probe(g)
+        chi, h, *_ = _probe(g)
         assert chi is not None and st._half_line_holds(g, chi, h)
         eps = F(1, 10**30)
         for j in range(len(chi)):
@@ -727,44 +770,93 @@ class TestPaperPath:
         rng = random.Random(7)
         games += [mg.random_smpg(rng) for _ in range(6)]
         early = [mg.solve_game(g) for g in games]
-        monkeypatch.setattr(st, "_half_line", lambda *args: (None, None, 0))
+        monkeypatch.setattr(st, "_half_line", _no_probe)
         for g, e in zip(games, early):
             sol = mg.solve_game(g)
             _, best, top = _brute_top(g)
             assert sol.top_class == e.top_class == top
-            assert sol.value.value == e.value.value == best
-            assert mg.check_certificate(sol.subgame, sol.value.sub)
-            assert mg.check_certificate(sol.subgame, sol.value.sup)
+            assert sol.value == e.value == best
+            assert mg.check_certificate(sol.subgame, sol.sub)
+            assert mg.check_certificate(sol.subgame, sol.sup)
             assert set(mg.frozen_pair_values(
-                sol.subgame, sol.value.strategies)) == {best}
+                sol.subgame, sol.strategies)) == {best}
 
     def test_fallback_counts(self, monkeypatch, tmp_path):
-        """With the probe returning nothing, the solvers report the paper
-        path's oracle calls exactly, and every view of the one solve the
-        same: top_class's 24,580 and the subgame value's 1."""
-        monkeypatch.setattr(st, "_half_line", lambda *args: (None, None, 0))
-        top = (["m0", "m1"], 24581)
-        assert _views(tmp_path, [peel_game(6, 2)]) == [(top, top, 24581)]
-        assert mg.solve_constant_value(nature_half_game()).oracle_calls == 43
-        sol = mg.solve_game(peel_game(6, 2))
-        assert sol.oracle_calls == 24580 + 1
+        """With the probe stopping at step 0 without the gap condition, the
+        solvers report the paper path's oracle calls exactly, and every
+        view of the one solve the same: top_class's calls and the subgame
+        value's."""
+        monkeypatch.setattr(st, "_half_line", _no_probe)
+        ((reports, steps),) = _views(tmp_path, [peel_game(6, 2)])
+        assert reports["value"] is None and steps == 24580 + 1
+        for mode in ("topclass", "full"):
+            assert reports[mode]["top_class"] == ["m0", "m1"]
+            assert reports[mode]["oracle_calls"] == 24580 + 1
+        assert mg.solve_game(peel_game(6, 2)).oracle_calls == 24580 + 1
+        # nature-half: top_class's 23 (test_pinned_counts), then the
+        # bracket on the whole game: 22 gap steps and 21 replay steps
+        assert mg.solve_constant_value(
+            nature_half_game()).oracle_calls == 23 + 43
+
+    @pytest.mark.parametrize("make, decided, steps, bracket", [
+        (nature_half_game, 22, 25, 43),
+        (swap_shift_game, 2, 4, 3),
+        (lambda: mg.random_smpg(random.Random(60), 4, 4, 4), 12, 15, 23),
+    ], ids=["nature-half", "swap-shift", "r60-444"])
+    def test_probe_stop_decides(self, monkeypatch, tmp_path, make, decided,
+                                steps, bracket):
+        """With no checkpoint passing, the probe still runs the decision's
+        loop, and stops on its gap condition at most _WINDOW - 1 steps
+        after decide_constant_value does.  So every Min state is the top
+        class, top_class never runs, and the full and value views report
+        one count: the probe's steps plus the bracket's calls.  (On
+        r60-444 the window's last step misses the gap condition; a probe
+        that ignored the earlier step ran on to step 27.)"""
+        g = make()
+        stats = g.stats()
+        params = st._sep_params(stats)
+        outcome = mg.decide_constant_value(
+            mg.RoundingOracle(g, 4 * stats.mu**2), params)
+        assert outcome.low_set is None and outcome.iterations == decided
+        monkeypatch.setattr(st, "_half_line_at", lambda *args: None)
+        assert _probe(g) == (None, None, steps, True)
+        assert decided <= steps < decided + st._WINDOW
+        oracle = mg.RoundingOracle(g, 4 * stats.mu**2)
+        mg.approximate_constant_mean_payoff(oracle, params.delta, params.cap)
+        assert oracle.calls == bracket
+        _refuse_top_class(monkeypatch)
+        ((reports, bench_steps),) = _views(tmp_path, [g])
+        for mode in ("topclass", "full"):
+            assert reports[mode]["top_class"] == sorted(g.min_ids)
+            assert reports[mode]["oracle_calls"] == steps + bracket
+        assert bench_steps == steps + bracket
+        _value_view_agrees(reports["value"], reports["full"])
+        runner = CliRunner()
+        for mode in ("full", "value"):
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(reports[mode]))
+            assert runner.invoke(main, ["certify", str(tmp_path / "g0.json"),
+                                        str(path)]).exit_code == 0
 
     @pytest.mark.parametrize("make", [absorbing_game, lambda: peel_game(6, 2)],
                              ids=["absorbing", "peel-6-2"])
     def test_cap_means_not_constant(self, monkeypatch, tmp_path, make):
-        """With the probe returning nothing, value mode on a non-constant
-        game runs the constancy loop to its a priori cap without the gap
-        condition.  decide_constant_value, with the same loop and cap, calls
-        that non-constant, and so does value mode: "not constant", exit 1."""
-        monkeypatch.setattr(st, "_half_line", lambda *args: (None, None, 0))
+        """With the probe stopping at step 0 without the gap condition,
+        the paper's top_class decides.  On a non-constant game its first
+        decision runs the constancy loop to the a priori cap without the
+        gap condition, and it peels to a proper top class.  Value mode
+        reads that solve: "not constant", with no bracket run to its cap,
+        and exit 1."""
+        monkeypatch.setattr(st, "_half_line", _no_probe)
         g = make()
         stats = g.stats()
         params = st._sep_params(stats)
         oracle = mg.RoundingOracle(g, 4 * stats.mu**2)
         assert mg.decide_constant_value(oracle, params).low_set is not None
+        assert mg.solve_game(g).top_class < frozenset(g.min_ids)
         with pytest.raises(ValueError, match="not constant") as exc:
             mg.solve_constant_value(g)
-        assert isinstance(exc.value.__context__, mg.IterationCapExceeded)
+        assert exc.value.__context__ is None
         path = tmp_path / "g.json"
         path.write_text(json.dumps(mg.game_to_json(g)))
         res = CliRunner().invoke(main, ["solve", str(path), "--mode",
