@@ -32,15 +32,12 @@ class SepParams:
 @dataclass(frozen=True)
 class Dominion:
     states: frozenset
-    certified_by: tuple  # one eval of F^D at 0, all finite
 
 
 @dataclass(frozen=True)
 class DecideOutcome:
     low_set: frozenset | None  # None means Empty: the value is constant
-    iterations: int
-    calls: int
-    final: tuple
+    iterations: int  # oracle calls too: one per iteration
 
 
 def decide_constant_value(oracle, params: SepParams):
@@ -51,10 +48,10 @@ def decide_constant_value(oracle, params: SepParams):
     below the maximum; that set is returned."""
     u, ell, hit = gap_iteration(oracle, params.delta, params.cap)
     if hit:
-        return DecideOutcome(None, ell, ell, u)
+        return DecideOutcome(None, ell)
     b = bottom(u)
     low = frozenset(i for i in range(oracle.n) if u[i] == b)
-    return DecideOutcome(low, ell, ell, u)
+    return DecideOutcome(low, ell)
 
 
 def extend(oracle, dominion_states, seed):
@@ -66,7 +63,7 @@ def extend(oracle, dominion_states, seed):
     and any sub-dominion disjoint from the seed stays disjoint."""
     states = sorted(dominion_states)
     index = {s: i for i, s in enumerate(states)}
-    sub = restrict(oracle, states) if len(states) != oracle.n else oracle
+    sub = restrict(oracle, states)
     current = set(seed)
     if not current:
         raise ValueError("empty seed")
@@ -95,17 +92,15 @@ def top_class(oracle, params: SepParams):
     d_states = set(range(n))
     calls = 0
     for _ in range(n + 1):
-        sub = restrict(oracle, sorted(d_states)) if len(d_states) != n else oracle
-        outcome = decide_constant_value(sub, params)
-        calls += outcome.calls
-        if outcome.low_set is None:
-            states = sorted(d_states)
-            cert = sub.eval(zeros(sub.n), Fraction(1))
-            calls += 1
-            if any(v is NEG_INF for v in cert):
-                raise RuntimeError("top_class arrived at a non-dominion")
-            return Dominion(frozenset(d_states), cert), calls
         states = sorted(d_states)
+        sub = restrict(oracle, states)
+        outcome = decide_constant_value(sub, params)
+        calls += outcome.iterations
+        if outcome.low_set is None:
+            calls += 1
+            if any(v is NEG_INF for v in sub.eval(zeros(sub.n), Fraction(1))):
+                raise RuntimeError("top_class arrived at a non-dominion")
+            return Dominion(frozenset(d_states)), calls
         seed = {states[i] for i in outcome.low_set}
         extended, ext_calls = extend(oracle, d_states, seed)
         calls += ext_calls

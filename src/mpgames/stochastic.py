@@ -20,15 +20,14 @@ iterates, which certifies iterations caught in a short periodic orbit.  When
 the half-line holds, chi is the value vector, the top class is argmax chi,
 and h restricted to the top class is an exact fixed point F(h) = h + max chi
 of the subgame the top class induces: a sub and a super certificate at one
-level.  When no checkpoint passes, the probe's own stop is the first
-decision.  It stops on the gap condition, at most _WINDOW - 1 window steps
-past it, and then the decision says "constant": every Min state is the top
-class.  Or it stops at the a priori cap 1 + ceil(8R/delta), and the paper's
-`top_class` runs from 0 and peels dominions off.  Either way
-`approximate_constant_mean_payoff` then brackets the top class's value
-within delta.
+level.  When no checkpoint passes, the probe's own stop decides.  On the
+gap condition (at most _WINDOW - 1 window steps past it) the value is
+constant, and the paper's second pass, replayed up to that first stop,
+brackets it within delta.  At the a priori cap 1 + ceil(8R/delta) the
+paper's `top_class` runs from 0 and peels dominions off, and the probe runs
+once more, on the subgame the top class induces.
 
-Both paths iterate on integer numerators with the Python-int Shapley step
+Every loop iterates on integer numerators with the Python-int Shapley step
 of `_smpgfast.Kernel`; `shapley_eval` is the exact step that certificates
 are checked with.  Every reported strategy pair comes from one greedy rule,
 `_greedy_pair` on integer numerators: at the half-line's witness h, or Max
@@ -58,7 +57,7 @@ from .iteration import (
     SUB,
     SUPER,
     Certificate,
-    approximate_constant_mean_payoff,
+    IterationCapExceeded,
     value_iteration,
 )
 from .linalg import integer_solve
@@ -417,9 +416,13 @@ class GameSolution:
     strategies: StrategyPair
     sub: Certificate
     sup: Certificate
-    interval: RationalInterval
     iterations: int
     oracle_calls: int
+
+    @property
+    def interval(self) -> RationalInterval:
+        """The certified bracket: the sub and super certificates' levels."""
+        return RationalInterval(self.sub.lam, self.sup.lam)
 
     @property
     def top_class(self) -> frozenset:
@@ -529,10 +532,10 @@ def _half_line(game, stats, params):
     (Kohlberg 1980).
     The probe stops after the window of the checkpoint at which the gap
     condition first held (so up to _WINDOW - 1 steps past it), or at the
-    cap.  Returns (chi, h, steps run, stopped), chi and h None when no
-    checkpoint passes; stopped tells whether the gap condition held.  The
-    iteration from 0 is decide_constant_value's own loop, so stopped is its
-    verdict on the whole game: the value is constant."""
+    cap.  Returns (chi, h, steps run, stop), chi and h None when no
+    checkpoint passes, and stop the integer iterate and length (u, ell) at
+    which the gap condition first held, or None.  The first loop of
+    decide_constant_value ends there too, with the verdict "constant"."""
     q = 4 * stats.mu**2
     d = params.delta
     kernel = Kernel(game)
@@ -540,102 +543,100 @@ def _half_line(game, stats, params):
     while True:
         u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
                                       min(end, params.cap), u, ell)
+        stop = (u, ell) if hit else None
         found = _half_line_at(game, u, q, ell)
-        window, stopped = u, hit
+        window = u
         for j in range(2, _WINDOW + 1):
             if found is not None or ell == params.cap:
                 break
             u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
                                           ell + 1, u, ell)
-            stopped = stopped or hit
+            if hit and stop is None:
+                stop = (u, ell)
             window = [a + b for a, b in zip(window, u)]
             found = _half_line_at(game, window, j * q,
                                   ell - Fraction(j - 1, 2))
         if found is not None:
-            return (*found, ell, stopped)
-        if stopped or ell == params.cap:
-            return None, None, ell, stopped
+            return (*found, ell, stop)
+        if stop is not None or ell == params.cap:
+            return None, None, ell, stop
         end = 2 * ell
 
 
-def _fixed_point_solution(game, value, h, steps) -> GameSolution:
-    """The solution certified by an exact fixed point F(h) = value + h of
-    `game`: h is both the sub and the super witness at level value."""
-    if any(w != value + v for v, w in zip(h, shapley_eval(game, h))):
+def _solution(game, value, sub, sup, steps, calls) -> GameSolution:
+    """The solution of `game` certified by `sub` and `sup`, checked exactly,
+    found in `steps` iterations; `calls` counts the whole solve."""
+    if not check_certificates(game, (sub, sup)):
         raise AssertionError("internal error: certificate failed verification")
-    return GameSolution(
-        subgame=game,
-        value=value,
-        strategies=_strategies(game, h, h),
-        sub=Certificate(value, h, SUB),
-        sup=Certificate(value, h, SUPER),
-        interval=RationalInterval(value, value),
-        iterations=steps,
-        oracle_calls=steps,
-    )
+    return GameSolution(game, value, _strategies(game, sub.vec, sup.vec),
+                        sub, sup, steps, calls)
 
 
-# ---------------------------------------------------------------------------
-# the paper's a priori path (the fallback)
+def _fixed_point_solution(game, value, h, steps, calls) -> GameSolution:
+    """An exact fixed point F(h) = value + h of `game`: h is both the sub
+    and the super witness at level value, checked with one evaluation."""
+    return _solution(game, value, Certificate(value, h, SUB),
+                     Certificate(value, h, SUPER), steps, calls)
 
 
-def _decided_constant_value(game, calls) -> GameSolution:
-    """Constant value of a game that the constancy decision found constant,
-    by approximate_constant_mean_payoff from 0 with delta = 1/mu^2, which
-    makes the interval isolate a unique rational of denominator <= mu.
-    `calls` counts the oracle calls already spent on the decision."""
-    stats = game.stats()
-    params = _sep_params(stats)
-    oracle = RoundingOracle(game, 4 * stats.mu**2)
-    res = approximate_constant_mean_payoff(oracle, params.delta, params.cap)
-    value = rational_in_interval(res.interval, stats.mu)
+def _replayed_solution(game, q, delta, u, ell, calls) -> GameSolution:
+    """The constant value of `game` from the probe's stop (u, ell), u over
+    q: the replay of approximate_constant_mean_payoff's second pass, in
+    ell - 1 oracle calls, gives the sub witness at min(u)/(q ell) - delta/8
+    and the super witness at max(u)/(q ell) + delta/8.  delta = 1/mu^2
+    makes that interval isolate one rational of denominator <= mu."""
+    lo, hi = min(u), max(u)
+    x, y = Kernel(game).replay_loop(q, ell, lo, hi)
+    scale, eps = q * ell, delta / 8
+    sub = Certificate(Fraction(lo, scale) - eps,
+                      tuple(Fraction(v, scale) for v in x), SUB)
+    sup = Certificate(Fraction(hi, scale) + eps,
+                      tuple(Fraction(v, scale) for v in y), SUPER)
+    value = rational_in_interval(RationalInterval(sub.lam, sup.lam),
+                                 game.stats().mu)
     if value is NOT_FOUND or value is NOT_UNIQUE:
         raise ValueError(_NOT_CONSTANT)
-    if not check_certificates(game, (res.sub, res.sup)):
-        raise AssertionError("internal error: certificate failed verification")
-    return GameSolution(
-        subgame=game,
-        value=value,
-        strategies=_strategies(game, res.sub.vec, res.sup.vec),
-        sub=res.sub,
-        sup=res.sup,
-        interval=res.interval,
-        iterations=res.iterations,
-        oracle_calls=calls + oracle.calls,
-    )
+    return _solution(game, value, sub, sup, ell, calls + ell - 1)
 
 
 # ---------------------------------------------------------------------------
-# solvers: the early certificate first, the paper's path when it fails
+# solvers: one probe per (sub)game, the paper's peel when it reaches its cap
 
 
 def solve_game(game: StochasticGame) -> GameSolution:
     """The top class, the subgame it induces and that subgame's constant
-    value, from one probe: a passing half-line gives the top class argmax
-    chi and certifies (max chi, h restricted to the top class) as an exact
-    fixed point of that subgame.  Otherwise the probe's stop decides: on
-    the gap condition every Min state is the top class, at the cap the
-    paper's top_class finds it; then the paper's constant-value procedure
-    brackets the value on the subgame.  The oracle calls count the whole
-    solve."""
-    stats = game.stats()
-    params = _sep_params(stats)
-    chi, h, steps, constant = _half_line(game, stats, params)
-    if chi is not None:
-        value = max(chi)
-        indices = [j for j, v in enumerate(chi) if v == value]
-    elif constant:
-        indices = range(len(game.min_ids))
-    else:
-        dom, calls = top_class(RoundingOracle(game, 4 * stats.mu**2), params)
-        indices, steps = sorted(dom.states), steps + calls
-    sub = induced_subgame(game, indices)
-    if sub is None:
-        raise RuntimeError("top class is not a dominion")
-    if chi is None:
-        return _decided_constant_value(sub, steps)
-    return _fixed_point_solution(sub, value, tuple(h[j] for j in indices),
-                                 steps)
+    value.  A probe that passes a half-line gives the top class argmax chi
+    and certifies (max chi, h restricted to the top class) as an exact
+    fixed point of that subgame.  A probe that stops on the gap condition
+    has decided that every Min state is the top class, and the replay from
+    its stop brackets the value.  A probe that reaches the a priori cap
+    leaves the top class to the paper's top_class, and then the probe runs
+    once more, on the subgame the top class induces, with that subgame's
+    own mu, delta and cap; if it reaches that cap too, IterationCapExceeded.
+    The oracle calls count the whole solve."""
+    calls = 0
+    for peeled in (False, True):
+        stats = game.stats()
+        params = _sep_params(stats)
+        q = 4 * stats.mu**2
+        chi, h, steps, stop = _half_line(game, stats, params)
+        calls += steps
+        if chi is not None:
+            value = max(chi)
+            indices = [j for j, v in enumerate(chi) if v == value]
+            sub = induced_subgame(game, indices)
+            if sub is None:
+                raise RuntimeError("top class is not a dominion")
+            return _fixed_point_solution(
+                sub, value, tuple(h[j] for j in indices), steps, calls)
+        if stop is not None:
+            return _replayed_solution(game, q, params.delta, *stop, calls)
+        if peeled:
+            raise IterationCapExceeded(
+                f"no convergence within {params.cap} iterations")
+        dom, top_calls = top_class(RoundingOracle(game, q), params)
+        calls += top_calls
+        game = induced_subgame(game, sorted(dom.states))
 
 
 def solve_constant_value(game: StochasticGame) -> GameSolution:

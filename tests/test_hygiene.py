@@ -1,6 +1,8 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it imports,
+and some module of the package reads each module-level private name.
 
-`__init__` is left out: its imports are the package's exports."""
+`__init__` is left out of the import scan: its imports are the package's
+exports."""
 
 import ast
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mpgames"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -43,3 +46,62 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree):
+    """(line, name) of each module-level function, class or constant whose
+    name starts with one underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found += [(node.lineno, t.id) for target in targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def unread_privates(sources):
+    """(module, line, name) of each module-level private name of the
+    modules `sources` (module name -> source) that no module reads: by
+    name, or by importing it from another module."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for line, name in _private_definitions(tree)
+                  if name not in read)
+
+
+def test_scan_finds_unread_privates():
+    sources = {
+        "a": ("_LIMIT = 3\n"
+              "_UNUSED, _PAIR = 1, 2\n"
+              "__all__ = []\n"
+              "def _helper():\n"
+              "    return _LIMIT\n"
+              "def _dead():\n"
+              "    return _helper()\n"
+              "class _Box:\n"
+              "    _slot = 0\n"
+              "def public():\n"
+              "    _local = 1\n"
+              "    return _local\n"),
+        "b": "from .a import _PAIR, _Box\n",
+    }
+    assert unread_privates(sources) == [
+        ("a", 2, "_UNUSED"), ("a", 6, "_dead")]
+
+
+def test_every_private_name_is_read():
+    assert unread_privates({p.stem: p.read_text(encoding="utf-8")
+                            for p in SOURCES}) == []

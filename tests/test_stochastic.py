@@ -428,9 +428,10 @@ def _refuse_top_class(monkeypatch):
 
 
 def _refuse_paper_path(monkeypatch):
-    """Make every entry to the paper's a priori path fail the test."""
+    """Make every entry to the paper's a priori path fail the test: the
+    peel and the replay of the bracket's second pass."""
     _refuse_top_class(monkeypatch)
-    monkeypatch.setattr(st, "approximate_constant_mean_payoff", _refuse)
+    monkeypatch.setattr(st, "_replayed_solution", _refuse)
 
 
 def _probe(g):
@@ -440,8 +441,22 @@ def _probe(g):
 
 def _no_probe(*args):
     """A probe that certifies nothing and stops at step 0 without the gap
-    condition, so that the paper's top_class decides."""
-    return None, None, 0, False
+    condition, as at its cap."""
+    return None, None, 0, None
+
+
+def _refuse_first_probe(monkeypatch):
+    """Make the first probe of every solve `_no_probe`, so that the paper's
+    top_class decides, and let the probe of the subgame it induces run.
+    Every solve under this stub runs two probes, so it refuses every other
+    one."""
+    real, probes = st._half_line, []
+
+    def probe(*args):
+        probes.append(args)
+        return _no_probe() if len(probes) % 2 else real(*args)
+
+    monkeypatch.setattr(st, "_half_line", probe)
 
 
 def _views(tmp_path, games):
@@ -639,7 +654,8 @@ class TestEarlyCertificate:
         assert sol.value == 1 and sol.oracle_calls == 2
         assert set(mg.frozen_pair_values(g, sol.strategies)) == {1}
         monkeypatch.setattr(st, "_WINDOW", 1)
-        assert _probe(g) == (None, None, 86, True)
+        chi, h, steps, (_, ell) = _probe(g)
+        assert (chi, h, steps, ell) == (None, None, 86, 86)
 
     def test_pinned_mu_405_game(self, monkeypatch):
         """random_smpg(Random(1), 5, 5, 5), draw 2 (mu = 405): the paper's
@@ -770,7 +786,7 @@ class TestPaperPath:
         rng = random.Random(7)
         games += [mg.random_smpg(rng) for _ in range(6)]
         early = [mg.solve_game(g) for g in games]
-        monkeypatch.setattr(st, "_half_line", _no_probe)
+        _refuse_first_probe(monkeypatch)
         for g, e in zip(games, early):
             sol = mg.solve_game(g)
             _, best, top = _brute_top(g)
@@ -782,36 +798,41 @@ class TestPaperPath:
                 sol.subgame, sol.strategies)) == {best}
 
     def test_fallback_counts(self, monkeypatch, tmp_path):
-        """With the probe stopping at step 0 without the gap condition, the
-        solvers report the paper path's oracle calls exactly, and every
-        view of the one solve the same: top_class's calls and the subgame
-        value's."""
-        monkeypatch.setattr(st, "_half_line", _no_probe)
+        """With the first probe stopping at step 0 without the gap
+        condition, the solvers report the paper path's oracle calls
+        exactly, and every view of the one solve the same: top_class's
+        calls and the subgame probe's steps."""
+        _refuse_first_probe(monkeypatch)
         ((reports, steps),) = _views(tmp_path, [peel_game(6, 2)])
+        # top_class's 24,580 (test_pinned_counts), then the half-line of
+        # the subgame on {m0, m1} at step 1
         assert reports["value"] is None and steps == 24580 + 1
         for mode in ("topclass", "full"):
             assert reports[mode]["top_class"] == ["m0", "m1"]
             assert reports[mode]["oracle_calls"] == 24580 + 1
         assert mg.solve_game(peel_game(6, 2)).oracle_calls == 24580 + 1
-        # nature-half: top_class's 23 (test_pinned_counts), then the
-        # bracket on the whole game: 22 gap steps and 21 replay steps
+        # nature-half: top_class's 23 keeps the whole game, whose probe
+        # passes at step 1
         assert mg.solve_constant_value(
-            nature_half_game()).oracle_calls == 23 + 43
+            nature_half_game()).oracle_calls == 23 + 1
 
-    @pytest.mark.parametrize("make, decided, steps, bracket", [
-        (nature_half_game, 22, 25, 43),
-        (swap_shift_game, 2, 4, 3),
-        (lambda: mg.random_smpg(random.Random(60), 4, 4, 4), 12, 15, 23),
+    @pytest.mark.parametrize("make, decided, steps", [
+        (nature_half_game, 22, 25),
+        (swap_shift_game, 2, 4),
+        (lambda: mg.random_smpg(random.Random(60), 4, 4, 4), 12, 15),
     ], ids=["nature-half", "swap-shift", "r60-444"])
     def test_probe_stop_decides(self, monkeypatch, tmp_path, make, decided,
-                                steps, bracket):
+                                steps):
         """With no checkpoint passing, the probe still runs the decision's
         loop, and stops on its gap condition at most _WINDOW - 1 steps
         after decide_constant_value does.  So every Min state is the top
-        class, top_class never runs, and the full and value views report
-        one count: the probe's steps plus the bracket's calls.  (On
-        r60-444 the window's last step misses the gap condition; a probe
-        that ignored the earlier step ran on to step 27.)"""
+        class, top_class never runs, and the bracket replays the orbit up to
+        the probe's first gap stop: the full and value views report the
+        probe's steps plus the replay's decided - 1 calls, and the sub and
+        super certificates, interval and iterations of
+        approximate_constant_mean_payoff run from 0.  (On r60-444 the
+        window's last step misses the gap condition; a probe that ignored
+        the earlier step ran on to step 27.)"""
         g = make()
         stats = g.stats()
         params = st._sep_params(stats)
@@ -819,17 +840,20 @@ class TestPaperPath:
             mg.RoundingOracle(g, 4 * stats.mu**2), params)
         assert outcome.low_set is None and outcome.iterations == decided
         monkeypatch.setattr(st, "_half_line_at", lambda *args: None)
-        assert _probe(g) == (None, None, steps, True)
+        chi, h, probe_steps, (_, ell) = _probe(g)
+        assert (chi, h, probe_steps, ell) == (None, None, steps, decided)
         assert decided <= steps < decided + st._WINDOW
-        oracle = mg.RoundingOracle(g, 4 * stats.mu**2)
-        mg.approximate_constant_mean_payoff(oracle, params.delta, params.cap)
-        assert oracle.calls == bracket
+        ref = mg.approximate_constant_mean_payoff(
+            mg.RoundingOracle(g, 4 * stats.mu**2), params.delta, params.cap)
         _refuse_top_class(monkeypatch)
+        sol = mg.solve_game(g)
+        assert (sol.sub, sol.sup, sol.interval, sol.iterations) == (
+            ref.sub, ref.sup, ref.interval, ref.iterations)
         ((reports, bench_steps),) = _views(tmp_path, [g])
         for mode in ("topclass", "full"):
             assert reports[mode]["top_class"] == sorted(g.min_ids)
-            assert reports[mode]["oracle_calls"] == steps + bracket
-        assert bench_steps == steps + bracket
+            assert reports[mode]["oracle_calls"] == steps + decided - 1
+        assert bench_steps == sol.oracle_calls == steps + decided - 1
         _value_view_agrees(reports["value"], reports["full"])
         runner = CliRunner()
         for mode in ("full", "value"):
@@ -841,13 +865,13 @@ class TestPaperPath:
     @pytest.mark.parametrize("make", [absorbing_game, lambda: peel_game(6, 2)],
                              ids=["absorbing", "peel-6-2"])
     def test_cap_means_not_constant(self, monkeypatch, tmp_path, make):
-        """With the probe stopping at step 0 without the gap condition,
-        the paper's top_class decides.  On a non-constant game its first
-        decision runs the constancy loop to the a priori cap without the
-        gap condition, and it peels to a proper top class.  Value mode
-        reads that solve: "not constant", with no bracket run to its cap,
-        and exit 1."""
-        monkeypatch.setattr(st, "_half_line", _no_probe)
+        """With the first probe stopping at step 0 without the gap
+        condition, the paper's top_class decides.  On a non-constant game
+        its first decision runs the constancy loop to the a priori cap
+        without the gap condition, and it peels to a proper top class.
+        Value mode reads that solve: "not constant", with no bracket run to
+        its cap, and exit 1."""
+        _refuse_first_probe(monkeypatch)
         g = make()
         stats = g.stats()
         params = st._sep_params(stats)
@@ -862,6 +886,38 @@ class TestPaperPath:
         res = CliRunner().invoke(main, ["solve", str(path), "--mode",
                                         "value"])
         assert res.exit_code == 1 and "not constant" in res.output
+
+    @pytest.mark.parametrize("make, calls", [
+        (lambda: peel_game(6, 2), 24580 + 1),
+        (absorbing_game, 2564 + 1),
+        (nature_half_game, 23 + 1),
+    ], ids=["peel-6-2", "absorbing", "nature-half"])
+    def test_subgame_probe_after_the_peel(self, monkeypatch, tmp_path, make,
+                                          calls):
+        """When the first probe reaches its cap, top_class peels and the
+        probe runs once on the subgame the top class induces: it certifies
+        an exact fixed point there, with the top class and value of brute
+        force, and the report passes `certify`.  When that probe reaches
+        its cap too, the solve raises IterationCapExceeded and the CLI
+        exits 3."""
+        g = make()
+        _, best, top = _brute_top(g)
+        path, rep = tmp_path / "g.json", tmp_path / "r.json"
+        path.write_text(json.dumps(mg.game_to_json(g)))
+        runner = CliRunner()
+        _refuse_first_probe(monkeypatch)
+        sol = mg.solve_game(g)
+        assert sol.interval.lo == sol.interval.hi == sol.value == best
+        assert sol.top_class == top and sol.oracle_calls == calls
+        res = runner.invoke(main, ["solve", str(path), "--json"])
+        assert res.exit_code == 0
+        rep.write_text(res.output)
+        assert runner.invoke(main, ["certify", str(path),
+                                    str(rep)]).exit_code == 0
+        monkeypatch.setattr(st, "_half_line", _no_probe)
+        with pytest.raises(mg.IterationCapExceeded):
+            mg.solve_game(g)
+        assert runner.invoke(main, ["solve", str(path)]).exit_code == 3
 
     @pytest.mark.parametrize("make, cap, calls, states, iterations", [
         (nature_half_game, 8193, 23, {0, 1}, 22),
