@@ -21,7 +21,7 @@ import click
 from . import cex as cexmod
 from . import entropy as ent
 from . import stochastic as smpg
-from .graphs import GameFormatError, json_list, state_ids_error
+from .graphs import GameFormatError, json_list, state_ids_error, state_indices
 from .iteration import SUB, SUPER, Certificate, Exhausted, IterationCapExceeded
 from .numeric import NEG_INF, RationalInterval, rational_in_interval
 
@@ -192,7 +192,7 @@ def _solve_smpg(game, mode):
             "top_value": _frac_str(sol.value),
             "interval": _interval_record(sol.interval),
         }
-        states = _sub_states(sol.subgame)
+        states = _sub_states(smpg.KEYS, sol.subgame)
     return EXIT_OK, {
         **head,
         "oracle_calls": sol.oracle_calls,
@@ -205,18 +205,8 @@ def _solve_smpg(game, mode):
     }
 
 
-def _sub_states(game) -> dict:
-    if isinstance(game, ent.EntropyGame):
-        return {
-            "d_states": list(game.d_ids),
-            "t_states": list(game.t_ids),
-            "p_states": list(game.p_ids),
-        }
-    return {
-        "min_states": list(game.min_ids),
-        "max_states": list(game.max_ids),
-        "nat_states": list(game.nat_ids),
-    }
+def _sub_states(keys, game) -> dict:
+    return {key: list(ids) for key, ids in zip(keys, game.ids)}
 
 
 def _solve_entropy(game, mode, budget):
@@ -240,7 +230,7 @@ def _solve_entropy(game, mode, budget):
         "blocks": [sorted(b.d_ids) for b in sol.blocks],
         "iterations": sum(b.iterations for b in sol.blocks),
         "certificates": [
-            _cert_record(c, _sub_states(b.subgame))
+            _cert_record(c, _sub_states(ent.KEYS, b.subgame))
             for b in sol.blocks
             for c in (b.sub, b.sup)
         ],
@@ -305,14 +295,9 @@ def _cert_target(kind, game, states):
     if not isinstance(states, dict):
         raise GameFormatError(f'"states" {states!r} is not an object')
     if kind == "smpg":
-        idx = {s: j for j, s in enumerate(game.min_ids)}
-        return smpg.induced_subgame(
-            game, [idx[s] for s in _report_ids(states, "min_states")]
-        )
-    return ent.subgraph_on(
-        game, *(_report_ids(states, k) for k in ("d_states", "t_states",
-                                                  "p_states"))
-    )
+        return smpg.induced_subgame(game, state_indices(
+            game.min_ids, _report_ids(states, smpg.KEYS[0])))
+    return ent.subgraph_on(game, *(_report_ids(states, k) for k in ent.KEYS))
 
 
 def _smpg_claims(report, pairs):

@@ -32,11 +32,11 @@ from math import gcd
 
 from .graphs import (
     GameFormatError,
-    edge_records,
-    is_state_id,
-    json_int,
-    json_list,
-    state_ids_error,
+    check_adjacency,
+    game_file,
+    read_game_file,
+    spanning_subgraph,
+    state_indices,
     tarjan_scc,
 )
 from .iteration import SUB, SUPER, Certificate, IterationCapExceeded
@@ -48,6 +48,11 @@ from .perron import perron_root
 # ---------------------------------------------------------------------------
 # game structure
 
+# the game file's state-list keys, and (name, edge field, default) per kind
+KEYS = ("d_states", "t_states", "p_states")
+_LABELS = (("despot", None, None), ("tribune", None, None),
+           ("people", "m", 1))
+
 
 @dataclass(frozen=True)
 class EntropyGame:
@@ -58,17 +63,16 @@ class EntropyGame:
     t_edges: tuple  # per Tribune: (people_idx, ...)
     p_edges: tuple  # per People: ((despot_idx, multiplicity), ...)
 
+    @property
+    def ids(self):
+        return self.d_ids, self.t_ids, self.p_ids
+
+    @property
+    def edges(self):
+        return self.d_edges, self.t_edges, self.p_edges
+
     def validate(self):
-        for name, ids, edges in (
-            ("despot", self.d_ids, self.d_edges),
-            ("tribune", self.t_ids, self.t_edges),
-            ("people", self.p_ids, self.p_edges),
-        ):
-            if len(ids) != len(edges):
-                raise GameFormatError(f"{name} adjacency length mismatch")
-            for sid, out in zip(ids, edges):
-                if not out:
-                    raise GameFormatError(f"state {sid!r} has no outgoing edge")
+        check_adjacency(_LABELS, self.ids, self.edges)
         for sid, row in zip(self.p_ids, self.p_edges):
             for _, m in row:
                 if not isinstance(m, int) or m < 1:
@@ -225,47 +229,20 @@ def induced_entropy_subgame(game: EntropyGame, d_subset):
     if not all(any(p in v_p for p in game.t_edges[t]) for t in t_sel):
         return None
     p_sel = sorted({p for t in t_sel for p in game.t_edges[t] if p in v_p})
-    return subgraph_on(
-        game,
-        [game.d_ids[d] for d in d_sel],
-        [game.t_ids[t] for t in t_sel],
-        [game.p_ids[p] for p in p_sel],
-    )
+    return _spanned(game, (d_sel, t_sel, p_sel))
 
 
 def subgraph_on(game: EntropyGame, d_ids, t_ids, p_ids) -> EntropyGame:
     """The subgraph of `game` spanned by the given state ids (edges with both
     endpoints inside survive).  Raises GameFormatError when some kept state
     loses all its moves."""
-    d_index = {s: j for j, s in enumerate(game.d_ids)}
-    t_index = {s: j for j, s in enumerate(game.t_ids)}
-    p_index = {s: j for j, s in enumerate(game.p_ids)}
-    try:
-        d_sel = [d_index[s] for s in d_ids]
-        t_sel = [t_index[s] for s in t_ids]
-        p_sel = [p_index[s] for s in p_ids]
-    except KeyError as exc:
-        raise GameFormatError(f"unknown state id {exc}") from exc
-    d_new = {j: i for i, j in enumerate(d_sel)}
-    t_new = {j: i for i, j in enumerate(t_sel)}
-    p_new = {j: i for i, j in enumerate(p_sel)}
-    return make_entropy_game(
-        tuple(game.d_ids[j] for j in d_sel),
-        tuple(game.t_ids[j] for j in t_sel),
-        tuple(game.p_ids[j] for j in p_sel),
-        tuple(
-            tuple(t_new[t] for t in game.d_edges[j] if t in t_new)
-            for j in d_sel
-        ),
-        tuple(
-            tuple(p_new[p] for p in game.t_edges[j] if p in p_new)
-            for j in t_sel
-        ),
-        tuple(
-            tuple((d_new[l], m) for l, m in game.p_edges[j] if l in d_new)
-            for j in p_sel
-        ),
-    )
+    return _spanned(game, [state_indices(ids, chosen) for ids, chosen
+                           in zip(game.ids, (d_ids, t_ids, p_ids))])
+
+
+def _spanned(game, keep):
+    ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges, keep)
+    return make_entropy_game(*ids, *edges)
 
 
 # ---------------------------------------------------------------------------
@@ -747,74 +724,12 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
 
 
 def parse_entropy(obj) -> EntropyGame:
-    if not isinstance(obj, dict) or obj.get("type") != "entropy":
-        raise GameFormatError('expected an object with "type": "entropy"')
-    try:
-        d_ids, t_ids, p_ids = (
-            tuple(json_list(obj[key], f'"{key}"'))
-            for key in ("d_states", "t_states", "p_states")
-        )
-        records = edge_records(obj["edges"])
-    except KeyError as exc:
-        raise GameFormatError(f"missing key {exc}") from exc
-    all_ids = list(d_ids) + list(t_ids) + list(p_ids)
-    bad_ids = state_ids_error(all_ids)
-    if bad_ids:
-        raise GameFormatError(bad_ids)
-    if len(set(all_ids)) != len(all_ids):
-        raise GameFormatError("state identifiers must be unique across kinds")
-    d_index = {s: j for j, s in enumerate(d_ids)}
-    t_index = {s: j for j, s in enumerate(t_ids)}
-    p_index = {s: j for j, s in enumerate(p_ids)}
-    d_edges = [[] for _ in d_ids]
-    t_edges = [[] for _ in t_ids]
-    p_edges = [[] for _ in p_ids]
-    seen = set()
-    for rec in records:
-        src, dst = rec.get("from"), rec.get("to")
-        if not (is_state_id(src) and is_state_id(dst)):
-            raise GameFormatError(f"edge record {rec!r} violates alternation")
-        if (src, dst) in seen:
-            raise GameFormatError(f"duplicate edge {src!r} -> {dst!r}")
-        seen.add((src, dst))
-        if src in d_index and dst in t_index:
-            if "m" in rec:
-                raise GameFormatError(
-                    "multiplicities belong on People edges only"
-                )
-            d_edges[d_index[src]].append(t_index[dst])
-        elif src in t_index and dst in p_index:
-            if "m" in rec:
-                raise GameFormatError(
-                    "multiplicities belong on People edges only"
-                )
-            t_edges[t_index[src]].append(p_index[dst])
-        elif src in p_index and dst in d_index:
-            m = json_int(rec.get("m", 1), f'"m" of edge {src!r} -> {dst!r}')
-            p_edges[p_index[src]].append((d_index[dst], m))
-        else:
-            raise GameFormatError(f"edge record {rec!r} violates alternation")
-    return make_entropy_game(d_ids, t_ids, p_ids, d_edges, t_edges, p_edges)
+    ids, edges = read_game_file(obj, "entropy", KEYS, _LABELS)
+    return make_entropy_game(*ids, *edges)
 
 
 def entropy_to_json(game: EntropyGame) -> dict:
-    edges = []
-    for j, row in enumerate(game.d_edges):
-        for t in row:
-            edges.append({"from": game.d_ids[j], "to": game.t_ids[t]})
-    for j, row in enumerate(game.t_edges):
-        for p in row:
-            edges.append({"from": game.t_ids[j], "to": game.p_ids[p]})
-    for j, row in enumerate(game.p_edges):
-        for l, m in row:
-            edges.append({"from": game.p_ids[j], "to": game.d_ids[l], "m": m})
-    return {
-        "type": "entropy",
-        "d_states": list(game.d_ids),
-        "t_states": list(game.t_ids),
-        "p_states": list(game.p_ids),
-        "edges": edges,
-    }
+    return game_file("entropy", KEYS, _LABELS, game.ids, game.edges)
 
 
 def random_entropy_game(

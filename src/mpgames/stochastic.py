@@ -1,10 +1,10 @@
 """Turn-based stochastic mean-payoff games.
 
-States alternate Min -> Max -> Nature -> Min.  Min pays A on its move, Max
-receives B on its move, Nature moves according to rational rows with common
-denominator M.  The per-turn reward of a path through edges (j,i), (i,k) is
-B_ik - A_ij; the value of a state is the long-run average reward under
-optimal play.
+States alternate Min -> Max -> Nature -> Min.  Min receives A on its move
+(Max pays it), Max receives B on its move, Nature moves according to
+rational rows with common denominator M.  The per-turn reward of a path
+through edges (j,i), (i,k) is B_ik - A_ij; the value of a state is the
+long-run average reward under optimal play.
 
 Solving searches approximately and certifies exactly.  `solve_game` is the
 one solve; `solve_constant_value` and the CLI's value, topclass, full and
@@ -46,11 +46,11 @@ from ._smpgfast import Kernel
 from .dominion import SepParams, top_class
 from .graphs import (
     GameFormatError,
-    edge_records,
-    is_state_id,
+    check_adjacency,
+    game_file,
     json_int,
-    json_list,
-    state_ids_error,
+    read_game_file,
+    spanning_subgraph,
     tarjan_scc,
 )
 from .iteration import (
@@ -70,6 +70,10 @@ from .numeric import (
 )
 from .oracle import ShapleyOracle
 
+# the game file's state-list keys, and (name, edge field, default) per kind
+KEYS = ("min_states", "max_states", "nat_states")
+_LABELS = (("min", "a", 0), ("max", "b", 0), ("nat", "p_num", None))
+
 
 @dataclass(frozen=True)
 class StochasticGame:
@@ -82,19 +86,18 @@ class StochasticGame:
     nat_edges: tuple  # per Nat state: ((min_idx, numerator), ...), sum = M
     M: int
 
+    @property
+    def ids(self):
+        return self.min_ids, self.max_ids, self.nat_ids
+
+    @property
+    def edges(self):
+        return self.min_edges, self.max_edges, self.nat_edges
+
     def validate(self):
         if self.M < 1:
             raise GameFormatError("denominator must be >= 1")
-        for name, ids, edges in (
-            ("min", self.min_ids, self.min_edges),
-            ("max", self.max_ids, self.max_edges),
-            ("nat", self.nat_ids, self.nat_edges),
-        ):
-            if len(ids) != len(edges):
-                raise GameFormatError(f"{name} adjacency length mismatch")
-            for sid, out in zip(ids, edges):
-                if not out:
-                    raise GameFormatError(f"state {sid!r} has no outgoing edge")
+        check_adjacency(_LABELS, self.ids, self.edges)
         for sid, row in zip(self.nat_ids, self.nat_edges):
             if any(num <= 0 for _, num in row):
                 raise GameFormatError(f"nonpositive numerator at state {sid!r}")
@@ -305,45 +308,17 @@ def induced_subgame(game: StochasticGame, subset):
     if subset == list(range(len(game.min_ids))):
         return game
     sub_set = set(subset)
-    nat_keep = [
-        k
-        for k in range(len(game.nat_ids))
-        if all(l in sub_set for l, _ in game.nat_edges[k])
-    ]
-    nat_keep_set = set(nat_keep)
-    kept_max_edges = [
-        tuple((k, b) for k, b in row if k in nat_keep_set)
-        for row in game.max_edges
-    ]
-    max_used = []
-    for j in subset:
-        for i, _ in game.min_edges[j]:
-            if not kept_max_edges[i]:
-                return None
-            max_used.append(i)
-    max_used = sorted(set(max_used))
-    max_index = {i: t for t, i in enumerate(max_used)}
-    nat_used = sorted({k for i in max_used for k, _ in kept_max_edges[i]})
-    nat_index = {k: t for t, k in enumerate(nat_used)}
-    min_index = {j: t for t, j in enumerate(subset)}
-    return make_game(
-        tuple(game.min_ids[j] for j in subset),
-        tuple(game.max_ids[i] for i in max_used),
-        tuple(game.nat_ids[k] for k in nat_used),
-        tuple(
-            tuple((max_index[i], a) for i, a in game.min_edges[j])
-            for j in subset
-        ),
-        tuple(
-            tuple((nat_index[k], b) for k, b in kept_max_edges[i])
-            for i in max_used
-        ),
-        tuple(
-            tuple((min_index[l], num) for l, num in game.nat_edges[k])
-            for k in nat_used
-        ),
-        game.M,
-    )
+    nat_keep = {k for k, row in enumerate(game.nat_edges)
+                if all(l in sub_set for l, _ in row)}
+    max_used = sorted({i for j in subset for i, _ in game.min_edges[j]})
+    kept = [{k for k, _ in game.max_edges[i] if k in nat_keep}
+            for i in max_used]
+    if not all(kept):
+        return None
+    nat_used = sorted(set().union(*kept))
+    ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges,
+                                   (subset, max_used, nat_used))
+    return make_game(*ids, *edges, game.M)
 
 
 # ---------------------------------------------------------------------------
@@ -789,82 +764,26 @@ def frozen_pair_values(game: StochasticGame, strategies: StrategyPair):
 
 
 def parse_smpg(obj) -> StochasticGame:
-    if not isinstance(obj, dict) or obj.get("type") != "smpg":
-        raise GameFormatError('expected an object with "type": "smpg"')
+    ids, (min_edges, max_edges, nat_edges) = read_game_file(
+        obj, "smpg", KEYS, _LABELS)
     try:
-        min_ids, max_ids, nat_ids = (
-            tuple(json_list(obj[key], f'"{key}"'))
-            for key in ("min_states", "max_states", "nat_states")
-        )
         m = json_int(obj["denominator"], '"denominator"')
-        records = edge_records(obj["edges"])
     except KeyError as exc:
         raise GameFormatError(f"missing key {exc}") from exc
-    all_ids = list(min_ids) + list(max_ids) + list(nat_ids)
-    bad_ids = state_ids_error(all_ids)
-    if bad_ids:
-        raise GameFormatError(bad_ids)
-    if len(set(all_ids)) != len(all_ids):
-        raise GameFormatError("state identifiers must be unique across kinds")
-    min_index = {s: j for j, s in enumerate(min_ids)}
-    max_index = {s: i for i, s in enumerate(max_ids)}
-    nat_index = {s: k for k, s in enumerate(nat_ids)}
-    min_edges = [[] for _ in min_ids]
-    max_edges = [[] for _ in max_ids]
-    nat_edges = [[] for _ in nat_ids]
-    seen = set()
-    for rec in records:
-        src, dst = rec.get("from"), rec.get("to")
-        if not (is_state_id(src) and is_state_id(dst)):
-            raise GameFormatError(f"edge record {rec!r} violates alternation")
-        if (src, dst) in seen:
-            raise GameFormatError(f"duplicate edge {src!r} -> {dst!r}")
-        seen.add((src, dst))
-        if src in min_index and dst in max_index:
-            a = json_int(rec.get("a", 0), f'"a" of edge {src!r} -> {dst!r}')
-            min_edges[min_index[src]].append((max_index[dst], a))
-        elif src in max_index and dst in nat_index:
-            b = json_int(rec.get("b", 0), f'"b" of edge {src!r} -> {dst!r}')
-            max_edges[max_index[src]].append((nat_index[dst], b))
-        elif src in nat_index and dst in min_index:
-            num = rec.get("p_num")
-            if num is not None:
-                json_int(num, f'"p_num" of edge {src!r} -> {dst!r}')
-            nat_edges[nat_index[src]].append((min_index[dst], num))
-        else:
-            raise GameFormatError(f"edge record {rec!r} violates alternation")
     for k, row in enumerate(nat_edges):
         if len(row) == 1 and row[0][1] is None:
             nat_edges[k] = [(row[0][0], m)]
         elif any(num is None for _, num in row):
             raise GameFormatError(
-                f'state {nat_ids[k]!r}: "p_num" required when a Nature state '
+                f'state {ids[2][k]!r}: "p_num" required when a Nature state '
                 "has several successors"
             )
-    return make_game(min_ids, max_ids, nat_ids, min_edges, max_edges, nat_edges, m)
+    return make_game(*ids, min_edges, max_edges, nat_edges, m)
 
 
 def game_to_json(game: StochasticGame) -> dict:
-    edges = []
-    for j, row in enumerate(game.min_edges):
-        for i, a in row:
-            edges.append({"from": game.min_ids[j], "to": game.max_ids[i], "a": a})
-    for i, row in enumerate(game.max_edges):
-        for k, b in row:
-            edges.append({"from": game.max_ids[i], "to": game.nat_ids[k], "b": b})
-    for k, row in enumerate(game.nat_edges):
-        for l, num in row:
-            edges.append(
-                {"from": game.nat_ids[k], "to": game.min_ids[l], "p_num": num}
-            )
-    return {
-        "type": "smpg",
-        "min_states": list(game.min_ids),
-        "max_states": list(game.max_ids),
-        "nat_states": list(game.nat_ids),
-        "denominator": game.M,
-        "edges": edges,
-    }
+    return game_file("smpg", KEYS, _LABELS, game.ids, game.edges,
+                     denominator=game.M)
 
 
 def random_smpg(

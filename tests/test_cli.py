@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -94,6 +95,10 @@ def set_field(path, value, obj):
     for step in where:
         obj = obj[step]
     obj[key] = value
+
+
+def drop_key(key, obj):
+    del obj[key]
 
 
 def forged(path, value):
@@ -259,6 +264,8 @@ class TestSolve:
         ("entropy", partial(set_field, ["d_states"], 5)),
         ("entropy", partial(set_field, ["edges", 3, "m"], 2.9)),
         ("entropy", partial(set_field, ["edges", 3, "m"], True)),
+        ("smpg", partial(set_field, ["edges", 0, "a"], None)),
+        ("entropy", partial(set_field, ["edges", 3, "m"], None)),
     ])
     def test_bad_state_ids_exit_one(self, runner, tmp_path, kind, mutate):
         """Ids that are not strings or integers (bool included), a mix of
@@ -274,6 +281,47 @@ class TestSolve:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert "error:" in res.output
+        assert "Traceback" not in res.output
+
+    # edges of cycle_game: 0 m0 -> x0, 1 x0 -> n0; of entropy_tribune_choice:
+    # 0 d0 -> t0, 1 t0 -> p2.  Every stochastic edge kind carries a field,
+    # so only an entropy file can put one on a kind that has none.
+    @pytest.mark.parametrize("kind, mutate, message", [
+        ("smpg", partial(set_field, ["edges", 0, "to"], "n0"),
+         "violates alternation"),
+        ("smpg", partial(set_field, ["edges", 1, "to"], "m0"),
+         "violates alternation"),
+        ("smpg", partial(set_field, ["edges", 0, "to"], "zzz"),
+         "violates alternation"),
+        ("smpg", partial(drop_key, "max_states"), "missing key 'max_states'"),
+        ("entropy", partial(set_field, ["edges", 0, "to"], "p2"),
+         "violates alternation"),
+        ("entropy", partial(set_field, ["edges", 1, "to"], "d0"),
+         "violates alternation"),
+        ("entropy", partial(set_field, ["edges", 0, "to"], "zzz"),
+         "violates alternation"),
+        ("entropy", partial(set_field, ["edges", 0, "m"], 2),
+         '"m" belongs on people edges only'),
+        ("entropy", partial(drop_key, "t_states"), "missing key 't_states'"),
+    ], ids=["smpg-skips-a-kind", "smpg-backwards", "smpg-undeclared",
+            "smpg-missing-list", "entropy-skips-a-kind", "entropy-backwards",
+            "entropy-undeclared", "entropy-field-on-fieldless-kind",
+            "entropy-missing-list"])
+    def test_game_file_layout(self, runner, tmp_path, kind, mutate, message):
+        """Both kinds' files are read by one reader: an edge must go from
+        one kind to the next, between declared states, and carry only its
+        own kind's field, and every state list must be present."""
+        obj = (mg.game_to_json(cycle_game()) if kind == "smpg"
+               else mg.entropy_to_json(entropy_tribune_choice()))
+        mutate(obj)
+        parse = mg.parse_smpg if kind == "smpg" else mg.parse_entropy
+        with pytest.raises(mg.GameFormatError, match=re.escape(message)):
+            parse(copy.deepcopy(obj))
+        res = runner.invoke(main, ["solve",
+                                   write_game(tmp_path, "bad.json", obj)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error:") and message in res.output
         assert "Traceback" not in res.output
 
     def test_wrong_type_field(self, runner, tmp_path):
@@ -361,6 +409,25 @@ class TestCertify:
         assert isinstance(res.exception, SystemExit)
         assert "error:" in res.output
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("kind", ["smpg", "entropy"])
+    def test_unknown_state_id_exit_one(self, runner, tmp_path, kind):
+        """A certificate pair whose "states" names an unknown Min or Despot
+        id is one error line naming that id."""
+        game, keys = ((mg.game_to_json(nature_half_game()), mg.stochastic.KEYS)
+                      if kind == "smpg" else
+                      (mg.entropy_to_json(entropy_tribune_choice()), ent.KEYS))
+        path = write_game(tmp_path, "g.json", game)
+        report = json.loads(
+            runner.invoke(main, ["solve", path, "--json"]).output)
+        for record in report["certificates"][:2]:
+            record["states"][keys[0]][0] = "zzz"
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(report))
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.strip() == "error: unknown state id 'zzz'"
 
     @pytest.mark.parametrize("kind, mode, forges", [
         ("smpg", "full", [forged(["top_value"], "1000/1")]),

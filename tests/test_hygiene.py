@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-and some module of the package reads each module-level private name.
+some module of the package reads each module-level private name, and each
+state-list key of the game files is spelled in one module only.
 
 `__init__` is left out of the import scan: its imports are the package's
 exports."""
@@ -105,3 +106,39 @@ def test_scan_finds_unread_privates():
 def test_every_private_name_is_read():
     assert unread_privates({p.stem: p.read_text(encoding="utf-8")
                             for p in SOURCES}) == []
+
+
+STATE_KEYS = ("min_states", "max_states", "nat_states",
+              "d_states", "t_states", "p_states")
+
+
+def shared_state_keys(sources):
+    """(key, modules) of each game-file state-list key that appears as a
+    string constant in more than one of the modules `sources` (module name
+    -> source)."""
+    where = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Constant) and node.value in STATE_KEYS:
+                where.setdefault(node.value, set()).add(module)
+    return sorted((key, sorted(modules)) for key, modules in where.items()
+                  if len(modules) > 1)
+
+
+def test_scan_finds_shared_state_keys():
+    sources = {
+        "a": ('KEYS = ("min_states", "max_states", "nat_states")\n'
+              'def f(obj):\n'
+              '    """Reads "d_states"."""\n'
+              '    return obj["d_states"], f"{obj}_states"\n'),
+        "b": ('def g(states):\n'
+              '    return states["min_states"], states["t_states"]\n'),
+        "c": 'NAME = "d_states"\nOTHER = "min_states_x"\n',
+    }
+    assert shared_state_keys(sources) == [
+        ("d_states", ["a", "c"]), ("min_states", ["a", "b"])]
+
+
+def test_state_keys_are_spelled_once():
+    assert shared_state_keys({p.stem: p.read_text(encoding="utf-8")
+                              for p in SOURCES}) == []
