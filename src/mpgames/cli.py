@@ -92,13 +92,22 @@ def _cert_record(cert: Certificate, states=None) -> dict:
     return rec
 
 
+def _field(record, key):
+    """record[key]; a missing key is a GameFormatError worded as the game
+    reader words it."""
+    try:
+        return record[key]
+    except KeyError as exc:
+        raise GameFormatError(f"missing key {exc}") from exc
+
+
 def _cert_from_record(rec) -> Certificate:
     if not isinstance(rec, dict):
         raise GameFormatError(f"certificate record {rec!r} is not an object")
     return Certificate(
-        _report_frac(rec["lam"]),
-        tuple(_parse_frac(v) for v in json_list(rec["vec"], '"vec"')),
-        rec["direction"],
+        _report_frac(_field(rec, "lam")),
+        tuple(_parse_frac(v) for v in json_list(_field(rec, "vec"), '"vec"')),
+        _field(rec, "direction"),
         bool(rec.get("multiplicative", False)),
     )
 
@@ -248,7 +257,8 @@ def _solve_entropy(game, mode, budget):
 )
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 @click.option("--budget", type=int, default=10**6, show_default=True,
-              help="strategy-pair budget of the entropy solver's enumeration")
+              help="strategy-pair budget; an entropy game with more pairs "
+                   "is refused")
 def solve(input_path, mode, as_json, budget):
     """Solve a game file (winner / value / top class / full analysis)."""
     try:
@@ -275,12 +285,12 @@ def _inside(rec, levels: RationalInterval) -> bool:
     """Whether the interval record `rec` of a report lies inside `levels`."""
     if not isinstance(rec, dict):
         raise GameFormatError(f"interval {rec!r} is not an object")
-    lo, hi = _report_frac(rec["lo"]), _report_frac(rec["hi"])
+    lo, hi = _report_frac(_field(rec, "lo")), _report_frac(_field(rec, "hi"))
     return levels.lo <= lo <= hi <= levels.hi
 
 
 def _report_ids(states, key):
-    ids = json_list(states[key], f'"{key}"')
+    ids = json_list(_field(states, key), f'"{key}"')
     bad = state_ids_error(ids)
     if bad:
         raise GameFormatError(bad)
@@ -523,8 +533,8 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
 
 def _bench_one(path, budget):
     """One bench row; `steps` counts the oracle calls of `solve_game` for a
-    stochastic file and the damped witness steps of `solve_entropy_game`
-    for an entropy file."""
+    stochastic file and the block iterations of `solve_entropy_game` for
+    an entropy file."""
     start = time.perf_counter()
     kind, game = _load_game(path)
     if kind == "smpg":

@@ -8,17 +8,24 @@ domain the one-step operator on positive vectors indexed by Despot states is
     T_d(x) = min_(d,t) max_(t,p) sum_(p,l) m_pl * x_l,
 
 and the per-state value is the growth rate lim T^k(1)_d^(1/k), a Perron root
-of an induced nonnegative matrix.  The solver peels top classes: strategy
-enumeration finds the top class of the residual game and brackets its value,
-comparing brackets exactly by the separation bound of the game's rank (the
-maximal rank of its pair matrices, read off the same enumeration), and a
-damped iteration of T on integer vectors finds exact sub/super
-eigenvectors of the block, which serve as its certificates (checked in exact
-rational arithmetic) and give both players' strategies.  The witness levels
-sit a slack outside the value bracket; the slack is half an exact rational
-lower bound of the log-gap between the top value and the nearest distinct
-growth rate of a pair matrix restricted to the block, so the strategies
-greedy at the witnesses are exactly optimal.
+of an induced nonnegative matrix.  The solver peels top classes, searching
+approximately and certifying exactly, with no strategy enumeration: a
+damped iteration u <- T(u) + u on integer vectors guesses the top class D of
+the residual game from its growth ratios, and an integer iterate on the
+subgame D induces is accepted as both the sub and the super eigenvector of
+the block once its Collatz-Wielandt levels are closer than the separation
+bound nu of the rank of D's People rows.  That rank bounds the rank of
+every pair matrix restricted to D, so the levels hold one growth rate, the
+block's value, and the strategies greedy at the iterate are exactly
+optimal.  A super witness on the rest of the game, below the block's
+level, shows that D is the whole top class.  All checks are exact rational
+arithmetic.  A block whose search runs past its evaluation budget falls
+back to strategy enumeration: enumeration finds the top class, brackets its
+value, and compares brackets exactly by the separation bound of the game's
+rank (the maximal rank of its pair matrices, read off the same
+enumeration); damped witnesses then sit a slack outside the value bracket,
+half an exact rational lower bound of the log-gap between the top value and
+the nearest distinct growth rate of a pair matrix restricted to the block.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 
@@ -322,6 +330,7 @@ class RankProfile:
     nu_hat: Fraction  # log-domain separation denominator (n * W * nu)
 
 
+@lru_cache(maxsize=None)
 def _nu_value(n: int, w: int, r: int) -> Fraction:
     nu = Fraction(2) ** r * Fraction(r + 1) ** (8 * r)
     expo = 2 * r * r - r - 1
@@ -415,6 +424,22 @@ class BruteEntropyResult:
         return self.registry.values(key, tol)[st]
 
 
+def pair_count(game: EntropyGame) -> int:
+    """The number of positional strategy pairs of the game."""
+    count = 1
+    for row in game.d_edges + game.t_edges:
+        count *= len(row)
+    return count
+
+
+def check_pair_budget(game: EntropyGame, budget: int) -> int:
+    """The game's strategy-pair count; ValueError when it exceeds `budget`."""
+    count = pair_count(game)
+    if count > budget:
+        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
+    return count
+
+
 def brute_force_entropy_values(
     game: EntropyGame, budget: int = 10**6
 ) -> BruteEntropyResult:
@@ -426,11 +451,7 @@ def brute_force_entropy_values(
     1/(4*nu_hat) only when a comparison is ambiguous; equal-looking brackets
     at that width are genuinely equal by the separation bound.  A pair count
     over the budget raises ValueError before any pair matrix is built."""
-    count = 1
-    for row in game.d_edges + game.t_edges:
-        count *= len(row)
-    if count > budget:
-        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
+    count = check_pair_budget(game, budget)
     reg = _ValueRegistry()
     taus = list(itertools.product(*game.t_edges))
     grid = [
@@ -503,6 +524,16 @@ def check_entropy_certificates(game: EntropyGame, certs) -> bool:
 # solver
 
 
+SEPARATION = "separation"
+ENUMERATION = "enumeration"
+
+# evaluations of T a block's separation search may spend per strategy pair
+# of the residual game before that block falls back to enumeration: a
+# Jordan-type block, whose levels close only as 1/k, would otherwise take
+# far longer than enumerating its game
+_EVALS_PER_PAIR = 4
+
+
 @dataclass(frozen=True)
 class BlockResult:
     d_ids: tuple  # Despots of this block (top class of the residual game)
@@ -512,12 +543,19 @@ class BlockResult:
     interval: RationalInterval  # multiplicative value bracket
     sub: Certificate
     sup: Certificate
-    # log-domain slack: half an exact lower bound of the log-gap between the
-    # block's value and the nearest distinct per-state rate of a pair matrix
-    # restricted to the block, in [1/nu_hat, 1/8]; the witness levels sit
-    # delta/4 outside a value bracket of width delta/64
+    # log-domain separation behind the levels.  Decided by separation:
+    # 1/nu_hat at r = rank, the a priori log-gap between distinct rates, which
+    # the log-width of the levels stays below.  Decided by enumeration: half
+    # an exact lower bound of the log-gap between the block's value and the
+    # nearest distinct per-state rate of a pair matrix restricted to the
+    # block, in [1/nu_hat, 1/8]; the witness levels sit delta/4 outside a
+    # value bracket of width delta/64
     delta: Fraction
-    iterations: int  # damped witness steps
+    iterations: int  # evaluations of T in the search that decided the block
+    decided_by: str  # SEPARATION or ENUMERATION
+    # r of nu(n, W, r): r_D, the rank of the subgame's People rows, or the
+    # residual game's rank read off its enumeration
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -603,37 +641,17 @@ def _witness_certificates(subgame, v_interval, slack, cap=30000):
     )
 
 
-def _solve_block(game: EntropyGame, budget: int):
-    brute = brute_force_entropy_values(game, budget)
-    reg, cands = brute.registry, brute.candidates
-    coarse, fine = brute.coarse_tol, brute.fine_tol
-    nd = len(game.d_ids)
-    best = 0
-    for d in range(1, nd):
-        if reg.compare(cands[d], cands[best], coarse, fine) > 0:
-            best = d
-    dmax = [
-        d
-        for d in range(nd)
-        if reg.compare(cands[d], cands[best], coarse, fine) == 0
-    ]
-    subgame = induced_entropy_subgame(game, dmax)
-    if subgame is None:
-        raise RuntimeError("top class candidate is not a dominion")
-    delta = _top_slack(brute, best, dmax)
-    v_int = brute.refine(best, delta / 64)
-    # delta is at most half the smallest log-gap between v and a distinct
-    # rate on the block, so levels delta/4 outside v_int still separate them
-    sub, sup, steps = _witness_certificates(subgame, v_int, delta / 4)
-    if not check_entropy_certificates(subgame, (sub, sup)):
-        raise AssertionError("internal error: certificate failed verification")
+def _finish_block(game, dmax, subgame, sub, sup, **fields):
+    """The block of the Despots `dmax` of `game`, whose subgame carries the
+    witnesses sub and sup, with the strategies greedy at them:
+    (block, sigma, tau).  `fields` are the block's remaining fields."""
     bounds = value_bounds(game)
     interval = RationalInterval(max(sub.lam, bounds.lo),
                                 min(sup.lam, bounds.hi))
-
     # the witnesses extended by zero off the block: a People sum is positive
     # iff the People has an edge into the block, a Tribune maximum iff the
     # Tribune has such a People; these People and Tribunes join the block
+    nd = len(game.d_ids)
     x = [0] * nd
     y = [0] * nd
     for i, d in enumerate(dmax):
@@ -663,16 +681,183 @@ def _solve_block(game: EntropyGame, budget: int):
         interval=interval,
         sub=sub,
         sup=sup,
-        delta=delta,
-        iterations=steps,
+        **fields,
     )
     return block, sigma, tau
+
+
+def _enumerated_block(game: EntropyGame, budget: int):
+    """The top class of `game` by strategy enumeration, certified by damped
+    witnesses at a slack from `_top_slack`: (block, sigma, tau, residual)."""
+    brute = brute_force_entropy_values(game, budget)
+    reg, cands = brute.registry, brute.candidates
+    coarse, fine = brute.coarse_tol, brute.fine_tol
+    nd = len(game.d_ids)
+    best = 0
+    for d in range(1, nd):
+        if reg.compare(cands[d], cands[best], coarse, fine) > 0:
+            best = d
+    dmax = [
+        d
+        for d in range(nd)
+        if reg.compare(cands[d], cands[best], coarse, fine) == 0
+    ]
+    subgame = induced_entropy_subgame(game, dmax)
+    if subgame is None:
+        raise RuntimeError("top class candidate is not a dominion")
+    delta = _top_slack(brute, best, dmax)
+    v_int = brute.refine(best, delta / 64)
+    # delta is at most half the smallest log-gap between v and a distinct
+    # rate on the block, so levels delta/4 outside v_int still separate them
+    sub, sup, steps = _witness_certificates(subgame, v_int, delta / 4)
+    if not check_entropy_certificates(subgame, (sub, sup)):
+        raise AssertionError("internal error: certificate failed verification")
+    block, sigma, tau = _finish_block(
+        game, dmax, subgame, sub, sup, delta=delta, iterations=steps,
+        decided_by=ENUMERATION, rank=brute.profile.rank)
+    return block, sigma, tau, _remove_block(game, block)
+
+
+def _damped(u, tu, step):
+    """The next damped iterate u + T(u), divided by the gcd of its entries
+    every 32 steps."""
+    u = [a + b for a, b in zip(tu, u)]
+    if step % 32 == 0:
+        g = gcd(*u)
+        if g > 1:
+            u = [v // g for v in u]
+    return u
+
+
+def _growth_top(u, tu, step):
+    """The top class guessed at damped step `step`: the Despots whose
+    growth ratio T(u)_d / u_d is at least 1 - 1/step times the largest
+    (every Despot at step 1), compared by cross-multiplication."""
+    best = 0
+    for d in range(1, len(u)):
+        if tu[d] * u[best] > tu[best] * u[d]:
+            best = d
+    a, b = (step - 1) * tu[best], step * u[best]
+    return tuple(d for d in range(len(u)) if b * tu[d] >= a * u[d])
+
+
+def _separated_levels(v, tv, nu_hat):
+    """The Collatz-Wielandt levels (min, max of T(v)_d / v_d) of the
+    positive vector v, or None unless max/min < 1 + 1/nu_hat.  The ratios
+    are compared as integer pairs by cross-multiplication; only the two
+    levels become Fractions."""
+    lo = hi = 0
+    for d in range(1, len(v)):
+        if tv[d] * v[lo] < tv[lo] * v[d]:
+            lo = d
+        if tv[d] * v[hi] > tv[hi] * v[d]:
+            hi = d
+    # max/min - 1 = (tv_hi v_lo - tv_lo v_hi) / (tv_lo v_hi) < 1/nu_hat
+    gap = tv[hi] * v[lo] - tv[lo] * v[hi]
+    if gap * nu_hat.numerator >= tv[lo] * v[hi] * nu_hat.denominator:
+        return None
+    return Fraction(tv[lo], v[lo]), Fraction(tv[hi], v[hi])
+
+
+def _people_rank(subgame: EntropyGame) -> int:
+    """The rank of the subgame's People rows, as vectors over its Despots."""
+    rows = []
+    for row in subgame.p_edges:
+        vec = [0] * len(subgame.d_ids)
+        for l, m in row:
+            vec[l] = m
+        rows.append(vec)
+    return integer_rank(rows)
+
+
+def _separated_block(game: EntropyGame):
+    """The top class of `game` certified by the rank separation, with no
+    enumeration: (block, sigma, tau, residual), or None once the search has
+    spent `_EVALS_PER_PAIR` evaluations of T per strategy pair of `game`.
+
+    Search approximately: the damped iteration u <- T(u) + u runs on the
+    game from 1, and `_growth_top` guesses the top class D at each step.
+    Certify exactly: a guess is accepted only when
+    - D induces a subgame;
+    - an iterate v of the damped iteration on that subgame, from 1, has
+      Collatz-Wielandt levels lo <= hi with hi/lo < 1 + 1/nu_hat, where
+      nu_hat = n * W * nu(n, W, r_D), n and W are the game's, and r_D is
+      the rank of the subgame's People rows (`_people_rank`).  Every pair
+      matrix restricted to D takes its rows from those rows (or is zero
+      there), so its rank is at most r_D, and two of its distinct rates,
+      all at most n * W, lie a log-distance of at least 1/nu_hat apart.  So
+      [lo, hi] holds exactly one such rate, the block's value, and v is both
+      the sub and the super witness.  The strategies greedy at v are then
+      exactly optimal on D by `_top_slack`'s argument, with 1/nu_hat in
+      place of the enumerated gap;
+    - `_remove_block` leaves a well-formed residual game (or none), and the
+      probe iterate restricted to it is a super witness at a level below
+      lo: every Despot left has a lower value, so D is the whole top class.
+    When D is every Despot, the subgame is the game itself and the probe
+    iterate serves as v."""
+    nd = len(game.d_ids)
+    stats = game.stats()
+    limit = _EVALS_PER_PAIR * pair_count(game)
+    u = [1] * nd
+    guess = None
+    evals = step = 0
+    while evals < limit:
+        step += 1
+        tu = multiplicative_eval(game, u)
+        evals += 1
+        top = _growth_top(u, tu, step)
+        if top != guess:
+            # a new guess: its subgame, separation bound and iterate
+            guess, found = top, None
+            subgame = induced_entropy_subgame(game, top)
+            if subgame is not None:
+                rank = _people_rank(subgame)
+                nu_hat = stats.n * stats.W * _nu_value(stats.n, stats.W, rank)
+                v = [1] * len(top)
+        if subgame is not None and found is None:
+            if len(top) == nd:
+                v, tv = u, tu
+            else:
+                tv = multiplicative_eval(subgame, v)
+                evals += 1
+            levels = _separated_levels(v, tv, nu_hat)
+            if levels is None:
+                if len(top) < nd:
+                    v = _damped(v, tv, step)
+            else:
+                lo, hi = levels
+                found = _finish_block(
+                    game, top, subgame,
+                    Certificate(lo, tuple(v), SUB, multiplicative=True),
+                    Certificate(hi, tuple(v), SUPER, multiplicative=True),
+                    delta=1 / nu_hat, iterations=0, decided_by=SEPARATION,
+                    rank=rank)
+                try:
+                    residual = _remove_block(game, found[0])
+                except RuntimeError:
+                    subgame = None  # some Despot outside D must enter it
+        if subgame is not None and found is not None:
+            if residual is not None:
+                rest = [d for d in range(nd) if d not in top]
+                w = [u[d] for d in rest]
+                tw = multiplicative_eval(residual, w)
+                evals += 1
+            if residual is None or all(
+                    a * lo.denominator < lo.numerator * b
+                    for a, b in zip(tw, w)):
+                block, sigma, tau = found
+                block = replace(block, iterations=evals)
+                return block, sigma, tau, residual
+        u = _damped(u, tu, step)
+    return None
 
 
 def _remove_block(game: EntropyGame, block: BlockResult):
     """Residual game after peeling a block: drop its Despots, its Tribunes
     (every Tribune with a People successor feeding the block) and its People
-    (every People with an edge into the block)."""
+    (every People with an edge into the block).  None when no Despot is
+    left; RuntimeError when a Tribune or People is orphaned or a state left
+    loses every move."""
     d_keep = [s for s in game.d_ids if s not in set(block.d_ids)]
     t_keep = [s for s in game.t_ids if s not in set(block.t_ids)]
     p_keep = [s for s in game.p_ids if s not in set(block.p_ids)]
@@ -691,23 +876,28 @@ def _remove_block(game: EntropyGame, block: BlockResult):
 def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolution:
     """Per-state value brackets, uniformly optimal positional strategies, and
     exactly verified multiplicative certificates, by peeling top classes:
-    solve the top class of the current residual game as a constant-value
+    certify the top class of the current residual game as a constant-value
     block, remove it together with the Tribunes and People attached to it,
-    and recurse."""
+    and recurse.  Each block is certified by the rank separation
+    (`_separated_block`); a block whose search runs out of evaluations
+    falls back to strategy enumeration (`_enumerated_block`).  A game whose
+    strategy-pair count exceeds `budget` is refused before any other work,
+    so every fallback fits the budget."""
     game.validate()
+    check_pair_budget(game, budget)
     current = game
     blocks = []
     values = {}
     sigma = {}
     tau = {}
     for _ in range(len(game.d_ids) + 1):
-        block, blk_sigma, blk_tau = _solve_block(current, budget)
+        block, blk_sigma, blk_tau, current = (
+            _separated_block(current) or _enumerated_block(current, budget))
         blocks.append(block)
         for did in block.d_ids:
             values[did] = block.interval
         sigma.update(blk_sigma)
         tau.update(blk_tau)
-        current = _remove_block(current, block)
         if current is None:
             break
     else:

@@ -167,6 +167,18 @@ def entropy_shared_tribune():
     )
 
 
+def entropy_jordan():
+    """d0 -> t0 -> p0, which spreads into d0 and d1; d1 -> t1 -> p1 back into
+    d1; all multiplicities 1.  The one pair matrix [[1, 1], [0, 1]] is a
+    Jordan block: both values are 1, but the Collatz-Wielandt levels of the
+    damped iterates close only as 1/k, so no separation bound is reached."""
+    return mg.make_entropy_game(
+        ["d0", "d1"], ["t0", "t1"], ["p0", "p1"],
+        [[0], [1]], [[0], [1]],
+        [[(0, 1), (1, 1)], [(1, 1)]],
+    )
+
+
 # three default draws (draw k of random_entropy_game(Random(seed)), named
 # e<seed>-<k>) of value 3 everywhere: their witness search takes about 3,000
 # damped steps at a slack of delta/4, and more than the 30,000-step cap at

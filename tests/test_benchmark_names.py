@@ -53,8 +53,11 @@ def test_traced_command_resolves(cmd, span):
 
 def test_traced_run_counts_work(tmp_path):
     """A traced `solve --json` and `certify` of one stochastic and one
-    entropy game read the work counts off the return values the tracer
-    expects: a reshaped result fails here, not only in the traced run."""
+    entropy game, and a traced `brute --json` of the entropy game, read the
+    work counts off the return values the tracer expects: a reshaped result
+    fails here, not only in the traced run.  The entropy solve certifies its
+    block by the rank separation, so the enumeration counts come from
+    `brute`."""
     runner = CliRunner()
     tracer = spans.Tracer()
     tracer.install()
@@ -69,6 +72,9 @@ def test_traced_run_counts_work(tmp_path):
             report.write_text(res.output)
             res = runner.invoke(main, ["certify", str(game), str(report)])
             assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["brute", str(tmp_path / "entropy.json"),
+                                   "--json"])
+        assert res.exit_code == 0, res.output
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(1)

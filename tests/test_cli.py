@@ -410,6 +410,33 @@ class TestCertify:
         assert "error:" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("records, path", [
+        ([0], ["lam"]),
+        ([0], ["vec"]),
+        ([0], ["direction"]),
+        ([0, 1], ["states", "d_states"]),
+        ([], ["values", "d0", "hi"]),
+    ], ids=["lam", "vec", "direction", "d_states", "hi"])
+    def test_missing_key_exit_one(self, runner, entropy_file, tmp_path,
+                                  records, path):
+        """A report that lacks a key of a certificate record (of both
+        records of the pair, for their shared "states") or of an interval is
+        one error line naming the key, worded as the game reader words it."""
+        report = json.loads(
+            runner.invoke(main, ["solve", entropy_file, "--json"]).output)
+        *where, key = path
+        for owner in ([report["certificates"][k] for k in records]
+                      or [report]):
+            for step in where:
+                owner = owner[step]
+            del owner[key]
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(report))
+        res = runner.invoke(main, ["certify", entropy_file, str(rep)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.strip() == f"error: missing key {key!r}"
+
     @pytest.mark.parametrize("kind", ["smpg", "entropy"])
     def test_unknown_state_id_exit_one(self, runner, tmp_path, kind):
         """A certificate pair whose "states" names an unknown Min or Despot

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from click.testing import CliRunner
 
 import mpgames as mg
 from mpgames import entropy as ent
+from mpgames.cli import main
 from mpgames.entropy import (
     GameFormatError,
     certified_log_sum_exp,
@@ -24,6 +26,7 @@ from conftest import (
     DEFECT_GAMES,
     defect_game,
     entropy_despot_choice,
+    entropy_jordan,
     entropy_loop,
     entropy_pair_loop,
     entropy_shared_tribune,
@@ -337,9 +340,9 @@ class TestSolve:
         entropy_pair_loop,
     ], ids=["loop", "tribune-choice", "despot-choice", "pair-loop"])
     def test_shared_witness_checked_once(self, make, monkeypatch):
-        """A single block whose sub and super witness share a vector: the
-        solve evaluates T once per witness step and once more to re-check
-        both certificates."""
+        """A single block decided by separation, whose sub and super witness
+        are one iterate: every evaluation of T in the solve is a step of its
+        search, and the levels read off that evaluation need no re-check."""
         calls = []
         real_eval = ent.multiplicative_eval
 
@@ -349,8 +352,9 @@ class TestSolve:
 
         monkeypatch.setattr(ent, "multiplicative_eval", counted_eval)
         (block,) = mg.solve_entropy_game(make()).blocks
+        assert block.decided_by == ent.SEPARATION
         assert block.sub.vec == block.sup.vec
-        assert len(calls) == block.iterations + 1
+        assert len(calls) == block.iterations
 
     def test_block_subgame_reconstructible(self):
         g = two_block_game()
@@ -380,8 +384,14 @@ class TestSolve:
                                                         block.sup)
 
 
-# (delta, witness steps) of each block and the exact value brackets: any
-# change to them is a change in the solver's answers
+def sep(n, w, r):
+    """The separation delta of a block decided at rank r on a residual game
+    with n Despots and largest multiplicity w: 1/nu_hat."""
+    return 1 / (n * w * ent._nu_value(n, w, r))
+
+
+# (deciding path, rank, delta, T evaluations) of each block and the exact
+# value brackets: any change to them is a change in the solver's answers
 CEX_HI = (
     "34896740605806234618327214819654873083/"
     "12628643436220038754328496543634157408")
@@ -389,13 +399,14 @@ CEX_LO = (
     "12484193301439034365287911290268563801/"
     "4622404312992140449298728107698995424")
 R2_666_1_LO = (
-    "56528958320989686471143557635350665912991/"
-    "4887153013571420984232473880424400027648")
+    "1526498727326636503530304688154636338460065680220786855167384/"
+    "131961430009037871145785792202420198171978945684566998241043")
 R2_666_1_HI = (
-    "403427885254931593368671072192249384247143/"
-    "34872420715034924534520203363645313253376")
+    "5446187759261356658392289791606444362980367992460312429464321/"
+    "470807287254333534364018350535274753084234114744250869239040")
+ENUM, SEPN = ent.ENUMERATION, ent.SEPARATION
 DEFECT_E11_E86 = (
-    [("251355953/2147483648", 137)],
+    [(ENUM, 3, F(251355953, 2147483648), 137)],
     {d: ("25518447823/8589934592", "26021159729/8589934592")
      for d in ("d0", "d1", "d2")},
 )
@@ -403,21 +414,25 @@ PINNED_ANSWERS = {
     "defect-e11-54": DEFECT_E11_E86,
     "defect-e86-57": DEFECT_E11_E86,
     "defect-e239-27": (
-        [("19306017/268435456", 220)],
+        [(ENUM, 3, F(19306017, 268435456), 220)],
         {d: ("3201919455/1073741824", "3240531489/1073741824")
          for d in ("d0", "d1", "d2")},
     ),
-    "r2-666-0": ([("1/8", 1)], {"d0": ("95/32", "3")}),
+    "r2-666-0": ([(SEPN, 1, sep(1, 3, 1), 1)], {"d0": ("3", "3")}),
     "r2-666-1": (
-        [("1966881/536870912", 5)],
+        [(SEPN, 3, sep(6, 3, 3), 64)],
         {f"d{i}": (R2_666_1_LO, R2_666_1_HI) for i in range(6)},
     ),
     "cex-2-2": (
-        [("1/8", 5), ("1/8", 1)],
+        [(ENUM, 3, F(1, 8), 5), (SEPN, 1, sep(1, 8, 1), 1)],
         {"d*": (CEX_LO, CEX_HI), "dl0": (CEX_LO, CEX_HI),
-         "dl1": (CEX_LO, CEX_HI), "dr0": ("63/32", "65/32")},
+         "dl1": (CEX_LO, CEX_HI), "dr0": ("2", "2")},
     ),
 }
+
+
+def block_pins(sol):
+    return [(b.decided_by, b.rank, b.delta, b.iterations) for b in sol.blocks]
 
 
 def pinned_game(name):
@@ -433,13 +448,18 @@ def pinned_game(name):
 class TestPinnedAnswers:
     @pytest.mark.parametrize("name", sorted(PINNED_ANSWERS))
     def test_delta_steps_and_values(self, name):
+        """The pinned blocks and brackets, each bracket meeting brute
+        force's."""
         blocks, values = PINNED_ANSWERS[name]
-        sol = mg.solve_entropy_game(pinned_game(name))
-        assert [(b.delta, b.iterations) for b in sol.blocks] == [
-            (F(d), steps) for d, steps in blocks]
+        g = pinned_game(name)
+        sol = mg.solve_entropy_game(g)
+        assert block_pins(sol) == blocks
         assert sol.values == {
             d: mg.RationalInterval(F(lo), F(hi))
             for d, (lo, hi) in values.items()}
+        brute = mg.brute_force_entropy_values(g)
+        for did, iv in zip(g.d_ids, brute.chi):
+            assert sol.values[did].lo <= iv.hi and iv.lo <= sol.values[did].hi
 
     @pytest.mark.parametrize("name", sorted(PINNED_ANSWERS))
     def test_no_float_logarithm(self, name, monkeypatch):
@@ -452,8 +472,102 @@ class TestPinnedAnswers:
         monkeypatch.setattr(math, "log2", refuse)
         blocks, _ = PINNED_ANSWERS[name]
         sol = mg.solve_entropy_game(pinned_game(name))
-        assert [(b.delta, b.iterations) for b in sol.blocks] == [
-            (F(d), steps) for d, steps in blocks]
+        assert block_pins(sol) == blocks
+
+
+def brute_classes(g, brute):
+    """The Despot ids of g grouped by equal brute-force value, from the
+    highest value down: the blocks a peel of top classes must find."""
+    cmp, c = brute.registry.compare, brute.candidates
+
+    def order(a, b):
+        return cmp(c[a], c[b], brute.coarse_tol, brute.fine_tol)
+
+    left = list(range(len(g.d_ids)))
+    classes = []
+    while left:
+        best = left[0]
+        for d in left[1:]:
+            if order(d, best) > 0:
+                best = d
+        top = [d for d in left if order(d, best) == 0]
+        classes.append(sorted(g.d_ids[d] for d in top))
+        left = [d for d in left if d not in top]
+    return classes
+
+
+def assert_agrees_with_brute_force(g):
+    """The solve of g has brute force's blocks, and its brackets and the
+    pair values of its stitched strategies meet brute force's brackets."""
+    sol = mg.solve_entropy_game(g)
+    brute = mg.brute_force_entropy_values(g)
+    assert [sorted(b.d_ids) for b in sol.blocks] == brute_classes(g, brute)
+    pv = mg.pair_values_by_ids(g, sol.sigma, sol.tau, F(1, 2**40))
+    for d, did in enumerate(g.d_ids):
+        for iv in (sol.values[did], pv[d]):
+            assert iv.lo <= brute.chi[d].hi and brute.chi[d].lo <= iv.hi
+    return sol
+
+
+class TestDecidedBy:
+    @pytest.mark.parametrize("make", [entropy_pair_loop, two_block_game],
+                             ids=["pair-loop", "two-blocks"])
+    def test_separation_needs_no_enumeration(self, make, monkeypatch):
+        """Games whose blocks the rank separation decides solve with every
+        enumeration entry point refused.  The evaluation budget is raised,
+        so that the check does not depend on its constant: the two-block
+        game has one strategy pair."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration in a separated solve")
+
+        monkeypatch.setattr(ent, "_EVALS_PER_PAIR", 64)
+        for name in ("brute_force_entropy_values", "rank_profile",
+                     "_top_slack"):
+            monkeypatch.setattr(ent, name, refuse)
+        sol = mg.solve_entropy_game(make())
+        assert {b.decided_by for b in sol.blocks} == {ent.SEPARATION}
+        assert all(b.rank == 1 for b in sol.blocks)
+
+    def test_jordan_block_falls_back_to_enumeration(self):
+        g = entropy_jordan()
+        sol = assert_agrees_with_brute_force(g)
+        (block,) = sol.blocks
+        assert block.decided_by == ent.ENUMERATION
+        assert block.rank == mg.brute_force_entropy_values(g).profile.rank
+        assert sol.values["d0"].contains(F(1))
+        for cert in (block.sub, block.sup):
+            assert mg.check_entropy_certificate(block.subgame, cert)
+
+
+class TestSeparationSweep:
+    """The separation solve against brute force on 1,000 default draws and
+    100 draws with up to 4 states of each kind: the same blocks, brackets
+    and stitched strategy values that meet brute force's, and a report that
+    `certify` accepts on every 25th draw."""
+
+    @pytest.mark.parametrize("seed, size, count", [
+        (2101, (3, 3, 3), 1000), (2102, (4, 4, 4), 100)],
+        ids=["default", "444"])
+    def test_agrees_with_brute_force(self, seed, size, count, tmp_path):
+        runner = CliRunner()
+        rng = random.Random(seed)
+        decided = set()
+        for i in range(count):
+            g = mg.random_entropy_game(rng, *size)
+            sol = assert_agrees_with_brute_force(g)
+            decided.update(b.decided_by for b in sol.blocks)
+            if i % 25:
+                continue
+            game = tmp_path / "g.json"
+            game.write_text(json.dumps(mg.entropy_to_json(g)))
+            res = runner.invoke(main, ["solve", str(game), "--json"])
+            assert res.exit_code == 0
+            report = tmp_path / "report.json"
+            report.write_text(res.output)
+            res = runner.invoke(main, ["certify", str(game), str(report)])
+            assert res.exit_code == 0, res.output
+        # both paths ran
+        assert decided == {ent.SEPARATION, ent.ENUMERATION}
 
 
 class TestCertifiedSeparation:
