@@ -11,18 +11,27 @@ and the per-state value is the growth rate lim T^k(1)_d^(1/k), a Perron root
 of an induced nonnegative matrix.  The solver peels top classes, searching
 approximately and certifying exactly, with no strategy enumeration: a
 damped iteration u <- T(u) + u on integer vectors guesses the top class D of
-the residual game from its growth ratios, and an integer iterate on the
+the residual game from its growth ratios, and an integer vector on the
 subgame D induces is accepted as both the sub and the super eigenvector of
 the block once its Collatz-Wielandt levels are closer than the separation
 bound nu of the rank of D's People rows.  That rank bounds the rank of
 every pair matrix restricted to D, so the levels hold one growth rate, the
-block's value, and the strategies greedy at the iterate are exactly
+block's value, and the strategies greedy at the vector are exactly
 optimal.  A super witness on the rest of the game, below the block's
 level, shows that D is the whole top class.  All checks are exact rational
-arithmetic.  A block whose search runs past its evaluation budget falls
-back to strategy enumeration: enumeration finds the top class, brackets its
-value, and compares brackets exactly by the separation bound of the game's
-rank (the maximal rank of its pair matrices, read off the same
+arithmetic.
+
+The iteration takes logarithmic steps: while the pair greedy at the
+iterate stays the same, the damped step is the matrix A + I of that pair,
+which is squared, so that a geometric tail of k steps costs about log2(k)
+squarings.  A Jordan-type block, whose levels close only as 1/k, has an
+integer value whenever that value is rational; its vector comes from one
+exact solve of (mu I - A) y = 1 just above that integer.
+
+A block whose search runs past its budget of work falls back to strategy
+enumeration, the reference path: enumeration finds the top class, brackets
+its value, and compares brackets exactly by the separation bound of the
+game's rank (the maximal rank of its pair matrices, read off the same
 enumeration); damped witnesses then sit a slack outside the value bracket,
 half an exact rational lower bound of the log-gap between the top value and
 the nearest distinct growth rate of a pair matrix restricted to the block.
@@ -48,7 +57,7 @@ from .graphs import (
     tarjan_scc,
 )
 from .iteration import SUB, SUPER, Certificate, IterationCapExceeded
-from .linalg import integer_rank
+from .linalg import integer_rank, integer_solve
 from .numeric import NEG_INF, RationalInterval, exp_bracket, ln_bracket
 from .perron import perron_root
 
@@ -354,9 +363,9 @@ def rank_profile(game: EntropyGame, matrices) -> RankProfile:
     at most r, and nu(n, W, r) separates any two distinct ones."""
     stats = game.stats()
     r = max([1] + [integer_rank(m) for m in matrices])
-    nu = _nu_value(stats.n, stats.W, r)
-    return RankProfile(rank=r, selections=len(matrices), nu=nu,
-                       nu_hat=stats.n * stats.W * nu)
+    return RankProfile(rank=r, selections=len(matrices),
+                       nu=_nu_value(stats.n, stats.W, r),
+                       nu_hat=_nu_hat(stats, r))
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +509,26 @@ def check_entropy_certificate(game: EntropyGame, cert: Certificate) -> bool:
 
 def check_entropy_certificates(game: EntropyGame, certs) -> bool:
     """`check_entropy_certificate` for every certificate, evaluating T once
-    per distinct vector."""
+    per distinct vector.  T is positively homogeneous, so each vector is
+    scaled to integers by the lcm of its denominators and T runs on ints;
+    lam = p/q is then compared by cross-multiplication, p * v against
+    q * T(v)."""
     images = {}
     for cert in certs:
         if not cert.multiplicative:
             raise ValueError("entropy certificates are multiplicative")
         if any(v <= 0 for v in cert.vec):
             return False
-        y = images.get(cert.vec)
-        if y is None:
-            y = images[cert.vec] = multiplicative_eval(
-                game, [Fraction(v) for v in cert.vec])
+        image = images.get(cert.vec)
+        if image is None:
+            den = math.lcm(*(v.denominator for v in cert.vec))
+            ints = [v.numerator * (den // v.denominator) for v in cert.vec]
+            image = images[cert.vec] = ints, multiplicative_eval(game, ints)
+        p, q = cert.lam.numerator, cert.lam.denominator
         if cert.direction == SUB:
-            holds = all(cert.lam * v <= w for v, w in zip(cert.vec, y))
+            holds = all(p * v <= q * w for v, w in zip(*image))
         else:
-            holds = all(cert.lam * v >= w for v, w in zip(cert.vec, y))
+            holds = all(p * v >= q * w for v, w in zip(*image))
         if not holds:
             return False
     return True
@@ -527,11 +541,14 @@ def check_entropy_certificates(game: EntropyGame, certs) -> bool:
 SEPARATION = "separation"
 ENUMERATION = "enumeration"
 
-# evaluations of T a block's separation search may spend per strategy pair
-# of the residual game before that block falls back to enumeration: a
-# Jordan-type block, whose levels close only as 1/k, would otherwise take
-# far longer than enumerating its game
-_EVALS_PER_PAIR = 4
+# a block's separation search may spend max(4 * pairs, _SEARCH_FLOOR) units
+# of work (evaluations of T, squarings, exact solves), pairs being the
+# strategy-pair count of the residual game, before that block falls back to
+# enumeration
+_SEARCH_FLOOR = 64
+# bits kept beyond those of nu_hat when a search iterate or a power of its
+# step matrix is trimmed
+_MARGIN_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -551,7 +568,10 @@ class BlockResult:
     # block, in [1/nu_hat, 1/8]; the witness levels sit delta/4 outside a
     # value bracket of width delta/64
     delta: Fraction
-    iterations: int  # evaluations of T in the search that decided the block
+    # decided by separation: the units of work of its search (evaluations
+    # of T, squarings, exact solves); by enumeration: the damped witness
+    # steps
+    iterations: int
     decided_by: str  # SEPARATION or ENUMERATION
     # r of nu(n, W, r): r_D, the rank of the subgame's People rows, or the
     # residual game's rank read off its enumeration
@@ -718,45 +738,154 @@ def _enumerated_block(game: EntropyGame, budget: int):
     return block, sigma, tau, _remove_block(game, block)
 
 
-def _damped(u, tu, step):
-    """The next damped iterate u + T(u), divided by the gcd of its entries
-    every 32 steps."""
-    u = [a + b for a, b in zip(tu, u)]
-    if step % 32 == 0:
-        g = gcd(*u)
-        if g > 1:
-            u = [v // g for v in u]
-    return u
+def _greedy_eval(game: EntropyGame, x):
+    """T(x) and the People row each Despot takes under the pair greedy at
+    x, ties to the smallest index: T(x) = A x for the pair matrix A of
+    those rows."""
+    pvals = [sum(m * x[l] for l, m in row) for row in game.p_edges]
+    best = [max(row, key=pvals.__getitem__) for row in game.t_edges]
+    rows = tuple(best[min(row, key=lambda t: pvals[best[t]])]
+                 for row in game.d_edges)
+    return tuple(pvals[p] for p in rows), rows
 
 
-def _growth_top(u, tu, step):
-    """The top class guessed at damped step `step`: the Despots whose
-    growth ratio T(u)_d / u_d is at least 1 - 1/step times the largest
-    (every Despot at step 1), compared by cross-multiplication."""
+def _shifted(rows, shift):
+    """The rows of nonnegative integers divided by 2^shift, rounded up: a
+    positive entry stays positive."""
+    if shift <= 0:
+        return rows
+    return [[-(-v >> shift) for v in row] for row in rows]
+
+
+class _DampedIterate:
+    """The damped iteration u <- T(u) + u on integer vectors from 1 (or
+    from `start`), in logarithmic steps.  A damped step is u <- B u with B = A + I, A the pair
+    matrix greedy at u.  While the next iterate has the same greedy pair, B
+    is squared instead, so that j squarings take 2^j steps at once.
+
+    The iterate keeps bits = bits(nu_hat) + `_MARGIN_BITS` bits on its
+    least entry, and the power of B twice that on its largest; the exact
+    checks accept any positive vector, so trimming costs precision, not
+    soundness.  Squaring stops while the iterate's entries span more than
+    `bits` bits: on a game of several classes that spread grows with the
+    steps taken, and a power would round the lower classes away.  nu_hat
+    may be set after construction, but before the first advance."""
+
+    def __init__(self, game: EntropyGame, nu_hat=None, start=None):
+        self.game = game
+        self.nu_hat = nu_hat
+        self.vec = start or [1] * len(game.d_ids)
+        self.steps = 0  # the damped steps behind the iterate
+        self._rows = self._power = None  # the rows of A, and B^exponent
+        self._exponent = 0
+
+    @property
+    def bits(self) -> int:
+        return _log2_ceil(self.nu_hat) + _MARGIN_BITS
+
+    def advance(self, tx, rows) -> int:
+        """Move past the iterate, whose image is tx under the pair greedy at
+        it with People rows `rows`; returns the squarings spent (0 or 1)."""
+        bits = self.bits
+        low, high = min(self.vec).bit_length(), max(self.vec).bit_length()
+        if rows == self._rows and high - low <= bits:
+            p = self._power
+            cols = list(zip(*p))
+            p = [[sum(map(int.__mul__, row, col)) for col in cols]
+                 for row in p]
+            self._power = _shifted(
+                p, max(map(max, p)).bit_length() - 2 * bits)
+            self._exponent *= 2
+            nxt = [sum(map(int.__mul__, row, self.vec))
+                   for row in self._power]
+            squarings = 1
+        else:
+            n = len(self.vec)
+            power = [[0] * n for _ in range(n)]
+            for d, p in enumerate(rows):
+                power[d][d] = 1
+                for l, m in self.game.p_edges[p]:
+                    power[d][l] += m
+            self._rows, self._power, self._exponent = rows, power, 1
+            nxt = [a + b for a, b in zip(tx, self.vec)]
+            squarings = 0
+        self.steps += self._exponent
+        (self.vec,) = _shifted([nxt], min(nxt).bit_length() - bits)
+        return squarings
+
+
+def _growth_top(u, tu, k):
+    """The top class guessed at cut k: the Despots whose growth ratio
+    T(u)_d / u_d is at least 1 - 1/k times the largest (every Despot at
+    k = 1), compared by cross-multiplication."""
     best = 0
     for d in range(1, len(u)):
         if tu[d] * u[best] > tu[best] * u[d]:
             best = d
-    a, b = (step - 1) * tu[best], step * u[best]
+    a, b = (k - 1) * tu[best], k * u[best]
     return tuple(d for d in range(len(u)) if b * tu[d] >= a * u[d])
 
 
-def _separated_levels(v, tv, nu_hat):
-    """The Collatz-Wielandt levels (min, max of T(v)_d / v_d) of the
-    positive vector v, or None unless max/min < 1 + 1/nu_hat.  The ratios
-    are compared as integer pairs by cross-multiplication; only the two
-    levels become Fractions."""
+def _level_states(v, tv):
+    """The Despots of least and largest ratio T(v)_d / v_d, compared as
+    integer pairs by cross-multiplication."""
     lo = hi = 0
     for d in range(1, len(v)):
         if tv[d] * v[lo] < tv[lo] * v[d]:
             lo = d
         if tv[d] * v[hi] > tv[hi] * v[d]:
             hi = d
+    return lo, hi
+
+
+def _separated_levels(v, tv, nu_hat):
+    """The Collatz-Wielandt levels (min, max of T(v)_d / v_d) of the
+    positive vector v, or None unless max/min < 1 + 1/nu_hat.  Only the two
+    levels become Fractions."""
+    lo, hi = _level_states(v, tv)
     # max/min - 1 = (tv_hi v_lo - tv_lo v_hi) / (tv_lo v_hi) < 1/nu_hat
     gap = tv[hi] * v[lo] - tv[lo] * v[hi]
     if gap * nu_hat.numerator >= tv[lo] * v[hi] * nu_hat.denominator:
         return None
     return Fraction(tv[lo], v[lo]), Fraction(tv[hi], v[hi])
+
+
+def _single_integer(v, tv):
+    """The one integer between the Collatz-Wielandt levels of v, or None
+    when they hold none or several."""
+    lo, hi = _level_states(v, tv)
+    rho = -(-tv[lo] // v[lo])
+    return rho if rho * v[hi] <= tv[hi] < (rho + 1) * v[hi] else None
+
+
+def _integer_value_witness(subgame: EntropyGame, rows, rho, nu_hat):
+    """The candidate witness of a block whose value is the integer rho: y
+    with (mu I - A) y = 1 at mu = rho (1 + 2^-b), 2^-b <= 1/(2 nu_hat), A
+    the pair matrix of the People `rows`, scaled to integers.  None unless
+    rho is an eigenvalue of A (rho I - A singular, a cheap test on small
+    integers) and y is positive.  If rho is A's Perron root, then A y =
+    mu y - 1 gives levels in [rho, mu) even on a Jordan block, which has no
+    positive eigenvector.  The power of two keeps mu, and so y, far shorter
+    than nu_hat's own numerator and denominator."""
+    n = len(rows)
+    shifted = [[rho * (d == l) for l in range(n)] for d in range(n)]
+    for d, p in enumerate(rows):
+        for l, m in subgame.p_edges[p]:
+            shifted[d][l] -= m
+    if integer_rank(shifted) == n:
+        return None
+    # 2^b (mu I - A) = 2^b (rho I - A) + rho I
+    b = _log2_ceil(2 * nu_hat)
+    a = [[(x << b) + rho * (d == l) for l, x in enumerate(row)]
+         for d, row in enumerate(shifted)]
+    try:
+        y = integer_solve(a, [1 << b] * n)
+    except ValueError:
+        return None
+    if any(v <= 0 for v in y):
+        return None
+    den = math.lcm(*(v.denominator for v in y))
+    return [v.numerator * (den // v.denominator) for v in y]
 
 
 def _people_rank(subgame: EntropyGame) -> int:
@@ -770,60 +899,102 @@ def _people_rank(subgame: EntropyGame) -> int:
     return integer_rank(rows)
 
 
+def _nu_hat(stats: EntropyStats, rank: int) -> Fraction:
+    """The log-domain separation denominator n * W * nu(n, W, rank)."""
+    return stats.n * stats.W * _nu_value(stats.n, stats.W, rank)
+
+
+def _log2_ceil(x: Fraction) -> int:
+    """The least b with 2^b >= x, for x >= 1."""
+    b = x.numerator.bit_length() - x.denominator.bit_length()
+    return b if x <= 1 << b else b + 1
+
+
 def _separated_block(game: EntropyGame):
     """The top class of `game` certified by the rank separation, with no
     enumeration: (block, sigma, tau, residual), or None once the search has
-    spent `_EVALS_PER_PAIR` evaluations of T per strategy pair of `game`.
+    spent max(4 * pairs, `_SEARCH_FLOOR`) units of work, pairs being the
+    strategy-pair count of `game`.  A unit is an evaluation of T, a
+    squaring of a step matrix or an exact solve, and the block's
+    `iterations` counts them.
 
     Search approximately: the damped iteration u <- T(u) + u runs on the
-    game from 1, and `_growth_top` guesses the top class D at each step.
-    Certify exactly: a guess is accepted only when
+    game from 1 in logarithmic steps (`_DampedIterate`).  After m damped
+    steps `_growth_top` guesses the top class D at the cut 1 - 1/k, k =
+    isqrt(m) + 1: the ratios of a Jordan chain in D trail the largest by
+    O(1/m), those of a lower class by a constant factor, so D keeps the
+    first and drops the second once m is large enough.  Certify exactly: a
+    guess is accepted only when
     - D induces a subgame;
-    - an iterate v of the damped iteration on that subgame, from 1, has
-      Collatz-Wielandt levels lo <= hi with hi/lo < 1 + 1/nu_hat, where
-      nu_hat = n * W * nu(n, W, r_D), n and W are the game's, and r_D is
-      the rank of the subgame's People rows (`_people_rank`).  Every pair
-      matrix restricted to D takes its rows from those rows (or is zero
-      there), so its rank is at most r_D, and two of its distinct rates,
-      all at most n * W, lie a log-distance of at least 1/nu_hat apart.  So
-      [lo, hi] holds exactly one such rate, the block's value, and v is both
-      the sub and the super witness.  The strategies greedy at v are then
-      exactly optimal on D by `_top_slack`'s argument, with 1/nu_hat in
-      place of the enumerated gap;
+    - a witness v on that subgame has Collatz-Wielandt levels lo <= hi with
+      hi/lo < 1 + 1/nu_hat, where nu_hat = n * W * nu(n, W, r_D), n and W
+      are the game's, and r_D is the rank of the subgame's People rows
+      (`_people_rank`).  Every pair matrix restricted to D takes its rows
+      from those rows (or is zero there), so its rank is at most r_D, and
+      two of its distinct rates, all at most n * W, lie a log-distance of
+      at least 1/nu_hat apart.  So [lo, hi] holds exactly one such rate,
+      the block's value, and v is both the sub and the super witness.  The
+      strategies greedy at v are then exactly optimal on D by `_top_slack`'s
+      argument, with 1/nu_hat in place of the enumerated gap;
     - `_remove_block` leaves a well-formed residual game (or none), and the
-      probe iterate restricted to it is a super witness at a level below
+      search iterate restricted to it is a super witness at a level below
       lo: every Despot left has a lower value, so D is the whole top class.
-    When D is every Despot, the subgame is the game itself and the probe
-    iterate serves as v."""
+    The witnesses offered are the iterates of a second damped iteration on
+    the subgame, which starts from the search iterate restricted to D (when
+    D is every Despot, the search iterate itself).  Their levels close
+    geometrically on most blocks, but only as 1/m on a Jordan-type block.
+    A rational Perron root of an integer matrix is an integer, so when the
+    levels hold a single integer rho, `_integer_value_witness` for the pair
+    greedy at the iterate is offered as well, once per (rho, pair)."""
     nd = len(game.d_ids)
     stats = game.stats()
-    limit = _EVALS_PER_PAIR * pair_count(game)
-    u = [1] * nd
+    limit = max(4 * pair_count(game), _SEARCH_FLOOR)
+    search = _DampedIterate(game)
     guess = None
-    evals = step = 0
-    while evals < limit:
-        step += 1
-        tu = multiplicative_eval(game, u)
-        evals += 1
-        top = _growth_top(u, tu, step)
+    work = 0
+    while work < limit:
+        u = search.vec
+        tu, u_rows = _greedy_eval(game, u)
+        work += 1
+        top = _growth_top(u, tu, math.isqrt(search.steps) + 1)
         if top != guess:
             # a new guess: its subgame, separation bound and iterate
             guess, found = top, None
             subgame = induced_entropy_subgame(game, top)
             if subgame is not None:
                 rank = _people_rank(subgame)
-                nu_hat = stats.n * stats.W * _nu_value(stats.n, stats.W, rank)
-                v = [1] * len(top)
+                nu_hat = _nu_hat(stats, rank)
+                if len(top) == nd:
+                    # the first guess (the cut k = 1 keeps every Despot):
+                    # its rank bounds that of every pair matrix of the game
+                    search.nu_hat, inner = nu_hat, search
+                else:
+                    inner = _DampedIterate(subgame, nu_hat,
+                                           [u[d] for d in top])
+                tried = set()
         if subgame is not None and found is None:
-            if len(top) == nd:
-                v, tv = u, tu
+            v = inner.vec
+            if inner is search:
+                tv, v_rows = tu, u_rows
             else:
-                tv = multiplicative_eval(subgame, v)
-                evals += 1
+                tv, v_rows = _greedy_eval(subgame, v)
+                work += 1
             levels = _separated_levels(v, tv, nu_hat)
+            rho = None if levels else _single_integer(v, tv)
+            if rho is not None and (rho, v_rows) not in tried:
+                # one exact solve per integer and greedy pair of the guess
+                tried.add((rho, v_rows))
+                y = _integer_value_witness(inner.game, v_rows, rho, nu_hat)
+                work += 1
+                if y is not None:
+                    levels = _separated_levels(
+                        y, multiplicative_eval(inner.game, y), nu_hat)
+                    work += 1
+                    if levels is not None:
+                        v = y
             if levels is None:
-                if len(top) < nd:
-                    v = _damped(v, tv, step)
+                if inner is not search:
+                    work += inner.advance(tv, v_rows)
             else:
                 lo, hi = levels
                 found = _finish_block(
@@ -841,14 +1012,14 @@ def _separated_block(game: EntropyGame):
                 rest = [d for d in range(nd) if d not in top]
                 w = [u[d] for d in rest]
                 tw = multiplicative_eval(residual, w)
-                evals += 1
+                work += 1
             if residual is None or all(
                     a * lo.denominator < lo.numerator * b
                     for a, b in zip(tw, w)):
                 block, sigma, tau = found
-                block = replace(block, iterations=evals)
+                block = replace(block, iterations=work)
                 return block, sigma, tau, residual
-        u = _damped(u, tu, step)
+        work += search.advance(tu, u_rows)
     return None
 
 

@@ -171,7 +171,8 @@ def entropy_jordan():
     """d0 -> t0 -> p0, which spreads into d0 and d1; d1 -> t1 -> p1 back into
     d1; all multiplicities 1.  The one pair matrix [[1, 1], [0, 1]] is a
     Jordan block: both values are 1, but the Collatz-Wielandt levels of the
-    damped iterates close only as 1/k, so no separation bound is reached."""
+    damped iterates close only as 1/k, so they reach no separation bound;
+    it has no positive eigenvector either."""
     return mg.make_entropy_game(
         ["d0", "d1"], ["t0", "t1"], ["p0", "p1"],
         [[0], [1]], [[0], [1]],
@@ -180,9 +181,9 @@ def entropy_jordan():
 
 
 # three default draws (draw k of random_entropy_game(Random(seed)), named
-# e<seed>-<k>) of value 3 everywhere: their witness search takes about 3,000
-# damped steps at a slack of delta/4, and more than the 30,000-step cap at
-# delta/64
+# e<seed>-<k>) of value 3 everywhere, Jordan-type blocks: on the enumeration
+# fallback their witness search takes about 3,000 damped steps at a slack of
+# delta/4, and more than the 30,000-step cap at delta/64
 DEFECT_GAMES = {
     "e11-54": (
         [[2], [0, 1, 2], [0, 1, 2]],

@@ -224,6 +224,9 @@ class TestSolve:
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_exhausted_witness_search_exit_three(self, runner, tmp_path,
                                                  monkeypatch, command):
+        """The enumeration fallback's witness search runs out of steps: the
+        separation search is refused, since it certifies this game."""
+        monkeypatch.setattr(ent, "_separated_block", lambda game: None)
         monkeypatch.setattr(ent, "_witness_certificates",
                             partial(ent._witness_certificates, cap=1))
         path = write_game(tmp_path, "g.json",

@@ -341,16 +341,19 @@ class TestSolve:
     ], ids=["loop", "tribune-choice", "despot-choice", "pair-loop"])
     def test_shared_witness_checked_once(self, make, monkeypatch):
         """A single block decided by separation, whose sub and super witness
-        are one iterate: every evaluation of T in the solve is a step of its
-        search, and the levels read off that evaluation need no re-check."""
+        are one iterate: every evaluation of T in the solve, by the search's
+        greedy evaluation or by the exact one, is a unit of its search, and
+        the levels read off that evaluation need no re-check."""
         calls = []
-        real_eval = ent.multiplicative_eval
 
-        def counted_eval(game, x):
-            calls.append(x)
-            return real_eval(game, x)
+        def counted(real):
+            def run(game, x):
+                calls.append(x)
+                return real(game, x)
+            return run
 
-        monkeypatch.setattr(ent, "multiplicative_eval", counted_eval)
+        for name in ("multiplicative_eval", "_greedy_eval"):
+            monkeypatch.setattr(ent, name, counted(getattr(ent, name)))
         (block,) = mg.solve_entropy_game(make()).blocks
         assert block.decided_by == ent.SEPARATION
         assert block.sub.vec == block.sup.vec
@@ -390,14 +393,16 @@ def sep(n, w, r):
     return 1 / (n * w * ent._nu_value(n, w, r))
 
 
-# (deciding path, rank, delta, T evaluations) of each block and the exact
-# value brackets: any change to them is a change in the solver's answers
-CEX_HI = (
-    "34896740605806234618327214819654873083/"
-    "12628643436220038754328496543634157408")
+# (deciding path, rank, delta, units of search work) of each block and the
+# exact value brackets: any change to them is a change in the solver's
+# answers.  The defect games are integer-valued (Jordan-type) blocks that the
+# exact solve certifies, so their lower level is the value 3 itself
 CEX_LO = (
-    "12484193301439034365287911290268563801/"
-    "4622404312992140449298728107698995424")
+    "1054601832909406620000283285872250955805127/"
+    "386011061722474655258468575193443828801980")
+CEX_HI = (
+    "2109203665818813240000566571744501911610254/"
+    "772022123444949310516937150386887657600245")
 R2_666_1_LO = (
     "1526498727326636503530304688154636338460065680220786855167384/"
     "131961430009037871145785792202420198171978945684566998241043")
@@ -405,28 +410,48 @@ R2_666_1_HI = (
     "5446187759261356658392289791606444362980367992460312429464321/"
     "470807287254333534364018350535274753084234114744250869239040")
 ENUM, SEPN = ent.ENUMERATION, ent.SEPARATION
+
+
+def defect_pins(units, hi):
+    return ([(SEPN, 3, sep(3, 3, 3), units)],
+            {d: ("3", hi) for d in ("d0", "d1", "d2")})
+
+
+PINNED_ANSWERS = {
+    "defect-e11-54": defect_pins(6, (
+        "70152078591883340073776871970381584943484762062854/"
+        "23384026197294446691258957323460528314494920687617")),
+    "defect-e86-57": defect_pins(8, (
+        "280608314367533360295107487881526339773939048251413/"
+        "93536104789177786765035829293842113257979682750467")),
+    "defect-e239-27": defect_pins(4, (
+        "70152078591883340073776871970381584943484762062860/"
+        "23384026197294446691258957323460528314494920687619")),
+    "r2-666-0": ([(SEPN, 1, sep(1, 3, 1), 1)], {"d0": ("3", "3")}),
+    "r2-666-1": (
+        [(SEPN, 3, sep(6, 3, 3), 12)],
+        {f"d{i}": (R2_666_1_LO, R2_666_1_HI) for i in range(6)},
+    ),
+    "cex-2-2": (
+        [(SEPN, 2, sep(4, 8, 2), 36), (SEPN, 1, sep(1, 8, 1), 1)],
+        {"d*": (CEX_LO, CEX_HI), "dl0": (CEX_LO, CEX_HI),
+         "dl1": (CEX_LO, CEX_HI), "dr0": ("2", "2")},
+    ),
+}
+# the blocks and brackets of the enumeration fallback, on the defect games
+# with the separation search refused
 DEFECT_E11_E86 = (
     [(ENUM, 3, F(251355953, 2147483648), 137)],
     {d: ("25518447823/8589934592", "26021159729/8589934592")
      for d in ("d0", "d1", "d2")},
 )
-PINNED_ANSWERS = {
+PINNED_FALLBACK = {
     "defect-e11-54": DEFECT_E11_E86,
     "defect-e86-57": DEFECT_E11_E86,
     "defect-e239-27": (
         [(ENUM, 3, F(19306017, 268435456), 220)],
         {d: ("3201919455/1073741824", "3240531489/1073741824")
          for d in ("d0", "d1", "d2")},
-    ),
-    "r2-666-0": ([(SEPN, 1, sep(1, 3, 1), 1)], {"d0": ("3", "3")}),
-    "r2-666-1": (
-        [(SEPN, 3, sep(6, 3, 3), 64)],
-        {f"d{i}": (R2_666_1_LO, R2_666_1_HI) for i in range(6)},
-    ),
-    "cex-2-2": (
-        [(ENUM, 3, F(1, 8), 5), (SEPN, 1, sep(1, 8, 1), 1)],
-        {"d*": (CEX_LO, CEX_HI), "dl0": (CEX_LO, CEX_HI),
-         "dl1": (CEX_LO, CEX_HI), "dr0": ("2", "2")},
     ),
 }
 
@@ -445,34 +470,53 @@ def pinned_game(name):
     return mg.build_cex_game(2, 2).game
 
 
+def refuse_separation(monkeypatch):
+    """Send every block to the enumeration fallback."""
+    monkeypatch.setattr(ent, "_separated_block", lambda game: None)
+
+
+PINS = pytest.mark.parametrize("pins, name", [
+    *((PINNED_ANSWERS, name) for name in sorted(PINNED_ANSWERS)),
+    *((PINNED_FALLBACK, name) for name in sorted(PINNED_FALLBACK))],
+    ids=[*sorted(PINNED_ANSWERS),
+         *(f"fallback-{name}" for name in sorted(PINNED_FALLBACK))])
+
+
+def pinned_solve(pins, name, monkeypatch):
+    """The solve of a pinned game, on the fallback for the fallback's pins."""
+    if pins is PINNED_FALLBACK:
+        refuse_separation(monkeypatch)
+    return mg.solve_entropy_game(pinned_game(name))
+
+
 class TestPinnedAnswers:
-    @pytest.mark.parametrize("name", sorted(PINNED_ANSWERS))
-    def test_delta_steps_and_values(self, name):
+    @PINS
+    def test_delta_steps_and_values(self, pins, name, monkeypatch):
         """The pinned blocks and brackets, each bracket meeting brute
-        force's."""
-        blocks, values = PINNED_ANSWERS[name]
-        g = pinned_game(name)
-        sol = mg.solve_entropy_game(g)
+        force's; the fallback's with the separation search refused."""
+        blocks, values = pins[name]
+        sol = pinned_solve(pins, name, monkeypatch)
         assert block_pins(sol) == blocks
         assert sol.values == {
             d: mg.RationalInterval(F(lo), F(hi))
             for d, (lo, hi) in values.items()}
+        g = pinned_game(name)
         brute = mg.brute_force_entropy_values(g)
         for did, iv in zip(g.d_ids, brute.chi):
             assert sol.values[did].lo <= iv.hi and iv.lo <= sol.values[did].hi
 
-    @pytest.mark.parametrize("name", sorted(PINNED_ANSWERS))
-    def test_no_float_logarithm(self, name, monkeypatch):
-        """The slack comes from exact rational ln brackets: the solve gives
-        its pinned answers with every float logarithm refused."""
+    @PINS
+    def test_no_float_logarithm(self, pins, name, monkeypatch):
+        """The fallback's slack comes from exact rational ln brackets, and
+        the search takes none: the solve gives its pinned answers with every
+        float logarithm refused."""
         def refuse(*args):
             raise AssertionError("float logarithm in the entropy solve")
 
         monkeypatch.setattr(math, "log", refuse)
         monkeypatch.setattr(math, "log2", refuse)
-        blocks, _ = PINNED_ANSWERS[name]
-        sol = mg.solve_entropy_game(pinned_game(name))
-        assert block_pins(sol) == blocks
+        blocks, _ = pins[name]
+        assert block_pins(pinned_solve(pins, name, monkeypatch)) == blocks
 
 
 def brute_classes(g, brute):
@@ -514,13 +558,10 @@ class TestDecidedBy:
                              ids=["pair-loop", "two-blocks"])
     def test_separation_needs_no_enumeration(self, make, monkeypatch):
         """Games whose blocks the rank separation decides solve with every
-        enumeration entry point refused.  The evaluation budget is raised,
-        so that the check does not depend on its constant: the two-block
-        game has one strategy pair."""
+        enumeration entry point refused."""
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration in a separated solve")
 
-        monkeypatch.setattr(ent, "_EVALS_PER_PAIR", 64)
         for name in ("brute_force_entropy_values", "rank_profile",
                      "_top_slack"):
             monkeypatch.setattr(ent, name, refuse)
@@ -528,46 +569,109 @@ class TestDecidedBy:
         assert {b.decided_by for b in sol.blocks} == {ent.SEPARATION}
         assert all(b.rank == 1 for b in sol.blocks)
 
-    def test_jordan_block_falls_back_to_enumeration(self):
+    def test_jordan_block_certified_by_exact_solve(self, monkeypatch):
+        """The pair matrix [[1, 1], [0, 1]] has no positive eigenvector, and
+        the levels of its damped iterates close only as 1/k; the exact
+        solve of (mu I - A) y = 1 gives the witness, with the value 1 as
+        its lower level."""
+        solves = []
+        real = ent._integer_value_witness
+
+        def counted(*args):
+            solves.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ent, "_integer_value_witness", counted)
         g = entropy_jordan()
         sol = assert_agrees_with_brute_force(g)
         (block,) = sol.blocks
-        assert block.decided_by == ent.ENUMERATION
-        assert block.rank == mg.brute_force_entropy_values(g).profile.rank
-        assert sol.values["d0"].contains(F(1))
+        assert block.decided_by == ent.SEPARATION
+        assert len(solves) == 1
+        assert block.interval.lo == 1 and sol.values["d0"].contains(F(1))
+        assert block.sub.vec == block.sup.vec
         for cert in (block.sub, block.sup):
             assert mg.check_entropy_certificate(block.subgame, cert)
 
 
+    def test_irrational_jordan_block_falls_back(self, monkeypatch):
+        """Two golden-ratio components [[1, 1], [1, 0]], the first feeding
+        the second, and a loop of value 1: the top block is Jordan-type
+        with an irrational value, which neither the levels nor the exact
+        solve certify within the search's budget, so it falls back.  The
+        loop's share of the search iterate shrinks with every step, and
+        squaring stops while the iterate spans more than its kept bits, so
+        the span stays below three times those bits (about 6,000 bits, 13
+        times them, without that stop)."""
+        spans = []
+        real = ent._DampedIterate.advance
+
+        def advance(self, tx, rows):
+            squarings = real(self, tx, rows)
+            spans.append((max(self.vec).bit_length()
+                          - min(self.vec).bit_length()) / self.bits)
+            return squarings
+
+        monkeypatch.setattr(ent._DampedIterate, "advance", advance)
+        g = mg.make_entropy_game(
+            [f"d{i}" for i in range(5)], [f"t{i}" for i in range(5)],
+            [f"p{i}" for i in range(5)],
+            [[i] for i in range(5)], [[i] for i in range(5)],
+            [[(0, 1), (1, 1), (2, 1)], [(0, 1), (3, 1)], [(2, 1), (3, 1)],
+             [(2, 1)], [(4, 1)]])
+        sol = assert_agrees_with_brute_force(g)
+        assert [b.decided_by for b in sol.blocks] == [ent.ENUMERATION,
+                                                      ent.SEPARATION]
+        assert 1 < max(spans) < 3
+
+
+SWEEPS = pytest.mark.parametrize("seed, size, count", [
+    (2101, (3, 3, 3), 1000), (2102, (4, 4, 4), 100)],
+    ids=["default", "444"])
+
+
+def sweep(seed, size, count, tmp_path):
+    """Each draw's solve against brute force, and `certify` on the CLI
+    report of every 25th draw; returns the deciding path of every block."""
+    runner = CliRunner()
+    rng = random.Random(seed)
+    decided = []
+    for i in range(count):
+        g = mg.random_entropy_game(rng, *size)
+        sol = assert_agrees_with_brute_force(g)
+        decided += [b.decided_by for b in sol.blocks]
+        if i % 25:
+            continue
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps(mg.entropy_to_json(g)))
+        res = runner.invoke(main, ["solve", str(game), "--json"])
+        assert res.exit_code == 0
+        report = tmp_path / "report.json"
+        report.write_text(res.output)
+        res = runner.invoke(main, ["certify", str(game), str(report)])
+        assert res.exit_code == 0, res.output
+    return decided
+
+
 class TestSeparationSweep:
-    """The separation solve against brute force on 1,000 default draws and
-    100 draws with up to 4 states of each kind: the same blocks, brackets
-    and stitched strategy values that meet brute force's, and a report that
+    """The solve against brute force on 1,000 default draws and 100 draws
+    with up to 4 states of each kind: the same blocks, brackets and
+    stitched strategy values that meet brute force's, and a report that
     `certify` accepts on every 25th draw."""
 
-    @pytest.mark.parametrize("seed, size, count", [
-        (2101, (3, 3, 3), 1000), (2102, (4, 4, 4), 100)],
-        ids=["default", "444"])
+    @SWEEPS
     def test_agrees_with_brute_force(self, seed, size, count, tmp_path):
-        runner = CliRunner()
-        rng = random.Random(seed)
-        decided = set()
-        for i in range(count):
-            g = mg.random_entropy_game(rng, *size)
-            sol = assert_agrees_with_brute_force(g)
-            decided.update(b.decided_by for b in sol.blocks)
-            if i % 25:
-                continue
-            game = tmp_path / "g.json"
-            game.write_text(json.dumps(mg.entropy_to_json(g)))
-            res = runner.invoke(main, ["solve", str(game), "--json"])
-            assert res.exit_code == 0
-            report = tmp_path / "report.json"
-            report.write_text(res.output)
-            res = runner.invoke(main, ["certify", str(game), str(report)])
-            assert res.exit_code == 0, res.output
-        # both paths ran
-        assert decided == {ent.SEPARATION, ent.ENUMERATION}
+        """No block falls back to enumeration (24 and 3 did when the search
+        took one damped step per evaluation and Jordan-type blocks had no
+        exact solve): a search that needs the fallback again fails here."""
+        assert ent.ENUMERATION not in sweep(seed, size, count, tmp_path)
+
+    @SWEEPS
+    def test_fallback_agrees_with_brute_force(self, seed, size, count,
+                                              tmp_path, monkeypatch):
+        """The enumeration fallback, the reference path, on the same
+        draws with the separation search refused."""
+        refuse_separation(monkeypatch)
+        assert set(sweep(seed, size, count, tmp_path)) == {ent.ENUMERATION}
 
 
 class TestCertifiedSeparation:
