@@ -1,10 +1,14 @@
-"""Integer iteration loops for the stochastic-game rounding oracle.
+"""The integer Shapley step, and the iteration loops of the stochastic-game
+rounding oracle.
 
 The rounding oracle keeps every iterate on the grid (1/q) Z^n, so the whole
 first loop of the constant-value procedures, and the certificate replay,
 run on integer numerators with exact comparisons.  `_int_step` is the
 Shapley step on Python ints, which cannot overflow; `stochastic.shapley_eval`
-is the exact reference it agrees with.
+is the exact reference it agrees with.  The step runs in three stages
+(`_nature_stage`, `_max_stage`, `_min_stage`), which `stochastic` also
+calls on their own: to check certificates and strategies from one
+evaluation, and to read off greedy strategies.
 
 `Kernel.gap_loop` and `Kernel.replay_loop` are one driver each over that
 step.  Both implement exactly the recurrence of the generic Fraction-based
@@ -31,19 +35,22 @@ def _round_div_half_even(n, d):
     return q0 + 1
 
 
-def _int_step(game, u, c):
-    """The Shapley operator on Python-int numerators: the numerators over c
-    of F(x), for the vector x with numerators u over c/M.  Exact, since
-    every Nature row has denominator M.  Nature sums, Max maxima and Min
-    minima are each formed once per state."""
+def _nature_stage(rows, u):
+    """Per Nature state, sum_l num_l u_l: for x with numerators u over c/M,
+    the numerator over c of Nature's expectation of x."""
     nat = []
-    for row in game.nat_edges:
+    for row in rows:
         s = 0
         for l, num in row:
             s += num * u[l]
         nat.append(s)
+    return nat
+
+
+def _max_stage(rows, nat, c):
+    """Per Max state, the maximum over its edges of B c + nat."""
     best = []
-    for row in game.max_edges:
+    for row in rows:
         first = True
         for k, b in row:
             v = b * c + nat[k]
@@ -51,8 +58,13 @@ def _int_step(game, u, c):
                 m = v
                 first = False
         best.append(m)
+    return best
+
+
+def _min_stage(rows, best, c):
+    """Per Min state, the minimum over its edges of best - A c."""
     out = []
-    for row in game.min_edges:
+    for row in rows:
         first = True
         for i, a in row:
             v = best[i] - a * c
@@ -61,6 +73,16 @@ def _int_step(game, u, c):
                 first = False
         out.append(m)
     return out
+
+
+def _int_step(game, u, c):
+    """The Shapley operator on Python-int numerators: the numerators over c
+    of F(x), for the vector x with numerators u over c/M.  Exact, since
+    every Nature row has denominator M.  Its three stages each form one
+    value per state; run on rows cut to one edge per state, they give F
+    with that player's strategy fixed."""
+    nat = _nature_stage(game.nat_edges, u)
+    return _min_stage(game.min_edges, _max_stage(game.max_edges, nat, c), c)
 
 
 class Kernel:

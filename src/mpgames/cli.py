@@ -310,9 +310,43 @@ def _cert_target(kind, game, states):
     return ent.subgraph_on(game, *(_report_ids(states, k) for k in ent.KEYS))
 
 
+_CERT_FAILED = "a certificate inequality does not hold"
+
+
+def _strategy(report, key, from_ids, to_ids):
+    """The report's positional strategy `key`, an object from state ids to
+    state ids, as one index into `to_ids` per state of `from_ids`: None
+    where it names none of them.  None when the report has no `key`."""
+    if key not in report:
+        return None
+    strategy = report[key]
+    if not isinstance(strategy, dict):
+        raise GameFormatError(f'"{key}" {strategy!r} is not an object')
+    index = {s: t for t, s in enumerate(to_ids)}
+    # JSON object keys are strings, and a game's ids are all strings or all
+    # integers, so str() names each state unambiguously
+    named = (strategy.get(str(s)) for s in from_ids)
+    return [index.get(v) if isinstance(v, (str, int))
+            and not isinstance(v, bool) else None for v in named]
+
+
+def _smpg_failure(report, target, sub, sup):
+    """Why the stochastic pair (sub, sup) fails on `target`, or None: its
+    certificates, and the strategies the report names, checked at them."""
+    sigma = _strategy(report, "min_strategy", target.min_ids, target.max_ids)
+    tau = _strategy(report, "max_strategy", target.max_ids, target.nat_ids)
+    if smpg.check_certificates(target, (sub, sup), sigma, tau):
+        return None
+    # the failure path only: find which check failed
+    if not smpg.check_certificates(target, (sub, sup)):
+        return _CERT_FAILED
+    if sigma is not None and not smpg.check_certificates(target, (sup,),
+                                                         sigma=sigma):
+        return "min_strategy fails at the super certificate"
+    return "max_strategy fails at the sub certificate"
+
+
 def _smpg_claims(report, pairs):
-    if len(pairs) != 1:
-        raise GameFormatError("a stochastic report has one certificate pair")
     ((target, levels),) = pairs
     if "top_class" in report and report["top_class"] != sorted(target.min_ids):
         return "top_class is not the set of states the certificates hold on"
@@ -346,9 +380,10 @@ def _entropy_claims(report, pairs):
 
 def _verify_report(kind, game, report):
     """Why the report fails, or None: each (sub, super) certificate pair
-    must hold exactly on the (sub)game its states name, and the top class,
-    blocks, values and intervals the report claims must follow from the
-    levels of those pairs."""
+    must hold exactly on the (sub)game its states name, a stochastic
+    report's strategies must be optimal at those certificates, and the top
+    class, blocks, values and intervals the report claims must follow from
+    the levels of those pairs."""
     if not isinstance(report, dict):
         raise GameFormatError("a report must be a JSON object")
     records = json_list(report.get("certificates", []), '"certificates"')
@@ -356,8 +391,9 @@ def _verify_report(kind, game, report):
         raise GameFormatError("report carries no certificates")
     if len(records) % 2:
         raise GameFormatError("certificates must come in (sub, super) pairs")
-    check = (smpg.check_certificates if kind == "smpg"
-             else ent.check_entropy_certificates)
+    if kind == "smpg" and len(records) != 2:
+        # its strategies are checked at that one pair
+        raise GameFormatError("a stochastic report has one certificate pair")
     pairs = []
     for sub_rec, sup_rec in zip(records[::2], records[1::2]):
         sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
@@ -367,8 +403,14 @@ def _verify_report(kind, game, report):
                 "certificates must come in (sub, super) pairs on one state set"
             )
         target = _cert_target(kind, game, sub_rec.get("states"))
-        if target is None or not check(target, (sub, sup)):
-            return "a certificate inequality does not hold"
+        if target is None:
+            return _CERT_FAILED
+        if kind == "smpg":
+            failure = _smpg_failure(report, target, sub, sup)
+            if failure is not None:
+                return failure
+        elif not ent.check_entropy_certificates(target, (sub, sup)):
+            return _CERT_FAILED
         pairs.append((target, RationalInterval(sub.lam, sup.lam)))
     if kind == "smpg":
         return _smpg_claims(report, pairs)

@@ -27,22 +27,36 @@ brackets it within delta.  At the a priori cap 1 + ceil(8R/delta) the
 paper's `top_class` runs from 0 and peels dominions off, and the probe runs
 once more, on the subgame the top class induces.
 
-Every loop iterates on integer numerators with the Python-int Shapley step
-of `_smpgfast.Kernel`; `shapley_eval` is the exact step that certificates
-are checked with.  Every reported strategy pair comes from one greedy rule,
+The exact half runs on integers too.  Every loop iterates on integer
+numerators with the Python-int Shapley step of `_smpgfast`, and the same
+step checks certificates, strategies and the half-line: a rational vector
+is put over the lcm of its denominators, and levels are compared by
+cross-multiplication.  The greedy pair's gain and bias are numerators over
+one common denominator, and a transient component of one state is solved
+directly.  Every reported strategy pair comes from one greedy rule,
 `_greedy_pair` on integer numerators: at the half-line's witness h, or Max
 greedy at the sub witness and Min greedy at the super witness.
+`shapley_eval` is the exact reference: `winner` and the oracles run on it,
+and a vector with -inf entries, which only a hand-written report carries,
+is checked with it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._smpgfast import Kernel
+from ._smpgfast import (
+    Kernel,
+    _int_step,
+    _max_stage,
+    _min_stage,
+    _nature_stage,
+)
 from .dominion import SepParams, top_class
 from .graphs import (
     GameFormatError,
@@ -106,6 +120,12 @@ class StochasticGame:
                     f"numerators at state {sid!r} do not sum to denominator"
                 )
         return self
+
+    @functools.cached_property
+    def payoff_bound(self) -> int:
+        """The largest |A| or |B| of an edge."""
+        return max(abs(w) for rows in (self.min_edges, self.max_edges)
+                   for row in rows for _, w in row)
 
     def stats(self):
         n = len(self.min_ids)
@@ -358,25 +378,94 @@ def check_certificate(game: StochasticGame, cert: Certificate) -> bool:
     return check_certificates(game, (cert,))
 
 
-def check_certificates(game: StochasticGame, certs) -> bool:
-    """`check_certificate` for every certificate, evaluating F once per
-    distinct vector: an early sub/super pair shares its vector h."""
+def _step_stages(game, x):
+    """One integer Shapley step at a finite rational vector x, kept by
+    stage: x = u/L over the lcm L of its denominators, c = L M, and the
+    Nature sums and Max maxima at x as numerators over c.  (u, c, nat,
+    best); `_min_stage` of best is F(x) over c."""
+    u, L = _numerators(x)
+    c = L * game.M
+    nat = _nature_stage(game.nat_edges, u)
+    return u, c, nat, _max_stage(game.max_edges, nat, c)
+
+
+def _cut(rows, targets):
+    """Each row cut to its edges into the state `targets` names for it
+    (parallel edges all kept): empty where it names none."""
+    return [[e for e in row if e[0] == t] for row, t in zip(rows, targets)]
+
+
+def check_certificates(game: StochasticGame, certs, sigma=None,
+                       tau=None) -> bool:
+    """`check_certificate` for every certificate, on integers, evaluating F
+    once per distinct vector (an early sub/super pair shares its vector h):
+    with x = u/L and F(x) = y/(L M) from `_step_stages`, level lam = p/q
+    holds as sub when p L M + q M u_j <= q y_j for every j, and as super
+    when >=.
+    With index-based positional strategies it also checks them, on the
+    same stages: sigma (Min idx -> Max idx) must name an edge at every Min
+    state, and F with Min fixed to it be at most lam + y at each super
+    vector y; tau (Max idx -> Nat idx) must name an edge at every Max
+    state, and F with Max fixed to it be at least lam + x at each sub
+    vector x.  Those bound F itself, so they replace the plain checks.
+    A vector with -inf entries, which only a hand-written report carries,
+    is checked with the reference `shapley_eval` and certifies no
+    strategy."""
+    n, M = len(game.min_ids), game.M
+    min_rows, max_rows = game.min_edges, None
+    if sigma is not None:
+        min_rows = _cut(game.min_edges, sigma)
+        if not all(min_rows):
+            return False
+    if tau is not None:
+        max_rows = _cut(game.max_edges, tau)
+        if not all(max_rows):
+            return False
     images = {}
     for cert in certs:
         if cert.multiplicative:
             raise ValueError("stochastic certificates are additive")
-        y = images.get(cert.vec)
-        if y is None:
-            y = images[cert.vec] = shapley_eval(game, cert.vec)
-        if any(v is NEG_INF for v in y):
-            return False
-        if cert.direction == SUB:
-            holds = all(cert.lam + v <= w for v, w in zip(cert.vec, y))
+        if len(cert.vec) != n:
+            raise ValueError("vector length does not match Min state count")
+        sub = cert.direction == SUB
+        image = images.get(cert.vec)
+        if any(v is NEG_INF for v in cert.vec):
+            if (tau if sub else sigma) is not None:
+                return False
+            if image is None:
+                image = images[cert.vec] = shapley_eval(game, cert.vec)
+            if not _reference_holds(cert, image):
+                return False
+            continue
+        if image is None:
+            image = images[cert.vec] = _step_stages(game, cert.vec)
+        u, c, nat, best = image
+        if sub:
+            if max_rows is not None:
+                best = _max_stage(max_rows, nat, c)
+            y = _min_stage(game.min_edges, best, c)
         else:
-            holds = all(cert.lam + v >= w for v, w in zip(cert.vec, y))
+            y = _min_stage(min_rows, best, c)
+        lam = Fraction(cert.lam)
+        p, q = lam.numerator, lam.denominator
+        pc, qM = p * c, q * M
+        if sub:
+            holds = all(pc + qM * v <= q * w for v, w in zip(u, y))
+        else:
+            holds = all(pc + qM * v >= q * w for v, w in zip(u, y))
         if not holds:
             return False
     return True
+
+
+def _reference_holds(cert, y) -> bool:
+    """lam + v <= y (sub) or >= y (super) with y = F(v) from shapley_eval;
+    an -inf entry of y fails."""
+    if any(v is NEG_INF for v in y):
+        return False
+    if cert.direction == SUB:
+        return all(cert.lam + v <= w for v, w in zip(cert.vec, y))
+    return all(cert.lam + v >= w for v, w in zip(cert.vec, y))
 
 
 @dataclass(frozen=True)
@@ -425,14 +514,13 @@ def _greedy_pair(game, u, q):
     each Max state, sigma minimises -A plus that maximum at each Min state,
     ties to the smallest index (rows are sorted by target index)."""
     c = q * game.M
-    nat = [sum(num * u[l] for l, num in row) for row in game.nat_edges]
-    tau, best = [], []
-    for row in game.max_edges:
-        k, b = max(row, key=lambda e: e[1] * c + nat[e[0]])
-        tau.append(k)
-        best.append(b * c + nat[k])
-    sigma = [min(row, key=lambda e: best[e[0]] - e[1] * c)[0]
-             for row in game.min_edges]
+    nat = _nature_stage(game.nat_edges, u)
+    best = _max_stage(game.max_edges, nat, c)
+    tau = [next(k for k, b in row if b * c + nat[k] == m)
+           for row, m in zip(game.max_edges, best)]
+    out = _min_stage(game.min_edges, best, c)
+    sigma = [next(i for i, a in row if best[i] - a * c == m)
+             for row, m in zip(game.min_edges, out)]
     return sigma, tau
 
 
@@ -443,36 +531,23 @@ def _numerators(x):
     return [v.numerator * (q // v.denominator) for v in x], q
 
 
-def _strategies(game, x, y) -> StrategyPair:
-    """Max plays greedy at the sub witness x, Min greedy at the super
-    witness y (smallest index on ties); one greedy pass when x == y."""
-    sigma, tau = _greedy_pair(game, *_numerators(x))
-    if y != x:
-        sigma = _greedy_pair(game, *_numerators(y))[0]
-    return StrategyPair(
-        sigma={game.min_ids[j]: game.max_ids[i] for j, i in enumerate(sigma)},
-        tau={game.max_ids[i]: game.nat_ids[k] for i, k in enumerate(tau)},
-    )
-
-
 def _half_line_holds(game, chi, h) -> bool:
-    """Whether F(h + t chi) = h + (t + 1) chi for all large t.  F runs the
-    stages of `shapley_eval` on (slope, offset) pairs, which order as the
-    affine functions slope * t + offset do for large t: lexicographically.
-    The pairs are integers: chi and h are put over one common denominator
-    L, and every stage is scaled by L M, so Nature's rows need no
-    division."""
+    """Whether F(h + t chi) = h + (t + 1) chi for all large t, by one
+    integer step `_int_step` at one t = T.  With chi = c/L and h = d/L over
+    one common denominator L, every stage of the step at h + t chi is, for
+    large t, an affine function s t + o with integers s and o (scaled by
+    L M), the extreme of its edges' functions in the lexicographic order of
+    (s, o).  Each |o| in play, the target's too, is at most B = 2 W L M +
+    2 M max(|c|, |d|), W the game's `payoff_bound`; slopes that differ
+    differ by at least 1, so at T = 2 B + 1 the step picks the same
+    functions, and its value S T + O, with |O| < T/2, gives (S, O) back."""
     M = game.M
     num, L = _numerators([*chi, *h])
     c, d = num[:len(chi)], num[len(chi):]
     LM = L * M
-    nat = [(sum(p * c[l] for l, p in row), sum(p * d[l] for l, p in row))
-           for row in game.nat_edges]
-    best = [max((nat[k][0], b * LM + nat[k][1]) for k, b in row)
-            for row in game.max_edges]
-    out = [min((best[i][0], best[i][1] - a * LM) for i, a in row)
-           for row in game.min_edges]
-    return all(f == (M * x, M * (y + x)) for f, x, y in zip(out, c, d))
+    t = 2 * (2 * game.payoff_bound * LM + 2 * M * max(map(abs, num))) + 1
+    out = _int_step(game, [t * x + y for x, y in zip(c, d)], LM)
+    return all(f == M * (t * x + y + x) for f, x, y in zip(out, c, d))
 
 
 _WINDOW = 4  # iterates averaged when a checkpoint's own greedy pair fails
@@ -539,12 +614,21 @@ def _half_line(game, stats, params):
 
 
 def _solution(game, value, sub, sup, steps, calls) -> GameSolution:
-    """The solution of `game` certified by `sub` and `sup`, checked exactly,
-    found in `steps` iterations; `calls` counts the whole solve."""
-    if not check_certificates(game, (sub, sup)):
+    """The solution of `game` certified by `sub` and `sup`, found in
+    `steps` iterations; `calls` counts the whole solve.  Max plays greedy
+    at the sub witness and Min greedy at the super witness (smallest index
+    on ties; one greedy pass when they are one vector), and the
+    certificates and both strategies are checked exactly."""
+    sigma, tau = _greedy_pair(game, *_numerators(sub.vec))
+    if sup.vec != sub.vec:
+        sigma = _greedy_pair(game, *_numerators(sup.vec))[0]
+    if not check_certificates(game, (sub, sup), sigma, tau):
         raise AssertionError("internal error: certificate failed verification")
-    return GameSolution(game, value, _strategies(game, sub.vec, sup.vec),
-                        sub, sup, steps, calls)
+    strategies = StrategyPair(
+        sigma={game.min_ids[j]: game.max_ids[i] for j, i in enumerate(sigma)},
+        tau={game.max_ids[i]: game.nat_ids[k] for i, k in enumerate(tau)},
+    )
+    return GameSolution(game, value, strategies, sub, sup, steps, calls)
 
 
 def _fixed_point_solution(game, value, h, steps, calls) -> GameSolution:
@@ -639,17 +723,61 @@ def markov_gain_bias(rows, r, M, anchor=None):
     reward chain with transition rows `rows` (lists of (col, numerator),
     denominator M) and per-step rewards r, in exact rationals: g = P g and
     g + h = r + P h.  One pass over the strongly connected components,
-    sinks first, solves one system per component, of that component's
-    size, on integers: each equation is scaled by M and solved by
-    `integer_solve`.  A closed class solves for its gain and its bias with
-    h = 0 at its smallest state a; h is then shifted there to anchor(a, g)
-    when `anchor` is given.  A transient component solves its absorption
-    systems, first for g and then for h, with its successors outside it
-    already solved.  Returns (gain, bias)."""
+    sinks first, on integers: every g and h found so far is a numerator
+    over one common denominator D, which grows, and every numerator with
+    it, only when a component's solution needs it.
+    A transient component of one state v solves a x_v = the sum over its
+    other successors directly, first for x = g and then for x = h with
+    M (r_v - g_v) added, with a = M minus its self-loop numerator.  Every
+    other component solves one system of its size, each equation scaled by
+    M, by `integer_solve`.  A closed class solves for its gain and its bias
+    with h = 0 at its smallest state a; h is then shifted there to
+    anchor(a, g) when `anchor` is given.  A transient component solves its
+    absorption systems, first for g and then for h, with its successors
+    outside it already solved.  Returns (gain, bias) as Fractions."""
     n = len(rows)
-    gain = [None] * n
-    bias = [None] * n
+    gain = [0] * n
+    bias = [0] * n
+    # the rewards as numerators r_v R / R, and D a multiple of R
+    r_den = den = math.lcm(*(x.denominator for x in r))
+    r_num = [x.numerator * (r_den // x.denominator) for x in r]
+
+    def widen(f):
+        # multiply D, and every numerator over it, by f
+        nonlocal den
+        if f != 1:
+            den *= f
+            for v in range(n):
+                gain[v] *= f
+                bias[v] *= f
+        return f
+
+    def put(comp, g, h):
+        # store the rationals g[t], h[t] of comp's states over D
+        d = math.lcm(*(x.denominator for x in (*g, *h)))
+        widen(d // math.gcd(den, d))
+        for v, x, y in zip(comp, g, h):
+            gain[v] = x.numerator * (den // x.denominator)
+            bias[v] = y.numerator * (den // y.denominator)
+
     for comp in tarjan_scc([[l for l, _ in row] for row in rows]):
+        if len(comp) == 1 and any(l != comp[0] for l, _ in rows[comp[0]]):
+            (v,) = comp
+            a, s_gain, s_bias = M, 0, 0
+            for l, num in rows[v]:
+                if l == v:
+                    a -= num
+                else:
+                    s_gain += num * gain[l]
+                    s_bias += num * bias[l]
+            # g_v = s_gain / (a D)
+            f = widen(a // math.gcd(a, s_gain))
+            gain[v] = s_gain * f // a
+            # h_v = (s_bias + M (r_v D - g_v D)) / (a D)
+            t = s_bias * f + M * (r_num[v] * (den // r_den) - gain[v])
+            f = widen(a // math.gcd(a, t))
+            bias[v] = t * f // a
+            continue
         comp.sort()
         col = {v: t for t, v in enumerate(comp)}
         m = len(comp)
@@ -666,9 +794,7 @@ def markov_gain_bias(rows, r, M, anchor=None):
                         a[t][col[l]] -= num
             sol = integer_solve(a, [M * r[v] for v in comp])
             shift = anchor(comp[0], sol[0]) if anchor else Fraction(0)
-            for t, v in enumerate(comp):
-                gain[v] = sol[0]
-                bias[v] = (sol[t] if t else 0) + shift
+            put(comp, [sol[0]] * m, [shift] + [x + shift for x in sol[1:]])
             continue
         # M x_v - sum_{l in comp} num_vl x_l = sum_{l outside} num_vl x_l
         # for x = g, and for x = h with M (r_v - g_v) added on the right
@@ -682,13 +808,12 @@ def markov_gain_bias(rows, r, M, anchor=None):
                 else:
                     b_gain[t] += num * gain[l]
                     b_bias[t] += num * bias[l]
-        g = integer_solve(a, b_gain)
-        h = integer_solve(a, [b + M * (r[v] - x)
+        g = integer_solve(a, [Fraction(b, den) for b in b_gain])
+        h = integer_solve(a, [Fraction(b, den) + M * (r[v] - x)
                               for b, v, x in zip(b_bias, comp, g)])
-        for t, v in enumerate(comp):
-            gain[v] = g[t]
-            bias[v] = h[t]
-    return gain, bias
+        put(comp, g, h)
+    return ([Fraction(x, den) for x in gain],
+            [Fraction(x, den) for x in bias])
 
 
 def _pair_chain(game: StochasticGame, sigma, tau):

@@ -33,6 +33,7 @@ from conftest import (
     entropy_shared_tribune,
     entropy_tribune_choice,
     nature_half_game,
+    peel_game,
     swap_shift_game,
 )
 
@@ -107,6 +108,46 @@ def forged(path, value):
         set_field(path, value, report)
         return report
     return forge
+
+
+# Min picks x0, where Max picks B = 3 over B = 1, or x1 with B = 2: the
+# value is 2, with Min at x1 and Max at n1 from x0
+CHOICE_GAME = {
+    "type": "smpg", "denominator": 1, "min_states": ["m0"],
+    "max_states": ["x0", "x1"], "nat_states": ["n0", "n1"],
+    "edges": [
+        {"from": "m0", "to": "x0", "a": 0}, {"from": "m0", "to": "x1", "a": 0},
+        {"from": "x0", "to": "n0", "b": 1}, {"from": "x0", "to": "n1", "b": 3},
+        {"from": "x1", "to": "n0", "b": 2},
+        {"from": "n0", "to": "m0"}, {"from": "n1", "to": "m0"},
+    ],
+}
+_CHOICE_STATES = {"min_states": ["m0"], "max_states": ["x0", "x1"],
+                  "nat_states": ["n0", "n1"]}
+CHOICE_REPORT = {
+    "certificates": [
+        {"direction": direction, "lam": "2/1", "multiplicative": False,
+         "states": _CHOICE_STATES, "vec": ["0/1"]}
+        for direction in ("sub", "super")
+    ],
+    "interval": {"approx": "[2.000000000000, 2.000000000000]",
+                 "hi": "2/1", "lo": "2/1"},
+    "max_strategy": {"x0": "n1", "x1": "n0"},
+    "min_strategy": {"m0": "x1"},
+    "oracle_calls": 1,
+    "top_class": ["m0"],
+    "top_value": "2/1",
+}
+# Min states m0 and m1 both move to x0, whose only Nature state returns to
+# m0: F(x) = (1 + x_m0, 1 + x_m0) stays finite when x_m1 = -inf
+NEG_INF_GAME = {
+    "type": "smpg", "denominator": 1, "min_states": ["m0", "m1"],
+    "max_states": ["x0"], "nat_states": ["n0"],
+    "edges": [
+        {"from": "m0", "to": "x0", "a": 0}, {"from": "m1", "to": "x0", "a": 0},
+        {"from": "x0", "to": "n0", "b": 1}, {"from": "n0", "to": "m0"},
+    ],
+}
 
 
 @pytest.fixture
@@ -352,7 +393,8 @@ class TestCertify:
     def test_shared_vector_is_evaluated_once(self, runner, tmp_path,
                                              monkeypatch):
         """An early-certified stochastic report carries one vector h for its
-        sub and super certificate, and certify evaluates F on h once."""
+        sub and super certificate, and certify evaluates F on h once: one
+        integer step, whose stages also check both strategies."""
         path = write_game(tmp_path, "g.json",
                           mg.game_to_json(swap_shift_game()))
         res = runner.invoke(main, ["solve", path, "--json"])
@@ -361,16 +403,100 @@ class TestCertify:
         rep = tmp_path / "rep.json"
         rep.write_text(res.output)
         calls = []
-        real_eval = mg.stochastic.shapley_eval
+        real_eval = mg.stochastic._step_stages
 
         def counted_eval(game, x):
             calls.append(x)
             return real_eval(game, x)
 
-        monkeypatch.setattr(mg.stochastic, "shapley_eval", counted_eval)
+        monkeypatch.setattr(mg.stochastic, "_step_stages", counted_eval)
         res2 = runner.invoke(main, ["certify", path, str(rep)])
         assert res2.exit_code == 0
         assert len(calls) == 1
+
+    def test_pinned_strategies_pass(self, runner, tmp_path):
+        """The solve report of CHOICE_GAME, pinned: its certificates hold,
+        and so do its strategies, checked at them."""
+        path = write_game(tmp_path, "g.json", CHOICE_GAME)
+        res = runner.invoke(main, ["solve", path, "--json"])
+        assert json.loads(res.output) == CHOICE_REPORT
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(CHOICE_REPORT))
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        assert res.exit_code == 0, res.output
+        assert "all certificates verified" in res.output
+
+    @pytest.mark.parametrize("key, state, target", [
+        ("min_strategy", "m0", "x0"),
+        ("max_strategy", "x0", "n0"),
+        ("max_strategy", "x1", "n1"),
+        ("min_strategy", "m0", "zz"),
+        ("max_strategy", "x1", ["n0"]),
+    ], ids=["min-not-greedy", "max-not-greedy", "max-not-an-edge",
+            "unknown-id", "id-list"])
+    def test_changed_strategy_fails(self, runner, tmp_path, key, state,
+                                    target):
+        """With one choice changed, the report's certificates still hold,
+        but certify fails with exit 1: Min's swap to x0 lets F at the super
+        witness reach 3 > 2 + h, Max's swap to n0 drops F at the sub witness
+        to 1 < 2 + h, and a choice that names no edge holds nothing."""
+        path = write_game(tmp_path, "g.json", CHOICE_GAME)
+        report = copy.deepcopy(CHOICE_REPORT)
+        report[key][state] = target
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(report))
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        assert res.exit_code == 1
+        assert f"verification FAILED: {key} fails" in res.output
+        del report["min_strategy"], report["max_strategy"]
+        rep.write_text(json.dumps(report))
+        assert runner.invoke(main, ["certify", path, str(rep)]).exit_code == 0
+
+    def test_no_finite_vector_reaches_shapley_eval(self, runner, tmp_path,
+                                                   monkeypatch):
+        """solve and certify check every certificate on integers: over
+        default draws, the peel games and replayed brackets (with no
+        checkpoint passing), shapley_eval sees no finite vector.  A
+        hand-written vector with an -inf entry still takes it."""
+        seen = []
+        real_eval = mg.stochastic.shapley_eval
+
+        def counted_eval(game, x):
+            seen.append(x)
+            return real_eval(game, x)
+
+        monkeypatch.setattr(mg.stochastic, "shapley_eval", counted_eval)
+        rep = tmp_path / "rep.json"
+
+        def solve_and_certify(games, replayed):
+            for t, g in enumerate(games):
+                path = write_game(tmp_path, f"g{t}.json", mg.game_to_json(g))
+                for mode in ("full", "value"):
+                    res = runner.invoke(main, ["solve", path, "--mode", mode,
+                                               "--json"])
+                    if res.exit_code:
+                        assert mode == "value" and "not constant" in res.output
+                        continue
+                    sub, sup = json.loads(res.output)["certificates"]
+                    assert (sub["vec"] != sup["vec"]) == replayed
+                    rep.write_text(res.output)
+                    res = runner.invoke(main, ["certify", path, str(rep)])
+                    assert res.exit_code == 0, res.output
+
+        rng = random.Random(3)
+        solve_and_certify([mg.random_smpg(rng) for _ in range(40)]
+                          + [peel_game(6, 2), peel_game(3, 14)], False)
+        monkeypatch.setattr(mg.stochastic, "_half_line_at", lambda *args: None)
+        solve_and_certify([nature_half_game(), swap_shift_game()], True)
+        assert seen == []
+        report = {"certificates": [
+            {"direction": "sub", "lam": "1", "vec": ["0", "-inf"]},
+            {"direction": "super", "lam": "1", "vec": ["0", "0"]}]}
+        rep.write_text(json.dumps(report))
+        path = write_game(tmp_path, "inf.json", NEG_INF_GAME)
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        assert res.exit_code == 0, res.output
+        assert seen == [(0, mg.NEG_INF)]
 
     def test_tampered_certificate_fails(self, runner, smpg_file, tmp_path):
         res = runner.invoke(main, ["solve", smpg_file, "--json"])
@@ -397,9 +523,11 @@ class TestCertify:
         forged(["certificates", 0, "states"], ["m1"]),
         forged(["certificates", 0, "states", "min_states"], [["m1"]]),
         forged(["interval"], ["1/1", "2/1"]),
+        forged(["min_strategy"], ["m0", "x0"]),
+        forged(["certificates"], [{}, {}, {}, {}]),
     ], ids=["list-report", "record-not-object", "vec-not-list", "lam-list",
             "lam-zero-denominator", "states-list", "state-id-list",
-            "interval-list"])
+            "interval-list", "strategy-list", "two-stochastic-pairs"])
     def test_malformed_report_exit_one(self, runner, tmp_path, forge):
         path = write_game(tmp_path, "g.json",
                           mg.game_to_json(absorbing_game()))

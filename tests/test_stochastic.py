@@ -315,6 +315,123 @@ class TestWinner:
         assert res.iterations <= mg.winner_iteration_bound(g.stats())
 
 
+def _reference_verdict(game, cert):
+    """lam + v <= F(v) (sub) or >= (super) compared directly on
+    shapley_eval; an -inf entry of F(v) fails."""
+    y = mg.shapley_eval(game, cert.vec)
+    if any(w is NEG_INF for w in y):
+        return False
+    if cert.direction == mg.SUB:
+        return all(cert.lam + v <= w for v, w in zip(cert.vec, y))
+    return all(cert.lam + v >= w for v, w in zip(cert.vec, y))
+
+
+def _fixed(game, sigma=None, tau=None):
+    """The game with Min fixed to sigma or Max fixed to tau (index-based):
+    every row cut to its edges into the named state."""
+    def cut(rows, targets):
+        return tuple(tuple(e for e in row if e[0] == t)
+                     for row, t in zip(rows, targets))
+    return st.StochasticGame(
+        game.min_ids, game.max_ids, game.nat_ids,
+        game.min_edges if sigma is None else cut(game.min_edges, sigma),
+        game.max_edges if tau is None else cut(game.max_edges, tau),
+        game.nat_edges, game.M)
+
+
+def _certificate_cases(rng, game):
+    """Certificates on one random rational vector v of denominator L: each
+    direction at its tight level (min_j (F(v) - v)_j for sub, max_j for
+    super), and that level moved either way by 1/L and by 1/(L M)."""
+    n = len(game.min_ids)
+    L = rng.randint(1, 12)
+    v = tuple(F(rng.randint(-9 * L, 9 * L), L) for _ in range(n))
+    gaps = [w - x for w, x in zip(mg.shapley_eval(game, v), v)]
+    for direction, lam in ((mg.SUB, min(gaps)), (mg.SUPER, max(gaps))):
+        for eps in (0, F(1, L), F(-1, L), F(1, L * game.M),
+                    F(-1, L * game.M)):
+            yield mg.Certificate(lam + eps, v, direction)
+
+
+class TestIntegerCertificates:
+    """check_certificates evaluates F with the integer step: its verdicts
+    are those of a direct comparison on shapley_eval."""
+
+    def test_verdicts_match_shapley_eval(self):
+        """A few hundred default-shaped draws with M = 1, 2 and 3: random
+        rational vectors at the tight level of each direction and one step
+        of the vector's denominator either side of it, and vectors with
+        -inf entries."""
+        rng = random.Random(2023)
+        seen = {True: 0, False: 0}
+        for t in range(300):
+            g = mg.random_smpg(rng, 4, 4, 4, m_choices=(1 + t % 3,))
+            for cert in _certificate_cases(rng, g):
+                verdict = st.check_certificates(g, (cert,))
+                assert verdict == _reference_verdict(g, cert)
+                seen[verdict] += 1
+            n = len(g.min_ids)
+            x = [F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
+            x[rng.randrange(n)] = NEG_INF
+            for direction in (mg.SUB, mg.SUPER):
+                cert = mg.Certificate(F(rng.randint(-3, 3)), tuple(x),
+                                      direction)
+                assert (st.check_certificates(g, (cert,))
+                        == _reference_verdict(g, cert))
+        assert min(seen.values()) > 300
+
+    def test_strategy_verdicts_match_fixed_games(self):
+        """With strategies, the verdict is the reference one on the game
+        with Min fixed to sigma at the super vector and Max fixed to tau at
+        the sub vector; a strategy that names no edge fails."""
+        rng = random.Random(77)
+        seen = {True: 0, False: 0}
+        for t in range(200):
+            g = mg.random_smpg(rng, 4, 4, 4, m_choices=(1 + t % 3,))
+            sigma = [rng.choice(row)[0] for row in g.min_edges]
+            tau = [rng.choice(row)[0] for row in g.max_edges]
+            cases = list(_certificate_cases(rng, g))
+            subs = [c for c in cases if c.direction == mg.SUB]
+            sups = [c for c in cases if c.direction == mg.SUPER]
+            for sub, sup in zip(subs, sups):
+                want = (_reference_verdict(_fixed(g, tau=tau), sub)
+                        and _reference_verdict(_fixed(g, sigma=sigma), sup))
+                assert st.check_certificates(g, (sub, sup), sigma,
+                                             tau) == want
+                seen[want] += 1
+            j = rng.randrange(len(sigma))
+            missing = sigma[:j] + [len(g.max_ids)] + sigma[j + 1:]
+            assert not st.check_certificates(g, (sups[0],), sigma=missing)
+        assert min(seen.values()) > 50
+
+    def test_solver_strategies_pass(self):
+        """Every solution's strategies pass at its own certificates, and
+        swapping one Min choice to a successor of larger F at the super
+        witness fails."""
+        rng = random.Random(5)
+        swapped = 0
+        for _ in range(200):
+            g = mg.random_smpg(rng)
+            sol = mg.solve_game(g)
+            sub = sol.subgame
+            index = [{s: t for t, s in enumerate(ids)} for ids in sub.ids]
+            sigma = [index[1][sol.strategies.sigma[s]] for s in sub.min_ids]
+            tau = [index[2][sol.strategies.tau[s]] for s in sub.max_ids]
+            certs = (sol.sub, sol.sup)
+            assert st.check_certificates(sub, certs, sigma, tau)
+            y = mg.shapley_eval(sub, sol.sup.vec)
+            for j, row in enumerate(sub.min_edges):
+                for i, _ in row:
+                    worse = sigma[:j] + [i] + sigma[j + 1:]
+                    fy = mg.shapley_eval(_fixed(sub, sigma=worse),
+                                         sol.sup.vec)
+                    if fy[j] > y[j]:
+                        swapped += 1
+                        assert not st.check_certificates(sub, certs, worse,
+                                                         tau)
+        assert swapped > 20
+
+
 class TestSolveConstantValue:
     def test_cycle(self):
         sol = mg.solve_constant_value(cycle_game(a=0, b=2))
@@ -670,9 +787,10 @@ class TestEarlyCertificate:
 
     def test_fixed_point_is_evaluated_once(self, monkeypatch):
         """An early certificate checks F(h) = value + h with one exact
-        evaluation of F, not one per direction."""
+        evaluation of F, not one per direction: one integer step, whose
+        stages also check both strategies."""
         inside, calls = [], []
-        real_eval, real_solution = st.shapley_eval, st._fixed_point_solution
+        real_eval, real_solution = st._step_stages, st._fixed_point_solution
 
         def counted_eval(game, x):
             if inside:
@@ -686,7 +804,7 @@ class TestEarlyCertificate:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(st, "shapley_eval", counted_eval)
+        monkeypatch.setattr(st, "_step_stages", counted_eval)
         monkeypatch.setattr(st, "_fixed_point_solution", tracked_solution)
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(swap_shift_game())
@@ -696,8 +814,8 @@ class TestEarlyCertificate:
     def test_bias_solves_the_chain(self):
         """g = P g and g + h = r + P h exactly, and each closed class's
         smallest state takes its anchor: together these fix (g, h), on
-        chains with a transient state between two closed classes, a
-        transient state with a self-loop and one exit, a transient
+        chains with a transient state between two closed classes (twice),
+        a transient state with a self-loop and one exit, a transient
         component of two states, two closed classes of equal gain, and 300
         pair chains of random draws with M = 1, 2 and 3."""
         rows = [[(0, 2)], [(1, 2)], [(0, 1), (1, 1)], [(2, 1), (3, 1)]]
@@ -710,6 +828,11 @@ class TestEarlyCertificate:
         gain, bias = _solved_chain([[(0, 3)], [(0, 1), (1, 2)]],
                                    [F(1), F(5)], 3, None)
         assert gain == [1, 1] and bias == [0, 12]
+        # a transient state between classes of gain 1 and 0 (M = 2): its
+        # gain 1/2 widens the common denominator of the biases already found
+        gain, bias = _solved_chain([[(0, 2)], [(1, 2)], [(0, 1), (1, 1)]],
+                                   [F(1), F(0), F(5)], 2, shifted)
+        assert gain == [1, 0, F(1, 2)] and bias == [1, 1, F(11, 2)]
         # states 2 and 3 reach each other and leave for 0 and 1
         gain, _ = _solved_chain(
             [[(0, 5)], [(1, 5)], [(0, 1), (2, 1), (3, 3)],
