@@ -7,103 +7,79 @@ Despot/Tribune/People games, certified by exact integer sub/super
 eigenvectors of their multiplicative operator.  Generic procedures decide
 winners, approximate state-independent values with machine-checkable
 certificates, and extract the set of states of maximal value.
+
+Importing the package loads none of its modules: each exported name is
+looked up in its defining module on access (PEP 562), and the module is
+imported then.  Compiling the imported source is much of a short
+command's run time when no bytecode cache is written, so a command that
+reads one game kind loads only that kind's modules.  The lookup is not
+cached here, so a name always resolves to the module's current
+attribute, a patched or restored one included.
 """
 
-from .cex import (
-    CexInstance,
-    branch_weights,
-    build_cex_game,
-    companion_matrix,
-    flip_horizon,
-    positive_root,
-    threshold_horizon,
-)
-from .dominion import (
-    DecideOutcome,
-    Dominion,
-    SepParams,
-    decide_constant_value,
-    extend,
-    top_class,
-    top_class_call_budget,
-)
-from .entropy import (
-    BlockResult,
-    EntropyGame,
-    EntropySolution,
-    RankProfile,
-    brute_force_entropy_values,
-    check_entropy_certificate,
-    entropy_to_json,
-    induced_entropy_subgame,
-    make_entropy_game,
-    multiplicative_eval,
-    pair_values,
-    pair_values_by_ids,
-    parse_entropy,
-    random_entropy_game,
-    rank_profile,
-    solve_entropy_game,
-    subgraph_on,
-    value_bounds,
-)
-from .iteration import (
-    SUB,
-    SUPER,
-    Certificate,
-    ConstantValueResult,
-    Exhausted,
-    IterationCapExceeded,
-    WinnerVerdict,
-    approximate_constant_mean_payoff,
-    build_certificates,
-    value_iteration,
-)
-from .numeric import (
-    NEG_INF,
-    NOT_FOUND,
-    NOT_UNIQUE,
-    RationalInterval,
-    bottom,
-    hilbert_seminorm,
-    rational_in_interval,
-    top,
-    vec,
-    zeros,
-)
-from .oracle import (
-    FunctionOracle,
-    RestrictedOracle,
-    ShapleyOracle,
-    is_dominion,
-    restrict,
-)
-from .perron import BracketingFailure, char_poly, eval_poly, perron_root
-from .stochastic import (
-    BruteForceResult,
-    ExactOracle,
-    GameFormatError,
-    GameSolution,
-    GameStats,
-    RoundingOracle,
-    StochasticGame,
-    StrategyPair,
-    bias_norm_bound,
-    brute_force_values,
-    check_certificate,
-    frozen_pair_values,
-    game_to_json,
-    induced_subgame,
-    make_game,
-    parse_smpg,
-    random_smpg,
-    recession_eval,
-    separation_bound,
-    shapley_eval,
-    solve_constant_value,
-    solve_game,
-    winner,
-    winner_iteration_bound,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# defining module -> the names the package exports from it
+_EXPORTS = {
+    "cex": (
+        "CexInstance", "branch_weights", "build_cex_game", "companion_matrix",
+        "flip_horizon", "positive_root", "threshold_horizon",
+    ),
+    "dominion": (
+        "DecideOutcome", "Dominion", "SepParams", "decide_constant_value",
+        "extend", "top_class", "top_class_call_budget",
+    ),
+    "entropy": (
+        "BlockResult", "EntropyGame", "EntropySolution", "RankProfile",
+        "brute_force_entropy_values", "check_entropy_certificate",
+        "entropy_to_json", "induced_entropy_subgame", "make_entropy_game",
+        "multiplicative_eval", "pair_values", "pair_values_by_ids",
+        "parse_entropy", "random_entropy_game", "rank_profile",
+        "solve_entropy_game", "subgraph_on", "value_bounds",
+    ),
+    "graphs": ("GameFormatError",),
+    "iteration": (
+        "SUB", "SUPER", "Certificate", "ConstantValueResult", "Exhausted",
+        "IterationCapExceeded", "WinnerVerdict",
+        "approximate_constant_mean_payoff", "build_certificates",
+        "value_iteration",
+    ),
+    "numeric": (
+        "NEG_INF", "NOT_FOUND", "NOT_UNIQUE", "RationalInterval", "bottom",
+        "hilbert_seminorm", "rational_in_interval", "top", "vec", "zeros",
+    ),
+    "oracle": (
+        "FunctionOracle", "RestrictedOracle", "ShapleyOracle", "is_dominion",
+        "restrict",
+    ),
+    "perron": ("BracketingFailure", "char_poly", "eval_poly", "perron_root"),
+    "stochastic": (
+        "BruteForceResult", "ExactOracle", "GameSolution", "GameStats",
+        "RoundingOracle", "StochasticGame", "StrategyPair", "bias_norm_bound",
+        "brute_force_values", "check_certificate", "frozen_pair_values",
+        "game_to_json", "induced_subgame", "make_game", "parse_smpg",
+        "random_smpg", "recession_eval", "separation_bound", "shapley_eval",
+        "solve_constant_value", "solve_game", "winner",
+        "winner_iteration_bound",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+__all__ = sorted(_MODULE_OF)
+# submodules that `mpgames.<name>` reaches without an import statement
+_SUBMODULES = frozenset(_EXPORTS) | {"_smpgfast", "linalg"}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        return getattr(import_module(f".{module}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

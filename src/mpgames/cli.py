@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 malformed input (a missing or unreadable file
 included), an unwritable output path, a strategy-pair count over
 `--budget` or another violated precondition, 2 winner iteration budget
 exhausted without a verdict or a usage error, 3 iteration cap exceeded.
+
+Each command imports the game-kind module it needs when it runs: the
+module of the file's "type" (`_load_game`), of `--kind` (`gen-random`), or
+`cex` (`gen-cex`).  Most games are certified within the first oracle
+call, so one command's time is mostly interpreter start-up, much of it
+compiling the imported source: a stochastic file never loads the entropy
+solver, nor an entropy file the stochastic one.
 """
 
 from __future__ import annotations
@@ -15,12 +22,10 @@ import random
 import sys
 import time
 from fractions import Fraction
+from importlib import import_module
 
 import click
 
-from . import cex as cexmod
-from . import entropy as ent
-from . import stochastic as smpg
 from .graphs import GameFormatError, json_list, state_ids_error, state_indices
 from .iteration import SUB, SUPER, Certificate, Exhausted, IterationCapExceeded
 from .numeric import NEG_INF, RationalInterval, rational_in_interval
@@ -54,18 +59,28 @@ def _parse_frac(s):
     return _report_frac(s)
 
 
+# game kind (a game file's "type") -> its module and that module's reader
+_KINDS = {"smpg": ("stochastic", "parse_smpg"),
+          "entropy": ("entropy", "parse_entropy")}
+
+
+def _kind_module(kind):
+    """The module of game kind `kind`, imported on first use."""
+    return import_module(f".{_KINDS[kind][0]}", __package__)
+
+
 def _load_game(path):
+    """(kind, the kind's module, the game) of a game file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
     kind = obj.get("type") if isinstance(obj, dict) else None
-    if kind == "smpg":
-        return "smpg", smpg.parse_smpg(obj)
-    if kind == "entropy":
-        return "entropy", ent.parse_entropy(obj)
-    raise GameFormatError(f'unsupported or missing "type" in {path}')
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise GameFormatError(f'unsupported or missing "type" in {path}')
+    mod = _kind_module(kind)
+    return kind, mod, getattr(mod, _KINDS[kind][1])(obj)
 
 
 def _write_out(path, write):
@@ -165,7 +180,7 @@ def main():
 # solve
 
 
-def _solve_smpg(game, mode):
+def _solve_smpg(smpg, game, mode):
     if mode == "winner":
         verdict = smpg.winner(game)
         if isinstance(verdict, Exhausted):
@@ -218,7 +233,7 @@ def _sub_states(keys, game) -> dict:
     return {key: list(ids) for key, ids in zip(keys, game.ids)}
 
 
-def _solve_entropy(game, mode, budget):
+def _solve_entropy(ent, game, mode, budget):
     if mode == "winner":
         raise GameFormatError(
             "winner mode is not defined for matrix-multiplicative games"
@@ -262,11 +277,11 @@ def _solve_entropy(game, mode, budget):
 def solve(input_path, mode, as_json, budget):
     """Solve a game file (winner / value / top class / full analysis)."""
     try:
-        kind, game = _load_game(input_path)
+        kind, mod, game = _load_game(input_path)
         if kind == "smpg":
-            code, report = _solve_smpg(game, mode)
+            code, report = _solve_smpg(mod, game, mode)
         else:
-            code, report = _solve_entropy(game, mode, budget)
+            code, report = _solve_entropy(mod, game, mode, budget)
     except ValueError as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
@@ -297,7 +312,7 @@ def _report_ids(states, key):
     return ids
 
 
-def _cert_target(kind, game, states):
+def _cert_target(kind, mod, game, states):
     """The game, or the subgame named by a certificate record's "states";
     None when those states do not induce a stochastic subgame."""
     if states is None:
@@ -305,9 +320,9 @@ def _cert_target(kind, game, states):
     if not isinstance(states, dict):
         raise GameFormatError(f'"states" {states!r} is not an object')
     if kind == "smpg":
-        return smpg.induced_subgame(game, state_indices(
-            game.min_ids, _report_ids(states, smpg.KEYS[0])))
-    return ent.subgraph_on(game, *(_report_ids(states, k) for k in ent.KEYS))
+        return mod.induced_subgame(game, state_indices(
+            game.min_ids, _report_ids(states, mod.KEYS[0])))
+    return mod.subgraph_on(game, *(_report_ids(states, k) for k in mod.KEYS))
 
 
 _CERT_FAILED = "a certificate inequality does not hold"
@@ -330,7 +345,7 @@ def _strategy(report, key, from_ids, to_ids):
             and not isinstance(v, bool) else None for v in named]
 
 
-def _smpg_failure(report, target, sub, sup):
+def _smpg_failure(smpg, report, target, sub, sup):
     """Why the stochastic pair (sub, sup) fails on `target`, or None: its
     certificates, and the strategies the report names, checked at them."""
     sigma = _strategy(report, "min_strategy", target.min_ids, target.max_ids)
@@ -378,7 +393,7 @@ def _entropy_claims(report, pairs):
     return None
 
 
-def _verify_report(kind, game, report):
+def _verify_report(kind, mod, game, report):
     """Why the report fails, or None: each (sub, super) certificate pair
     must hold exactly on the (sub)game its states name, a stochastic
     report's strategies must be optimal at those certificates, and the top
@@ -402,14 +417,14 @@ def _verify_report(kind, game, report):
             raise GameFormatError(
                 "certificates must come in (sub, super) pairs on one state set"
             )
-        target = _cert_target(kind, game, sub_rec.get("states"))
+        target = _cert_target(kind, mod, game, sub_rec.get("states"))
         if target is None:
             return _CERT_FAILED
         if kind == "smpg":
-            failure = _smpg_failure(report, target, sub, sup)
+            failure = _smpg_failure(mod, report, target, sub, sup)
             if failure is not None:
                 return failure
-        elif not ent.check_entropy_certificates(target, (sub, sup)):
+        elif not mod.check_entropy_certificates(target, (sub, sup)):
             return _CERT_FAILED
         pairs.append((target, RationalInterval(sub.lam, sup.lam)))
     if kind == "smpg":
@@ -425,10 +440,10 @@ def certify(input_path, cert_path):
     exact arithmetic with zero tolerance, and check that the top class,
     blocks, values and intervals the report claims follow from them."""
     try:
-        kind, game = _load_game(input_path)
+        kind, mod, game = _load_game(input_path)
         with open(cert_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-        failure = _verify_report(kind, game, report)
+        failure = _verify_report(kind, mod, game, report)
     except (ValueError, KeyError, OSError) as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
@@ -453,9 +468,9 @@ def brute(input_path, budget, pairs_path, as_json):
     """Reference values by strategy enumeration (exact for stochastic games,
     certified brackets for matrix-multiplicative ones)."""
     try:
-        kind, game = _load_game(input_path)
+        kind, mod, game = _load_game(input_path)
         if kind == "smpg":
-            res = smpg.brute_force_values(game, budget=budget)
+            res = mod.brute_force_values(game, budget=budget)
             report = {
                 "values": {
                     s: _frac_str(v) for s, v in zip(game.min_ids, res.chi)
@@ -470,7 +485,7 @@ def brute(input_path, budget, pairs_path, as_json):
                 for s, v in zip(game.min_ids, gains)
             )
         else:
-            res = ent.brute_force_entropy_values(game, budget=budget)
+            res = mod.brute_force_entropy_values(game, budget=budget)
             report = {
                 "values": {
                     s: _interval_record(iv)
@@ -510,10 +525,11 @@ def brute(input_path, budget, pairs_path, as_json):
 def gen_random(kind, seed, out):
     """Emit a random small game instance as JSON."""
     rng = random.Random(seed)
+    mod = _kind_module(kind)
     if kind == "smpg":
-        obj = smpg.game_to_json(smpg.random_smpg(rng))
+        obj = mod.game_to_json(mod.random_smpg(rng))
     else:
-        obj = ent.entropy_to_json(ent.random_entropy_game(rng))
+        obj = mod.entropy_to_json(mod.random_entropy_game(rng))
     text = json.dumps(obj, indent=2)
     if out:
         _write_out(out, lambda fh: fh.write(text + "\n"))
@@ -533,6 +549,9 @@ def gen_random(kind, seed, out):
 @click.option("--json", "as_json", is_flag=True)
 def gen_cex(n, w, out, flip_max, flip_out, as_json):
     """Emit the two-branch slow-flip instance and its metadata."""
+    from . import cex as cexmod
+    from . import entropy as ent
+
     try:
         inst = cexmod.build_cex_game(n, w)
     except ValueError as exc:
@@ -578,12 +597,12 @@ def _bench_one(path, budget):
     stochastic file and the block iterations of `solve_entropy_game` for
     an entropy file."""
     start = time.perf_counter()
-    kind, game = _load_game(path)
+    kind, mod, game = _load_game(path)
     if kind == "smpg":
-        steps = smpg.solve_game(game).oracle_calls
+        steps = mod.solve_game(game).oracle_calls
         n = len(game.min_ids)
     else:
-        sol = ent.solve_entropy_game(game, budget=budget)
+        sol = mod.solve_entropy_game(game, budget=budget)
         steps = sum(b.iterations for b in sol.blocks)
         n = len(game.d_ids)
     return {
@@ -603,6 +622,9 @@ def _bench_one(path, budget):
               help="write a CSV trace instead of plain text")
 def bench(inputs, budget, trace):
     """Time the solver on one or more game files, one after another."""
+    # import every kind's module first, so that no row's time includes one
+    for kind in _KINDS:
+        _kind_module(kind)
     try:
         rows = [_bench_one(path, budget) for path in inputs]
     except ValueError as exc:

@@ -46,11 +46,16 @@ def is_state_id(value) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
+# the types of the state ids JSON decodes to; the readers test these inline
+# and call is_state_id only for other types (bools, floats, subclasses)
+_PLAIN_IDS = (str, int)
+
+
 def state_ids_error(ids):
     """Why `ids` cannot name the states of one game file, or None.  Reports
     sort the ids, so they are all strings or all integers."""
     for sid in ids:
-        if not is_state_id(sid):
+        if type(sid) not in _PLAIN_IDS and not is_state_id(sid):
             return f"state identifier {sid!r} is not a string or an integer"
     if len({type(sid) for sid in ids}) > 1:
         return "state identifiers mix strings and integers"
@@ -82,7 +87,8 @@ def read_game_file(obj, kind, keys, labels):
     seen = set()
     for rec in records:
         src, dst = rec.get("from"), rec.get("to")
-        if not (is_state_id(src) and is_state_id(dst)):
+        if not ((type(src) in _PLAIN_IDS or is_state_id(src))
+                and (type(dst) in _PLAIN_IDS or is_state_id(dst))):
             raise GameFormatError(f"edge record {rec!r} violates alternation")
         if (src, dst) in seen:
             raise GameFormatError(f"duplicate edge {src!r} -> {dst!r}")

@@ -82,3 +82,22 @@ def test_traced_run_counts_work(tmp_path):
                 "entropy.brute_force_entropy_values.pairs",
                 "entropy.rank_profile.selections"):
         assert metrics[key] > 0, key
+
+
+def test_uninstall_leaves_no_wrapper_in_the_package():
+    """The package resolves its exports on each access and keeps no copy,
+    so an export read while the tracer is installed is the wrapper, and the
+    same name read after `uninstall` is the original again."""
+    exported = [(importlib.import_module(f"mpgames.{mod}"), name)
+                for mod, name, _ in spans.FUNCTIONS if name in mg.__all__]
+    originals = [getattr(module, name) for module, name in exported]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = [getattr(mg, name) for _, name in exported]
+    finally:
+        tracer.uninstall()
+    for (module, name), orig, wrapper in zip(exported, originals, traced):
+        assert wrapper is not orig and wrapper.__wrapped__ is orig, name
+        assert getattr(mg, name) is orig is getattr(module, name), name
+        assert name not in vars(mg), name

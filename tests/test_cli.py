@@ -51,6 +51,46 @@ def write_game(tmp_path, name, obj):
     return str(path)
 
 
+# run before a script in a fresh interpreter: imports the CLI and defines
+# `run`, which runs one command in-process and returns its output, and
+# `solve_and_certify`
+FRESH_PRELUDE = """\
+import contextlib, io, json, sys
+from mpgames.cli import main
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main.main(args=list(args), prog_name="mpgames")
+        except SystemExit as exc:
+            assert not exc.code, (args, exc.code)
+    return out.getvalue()
+
+def solve_and_certify(game):
+    report = game + ".report.json"
+    with open(report, "w") as fh:
+        fh.write(run("solve", game, "--mode", "full", "--json"))
+    assert "verified" in run("certify", game, report)
+
+"""
+
+
+def fresh_modules(script, *args):
+    """The names of the modules loaded once `script`, after FRESH_PRELUDE,
+    has run in a fresh interpreter with `args` as its arguments."""
+    script = (FRESH_PRELUDE + textwrap.dedent(script)
+              + "\nprint(json.dumps(sorted(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(mg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", script, *args],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
 # malformed variants of the cycle_game / entropy_tribune_choice files
 
 
@@ -809,37 +849,67 @@ class TestInProcess:
             write_game(tmp_path, "e.json",
                        ent.entropy_to_json(entropy_tribune_choice())),
         ]
-        script = textwrap.dedent("""
-            import contextlib, io, sys
-            from mpgames.cli import main
-
-            def run(*args):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    try:
-                        main.main(args=list(args), prog_name="mpgames")
-                    except SystemExit as exc:
-                        assert not exc.code, (args, exc.code)
-                return out.getvalue()
-
+        loaded = fresh_modules("""
             for game in sys.argv[1:]:
-                report = game + ".report.json"
-                with open(report, "w") as fh:
-                    fh.write(run("solve", game, "--mode", "full", "--json"))
-                assert "verified" in run("certify", game, report)
+                solve_and_certify(game)
             assert "values" in run("brute", sys.argv[-1], "--json")
             assert "k_star" in run("gen-cex", "--n", "3", "--w", "4", "--json")
-            print(sorted({"numpy", "mpmath"} & set(sys.modules)))
-        """)
-        src = os.path.dirname(os.path.dirname(mg.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-c", script, *games],
-                             capture_output=True, text=True, env=env,
-                             timeout=120)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[]"
+        """, *games)
+        assert not {"numpy", "mpmath"} & loaded
+
+
+# the modules of the package that read, solve and check one game kind, or
+# build the slow-flip instance
+KIND_MODULES = {f"mpgames.{m}" for m in ("stochastic", "_smpgfast",
+                                          "dominion", "oracle", "entropy",
+                                          "perron", "cex")}
+SMPG_MODULES = {"mpgames.stochastic", "mpgames._smpgfast",
+                "mpgames.dominion", "mpgames.oracle"}
+
+
+class TestStartup:
+    """Each command imports only the modules of the game kind it reads."""
+
+    def test_cli_import_loads_no_kind_module(self):
+        loaded = fresh_modules("")
+        assert "mpgames.cli" in loaded
+        assert not KIND_MODULES & loaded
+
+    @pytest.mark.parametrize("kind", ["smpg", "entropy"])
+    def test_solve_and_certify_load_one_kind(self, smpg_file, entropy_file,
+                                             kind):
+        game = smpg_file if kind == "smpg" else entropy_file
+        loaded = fresh_modules("solve_and_certify(sys.argv[1])", game)
+        used = SMPG_MODULES if kind == "smpg" else {"mpgames.entropy",
+                                                    "mpgames.perron"}
+        assert used <= loaded
+        assert not (KIND_MODULES - used) & loaded
+
+    def test_gen_random_loads_its_kind(self):
+        loaded = fresh_modules(
+            'assert "edges" in run("gen-random", "--kind", "entropy")')
+        assert "mpgames.entropy" in loaded
+        assert not SMPG_MODULES & loaded
+
+    def test_bench_clock_starts_after_the_import(self, smpg_file,
+                                                 entropy_file):
+        """Each bench row's clock starts with its kind's module loaded, so
+        no row's seconds include compiling it."""
+        fresh_modules("""
+            import time
+            clock, started = time.perf_counter, []
+
+            def perf_counter():
+                started.append(set(sys.modules))
+                return clock()
+
+            time.perf_counter = perf_counter
+            run("bench", *sys.argv[1:])
+            time.perf_counter = clock
+            assert len(started) == 4, len(started)
+            assert "mpgames.stochastic" in started[0]
+            assert "mpgames.entropy" in started[2]
+        """, smpg_file, entropy_file)
 
 
 # structural mutations of game files and solve reports, for the fuzz test

@@ -1,9 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
 some module of the package reads each module-level private name, and each
-state-list key of the game files is spelled in one module only.
-
-`__init__` is left out of the import scan: its imports are the package's
-exports."""
+state-list key of the game files is spelled in one module only."""
 
 import ast
 from pathlib import Path
@@ -12,7 +9,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mpgames"
 SOURCES = sorted(SRC.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -44,7 +40,7 @@ def test_scan_finds_unused_imports():
     assert unused_imports(source) == [(2, "json"), (4, "replace")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
