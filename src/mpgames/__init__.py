@@ -12,9 +12,14 @@ Importing the package loads none of its modules: each exported name is
 looked up in its defining module on access (PEP 562), and the module is
 imported then.  Compiling the imported source is much of a short
 command's run time when no bytecode cache is written, so a command that
-reads one game kind loads only that kind's modules.  The lookup is not
-cached here, so a name always resolves to the module's current
-attribute, a patched or restored one included.
+reads one game kind loads only that kind's modules, and a solve and a
+certificate check load only the modules of the solve path: `stochastic`,
+`_smpgfast` and `linalg`, or `entropy` and `linalg`.  The reference and
+fallback code of each kind (`dominion`, with `iteration` and `oracle`, for
+stochastic games, and `perron` for entropy games) is imported when a
+command or a fallback runs it.  The lookup is not cached here, so a name
+always resolves to the module's current attribute, a patched or restored
+one included.
 """
 
 from importlib import import_module
@@ -28,41 +33,45 @@ _EXPORTS = {
         "flip_horizon", "positive_root", "threshold_horizon",
     ),
     "dominion": (
-        "DecideOutcome", "Dominion", "SepParams", "decide_constant_value",
-        "extend", "top_class", "top_class_call_budget",
+        "BruteForceResult", "DecideOutcome", "Dominion", "ExactOracle",
+        "RoundingOracle", "brute_force_values", "decide_constant_value",
+        "extend", "frozen_pair_values", "random_smpg", "recession_eval",
+        "top_class", "top_class_call_budget", "winner",
+        "winner_iteration_bound",
     ),
     "entropy": (
-        "BlockResult", "EntropyGame", "EntropySolution", "RankProfile",
-        "brute_force_entropy_values", "check_entropy_certificate",
-        "entropy_to_json", "induced_entropy_subgame", "make_entropy_game",
-        "multiplicative_eval", "pair_values", "pair_values_by_ids",
-        "parse_entropy", "random_entropy_game", "rank_profile",
-        "solve_entropy_game", "subgraph_on", "value_bounds",
+        "BlockResult", "EntropyGame", "EntropySolution",
+        "check_entropy_certificate", "entropy_to_json",
+        "induced_entropy_subgame", "make_entropy_game", "multiplicative_eval",
+        "parse_entropy", "random_entropy_game", "solve_entropy_game",
+        "subgraph_on", "value_bounds",
     ),
     "graphs": ("GameFormatError",),
     "iteration": (
-        "SUB", "SUPER", "Certificate", "ConstantValueResult", "Exhausted",
-        "IterationCapExceeded", "WinnerVerdict",
+        "ConstantValueResult", "Exhausted", "WinnerVerdict",
         "approximate_constant_mean_payoff", "build_certificates",
         "value_iteration",
     ),
     "numeric": (
-        "NEG_INF", "NOT_FOUND", "NOT_UNIQUE", "RationalInterval", "bottom",
+        "NEG_INF", "NOT_FOUND", "NOT_UNIQUE", "SUB", "SUPER", "Certificate",
+        "IterationCapExceeded", "RationalInterval", "bottom",
         "hilbert_seminorm", "rational_in_interval", "top", "vec", "zeros",
     ),
     "oracle": (
         "FunctionOracle", "RestrictedOracle", "ShapleyOracle", "is_dominion",
         "restrict",
     ),
-    "perron": ("BracketingFailure", "char_poly", "eval_poly", "perron_root"),
+    "perron": (
+        "BracketingFailure", "RankProfile", "brute_force_entropy_values",
+        "char_poly", "eval_poly", "pair_values", "pair_values_by_ids",
+        "perron_root", "rank_profile",
+    ),
     "stochastic": (
-        "BruteForceResult", "ExactOracle", "GameSolution", "GameStats",
-        "RoundingOracle", "StochasticGame", "StrategyPair", "bias_norm_bound",
-        "brute_force_values", "check_certificate", "frozen_pair_values",
+        "GameSolution", "GameStats", "SepParams", "StochasticGame",
+        "StrategyPair", "bias_norm_bound", "check_certificate",
         "game_to_json", "induced_subgame", "make_game", "parse_smpg",
-        "random_smpg", "recession_eval", "separation_bound", "shapley_eval",
-        "solve_constant_value", "solve_game", "winner",
-        "winner_iteration_bound",
+        "separation_bound", "shapley_eval", "solve_constant_value",
+        "solve_game",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import floor
 
 from .entropy import EntropyGame, make_entropy_game
-from .numeric import RationalInterval, ln_bracket
+from .numeric import RationalInterval
+from .perron import ln_bracket
 
 
 def companion_matrix(n: int, w: int):

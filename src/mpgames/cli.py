@@ -10,12 +10,16 @@ module of the file's "type" (`_load_game`), of `--kind` (`gen-random`), or
 `cex` (`gen-cex`).  Most games are certified within the first oracle
 call, so one command's time is mostly interpreter start-up, much of it
 compiling the imported source: a stochastic file never loads the entropy
-solver, nor an entropy file the stochastic one.
+solver, nor an entropy file the stochastic one.  The reference and
+fallback modules of a kind load only with the commands that run them:
+`dominion` (with `iteration` and `oracle`) for `--mode winner`, `brute`
+and `gen-random` of a stochastic game, `perron` for `brute` of an entropy
+game, and either when a solve falls back to it.  `csv` loads only with
+the commands that write CSV: `brute`, `gen-cex` and `bench`.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import random
@@ -27,8 +31,15 @@ from importlib import import_module
 import click
 
 from .graphs import GameFormatError, json_list, state_ids_error, state_indices
-from .iteration import SUB, SUPER, Certificate, Exhausted, IterationCapExceeded
-from .numeric import NEG_INF, RationalInterval, rational_in_interval
+from .numeric import (
+    NEG_INF,
+    SUB,
+    SUPER,
+    Certificate,
+    IterationCapExceeded,
+    RationalInterval,
+    rational_in_interval,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -40,17 +51,40 @@ def _frac_str(v) -> str:
     if v is NEG_INF:
         return "-inf"
     v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        # past the interpreter's int/str digit limit, which Decimal's own
+        # conversion does not have
+        from decimal import Decimal
+
+        return "/".join(format(Decimal(x), "f")
+                        for x in (v.numerator, v.denominator))
 
 
 def _report_frac(value) -> Fraction:
-    """A rational written in a report: a "p/q" string or an integer."""
+    """A rational written in a report: a "p/q" string or an integer, of any
+    size."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise GameFormatError(f"{value!r} is not a rational")
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:
         raise GameFormatError(f"{value!r} is not a rational") from exc
+    except ValueError:
+        # past the interpreter's int/str digit limit: "p/q" or "p" as
+        # `_frac_str` writes them, read through Decimal; anything else
+        # keeps Fraction's error
+        num, slash, den = value.partition("/")
+        if not (num.removeprefix("-").isdecimal()
+                and (den.isdecimal() or not slash)):
+            raise
+        from decimal import Decimal
+
+        den = int(Decimal(den)) if slash else 1
+        if not den:
+            raise GameFormatError(f"{value!r} is not a rational") from None
+        return Fraction(int(Decimal(num)), den)
 
 
 def _parse_frac(s):
@@ -182,7 +216,10 @@ def main():
 
 def _solve_smpg(smpg, game, mode):
     if mode == "winner":
-        verdict = smpg.winner(game)
+        from .dominion import winner
+        from .iteration import Exhausted
+
+        verdict = winner(game)
         if isinstance(verdict, Exhausted):
             return EXIT_EXHAUSTED, {
                 "result": "Exhausted",
@@ -468,9 +505,11 @@ def brute(input_path, budget, pairs_path, as_json):
     """Reference values by strategy enumeration (exact for stochastic games,
     certified brackets for matrix-multiplicative ones)."""
     try:
-        kind, mod, game = _load_game(input_path)
+        kind, _, game = _load_game(input_path)
         if kind == "smpg":
-            res = mod.brute_force_values(game, budget=budget)
+            from .dominion import brute_force_values
+
+            res = brute_force_values(game, budget=budget)
             report = {
                 "values": {
                     s: _frac_str(v) for s, v in zip(game.min_ids, res.chi)
@@ -485,7 +524,9 @@ def brute(input_path, budget, pairs_path, as_json):
                 for s, v in zip(game.min_ids, gains)
             )
         else:
-            res = mod.brute_force_entropy_values(game, budget=budget)
+            from .perron import brute_force_entropy_values
+
+            res = brute_force_entropy_values(game, budget=budget)
             report = {
                 "values": {
                     s: _interval_record(iv)
@@ -503,6 +544,8 @@ def brute(input_path, budget, pairs_path, as_json):
                                  res.registry.values(key, res.fine_tol))
             )
         if pairs_path:
+            import csv
+
             _write_out(pairs_path, lambda fh: csv.writer(fh).writerows(
                 itertools.chain([header], rows)))
     except ValueError as exc:
@@ -527,7 +570,9 @@ def gen_random(kind, seed, out):
     rng = random.Random(seed)
     mod = _kind_module(kind)
     if kind == "smpg":
-        obj = mod.game_to_json(mod.random_smpg(rng))
+        from .dominion import random_smpg
+
+        obj = mod.game_to_json(random_smpg(rng))
     else:
         obj = mod.entropy_to_json(mod.random_entropy_game(rng))
     text = json.dumps(obj, indent=2)
@@ -578,6 +623,8 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
             rows.append([k, left, right,
                          "left" if left > right else "right"])
         if flip_out:
+            import csv
+
             _write_out(flip_out, lambda fh: csv.writer(fh).writerows(
                 [["k", "left", "right", "winner"], *rows]))
         else:
@@ -622,9 +669,10 @@ def _bench_one(path, budget):
               help="write a CSV trace instead of plain text")
 def bench(inputs, budget, trace):
     """Time the solver on one or more game files, one after another."""
-    # import every kind's module first, so that no row's time includes one
-    for kind in _KINDS:
-        _kind_module(kind)
+    # import every module a row may run first, each kind's fallback module
+    # too, so that no row's time includes compiling one
+    for module in ("stochastic", "dominion", "entropy", "perron"):
+        import_module(f".{module}", __package__)
     try:
         rows = [_bench_one(path, budget) for path in inputs]
     except ValueError as exc:
@@ -634,6 +682,8 @@ def bench(inputs, budget, trace):
         _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CAP)
     if trace:
+        import csv
+
         _write_out(trace, lambda fh: csv.writer(fh).writerows(
             [list(rows[0]), *(row.values() for row in rows)]))
     else:

@@ -1,32 +1,138 @@
-"""Constant-value decision, dominion extension, and top-class extraction."""
+"""The stochastic games' reference and fallback code: the paper's
+constancy decision, dominion extension and top-class extraction, the
+approximate oracles they query, the exact `winner` decision, brute force
+by strategy enumeration, and random instances.
+
+`stochastic` holds the solve and the certificate check, and imports this
+module only when a probe reaches its a priori cap and `top_class` takes
+over; `winner`, brute force and the generator are imported by the commands
+that run them.  The paper's procedures use only the oracle interface of
+`oracle`.
+"""
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .iteration import gap_iteration
+from ._smpgfast import Kernel
+from .iteration import gap_iteration, value_iteration
 from .numeric import NEG_INF, bottom, zeros
-from .oracle import restrict
+from .oracle import ShapleyOracle, restrict
+from .stochastic import (
+    GameStats,
+    SepParams,
+    StochasticGame,
+    StrategyPair,
+    _pair_chain,
+    induced_subgame,
+    make_game,
+    markov_gain_bias,
+    shapley_eval,
+)
 
 
-@dataclass(frozen=True)
-class SepParams:
-    """delta: a priori separation parameter (must be below sep(F));
-    R: seminorm bound for sub/super-eigenvectors of the top-class
-    restriction."""
+# ---------------------------------------------------------------------------
+# operators and oracles
 
-    delta: Fraction
-    R: Fraction
 
-    def __post_init__(self):
-        if self.delta <= 0 or self.R <= 0:
-            raise ValueError("delta and R must be positive")
+def recession_eval(game: StochasticGame, x):
+    """Recession operator: same min/max structure with payoffs dropped.
+    Test oracle: the value vector is its fixed point (`TestRecessionEval`)."""
+    stripped = StochasticGame(
+        game.min_ids,
+        game.max_ids,
+        game.nat_ids,
+        tuple(tuple((i, 0) for i, _ in row) for row in game.min_edges),
+        tuple(tuple((k, 0) for k, _ in row) for row in game.max_edges),
+        game.nat_edges,
+        game.M,
+    )
+    return shapley_eval(stripped, x)
 
-    @property
-    def cap(self) -> int:
-        return 1 + ceil(Fraction(8) * self.R / self.delta)
+
+class ExactOracle(ShapleyOracle):
+    """Exact evaluation; `eps` is ignored (the eps = 0 path)."""
+
+    def __init__(self, game):
+        super().__init__(len(game.min_ids))
+        self.game = game
+
+    def _eval(self, x, eps):
+        return shapley_eval(self.game, x)
+
+
+def round_to_denominator(v, q: int):
+    """Nearest rational with denominator q (ties to even numerator)."""
+    if v is NEG_INF:
+        return NEG_INF
+    return Fraction(round(Fraction(v) * q), q)
+
+
+class RoundingOracle(ShapleyOracle):
+    """Exact evaluation followed by rounding of finite coordinates to the
+    1/q grid.  Serves any eps >= 1/(2q).  Provides the integer fast-path
+    hooks used by the generic procedures."""
+
+    def __init__(self, game, q: int):
+        if q < 1:
+            raise ValueError("q must be >= 1")
+        super().__init__(len(game.min_ids))
+        self.game = game
+        self.q = q
+        self._kernel = None
+
+    def _eval(self, x, eps):
+        if 2 * self.q * eps < 1:
+            raise ValueError("requested eps below oracle resolution 1/(2q)")
+        y = shapley_eval(self.game, x)
+        return tuple(round_to_denominator(v, self.q) for v in y)
+
+    def kernel(self):
+        if self._kernel is None:
+            self._kernel = Kernel(self.game)
+        return self._kernel
+
+    # fast-path hooks ------------------------------------------------------
+
+    def gap_loop(self, eps, delta, cap):
+        if 2 * self.q * eps < 1:
+            raise ValueError("requested eps below oracle resolution 1/(2q)")
+        d = Fraction(delta)
+        u_num, ell, hit = self.kernel().gap_loop(
+            self.q, d.numerator, d.denominator, cap
+        )
+        self.calls += ell
+        u = tuple(Fraction(v, self.q) for v in u_num)
+        return u, ell, hit
+
+    def replay_loop(self, eps, ell, kappa, lam):
+        b_num = Fraction(kappa) * self.q * ell
+        t_num = Fraction(lam) * self.q * ell
+        if b_num.denominator != 1 or t_num.denominator != 1:
+            raise ValueError("kappa/lam are not on the oracle grid")
+        x_num, y_num = self.kernel().replay_loop(
+            self.q, ell, b_num.numerator, t_num.numerator
+        )
+        self.calls += max(ell - 1, 0)
+        scale = self.q * ell
+        return (
+            tuple(Fraction(v, scale) for v in x_num),
+            tuple(Fraction(v, scale) for v in y_num),
+        )
+
+    def restrict_native(self, subset):
+        sub = induced_subgame(self.game, subset)
+        if sub is None:
+            return None
+        return RoundingOracle(sub, self.q)
+
+
+# ---------------------------------------------------------------------------
+# the paper's top class
 
 
 @dataclass(frozen=True)
@@ -116,3 +222,136 @@ def top_class_call_budget(n: int, params: SepParams) -> int:
     Test oracle: the paper's bound of order R/sep on oracle calls
     (`TestCallBudget`)."""
     return n * n + n * ceil(Fraction(8) * params.R / params.delta)
+
+
+# ---------------------------------------------------------------------------
+# winner
+
+
+def winner_iteration_bound(stats: GameStats) -> int:
+    return 8 * stats.n**2 * stats.W * stats.M ** (2 * stats.m_exp)
+
+
+def winner(game: StochasticGame):
+    """Exact value iteration from 0 with cap 8 n^2 W M^(2 min(s, n-1)) + 1.
+    Returns a WinnerVerdict, or Exhausted when the cap is hit (the value may
+    be 0 somewhere or non-constant)."""
+    cap = winner_iteration_bound(game.stats()) + 1
+    return value_iteration(ExactOracle(game), cap)
+
+
+# ---------------------------------------------------------------------------
+# brute force
+
+
+@dataclass(frozen=True)
+class BruteForceResult:
+    chi: tuple  # per Min state, exact rational value
+    pair_gains: tuple  # ((sigma, tau, gains), ...) with index-based maps
+
+
+def pair_gain(game: StochasticGame, sigma, tau):
+    """Gains of the Markov reward chain induced by index-based positional
+    strategies sigma (Min idx -> Max idx) and tau (Max idx -> Nat idx)."""
+    return markov_gain_bias(*_pair_chain(game, sigma, tau), game.M)[0]
+
+
+def brute_force_values(game: StochasticGame, budget: int = 10**6):
+    """chi_j = min over sigma of max over tau of gain_j(sigma, tau), by full
+    enumeration of positional pairs (uniformly optimal strategies exist, so
+    the componentwise min/max is attained)."""
+    n_min = len(game.min_ids)
+    n_max = len(game.max_ids)
+    sigma_choices = [[i for i, _ in game.min_edges[j]] for j in range(n_min)]
+    tau_choices = [[k for k, _ in game.max_edges[i]] for i in range(n_max)]
+    count = 1
+    for c in sigma_choices:
+        count *= len(c)
+    for c in tau_choices:
+        count *= len(c)
+    if count > budget:
+        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
+    pair_gains = []
+    chi = None
+    for sigma in itertools.product(*sigma_choices):
+        best_for_max = None
+        for tau in itertools.product(*tau_choices):
+            gains = tuple(pair_gain(game, sigma, tau))
+            pair_gains.append((sigma, tau, gains))
+            if best_for_max is None:
+                best_for_max = gains
+            else:
+                best_for_max = tuple(
+                    max(a, b) for a, b in zip(best_for_max, gains)
+                )
+        if chi is None:
+            chi = best_for_max
+        else:
+            chi = tuple(min(a, b) for a, b in zip(chi, best_for_max))
+    return BruteForceResult(chi=chi, pair_gains=tuple(pair_gains))
+
+
+def frozen_pair_values(game: StochasticGame, strategies: StrategyPair):
+    """Re-evaluate a strategy pair given by ids.  Test oracle: the paper's
+    exact optimal positional strategies (`test_strategy_optimality_frozen`)."""
+    min_index = {s: j for j, s in enumerate(game.min_ids)}
+    max_index = {s: i for i, s in enumerate(game.max_ids)}
+    nat_index = {s: k for k, s in enumerate(game.nat_ids)}
+    sigma = [max_index[strategies.sigma[s]] for s in game.min_ids]
+    tau = [nat_index[strategies.tau[s]] for s in game.max_ids]
+    return tuple(pair_gain(game, sigma, tau))
+
+
+# ---------------------------------------------------------------------------
+# random instances
+
+
+def random_smpg(
+    rng: random.Random,
+    max_min: int = 3,
+    max_max: int = 3,
+    max_nat: int = 3,
+    m_choices=(1, 2, 3),
+    payoff_lo: int = -2,
+    payoff_hi: int = 2,
+) -> StochasticGame:
+    """Random instance satisfying the nondegeneracy assumption; regenerated
+    until W >= 1 so the complexity bounds are meaningful."""
+    while True:
+        n_min = rng.randint(1, max_min)
+        n_max = rng.randint(1, max_max)
+        n_nat = rng.randint(1, max_nat)
+        m = rng.choice(list(m_choices))
+        min_edges = []
+        for _ in range(n_min):
+            deg = rng.randint(1, n_max)
+            targets = rng.sample(range(n_max), deg)
+            min_edges.append(
+                [(i, rng.randint(payoff_lo, payoff_hi)) for i in targets]
+            )
+        max_edges = []
+        for _ in range(n_max):
+            deg = rng.randint(1, n_nat)
+            targets = rng.sample(range(n_nat), deg)
+            max_edges.append(
+                [(k, rng.randint(payoff_lo, payoff_hi)) for k in targets]
+            )
+        nat_edges = []
+        for _ in range(n_nat):
+            deg = rng.randint(1, min(n_min, m))
+            targets = rng.sample(range(n_min), deg)
+            # random composition of M into deg positive parts
+            cuts = sorted(rng.sample(range(1, m), deg - 1)) if deg > 1 else []
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [m])]
+            nat_edges.append(list(zip(targets, parts)))
+        game = make_game(
+            tuple(f"m{j}" for j in range(n_min)),
+            tuple(f"x{i}" for i in range(n_max)),
+            tuple(f"n{k}" for k in range(n_nat)),
+            min_edges,
+            max_edges,
+            nat_edges,
+            m,
+        )
+        if game.stats().W >= 1:
+            return game

@@ -35,17 +35,19 @@ game's rank (the maximal rank of its pair matrices, read off the same
 enumeration); damped witnesses then sit a slack outside the value bracket,
 half an exact rational lower bound of the log-gap between the top value and
 the nearest distinct growth rate of a pair matrix restricted to the block.
+That path, brute force and the log-domain arithmetic live in `perron`,
+which a solve imports only when a block falls back; this module holds what
+a solve certified by the separation and a certificate check run.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from importlib import import_module
 
 from .graphs import (
     GameFormatError,
@@ -54,12 +56,9 @@ from .graphs import (
     read_game_file,
     spanning_subgraph,
     state_indices,
-    tarjan_scc,
 )
-from .iteration import SUB, SUPER, Certificate, IterationCapExceeded
 from .linalg import integer_rank, integer_solve
-from .numeric import NEG_INF, RationalInterval, exp_bracket, ln_bracket
-from .perron import perron_root
+from .numeric import SUB, SUPER, Certificate, RationalInterval
 
 
 # ---------------------------------------------------------------------------
@@ -148,84 +147,6 @@ def multiplicative_eval(game: EntropyGame, x):
     return tuple(min(tvals[t] for t in row) for row in game.d_edges)
 
 
-def recession_eval(game: EntropyGame, x):
-    """Recession operator in the log domain: multiplicities collapse to their
-    support, sums collapse to maxima, so F^hat_d = min_t max_p max_l x_l.
-    Test oracle: the value vector is its fixed point (`TestRecessionEval`)."""
-    out = []
-    for row in game.d_edges:
-        best = None
-        for t in row:
-            inner = NEG_INF
-            for p in game.t_edges[t]:
-                for l, _ in game.p_edges[p]:
-                    v = x[l]
-                    if v is NEG_INF:
-                        continue
-                    if inner is NEG_INF or v > inner:
-                        inner = v
-            if best is None:
-                best = inner
-            elif inner is NEG_INF or (best is not NEG_INF and inner < best):
-                best = inner
-        out.append(best)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# certified logarithmic arithmetic
-
-
-_E_UPPER = Fraction(27182818285, 10**10)  # rational upper bound of e
-
-
-# Kept only because perfbench/spans.py wraps this name; no solver calls it.
-def exp_bounds(x, rel_bits: int = 80):
-    """Rational (lower, upper) enclosure of e^x with relative width at most
-    2^-rel_bits."""
-    return exp_bracket(x, rel_bits)
-
-
-# Kept only because perfbench/spans.py wraps this name; no solver calls it.
-def certified_log_sum_exp(terms, eps) -> Fraction:
-    """A rational within eps of log(sum_i m_i * e^(x_i)) for integer weights
-    m_i >= 1 and rational x_i.  Fast float64 path with a conservative static
-    error envelope; exact rational ln/exp brackets otherwise.  Deterministic
-    for fixed (terms, eps)."""
-    if not terms:
-        raise ValueError("empty term list")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    xs = [Fraction(x) for _, x in terms]
-    try:
-        xf = [float(v) for v in xs]
-        shift = max(xf)
-        s = 0.0
-        for (m, _), v in zip(terms, xf):
-            s += m * math.exp(v - shift)
-        res = shift + math.log(s)
-        xmax_abs = max(abs(v) for v in xf)
-        err = (
-            Fraction(2.0 * xmax_abs + 2.0 + abs(res)) * Fraction(1, 2**48)
-            + Fraction(len(terms) + 8, 2**48)
-        )
-        if err <= eps:
-            return Fraction(res)
-    except (OverflowError, ValueError):
-        pass
-    # Relative width 2^-bits for the sum, and 2^-bits for each ln end, give
-    # a bracket of width at most 3 * 2^-bits < eps.
-    bits = (eps.denominator // eps.numerator).bit_length() + 2
-    shift_fr = max(xs)
-    lo = hi = Fraction(0)
-    for (m, _), v in zip(terms, xs):
-        e_lo, e_hi = exp_bracket(v - shift_fr, bits)
-        lo += m * e_lo
-        hi += m * e_hi
-    return shift_fr + (ln_bracket(lo, bits)[0] + ln_bracket(hi, bits)[1]) / 2
-
-
 # ---------------------------------------------------------------------------
 # dominions and restrictions
 
@@ -263,241 +184,6 @@ def _spanned(game, keep):
 
 
 # ---------------------------------------------------------------------------
-# pair matrices and their growth rates
-
-
-def pair_matrix(game: EntropyGame, sigma, tau):
-    """Nonnegative matrix of the chain fixed by positional strategies: row k
-    is the People row chosen at Despot k via sigma (Despot idx -> Tribune
-    idx) and tau (Tribune idx -> People idx)."""
-    n = len(game.d_ids)
-    rows = []
-    for k in range(n):
-        p = tau[sigma[k]]
-        row = [0] * n
-        for l, m in game.p_edges[p]:
-            row[l] = m
-        rows.append(row)
-    return rows
-
-
-def matrix_values(matrix, tol):
-    """Per-state growth rates of a nonnegative integer matrix, as rational
-    brackets of width <= tol: the maximum Perron root over strongly connected
-    components reachable from the state."""
-    n = len(matrix)
-    adj = [[j for j, v in enumerate(row) if v] for row in matrix]
-    comps = [sorted(c) for c in tarjan_scc(adj)]
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    vals = []
-    for ci, comp in enumerate(comps):
-        if len(comp) == 1:
-            # the Perron root of a 1x1 block is its entry (0 when acyclic)
-            lo = hi = Fraction(matrix[comp[0]][comp[0]])
-        else:
-            sub = [[matrix[i][j] for j in comp] for i in comp]
-            rho = perron_root(sub, tol)
-            lo, hi = rho.lo, rho.hi
-        # components are listed successors-first, so reachable values are done
-        for v in comp:
-            for w in adj[v]:
-                cw = comp_of[w]
-                if cw != ci:
-                    lo = max(lo, vals[cw].lo)
-                    hi = max(hi, vals[cw].hi)
-        vals.append(RationalInterval(lo, hi))
-    return [vals[comp_of[i]] for i in range(n)]
-
-
-def pair_values(game: EntropyGame, sigma, tau, tol):
-    return matrix_values(pair_matrix(game, sigma, tau), tol)
-
-
-def pair_values_by_ids(game: EntropyGame, sigma_ids, tau_ids, tol):
-    """Pair values for id-based strategies (Despot id -> Tribune id,
-    Tribune id -> People id).  Test oracle: the stitched strategies are
-    optimal (`test_stitched_strategies_reproduce_values`)."""
-    t_index = {s: j for j, s in enumerate(game.t_ids)}
-    p_index = {s: j for j, s in enumerate(game.p_ids)}
-    sigma = [t_index[sigma_ids[s]] for s in game.d_ids]
-    tau = [p_index[tau_ids[s]] for s in game.t_ids]
-    return pair_values(game, sigma, tau, tol)
-
-
-# ---------------------------------------------------------------------------
-# separation profile
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    rank: int  # the game's rank: the maximal rank of its pair matrices
-    selections: int  # the distinct pair matrices ranked
-    nu: Fraction  # multiplicative separation factor for distinct pair values
-    nu_hat: Fraction  # log-domain separation denominator (n * W * nu)
-
-
-@lru_cache(maxsize=None)
-def _nu_value(n: int, w: int, r: int) -> Fraction:
-    nu = Fraction(2) ** r * Fraction(r + 1) ** (8 * r)
-    expo = 2 * r * r - r - 1
-    if expo > 0:
-        nu = nu / Fraction(r) ** expo
-    nu *= (Fraction(n) * _E_UPPER) ** (4 * r * r)
-    nu *= max(Fraction(1), Fraction(w, 2)) ** (4 * r * r)
-    return nu
-
-
-def rank_profile(game: EntropyGame, matrices) -> RankProfile:
-    """The rank r of the game, the maximal rank of the given pair matrices
-    (the ambiguity matrices of its strategy pairs, the paper's rank), and
-    the separation factors nu(n, W, r) derived from it.
-
-    Every value the solver compares is a Perron root of a principal
-    submatrix of a pair matrix of the game: the per-state rates of the pair
-    matrices themselves, and those of their restrictions to the top class in
-    `_top_slack`.  A principal submatrix has rank at most that of the
-    matrix, so every such root is an eigenvalue of an integer matrix of rank
-    at most r, and nu(n, W, r) separates any two distinct ones."""
-    stats = game.stats()
-    r = max([1] + [integer_rank(m) for m in matrices])
-    return RankProfile(rank=r, selections=len(matrices),
-                       nu=_nu_value(stats.n, stats.W, r),
-                       nu_hat=_nu_hat(stats, r))
-
-
-# ---------------------------------------------------------------------------
-# brute force (bracketed, with on-demand refinement)
-
-
-class _ValueRegistry:
-    """Per-state growth-rate brackets for ambiguity matrices, deduplicated by
-    matrix content and lazily refined (a tolerance never increases)."""
-
-    def __init__(self):
-        self._store = {}
-
-    def add(self, matrix):
-        """Register a matrix and return its stored key: equal matrices share
-        one key tuple."""
-        key = tuple(tuple(row) for row in matrix)
-        # [tol, per-state intervals, the stored key]
-        return self._store.setdefault(key, [None, None, key])[2]
-
-    def keys(self):
-        return list(self._store)
-
-    def values(self, key, tol):
-        """The per-state brackets of `key` at width <= tol.  The stored
-        brackets are recomputed only when tol is finer than their own
-        tolerance, so a bracket refined by `compare` serves every later
-        lookup at a coarser tolerance: `_top_slack` relies on that to see
-        fine brackets through its coarse reads."""
-        ent = self._store[key]
-        stored = ent[0]
-        if stored is not tol and (stored is None or stored > tol):
-            ent[1] = matrix_values([list(row) for row in key], tol)
-            ent[0] = tol
-        return ent[1]
-
-    def compare(self, c1, c2, coarse, fine):
-        """Order the algebraic values behind two (key, state) references:
-        -1/0/1.  Overlapping brackets are refined to `fine` before being
-        declared equal, which is decisive below the separation bound."""
-        if c1 == c2:
-            return 0
-        for tol in (coarse, fine):
-            a = self.values(c1[0], tol)[c1[1]]
-            b = self.values(c2[0], tol)[c2[1]]
-            if a.hi < b.lo:
-                return -1
-            if b.hi < a.lo:
-                return 1
-        return 0
-
-
-@dataclass
-class BruteEntropyResult:
-    chi: tuple  # per Despot index, RationalInterval around the exact value
-    candidates: tuple  # (matrix key, state) reference of each winning bracket
-    registry: _ValueRegistry
-    coarse_tol: Fraction
-    fine_tol: Fraction
-    pair_count: int
-    profile: RankProfile  # sets fine_tol and the slack floor of the solver
-
-    def refine(self, state: int, tol) -> RationalInterval:
-        key, st = self.candidates[state]
-        return self.registry.values(key, tol)[st]
-
-
-def pair_count(game: EntropyGame) -> int:
-    """The number of positional strategy pairs of the game."""
-    count = 1
-    for row in game.d_edges + game.t_edges:
-        count *= len(row)
-    return count
-
-
-def check_pair_budget(game: EntropyGame, budget: int) -> int:
-    """The game's strategy-pair count; ValueError when it exceeds `budget`."""
-    count = pair_count(game)
-    if count > budget:
-        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
-    return count
-
-
-def brute_force_entropy_values(
-    game: EntropyGame, budget: int = 10**6
-) -> BruteEntropyResult:
-    """chi_d = min over Despot strategies of max over Tribune strategies of
-    the pair growth rate, componentwise (positional uniformly optimal
-    strategies exist).  One pass over the strategy pairs registers every pair
-    matrix; the game's rank, and with it the separation profile, is read from
-    the distinct ones.  Brackets start at width 2^-30 and are refined to
-    1/(4*nu_hat) only when a comparison is ambiguous; equal-looking brackets
-    at that width are genuinely equal by the separation bound.  A pair count
-    over the budget raises ValueError before any pair matrix is built."""
-    count = check_pair_budget(game, budget)
-    reg = _ValueRegistry()
-    taus = list(itertools.product(*game.t_edges))
-    grid = [
-        [reg.add(pair_matrix(game, sigma, tau)) for tau in taus]
-        for sigma in itertools.product(*game.d_edges)
-    ]
-    profile = rank_profile(game, reg.keys())
-    coarse = Fraction(1, 2**30)
-    fine = min(coarse, Fraction(1, 4) / profile.nu_hat)
-    chi_cand = None
-    for keys in grid:
-        best = [(keys[0], d) for d in range(len(game.d_ids))]
-        for key in keys[1:]:
-            best = [
-                b if reg.compare(b, (key, d), coarse, fine) >= 0 else (key, d)
-                for d, b in enumerate(best)
-            ]
-        if chi_cand is None:
-            chi_cand = best
-        else:
-            chi_cand = [
-                a if reg.compare(a, b, coarse, fine) <= 0 else b
-                for a, b in zip(chi_cand, best)
-            ]
-    chi = tuple(reg.values(k, coarse)[s] for k, s in chi_cand)
-    return BruteEntropyResult(
-        chi=chi,
-        candidates=tuple(chi_cand),
-        registry=reg,
-        coarse_tol=coarse,
-        fine_tol=fine,
-        pair_count=count,
-        profile=profile,
-    )
-
-
-# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -532,6 +218,46 @@ def check_entropy_certificates(game: EntropyGame, certs) -> bool:
         if not holds:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# separation bound and strategy-pair budget
+
+
+_E_UPPER = Fraction(27182818285, 10**10)  # rational upper bound of e
+
+
+@lru_cache(maxsize=None)
+def _nu_value(n: int, w: int, r: int) -> Fraction:
+    nu = Fraction(2) ** r * Fraction(r + 1) ** (8 * r)
+    expo = 2 * r * r - r - 1
+    if expo > 0:
+        nu = nu / Fraction(r) ** expo
+    nu *= (Fraction(n) * _E_UPPER) ** (4 * r * r)
+    nu *= max(Fraction(1), Fraction(w, 2)) ** (4 * r * r)
+    return nu
+
+
+def _nu_hat(stats: EntropyStats, rank: int) -> Fraction:
+    """The log-domain separation denominator n * W * nu(n, W, rank)."""
+    return stats.n * stats.W * _nu_value(stats.n, stats.W, rank)
+
+
+def pair_count(game: EntropyGame) -> int:
+    """The number of positional strategy pairs of the game."""
+    count = 1
+    for row in game.d_edges + game.t_edges:
+        count *= len(row)
+    return count
+
+
+def check_pair_budget(game: EntropyGame, budget: int) -> int:
+    """The game's strategy-pair count; ValueError when it exceeds `budget`."""
+    count = pair_count(game)
+    if count > budget:
+        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
+    return count
+
 
 
 # ---------------------------------------------------------------------------
@@ -586,81 +312,6 @@ class EntropySolution:
     blocks: tuple
 
 
-def _top_slack(brute: BruteEntropyResult, best: int, top) -> Fraction:
-    """A certified log-domain slack for the witnesses of the top class D =
-    `top`, whose value v is that of state `best`: half an exact rational
-    lower bound (`ln_bracket` at 20 bits) of the smallest verified log-gap
-    between v and a distinct per-state growth rate of the D-principal
-    submatrix of an achievable pair matrix, floored at the a priori bound
-    1/nu_hat and capped at 1/8.
-
-    Only these rates matter.  The witnesses x, y > 0 on D satisfy
-    T(x) >= lam_lo * x and T(y) <= lam_hi * y on the block, at levels within
-    a log-distance delta/2 of v.  A Tribune strategy greedy at x gives
-    A_DD x >= lam_lo * x for every Despot strategy, and a Despot strategy
-    greedy at y gives A_DD y <= lam_hi * y for every Tribune strategy, where
-    A_DD is the D-principal submatrix of the pair matrix.  Iterating these
-    inequalities bounds every per-state rate of A_DD below by lam_lo and
-    above by lam_hi respectively.  No rate other than v lies that close to
-    v, so both greedy strategies are exactly optimal on D.
-
-    Each comparison goes to `compare`, which refines overlapping brackets to
-    the fine tolerance, and both brackets are read after it.  The registry
-    serves the stored fine bracket to a coarse lookup, so two distinct
-    values closer than the coarse width still give a ratio big.lo / small.hi
-    above 1.  Read before `compare`, such a pair would give a ratio of at
-    most 1 and drop delta to the floor: still sound, as any brackets bound
-    the ratio from below, but too small a slack for the witness search."""
-    reg, coarse, fine = brute.registry, brute.coarse_tol, brute.fine_tol
-    v = brute.candidates[best]
-    least = None  # the smallest verified ratio big.lo / small.hi
-    for key in reg.keys():
-        sub = reg.add([[key[i][j] for j in top] for i in top])
-        for s in range(len(top)):
-            c = reg.compare(v, (sub, s), coarse, fine)
-            if c == 0:
-                continue
-            a = reg.values(v[0], coarse)[v[1]]
-            b = reg.values(sub, coarse)[s]
-            small, big = (a, b) if c < 0 else (b, a)
-            if small.hi > 0 and (least is None or big.lo / small.hi < least):
-                least = big.lo / small.hi
-    half_gap = (ln_bracket(least, 20)[0] / 2 if least is not None
-                else Fraction(1, 8))
-    return min(Fraction(1, 8),
-               max(half_gap, Fraction(1) / brute.profile.nu_hat))
-
-
-def _witness_certificates(subgame, v_interval, slack, cap=30000):
-    """Exact multiplicative sub/super certificates at the levels
-    v.lo - slack and v.hi + slack: run the damped iteration u <- T(u) + u on
-    integer vectors from 1 and keep the first iterates satisfying the sub and
-    the super inequality.  The minimum normalized ratio min_d T(u)_d/u_d is
-    nondecreasing along the damped orbit, so the search is monotone.  Returns
-    (sub, sup, steps), steps counting the evaluations of T; raises
-    IterationCapExceeded after `cap` of them."""
-    lam_lo = v_interval.lo - slack
-    lam_hi = v_interval.hi + slack
-    u = [1] * len(subgame.d_ids)
-    sub = sup = None
-    for steps in range(1, cap + 1):
-        tu = multiplicative_eval(subgame, u)
-        if sub is None and all(tv >= lam_lo * uv for tv, uv in zip(tu, u)):
-            sub = Certificate(lam_lo, tuple(u), SUB, multiplicative=True)
-        if sup is None and all(tv <= lam_hi * uv for tv, uv in zip(tu, u)):
-            sup = Certificate(lam_hi, tuple(u), SUPER, multiplicative=True)
-        if sub is not None and sup is not None:
-            return sub, sup, steps
-        u = [a + b for a, b in zip(tu, u)]
-        if steps % 32 == 0:
-            g = gcd(*u)
-            if g > 1:
-                u = [v // g for v in u]
-    raise IterationCapExceeded(
-        f"damped iteration found no eigenvector witnesses within {cap} steps"
-    )
-
-
 def _finish_block(game, dmax, subgame, sub, sup, **fields):
     """The block of the Despots `dmax` of `game`, whose subgame carries the
     witnesses sub and sup, with the strategies greedy at them:
@@ -704,38 +355,6 @@ def _finish_block(game, dmax, subgame, sub, sup, **fields):
         **fields,
     )
     return block, sigma, tau
-
-
-def _enumerated_block(game: EntropyGame, budget: int):
-    """The top class of `game` by strategy enumeration, certified by damped
-    witnesses at a slack from `_top_slack`: (block, sigma, tau, residual)."""
-    brute = brute_force_entropy_values(game, budget)
-    reg, cands = brute.registry, brute.candidates
-    coarse, fine = brute.coarse_tol, brute.fine_tol
-    nd = len(game.d_ids)
-    best = 0
-    for d in range(1, nd):
-        if reg.compare(cands[d], cands[best], coarse, fine) > 0:
-            best = d
-    dmax = [
-        d
-        for d in range(nd)
-        if reg.compare(cands[d], cands[best], coarse, fine) == 0
-    ]
-    subgame = induced_entropy_subgame(game, dmax)
-    if subgame is None:
-        raise RuntimeError("top class candidate is not a dominion")
-    delta = _top_slack(brute, best, dmax)
-    v_int = brute.refine(best, delta / 64)
-    # delta is at most half the smallest log-gap between v and a distinct
-    # rate on the block, so levels delta/4 outside v_int still separate them
-    sub, sup, steps = _witness_certificates(subgame, v_int, delta / 4)
-    if not check_entropy_certificates(subgame, (sub, sup)):
-        raise AssertionError("internal error: certificate failed verification")
-    block, sigma, tau = _finish_block(
-        game, dmax, subgame, sub, sup, delta=delta, iterations=steps,
-        decided_by=ENUMERATION, rank=brute.profile.rank)
-    return block, sigma, tau, _remove_block(game, block)
 
 
 def _greedy_eval(game: EntropyGame, x):
@@ -899,11 +518,6 @@ def _people_rank(subgame: EntropyGame) -> int:
     return integer_rank(rows)
 
 
-def _nu_hat(stats: EntropyStats, rank: int) -> Fraction:
-    """The log-domain separation denominator n * W * nu(n, W, rank)."""
-    return stats.n * stats.W * _nu_value(stats.n, stats.W, rank)
-
-
 def _log2_ceil(x: Fraction) -> int:
     """The least b with 2^b >= x, for x >= 1."""
     b = x.numerator.bit_length() - x.denominator.bit_length()
@@ -934,8 +548,8 @@ def _separated_block(game: EntropyGame):
       two of its distinct rates, all at most n * W, lie a log-distance of
       at least 1/nu_hat apart.  So [lo, hi] holds exactly one such rate,
       the block's value, and v is both the sub and the super witness.  The
-      strategies greedy at v are then exactly optimal on D by `_top_slack`'s
-      argument, with 1/nu_hat in place of the enumerated gap;
+      strategies greedy at v are then exactly optimal on D by the argument
+      of `perron._top_slack`, with 1/nu_hat in place of the enumerated gap;
     - `_remove_block` leaves a well-formed residual game (or none), and the
       search iterate restricted to it is a super witness at a level below
       lo: every Despot left has a lower value, so D is the whole top class.
@@ -1051,9 +665,10 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
     block, remove it together with the Tribunes and People attached to it,
     and recurse.  Each block is certified by the rank separation
     (`_separated_block`); a block whose search runs out of evaluations
-    falls back to strategy enumeration (`_enumerated_block`).  A game whose
-    strategy-pair count exceeds `budget` is refused before any other work,
-    so every fallback fits the budget."""
+    falls back to strategy enumeration (`perron._enumerated_block`, the
+    module imported then).  A game whose strategy-pair count exceeds
+    `budget` is refused before any other work, so every fallback fits the
+    budget."""
     game.validate()
     check_pair_budget(game, budget)
     current = game
@@ -1062,8 +677,12 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
     sigma = {}
     tau = {}
     for _ in range(len(game.d_ids) + 1):
-        block, blk_sigma, blk_tau, current = (
-            _separated_block(current) or _enumerated_block(current, budget))
+        found = _separated_block(current)
+        if found is None:
+            from .perron import _enumerated_block
+
+            found = _enumerated_block(current, budget)
+        block, blk_sigma, blk_tau, current = found
         blocks.append(block)
         for did in block.d_ids:
             values[did] = block.interval
@@ -1121,3 +740,20 @@ def random_entropy_game(
         t_edges,
         p_edges,
     )
+
+
+# ---------------------------------------------------------------------------
+# the reference path, in `perron`
+
+# names `perron` defines that perfbench/spans.py looks up in this module:
+# resolved there on access (PEP 562), which imports `perron`
+_IN_PERRON = frozenset({
+    "brute_force_entropy_values", "certified_log_sum_exp", "exp_bounds",
+    "matrix_values", "rank_profile",
+})
+
+
+def __getattr__(name):
+    if name in _IN_PERRON:
+        return getattr(import_module(".perron", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

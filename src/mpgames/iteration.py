@@ -8,6 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
+    SUB,
+    SUPER,
+    Certificate,
+    IterationCapExceeded,
     RationalInterval,
     bottom,
     top,
@@ -16,24 +20,6 @@ from .numeric import (
     vec_sup,
     zeros,
 )
-
-SUB = "sub"
-SUPER = "super"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """(lam, vec) witnessing a Collatz-Wielandt inequality.
-
-    Additive form (default): sub means lam + vec <= F(vec) coordinatewise,
-    super means lam + vec >= F(vec).  The entropy backend issues its
-    certificates in multiplicative form (lam * vec <= T(vec)), flagged by
-    `multiplicative`: exact integer sub/super eigenvectors of T."""
-
-    lam: Fraction
-    vec: tuple
-    direction: str
-    multiplicative: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,10 +41,6 @@ class ConstantValueResult:
     sub: Certificate
     sup: Certificate
     iterations: int
-
-
-class IterationCapExceeded(RuntimeError):
-    pass
 
 
 def value_iteration(oracle, max_iter: int):

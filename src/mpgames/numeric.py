@@ -1,4 +1,5 @@
-"""Exact extended-real arithmetic, seminorms, and rational reconstruction.
+"""Exact extended-real arithmetic, seminorms, rational reconstruction, and
+the certificate record that both game kinds share.
 
 Vectors are plain tuples whose entries are either `fractions.Fraction` or the
 distinguished element `NEG_INF`.  All game-side arithmetic is exact; floating
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
 class _NegInf:
@@ -236,87 +236,26 @@ def rational_in_interval(iv: RationalInterval, qmax: int):
 
 
 # ---------------------------------------------------------------------------
-# rational ln and exp brackets
+# certificates
+
+SUB = "sub"
+SUPER = "super"
 
 
-def _div(u: int, v: int, up: bool) -> int:
-    """u / v for v > 0, rounded down (or up when `up`)."""
-    return -(-u // v) if up else u // v
+@dataclass(frozen=True)
+class Certificate:
+    """(lam, vec) witnessing a Collatz-Wielandt inequality.
+
+    Additive form (default): sub means lam + vec <= F(vec) coordinatewise,
+    super means lam + vec >= F(vec).  The entropy backend issues its
+    certificates in multiplicative form (lam * vec <= T(vec)), flagged by
+    `multiplicative`: exact integer sub/super eigenvectors of T."""
+
+    lam: Fraction
+    vec: tuple
+    direction: str
+    multiplicative: bool = False
 
 
-def _atanh_fixed(a: int, b: int, p: int, up: bool) -> int:
-    """2^p atanh(a/b) for 0 <= a/b <= 1/3, rounded down (or up when `up`):
-    the series sum_i z^(2i+1)/(2i+1) on integers, every power and term
-    rounded the same way.  Each power is at most z^2 <= 1/9 times the last,
-    so the terms from a power t on sum to at most 9t/8 < 2t."""
-    a2, b2 = a * a, b * b
-    t = _div(a << p, b, up)
-    total, k = 0, 1
-    while t > (1 if up else 0):
-        total += _div(t, k, up)
-        t = _div(t * a2, b2, up)
-        k += 2
-    return total + 2 * t if up else total
-
-
-@lru_cache(maxsize=64)
-def _ln2_fixed(p: int, up: bool) -> int:
-    """2^p ln 2 = 2^p 2 atanh(1/3), rounded down (or up when `up`);
-    memoised, as every bracket at precision p needs both roundings."""
-    return 2 * _atanh_fixed(1, 3, p, up)
-
-
-def _exp_fixed(n: int, p: int, up: bool) -> int:
-    """2^p e^r for r = n/2^p >= 0, rounded down (or up when `up`): the
-    Taylor series on integers.  The upper sum stops at a term
-    t >= 2^p r^i/i! with t <= 1.  As ((i + 1)/2)^i >= i!, that forces
-    r <= (i + 1)/2, so each later term is at most half the one before and
-    together they are at most t."""
-    total = t = 1 << p
-    i = 1
-    while t > (1 if up else 0):
-        t = _div(t * n, i << p, up)
-        total += t
-        i += 1
-    return total + t if up else total
-
-
-def ln_bracket(x, bits: int):
-    """Rational (lo, hi) with lo <= ln x <= hi and hi - lo <= 2^-bits, for
-    a rational x > 0.  With x = 2^k y and y in [1, 2),
-    ln x = k ln 2 + 2 atanh((y - 1)/(y + 1)), the atanh argument at most
-    1/3.  Exact at x = 1."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("ln requires a positive argument")
-    num, den = x.numerator, x.denominator
-    k = num.bit_length() - den.bit_length()
-    n, d = num << max(-k, 0), den << max(k, 0)  # y = n/d lies in (1/2, 2)
-    if n < d:
-        k, n = k - 1, 2 * n
-    # guard bits for the O(p) rounded series terms and the k-fold ln 2 error
-    p = bits + abs(k).bit_length() + bits.bit_length() + 8
-    l2lo, l2hi = _ln2_fixed(p, False), _ln2_fixed(p, True)
-    if k < 0:
-        l2lo, l2hi = l2hi, l2lo
-    lo = k * l2lo + 2 * _atanh_fixed(n - d, n + d, p, False)
-    hi = k * l2hi + 2 * _atanh_fixed(n - d, n + d, p, True)
-    return Fraction(lo, 1 << p), Fraction(hi, 1 << p)
-
-
-def exp_bracket(x, bits: int):
-    """Rational (lo, hi) with lo <= e^x <= hi and hi - lo <= lo 2^-bits,
-    for a rational x.  With k = floor(x / ln 2), taken against the ln 2
-    bound that keeps r >= 0, e^x = 2^k e^r for r = x - k ln 2 in about
-    [0, ln 2]."""
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    # guard bits as in ln_bracket, with |k| <= 2 |floor(x)| + 2
-    p = bits + (2 * abs(num // den) + 2).bit_length() + bits.bit_length() + 8
-    l2lo, l2hi = _ln2_fixed(p, False), _ln2_fixed(p, True)
-    x_lo, x_hi = _div(num << p, den, False), _div(num << p, den, True)
-    k = x_lo // (l2hi if x_lo >= 0 else l2lo)
-    shifts = (k * l2lo, k * l2hi)
-    scale = Fraction(2) ** (k - p)
-    return (_exp_fixed(x_lo - max(shifts), p, False) * scale,
-            _exp_fixed(x_hi - min(shifts), p, True) * scale)
+class IterationCapExceeded(RuntimeError):
+    pass

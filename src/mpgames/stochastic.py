@@ -27,6 +27,12 @@ brackets it within delta.  At the a priori cap 1 + ceil(8R/delta) the
 paper's `top_class` runs from 0 and peels dominions off, and the probe runs
 once more, on the subgame the top class induces.
 
+This module holds the solve, the certificate check and the file format.
+The paper's a priori path (`top_class` and the rounding oracle it
+drives), the exact `winner` decision, brute force and the random
+instances live in `dominion`, which a solve imports only when its probe
+reaches the cap.
+
 The exact half runs on integers too.  Every loop iterates on integer
 numerators with the Python-int Shapley step of `_smpgfast`, and the same
 step checks certificates, strategies and the half-line: a rational vector
@@ -36,17 +42,15 @@ one common denominator, and a transient component of one state is solved
 directly.  Every reported strategy pair comes from one greedy rule,
 `_greedy_pair` on integer numerators: at the half-line's witness h, or Max
 greedy at the sub witness and Min greedy at the super witness.
-`shapley_eval` is the exact reference: `winner` and the oracles run on it,
-and a vector with -inf entries, which only a hand-written report carries,
-is checked with it.
+`shapley_eval` is the exact reference: `winner` and the oracles of
+`dominion` run on it, and a vector with -inf entries, which only a
+hand-written report carries, is checked with it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +61,6 @@ from ._smpgfast import (
     _min_stage,
     _nature_stage,
 )
-from .dominion import SepParams, top_class
 from .graphs import (
     GameFormatError,
     check_adjacency,
@@ -67,22 +70,18 @@ from .graphs import (
     spanning_subgraph,
     tarjan_scc,
 )
-from .iteration import (
-    SUB,
-    SUPER,
-    Certificate,
-    IterationCapExceeded,
-    value_iteration,
-)
 from .linalg import integer_solve
 from .numeric import (
     NEG_INF,
     NOT_FOUND,
     NOT_UNIQUE,
+    SUB,
+    SUPER,
+    Certificate,
+    IterationCapExceeded,
     RationalInterval,
     rational_in_interval,
 )
-from .oracle import ShapleyOracle
 
 # the game file's state-list keys, and (name, edge field, default) per kind
 KEYS = ("min_states", "max_states", "nat_states")
@@ -225,98 +224,6 @@ def shapley_eval(game: StochasticGame, x):
     return tuple(out)
 
 
-def recession_eval(game: StochasticGame, x):
-    """Recession operator: same min/max structure with payoffs dropped.
-    Test oracle: the value vector is its fixed point (`TestRecessionEval`)."""
-    stripped = StochasticGame(
-        game.min_ids,
-        game.max_ids,
-        game.nat_ids,
-        tuple(tuple((i, 0) for i, _ in row) for row in game.min_edges),
-        tuple(tuple((k, 0) for k, _ in row) for row in game.max_edges),
-        game.nat_edges,
-        game.M,
-    )
-    return shapley_eval(stripped, x)
-
-
-class ExactOracle(ShapleyOracle):
-    """Exact evaluation; `eps` is ignored (the eps = 0 path)."""
-
-    def __init__(self, game):
-        super().__init__(len(game.min_ids))
-        self.game = game
-
-    def _eval(self, x, eps):
-        return shapley_eval(self.game, x)
-
-
-def round_to_denominator(v, q: int):
-    """Nearest rational with denominator q (ties to even numerator)."""
-    if v is NEG_INF:
-        return NEG_INF
-    return Fraction(round(Fraction(v) * q), q)
-
-
-class RoundingOracle(ShapleyOracle):
-    """Exact evaluation followed by rounding of finite coordinates to the
-    1/q grid.  Serves any eps >= 1/(2q).  Provides the integer fast-path
-    hooks used by the generic procedures."""
-
-    def __init__(self, game, q: int):
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        super().__init__(len(game.min_ids))
-        self.game = game
-        self.q = q
-        self._kernel = None
-
-    def _eval(self, x, eps):
-        if 2 * self.q * eps < 1:
-            raise ValueError("requested eps below oracle resolution 1/(2q)")
-        y = shapley_eval(self.game, x)
-        return tuple(round_to_denominator(v, self.q) for v in y)
-
-    def kernel(self):
-        if self._kernel is None:
-            self._kernel = Kernel(self.game)
-        return self._kernel
-
-    # fast-path hooks ------------------------------------------------------
-
-    def gap_loop(self, eps, delta, cap):
-        if 2 * self.q * eps < 1:
-            raise ValueError("requested eps below oracle resolution 1/(2q)")
-        d = Fraction(delta)
-        u_num, ell, hit = self.kernel().gap_loop(
-            self.q, d.numerator, d.denominator, cap
-        )
-        self.calls += ell
-        u = tuple(Fraction(v, self.q) for v in u_num)
-        return u, ell, hit
-
-    def replay_loop(self, eps, ell, kappa, lam):
-        b_num = Fraction(kappa) * self.q * ell
-        t_num = Fraction(lam) * self.q * ell
-        if b_num.denominator != 1 or t_num.denominator != 1:
-            raise ValueError("kappa/lam are not on the oracle grid")
-        x_num, y_num = self.kernel().replay_loop(
-            self.q, ell, b_num.numerator, t_num.numerator
-        )
-        self.calls += max(ell - 1, 0)
-        scale = self.q * ell
-        return (
-            tuple(Fraction(v, scale) for v in x_num),
-            tuple(Fraction(v, scale) for v in y_num),
-        )
-
-    def restrict_native(self, subset):
-        sub = induced_subgame(self.game, subset)
-        if sub is None:
-            return None
-        return RoundingOracle(sub, self.q)
-
-
 def induced_subgame(game: StochasticGame, subset):
     """The subgame induced by a dominion D (a set of Min-state indices):
     Nature states with all mass in D survive, Max moves are restricted to
@@ -353,20 +260,22 @@ def bias_norm_bound(stats: GameStats) -> Fraction:
     return Fraction(8 * stats.n * stats.W * stats.M**stats.m_exp)
 
 
-def winner_iteration_bound(stats: GameStats) -> int:
-    return 8 * stats.n**2 * stats.W * stats.M ** (2 * stats.m_exp)
+@dataclass(frozen=True)
+class SepParams:
+    """delta: a priori separation parameter (must be below sep(F));
+    R: seminorm bound for sub/super-eigenvectors of the top-class
+    restriction."""
 
+    delta: Fraction
+    R: Fraction
 
-# ---------------------------------------------------------------------------
-# winner
+    def __post_init__(self):
+        if self.delta <= 0 or self.R <= 0:
+            raise ValueError("delta and R must be positive")
 
-
-def winner(game: StochasticGame):
-    """Exact value iteration from 0 with cap 8 n^2 W M^(2 min(s, n-1)) + 1.
-    Returns a WinnerVerdict, or Exhausted when the cap is hit (the value may
-    be 0 somewhere or non-constant)."""
-    cap = winner_iteration_bound(game.stats()) + 1
-    return value_iteration(ExactOracle(game), cap)
+    @property
+    def cap(self) -> int:
+        return 1 + math.ceil(Fraction(8) * self.R / self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +602,8 @@ def solve_game(game: StochasticGame) -> GameSolution:
         if peeled:
             raise IterationCapExceeded(
                 f"no convergence within {params.cap} iterations")
+        from .dominion import RoundingOracle, top_class
+
         dom, top_calls = top_class(RoundingOracle(game, q), params)
         calls += top_calls
         game = induced_subgame(game, sorted(dom.states))
@@ -709,13 +620,7 @@ def solve_constant_value(game: StochasticGame) -> GameSolution:
 
 
 # ---------------------------------------------------------------------------
-# brute force
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    chi: tuple  # per Min state, exact rational value
-    pair_gains: tuple  # ((sigma, tau, gains), ...) with index-based maps
+# strategy pairs: the Markov reward chain they induce
 
 
 def markov_gain_bias(rows, r, M, anchor=None):
@@ -832,60 +737,8 @@ def _pair_chain(game: StochasticGame, sigma, tau):
     return rows, r
 
 
-def pair_gain(game: StochasticGame, sigma, tau):
-    """Gains of the Markov reward chain induced by index-based positional
-    strategies sigma (Min idx -> Max idx) and tau (Max idx -> Nat idx)."""
-    return markov_gain_bias(*_pair_chain(game, sigma, tau), game.M)[0]
-
-
-def brute_force_values(game: StochasticGame, budget: int = 10**6):
-    """chi_j = min over sigma of max over tau of gain_j(sigma, tau), by full
-    enumeration of positional pairs (uniformly optimal strategies exist, so
-    the componentwise min/max is attained)."""
-    n_min = len(game.min_ids)
-    n_max = len(game.max_ids)
-    sigma_choices = [[i for i, _ in game.min_edges[j]] for j in range(n_min)]
-    tau_choices = [[k for k, _ in game.max_edges[i]] for i in range(n_max)]
-    count = 1
-    for c in sigma_choices:
-        count *= len(c)
-    for c in tau_choices:
-        count *= len(c)
-    if count > budget:
-        raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
-    pair_gains = []
-    chi = None
-    for sigma in itertools.product(*sigma_choices):
-        best_for_max = None
-        for tau in itertools.product(*tau_choices):
-            gains = tuple(pair_gain(game, sigma, tau))
-            pair_gains.append((sigma, tau, gains))
-            if best_for_max is None:
-                best_for_max = gains
-            else:
-                best_for_max = tuple(
-                    max(a, b) for a, b in zip(best_for_max, gains)
-                )
-        if chi is None:
-            chi = best_for_max
-        else:
-            chi = tuple(min(a, b) for a, b in zip(chi, best_for_max))
-    return BruteForceResult(chi=chi, pair_gains=tuple(pair_gains))
-
-
-def frozen_pair_values(game: StochasticGame, strategies: StrategyPair):
-    """Re-evaluate a strategy pair given by ids.  Test oracle: the paper's
-    exact optimal positional strategies (`test_strategy_optimality_frozen`)."""
-    min_index = {s: j for j, s in enumerate(game.min_ids)}
-    max_index = {s: i for i, s in enumerate(game.max_ids)}
-    nat_index = {s: k for k, s in enumerate(game.nat_ids)}
-    sigma = [max_index[strategies.sigma[s]] for s in game.min_ids]
-    tau = [nat_index[strategies.tau[s]] for s in game.max_ids]
-    return tuple(pair_gain(game, sigma, tau))
-
-
 # ---------------------------------------------------------------------------
-# file format and random instances
+# file format
 
 
 def parse_smpg(obj) -> StochasticGame:
@@ -909,54 +762,3 @@ def parse_smpg(obj) -> StochasticGame:
 def game_to_json(game: StochasticGame) -> dict:
     return game_file("smpg", KEYS, _LABELS, game.ids, game.edges,
                      denominator=game.M)
-
-
-def random_smpg(
-    rng: random.Random,
-    max_min: int = 3,
-    max_max: int = 3,
-    max_nat: int = 3,
-    m_choices=(1, 2, 3),
-    payoff_lo: int = -2,
-    payoff_hi: int = 2,
-) -> StochasticGame:
-    """Random instance satisfying the nondegeneracy assumption; regenerated
-    until W >= 1 so the complexity bounds are meaningful."""
-    while True:
-        n_min = rng.randint(1, max_min)
-        n_max = rng.randint(1, max_max)
-        n_nat = rng.randint(1, max_nat)
-        m = rng.choice(list(m_choices))
-        min_edges = []
-        for _ in range(n_min):
-            deg = rng.randint(1, n_max)
-            targets = rng.sample(range(n_max), deg)
-            min_edges.append(
-                [(i, rng.randint(payoff_lo, payoff_hi)) for i in targets]
-            )
-        max_edges = []
-        for _ in range(n_max):
-            deg = rng.randint(1, n_nat)
-            targets = rng.sample(range(n_nat), deg)
-            max_edges.append(
-                [(k, rng.randint(payoff_lo, payoff_hi)) for k in targets]
-            )
-        nat_edges = []
-        for _ in range(n_nat):
-            deg = rng.randint(1, min(n_min, m))
-            targets = rng.sample(range(n_min), deg)
-            # random composition of M into deg positive parts
-            cuts = sorted(rng.sample(range(1, m), deg - 1)) if deg > 1 else []
-            parts = [b - a for a, b in zip([0] + cuts, cuts + [m])]
-            nat_edges.append(list(zip(targets, parts)))
-        game = make_game(
-            tuple(f"m{j}" for j in range(n_min)),
-            tuple(f"x{i}" for i in range(n_max)),
-            tuple(f"n{k}" for k in range(n_nat)),
-            min_edges,
-            max_edges,
-            nat_edges,
-            m,
-        )
-        if game.stats().W >= 1:
-            return game

@@ -14,7 +14,7 @@ from mpgames import (
     positive_root,
     threshold_horizon,
 )
-from mpgames.entropy import pair_matrix
+from mpgames.perron import pair_matrix
 
 F = Fraction
 TOL = F(1, 10**9)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgames as mg
+from mpgames import cli
 from mpgames import entropy as ent
 from mpgames.cli import main
 
@@ -223,6 +224,41 @@ class TestSolve:
         assert res.exit_code == 2
         assert "Exhausted" in res.output
 
+    def test_winner_report_of_any_size(self, runner, smpg_file, monkeypatch):
+        """An Exhausted verdict whose witness is longer than the
+        interpreter's int/str digit limit allows is still printed, with
+        exit 2, and reads back exactly: `winner` returns such witnesses on
+        some random draws (18,488 bits after 11,665 iterations)."""
+        witness = (F(2**20000 + 1, 3), F(-(3**9000), 2**20000 - 1), F(1, 2))
+        monkeypatch.setattr(mg.dominion, "winner",
+                            lambda game: mg.Exhausted(11665, witness))
+        res = runner.invoke(main, ["solve", smpg_file, "--mode", "winner",
+                                   "--json"])
+        assert res.exit_code == 2, res.output
+        rep = json.loads(res.output)
+        assert (rep["result"], rep["iterations"]) == ("Exhausted", 11665)
+        assert tuple(map(cli._report_frac, rep["witness"])) == witness
+
+    @pytest.mark.parametrize("value", [
+        F(2**20000 + 1, 3**5000), F(-(2**20000) - 1), F(7, 2**20000),
+        F(-1, 3), F(0)], ids=["both", "negative-integer", "denominator",
+                              "small", "zero"])
+    def test_rationals_of_any_size_round_trip(self, value):
+        """A 20,000-bit rational is written and read back exactly, and the
+        interpreter's digit limit is left as it was."""
+        limit = sys.get_int_max_str_digits()
+        text = cli._frac_str(value)
+        assert re.fullmatch(r"-?[0-9]+/[0-9]+", text)
+        assert cli._report_frac(text) == value
+        assert cli._report_frac(text.split("/")[0]) == value.numerator
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "/0", "1" * 5000 + "/x",
+                                      "x" + "1" * 5000, "1" * 5000 + ".5"])
+    def test_malformed_long_rationals_are_errors(self, text):
+        with pytest.raises(ValueError):
+            cli._report_frac(text)
+
     def test_value_mode_json(self, runner, smpg_file):
         res = runner.invoke(main, ["solve", smpg_file, "--mode", "value",
                                    "--json"])
@@ -308,8 +344,8 @@ class TestSolve:
         """The enumeration fallback's witness search runs out of steps: the
         separation search is refused, since it certifies this game."""
         monkeypatch.setattr(ent, "_separated_block", lambda game: None)
-        monkeypatch.setattr(ent, "_witness_certificates",
-                            partial(ent._witness_certificates, cap=1))
+        monkeypatch.setattr(mg.perron, "_witness_certificates",
+                            partial(mg.perron._witness_certificates, cap=1))
         path = write_game(tmp_path, "g.json",
                           mg.entropy_to_json(defect_game("e11-54")))
         res = runner.invoke(main, [command, path])
@@ -858,44 +894,126 @@ class TestInProcess:
         assert not {"numpy", "mpmath"} & loaded
 
 
-# the modules of the package that read, solve and check one game kind, or
-# build the slow-flip instance
-KIND_MODULES = {f"mpgames.{m}" for m in ("stochastic", "_smpgfast",
-                                          "dominion", "oracle", "entropy",
-                                          "perron", "cex")}
-SMPG_MODULES = {"mpgames.stochastic", "mpgames._smpgfast",
-                "mpgames.dominion", "mpgames.oracle"}
+def package_modules(loaded):
+    """The modules of the package among the loaded ones."""
+    return {m for m in loaded if m.split(".")[0] == "mpgames"}
+
+
+CLI_MODULES = {"mpgames", "mpgames.cli", "mpgames.graphs", "mpgames.numeric"}
+# the modules a solve and certify of each kind that certifies early load
+SOLVE_MODULES = {
+    "smpg": CLI_MODULES | {"mpgames.stochastic", "mpgames._smpgfast",
+                           "mpgames.linalg"},
+    "entropy": CLI_MODULES | {"mpgames.entropy", "mpgames.linalg"},
+}
+# each kind's reference and fallback modules, loaded on first use
+FALLBACK_MODULES = {
+    "smpg": {"mpgames.dominion", "mpgames.iteration", "mpgames.oracle"},
+    "entropy": {"mpgames.perron"},
+}
+
+# scripts run after FRESH_PRELUDE with the stochastic game nature_half_game
+# (its value 3/2 at both Min states) or the entropy game
+# entropy_tribune_choice (its value 3) as their argument; each checks the
+# answer of a command that runs a kind's reference or fallback code
+REFERENCE_SCRIPTS = {
+    "smpg-brute": ("smpg", """
+        rep = json.loads(run("brute", sys.argv[1], "--json"))
+        assert rep == {"pairs": 1, "values": {"m1": "3/2", "m2": "3/2"}}
+    """),
+    "smpg-winner": ("smpg", """
+        rep = json.loads(run("solve", sys.argv[1], "--mode", "winner",
+                             "--json"))
+        assert rep == {"iterations": 1, "result": "MaxWinsAll",
+                       "witness": ["1/1", "2/1"]}
+    """),
+    "smpg-fallback": ("smpg", """
+        import mpgames.stochastic as st
+
+        early = json.loads(run("solve", sys.argv[1], "--json"))
+        real, probes = st._half_line, []
+
+        def probe(*args):
+            # the first probe stops at step 0 without the gap condition,
+            # as at its cap, so that the paper's top_class decides
+            probes.append(args)
+            return (None, None, 0, None) if len(probes) == 1 else real(*args)
+
+        st._half_line = probe
+        solve_and_certify(sys.argv[1])
+        late = json.load(open(sys.argv[1] + ".report.json"))
+        assert len(probes) == 2
+        assert (late["top_class"], late["top_value"]) == (["m1", "m2"], "3/2")
+        assert late["min_strategy"] == early["min_strategy"]
+        assert late["max_strategy"] == early["max_strategy"]
+    """),
+    "entropy-brute": ("entropy", """
+        rep = json.loads(run("brute", sys.argv[1], "--json"))
+        assert (rep["pairs"], rep["rank"]) == (2, 1)
+        assert rep["values"]["d0"]["lo"] == rep["values"]["d0"]["hi"] == "3/1"
+    """),
+    "entropy-fallback": ("entropy", """
+        import mpgames.entropy as ent
+
+        early = json.loads(run("solve", sys.argv[1], "--json"))
+        ent._separated_block = lambda game: None
+        solve_and_certify(sys.argv[1])
+        late = json.load(open(sys.argv[1] + ".report.json"))
+        assert late["blocks"] == early["blocks"] == [["d0"]]
+        assert late["despot_strategy"] == early["despot_strategy"]
+        assert late["tribune_strategy"] == early["tribune_strategy"]
+        value = late["values"]["d0"]
+        assert Fraction(value["lo"]) <= 3 <= Fraction(value["hi"])
+    """),
+}
 
 
 class TestStartup:
-    """Each command imports only the modules of the game kind it reads."""
+    """Each command imports only the modules of the game kind it reads, and
+    a solve and certify only those of the solve path: a kind's reference
+    and fallback modules load when a command or a fallback runs them."""
 
     def test_cli_import_loads_no_kind_module(self):
-        loaded = fresh_modules("")
-        assert "mpgames.cli" in loaded
-        assert not KIND_MODULES & loaded
+        assert package_modules(fresh_modules("")) == CLI_MODULES
 
     @pytest.mark.parametrize("kind", ["smpg", "entropy"])
     def test_solve_and_certify_load_one_kind(self, smpg_file, entropy_file,
                                              kind):
+        """Only the solve path of the file's kind."""
         game = smpg_file if kind == "smpg" else entropy_file
         loaded = fresh_modules("solve_and_certify(sys.argv[1])", game)
-        used = SMPG_MODULES if kind == "smpg" else {"mpgames.entropy",
-                                                    "mpgames.perron"}
-        assert used <= loaded
-        assert not (KIND_MODULES - used) & loaded
+        assert package_modules(loaded) == SOLVE_MODULES[kind]
 
     def test_gen_random_loads_its_kind(self):
-        loaded = fresh_modules(
-            'assert "edges" in run("gen-random", "--kind", "entropy")')
-        assert "mpgames.entropy" in loaded
-        assert not SMPG_MODULES & loaded
+        """The stochastic generator lives with the reference code."""
+        for kind, extra in (("smpg", FALLBACK_MODULES["smpg"]),
+                            ("entropy", set())):
+            loaded = fresh_modules(f"""
+                assert "edges" in run("gen-random", "--kind", "{kind}")
+            """)
+            assert package_modules(loaded) == SOLVE_MODULES[kind] | extra
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCRIPTS))
+    def test_reference_commands_load_the_fallback(self, smpg_file,
+                                                  entropy_file, name):
+        """`brute`, `--mode winner` and a forced fallback load the kind's
+        reference and fallback modules, and answer as the solve path and
+        the pinned values do."""
+        kind, script = REFERENCE_SCRIPTS[name]
+        game = smpg_file if kind == "smpg" else entropy_file
+        loaded = fresh_modules("from fractions import Fraction\n"
+                               + textwrap.dedent(script), game)
+        assert package_modules(loaded) == (SOLVE_MODULES[kind]
+                                           | FALLBACK_MODULES[kind])
 
     def test_bench_clock_starts_after_the_import(self, smpg_file,
                                                  entropy_file):
-        """Each bench row's clock starts with its kind's module loaded, so
-        no row's seconds include compiling it."""
-        fresh_modules("""
+        """Each bench row's clock starts with every module a solve of
+        either kind may run loaded, its fallback modules included, so no
+        row's seconds include compiling one."""
+        every = sorted(set.union(*SOLVE_MODULES.values(),
+                                 *FALLBACK_MODULES.values()))
+        fresh_modules(f"""
             import time
             clock, started = time.perf_counter, []
 
@@ -907,8 +1025,8 @@ class TestStartup:
             run("bench", *sys.argv[1:])
             time.perf_counter = clock
             assert len(started) == 4, len(started)
-            assert "mpgames.stochastic" in started[0]
-            assert "mpgames.entropy" in started[2]
+            for name in {every!r}:
+                assert name in started[0], name
         """, smpg_file, entropy_file)
 
 

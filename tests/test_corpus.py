@@ -6,7 +6,9 @@ The corpus is 5 default `random_smpg` draws of each of `Random(0..399)`,
 the 12 draws of `random_smpg(Random(1), 5, 5, 5)` (`r1-555-*`), the four
 peel games, and draw 0 of `random_entropy_game(Random(seed))` for seeds
 0..399.  Each game is solved in `full`, `value` and `topclass` mode with
-`--json`, and every exit-0 `full` report is run through `certify`.  A change
+`--json`, every exit-0 `full` report is run through `certify`, and `brute
+--json` enumerates its strategy pairs, which pins the reference and
+fallback code that no early-certified solve runs.  A change
 that alters any answer fails here; when the change is meant, regenerate the
 file with
 
@@ -31,7 +33,7 @@ from mpgames.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "answer_corpus.txt"
 MODES = ("full", "value", "topclass")
-DEFAULT_BUDGET = 10**6  # `solve --budget`'s default
+DEFAULT_BUDGET = 10**6  # `solve --budget`'s and `brute --budget`'s default
 PEEL_GAMES = ((14, 3), (3, 14), (6, 2), (10, 5))
 
 
@@ -99,6 +101,8 @@ def corpus_digests(workdir: Path) -> list:
                     fh.write(res[1])
                 cert = _run("certify", game_path, report_path)
                 lines.append(f"{gid} certify {_digest(*cert)}")
+        res = _run("brute", game_path, DEFAULT_BUDGET, None, True)
+        lines.append(f"{gid} brute {_digest(*res)}")
     return lines
 
 

@@ -12,9 +12,10 @@ from click.testing import CliRunner
 
 import mpgames as mg
 from mpgames import entropy as ent
+from mpgames import perron
 from mpgames.cli import main
-from mpgames.entropy import (
-    GameFormatError,
+from mpgames.entropy import GameFormatError
+from mpgames.perron import (
     certified_log_sum_exp,
     exp_bounds,
     matrix_values,
@@ -86,11 +87,11 @@ class TestRecessionEval:
     def test_constant_fixed(self):
         g = entropy_pair_loop()
         c = F(7, 2)
-        assert mg.entropy.recession_eval(g, vec([c, c])) == vec([c, c])
+        assert perron.recession_eval(g, vec([c, c])) == vec([c, c])
 
     def test_loop_identity(self):
         g = entropy_loop(2)
-        assert mg.entropy.recession_eval(g, vec([9])) == vec([9])
+        assert perron.recession_eval(g, vec([9])) == vec([9])
 
     def test_optimal_reduction_fixes_value_vector(self):
         """Under the solver's Despot choice, the recession operator fixes
@@ -108,7 +109,7 @@ class TestRecessionEval:
             g.t_edges, g.p_edges,
         )
         chi = vec([3, 2])  # exact values of the two loops
-        assert mg.entropy.recession_eval(reduced, chi) == chi
+        assert perron.recession_eval(reduced, chi) == chi
 
 
 class TestCertifiedLogs:
@@ -289,7 +290,7 @@ class TestBruteForce:
         def refuse(*args, **kwargs):
             raise AssertionError("rank_profile ran on a refused game")
 
-        monkeypatch.setattr(mg.entropy, "rank_profile", refuse)
+        monkeypatch.setattr(perron, "rank_profile", refuse)
         g = entropy_tribune_choice()
         for run in (mg.solve_entropy_game, mg.brute_force_entropy_values):
             with pytest.raises(ValueError, match="exceeds budget"):
@@ -563,8 +564,8 @@ class TestDecidedBy:
             raise AssertionError("enumeration in a separated solve")
 
         for name in ("brute_force_entropy_values", "rank_profile",
-                     "_top_slack"):
-            monkeypatch.setattr(ent, name, refuse)
+                     "_top_slack", "_enumerated_block"):
+            monkeypatch.setattr(perron, name, refuse)
         sol = mg.solve_entropy_game(make())
         assert {b.decided_by for b in sol.blocks} == {ent.SEPARATION}
         assert all(b.rank == 1 for b in sol.blocks)
@@ -706,9 +707,9 @@ class TestCertifiedSeparation:
         for g in games:
             block = mg.solve_entropy_game(g).blocks[0]
             top = [g.d_ids.index(d) for d in block.d_ids]
-            brute = ent.brute_force_entropy_values(g)
+            brute = perron.brute_force_entropy_values(g)
             # the same pair matrices, with no bracket computed yet
-            brute.registry, reg = ent._ValueRegistry(), brute.registry
+            brute.registry, reg = perron._ValueRegistry(), brute.registry
             for key in reg.keys():
                 brute.registry.add(key)
             brute.coarse_tol = F(1)
@@ -720,7 +721,7 @@ class TestCertifiedSeparation:
                 return values(key, tol)
 
             reg.values = spy
-            delta = ent._top_slack(brute, top[0], top)
+            delta = perron._top_slack(brute, top[0], top)
             tol = F(1, 2**60)
             key, state = brute.candidates[top[0]]
             v = matrix_values(key, tol)[state]

@@ -20,13 +20,12 @@ from mpgames import (
 )
 from mpgames.numeric import (
     _simplest_between,
-    exp_bracket,
-    ln_bracket,
     vec_add_scalar,
     vec_inf,
     vec_sup,
     zeros,
 )
+from mpgames.perron import exp_bracket, ln_bracket
 
 F = Fraction
 

@@ -15,7 +15,7 @@ from mpgames._smpgfast import Kernel
 from mpgames.graphs import tarjan_scc
 from mpgames.cli import main
 from mpgames.numeric import vec, zeros
-from mpgames.stochastic import round_to_denominator
+from mpgames.dominion import round_to_denominator
 
 from conftest import (
     absorbing_game,
@@ -541,7 +541,7 @@ def _refuse(*args, **kwargs):
 
 def _refuse_top_class(monkeypatch):
     """Make the paper's top_class fail the test if it runs."""
-    monkeypatch.setattr(st, "top_class", _refuse)
+    monkeypatch.setattr(mg.dominion, "top_class", _refuse)
 
 
 def _refuse_paper_path(monkeypatch):
