@@ -5,6 +5,11 @@ included), an unwritable output path, a strategy-pair count over
 `--budget` or another violated precondition, 2 winner iteration budget
 exhausted without a verdict or a usage error, 3 iteration cap exceeded.
 
+Arguments are parsed by the standard library's argparse, so the package
+needs no third-party module to run.  Each command's parser is built the
+first time the command runs in a process and kept: a caller that runs
+many commands in-process parses each with a ready parser.
+
 Each command imports the game-kind module it needs when it runs: the
 module of the file's "type" (`_load_game`), of `--kind` (`gen-random`), or
 `cex` (`gen-cex`).  Most games are certified within the first oracle
@@ -20,15 +25,15 @@ the commands that write CSV: `brute`, `gen-cex` and `bench`.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
 from fractions import Fraction
 from importlib import import_module
-
-import click
 
 from .graphs import GameFormatError, json_list, state_ids_error, state_indices
 from .numeric import (
@@ -103,13 +108,19 @@ def _kind_module(kind):
     return import_module(f".{_KINDS[kind][0]}", __package__)
 
 
-def _load_game(path):
-    """(kind, the kind's module, the game) of a game file."""
+def _read_json(path):
+    """The JSON value in file `path`.  A file that cannot be opened, decoded
+    or parsed is malformed input: "cannot read" and the reason."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.ClickException(f"cannot read {path}: {exc}")
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise GameFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_game(path):
+    """(kind, the kind's module, the game) of a game file."""
+    obj = _read_json(path)
     kind = obj.get("type") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in _KINDS:
         raise GameFormatError(f'unsupported or missing "type" in {path}')
@@ -179,10 +190,9 @@ def _interval_record(iv) -> dict:
 
 
 def _echo(message, err=False):
-    """click.echo to the current sys.stdout or sys.stderr.  Without an
-    explicit file, click caches a wrapper per stream, holding the stream
-    itself, so every stream a caller redirects to would stay alive."""
-    click.echo(message, file=sys.stderr if err else sys.stdout)
+    """One line to the current sys.stdout or sys.stderr, flushed, so that
+    the two streams interleave in the order they were written."""
+    print(message, file=sys.stderr if err else sys.stdout, flush=True)
 
 
 def _emit(report: dict, as_json: bool):
@@ -205,9 +215,104 @@ def _emit(report: dict, as_json: bool):
             _echo(f"{key}: {render(value)}")
 
 
-@click.group()
-def main():
-    """Solvers for stochastic mean-payoff and matrix-multiplicative games."""
+def _arg(*flags, **kwargs):
+    """One `add_argument` call of a command's parser, kept until the parser
+    is built."""
+    return flags, kwargs
+
+
+class _Command:
+    """One command: its body `callback`, which takes one keyword argument
+    per declared argument, and the parser of its arguments, built on first
+    use.  The parser holds no stream: argparse writes its usage errors and
+    help to sys.stderr and sys.stdout as they are when it writes."""
+
+    def __init__(self, name, callback, arguments):
+        self.name = name
+        self.callback = callback
+        self.help = callback.__doc__
+        self._arguments = arguments
+        # a variadic positional may be split by options, as in
+        # `bench a.json --budget 5 b.json`
+        self._intermixed = any(kw.get("nargs") == "+" for _, kw in arguments)
+        self._parser = None
+
+    def parse(self, prog, args) -> dict:
+        """The keyword arguments of the callback; a usage error, or --help,
+        exits as argparse does."""
+        parser = self._parser
+        if parser is None:
+            parser = self._parser = argparse.ArgumentParser(
+                description=self.help, allow_abbrev=False)
+            for flags, kwargs in self._arguments:
+                parser.add_argument(*flags, **kwargs)
+        parser.prog = f"{prog} {self.name}"
+        if self._intermixed:
+            return vars(parser.parse_intermixed_args(args))
+        return vars(parser.parse_args(args))
+
+
+class _Group:
+    """The `mpgames` command line: its first argument names the command.
+    `main` takes the arguments of click's `Command.main`, so that
+    callers written for a click command (click's `CliRunner`, the
+    benchmark) run it unchanged."""
+
+    def __init__(self, name, summary):
+        self.name = name
+        self.help = summary
+        self.commands = {}
+
+    def command(self, *arguments, name=None):
+        """Register the decorated function as a command, with one `_arg` per
+        argument; the function itself is returned unchanged."""
+        def register(callback):
+            cname = name or callback.__name__
+            self.commands[cname] = _Command(cname, callback, arguments)
+            return callback
+
+        return register
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        """Run the command `args` names (default: sys.argv).  Out of
+        `standalone_mode` a command that returns gives back its value;
+        in it, the process exits."""
+        args = sys.argv[1:] if args is None else list(args)
+        prog = prog_name or os.path.basename(sys.argv[0])
+        command = self.commands.get(args[0]) if args else None
+        if command is None:
+            # --help exits 0, anything else is a usage error: exit 2
+            self._top_parser(prog).parse_args(args[:1])
+        kwargs = command.parse(prog, args[1:])
+        try:
+            # looked up per call, so that a wrapped callback is the one run
+            value = command.callback(**kwargs)
+        except BrokenPipeError:
+            # the reader of stdout went away (`mpgames ... | head`): exit 1,
+            # and send what is left to flush at exit nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_INPUT)
+        if standalone_mode:
+            sys.exit(EXIT_OK)
+        return value
+
+    __call__ = main
+
+    def _top_parser(self, prog):
+        """The parser of the command name alone, for the top-level help and
+        usage errors."""
+        parser = argparse.ArgumentParser(prog=prog, description=self.help,
+                                         allow_abbrev=False)
+        names = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                      required=True)
+        for cname, command in sorted(self.commands.items()):
+            names.add_parser(cname, help=command.help.split(".")[0],
+                             add_help=False)
+        return parser
+
+
+main = _Group("mpgames", "Solvers for stochastic mean-payoff and "
+              "matrix-multiplicative games.")
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +404,16 @@ def _solve_entropy(ent, game, mode, budget):
     return EXIT_OK, report
 
 
-@main.command()
-@click.argument("input_path", type=click.Path())
-@click.option(
-    "--mode",
-    type=click.Choice(["winner", "value", "topclass", "full"]),
-    default="full",
-    show_default=True,
+@main.command(
+    _arg("input_path", metavar="GAME"),
+    _arg("--mode", choices=["winner", "value", "topclass", "full"],
+         default="full", help="what to solve for (default: %(default)s)"),
+    _arg("--json", dest="as_json", action="store_true",
+         help="machine-readable output"),
+    _arg("--budget", type=int, default=10**6,
+         help="strategy-pair budget; an entropy game with more pairs is "
+              "refused (default: %(default)s)"),
 )
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
-@click.option("--budget", type=int, default=10**6, show_default=True,
-              help="strategy-pair budget; an entropy game with more pairs "
-                   "is refused")
 def solve(input_path, mode, as_json, budget):
     """Solve a game file (winner / value / top class / full analysis)."""
     try:
@@ -469,19 +572,16 @@ def _verify_report(kind, mod, game, report):
     return _entropy_claims(report, pairs)
 
 
-@main.command()
-@click.argument("input_path", type=click.Path())
-@click.argument("cert_path", type=click.Path())
+@main.command(_arg("input_path", metavar="GAME"),
+              _arg("cert_path", metavar="REPORT"))
 def certify(input_path, cert_path):
     """Re-verify the certificates of a solve report against a game file, in
     exact arithmetic with zero tolerance, and check that the top class,
     blocks, values and intervals the report claims follow from them."""
     try:
         kind, mod, game = _load_game(input_path)
-        with open(cert_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        failure = _verify_report(kind, mod, game, report)
-    except (ValueError, KeyError, OSError) as exc:
+        failure = _verify_report(kind, mod, game, _read_json(cert_path))
+    except (ValueError, KeyError) as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     if failure is None:
@@ -495,12 +595,16 @@ def certify(input_path, cert_path):
 # brute
 
 
-@main.command()
-@click.argument("input_path", type=click.Path())
-@click.option("--budget", type=int, default=10**6, show_default=True)
-@click.option("--pairs", "pairs_path", type=click.Path(),
-              default=None, help="write the per-pair value table as CSV")
-@click.option("--json", "as_json", is_flag=True)
+@main.command(
+    _arg("input_path", metavar="GAME"),
+    _arg("--budget", type=int, default=10**6,
+         help="strategy-pair budget; a game with more pairs is refused "
+              "(default: %(default)s)"),
+    _arg("--pairs", dest="pairs_path", metavar="PATH",
+         help="write the per-pair value table as CSV"),
+    _arg("--json", dest="as_json", action="store_true",
+         help="machine-readable output"),
+)
 def brute(input_path, budget, pairs_path, as_json):
     """Reference values by strategy enumeration (exact for stochastic games,
     certified brackets for matrix-multiplicative ones)."""
@@ -559,12 +663,14 @@ def brute(input_path, budget, pairs_path, as_json):
 # generators
 
 
-@main.command("gen-random")
-@click.option("--kind", type=click.Choice(["smpg", "entropy"]), default="smpg",
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None,
-              help="write to file instead of stdout")
+@main.command(
+    _arg("--kind", choices=["smpg", "entropy"], default="smpg",
+         help="game kind (default: %(default)s)"),
+    _arg("--seed", type=int, default=0,
+         help="random seed (default: %(default)s)"),
+    _arg("--out", metavar="PATH", help="write to file instead of stdout"),
+    name="gen-random",
+)
 def gen_random(kind, seed, out):
     """Emit a random small game instance as JSON."""
     rng = random.Random(seed)
@@ -583,15 +689,19 @@ def gen_random(kind, seed, out):
     sys.exit(EXIT_OK)
 
 
-@main.command("gen-cex")
-@click.option("--n", type=int, required=True, help="length of the fast chain")
-@click.option("--w", type=int, required=True, help="matrix weight")
-@click.option("--out", type=click.Path(), default=None)
-@click.option("--flip", "flip_max", type=int, default=None,
-              help="emit a horizon trace CSV up to this horizon")
-@click.option("--flip-out", type=click.Path(), default=None,
-              help="trace CSV path (default: stdout)")
-@click.option("--json", "as_json", is_flag=True)
+@main.command(
+    _arg("--n", type=int, required=True, help="length of the fast chain"),
+    _arg("--w", type=int, required=True, help="matrix weight"),
+    _arg("--out", metavar="PATH",
+         help="write the game to this file, not into the metadata"),
+    _arg("--flip", dest="flip_max", type=int, metavar="K",
+         help="emit a horizon trace CSV up to this horizon"),
+    _arg("--flip-out", metavar="PATH",
+         help="trace CSV path (default: stdout)"),
+    _arg("--json", dest="as_json", action="store_true",
+         help="machine-readable output"),
+    name="gen-cex",
+)
 def gen_cex(n, w, out, flip_max, flip_out, as_json):
     """Emit the two-branch slow-flip instance and its metadata."""
     from . import cex as cexmod
@@ -661,12 +771,14 @@ def _bench_one(path, budget):
     }
 
 
-@main.command()
-@click.argument("inputs", nargs=-1, required=True,
-                type=click.Path())
-@click.option("--budget", type=int, default=10**6, show_default=True)
-@click.option("--trace", type=click.Path(), default=None,
-              help="write a CSV trace instead of plain text")
+@main.command(
+    _arg("inputs", nargs="+", metavar="GAME"),
+    _arg("--budget", type=int, default=10**6,
+         help="strategy-pair budget of an entropy game "
+              "(default: %(default)s)"),
+    _arg("--trace", metavar="PATH",
+         help="write a CSV trace instead of plain text"),
+)
 def bench(inputs, budget, trace):
     """Time the solver on one or more game files, one after another."""
     # import every module a row may run first, each kind's fallback module

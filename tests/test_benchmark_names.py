@@ -78,7 +78,10 @@ def test_traced_run_counts_work(tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(1)
-    for key in ("smpgfast.Kernel.gap_loop.steps",
+    # the command spans count only if the CLI runs the callback it finds in
+    # `main.commands` at call time, which the tracer has replaced
+    for key in ("cli.solve.self_s", "cli.certify.self_s",
+                "smpgfast.Kernel.gap_loop.steps",
                 "entropy.brute_force_entropy_values.pairs",
                 "entropy.rank_profile.selections"):
         assert metrics[key] > 0, key

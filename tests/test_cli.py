@@ -52,6 +52,16 @@ def write_game(tmp_path, name, obj):
     return str(path)
 
 
+def run_cli(args):
+    """(exit code, stdout, stderr) of `mpgames <args>`, run in-process as
+    the console script runs it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=list(args), prog_name="mpgames")
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
 # run before a script in a fresh interpreter: imports the CLI and defines
 # `run`, which runs one command in-process and returns its output, and
 # `solve_and_certify`
@@ -77,17 +87,23 @@ def solve_and_certify(game):
 """
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(mg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def fresh_modules(script, *args):
     """The names of the modules loaded once `script`, after FRESH_PRELUDE,
     has run in a fresh interpreter with `args` as its arguments."""
     script = (FRESH_PRELUDE + textwrap.dedent(script)
               + "\nprint(json.dumps(sorted(sys.modules)))\n")
-    src = os.path.dirname(os.path.dirname(mg.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-c", script, *args],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=fresh_env(),
+                         timeout=120)
     assert res.returncode == 0, res.stderr
     return set(json.loads(res.stdout.splitlines()[-1]))
 
@@ -812,6 +828,13 @@ class TestBench:
         assert res.exit_code == 0
         assert "kind=smpg" in res.output
 
+    def test_options_between_games(self, smpg_file, entropy_file):
+        code, out, err = run_cli(["bench", smpg_file, "--budget", "5",
+                                  entropy_file])
+        assert (code, err) == (0, "")
+        assert [line.split()[1] for line in out.splitlines()] == [
+            "kind=smpg", "kind=entropy"]
+
 
 class TestUnreadableInput:
     """A missing file or a directory where a file belongs, and an output
@@ -845,6 +868,89 @@ class TestUnreadableInput:
         assert "Traceback" not in res.output
         assert "error" in res.output.lower()
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "{missing}"],
+        ["certify", "{missing}", "{game}"],
+        ["certify", "{game}", "{missing}"],
+        ["brute", "{missing}"],
+        ["bench", "{game}", "{missing}"],
+    ], ids=" ".join)
+    def test_cannot_read_one_line(self, smpg_file, tmp_path, args):
+        """Every command that reads a game or a report words an unreadable
+        file alike, as every other input error is worded."""
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(
+            [a.format(game=smpg_file, missing=missing) for a in args])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+        assert err.count("\n") == 1
+
+
+# every option of each command, as its --help must name it
+OPTIONS = {
+    "solve": ["--mode", "--json", "--budget"],
+    "certify": [],
+    "brute": ["--budget", "--pairs", "--json"],
+    "gen-random": ["--kind", "--seed", "--out"],
+    "gen-cex": ["--n", "--w", "--out", "--flip", "--flip-out", "--json"],
+    "bench": ["--budget", "--trace"],
+}
+
+
+# usage errors, each with the program its usage line names
+USAGE_ERRORS = [
+    (["solve", "{game}", "--mode", "bogus"], "mpgames solve"),
+    (["solve", "{game}", "--budget", "x"], "mpgames solve"),
+    (["solve", "{game}", "--mod", "full"], "mpgames solve"),
+    (["solve"], "mpgames solve"),
+    (["gen-cex", "--n", "2"], "mpgames gen-cex"),
+    (["bogus", "{game}"], "mpgames"),
+    ([], "mpgames"),
+]
+
+
+class TestUsage:
+    """A usage error exits 2 with the usage on stderr and nothing on
+    stdout; --help prints to stdout and exits 0."""
+
+    @pytest.mark.parametrize("args, usage", USAGE_ERRORS, ids=[
+        " ".join(args) or "no-command" for args, _ in USAGE_ERRORS])
+    def test_usage_error_exit_two(self, smpg_file, args, usage):
+        """An abbreviated option (--mod) is refused like an unknown one."""
+        code, out, err = run_cli([a.format(game=smpg_file) for a in args])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: {usage} [-h] ")
+        assert "error: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_command_help_names_every_option(self, command):
+        code, out, err = run_cli([command, "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: mpgames {command} ")
+        named = set(re.findall(r"(?<![\w-])--[\w-]+", out))
+        assert named == {"--help", *OPTIONS[command]}
+
+    def test_help_names_every_command(self):
+        code, out, err = run_cli(["--help"])
+        assert (code, err) == (0, "")
+        assert sorted(main.commands) == sorted(OPTIONS)
+        for command in OPTIONS:
+            assert re.search(rf"^ +{command}\b", out, re.M), command
+
+    def test_closed_stdout_exit_one(self, smpg_file):
+        """A reader of stdout that went away (`mpgames ... | head`) ends the
+        command with exit 1 and no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "mpgames.cli", "solve", smpg_file],
+                stdout=write_end, stderr=subprocess.PIPE, env=fresh_env(),
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert (res.returncode, res.stderr) == (1, b"")
+
 
 class TestInProcess:
     def test_commands_release_redirected_streams(self, tmp_path):
@@ -857,7 +963,7 @@ class TestInProcess:
         rep = tmp_path / "rep.json"
         streams = []
         for args in (["solve", path, "--json"], ["certify", path, str(rep)],
-                     ["solve", bad]):
+                     ["solve", bad], ["solve", path, "--mode", "bogus"]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
@@ -866,7 +972,7 @@ class TestInProcess:
                               standalone_mode=False)
                 except SystemExit:
                     pass
-            if args[0] == "solve" and args[1] == path:
+            if args[-1] == "--json":
                 rep.write_text(out.getvalue())
             else:
                 assert (out.getvalue() + err.getvalue()).strip()
@@ -878,7 +984,7 @@ class TestInProcess:
     def test_cli_loads_neither_numpy_nor_mpmath(self, tmp_path):
         """A fresh interpreter that imports the CLI and runs one smpg and
         one entropy solve + certify, brute force on the entropy game and
-        gen-cex has loaded neither numpy nor mpmath."""
+        gen-cex has loaded none of numpy, mpmath and click."""
         games = [
             write_game(tmp_path, "g.json",
                        mg.game_to_json(nature_half_game())),
@@ -891,7 +997,7 @@ class TestInProcess:
             assert "values" in run("brute", sys.argv[-1], "--json")
             assert "k_star" in run("gen-cex", "--n", "3", "--w", "4", "--json")
         """, *games)
-        assert not {"numpy", "mpmath"} & loaded
+        assert not {"numpy", "mpmath", "click"} & loaded
 
 
 def package_modules(loaded):

@@ -8,9 +8,10 @@ peel games, and draw 0 of `random_entropy_game(Random(seed))` for seeds
 0..399.  Each game is solved in `full`, `value` and `topclass` mode with
 `--json`, every exit-0 `full` report is run through `certify`, and `brute
 --json` enumerates its strategy pairs, which pins the reference and
-fallback code that no early-certified solve runs.  A change
-that alters any answer fails here; when the change is meant, regenerate the
-file with
+fallback code that no early-certified solve runs.  Each command runs
+in-process with its real argument list, so argument parsing is pinned
+too.  A change that alters any answer fails here; when the change is
+meant, regenerate the file with
 
     PYTHONPATH=src python tests/test_corpus.py
 
@@ -33,7 +34,6 @@ from mpgames.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "answer_corpus.txt"
 MODES = ("full", "value", "topclass")
-DEFAULT_BUDGET = 10**6  # `solve --budget`'s and `brute --budget`'s default
 PEEL_GAMES = ((14, 3), (3, 14), (6, 2), (10, 5))
 
 
@@ -67,15 +67,13 @@ def corpus_games():
         yield f"e{seed}-0", mg.entropy_to_json(game)
 
 
-def _run(command, *args):
-    """(exit code, stdout, stderr) of one CLI command, run in-process: the
-    command's body, without click's argument parsing, which would
-    otherwise take a third of the time."""
+def _run(*args):
+    """(exit code, stdout, stderr) of `mpgames <args>`, run in-process as
+    the console script runs it: argument parsing included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            main.commands[command].callback(*args)
-            code = 0
+            main.main(list(args), prog_name="mpgames")
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -94,14 +92,14 @@ def corpus_digests(workdir: Path) -> list:
         with open(game_path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
         for mode in MODES:
-            res = _run("solve", game_path, mode, True, DEFAULT_BUDGET)
+            res = _run("solve", game_path, "--mode", mode, "--json")
             lines.append(f"{gid} {mode} {_digest(*res)}")
             if mode == "full" and res[0] == 0:
                 with open(report_path, "w", encoding="utf-8") as fh:
                     fh.write(res[1])
                 cert = _run("certify", game_path, report_path)
                 lines.append(f"{gid} certify {_digest(*cert)}")
-        res = _run("brute", game_path, DEFAULT_BUDGET, None, True)
+        res = _run("brute", game_path, "--json")
         lines.append(f"{gid} brute {_digest(*res)}")
     return lines
 
