@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import floor
 
 from .entropy import EntropyGame, make_entropy_game
-from .numeric import RationalInterval
+from .numeric import IterationCapExceeded, RationalInterval
 from .perron import ln_bracket
 
 
@@ -61,32 +62,32 @@ def positive_root(n: int, w: int, tol) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-def _ones_quadratic(mat, k: int) -> int:
-    """ones^T * mat^k * ones with exact integer arithmetic (iterated
-    matrix-vector products)."""
-    n = len(mat)
-    v = [1] * n
-    for _ in range(k):
-        v = [sum(mat[i][j] * v[j] for j in range(n)) for i in range(n)]
-    return sum(v)
+def horizon_weights(n: int, w: int):
+    """The branch weights (left, right) = (ones^T C_n^k ones,
+    8 * ones^T C_(n-1)^k ones) for k = 0, 1, 2, ...: each horizon advances
+    both branch vectors C^k ones by one exact matrix-vector product."""
+    if n < 2:
+        raise ValueError("the two-branch construction needs n >= 2")
+    left, right = [1] * n, [1] * (n - 1)
+    while True:
+        yield sum(left), 8 * sum(right)
+        # C v for C = C_m(w): w * sum(v) on top, v shifted down by one
+        left = [w * sum(left), *left[:-1]]
+        right = [w * sum(right), *right[:-1]]
 
 
 def branch_weights(n: int, w: int, k: int):
     """(left, right) = (ones^T C_n^k ones, 8 * ones^T C_(n-1)^k ones)."""
-    if n < 2:
-        raise ValueError("the two-branch construction needs n >= 2")
-    left = _ones_quadratic(companion_matrix(n, w), k)
-    right = 8 * _ones_quadratic(companion_matrix(n - 1, w), k)
-    return left, right
+    return next(islice(horizon_weights(n, w), k, None))
 
 
 def flip_horizon(n: int, w: int, k_limit: int = 10**4) -> int:
-    """Smallest k with left > right (the slow boosted branch wins ties)."""
-    for k in range(k_limit + 1):
-        left, right = branch_weights(n, w, k)
+    """Smallest k with left > right (the slow boosted branch wins ties);
+    IterationCapExceeded when no k <= k_limit has one."""
+    for k, (left, right) in zip(range(k_limit + 1), horizon_weights(n, w)):
         if left > right:
             return k
-    raise RuntimeError(f"no flip within {k_limit} horizons")
+    raise IterationCapExceeded(f"no flip within {k_limit} horizons")
 
 
 def threshold_horizon(n: int, w: int) -> RationalInterval:

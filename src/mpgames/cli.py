@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 malformed input (a missing or unreadable file
 included), an unwritable output path, a strategy-pair count over
 `--budget` or another violated precondition, 2 winner iteration budget
-exhausted without a verdict or a usage error, 3 iteration cap exceeded.
+exhausted without a verdict or a usage error, 3 iteration cap exceeded (a
+`gen-cex` pair with no flip within 10^4 horizons included).  Each command
+body returns its exit code and raises on error; `_Group.main` holds the
+one exit policy that maps both to the process exit.
 
 Arguments are parsed by the standard library's argparse, so the package
 needs no third-party module to run.  Each command's parser is built the
@@ -130,14 +133,13 @@ def _load_game(path):
 
 def _write_out(path, write):
     """Open `path` for writing and hand the file to `write`.  A path that
-    cannot be written (a missing directory, a directory) is one error line
-    and exit 1."""
+    cannot be written (a missing directory, a directory) is malformed
+    input: "cannot write" and the reason."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write(fh)
     except OSError as exc:
-        _echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        raise GameFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _cert_record(cert: Certificate, states=None) -> dict:
@@ -274,9 +276,12 @@ class _Group:
         return register
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
-        """Run the command `args` names (default: sys.argv).  Out of
-        `standalone_mode` a command that returns gives back its value;
-        in it, the process exits."""
+        """Run the command `args` names (default: sys.argv) and exit with
+        the code its body returns.  The one exit policy of every command: an
+        exceeded iteration cap exits 3, and malformed input or a violated
+        precondition (ValueError, KeyError) exits 1, each with one `error:`
+        line.  `standalone_mode` is accepted for callers written for click;
+        the process exits in either mode."""
         args = sys.argv[1:] if args is None else list(args)
         prog = prog_name or os.path.basename(sys.argv[0])
         command = self.commands.get(args[0]) if args else None
@@ -286,15 +291,19 @@ class _Group:
         kwargs = command.parse(prog, args[1:])
         try:
             # looked up per call, so that a wrapped callback is the one run
-            value = command.callback(**kwargs)
+            code = command.callback(**kwargs)
         except BrokenPipeError:
             # the reader of stdout went away (`mpgames ... | head`): exit 1,
             # and send what is left to flush at exit nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(EXIT_INPUT)
-        if standalone_mode:
-            sys.exit(EXIT_OK)
-        return value
+            code = EXIT_INPUT
+        except IterationCapExceeded as exc:
+            _echo(f"error: {exc}", err=True)
+            code = EXIT_CAP
+        except (ValueError, KeyError) as exc:
+            _echo(f"error: {exc}", err=True)
+            code = EXIT_INPUT
+        sys.exit(code)
 
     __call__ = main
 
@@ -325,14 +334,9 @@ def _solve_smpg(smpg, game, mode):
         from .iteration import Exhausted
 
         verdict = winner(game)
-        if isinstance(verdict, Exhausted):
-            return EXIT_EXHAUSTED, {
-                "result": "Exhausted",
-                "iterations": verdict.iterations,
-                "witness": [_frac_str(v) for v in verdict.witness],
-            }
-        return EXIT_OK, {
-            "result": verdict.outcome,
+        exhausted = isinstance(verdict, Exhausted)
+        return EXIT_EXHAUSTED if exhausted else EXIT_OK, {
+            "result": "Exhausted" if exhausted else verdict.outcome,
             "iterations": verdict.iterations,
             "witness": [_frac_str(v) for v in verdict.witness],
         }
@@ -416,20 +420,13 @@ def _solve_entropy(ent, game, mode, budget):
 )
 def solve(input_path, mode, as_json, budget):
     """Solve a game file (winner / value / top class / full analysis)."""
-    try:
-        kind, mod, game = _load_game(input_path)
-        if kind == "smpg":
-            code, report = _solve_smpg(mod, game, mode)
-        else:
-            code, report = _solve_entropy(mod, game, mode, budget)
-    except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except IterationCapExceeded as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CAP)
+    kind, mod, game = _load_game(input_path)
+    if kind == "smpg":
+        code, report = _solve_smpg(mod, game, mode)
+    else:
+        code, report = _solve_entropy(mod, game, mode, budget)
     _emit(report, as_json)
-    sys.exit(code)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +575,13 @@ def certify(input_path, cert_path):
     """Re-verify the certificates of a solve report against a game file, in
     exact arithmetic with zero tolerance, and check that the top class,
     blocks, values and intervals the report claims follow from them."""
-    try:
-        kind, mod, game = _load_game(input_path)
-        failure = _verify_report(kind, mod, game, _read_json(cert_path))
-    except (ValueError, KeyError) as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    kind, mod, game = _load_game(input_path)
+    failure = _verify_report(kind, mod, game, _read_json(cert_path))
     if failure is None:
         _echo("all certificates verified")
-        sys.exit(EXIT_OK)
+        return EXIT_OK
     _echo(f"certificate verification FAILED: {failure}", err=True)
-    sys.exit(EXIT_INPUT)
+    return EXIT_INPUT
 
 
 # ---------------------------------------------------------------------------
@@ -608,55 +601,51 @@ def certify(input_path, cert_path):
 def brute(input_path, budget, pairs_path, as_json):
     """Reference values by strategy enumeration (exact for stochastic games,
     certified brackets for matrix-multiplicative ones)."""
-    try:
-        kind, _, game = _load_game(input_path)
-        if kind == "smpg":
-            from .dominion import brute_force_values
+    kind, _, game = _load_game(input_path)
+    if kind == "smpg":
+        from .dominion import brute_force_values
 
-            res = brute_force_values(game, budget=budget)
-            report = {
-                "values": {
-                    s: _frac_str(v) for s, v in zip(game.min_ids, res.chi)
-                },
-                "pairs": len(res.pair_gains),
-            }
-            header = ["min_strategy", "max_strategy", "state", "value"]
-            rows = (
-                [" ".join(map(str, sigma)), " ".join(map(str, tau)), s,
-                 _frac_str(v)]
-                for sigma, tau, gains in res.pair_gains
-                for s, v in zip(game.min_ids, gains)
-            )
-        else:
-            from .perron import brute_force_entropy_values
+        res = brute_force_values(game, budget=budget)
+        report = {
+            "values": {
+                s: _frac_str(v) for s, v in zip(game.min_ids, res.chi)
+            },
+            "pairs": len(res.pair_gains),
+        }
+        header = ["min_strategy", "max_strategy", "state", "value"]
+        rows = (
+            [" ".join(map(str, sigma)), " ".join(map(str, tau)), s,
+             _frac_str(v)]
+            for sigma, tau, gains in res.pair_gains
+            for s, v in zip(game.min_ids, gains)
+        )
+    else:
+        from .perron import brute_force_entropy_values
 
-            res = brute_force_entropy_values(game, budget=budget)
-            report = {
-                "values": {
-                    s: _interval_record(iv)
-                    for s, iv in zip(game.d_ids, res.chi)
-                },
-                "pairs": res.pair_count,
-                "rank": res.profile.rank,
-            }
-            header = ["pair_matrix", "state", "lo", "hi"]
-            rows = (
-                [";".join(" ".join(map(str, row)) for row in key), s,
-                 _frac_str(iv.lo), _frac_str(iv.hi)]
-                for key in res.registry.keys()
-                for s, iv in zip(game.d_ids,
-                                 res.registry.values(key, res.fine_tol))
-            )
-        if pairs_path:
-            import csv
+        res = brute_force_entropy_values(game, budget=budget)
+        report = {
+            "values": {
+                s: _interval_record(iv)
+                for s, iv in zip(game.d_ids, res.chi)
+            },
+            "pairs": res.pair_count,
+            "rank": res.profile.rank,
+        }
+        header = ["pair_matrix", "state", "lo", "hi"]
+        rows = (
+            [";".join(" ".join(map(str, row)) for row in key), s,
+             _frac_str(iv.lo), _frac_str(iv.hi)]
+            for key in res.registry.keys()
+            for s, iv in zip(game.d_ids,
+                             res.registry.values(key, res.fine_tol))
+        )
+    if pairs_path:
+        import csv
 
-            _write_out(pairs_path, lambda fh: csv.writer(fh).writerows(
-                itertools.chain([header], rows)))
-    except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _write_out(pairs_path, lambda fh: csv.writer(fh).writerows(
+            itertools.chain([header], rows)))
     _emit(report, as_json)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +675,7 @@ def gen_random(kind, seed, out):
         _write_out(out, lambda fh: fh.write(text + "\n"))
     else:
         _echo(text)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 @main.command(
@@ -707,11 +696,7 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
     from . import cex as cexmod
     from . import entropy as ent
 
-    try:
-        inst = cexmod.build_cex_game(n, w)
-    except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    inst = cexmod.build_cex_game(n, w)
     obj = ent.entropy_to_json(inst.game)
     text = json.dumps(obj, indent=2)
     if out:
@@ -727,11 +712,9 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
     if not out:
         meta["game"] = obj
     if flip_max is not None:
-        rows = []
-        for k in range(flip_max + 1):
-            left, right = cexmod.branch_weights(n, w, k)
-            rows.append([k, left, right,
-                         "left" if left > right else "right"])
+        rows = [[k, left, right, "left" if left > right else "right"]
+                for k, (left, right) in zip(range(flip_max + 1),
+                                            cexmod.horizon_weights(n, w))]
         if flip_out:
             import csv
 
@@ -742,7 +725,7 @@ def gen_cex(n, w, out, flip_max, flip_out, as_json):
             for row in rows:
                 _echo(",".join(map(str, row)))
     _emit(meta, as_json)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -785,14 +768,7 @@ def bench(inputs, budget, trace):
     # too, so that no row's time includes compiling one
     for module in ("stochastic", "dominion", "entropy", "perron"):
         import_module(f".{module}", __package__)
-    try:
-        rows = [_bench_one(path, budget) for path in inputs]
-    except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except IterationCapExceeded as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CAP)
+    rows = [_bench_one(path, budget) for path in inputs]
     if trace:
         import csv
 
@@ -804,7 +780,7 @@ def bench(inputs, budget, trace):
                 f"{row['path']}: kind={row['kind']} states={row['states']} "
                 f"steps={row['steps']} seconds={row['seconds']}"
             )
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from ._smpgfast import Kernel
-from .iteration import gap_iteration, value_iteration
+from ._smpgfast import Kernel, _int_step
+from .iteration import Exhausted, WinnerVerdict, gap_iteration
 from .numeric import NEG_INF, bottom, zeros
 from .oracle import ShapleyOracle, restrict
 from .stochastic import (
@@ -233,11 +233,27 @@ def winner_iteration_bound(stats: GameStats) -> int:
 
 
 def winner(game: StochasticGame):
-    """Exact value iteration from 0 with cap 8 n^2 W M^(2 min(s, n-1)) + 1.
-    Returns a WinnerVerdict, or Exhausted when the cap is hit (the value may
-    be 0 somewhere or non-constant)."""
+    """Exact value iteration from 0 with cap 8 n^2 W M^(2 min(s, n-1)) + 1,
+    on integer numerators: the k-th iterate is u / M^k, and one `_int_step`
+    over c = M^k gives u from the numerators over M^(k-1) (the reference is
+    `value_iteration` with an `ExactOracle`).  Returns a WinnerVerdict, or
+    Exhausted when the cap is hit (the value may be 0 somewhere or
+    non-constant)."""
     cap = winner_iteration_bound(game.stats()) + 1
-    return value_iteration(ExactOracle(game), cap)
+    u, c = [0] * len(game.min_ids), 1
+    for it in range(1, cap + 1):
+        c *= game.M
+        u = _int_step(game, u, c)
+        if max(u) <= 0:
+            return WinnerVerdict("MinWinsAll", it, _over(u, c))
+        if min(u) >= 0:
+            return WinnerVerdict("MaxWinsAll", it, _over(u, c))
+    return Exhausted(cap, _over(u, c))
+
+
+def _over(u, c):
+    """The vector of numerators u over c."""
+    return tuple(Fraction(v, c) for v in u)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,18 @@ A block whose search runs past its budget of work falls back to strategy
 enumeration, the reference path: enumeration finds the top class, brackets
 its value, and compares brackets exactly by the separation bound of the
 game's rank (the maximal rank of its pair matrices, read off the same
-enumeration); damped witnesses then sit a slack outside the value bracket,
-half an exact rational lower bound of the log-gap between the top value and
-the nearest distinct growth rate of a pair matrix restricted to the block.
+enumeration); the witness is then the first damped iterate whose levels
+lie in the value bracket widened by a slack, half an exact rational lower
+bound of the log-gap between the top value and the nearest distinct growth
+rate of a pair matrix restricted to the block.
 That path, brute force and the log-domain arithmetic live in `perron`,
 which a solve imports only when a block falls back; this module holds what
 a solve certified by the separation and a certificate check run.
+
+On both paths one positive integer vector at levels lo <= hi is the sub and
+the super certificate of a block (`_finish_block`), and the strategies are
+the pair greedy at it (`_greedy`), the rule the search applies to every
+iterate.
 """
 
 from __future__ import annotations
@@ -88,7 +94,16 @@ class EntropyGame:
         return self.d_edges, self.t_edges, self.p_edges
 
     def validate(self):
-        check_adjacency(_LABELS, self.ids, self.edges)
+        ids = self.ids
+        check_adjacency(_LABELS, ids, self.edges)
+        for k, rows in enumerate(self.edges):
+            # a People row's dict keeps one multiplicity per Despot
+            distinct = dict if k == 2 else set
+            for sid, row in zip(ids[k], rows):
+                if len(row) > 1 and len(distinct(row)) < len(row):
+                    targets = [e[0] for e in row] if k == 2 else row
+                    dup = ids[(k + 1) % 3][max(targets, key=targets.count)]
+                    raise GameFormatError(f"duplicate edge {sid!r} -> {dup!r}")
         for sid, row in zip(self.p_ids, self.p_edges):
             for _, m in row:
                 if not isinstance(m, int) or m < 1:
@@ -109,15 +124,15 @@ class EntropyStats:
 
 
 def make_entropy_game(d_ids, t_ids, p_ids, d_edges, t_edges, p_edges):
-    game = EntropyGame(
-        tuple(d_ids),
-        tuple(t_ids),
-        tuple(p_ids),
-        tuple(tuple(sorted(row)) for row in d_edges),
-        tuple(tuple(sorted(row)) for row in t_edges),
-        tuple(tuple(sorted(row)) for row in p_edges),
-    )
-    return game.validate()
+    return _sorted_game((d_ids, t_ids, p_ids),
+                        (d_edges, t_edges, p_edges)).validate()
+
+
+def _sorted_game(ids, edges):
+    """The game on these state ids and edge rows, each row sorted by target:
+    the solver's ties go to the first, the smallest, index."""
+    return EntropyGame(*map(tuple, ids), *(
+        tuple(tuple(sorted(row)) for row in rows) for rows in edges))
 
 
 def value_bounds(game: EntropyGame) -> RationalInterval:
@@ -179,8 +194,12 @@ def subgraph_on(game: EntropyGame, d_ids, t_ids, p_ids) -> EntropyGame:
 
 
 def _spanned(game, keep):
+    """The subgraph of the validated `game` on the state indices `keep`: its
+    targets stay distinct and its multiplicities positive, so only a state
+    left with no move needs a check."""
     ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges, keep)
-    return make_entropy_game(*ids, *edges)
+    check_adjacency(_LABELS, ids, edges)
+    return _sorted_game(ids, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -312,60 +331,63 @@ class EntropySolution:
     blocks: tuple
 
 
-def _finish_block(game, dmax, subgame, sub, sup, **fields):
+def _finish_block(game, dmax, subgame, lo, hi, vec, **fields):
     """The block of the Despots `dmax` of `game`, whose subgame carries the
-    witnesses sub and sup, with the strategies greedy at them:
-    (block, sigma, tau).  `fields` are the block's remaining fields."""
+    witness vec at the levels lo <= hi, as both the sub and the super
+    certificate, with the strategies greedy at it: (block, sigma, tau).
+    `fields` are the block's remaining fields."""
     bounds = value_bounds(game)
-    interval = RationalInterval(max(sub.lam, bounds.lo),
-                                min(sup.lam, bounds.hi))
-    # the witnesses extended by zero off the block: a People sum is positive
-    # iff the People has an edge into the block, a Tribune maximum iff the
-    # Tribune has such a People; these People and Tribunes join the block
-    nd = len(game.d_ids)
-    x = [0] * nd
-    y = [0] * nd
-    for i, d in enumerate(dmax):
-        x[d] = sub.vec[i]
-        y[d] = sup.vec[i]
-    p_sub = [sum(m * x[l] for l, m in row) for row in game.p_edges]
-    p_sup = [sum(m * y[l] for l, m in row) for row in game.p_edges]
-    t_sup = [max(p_sup[p] for p in row) for row in game.t_edges]
-    v_p = [p for p, s in enumerate(p_sup) if s]
-    v_t = [t for t, s in enumerate(t_sup) if s]
-    # exact strategies, ties to the smallest index: each Tribune takes the
-    # People of largest sum at the sub witness, each Despot the Tribune of
-    # smallest maximum at the super witness
-    tau = {
-        game.t_ids[t]: game.p_ids[max(game.t_edges[t], key=p_sub.__getitem__)]
-        for t in v_t
-    }
-    sigma = {
-        game.d_ids[d]: game.t_ids[min(game.d_edges[d], key=t_sup.__getitem__)]
-        for d in dmax
-    }
+    # the witness extended by zero off the block: a People sum is positive
+    # iff the People has an edge into the block, a Tribune's largest sum iff
+    # the Tribune has such a People; these People and Tribunes join the block
+    x = [0] * len(game.d_ids)
+    for d, v in zip(dmax, vec):
+        x[d] = v
+    # exact strategies, ties to the smallest index: those greedy at it
+    psum, tau, sigma = _greedy(game, x)
+    v_t = [t for t, p in enumerate(tau) if psum[p]]
     block = BlockResult(
         d_ids=tuple(game.d_ids[d] for d in dmax),
         t_ids=tuple(game.t_ids[t] for t in v_t),
-        p_ids=tuple(game.p_ids[p] for p in v_p),
+        p_ids=tuple(game.p_ids[p] for p, s in enumerate(psum) if s),
         subgame=subgame,
-        interval=interval,
-        sub=sub,
-        sup=sup,
+        interval=RationalInterval(max(lo, bounds.lo), min(hi, bounds.hi)),
+        sub=Certificate(lo, tuple(vec), SUB, multiplicative=True),
+        sup=Certificate(hi, tuple(vec), SUPER, multiplicative=True),
         **fields,
     )
-    return block, sigma, tau
+    return (block, {game.d_ids[d]: game.t_ids[sigma[d]] for d in dmax},
+            {game.t_ids[t]: game.p_ids[tau[t]] for t in v_t})
+
+
+def _greedy(game: EntropyGame, x):
+    """The People sums at x and the pair greedy at x, ties to the smallest
+    index: (sums, tau, sigma), tau giving each Tribune's People of largest
+    sum and sigma each Despot's Tribune of least such sum."""
+    psum = [sum([m * x[l] for l, m in row]) for row in game.p_edges]
+    tau = [max(row, key=psum.__getitem__) for row in game.t_edges]
+    tsum = [psum[p] for p in tau]
+    return psum, tau, [min(row, key=tsum.__getitem__) for row in game.d_edges]
 
 
 def _greedy_eval(game: EntropyGame, x):
     """T(x) and the People row each Despot takes under the pair greedy at
-    x, ties to the smallest index: T(x) = A x for the pair matrix A of
-    those rows."""
-    pvals = [sum(m * x[l] for l, m in row) for row in game.p_edges]
-    best = [max(row, key=pvals.__getitem__) for row in game.t_edges]
-    rows = tuple(best[min(row, key=lambda t: pvals[best[t]])]
-                 for row in game.d_edges)
-    return tuple(pvals[p] for p in rows), rows
+    x (`_greedy`): T(x) = A x for the pair matrix A of those rows."""
+    psum, tau, sigma = _greedy(game, x)
+    rows = tuple([tau[t] for t in sigma])
+    return tuple([psum[p] for p in rows]), rows
+
+
+def _people_rows(game: EntropyGame, people):
+    """The rows of the People `people` as dense vectors over the Despots."""
+    n = len(game.d_ids)
+    rows = []
+    for p in people:
+        row = [0] * n
+        for l, m in game.p_edges[p]:
+            row[l] = m
+        rows.append(row)
+    return rows
 
 
 def _shifted(rows, shift):
@@ -419,12 +441,9 @@ class _DampedIterate:
                    for row in self._power]
             squarings = 1
         else:
-            n = len(self.vec)
-            power = [[0] * n for _ in range(n)]
-            for d, p in enumerate(rows):
-                power[d][d] = 1
-                for l, m in self.game.p_edges[p]:
-                    power[d][l] += m
+            power = _people_rows(self.game, rows)
+            for d, row in enumerate(power):
+                row[d] += 1
             self._rows, self._power, self._exponent = rows, power, 1
             nxt = [a + b for a, b in zip(tx, self.vec)]
             squarings = 0
@@ -437,10 +456,7 @@ def _growth_top(u, tu, k):
     """The top class guessed at cut k: the Despots whose growth ratio
     T(u)_d / u_d is at least 1 - 1/k times the largest (every Despot at
     k = 1), compared by cross-multiplication."""
-    best = 0
-    for d in range(1, len(u)):
-        if tu[d] * u[best] > tu[best] * u[d]:
-            best = d
+    best = _level_states(u, tu)[1]
     a, b = (k - 1) * tu[best], k * u[best]
     return tuple(d for d in range(len(u)) if b * tu[d] >= a * u[d])
 
@@ -487,10 +503,8 @@ def _integer_value_witness(subgame: EntropyGame, rows, rho, nu_hat):
     positive eigenvector.  The power of two keeps mu, and so y, far shorter
     than nu_hat's own numerator and denominator."""
     n = len(rows)
-    shifted = [[rho * (d == l) for l in range(n)] for d in range(n)]
-    for d, p in enumerate(rows):
-        for l, m in subgame.p_edges[p]:
-            shifted[d][l] -= m
+    shifted = [[rho * (d == l) - m for l, m in enumerate(row)]
+               for d, row in enumerate(_people_rows(subgame, rows))]
     if integer_rank(shifted) == n:
         return None
     # 2^b (mu I - A) = 2^b (rho I - A) + rho I
@@ -509,13 +523,7 @@ def _integer_value_witness(subgame: EntropyGame, rows, rho, nu_hat):
 
 def _people_rank(subgame: EntropyGame) -> int:
     """The rank of the subgame's People rows, as vectors over its Despots."""
-    rows = []
-    for row in subgame.p_edges:
-        vec = [0] * len(subgame.d_ids)
-        for l, m in row:
-            vec[l] = m
-        rows.append(vec)
-    return integer_rank(rows)
+    return integer_rank(_people_rows(subgame, range(len(subgame.p_ids))))
 
 
 def _log2_ceil(x: Fraction) -> int:
@@ -612,19 +620,15 @@ def _separated_block(game: EntropyGame):
             else:
                 lo, hi = levels
                 found = _finish_block(
-                    game, top, subgame,
-                    Certificate(lo, tuple(v), SUB, multiplicative=True),
-                    Certificate(hi, tuple(v), SUPER, multiplicative=True),
-                    delta=1 / nu_hat, iterations=0, decided_by=SEPARATION,
-                    rank=rank)
+                    game, top, subgame, lo, hi, v, delta=1 / nu_hat,
+                    iterations=0, decided_by=SEPARATION, rank=rank)
                 try:
                     residual = _remove_block(game, found[0])
                 except RuntimeError:
                     subgame = None  # some Despot outside D must enter it
         if subgame is not None and found is not None:
             if residual is not None:
-                rest = [d for d in range(nd) if d not in top]
-                w = [u[d] for d in rest]
+                w = [u[d] for d in range(nd) if d not in top]
                 tw = multiplicative_eval(residual, w)
                 work += 1
             if residual is None or all(

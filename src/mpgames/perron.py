@@ -14,11 +14,13 @@ hi - lo <= tol is one integer inequality.  The two endpoints become
 `Fraction`s only on return.
 
 The rest of the module is what an entropy solve certified by the rank
-separation never runs: the per-state growth rates of pair matrices, brute
-force by strategy enumeration with the game's rank and separation profile,
-the solver's enumeration fallback (`_enumerated_block`), and rational ln
-and exp brackets.  `entropy` imports this module only when a block's
-separation search runs past its budget.
+separation never runs: the per-state growth rates of pair matrices (their
+rows from `entropy._people_rows`), brute force by strategy enumeration with
+the game's rank and separation profile, the solver's enumeration fallback
+(`_enumerated_block`, whose one damped witness goes to
+`entropy._finish_block`), and rational ln and exp brackets.  `entropy`
+imports this module only when a block's separation search runs past its
+budget.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .entropy import (
     _finish_block,
     _nu_hat,
     _nu_value,
+    _people_rows,
     _remove_block,
     check_entropy_certificates,
     check_pair_budget,
@@ -45,14 +48,7 @@ from .entropy import (
 )
 from .graphs import tarjan_scc
 from .linalg import integer_rank
-from .numeric import (
-    NEG_INF,
-    SUB,
-    SUPER,
-    Certificate,
-    IterationCapExceeded,
-    RationalInterval,
-)
+from .numeric import IterationCapExceeded, RationalInterval
 
 
 class BracketingFailure(RuntimeError):
@@ -157,15 +153,7 @@ def pair_matrix(game: EntropyGame, sigma, tau):
     """Nonnegative matrix of the chain fixed by positional strategies: row k
     is the People row chosen at Despot k via sigma (Despot idx -> Tribune
     idx) and tau (Tribune idx -> People idx)."""
-    n = len(game.d_ids)
-    rows = []
-    for k in range(n):
-        p = tau[sigma[k]]
-        row = [0] * n
-        for l, m in game.p_edges[p]:
-            row[l] = m
-        rows.append(row)
-    return rows
+    return _people_rows(game, [tau[t] for t in sigma])
 
 
 def matrix_values(matrix, tol):
@@ -217,25 +205,11 @@ def pair_values_by_ids(game: EntropyGame, sigma_ids, tau_ids, tol):
 def recession_eval(game: EntropyGame, x):
     """Recession operator in the log domain: multiplicities collapse to their
     support, sums collapse to maxima, so F^hat_d = min_t max_p max_l x_l.
-    Test oracle: the value vector is its fixed point (`TestRecessionEval`)."""
-    out = []
-    for row in game.d_edges:
-        best = None
-        for t in row:
-            inner = NEG_INF
-            for p in game.t_edges[t]:
-                for l, _ in game.p_edges[p]:
-                    v = x[l]
-                    if v is NEG_INF:
-                        continue
-                    if inner is NEG_INF or v > inner:
-                        inner = v
-            if best is None:
-                best = inner
-            elif inner is NEG_INF or (best is not NEG_INF and inner < best):
-                best = inner
-        out.append(best)
-    return tuple(out)
+    Test oracle: the value vector is its fixed point (`TestRecessionEval`).
+    NEG_INF orders below every rational, so min and max take it as -inf."""
+    pmax = [max(x[l] for l, _ in row) for row in game.p_edges]
+    tmax = [max(pmax[p] for p in row) for row in game.t_edges]
+    return tuple(min(tmax[t] for t in row) for row in game.d_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +404,20 @@ def _top_slack(brute: BruteEntropyResult, best: int, top) -> Fraction:
                max(half_gap, Fraction(1) / brute.profile.nu_hat))
 
 
-def _witness_certificates(subgame, v_interval, slack, cap=30000):
-    """Exact multiplicative sub/super certificates at the levels
-    v.lo - slack and v.hi + slack: run the damped iteration u <- T(u) + u on
-    integer vectors from 1 and keep the first iterates satisfying the sub and
-    the super inequality.  The minimum normalized ratio min_d T(u)_d/u_d is
-    nondecreasing along the damped orbit, so the search is monotone.  Returns
-    (sub, sup, steps), steps counting the evaluations of T; raises
-    IterationCapExceeded after `cap` of them."""
-    lam_lo = v_interval.lo - slack
-    lam_hi = v_interval.hi + slack
+def _witness_certificates(subgame, lo, hi, cap=30000):
+    """The witness of exact multiplicative sub/super certificates at the
+    levels lo <= hi: the first iterate u of the damped iteration
+    u <- T(u) + u on integer vectors from 1 with lo u <= T(u) <= hi u.
+    Along that orbit the least ratio T(u)_d/u_d never falls and the largest
+    never rises (a damped step is monotone and homogeneous), so each
+    inequality holds from its first iterate on.  Returns (u, steps), steps
+    counting the evaluations of T; raises IterationCapExceeded after `cap`
+    of them."""
     u = [1] * len(subgame.d_ids)
-    sub = sup = None
     for steps in range(1, cap + 1):
         tu = multiplicative_eval(subgame, u)
-        if sub is None and all(tv >= lam_lo * uv for tv, uv in zip(tu, u)):
-            sub = Certificate(lam_lo, tuple(u), SUB, multiplicative=True)
-        if sup is None and all(tv <= lam_hi * uv for tv, uv in zip(tu, u)):
-            sup = Certificate(lam_hi, tuple(u), SUPER, multiplicative=True)
-        if sub is not None and sup is not None:
-            return sub, sup, steps
+        if all(lo * uv <= tv <= hi * uv for tv, uv in zip(tu, u)):
+            return u, steps
         u = [a + b for a, b in zip(tu, u)]
         if steps % 32 == 0:
             g = gcd(*u)
@@ -461,8 +429,8 @@ def _witness_certificates(subgame, v_interval, slack, cap=30000):
 
 
 def _enumerated_block(game: EntropyGame, budget: int):
-    """The top class of `game` by strategy enumeration, certified by damped
-    witnesses at a slack from `_top_slack`: (block, sigma, tau, residual)."""
+    """The top class of `game` by strategy enumeration, certified by a damped
+    witness at a slack from `_top_slack`: (block, sigma, tau, residual)."""
     brute = brute_force_entropy_values(game, budget)
     reg, cands = brute.registry, brute.candidates
     coarse, fine = brute.coarse_tol, brute.fine_tol
@@ -483,12 +451,13 @@ def _enumerated_block(game: EntropyGame, budget: int):
     v_int = brute.refine(best, delta / 64)
     # delta is at most half the smallest log-gap between v and a distinct
     # rate on the block, so levels delta/4 outside v_int still separate them
-    sub, sup, steps = _witness_certificates(subgame, v_int, delta / 4)
-    if not check_entropy_certificates(subgame, (sub, sup)):
-        raise AssertionError("internal error: certificate failed verification")
+    lo, hi = v_int.lo - delta / 4, v_int.hi + delta / 4
+    u, steps = _witness_certificates(subgame, lo, hi)
     block, sigma, tau = _finish_block(
-        game, dmax, subgame, sub, sup, delta=delta, iterations=steps,
+        game, dmax, subgame, lo, hi, u, delta=delta, iterations=steps,
         decided_by=ENUMERATION, rank=brute.profile.rank)
+    if not check_entropy_certificates(subgame, (block.sub, block.sup)):
+        raise AssertionError("internal error: certificate failed verification")
     return block, sigma, tau, _remove_block(game, block)
 
 

@@ -14,6 +14,7 @@ from mpgames import (
     positive_root,
     threshold_horizon,
 )
+from mpgames.cex import horizon_weights
 from mpgames.perron import pair_matrix
 
 F = Fraction
@@ -122,6 +123,32 @@ class TestFlipHorizon:
         assert right >= left
         left, right = branch_weights(2, 10, 17)
         assert left > right
+
+    @pytest.mark.parametrize("n, w, flip", [(3, 2, 26), (4, 3, 193),
+                                            (8, 1, 951)])
+    def test_flip_points(self, n, w, flip):
+        assert flip_horizon(n, w) == flip
+        assert flip_horizon(n, w, k_limit=flip) == flip
+        left, right = branch_weights(n, w, flip - 1)
+        assert right >= left
+
+    def test_no_flip_within_limit(self):
+        """IterationCapExceeded, a RuntimeError, past `k_limit` horizons."""
+        with pytest.raises(mg.IterationCapExceeded,
+                           match="no flip within 950 horizons"):
+            flip_horizon(8, 1, k_limit=950)
+
+    def test_weights_follow_the_matrix_powers(self):
+        """The one-product-per-horizon branch weights equal
+        ones^T C^k ones computed from the companion matrices."""
+        for n, w in ((2, 10), (3, 4), (5, 2)):
+            big, small = companion_matrix(n, w), companion_matrix(n - 1, w)
+            u, v = [1] * n, [1] * (n - 1)
+            for k, weights in zip(range(30), horizon_weights(n, w)):
+                assert weights == (sum(u), 8 * sum(v)) == branch_weights(
+                    n, w, k)
+                u = [sum(a * b for a, b in zip(row, u)) for row in big]
+                v = [sum(a * b for a, b in zip(row, v)) for row in small]
 
 
 class TestBuildCexGame:

@@ -810,6 +810,15 @@ class TestGenerators:
         res = runner.invoke(main, ["gen-cex", "--n", "1", "--w", "10"])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("n, w", [(20, 1), (5, 100)])
+    def test_gen_cex_without_flip_exit_three(self, runner, n, w):
+        """No horizon up to 10^4 flips the branches: an exceeded iteration
+        cap, one error line and exit 3, with nothing on stdout."""
+        res = runner.invoke(main, ["gen-cex", "--n", str(n), "--w", str(w)])
+        assert res.exit_code == 3
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == "error: no flip within 10000 horizons\n"
+
 
 class TestBench:
     def test_trace_csv(self, runner, smpg_file, entropy_file, tmp_path):

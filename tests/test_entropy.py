@@ -46,6 +46,22 @@ class TestConstruction:
             mg.make_entropy_game(["d0"], ["t0"], ["p0"], [[0]], [[0]],
                                  [[(0, 0)]])
 
+    @pytest.mark.parametrize("edges, message", [
+        (([[0, 0]], [[0]], [[(0, 1)]]), "duplicate edge 'd0' -> 't0'"),
+        (([[0]], [[0, 0]], [[(0, 1)]]), "duplicate edge 't0' -> 'p0'"),
+        (([[0]], [[0]], [[(0, 1), (0, 2)]]), "duplicate edge 'p0' -> 'd0'"),
+    ], ids=["despot", "tribune", "people"])
+    def test_repeated_target_rejected(self, edges, message):
+        """A row that names one target twice is refused, with the game
+        reader's wording; a People row would otherwise count both
+        multiplicities in T but only one in a pair matrix."""
+        with pytest.raises(GameFormatError, match=message):
+            mg.make_entropy_game(["d0"], ["t0"], ["p0"], *edges)
+        game = ent.EntropyGame(("d0",), ("t0",), ("p0",),
+                               *(tuple(map(tuple, rows)) for rows in edges))
+        with pytest.raises(GameFormatError, match=message):
+            mg.solve_entropy_game(game)
+
     def test_stats_and_bounds(self):
         g = entropy_tribune_choice()
         st = g.stats()
@@ -507,6 +523,13 @@ class TestPinnedAnswers:
             assert sol.values[did].lo <= iv.hi and iv.lo <= sol.values[did].hi
 
     @PINS
+    def test_strategies_greedy_at_one_witness(self, pins, name, monkeypatch):
+        """Each pinned block, the fallback's included, is certified by one
+        witness, and the strategies are the pair greedy at it."""
+        assert_greedy_at_witness(pinned_game(name),
+                                 pinned_solve(pins, name, monkeypatch))
+
+    @PINS
     def test_no_float_logarithm(self, pins, name, monkeypatch):
         """The fallback's slack comes from exact rational ln brackets, and
         the search takes none: the solve gives its pinned answers with every
@@ -541,10 +564,52 @@ def brute_classes(g, brute):
     return classes
 
 
+def peeled_games(g, sol):
+    """(the residual game the block was peeled from, block) per block."""
+    left = [list(ids) for ids in g.ids]
+    for block in sol.blocks:
+        yield mg.subgraph_on(g, *left), block
+        taken = (block.d_ids, block.t_ids, block.p_ids)
+        left = [[s for s in ids if s not in out]
+                for ids, out in zip(left, taken)]
+
+
+def assert_greedy_at_witness(g, sol):
+    """Every block has one witness, the vector of both its certificates,
+    and the solution's strategies on the block are the pair greedy at that
+    witness extended by zero over the residual game, ties to the smallest
+    index: each Tribune with a positive People sum takes a People of
+    largest sum, each Despot of the block a Tribune of least largest sum.
+    The block's Tribunes and People are those of positive sum."""
+    for game, block in peeled_games(g, sol):
+        assert block.sub.vec == block.sup.vec
+        x = dict(zip(block.subgame.d_ids, block.sub.vec))
+        psum = {game.p_ids[p]: sum(m * x.get(game.d_ids[l], 0)
+                                   for l, m in row)
+                for p, row in enumerate(game.p_edges)}
+        tmax = {}
+        for t, row in enumerate(game.t_edges):
+            people = [game.p_ids[p] for p in row]
+            tmax[game.t_ids[t]] = best = max(psum[p] for p in people)
+            if best:
+                assert sol.tau[game.t_ids[t]] == next(
+                    p for p in people if psum[p] == best)
+        for d, row in enumerate(game.d_edges):
+            if game.d_ids[d] in block.d_ids:
+                tribunes = [game.t_ids[t] for t in row]
+                least = min(tmax[t] for t in tribunes)
+                assert sol.sigma[game.d_ids[d]] == next(
+                    t for t in tribunes if tmax[t] == least)
+        assert block.t_ids == tuple(t for t in game.t_ids if tmax[t])
+        assert block.p_ids == tuple(p for p in game.p_ids if psum[p])
+
+
 def assert_agrees_with_brute_force(g):
     """The solve of g has brute force's blocks, and its brackets and the
-    pair values of its stitched strategies meet brute force's brackets."""
+    pair values of its stitched strategies meet brute force's brackets;
+    its strategies are greedy at its witnesses (`assert_greedy_at_witness`)."""
     sol = mg.solve_entropy_game(g)
+    assert_greedy_at_witness(g, sol)
     brute = mg.brute_force_entropy_values(g)
     assert [sorted(b.d_ids) for b in sol.blocks] == brute_classes(g, brute)
     pv = mg.pair_values_by_ids(g, sol.sigma, sol.tau, F(1, 2**40))

@@ -138,3 +138,49 @@ def test_scan_finds_shared_state_keys():
 def test_state_keys_are_spelled_once():
     assert shared_state_keys({p.stem: p.read_text(encoding="utf-8")
                               for p in SOURCES}) == []
+
+
+def exit_callers(source):
+    """The qualified names of the functions of `source` that call
+    `sys.exit`, and "<module>" for a call outside any function."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "exit"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "sys"):
+                callers.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(callers)
+
+
+def test_scan_finds_exit_callers():
+    source = ("import sys\n"
+              "def f():\n"
+              "    def g():\n"
+              "        sys.exit(1)\n"
+              "    return g\n"
+              "class C:\n"
+              "    def main(self):\n"
+              "        sys.exit(0)\n"
+              "    def other(self):\n"
+              "        return exit(2)\n"
+              "if __name__ == '__main__':\n"
+              "    sys.exit(3)\n")
+    assert exit_callers(source) == ["<module>", "C.main", "f.g"]
+
+
+def test_cli_exits_in_one_place():
+    """Command bodies return their exit code; only `_Group.main` maps it,
+    and every error, to the process exit."""
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert exit_callers(source) == ["_Group.main"]

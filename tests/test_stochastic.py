@@ -1,6 +1,7 @@
 """Turn-based stochastic mean-payoff backend."""
 
 import csv
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,8 @@ from mpgames._smpgfast import Kernel
 from mpgames.graphs import tarjan_scc
 from mpgames.cli import main
 from mpgames.numeric import vec, zeros
-from mpgames.dominion import round_to_denominator
+from mpgames import dominion
+from mpgames.dominion import ExactOracle, round_to_denominator
 
 from conftest import (
     absorbing_game,
@@ -313,6 +315,39 @@ class TestWinner:
         g = cycle_game(a=0, b=2)
         res = mg.winner(g)
         assert res.iterations <= mg.winner_iteration_bound(g.stats())
+
+    def test_agrees_with_exact_value_iteration(self):
+        """`winner` on integer numerators against the reference, exact
+        `Fraction` value iteration, on 300 default draws: the same verdict
+        or Exhausted, iteration count and witness."""
+        rng = random.Random(2027)
+        for _ in range(300):
+            g = mg.random_smpg(rng)
+            cap = mg.winner_iteration_bound(g.stats()) + 1
+            assert mg.winner(g) == mg.value_iteration(ExactOracle(g), cap)
+
+    def test_long_run_agrees_with_exact_value_iteration(self, monkeypatch):
+        """Corpus draw s244-0 (M = 3) runs to its cap of 11,665 steps.  The
+        reference takes seconds on it, so it is compared over the first
+        2,000 steps, and the full run against the digest of the
+        reference's witness."""
+        g = mg.random_smpg(random.Random(244))
+        full = mg.winner(g)
+        assert isinstance(full, Exhausted) and full.iterations == 11665
+        assert witness_digest(full.witness) == (
+            "4a3daaa4c7a511294b6622d0e7748abf07b32deacbcf3231f742899b918b1e38")
+        monkeypatch.setattr(dominion, "winner_iteration_bound",
+                            lambda stats: 1999)
+        assert mg.winner(g) == mg.value_iteration(ExactOracle(g), 2000)
+
+
+def witness_digest(vec):
+    """SHA-256 over the numerators and denominators of a rational vector."""
+    h = hashlib.sha256()
+    for v in vec:
+        for x in (v.numerator, v.denominator):
+            h.update(x.to_bytes(x.bit_length() // 8 + 1, "big", signed=True))
+    return h.hexdigest()
 
 
 def _reference_verdict(game, cert):
