@@ -24,6 +24,17 @@ fallback modules of a kind load only with the commands that run them:
 and `gen-random` of a stochastic game, `perron` for `brute` of an entropy
 game, and either when a solve falls back to it.  `csv` loads only with
 the commands that write CSV: `brute`, `gen-cex` and `bench`.
+
+A `--json` report is printed as json.dumps(report, indent=2,
+sort_keys=True) prints it, byte for byte, by a writer of its own
+(`_json_text`): `indent` makes json.dumps fall back to its pure-Python
+encoder, two to four times the cost of the C one, and the compact C output
+would change every report's bytes.  Rationals cross the report boundary
+on integers: `_frac_str` writes a Fraction's or an int's own numerator and
+denominator, `_dec_str` scales the numerator, and `_report_frac` reads a
+"p/q" or "p" of ASCII digits with int(); any other string goes through
+Fraction (and, past the interpreter's int/str digit limit, Decimal), so it
+reads to the same value or fails with the same error.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import sys
 import time
 from fractions import Fraction
 from importlib import import_module
+from json.encoder import encode_basestring_ascii
 
 from .graphs import GameFormatError, json_list, state_ids_error, state_indices
 from .numeric import (
@@ -58,7 +70,9 @@ EXIT_CAP = 3
 def _frac_str(v) -> str:
     if v is NEG_INF:
         return "-inf"
-    v = Fraction(v)
+    if not isinstance(v, (int, Fraction)):
+        v = Fraction(v)
+    # an int has a numerator and a denominator too: neither is copied
     try:
         return f"{v.numerator}/{v.denominator}"
     except ValueError:
@@ -70,29 +84,50 @@ def _frac_str(v) -> str:
                         for x in (v.numerator, v.denominator))
 
 
+def _rational_digits(text):
+    """(numerator, denominator) digit strings of a "p/q" or "p" string, the
+    form `_frac_str` writes (p may carry a "-"; a bare p has denominator
+    "1"); None for any other string."""
+    num, slash, den = text.partition("/")
+    if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+        return num, den if slash else "1"
+    return None
+
+
 def _report_frac(value) -> Fraction:
     """A rational written in a report: a "p/q" string or an integer, of any
     size."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise GameFormatError(f"{value!r} is not a rational")
+    # ASCII digits are read by int(); any other string, and any that int()
+    # refuses, takes Fraction's path, to Fraction's value or error
+    digits = (_rational_digits(value)
+              if isinstance(value, str) and value.isascii() else None)
+    if digits is not None:
+        try:
+            p, q = int(digits[0]), int(digits[1])
+        except ValueError:
+            pass
+        else:
+            if q:
+                return Fraction(p, q)
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:
         raise GameFormatError(f"{value!r} is not a rational") from exc
     except ValueError:
-        # past the interpreter's int/str digit limit: "p/q" or "p" as
-        # `_frac_str` writes them, read through Decimal; anything else
-        # keeps Fraction's error
-        num, slash, den = value.partition("/")
-        if not (num.removeprefix("-").isdecimal()
-                and (den.isdecimal() or not slash)):
+        # past the interpreter's int/str digit limit: digits as `_frac_str`
+        # writes them are read through Decimal; anything else keeps
+        # Fraction's error
+        digits = _rational_digits(value)
+        if digits is None:
             raise
         from decimal import Decimal
 
-        den = int(Decimal(den)) if slash else 1
-        if not den:
+        p, q = (int(Decimal(x)) for x in digits)
+        if not q:
             raise GameFormatError(f"{value!r} is not a rational") from None
-        return Fraction(int(Decimal(num)), den)
+        return Fraction(p, q)
 
 
 def _parse_frac(s):
@@ -175,12 +210,14 @@ def _cert_from_record(rec) -> Certificate:
 
 
 def _dec_str(value: Fraction, digits: int = 12) -> str:
-    scaled = value * 10**digits
-    whole = (scaled.numerator // scaled.denominator
-             if scaled >= 0 else -((-scaled.numerator) // scaled.denominator))
+    scale = 10**digits
+    whole = value.numerator * scale
+    den = value.denominator
+    # truncated toward zero
+    whole = whole // den if whole >= 0 else -(-whole // den)
     sign = "-" if whole < 0 else ""
     whole = abs(whole)
-    return f"{sign}{whole // 10**digits}.{whole % 10**digits:0{digits}d}"
+    return f"{sign}{whole // scale}.{whole % scale:0{digits}d}"
 
 
 def _interval_record(iv) -> dict:
@@ -197,9 +234,50 @@ def _echo(message, err=False):
     print(message, file=sys.stderr if err else sys.stdout, flush=True)
 
 
+_JSON_CONSTANTS = {None: "null", False: "false", True: "true"}
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: quoted, an int, float, bool or
+    None written as its JSON value first."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _json_text(value, newline="\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, written
+    without the pure-Python encoder that `indent` selects: strings through
+    the C escaper, containers joined here, floats by json.dumps.  `newline`
+    is the line break and indentation of the line `value` starts on."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # sorted as sort_keys sorts: int ids numerically, before quoting
+        return "{" + inner + ("," + inner).join([
+            f"{_json_key(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _json_text(v, inner) for v in value]) + newline + "]"
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(report: dict, as_json: bool):
     if as_json:
-        _echo(json.dumps(report, indent=2, sort_keys=True))
+        _echo(_json_text(report))
         return
     def render(value):
         if isinstance(value, dict):

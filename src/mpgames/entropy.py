@@ -52,7 +52,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import import_module
 
 from .graphs import (
@@ -64,7 +64,7 @@ from .graphs import (
     state_indices,
 )
 from .linalg import integer_rank, integer_solve
-from .numeric import SUB, SUPER, Certificate, RationalInterval
+from .numeric import SUB, SUPER, Certificate, RationalInterval, seen_image
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,14 @@ class EntropyGame:
         return self.d_edges, self.t_edges, self.p_edges
 
     def validate(self):
+        """The game itself; GameFormatError when it is malformed.  The
+        checks run once per game object: a CLI solve validates the game it
+        reads, and the solve validates it again."""
+        self._valid
+        return self
+
+    @cached_property
+    def _valid(self) -> bool:
         ids = self.ids
         check_adjacency(_LABELS, ids, self.edges)
         for k, rows in enumerate(self.edges):
@@ -110,7 +118,7 @@ class EntropyGame:
                     raise GameFormatError(
                         f"multiplicity at state {sid!r} must be a positive integer"
                     )
-        return self
+        return True
 
     def stats(self):
         w = max(m for row in self.p_edges for _, m in row)
@@ -218,17 +226,18 @@ def check_entropy_certificates(game: EntropyGame, certs) -> bool:
     scaled to integers by the lcm of its denominators and T runs on ints;
     lam = p/q is then compared by cross-multiplication, p * v against
     q * T(v)."""
-    images = {}
+    images = []
     for cert in certs:
         if not cert.multiplicative:
             raise ValueError("entropy certificates are multiplicative")
         if any(v <= 0 for v in cert.vec):
             return False
-        image = images.get(cert.vec)
+        image = seen_image(images, cert.vec)
         if image is None:
             den = math.lcm(*(v.denominator for v in cert.vec))
             ints = [v.numerator * (den // v.denominator) for v in cert.vec]
-            image = images[cert.vec] = ints, multiplicative_eval(game, ints)
+            image = ints, multiplicative_eval(game, ints)
+            images.append((cert.vec, image))
         p, q = cert.lam.numerator, cert.lam.denominator
         if cert.direction == SUB:
             holds = all(p * v <= q * w for v, w in zip(*image))

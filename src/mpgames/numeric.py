@@ -132,8 +132,11 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # a Fraction end is kept, not copied
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError("interval requires lo <= hi")
 
@@ -255,6 +258,17 @@ class Certificate:
     vec: tuple
     direction: str
     multiplicative: bool = False
+
+
+def seen_image(images, vec):
+    """The image stored for `vec` in `images`, a list of (vector, image)
+    pairs, or None.  A vector is found by identity, then by equality, so
+    that no tuple of Fractions is hashed: a certificate check holds one or
+    two vectors."""
+    for seen, image in images:
+        if seen is vec or seen == vec:
+            return image
+    return None
 
 
 class IterationCapExceeded(RuntimeError):

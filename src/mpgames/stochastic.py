@@ -81,6 +81,7 @@ from .numeric import (
     IterationCapExceeded,
     RationalInterval,
     rational_in_interval,
+    seen_image,
 )
 
 # the game file's state-list keys, and (name, edge field, default) per kind
@@ -330,24 +331,26 @@ def check_certificates(game: StochasticGame, certs, sigma=None,
         max_rows = _cut(game.max_edges, tau)
         if not all(max_rows):
             return False
-    images = {}
+    images = []
     for cert in certs:
         if cert.multiplicative:
             raise ValueError("stochastic certificates are additive")
         if len(cert.vec) != n:
             raise ValueError("vector length does not match Min state count")
         sub = cert.direction == SUB
-        image = images.get(cert.vec)
+        image = seen_image(images, cert.vec)
         if any(v is NEG_INF for v in cert.vec):
             if (tau if sub else sigma) is not None:
                 return False
             if image is None:
-                image = images[cert.vec] = shapley_eval(game, cert.vec)
+                image = shapley_eval(game, cert.vec)
+                images.append((cert.vec, image))
             if not _reference_holds(cert, image):
                 return False
             continue
         if image is None:
-            image = images[cert.vec] = _step_stages(game, cert.vec)
+            image = _step_stages(game, cert.vec)
+            images.append((cert.vec, image))
         u, c, nat, best = image
         if sub:
             if max_rows is not None:
@@ -355,8 +358,7 @@ def check_certificates(game: StochasticGame, certs, sigma=None,
             y = _min_stage(game.min_edges, best, c)
         else:
             y = _min_stage(min_rows, best, c)
-        lam = Fraction(cert.lam)
-        p, q = lam.numerator, lam.denominator
+        p, q = cert.lam.numerator, cert.lam.denominator
         pc, qM = p * c, q * M
         if sub:
             holds = all(pc + qM * v <= q * w for v, w in zip(u, y))

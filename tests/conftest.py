@@ -7,6 +7,20 @@ import pytest
 import mpgames as mg
 
 
+class UnhashedFraction(Fraction):
+    """A Fraction that fails when hashed: a certificate check must find a
+    repeated vector without hashing it."""
+
+    def __hash__(self):
+        raise AssertionError("a certificate vector was hashed")
+
+
+def unhashed_copy(cert):
+    """`cert` on an equal vector of new UnhashedFraction entries."""
+    return mg.Certificate(cert.lam, tuple(map(UnhashedFraction, cert.vec)),
+                          cert.direction, cert.multiplicative)
+
+
 def cycle_game(a=0, b=2, m=1):
     """Single Min/Max/Nature cycle: F(x) = x + (b - a)."""
     return mg.make_game(

@@ -275,6 +275,69 @@ class TestSolve:
         with pytest.raises(ValueError):
             cli._report_frac(text)
 
+    @pytest.mark.parametrize("text", [
+        "007/010", "-0/5", "3/0", "+1/2", " 1/2", "1/-2", "1_0", "\u00b2",
+        "\u0661\u0662/\u0663", "1e3", "1.5", "7" * 5000,
+        "-" + "7" * 5000 + "/" + "3" * 5000, "1" * 5000 + "/0",
+        "0/" + "9" * 5000, "1" * 5000 + "/-2"], ids=[
+        "leading-zeros", "negative-zero", "zero-denominator", "plus-sign",
+        "space", "negative-denominator", "underscore", "superscript",
+        "arabic-indic", "exponent", "decimal-point", "long-integer",
+        "long-rational", "long-zero-denominator", "long-denominator",
+        "long-negative-denominator"])
+    def test_report_rationals_read_as_fraction_reads_them(self, text):
+        """The int() path of `_report_frac` reads what Fraction reads: the
+        same value, or the same error, a zero denominator as a
+        GameFormatError.  Fraction reads the 5,000-digit strings with the
+        interpreter's digit limit lifted."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            want = exc
+        finally:
+            sys.set_int_max_str_digits(limit)
+        if isinstance(want, Fraction):
+            assert cli._report_frac(text) == want
+        else:
+            with pytest.raises(Exception) as info:
+                cli._report_frac(text)
+            assert type(info.value) is (mg.GameFormatError if isinstance(
+                want, ZeroDivisionError) else type(want))
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("value", [
+        {"b": {10: "x", 2: "y", -3: "z"}, "a": 1, "c": [0, -7]},
+        {"list": [], "dict": {}, "nested": [[], {}, [[]], [{}]]},
+        {"d\u00e9": "\u03a9mega", "\u2603": ["\u2028", "\x00\n\"\\",
+                                         "\U0001f600"]},
+        [True, False, None, {"t": True, "f": False, "n": None}],
+        {"report": CHOICE_REPORT, "values": {3: {"lo": "1/1", "hi": "2/1"}},
+         "witness": [CHOICE_REPORT, [CHOICE_REPORT]]},
+        {"lam": cli._frac_str(F(2**20000 + 1, 3**5000)),
+         "vec": [cli._frac_str(F(-(3**9000), 2**20000 - 1)), "0/1"]},
+        [], {}, "\u00e9", 12, None, ("a", ("b",)),
+        [1.5, -0.0, float("inf"), {2: 0, 1.5: 1, True: 2}, {None: 0}],
+    ], ids=["int-and-str-keys", "empty-containers", "non-ascii",
+            "constants", "nested-records", "20000-bit-rationals",
+            "empty-list", "empty-dict", "string", "int", "null", "tuples",
+            "floats-and-other-keys"])
+    def test_report_writer_is_json_dumps(self, value):
+        """The --json writer prints the bytes json.dumps(indent=2,
+        sort_keys=True) prints."""
+        assert cli._json_text(value) == json.dumps(value, indent=2,
+                                                   sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        {(1, 2): 0}, {"x": F(1, 2)}, [10**5000], {1: 0, "a": 1}],
+        ids=["tuple-key", "fraction", "long-int", "mixed-keys"])
+    def test_report_writer_fails_as_json_dumps(self, value):
+        with pytest.raises(Exception) as want:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(want.type):
+            cli._json_text(value)
+
     def test_value_mode_json(self, runner, smpg_file):
         res = runner.invoke(main, ["solve", smpg_file, "--mode", "value",
                                    "--json"])

@@ -15,7 +15,9 @@ meant, regenerate the file with
 
     PYTHONPATH=src python tests/test_corpus.py
 
-and say in CHANGES.md which games changed and why.
+which prints, before it writes the file, how many lines changed per
+command and the first game ids, and say in CHANGES.md which games changed
+and why.
 """
 
 from __future__ import annotations
@@ -104,23 +106,58 @@ def corpus_digests(workdir: Path) -> list:
     return lines
 
 
+def corpus_changes(old, new) -> dict:
+    """{command: game ids} of the (game, command) lines whose digest differs
+    between the corpus lines `old` and `new`, or that only one of them has,
+    in corpus order."""
+    before = dict(line.rsplit(" ", 1) for line in old)
+    after = dict(line.rsplit(" ", 1) for line in new)
+    changed = {}
+    for key in [*after, *(key for key in before if key not in after)]:
+        if before.get(key) != after.get(key):
+            gid, command = key.split(" ")
+            changed.setdefault(command, []).append(gid)
+    return changed
+
+
+def change_summary(changed) -> str:
+    """One line per command: how many lines changed, and the first ids."""
+    return "\n".join(
+        f"{command}: {len(ids)} changed, first {' '.join(ids[:5])}"
+        for command, ids in changed.items()) or "no line changed"
+
+
 def test_answers_match_the_committed_corpus(tmp_path):
     """Every (game, command) of the corpus prints what the committed file
     records, and every exit-0 `full` report passes `certify`."""
     lines = corpus_digests(tmp_path)
     expected = CORPUS.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(expected)
-    changed = [line.split(" ", 2)[:2]
-               for line, want in zip(lines, expected) if line != want]
-    assert not changed, f"{len(changed)} answers changed, first {changed[:5]}"
+    changed = corpus_changes(expected, lines)
+    assert not changed, f"answers changed:\n{change_summary(changed)}"
     passed = _digest(0, "all certificates verified\n", "")
     certified = [line for line in lines if " certify " in line]
     assert certified
     assert all(line.endswith(passed) for line in certified)
 
 
+def test_change_summary_per_command():
+    old = ["g0 full a", "g0 certify b", "g1 full c", "g2 brute d"]
+    new = ["g0 full a", "g0 certify x", "g1 full y", "g3 brute d"]
+    changed = corpus_changes(old, new)
+    assert changed == {"certify": ["g0"], "full": ["g1"],
+                       "brute": ["g3", "g2"]}
+    assert change_summary(changed).splitlines() == [
+        "certify: 1 changed, first g0", "full: 1 changed, first g1",
+        "brute: 2 changed, first g3 g2"]
+    assert change_summary(corpus_changes(old, old)) == "no line changed"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         lines = corpus_digests(Path(tmp))
+    old = (CORPUS.read_text(encoding="utf-8").splitlines()
+           if CORPUS.exists() else [])
+    print(change_summary(corpus_changes(old, lines)))
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
     sys.exit(0)

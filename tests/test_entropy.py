@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +33,7 @@ from conftest import (
     entropy_pair_loop,
     entropy_shared_tribune,
     entropy_tribune_choice,
+    unhashed_copy,
 )
 
 F = Fraction
@@ -61,6 +63,25 @@ class TestConstruction:
                                *(tuple(map(tuple, rows)) for rows in edges))
         with pytest.raises(GameFormatError, match=message):
             mg.solve_entropy_game(game)
+
+    def test_validated_once_per_game(self, monkeypatch):
+        """`validate` runs its checks once per game object, so that a CLI
+        solve, which validates the game it reads and then solves it, checks
+        it once; a malformed game fails every call."""
+        good = ent.EntropyGame(("d0",), ("t0",), ("p0",), ((0,),), ((0,),),
+                               (((0, 2),),))
+        bad = replace(good, p_edges=(((0, 0),),))
+        calls = []
+        check = ent.check_adjacency
+        monkeypatch.setattr(ent, "check_adjacency",
+                            lambda *args: calls.append(args) or check(*args))
+        assert good.validate() is good
+        assert good.validate() is good
+        assert len(calls) == 1
+        for _ in range(2):
+            with pytest.raises(GameFormatError, match="multiplicity"):
+                bad.validate()
+        assert len(calls) == 3
 
     def test_stats_and_bounds(self):
         g = entropy_tribune_choice()
@@ -375,6 +396,20 @@ class TestSolve:
         assert block.decided_by == ent.SEPARATION
         assert block.sub.vec == block.sup.vec
         assert len(calls) == block.iterations
+
+    def test_report_pair_evaluated_once(self, monkeypatch):
+        """A block's sub and super certificates read back from a report
+        hold distinct, equal vectors: the check evaluates T once for them,
+        found by equality without hashing."""
+        blocks = mg.solve_entropy_game(two_block_game()).blocks
+        calls = []
+        real = ent.multiplicative_eval
+        monkeypatch.setattr(ent, "multiplicative_eval",
+                            lambda game, x: calls.append(x) or real(game, x))
+        for block in blocks:
+            pair = tuple(map(unhashed_copy, (block.sub, block.sup)))
+            assert ent.check_entropy_certificates(block.subgame, pair)
+        assert len(calls) == len(blocks) == 2
 
     def test_block_subgame_reconstructible(self):
         g = two_block_game()

@@ -101,6 +101,15 @@ class TestRationalInterval:
         with pytest.raises(ValueError):
             RationalInterval(F(1), F(0))
 
+    def test_fraction_ends_kept(self):
+        """A Fraction end is kept, not copied; an int end becomes one."""
+        lo, hi = F(1, 3), F(1, 2)
+        iv = RationalInterval(lo, hi)
+        assert iv.lo is lo and iv.hi is hi
+        iv = RationalInterval(0, 2)
+        assert (type(iv.lo), type(iv.hi)) == (F, F)
+        assert (iv.lo, iv.hi) == (0, 2)
+
 
 class TestRationalReconstruction:
     def test_unique_small_denominator(self):

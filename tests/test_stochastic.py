@@ -28,6 +28,7 @@ from conftest import (
     peel_game,
     swap_shift_game,
     three_value_game,
+    unhashed_copy,
 )
 
 F = Fraction
@@ -414,6 +415,22 @@ class TestIntegerCertificates:
                 assert (st.check_certificates(g, (cert,))
                         == _reference_verdict(g, cert))
         assert min(seen.values()) > 300
+
+    def test_one_step_per_distinct_vector(self, monkeypatch):
+        """Certificates on equal vectors share one integer step, found by
+        equality without hashing: a report's vectors are parsed into
+        distinct, equal tuples."""
+        rng = random.Random(11)
+        g = mg.random_smpg(rng, 4, 4, 4)
+        held = [c for c in _certificate_cases(rng, g)
+                if st.check_certificates(g, (c,))]
+        assert {c.direction for c in held} == {mg.SUB, mg.SUPER}
+        calls = []
+        step = st._step_stages
+        monkeypatch.setattr(st, "_step_stages",
+                            lambda game, x: calls.append(x) or step(game, x))
+        assert st.check_certificates(g, [unhashed_copy(c) for c in held])
+        assert len(calls) == 1
 
     def test_strategy_verdicts_match_fixed_games(self):
         """With strategies, the verdict is the reference one on the game
