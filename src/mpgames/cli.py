@@ -209,12 +209,12 @@ def _cert_from_record(rec) -> Certificate:
     )
 
 
-def _dec_str(value: Fraction, digits: int = 12) -> str:
+def _dec_str(value: Fraction, up: bool, digits: int = 12) -> str:
+    """`value` to `digits` decimals, rounded up (toward +inf) or down."""
     scale = 10**digits
     whole = value.numerator * scale
     den = value.denominator
-    # truncated toward zero
-    whole = whole // den if whole >= 0 else -(-whole // den)
+    whole = -(-whole // den) if up else whole // den
     sign = "-" if whole < 0 else ""
     whole = abs(whole)
     return f"{sign}{whole // scale}.{whole % scale:0{digits}d}"
@@ -224,7 +224,9 @@ def _interval_record(iv) -> dict:
     return {
         "lo": _frac_str(iv.lo),
         "hi": _frac_str(iv.hi),
-        "approx": f"[{_dec_str(iv.lo)}, {_dec_str(iv.hi)}]",
+        # a decimal enclosure: lo rounded down, hi up
+        "approx": (f"[{_dec_str(iv.lo, up=False)}, "
+                   f"{_dec_str(iv.hi, up=True)}]"),
     }
 
 

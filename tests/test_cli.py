@@ -338,6 +338,32 @@ class TestSolve:
         with pytest.raises(want.type):
             cli._json_text(value)
 
+    def test_approx_encloses_the_interval(self):
+        """`approx` is a decimal enclosure of [lo, hi], lo rounded down and
+        hi up.  Both truncated toward zero left 16 of the 387 value records
+        of these draws outside their bracket: seed 30's d0, just above 3,
+        was printed as [3.000000000000, 3.000000000000]."""
+        records = {}
+        for seed in range(200):
+            sol = mg.solve_entropy_game(
+                mg.random_entropy_game(random.Random(seed)))
+            for d, iv in sol.values.items():
+                records[seed, d] = cli._interval_record(iv)
+        assert len(records) == 387
+        for rec in records.values():
+            lo, hi = rec["approx"][1:-1].split(", ")
+            assert F(lo) <= F(rec["lo"]) <= F(rec["hi"]) <= F(hi)
+        assert records[30, "d0"]["approx"] == "[3.000000000000, 3.000000000001]"
+        for (lo, hi), approx in [
+            ((F(-1, 3), F(2, 3)), "[-0.333333333334, 0.666666666667]"),
+            ((F(-3, 2), F(-3, 2)), "[-1.500000000000, -1.500000000000]"),
+            ((F(-1, 10**13), F(1, 10**13)),
+             "[-0.000000000001, 0.000000000001]"),
+            ((F(0), F(0)), "[0.000000000000, 0.000000000000]"),
+        ]:
+            rec = cli._interval_record(mg.RationalInterval(lo, hi))
+            assert rec["approx"] == approx
+
     def test_value_mode_json(self, runner, smpg_file):
         res = runner.invoke(main, ["solve", smpg_file, "--mode", "value",
                                    "--json"])
