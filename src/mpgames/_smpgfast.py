@@ -7,8 +7,9 @@ run on integer numerators with exact comparisons.  `_int_step` is the
 Shapley step on Python ints, which cannot overflow; `stochastic.shapley_eval`
 is the exact reference it agrees with.  The step runs in three stages
 (`_nature_stage`, `_max_stage`, `_min_stage`), which `stochastic` also
-calls on their own: to check certificates and strategies from one
-evaluation, and to read off greedy strategies.
+calls on their own, to check certificates and strategies from one
+evaluation; its greedy pair takes its argmax and argmin in loops of its
+own.
 
 `Kernel.gap_loop` and `Kernel.replay_loop` are one driver each over that
 step.  Both implement exactly the recurrence of the generic Fraction-based

@@ -31,10 +31,16 @@ sort_keys=True) prints it, byte for byte, by a writer of its own
 encoder, two to four times the cost of the C one, and the compact C output
 would change every report's bytes.  Rationals cross the report boundary
 on integers: `_frac_str` writes a Fraction's or an int's own numerator and
-denominator, `_dec_str` scales the numerator, and `_report_frac` reads a
-"p/q" or "p" of ASCII digits with int(); any other string goes through
-Fraction (and, past the interpreter's int/str digit limit, Decimal), so it
-reads to the same value or fails with the same error.
+denominator, `_dec_str` scales the numerator, and `_report_ratio` reads a
+"p/q" or "p" of ASCII digits with int() to (p, q) as written; any other
+string goes through Fraction (and, past the interpreter's int/str digit
+limit, Decimal), so it reads to the same value or fails with the same
+error.  `certify` reads a stochastic report that way to the end:
+its certificates into `stochastic.IntCertificate`s, checked by the
+solver's own `certificates_hold`, and its interval ends and value compared
+with the certified levels by cross-multiplication.  An interval record's
+`approx`, when present, must be the enclosure `_interval_record` writes
+for its ends, and a certificate's "multiplicative" a JSON boolean.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -53,12 +60,13 @@ from json.encoder import encode_basestring_ascii
 from .graphs import GameFormatError, json_list, state_ids_error, state_indices
 from .numeric import (
     NEG_INF,
+    NOT_FOUND,
+    NOT_UNIQUE,
     SUB,
     SUPER,
     Certificate,
     IterationCapExceeded,
-    RationalInterval,
-    rational_in_interval,
+    rational_between,
 )
 
 EXIT_OK = 0
@@ -94,13 +102,14 @@ def _rational_digits(text):
     return None
 
 
-def _report_frac(value) -> Fraction:
-    """A rational written in a report: a "p/q" string or an integer, of any
-    size."""
+def _report_ratio(value):
+    """A rational written in a report, a "p/q" string or an integer of any
+    size, as integers (p, q) with q > 0, not reduced."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise GameFormatError(f"{value!r} is not a rational")
-    # ASCII digits are read by int(); any other string, and any that int()
-    # refuses, takes Fraction's path, to Fraction's value or error
+    # ASCII digits are read by int(), as written; any other string, and any
+    # that int() refuses, takes Fraction's path, to Fraction's value or
+    # error
     digits = (_rational_digits(value)
               if isinstance(value, str) and value.isascii() else None)
     if digits is not None:
@@ -110,9 +119,9 @@ def _report_frac(value) -> Fraction:
             pass
         else:
             if q:
-                return Fraction(p, q)
+                return p, q
     try:
-        return Fraction(value)
+        value = Fraction(value)
     except ZeroDivisionError as exc:
         raise GameFormatError(f"{value!r} is not a rational") from exc
     except ValueError:
@@ -127,13 +136,8 @@ def _report_frac(value) -> Fraction:
         p, q = (int(Decimal(x)) for x in digits)
         if not q:
             raise GameFormatError(f"{value!r} is not a rational") from None
-        return Fraction(p, q)
-
-
-def _parse_frac(s):
-    if s == "-inf":
-        return NEG_INF
-    return _report_frac(s)
+        return p, q
+    return value.numerator, value.denominator
 
 
 # game kind (a game file's "type") -> its module and that module's reader
@@ -198,35 +202,79 @@ def _field(record, key):
         raise GameFormatError(f"missing key {exc}") from exc
 
 
-def _cert_from_record(rec) -> Certificate:
+def _cert_fields(rec):
+    """(lam, vec, direction, multiplicative) of a certificate record, lam
+    and each entry of vec read by `_report_ratio` (an entry "-inf" as
+    NEG_INF).  "multiplicative" must be a JSON boolean; absent, it is
+    false."""
     if not isinstance(rec, dict):
         raise GameFormatError(f"certificate record {rec!r} is not an object")
-    return Certificate(
-        _report_frac(_field(rec, "lam")),
-        tuple(_parse_frac(v) for v in json_list(_field(rec, "vec"), '"vec"')),
-        _field(rec, "direction"),
-        bool(rec.get("multiplicative", False)),
-    )
+    lam = _report_ratio(_field(rec, "lam"))
+    vec = [NEG_INF if v == "-inf" else _report_ratio(v)
+           for v in json_list(_field(rec, "vec"), '"vec"')]
+    direction = _field(rec, "direction")
+    multiplicative = rec.get("multiplicative", False)
+    if not isinstance(multiplicative, bool):
+        raise GameFormatError(
+            f'"multiplicative" {multiplicative!r} is not a boolean')
+    return lam, vec, direction, multiplicative
 
 
-def _dec_str(value: Fraction, up: bool, digits: int = 12) -> str:
-    """`value` to `digits` decimals, rounded up (toward +inf) or down."""
-    scale = 10**digits
-    whole = value.numerator * scale
-    den = value.denominator
+def _fractions(vec) -> tuple:
+    """A vector of (p, q) and NEG_INF entries as Fractions and NEG_INF."""
+    return tuple(v if v is NEG_INF else Fraction(*v) for v in vec)
+
+
+def _cert_from_record(rec) -> Certificate:
+    lam, vec, direction, multiplicative = _cert_fields(rec)
+    return Certificate(Fraction(*lam), _fractions(vec), direction,
+                       multiplicative)
+
+
+def _int_cert_from_record(smpg, rec):
+    """A stochastic certificate record as `smpg.IntCertificate`: the vector
+    over the lcm of its entries' denominators, or, when it has -inf
+    entries, as Fractions and NEG_INF."""
+    (p, q), vec, direction, multiplicative = _cert_fields(rec)
+    if any(v is NEG_INF for v in vec):
+        return smpg.IntCertificate(p, q, _fractions(vec), None, direction,
+                                   multiplicative)
+    den = math.lcm(*(b for _, b in vec))
+    return smpg.IntCertificate(p, q, [a * (den // b) for a, b in vec], den,
+                               direction, multiplicative)
+
+
+_DECIMALS = 10**12  # an approx string's decimal places, as a scale
+
+
+def _dec_str(num: int, den: int, up: bool) -> str:
+    """num/den (den > 0) to 12 decimals, rounded up (toward +inf) or
+    down."""
+    whole = num * _DECIMALS
     whole = -(-whole // den) if up else whole // den
-    sign = "-" if whole < 0 else ""
-    whole = abs(whole)
-    return f"{sign}{whole // scale}.{whole % scale:0{digits}d}"
+    if whole < 0:
+        units, frac = divmod(-whole, _DECIMALS)
+        return f"-{units}.{frac:012d}"
+    units, frac = divmod(whole, _DECIMALS)
+    return f"{units}.{frac:012d}"
+
+
+def _approx_text(lo, hi) -> str:
+    """The decimal enclosure of [lo, hi], each end (p, q) with q > 0: lo
+    rounded down, hi up."""
+    return f"[{_dec_str(*lo, up=False)}, {_dec_str(*hi, up=True)}]"
+
+
+def _ratio(value):
+    """(numerator, denominator) of a Fraction or an int."""
+    return value.numerator, value.denominator
 
 
 def _interval_record(iv) -> dict:
     return {
         "lo": _frac_str(iv.lo),
         "hi": _frac_str(iv.hi),
-        # a decimal enclosure: lo rounded down, hi up
-        "approx": (f"[{_dec_str(iv.lo, up=False)}, "
-                   f"{_dec_str(iv.hi, up=True)}]"),
+        "approx": _approx_text(_ratio(iv.lo), _ratio(iv.hi)),
     }
 
 
@@ -513,12 +561,31 @@ def solve(input_path, mode, as_json, budget):
 # certify
 
 
-def _inside(rec, levels: RationalInterval) -> bool:
-    """Whether the interval record `rec` of a report lies inside `levels`."""
+def _interval_ends(rec):
+    """(lo, hi) of an interval record of a report, each (p, q) with
+    q > 0."""
     if not isinstance(rec, dict):
         raise GameFormatError(f"interval {rec!r} is not an object")
-    lo, hi = _report_frac(_field(rec, "lo")), _report_frac(_field(rec, "hi"))
-    return levels.lo <= lo <= hi <= levels.hi
+    return _report_ratio(_field(rec, "lo")), _report_ratio(_field(rec, "hi"))
+
+
+def _inside(ends, lo, hi) -> bool:
+    """Whether the interval ends (a, b) lie inside [lo, hi]: lo <= a <= b <=
+    hi, all (p, q) with q > 0, by cross-multiplication."""
+    (lp, lq), (ap, aq), (bp, bq), (hp, hq) = lo, *ends, hi
+    return lp * aq <= ap * lq and ap * bq <= bp * aq and bp * hq <= hp * bq
+
+
+def _approx_holds(rec, ends) -> bool:
+    """Whether the interval record's "approx", when it has one, is the
+    enclosure `_interval_record` writes for its ends."""
+    if "approx" not in rec:
+        return True
+    try:
+        return rec["approx"] == _approx_text(*ends)
+    except ValueError:
+        # an end past the int/str digit limit, which no report prints
+        return False
 
 
 def _report_ids(states, key):
@@ -563,39 +630,50 @@ def _strategy(report, key, from_ids, to_ids):
 
 
 def _smpg_failure(smpg, report, target, sub, sup):
-    """Why the stochastic pair (sub, sup) fails on `target`, or None: its
-    certificates, and the strategies the report names, checked at them."""
+    """Why the stochastic pair (sub, sup) of IntCertificates fails on
+    `target`, or None: its certificates, and the strategies the report
+    names, checked at them."""
     sigma = _strategy(report, "min_strategy", target.min_ids, target.max_ids)
     tau = _strategy(report, "max_strategy", target.max_ids, target.nat_ids)
-    if smpg.check_certificates(target, (sub, sup), sigma, tau):
+    if smpg.certificates_hold(target, (sub, sup), sigma, tau):
         return None
     # the failure path only: find which check failed
-    if not smpg.check_certificates(target, (sub, sup)):
+    if not smpg.certificates_hold(target, (sub, sup)):
         return _CERT_FAILED
-    if sigma is not None and not smpg.check_certificates(target, (sup,),
-                                                         sigma=sigma):
+    if sigma is not None and not smpg.certificates_hold(target, (sup,),
+                                                        sigma=sigma):
         return "min_strategy fails at the super certificate"
     return "max_strategy fails at the sub certificate"
 
 
 def _smpg_claims(report, pairs):
-    ((target, levels),) = pairs
+    ((target, lo, hi),) = pairs
     if "top_class" in report and report["top_class"] != sorted(target.min_ids):
         return "top_class is not the set of states the certificates hold on"
-    if "interval" in report and not _inside(report["interval"], levels):
-        return "interval is not inside the certified levels"
+    ends = None
+    if "interval" in report:
+        ends = _interval_ends(report["interval"])
+        if not _inside(ends, lo, hi):
+            return "interval is not inside the certified levels"
+    value = None
     for key in ("value", "top_value"):
-        if key in report and _report_frac(report[key]) != rational_in_interval(
-            levels, target.stats().mu
-        ):
+        if key not in report:
+            continue
+        p, q = _report_ratio(report[key])
+        if value is None:
+            value = rational_between(lo, hi, target.stats().mu)
+        if (value is NOT_FOUND or value is NOT_UNIQUE
+                or p * value[1] != value[0] * q):
             return (f"{key} is not the unique rational of denominator <= mu "
                     "between the certified levels")
+    if ends is not None and not _approx_holds(report["interval"], ends):
+        return "interval approx is not the decimal enclosure of lo and hi"
     return None
 
 
 def _entropy_claims(report, pairs):
     if "blocks" in report and report["blocks"] != [
-        sorted(target.d_ids) for target, _ in pairs
+        sorted(target.d_ids) for target, _, _ in pairs
     ]:
         return "blocks are not the Despot sets the certificates hold on"
     values = report.get("values", {})
@@ -603,10 +681,20 @@ def _entropy_claims(report, pairs):
         raise GameFormatError(f'"values" {values!r} is not an object')
     # JSON object keys are strings, and a game's ids are all strings or all
     # integers, so str() names each Despot unambiguously
-    levels = {str(d): lv for target, lv in pairs for d in target.d_ids}
+    levels = {str(d): (lo, hi) for target, lo, hi in pairs
+              for d in target.d_ids}
+    read = []
     for d, rec in values.items():
-        if d not in levels or not _inside(rec, levels[d]):
+        if d not in levels:
             return f"the value of {d!r} is not inside its block's levels"
+        ends = _interval_ends(rec)
+        if not _inside(ends, *levels[d]):
+            return f"the value of {d!r} is not inside its block's levels"
+        read.append((d, rec, ends))
+    for d, rec, ends in read:
+        if not _approx_holds(rec, ends):
+            return (f"the approx of {d!r} is not the decimal enclosure of "
+                    "its lo and hi")
     return None
 
 
@@ -615,7 +703,8 @@ def _verify_report(kind, mod, game, report):
     must hold exactly on the (sub)game its states name, a stochastic
     report's strategies must be optimal at those certificates, and the top
     class, blocks, values and intervals the report claims must follow from
-    the levels of those pairs."""
+    the levels of those pairs, each interval's decimal `approx` from its
+    ends.  A stochastic report is read and checked on integers."""
     if not isinstance(report, dict):
         raise GameFormatError("a report must be a JSON object")
     records = json_list(report.get("certificates", []), '"certificates"')
@@ -628,7 +717,11 @@ def _verify_report(kind, mod, game, report):
         raise GameFormatError("a stochastic report has one certificate pair")
     pairs = []
     for sub_rec, sup_rec in zip(records[::2], records[1::2]):
-        sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
+        if kind == "smpg":
+            sub = _int_cert_from_record(mod, sub_rec)
+            sup = _int_cert_from_record(mod, sup_rec)
+        else:
+            sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
         if ((sub.direction, sup.direction) != (SUB, SUPER)
                 or sub_rec.get("states") != sup_rec.get("states")):
             raise GameFormatError(
@@ -641,9 +734,11 @@ def _verify_report(kind, mod, game, report):
             failure = _smpg_failure(mod, report, target, sub, sup)
             if failure is not None:
                 return failure
+            pairs.append((target, sub[:2], sup[:2]))
         elif not mod.check_entropy_certificates(target, (sub, sup)):
             return _CERT_FAILED
-        pairs.append((target, RationalInterval(sub.lam, sup.lam)))
+        else:
+            pairs.append((target, _ratio(sub.lam), _ratio(sup.lam)))
     if kind == "smpg":
         return _smpg_claims(report, pairs)
     return _entropy_claims(report, pairs)

@@ -27,6 +27,7 @@ from .stochastic import (
     SepParams,
     StochasticGame,
     StrategyPair,
+    _over,
     _pair_chain,
     induced_subgame,
     make_game,
@@ -249,11 +250,6 @@ def winner(game: StochasticGame):
         if min(u) >= 0:
             return WinnerVerdict("MaxWinsAll", it, _over(u, c))
     return Exhausted(cap, _over(u, c))
-
-
-def _over(u, c):
-    """The vector of numerators u over c."""
-    return tuple(Fraction(v, c) for v in u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Exact linear algebra on integer matrices, by fraction-free (Bareiss)
 elimination: every intermediate entry is a minor of the input, so every
 division is exact and no rational arithmetic runs inside the loops.
-`integer_rank` eliminates below the pivots; `integer_solve` eliminates
-above them too (Gauss-Jordan) and reads the solution off the last column."""
+`integer_rank` eliminates below the pivots; `integer_solve_numerators`
+eliminates above them too (Gauss-Jordan) and reads the solution off the
+last column as numerators over one denominator, and `integer_solve` puts
+them in Fractions."""
 
 from __future__ import annotations
 
@@ -10,16 +12,13 @@ import math
 from fractions import Fraction
 
 
-def integer_solve(a, b):
+def integer_solve_numerators(a, b):
     """Solve A x = b exactly for a nonsingular square integer matrix A and
-    a rational vector b (ints or Fractions).  b is scaled by the lcm D of
-    its denominators, and [A | D b] is reduced fraction-free until every
-    row reads d x_i D = m_i with d = +-det A.  Returns x as Fractions;
-    ValueError when A is singular."""
+    an integer vector b: [A | b] is reduced fraction-free until every row
+    reads d x_i = m_i with d = +-det A.  Returns (m, d) with d > 0, x = m/d
+    (not reduced); ValueError when A is singular."""
     n = len(a)
-    den = math.lcm(*(v.denominator for v in b))
-    m = [[*map(int, row), v.numerator * (den // v.denominator)]
-         for row, v in zip(a, b)]
+    m = [[*map(int, row), v] for row, v in zip(a, b)]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k] != 0), None)
@@ -35,7 +34,19 @@ def integer_solve(a, b):
                 f = m[i][k]
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], rk)]
         prev = p
-    return [Fraction(row[n], prev * den) for row in m]
+    if prev < 0:
+        return [-row[n] for row in m], -prev
+    return [row[n] for row in m], prev
+
+
+def integer_solve(a, b):
+    """`integer_solve_numerators` for a rational vector b (ints or
+    Fractions), scaled by the lcm D of its denominators.  Returns x as
+    Fractions; ValueError when A is singular."""
+    den = math.lcm(*(v.denominator for v in b))
+    m, d = integer_solve_numerators(
+        a, [v.numerator * (den // v.denominator) for v in b])
+    return [Fraction(x, d * den) for x in m]
 
 
 def integer_rank(matrix) -> int:

@@ -8,6 +8,7 @@ point never enters this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,25 +171,27 @@ NOT_FOUND = NotFound()
 NOT_UNIQUE = NotUnique()
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator in the closed interval [lo, hi]
-    (smallest numerator among those, for definiteness).  Stern-Brocot /
-    continued-fraction descent."""
-    if lo > hi:
+def _simplest_between(lo, hi):
+    """The rational with smallest denominator in the closed interval
+    [lo, hi] (smallest numerator among those, for definiteness), with lo
+    and hi as (p, q), q > 0, and the result as (p, q) in lowest terms.
+    Stern-Brocot / continued-fraction descent."""
+    (a, b), (c, d) = lo, hi
+    if a * d > c * b:
         raise ValueError("lo > hi")
-    if lo == hi:
-        return lo
+    if a * d == c * b:
+        g = math.gcd(a, b)
+        return a // g, b // g
     # Reduce to lo >= 0 by integer shift (denominators unchanged).
-    if lo < 0:
-        if hi >= 0:
-            return Fraction(0)
+    if a < 0:
+        if c >= 0:
+            return 0, 1
         # both negative: mirror
-        return -_simplest_between(-hi, -lo)
+        p, q = _simplest_between((-c, d), (-a, b))
+        return -p, q
     # 0 <= lo < hi: continued-fraction descent.  At each level the simplest
     # rational in [a/b, c/d] is an integer (base case) or q + 1/simplest of
     # the reciprocal interval.
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
     quotients = []
     while True:
         q = a // b
@@ -198,44 +201,59 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
             break
         quotients.append(q)
         a, b, c, d = d, c - q * d, b, a - q * b
-    r = Fraction(base)
+    # r = q + 1/r, from the innermost level out: each step keeps r in
+    # lowest terms
+    p, s = base, 1
     for q in reversed(quotients):
-        r = q + 1 / r
-    return r
+        p, s = q * p + s, p
+    return p, s
 
 
 def _farey_neighbors(p: int, q: int, n: int):
     """Left and right neighbors of p/q (lowest terms, q <= n) in the Farey
-    sequence of order n.  Returns (left, right) as Fractions."""
+    sequence of order n.  Returns (left, right), each (p, q) in lowest
+    terms."""
     if q == 1:
-        return Fraction(p * n - 1, n), Fraction(p * n + 1, n)
+        return (p * n - 1, n), (p * n + 1, n)
     # solve q*x - p*y = 1 for right neighbor x/y with largest y <= n
     # modular inverse of -p mod q gives y0
     y0 = pow(-p, -1, q)
     x0 = (p * y0 + 1) // q
     k = (n - y0) // q
-    right = Fraction(x0 + k * p, y0 + k * q)
+    right = (x0 + k * p, y0 + k * q)
     # left neighbor: solve p*y - q*x = 1
     y1 = pow(p, -1, q)
     x1 = (p * y1 - 1) // q
     k = (n - y1) // q
-    left = Fraction(x1 + k * p, y1 + k * q)
+    left = (x1 + k * p, y1 + k * q)
     return left, right
+
+
+def rational_between(lo, hi, qmax: int):
+    """`rational_in_interval` on integers: lo and hi as (p, q), q > 0, not
+    necessarily reduced, and the rational as (p, q) in lowest terms;
+    NOT_FOUND or NOT_UNIQUE as there."""
+    if qmax < 1:
+        raise ValueError("qmax must be >= 1")
+    r = _simplest_between(lo, hi)
+    if r[1] > qmax:
+        return NOT_FOUND
+    (a, b), (c, d) = lo, hi
+    for x, y in _farey_neighbors(*r, qmax):
+        if a * y <= x * b and x * d <= c * y:
+            return NOT_UNIQUE
+    return r
 
 
 def rational_in_interval(iv: RationalInterval, qmax: int):
     """The unique rational p/q with 1 <= q <= qmax inside the closed interval,
     found by continued-fraction (Stern-Brocot) search.  Returns NOT_FOUND when
     no such rational exists, NOT_UNIQUE when two or more do."""
-    if qmax < 1:
-        raise ValueError("qmax must be >= 1")
-    r = _simplest_between(iv.lo, iv.hi)
-    if r.denominator > qmax:
-        return NOT_FOUND
-    left, right = _farey_neighbors(r.numerator, r.denominator, qmax)
-    if iv.contains(left) or iv.contains(right):
-        return NOT_UNIQUE
-    return r
+    r = rational_between((iv.lo.numerator, iv.lo.denominator),
+                         (iv.hi.numerator, iv.hi.denominator), qmax)
+    if r is NOT_FOUND or r is NOT_UNIQUE:
+        return r
+    return Fraction(*r)
 
 
 # ---------------------------------------------------------------------------

@@ -33,18 +33,27 @@ drives), the exact `winner` decision, brute force and the random
 instances live in `dominion`, which a solve imports only when its probe
 reaches the cap.
 
-The exact half runs on integers too.  Every loop iterates on integer
-numerators with the Python-int Shapley step of `_smpgfast`, and the same
-step checks certificates, strategies and the half-line: a rational vector
-is put over the lcm of its denominators, and levels are compared by
-cross-multiplication.  The greedy pair's gain and bias are numerators over
-one common denominator, and a transient component of one state is solved
-directly.  Every reported strategy pair comes from one greedy rule,
-`_greedy_pair` on integer numerators: at the half-line's witness h, or Max
-greedy at the sub witness and Min greedy at the super witness.
-`shapley_eval` is the exact reference: `winner` and the oracles of
-`dominion` run on it, and a vector with -inf entries, which only a
-hand-written report carries, is checked with it.
+The exact half runs on integers too, from the greedy pair to the solution.
+Every loop iterates on integer numerators with the Python-int Shapley step
+of `_smpgfast`, and the same step checks the half-line, certificates and
+strategies.  `gain_bias_numerators` solves the greedy pair's chain into
+numerators of its gain and bias over one common denominator (a transient
+component of one state directly, every other component by
+`linalg.integer_solve_numerators`), each closed class anchored at the
+iterate's offset computed on integers; the half-line check and the top
+class argmax chi read those numerators, and `certificates_hold` checks the
+resulting fixed point and its strategies on them, levels compared by
+cross-multiplication.  Only the solution's value and witnesses become
+Fractions, once.  `check_certificates`, which `certify` shares through
+`certificates_hold`, puts a Certificate's vector over the lcm of its
+denominators; `markov_gain_bias` and `linalg.integer_solve` are the
+Fraction forms of the two cores, for `dominion`, `entropy` and the tests.
+Every reported strategy pair comes from one greedy rule, `_greedy_pair` on
+integer numerators: at the half-line's witness h, or Max greedy at the sub
+witness and Min greedy at the super witness.  `shapley_eval` is the exact
+reference: `winner` and the oracles of `dominion` run on it, and a vector
+with -inf entries, which only a hand-written report carries, is checked
+with it.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._smpgfast import (
     Kernel,
@@ -70,7 +80,7 @@ from .graphs import (
     spanning_subgraph,
     tarjan_scc,
 )
-from .linalg import integer_solve
+from .linalg import integer_solve_numerators
 from .numeric import (
     NEG_INF,
     NOT_FOUND,
@@ -128,16 +138,26 @@ class StochasticGame:
                    for row in rows for _, w in row)
 
     def stats(self):
+        """The game's size parameters, computed on first use and kept."""
+        return self._stats
+
+    @functools.cached_property
+    def _stats(self):
         n = len(self.min_ids)
         # max |a - b| over the Max edges after a Min edge is at the
         # smallest or the largest b
-        b_range = [(min(b for _, b in row), max(b for _, b in row))
-                   for row in self.max_edges]
+        b_range = []
+        for row in self.max_edges:
+            bs = [b for _, b in row]
+            b_range.append((min(bs), max(bs)))
         w = 0
         for row in self.min_edges:
             for i, a in row:
                 lo, hi = b_range[i]
-                w = max(w, a - lo, hi - a)
+                if a - lo > w:
+                    w = a - lo
+                if hi - a > w:
+                    w = hi - a
         s = sum(1 for row in self.nat_edges if len(row) >= 2)
         m_exp = min(s, n - 1) if n > 1 else 0
         mu = n * self.M**m_exp
@@ -257,8 +277,12 @@ def separation_bound(stats: GameStats) -> Fraction:
     return Fraction(1, stats.mu**2)
 
 
+def _bias_bound(stats: GameStats) -> int:
+    return 8 * stats.n * stats.W * stats.M**stats.m_exp
+
+
 def bias_norm_bound(stats: GameStats) -> Fraction:
-    return Fraction(8 * stats.n * stats.W * stats.M**stats.m_exp)
+    return Fraction(_bias_bound(stats))
 
 
 @dataclass(frozen=True)
@@ -274,7 +298,7 @@ class SepParams:
         if self.delta <= 0 or self.R <= 0:
             raise ValueError("delta and R must be positive")
 
-    @property
+    @functools.cached_property
     def cap(self) -> int:
         return 1 + math.ceil(Fraction(8) * self.R / self.delta)
 
@@ -288,15 +312,40 @@ def check_certificate(game: StochasticGame, cert: Certificate) -> bool:
     return check_certificates(game, (cert,))
 
 
+class IntCertificate(NamedTuple):
+    """A stochastic certificate on integers: level p/q and vector u/L, with
+    q, L > 0 and neither reduced.  L is None for a vector with -inf entries
+    (which only a hand-written report carries): u is then that vector."""
+
+    p: int
+    q: int
+    u: list
+    L: int | None
+    direction: str
+    multiplicative: bool = False
+
+
+def _int_certificate(cert: Certificate) -> IntCertificate:
+    """`cert` with its vector put over the lcm of its denominators."""
+    lam, vec = cert.lam, cert.vec
+    if any(v is NEG_INF for v in vec):
+        u, den = vec, None
+    else:
+        den = math.lcm(*(v.denominator for v in vec))
+        u = [v.numerator * (den // v.denominator) for v in vec]
+    return IntCertificate(lam.numerator, lam.denominator, u, den,
+                          cert.direction, cert.multiplicative)
+
+
 def _step_stages(game, x):
-    """One integer Shapley step at a finite rational vector x, kept by
-    stage: x = u/L over the lcm L of its denominators, c = L M, and the
-    Nature sums and Max maxima at x as numerators over c.  (u, c, nat,
-    best); `_min_stage` of best is F(x) over c."""
-    u, L = _numerators(x)
-    c = L * game.M
+    """One integer Shapley step at the finite rational vector x = (u, L),
+    numerators u over L, kept by stage: c = L M, and the Nature sums and
+    Max maxima at u/L as numerators over c.  (c, nat, best); `_min_stage`
+    of best is F(u/L) over c."""
+    u, den = x
+    c = den * game.M
     nat = _nature_stage(game.nat_edges, u)
-    return u, c, nat, _max_stage(game.max_edges, nat, c)
+    return c, nat, _max_stage(game.max_edges, nat, c)
 
 
 def _cut(rows, targets):
@@ -307,20 +356,29 @@ def _cut(rows, targets):
 
 def check_certificates(game: StochasticGame, certs, sigma=None,
                        tau=None) -> bool:
-    """`check_certificate` for every certificate, on integers, evaluating F
-    once per distinct vector (an early sub/super pair shares its vector h):
-    with x = u/L and F(x) = y/(L M) from `_step_stages`, level lam = p/q
-    holds as sub when p L M + q M u_j <= q y_j for every j, and as super
-    when >=.
+    """`check_certificate` for every certificate, and the strategies as
+    `certificates_hold` checks them: each Certificate is put over the lcm
+    of its vector's denominators as it is reached."""
+    return certificates_hold(game, map(_int_certificate, certs), sigma, tau)
+
+
+def certificates_hold(game: StochasticGame, certs, sigma=None,
+                      tau=None) -> bool:
+    """Whether every IntCertificate of `certs` holds, on integers,
+    evaluating F once per distinct vector (an early sub/super pair shares
+    its vector h): with x = u/L and F(x) = y/(L M) from `_step_stages`,
+    level p/q holds as sub when p L M + q M u_j <= q y_j for every j, and
+    as super when >=.
     With index-based positional strategies it also checks them, on the
     same stages: sigma (Min idx -> Max idx) must name an edge at every Min
     state, and F with Min fixed to it be at most lam + y at each super
     vector y; tau (Max idx -> Nat idx) must name an edge at every Max
     state, and F with Max fixed to it be at least lam + x at each sub
     vector x.  Those bound F itself, so they replace the plain checks.
-    A vector with -inf entries, which only a hand-written report carries,
-    is checked with the reference `shapley_eval` and certifies no
-    strategy."""
+    A vector with -inf entries is checked with the reference
+    `shapley_eval` and certifies no strategy.  The certificates are read
+    one at a time, in order, so an iterator of them is converted only as
+    far as the checks go."""
     n, M = len(game.min_ids), game.M
     min_rows, max_rows = game.min_edges, None
     if sigma is not None:
@@ -332,33 +390,34 @@ def check_certificates(game: StochasticGame, certs, sigma=None,
         if not all(max_rows):
             return False
     images = []
-    for cert in certs:
-        if cert.multiplicative:
+    for p, q, u, den, direction, multiplicative in certs:
+        if multiplicative:
             raise ValueError("stochastic certificates are additive")
-        if len(cert.vec) != n:
+        if len(u) != n:
             raise ValueError("vector length does not match Min state count")
-        sub = cert.direction == SUB
-        image = seen_image(images, cert.vec)
-        if any(v is NEG_INF for v in cert.vec):
+        sub = direction == SUB
+        if den is None:
             if (tau if sub else sigma) is not None:
                 return False
+            image = seen_image(images, u)
             if image is None:
-                image = shapley_eval(game, cert.vec)
-                images.append((cert.vec, image))
-            if not _reference_holds(cert, image):
+                image = shapley_eval(game, u)
+                images.append((u, image))
+            if not _reference_holds(p, q, u, image, sub):
                 return False
             continue
+        x = (u, den)
+        image = seen_image(images, x)
         if image is None:
-            image = _step_stages(game, cert.vec)
-            images.append((cert.vec, image))
-        u, c, nat, best = image
+            image = _step_stages(game, x)
+            images.append((x, image))
+        c, nat, best = image
         if sub:
             if max_rows is not None:
                 best = _max_stage(max_rows, nat, c)
             y = _min_stage(game.min_edges, best, c)
         else:
             y = _min_stage(min_rows, best, c)
-        p, q = cert.lam.numerator, cert.lam.denominator
         pc, qM = p * c, q * M
         if sub:
             holds = all(pc + qM * v <= q * w for v, w in zip(u, y))
@@ -369,14 +428,14 @@ def check_certificates(game: StochasticGame, certs, sigma=None,
     return True
 
 
-def _reference_holds(cert, y) -> bool:
-    """lam + v <= y (sub) or >= y (super) with y = F(v) from shapley_eval;
-    an -inf entry of y fails."""
+def _reference_holds(p, q, x, y, sub) -> bool:
+    """p/q + x <= y (sub) or >= y (super), cross-multiplied, with y = F(x)
+    from shapley_eval; an -inf entry of y fails."""
     if any(v is NEG_INF for v in y):
         return False
-    if cert.direction == SUB:
-        return all(cert.lam + v <= w for v, w in zip(cert.vec, y))
-    return all(cert.lam + v >= w for v, w in zip(cert.vec, y))
+    if sub:
+        return all(p + q * v <= q * w for v, w in zip(x, y))
+    return all(p + q * v >= q * w for v, w in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -416,6 +475,14 @@ def _sep_params(stats: GameStats) -> SepParams:
     return SepParams(delta=delta, R=Fraction(r))
 
 
+def _probe_cap(stats: GameStats) -> int:
+    """The cap of `_sep_params(stats)` on integers: with delta = 1/mu^2,
+    1 + ceil(8 R / delta) is 1 + 8 R mu^2, and 9 when R = 0 (R is then
+    delta)."""
+    r = _bias_bound(stats)
+    return 1 + 8 * r * stats.mu**2 if r > 0 else 9
+
+
 # ---------------------------------------------------------------------------
 # early certificates: the invariant half-line of a greedy strategy pair
 
@@ -426,144 +493,166 @@ def _greedy_pair(game, u, q):
     ties to the smallest index (rows are sorted by target index)."""
     c = q * game.M
     nat = _nature_stage(game.nat_edges, u)
-    best = _max_stage(game.max_edges, nat, c)
-    tau = [next(k for k, b in row if b * c + nat[k] == m)
-           for row, m in zip(game.max_edges, best)]
-    out = _min_stage(game.min_edges, best, c)
-    sigma = [next(i for i, a in row if best[i] - a * c == m)
-             for row, m in zip(game.min_edges, out)]
+    best, tau = [], []
+    for row in game.max_edges:
+        m = None
+        for k, b in row:
+            v = b * c + nat[k]
+            if m is None or v > m:
+                m, arg = v, k
+        best.append(m)
+        tau.append(arg)
+    sigma = []
+    for row in game.min_edges:
+        m = None
+        for i, a in row:
+            v = best[i] - a * c
+            if m is None or v < m:
+                m, arg = v, i
+        sigma.append(arg)
     return sigma, tau
 
 
-def _numerators(x):
-    """Integer numerators of a rational vector over the least common
-    denominator, and that denominator."""
-    q = math.lcm(*(v.denominator for v in x))
-    return [v.numerator * (q // v.denominator) for v in x], q
-
-
-def _half_line_holds(game, chi, h) -> bool:
-    """Whether F(h + t chi) = h + (t + 1) chi for all large t, by one
-    integer step `_int_step` at one t = T.  With chi = c/L and h = d/L over
-    one common denominator L, every stage of the step at h + t chi is, for
+def _half_line_holds(game, chi, h, den) -> bool:
+    """Whether F(h + t chi) = h + (t + 1) chi for all large t, for chi and
+    h numerators over one common denominator L = `den`, by one integer step
+    `_int_step` at one t = T.  Every stage of the step at h + t chi is, for
     large t, an affine function s t + o with integers s and o (scaled by
     L M), the extreme of its edges' functions in the lexicographic order of
     (s, o).  Each |o| in play, the target's too, is at most B = 2 W L M +
-    2 M max(|c|, |d|), W the game's `payoff_bound`; slopes that differ
+    2 M max(|chi|, |h|), W the game's `payoff_bound`; slopes that differ
     differ by at least 1, so at T = 2 B + 1 the step picks the same
     functions, and its value S T + O, with |O| < T/2, gives (S, O) back."""
     M = game.M
-    num, L = _numerators([*chi, *h])
-    c, d = num[:len(chi)], num[len(chi):]
-    LM = L * M
-    t = 2 * (2 * game.payoff_bound * LM + 2 * M * max(map(abs, num))) + 1
-    out = _int_step(game, [t * x + y for x, y in zip(c, d)], LM)
-    return all(f == M * (t * x + y + x) for f, x, y in zip(out, c, d))
+    LM = den * M
+    big = max(max(map(abs, chi)), max(map(abs, h)))
+    t = 2 * (2 * game.payoff_bound * LM + 2 * M * big) + 1
+    out = _int_step(game, [t * x + y for x, y in zip(chi, h)], LM)
+    return all(f == M * (t * x + y + x) for f, x, y in zip(out, chi, h))
 
 
 _WINDOW = 4  # iterates averaged when a checkpoint's own greedy pair fails
 
 
-def _half_line_at(game, v, q, t):
-    """(chi, h) of the strategy pair greedy at x = v/q, each closed class
-    anchored at the offset v_a/q - t * chi_a, when the half-line holds;
-    else None."""
+def _half_line_at(game, v, q, t2):
+    """(chi, h, L) of the strategy pair greedy at x = v/q, numerators over
+    one common denominator L, each closed class anchored at the offset
+    v_a/q - t chi_a with t = t2/2, when the half-line holds; else None."""
     sigma, tau = _greedy_pair(game, v, q)
-    chi, h = markov_gain_bias(
-        *_pair_chain(game, sigma, tau), game.M,
-        anchor=lambda a, g: Fraction(v[a], q) - t * g,
-    )
-    return (chi, h) if _half_line_holds(game, chi, h) else None
+
+    def anchor(a, g, den):
+        # v_a/q - (t2/2) (g/den)
+        return 2 * v[a] * den - t2 * q * g, 2 * q * den
+
+    chi, h, den = gain_bias_numerators(*_pair_chain(game, sigma, tau),
+                                       game.M, anchor)
+    return (chi, h, den) if _half_line_holds(game, chi, h, den) else None
 
 
-def _half_line(game, stats, params):
+def _half_line(game, mu2, cap):
     """Search approximately, certify exactly.  Runs the rounded iteration of
     the first constancy decision (grid 1/q, q = 4 mu^2, stopping on the gap
     condition or at the a priori cap) in segments, the first ending at step
     1 and each later one at twice the steps run so far, the last at its
     final iterate.  At each checkpoint it takes the strategy pair greedy at
-    the iterate u and the pair's exact gain chi and bias h, each closed
-    class anchored at the iterate's offset u_a/q - ell * chi_a, and checks
-    the invariant half-line exactly.  When that fails it runs up to
-    _WINDOW - 1 more steps and tries the pair greedy at the mean of the
-    last 2, 3, ... iterates: on deterministic games the iterates often
-    settle into an orbit of period 2 or 4 around the half-line, at which no
-    single iterate's greedy pair is optimal.  When the half-line holds,
-    F^k(h) = h + k chi for all large k, so chi is the value vector
-    (Kohlberg 1980).
+    the iterate u and the pair's exact gain chi and bias h, numerators over
+    one denominator L, each closed class anchored at the iterate's offset
+    u_a/q - ell * chi_a, and checks the invariant half-line exactly.  When
+    that fails it runs up to _WINDOW - 1 more steps and tries the pair
+    greedy at the mean of the last 2, 3, ... iterates: on deterministic
+    games the iterates often settle into an orbit of period 2 or 4 around
+    the half-line, at which no single iterate's greedy pair is optimal.
+    When the half-line holds, F^k(h) = h + k chi for all large k, so chi is
+    the value vector (Kohlberg 1980).
     The probe stops after the window of the checkpoint at which the gap
     condition first held (so up to _WINDOW - 1 steps past it), or at the
-    cap.  Returns (chi, h, steps run, stop), chi and h None when no
-    checkpoint passes, and stop the integer iterate and length (u, ell) at
-    which the gap condition first held, or None.  The first loop of
-    decide_constant_value ends there too, with the verdict "constant"."""
-    q = 4 * stats.mu**2
-    d = params.delta
+    cap: both integers, delta = 1/mu^2 with mu2 = mu^2.  Returns (chi, h,
+    L, steps run, stop), chi, h and L None when no checkpoint passes, and
+    stop the integer iterate and length (u, ell) at which the gap condition
+    first held, or None.  The first loop of decide_constant_value ends
+    there too, with the verdict "constant"."""
+    q = 4 * mu2
     kernel = Kernel(game)
     u, ell, end = None, 0, 1
     while True:
-        u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
-                                      min(end, params.cap), u, ell)
+        u, ell, hit = kernel.gap_loop(q, 1, mu2, min(end, cap), u, ell)
         stop = (u, ell) if hit else None
-        found = _half_line_at(game, u, q, ell)
+        found = _half_line_at(game, u, q, 2 * ell)
         window = u
         for j in range(2, _WINDOW + 1):
-            if found is not None or ell == params.cap:
+            if found is not None or ell == cap:
                 break
-            u, ell, hit = kernel.gap_loop(q, d.numerator, d.denominator,
-                                          ell + 1, u, ell)
+            u, ell, hit = kernel.gap_loop(q, 1, mu2, ell + 1, u, ell)
             if hit and stop is None:
                 stop = (u, ell)
             window = [a + b for a, b in zip(window, u)]
-            found = _half_line_at(game, window, j * q,
-                                  ell - Fraction(j - 1, 2))
+            # the mean of the last j iterates is offset by
+            # ell - (j - 1)/2 steps
+            found = _half_line_at(game, window, j * q, 2 * ell - j + 1)
         if found is not None:
             return (*found, ell, stop)
-        if stop is not None or ell == params.cap:
-            return None, None, ell, stop
+        if stop is not None or ell == cap:
+            return None, None, None, ell, stop
         end = 2 * ell
+
+
+def _over(u, den):
+    """The vector of numerators u over den, as Fractions."""
+    return tuple(Fraction(v, den) for v in u)
 
 
 def _solution(game, value, sub, sup, steps, calls) -> GameSolution:
     """The solution of `game` certified by `sub` and `sup`, found in
-    `steps` iterations; `calls` counts the whole solve.  Max plays greedy
-    at the sub witness and Min greedy at the super witness (smallest index
-    on ties; one greedy pass when they are one vector), and the
-    certificates and both strategies are checked exactly."""
-    sigma, tau = _greedy_pair(game, *_numerators(sub.vec))
-    if sup.vec != sub.vec:
-        sigma = _greedy_pair(game, *_numerators(sup.vec))[0]
-    if not check_certificates(game, (sub, sup), sigma, tau):
+    `steps` iterations; `calls` counts the whole solve.  Each certificate
+    is (lam, u, L): its level, a Fraction, and its witness u/L on integers;
+    one witness, when `sup` is `sub`.  Max plays greedy at the sub witness
+    and Min greedy at the super witness (smallest index on ties; one greedy
+    pass when they are one vector), and the certificates and both
+    strategies are checked exactly, on integers."""
+    (sub_lam, sub_u, sub_den), (sup_lam, sup_u, sup_den) = sub, sup
+    sigma, tau = _greedy_pair(game, sub_u, sub_den)
+    if (sup_u, sup_den) != (sub_u, sub_den):
+        sigma = _greedy_pair(game, sup_u, sup_den)[0]
+    certs = (IntCertificate(sub_lam.numerator, sub_lam.denominator, sub_u,
+                            sub_den, SUB),
+             IntCertificate(sup_lam.numerator, sup_lam.denominator, sup_u,
+                            sup_den, SUPER))
+    if not certificates_hold(game, certs, sigma, tau):
         raise AssertionError("internal error: certificate failed verification")
     strategies = StrategyPair(
         sigma={game.min_ids[j]: game.max_ids[i] for j, i in enumerate(sigma)},
         tau={game.max_ids[i]: game.nat_ids[k] for i, k in enumerate(tau)},
     )
-    return GameSolution(game, value, strategies, sub, sup, steps, calls)
+    sub_vec = _over(sub_u, sub_den)
+    sup_vec = sub_vec if sup is sub else _over(sup_u, sup_den)
+    return GameSolution(game, value, strategies,
+                        Certificate(sub_lam, sub_vec, SUB),
+                        Certificate(sup_lam, sup_vec, SUPER), steps, calls)
 
 
-def _fixed_point_solution(game, value, h, steps, calls) -> GameSolution:
-    """An exact fixed point F(h) = value + h of `game`: h is both the sub
-    and the super witness at level value, checked with one evaluation."""
-    return _solution(game, value, Certificate(value, h, SUB),
-                     Certificate(value, h, SUPER), steps, calls)
+def _fixed_point_solution(game, top, h, den, steps, calls) -> GameSolution:
+    """An exact fixed point F(h) = value + h of `game`, with value = top/den
+    and h numerators over den: h is both the sub and the super witness at
+    level value, checked with one evaluation."""
+    value = Fraction(top, den)
+    cert = (value, h, den)
+    return _solution(game, value, cert, cert, steps, calls)
 
 
-def _replayed_solution(game, q, delta, u, ell, calls) -> GameSolution:
+def _replayed_solution(game, mu, u, ell, calls) -> GameSolution:
     """The constant value of `game` from the probe's stop (u, ell), u over
-    q: the replay of approximate_constant_mean_payoff's second pass, in
-    ell - 1 oracle calls, gives the sub witness at min(u)/(q ell) - delta/8
-    and the super witness at max(u)/(q ell) + delta/8.  delta = 1/mu^2
-    makes that interval isolate one rational of denominator <= mu."""
+    q = 4 mu^2: the replay of approximate_constant_mean_payoff's second
+    pass, in ell - 1 oracle calls, gives the sub witness at min(u)/(q ell)
+    - delta/8 and the super witness at max(u)/(q ell) + delta/8.  delta =
+    1/mu^2 makes that interval isolate one rational of denominator <= mu;
+    over s = q ell, delta/8 is ell/(2 s)."""
+    q = 4 * mu**2
     lo, hi = min(u), max(u)
     x, y = Kernel(game).replay_loop(q, ell, lo, hi)
-    scale, eps = q * ell, delta / 8
-    sub = Certificate(Fraction(lo, scale) - eps,
-                      tuple(Fraction(v, scale) for v in x), SUB)
-    sup = Certificate(Fraction(hi, scale) + eps,
-                      tuple(Fraction(v, scale) for v in y), SUPER)
-    value = rational_in_interval(RationalInterval(sub.lam, sup.lam),
-                                 game.stats().mu)
+    scale = q * ell
+    sub = (Fraction(2 * lo - ell, 2 * scale), x, scale)
+    sup = (Fraction(2 * hi + ell, 2 * scale), y, scale)
+    value = rational_in_interval(RationalInterval(sub[0], sup[0]), mu)
     if value is NOT_FOUND or value is NOT_UNIQUE:
         raise ValueError(_NOT_CONSTANT)
     return _solution(game, value, sub, sup, ell, calls + ell - 1)
@@ -587,26 +676,27 @@ def solve_game(game: StochasticGame) -> GameSolution:
     calls = 0
     for peeled in (False, True):
         stats = game.stats()
-        params = _sep_params(stats)
-        q = 4 * stats.mu**2
-        chi, h, steps, stop = _half_line(game, stats, params)
+        mu2 = stats.mu**2
+        cap = _probe_cap(stats)
+        chi, h, den, steps, stop = _half_line(game, mu2, cap)
         calls += steps
         if chi is not None:
-            value = max(chi)
-            indices = [j for j, v in enumerate(chi) if v == value]
+            top = max(chi)
+            indices = [j for j, v in enumerate(chi) if v == top]
             sub = induced_subgame(game, indices)
             if sub is None:
                 raise RuntimeError("top class is not a dominion")
             return _fixed_point_solution(
-                sub, value, tuple(h[j] for j in indices), steps, calls)
+                sub, top, [h[j] for j in indices], den, steps, calls)
         if stop is not None:
-            return _replayed_solution(game, q, params.delta, *stop, calls)
+            return _replayed_solution(game, stats.mu, *stop, calls)
         if peeled:
             raise IterationCapExceeded(
-                f"no convergence within {params.cap} iterations")
+                f"no convergence within {cap} iterations")
         from .dominion import RoundingOracle, top_class
 
-        dom, top_calls = top_class(RoundingOracle(game, q), params)
+        dom, top_calls = top_class(RoundingOracle(game, 4 * mu2),
+                                   _sep_params(stats))
         calls += top_calls
         game = induced_subgame(game, sorted(dom.states))
 
@@ -628,26 +718,46 @@ def solve_constant_value(game: StochasticGame) -> GameSolution:
 def markov_gain_bias(rows, r, M, anchor=None):
     """Per-state long-run average reward (gain) g and bias h of the Markov
     reward chain with transition rows `rows` (lists of (col, numerator),
-    denominator M) and per-step rewards r, in exact rationals: g = P g and
-    g + h = r + P h.  One pass over the strongly connected components,
-    sinks first, on integers: every g and h found so far is a numerator
-    over one common denominator D, which grows, and every numerator with
-    it, only when a component's solution needs it.
-    A transient component of one state v solves a x_v = the sum over its
-    other successors directly, first for x = g and then for x = h with
-    M (r_v - g_v) added, with a = M minus its self-loop numerator.  Every
-    other component solves one system of its size, each equation scaled by
-    M, by `integer_solve`.  A closed class solves for its gain and its bias
-    with h = 0 at its smallest state a; h is then shifted there to
-    anchor(a, g) when `anchor` is given.  A transient component solves its
-    absorption systems, first for g and then for h, with its successors
-    outside it already solved.  Returns (gain, bias) as Fractions."""
+    denominator M) and rational per-step rewards r, as Fractions: g = P g
+    and g + h = r + P h, with h at the smallest state a of each closed
+    class 0, or anchor(a, g_a) when `anchor` is given.  g and h are linear
+    in the rewards and the anchors, so `gain_bias_numerators` solves the
+    chain with the rewards scaled by the lcm R of their denominators, and
+    the anchors by R too, and the result is divided by R."""
+    scale = math.lcm(*(x.denominator for x in r))
+    r_num = [x.numerator * (scale // x.denominator) for x in r]
+    int_anchor = None
+    if anchor is not None:
+        def int_anchor(a, g, den):
+            shift = anchor(a, Fraction(g, den * scale))
+            return shift.numerator * scale, shift.denominator
+    gain, bias, den = gain_bias_numerators(rows, r_num, M, int_anchor)
+    den *= scale
+    return [Fraction(x, den) for x in gain], [Fraction(x, den) for x in bias]
+
+
+def gain_bias_numerators(rows, r, M, anchor=None):
+    """`markov_gain_bias` on integers: the rewards r are ints, and
+    anchor(a, g, den), when given, takes the gain g/den of the closed class
+    of smallest state a and returns the bias there as (p, q), q > 0.
+    Returns (gain, bias, D): numerators over one common denominator D > 0,
+    the least one.
+    One pass over the strongly connected components, sinks first: every g
+    and h found so far is a numerator over D, which grows, and every
+    numerator with it, only when a component's solution needs it.
+    A component of one state v is solved directly: closed, its gain is r_v;
+    transient, it solves a x_v = the sum over its other successors, first
+    for x = g and then for x = h with M (r_v - g_v) added, with a = M minus
+    its self-loop numerator.  Every other component solves one system of
+    its size, each equation scaled by M, by `integer_solve_numerators`.  A
+    closed class solves for its gain and its bias with h = 0 at its
+    smallest state a; h is then shifted there to anchor(a, g).  A transient
+    component solves its absorption systems, first for g and then for h,
+    with its successors outside it already solved."""
     n = len(rows)
     gain = [0] * n
     bias = [0] * n
-    # the rewards as numerators r_v R / R, and D a multiple of R
-    r_den = den = math.lcm(*(x.denominator for x in r))
-    r_num = [x.numerator * (r_den // x.denominator) for x in r]
+    den = 1
 
     def widen(f):
         # multiply D, and every numerator over it, by f
@@ -659,16 +769,19 @@ def markov_gain_bias(rows, r, M, anchor=None):
                 bias[v] *= f
         return f
 
-    def put(comp, g, h):
-        # store the rationals g[t], h[t] of comp's states over D
-        d = math.lcm(*(x.denominator for x in (*g, *h)))
+    def put(comp, g, h, d):
+        # store comp's gains g and biases h, numerators over d > 0, over D;
+        # d over the common gcd is the lcm of their reduced denominators
+        e = math.gcd(d, *g, *h)
+        d //= e
         widen(d // math.gcd(den, d))
+        s = den // d
         for v, x, y in zip(comp, g, h):
-            gain[v] = x.numerator * (den // x.denominator)
-            bias[v] = y.numerator * (den // y.denominator)
+            gain[v] = x // e * s
+            bias[v] = y // e * s
 
     for comp in tarjan_scc([[l for l, _ in row] for row in rows]):
-        if len(comp) == 1 and any(l != comp[0] for l, _ in rows[comp[0]]):
+        if len(comp) == 1:
             (v,) = comp
             a, s_gain, s_bias = M, 0, 0
             for l, num in rows[v]:
@@ -677,11 +790,16 @@ def markov_gain_bias(rows, r, M, anchor=None):
                 else:
                     s_gain += num * gain[l]
                     s_bias += num * bias[l]
+            if not a:
+                # a closed class of one state: g_v = r_v, h_v its anchor
+                p, q = anchor(v, r[v], 1) if anchor else (0, 1)
+                put(comp, [r[v] * q], [p], q)
+                continue
             # g_v = s_gain / (a D)
             f = widen(a // math.gcd(a, s_gain))
             gain[v] = s_gain * f // a
             # h_v = (s_bias + M (r_v D - g_v D)) / (a D)
-            t = s_bias * f + M * (r_num[v] * (den // r_den) - gain[v])
+            t = s_bias * f + M * (r[v] * den - gain[v])
             f = widen(a // math.gcd(a, t))
             bias[v] = t * f // a
             continue
@@ -699,9 +817,13 @@ def markov_gain_bias(rows, r, M, anchor=None):
                 for l, num in rows[v]:
                     if col[l]:
                         a[t][col[l]] -= num
-            sol = integer_solve(a, [M * r[v] for v in comp])
-            shift = anchor(comp[0], sol[0]) if anchor else Fraction(0)
-            put(comp, [sol[0]] * m, [shift] + [x + shift for x in sol[1:]])
+            sol, d = integer_solve_numerators(a, [M * r[v] for v in comp])
+            # the solution is sol/d, and the bias at comp[0] the anchor's
+            # p/q: all over d q
+            p, q = anchor(comp[0], sol[0], d) if anchor else (0, 1)
+            shift = p * d
+            put(comp, [sol[0] * q] * m,
+                [shift] + [x * q + shift for x in sol[1:]], d * q)
             continue
         # M x_v - sum_{l in comp} num_vl x_l = sum_{l outside} num_vl x_l
         # for x = g, and for x = h with M (r_v - g_v) added on the right
@@ -715,12 +837,16 @@ def markov_gain_bias(rows, r, M, anchor=None):
                 else:
                     b_gain[t] += num * gain[l]
                     b_bias[t] += num * bias[l]
-        g = integer_solve(a, [Fraction(b, den) for b in b_gain])
-        h = integer_solve(a, [Fraction(b, den) + M * (r[v] - x)
-                              for b, v, x in zip(b_bias, comp, g)])
-        put(comp, g, h)
-    return ([Fraction(x, den) for x in gain],
-            [Fraction(x, den) for x in bias])
+        # g = g_num/(d_g D), then h = h_num/(d_h d_g D)
+        g_num, d_g = integer_solve_numerators(a, b_gain)
+        h_num, d_h = integer_solve_numerators(a, [
+            b * d_g + M * (r[v] * den * d_g - x)
+            for b, v, x in zip(b_bias, comp, g_num)])
+        put(comp, [x * d_h for x in g_num], h_num, d_h * d_g * den)
+    e = math.gcd(den, *gain, *bias)
+    if e == 1:
+        return gain, bias, den
+    return [x // e for x in gain], [x // e for x in bias], den // e
 
 
 def _pair_chain(game: StochasticGame, sigma, tau):

@@ -41,6 +41,11 @@ from conftest import (
 F = Fraction
 
 
+def report_frac(text):
+    """A report rational as the CLI reads it, as a Fraction."""
+    return F(*cli._report_ratio(text))
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -253,7 +258,7 @@ class TestSolve:
         assert res.exit_code == 2, res.output
         rep = json.loads(res.output)
         assert (rep["result"], rep["iterations"]) == ("Exhausted", 11665)
-        assert tuple(map(cli._report_frac, rep["witness"])) == witness
+        assert tuple(map(report_frac, rep["witness"])) == witness
 
     @pytest.mark.parametrize("value", [
         F(2**20000 + 1, 3**5000), F(-(2**20000) - 1), F(7, 2**20000),
@@ -265,31 +270,35 @@ class TestSolve:
         limit = sys.get_int_max_str_digits()
         text = cli._frac_str(value)
         assert re.fullmatch(r"-?[0-9]+/[0-9]+", text)
-        assert cli._report_frac(text) == value
-        assert cli._report_frac(text.split("/")[0]) == value.numerator
+        assert report_frac(text) == value
+        assert report_frac(text.split("/")[0]) == value.numerator
         assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("text", ["1" * 5000 + "/0", "1" * 5000 + "/x",
                                       "x" + "1" * 5000, "1" * 5000 + ".5"])
     def test_malformed_long_rationals_are_errors(self, text):
         with pytest.raises(ValueError):
-            cli._report_frac(text)
+            report_frac(text)
 
     @pytest.mark.parametrize("text", [
         "007/010", "-0/5", "3/0", "+1/2", " 1/2", "1/-2", "1_0", "\u00b2",
         "\u0661\u0662/\u0663", "1e3", "1.5", "7" * 5000,
         "-" + "7" * 5000 + "/" + "3" * 5000, "1" * 5000 + "/0",
-        "0/" + "9" * 5000, "1" * 5000 + "/-2"], ids=[
+        "0/" + "9" * 5000, "1" * 5000 + "/-2", "2/4", "1/0",
+        cli._frac_str(F(2**20000 + 1, 3**5000)),
+        cli._frac_str(F(-(2**20000) - 1)), cli._frac_str(F(7, 2**20000))],
+        ids=[
         "leading-zeros", "negative-zero", "zero-denominator", "plus-sign",
         "space", "negative-denominator", "underscore", "superscript",
         "arabic-indic", "exponent", "decimal-point", "long-integer",
         "long-rational", "long-zero-denominator", "long-denominator",
-        "long-negative-denominator"])
+        "long-negative-denominator", "unreduced", "one-over-zero",
+        "20000-bit-both", "20000-bit-integer", "20000-bit-denominator"])
     def test_report_rationals_read_as_fraction_reads_them(self, text):
-        """The int() path of `_report_frac` reads what Fraction reads: the
-        same value, or the same error, a zero denominator as a
-        GameFormatError.  Fraction reads the 5,000-digit strings with the
-        interpreter's digit limit lifted."""
+        """The int() path of `_report_ratio` reads what Fraction reads: the
+        same value, as integers (p, q) with q > 0, or the same error, a
+        zero denominator as a GameFormatError.  Fraction reads the strings
+        past the interpreter's digit limit with the limit lifted."""
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
@@ -299,10 +308,11 @@ class TestSolve:
         finally:
             sys.set_int_max_str_digits(limit)
         if isinstance(want, Fraction):
-            assert cli._report_frac(text) == want
+            p, q = cli._report_ratio(text)
+            assert q > 0 and F(p, q) == want
         else:
             with pytest.raises(Exception) as info:
-                cli._report_frac(text)
+                cli._report_ratio(text)
             assert type(info.value) is (mg.GameFormatError if isinstance(
                 want, ZeroDivisionError) else type(want))
         assert sys.get_int_max_str_digits() == limit
@@ -803,6 +813,187 @@ class TestCertify:
         assert "verification FAILED" in res.output
 
 
+def _draw_report(runner, tmp_path, kind):
+    """(game path, `solve --json` report) of random_smpg(Random(3)) or
+    random_entropy_game(Random(7), 4, 4, 4)."""
+    game = (mg.game_to_json(mg.random_smpg(random.Random(3))) if kind == "smpg"
+            else mg.entropy_to_json(
+                mg.random_entropy_game(random.Random(7), 4, 4, 4)))
+    path = write_game(tmp_path, "g.json", game)
+    res = runner.invoke(main, ["solve", path, "--json"])
+    assert res.exit_code == 0, res.output
+    return path, json.loads(res.output)
+
+
+def _certify(runner, tmp_path, path, report):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(report))
+    return runner.invoke(main, ["certify", path, str(rep)])
+
+
+class TestIntegerCertify:
+    """certify reads a stochastic report on integers, and checks `approx`
+    and `multiplicative` for both kinds."""
+
+    @pytest.mark.parametrize("kind, where, message", [
+        ("smpg", ["interval"],
+         "interval approx is not the decimal enclosure of lo and hi"),
+        ("entropy", ["values", "d0"],
+         "the approx of 'd0' is not the decimal enclosure of its lo and hi"),
+    ], ids=["smpg", "entropy"])
+    def test_forged_approx_fails(self, runner, tmp_path, kind, where,
+                                 message):
+        """An approx that is not the enclosure of its record's lo and hi
+        fails; a record without one passes."""
+        path, report = _draw_report(runner, tmp_path, kind)
+        record = report
+        for step in where:
+            record = record[step]
+        for approx in ("[999.000000000000, 999.000000000000]",
+                       record["approx"].replace(", ", ","), None, 3):
+            forged_report = copy.deepcopy(report)
+            set_field([*where, "approx"], approx, forged_report)
+            res = _certify(runner, tmp_path, path, forged_report)
+            assert res.exit_code == 1
+            assert res.output.strip() == (
+                f"certificate verification FAILED: {message}")
+        del record["approx"]
+        res = _certify(runner, tmp_path, path, report)
+        assert res.exit_code == 0, res.output
+
+    def test_approx_past_the_digit_limit_fails(self, runner, tmp_path):
+        """An interval end of over 4,300 digits before the point has no
+        approx that `_interval_record` can write (it fails on such an end):
+        any approx there fails, without an error, and no approx passes.
+        The levels -10^5000 and 10^5000 hold on any game, at the vector
+        0."""
+        path, report = _draw_report(runner, tmp_path, "smpg")
+        n = len(report["certificates"][0]["vec"])
+        big = cli._frac_str(10**5000)
+        report = {
+            "certificates": [
+                {"direction": "sub", "lam": "-" + big, "vec": ["0/1"] * n},
+                {"direction": "super", "lam": big, "vec": ["0/1"] * n}],
+            "interval": {"lo": "-" + big, "hi": big, "approx": "[0, 0]"},
+        }
+        res = _certify(runner, tmp_path, path, report)
+        assert res.exit_code == 1
+        assert res.output.strip() == (
+            "certificate verification FAILED: interval approx is not the "
+            "decimal enclosure of lo and hi")
+        del report["interval"]["approx"]
+        res = _certify(runner, tmp_path, path, report)
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("kind", ["smpg", "entropy"])
+    @pytest.mark.parametrize("value", ["no", "-1", 1.5, 1, 0, None, [True]],
+                             ids=["no", "minus-one", "float", "one", "zero",
+                                  "null", "list"])
+    def test_multiplicative_must_be_a_boolean(self, runner, tmp_path, kind,
+                                              value):
+        """"multiplicative" is a JSON boolean or absent; any other value on
+        both certificates is one error line, exit 1 ("no", "-1" and 1.5
+        read as true, and passed an entropy report, before)."""
+        path, report = _draw_report(runner, tmp_path, kind)
+        for record in report["certificates"]:
+            record["multiplicative"] = value
+        res = _certify(runner, tmp_path, path, report)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.strip() == (
+            f'error: "multiplicative" {value!r} is not a boolean')
+
+    def test_multiplicative_absent_or_boolean(self, runner, tmp_path):
+        """Absent, "multiplicative" is false: a stochastic report passes
+        without it; true on a stochastic certificate, or false on an
+        entropy one, is the error it was."""
+        path, report = _draw_report(runner, tmp_path, "smpg")
+        for record in report["certificates"]:
+            del record["multiplicative"]
+        assert _certify(runner, tmp_path, path, report).exit_code == 0
+        report["certificates"][1]["multiplicative"] = True
+        res = _certify(runner, tmp_path, path, report)
+        assert res.output.strip() == (
+            "error: stochastic certificates are additive")
+        path, report = _draw_report(runner, tmp_path, "entropy")
+        report["certificates"][0]["multiplicative"] = False
+        res = _certify(runner, tmp_path, path, report)
+        assert res.output.strip() == (
+            "error: entropy certificates are multiplicative")
+
+    def test_levels_compared_as_rationals(self, runner, tmp_path,
+                                          monkeypatch):
+        """The value and interval ends are compared as rationals, whatever
+        terms they are written in (nature-half, value 3/2): unreduced, they
+        pass; a value with the right numerator over another denominator
+        fails, and so does an interval whose ends are swapped inside a
+        replayed bracket."""
+        path = write_game(tmp_path, "half.json",
+                          mg.game_to_json(nature_half_game()))
+        report = json.loads(
+            runner.invoke(main, ["solve", path, "--json"]).output)
+        value = F(report["top_value"])
+        assert value == F(3, 2)
+        scaled = f"{2 * value.numerator}/{2 * value.denominator}"
+        for forged_report in (copy.deepcopy(report) for _ in range(2)):
+            forged_report["top_value"] = scaled
+            assert _certify(runner, tmp_path, path,
+                            forged_report).exit_code == 0
+            forged_report["interval"].update(lo=scaled, hi=scaled)
+            assert _certify(runner, tmp_path, path,
+                            forged_report).exit_code == 0
+        report["top_value"] = f"{value.numerator}/{value.denominator + 1}"
+        res = _certify(runner, tmp_path, path, report)
+        assert res.exit_code == 1 and "top_value is not the unique" in (
+            res.output)
+        # no checkpoint passes: the bracket is replayed, lo < hi
+        monkeypatch.setattr(mg.stochastic, "_half_line_at",
+                            lambda *args: None)
+        report = json.loads(
+            runner.invoke(main, ["solve", path, "--json"]).output)
+        interval = report["interval"]
+        lo, hi = F(interval["lo"]), F(interval["hi"])
+        assert lo < hi
+        assert _certify(runner, tmp_path, path, report).exit_code == 0
+        del interval["approx"]
+        interval["lo"], interval["hi"] = interval["hi"], interval["lo"]
+        res = _certify(runner, tmp_path, path, report)
+        assert res.output.strip() == ("certificate verification FAILED: "
+                                      "interval is not inside the certified "
+                                      "levels")
+
+    def test_report_ratio_keeps_the_written_terms(self):
+        """`_report_ratio` reads "p/q" as written, unreduced, and an int
+        report value over 1."""
+        assert cli._report_ratio("2/4") == (2, 4)
+        assert cli._report_ratio("-0/5") == (0, 5)
+        assert cli._report_ratio(7) == (7, 1)
+
+    def test_solve_and_certify_build_few_fractions(self, runner, tmp_path,
+                                                   monkeypatch):
+        """One `solve --json` + `certify` pair on random_smpg(Random(3))
+        builds a Fraction for the value and one per entry of the witness,
+        and none to check, read or write: 21 before the solve and certify
+        ran on integer numerators, 2 after."""
+        path, _ = _draw_report(runner, tmp_path, "smpg")
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        res = runner.invoke(main, ["solve", path, "--json"])
+        rep = tmp_path / "rep.json"
+        rep.write_text(res.output)
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        monkeypatch.undo()
+        assert res.exit_code == 0, res.output
+        witness = json.loads(rep.read_text())["certificates"][0]["vec"]
+        assert len(built) == 1 + len(witness) == 2
+
+
 class TestBrute:
     def test_smpg_values(self, runner, smpg_file):
         res = runner.invoke(main, ["brute", smpg_file, "--json"])
@@ -1141,7 +1332,8 @@ REFERENCE_SCRIPTS = {
             # the first probe stops at step 0 without the gap condition,
             # as at its cap, so that the paper's top_class decides
             probes.append(args)
-            return (None, None, 0, None) if len(probes) == 1 else real(*args)
+            return ((None, None, None, 0, None) if len(probes) == 1
+                    else real(*args))
 
         st._half_line = probe
         solve_and_certify(sys.argv[1])

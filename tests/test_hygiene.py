@@ -184,3 +184,67 @@ def test_cli_exits_in_one_place():
     and every error, to the process exit."""
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert exit_callers(source) == ["_Group.main"]
+
+
+def fraction_users(source):
+    """The qualified names of the functions of `source` that reference
+    `Fraction` (as a name or as `fractions.Fraction`), with "<module>" for
+    a reference outside any function; and every function's name."""
+    users, defined = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                defined.add(name)
+                visit(child, name)
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "Fraction")
+                    or (isinstance(child, ast.Attribute)
+                        and child.attr == "Fraction")):
+                users.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return users, defined
+
+
+def test_scan_finds_fraction_users():
+    source = ("import fractions\n"
+              "from fractions import Fraction\n"
+              "def f(x):\n"
+              "    return x.numerator\n"
+              "def g():\n"
+              "    def h():\n"
+              "        return fractions.Fraction(1)\n"
+              "    return h\n"
+              "class C:\n"
+              "    def m(self) -> 'Fraction':\n"
+              "        return Fraction(2)\n"
+              "ONE = Fraction(1)\n")
+    users, defined = fraction_users(source)
+    assert sorted(users) == ["<module>", "C.m", "g.h"]
+    assert defined == {"f", "g", "g.h", "C", "C.m"}
+
+
+# the functions between the greedy pair and the solve's certificates, and
+# the certificate check that solve and certify share: all on integers
+INTEGER_HOT_PATH = (
+    "_half_line", "_half_line_at", "_half_line_holds", "_greedy_pair",
+    "_pair_chain", "gain_bias_numerators", "certificates_hold",
+    "_step_stages", "_cut", "_reference_holds", "_probe_cap",
+)
+
+
+def test_hot_path_is_integer():
+    """The probe, the half-line check, the gain/bias core and the
+    certificate core of `stochastic`, and all of `_smpgfast`, reference no
+    Fraction."""
+    users, defined = fraction_users(
+        (SRC / "stochastic.py").read_text(encoding="utf-8"))
+    assert set(INTEGER_HOT_PATH) <= defined
+    assert users.isdisjoint(INTEGER_HOT_PATH)
+    users, defined = fraction_users(
+        (SRC / "_smpgfast.py").read_text(encoding="utf-8"))
+    assert defined and not users

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from mpgames.linalg import integer_rank, integer_solve
+from mpgames.linalg import (
+    integer_rank,
+    integer_solve,
+    integer_solve_numerators,
+)
 
 F = Fraction
 
@@ -28,6 +32,28 @@ class TestIntegerSolve:
             x = integer_solve(a, b)
             assert all(sum(v * w for v, w in zip(row, x)) == c
                        for row, c in zip(a, b))
+            solved += 1
+
+    def test_numerators_are_the_solution(self):
+        """integer_solve_numerators gives integer_solve's solution as
+        numerators over a positive denominator, and integer_solve is its
+        core's, on systems with integer and with rational b."""
+        rng = random.Random(15)
+        solved = 0
+        while solved < 200:
+            n = rng.randint(1, 8)
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if integer_rank(a) < n:
+                continue
+            b = [rng.randint(-99, 99) for _ in range(n)]
+            m, d = integer_solve_numerators(a, b)
+            assert d > 0 and integer_solve(a, b) == [F(x, d) for x in m]
+            assert all(sum(v * w for v, w in zip(row, m)) == c * d
+                       for row, c in zip(a, b))
+            q = rng.randint(1, 9)
+            m, d = integer_solve_numerators(a, [c * q for c in b])
+            assert integer_solve(a, [F(c, 1) * q for c in b]) == [
+                F(x, d) for x in m]
             solved += 1
 
     def test_row_swap(self):

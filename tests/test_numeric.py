@@ -172,10 +172,13 @@ class TestRationalReconstruction:
         assert rational_in_interval(iv, qmax) == target
 
     def test_simplest_between(self):
-        assert _simplest_between(F(3, 10), F(7, 20)) == F(1, 3)
-        assert _simplest_between(F(-1, 2), F(1, 3)) == 0
-        assert _simplest_between(F(5, 7), F(5, 7)) == F(5, 7)
-        assert _simplest_between(F(-7, 20), F(-3, 10)) == F(-1, 3)
+        """On (p, q) pairs, the result in lowest terms, an unreduced end
+        included."""
+        assert _simplest_between((3, 10), (7, 20)) == (1, 3)
+        assert _simplest_between((-1, 2), (1, 3)) == (0, 1)
+        assert _simplest_between((5, 7), (5, 7)) == (5, 7)
+        assert _simplest_between((-7, 20), (-3, 10)) == (-1, 3)
+        assert _simplest_between((10, 14), (10, 14)) == (5, 7)
 
 
 def _reference(f, x) -> Fraction:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -603,15 +604,26 @@ def _refuse_paper_path(monkeypatch):
     monkeypatch.setattr(st, "_replayed_solution", _refuse)
 
 
-def _probe(g):
+def _probe_numerators(g):
+    """The probe of g's solve: (chi, h, L, steps, stop), chi and h
+    numerators over L."""
     stats = g.stats()
-    return st._half_line(g, stats, st._sep_params(stats))
+    return st._half_line(g, stats.mu**2, st._probe_cap(stats))
+
+
+def _probe(g):
+    """The probe of g's solve: (chi, h, steps, stop), chi and h as
+    Fractions."""
+    chi, h, den, steps, stop = _probe_numerators(g)
+    if chi is not None:
+        chi, h = [F(x, den) for x in chi], [F(x, den) for x in h]
+    return chi, h, steps, stop
 
 
 def _no_probe(*args):
     """A probe that certifies nothing and stops at step 0 without the gap
     condition, as at its cap."""
-    return None, None, 0, None
+    return None, None, None, 0, None
 
 
 def _refuse_first_probe(monkeypatch):
@@ -799,8 +811,8 @@ class TestEarlyCertificate:
         assert mg.solve_constant_value(g).value == -2
         assert mg.solve_game(g).top_class == frozenset(g.min_ids)
         monkeypatch.undo()
-        anchored = st.markov_gain_bias
-        monkeypatch.setattr(st, "markov_gain_bias",
+        anchored = st.gain_bias_numerators
+        monkeypatch.setattr(st, "gain_bias_numerators",
                             lambda rows, r, M, anchor=None:
                             anchored(rows, r, M))
         assert _probe(g)[0] is None
@@ -860,7 +872,8 @@ class TestEarlyCertificate:
         monkeypatch.setattr(st, "_fixed_point_solution", tracked_solution)
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(swap_shift_game())
-        assert calls == [sol.sub.vec]
+        assert [tuple(F(v, den) for v in u) for u, den in calls] == [
+            sol.sub.vec]
         assert sol.sub.vec == sol.sup.vec
 
     def test_bias_solves_the_chain(self):
@@ -904,14 +917,52 @@ class TestEarlyCertificate:
             _solved_chain(*st._pair_chain(g, sigma, tau), g.M,
                           (None, shifted)[t % 2])
 
+    def test_numerators_are_the_chain_solution(self):
+        """gain_bias_numerators gives markov_gain_bias's Fractions as
+        numerators over their least common denominator, on the 300 pair
+        chains of test_bias_solves_the_chain, anchored (the anchor on
+        integers) and not."""
+        shifted = lambda a, g: F(a) + g
+        int_shifted = lambda a, g, den: (a * den + g, den)
+        rng = random.Random(14)
+        for t in range(300):
+            g = mg.random_smpg(rng, 8, 8, 8, m_choices=(1 + t % 3,))
+            sigma = [rng.choice(row)[0] for row in g.min_edges]
+            tau = [rng.choice(row)[0] for row in g.max_edges]
+            rows, r = st._pair_chain(g, sigma, tau)
+            for anchor, int_anchor in ((None, None), (shifted, int_shifted)):
+                want = st.markov_gain_bias(rows, r, g.M, anchor)
+                gain, bias, den = st.gain_bias_numerators(rows, r, g.M,
+                                                          int_anchor)
+                assert den > 0 and math.gcd(den, *gain, *bias) == 1
+                assert ([F(x, den) for x in gain],
+                        [F(x, den) for x in bias]) == want
+
+    def test_probe_cap_is_the_a_priori_cap(self):
+        """The probe's integer cap is the cap of the separation parameters,
+        W = 0 draws (R taken as delta) included; a game's stats and the
+        cap are computed once."""
+        rng = random.Random(8)
+        games = [mg.random_smpg(rng) for _ in range(100)]
+        games += [cycle_game(a=1, b=1), nature_half_game(), peel_game(6, 2)]
+        assert any(g.stats().W == 0 for g in games)
+        for g in games:
+            stats = g.stats()
+            assert g.stats() is stats
+            params = st._sep_params(stats)
+            assert st._probe_cap(stats) == params.cap
+            assert params.__dict__["cap"] == params.cap
+
     def test_systems_fit_the_components(self, monkeypatch):
         """random_smpg(Random(1000), 40, 40, 40) (28 Min states, M = 2):
-        every system that markov_gain_bias solves during solve_game is no
-        larger than the largest strongly connected component of its chain.
-        One dense system over all transient states would be 25 x 25."""
+        every system that gain_bias_numerators solves during solve_game is
+        no larger than the largest strongly connected component of its
+        chain.  One dense system over all transient states would be
+        25 x 25."""
         g = mg.random_smpg(random.Random(1000), 40, 40, 40)
         assert len(g.min_ids) == 28 and g.M == 2
-        real_chain, real_solve = st.markov_gain_bias, st.integer_solve
+        real_chain = st.gain_bias_numerators
+        real_solve = st.integer_solve_numerators
         limit, sizes = [], []
 
         def chain(rows, r, M, anchor=None):
@@ -923,8 +974,8 @@ class TestEarlyCertificate:
             sizes.append((len(a), limit[-1]))
             return real_solve(a, b)
 
-        monkeypatch.setattr(st, "markov_gain_bias", chain)
-        monkeypatch.setattr(st, "integer_solve", solve)
+        monkeypatch.setattr(st, "gain_bias_numerators", chain)
+        monkeypatch.setattr(st, "integer_solve_numerators", solve)
         sol = mg.solve_game(g)
         assert sol.value == F(4, 3)
         assert sizes and all(size <= big for size, big in sizes)
@@ -937,20 +988,24 @@ class TestEarlyCertificate:
         nature_half_game,
     ], ids=["swap-shift", "r341", "r1255", "nature-half"])
     def test_integer_half_line_is_exact(self, make):
-        """The passing (chi, h) holds, and fails once any one entry of chi
-        or of h moves up by 1/10^30; nature-half (M = 2) fails too if the
-        comparison drops the factor M."""
+        """The passing (chi, h), numerators over L, holds, and fails once
+        any one entry of chi or of h moves up by 1/10^30 (over L 10^30);
+        nature-half (M = 2) fails too if the comparison drops the factor
+        M."""
         g = make()
-        chi, h, *_ = _probe(g)
-        assert chi is not None and st._half_line_holds(g, chi, h)
-        eps = F(1, 10**30)
+        chi, h, den, *_ = _probe_numerators(g)
+        assert chi is not None and st._half_line_holds(g, chi, h, den)
+        scale = 10**30
+        chi = [x * scale for x in chi]
+        h = [x * scale for x in h]
+        den *= scale
         for j in range(len(chi)):
             moved = list(chi)
-            moved[j] += eps
-            assert not st._half_line_holds(g, moved, h)
+            moved[j] += den // scale
+            assert not st._half_line_holds(g, moved, h, den)
             moved = list(h)
-            moved[j] += eps
-            assert not st._half_line_holds(g, chi, moved)
+            moved[j] += den // scale
+            assert not st._half_line_holds(g, chi, moved, den)
 
 
 class TestPaperPath:
