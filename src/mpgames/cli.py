@@ -30,17 +30,21 @@ sort_keys=True) prints it, byte for byte, by a writer of its own
 (`_json_text`): `indent` makes json.dumps fall back to its pure-Python
 encoder, two to four times the cost of the C one, and the compact C output
 would change every report's bytes.  Rationals cross the report boundary
-on integers: `_frac_str` writes a Fraction's or an int's own numerator and
-denominator, `_dec_str` scales the numerator, and `_report_ratio` reads a
-"p/q" or "p" of ASCII digits with int() to (p, q) as written; any other
-string goes through Fraction (and, past the interpreter's int/str digit
-limit, Decimal), so it reads to the same value or fails with the same
-error.  `certify` reads a stochastic report that way to the end:
-its certificates into `stochastic.IntCertificate`s, checked by the
-solver's own `certificates_hold`, and its interval ends and value compared
-with the certified levels by cross-multiplication.  An interval record's
-`approx`, when present, must be the enclosure `_interval_record` writes
-for its ends, and a certificate's "multiplicative" a JSON boolean.
+on integers: `_ratio_str` writes p/q in lowest terms, `_dec_str` scales
+the numerator, and `_report_ratio` reads a "p/q" or "p" of ASCII digits
+with int() to (p, q) as written; any other string goes through Fraction
+(and, past the interpreter's int/str digit limit, Decimal), so it reads to
+the same value or fails with the same error.  `certify` reads either
+kind's certificates into the solvers' own `numeric.Certificate`s
+(`_cert_from_record`), checks them with the solver's own check, and
+compares the claimed intervals and values with the certified levels by
+cross-multiplication.  An entropy pair's states must be the subgame its
+Despots induce in what the pairs before it leave of the game, the pairs
+must cover every Despot, and no pair's levels may lie above those of the
+pair before it, so the pairs peel the game from the top value down.  An
+interval record's `approx`, when present, must be the enclosure
+`_interval_record` writes for its ends, and a certificate's
+"multiplicative" a JSON boolean.
 """
 
 from __future__ import annotations
@@ -81,15 +85,23 @@ def _frac_str(v) -> str:
     if not isinstance(v, (int, Fraction)):
         v = Fraction(v)
     # an int has a numerator and a denominator too: neither is copied
+    return _ratio_str(v.numerator, v.denominator)
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """p/q, q > 0, in lowest terms: the string `_frac_str` writes for
+    Fraction(p, q)."""
+    g = math.gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
     try:
-        return f"{v.numerator}/{v.denominator}"
+        return f"{p}/{q}"
     except ValueError:
         # past the interpreter's int/str digit limit, which Decimal's own
         # conversion does not have
         from decimal import Decimal
 
-        return "/".join(format(Decimal(x), "f")
-                        for x in (v.numerator, v.denominator))
+        return "/".join(format(Decimal(x), "f") for x in (p, q))
 
 
 def _rational_digits(text):
@@ -182,9 +194,12 @@ def _write_out(path, write):
 
 
 def _cert_record(cert: Certificate, states=None) -> dict:
+    """The record of a solver's certificate: its level p/q and each entry
+    u_j/L of its vector in lowest terms."""
+    den = cert.L
     rec = {
-        "lam": _frac_str(cert.lam),
-        "vec": [_frac_str(v) for v in cert.vec],
+        "lam": _ratio_str(cert.p, cert.q),
+        "vec": [_ratio_str(v, den) for v in cert.u],
         "direction": cert.direction,
         "multiplicative": cert.multiplicative,
     }
@@ -202,14 +217,15 @@ def _field(record, key):
         raise GameFormatError(f"missing key {exc}") from exc
 
 
-def _cert_fields(rec):
-    """(lam, vec, direction, multiplicative) of a certificate record, lam
-    and each entry of vec read by `_report_ratio` (an entry "-inf" as
-    NEG_INF).  "multiplicative" must be a JSON boolean; absent, it is
-    false."""
+def _cert_from_record(rec) -> Certificate:
+    """A certificate record of either game kind as a Certificate: lam and
+    each entry of vec read by `_report_ratio`, as written, and the vector
+    put over the lcm of its finite entries' denominators; an "-inf" entry
+    stays NEG_INF.
+    "multiplicative" must be a JSON boolean; absent, it is false."""
     if not isinstance(rec, dict):
         raise GameFormatError(f"certificate record {rec!r} is not an object")
-    lam = _report_ratio(_field(rec, "lam"))
+    p, q = _report_ratio(_field(rec, "lam"))
     vec = [NEG_INF if v == "-inf" else _report_ratio(v)
            for v in json_list(_field(rec, "vec"), '"vec"')]
     direction = _field(rec, "direction")
@@ -217,31 +233,9 @@ def _cert_fields(rec):
     if not isinstance(multiplicative, bool):
         raise GameFormatError(
             f'"multiplicative" {multiplicative!r} is not a boolean')
-    return lam, vec, direction, multiplicative
-
-
-def _fractions(vec) -> tuple:
-    """A vector of (p, q) and NEG_INF entries as Fractions and NEG_INF."""
-    return tuple(v if v is NEG_INF else Fraction(*v) for v in vec)
-
-
-def _cert_from_record(rec) -> Certificate:
-    lam, vec, direction, multiplicative = _cert_fields(rec)
-    return Certificate(Fraction(*lam), _fractions(vec), direction,
-                       multiplicative)
-
-
-def _int_cert_from_record(smpg, rec):
-    """A stochastic certificate record as `smpg.IntCertificate`: the vector
-    over the lcm of its entries' denominators, or, when it has -inf
-    entries, as Fractions and NEG_INF."""
-    (p, q), vec, direction, multiplicative = _cert_fields(rec)
-    if any(v is NEG_INF for v in vec):
-        return smpg.IntCertificate(p, q, _fractions(vec), None, direction,
-                                   multiplicative)
-    den = math.lcm(*(b for _, b in vec))
-    return smpg.IntCertificate(p, q, [a * (den // b) for a, b in vec], den,
-                               direction, multiplicative)
+    den = math.lcm(*(v[1] for v in vec if v is not NEG_INF))
+    return Certificate(p, q, [v if v is NEG_INF else v[0] * (den // v[1])
+                              for v in vec], den, direction, multiplicative)
 
 
 _DECIMALS = 10**12  # an approx string's decimal places, as a scale
@@ -265,16 +259,19 @@ def _approx_text(lo, hi) -> str:
     return f"[{_dec_str(*lo, up=False)}, {_dec_str(*hi, up=True)}]"
 
 
-def _ratio(value):
-    """(numerator, denominator) of a Fraction or an int."""
-    return value.numerator, value.denominator
-
-
 def _interval_record(iv) -> dict:
+    """The record of a RationalInterval."""
+    return _ends_record(*((v.numerator, v.denominator)
+                          for v in (iv.lo, iv.hi)))
+
+
+def _ends_record(lo, hi) -> dict:
+    """The record of the interval [lo, hi], each end (p, q) with q > 0:
+    both ends in lowest terms, and their decimal enclosure."""
     return {
-        "lo": _frac_str(iv.lo),
-        "hi": _frac_str(iv.hi),
-        "approx": _approx_text(_ratio(iv.lo), _ratio(iv.hi)),
+        "lo": _ratio_str(*lo),
+        "hi": _ratio_str(*hi),
+        "approx": _approx_text(lo, hi),
     }
 
 
@@ -474,7 +471,7 @@ def _solve_smpg(smpg, game, mode):
         sol = smpg.solve_constant_value(game)
         head = {
             "value": _frac_str(sol.value),
-            "interval": _interval_record(sol.interval),
+            "interval": _ends_record(sol.sub[:2], sol.sup[:2]),
             "iterations": sol.iterations,
         }
         states = None
@@ -488,7 +485,7 @@ def _solve_smpg(smpg, game, mode):
         head = {
             "top_class": sorted(sol.top_class),
             "top_value": _frac_str(sol.value),
-            "interval": _interval_record(sol.interval),
+            "interval": _ends_record(sol.sub[:2], sol.sup[:2]),
         }
         states = _sub_states(smpg.KEYS, sol.subgame)
     return EXIT_OK, {
@@ -596,20 +593,39 @@ def _report_ids(states, key):
     return ids
 
 
-def _cert_target(kind, mod, game, states):
-    """The game, or the subgame named by a certificate record's "states";
-    None when those states do not induce a stochastic subgame."""
+def _cert_target(kind, mod, game, residual, states):
+    """The (sub)game a certificate pair holds on: `residual` when its
+    records name no "states", else the subgame their Min states, or
+    Despots, induce.  An entropy pair's Despots D induce it in `residual`,
+    what the pairs before it leave of `game` (`remove_block`), and the
+    Tribunes and People its records name must be that subgame's.  None
+    when the states induce no subgame there, or name other states."""
     if states is None:
-        return game
+        return residual
     if not isinstance(states, dict):
         raise GameFormatError(f'"states" {states!r} is not an object')
     if kind == "smpg":
         return mod.induced_subgame(game, state_indices(
             game.min_ids, _report_ids(states, mod.KEYS[0])))
-    return mod.subgraph_on(game, *(_report_ids(states, k) for k in mod.KEYS))
+    named = [_report_ids(states, key) for key in mod.KEYS]
+    target = None
+    if residual is not None:
+        try:
+            dmax = state_indices(residual.d_ids, named[0])
+        except GameFormatError:
+            pass  # a Despot no longer in play, or unknown
+        else:
+            target = mod.induced_entropy_subgame(residual, dmax)
+    if target is None or any(set(chosen) != set(ids)
+                             for chosen, ids in zip(named, target.ids)):
+        for ids, chosen in zip(game.ids, named):
+            state_indices(ids, chosen)  # an unknown id is malformed input
+        return None
+    return target
 
 
 _CERT_FAILED = "a certificate inequality does not hold"
+_STATES_FAILED = "a certificate pair's states do not name an induced subgame"
 
 
 def _strategy(report, key, from_ids, to_ids):
@@ -630,7 +646,7 @@ def _strategy(report, key, from_ids, to_ids):
 
 
 def _smpg_failure(smpg, report, target, sub, sup):
-    """Why the stochastic pair (sub, sup) of IntCertificates fails on
+    """Why the stochastic pair (sub, sup) of Certificates fails on
     `target`, or None: its certificates, and the strategies the report
     names, checked at them."""
     sigma = _strategy(report, "min_strategy", target.min_ids, target.max_ids)
@@ -671,7 +687,18 @@ def _smpg_claims(report, pairs):
     return None
 
 
-def _entropy_claims(report, pairs):
+def _entropy_claims(game, report, pairs):
+    # the pairs must peel the whole game from the top value down: a pair's
+    # super level bounds its block's value only when every block its People
+    # feed comes after it at levels no higher, and its sub level only when
+    # every block its Despots can escape to comes before it at levels no
+    # lower
+    if sum(len(target.d_ids) for target, _, _ in pairs) != len(game.d_ids):
+        return "the certificate pairs do not cover every Despot"
+    for (_, (ap, aq), (bp, bq)), (_, (cp, cq), (dp, dq)) in zip(pairs,
+                                                                pairs[1:]):
+        if cp * aq > ap * cq or dp * bq > bp * dq:
+            return "a certificate pair's levels lie above the pair's before it"
     if "blocks" in report and report["blocks"] != [
         sorted(target.d_ids) for target, _, _ in pairs
     ]:
@@ -704,7 +731,9 @@ def _verify_report(kind, mod, game, report):
     report's strategies must be optimal at those certificates, and the top
     class, blocks, values and intervals the report claims must follow from
     the levels of those pairs, each interval's decimal `approx` from its
-    ends.  A stochastic report is read and checked on integers."""
+    ends.  An entropy report's pairs must cover the game, their levels
+    never rising from one pair to the next.  Either kind's report is read
+    and checked on integers."""
     if not isinstance(report, dict):
         raise GameFormatError("a report must be a JSON object")
     records = json_list(report.get("certificates", []), '"certificates"')
@@ -716,32 +745,35 @@ def _verify_report(kind, mod, game, report):
         # its strategies are checked at that one pair
         raise GameFormatError("a stochastic report has one certificate pair")
     pairs = []
+    residual = game  # what the pairs checked so far leave of the game
     for sub_rec, sup_rec in zip(records[::2], records[1::2]):
-        if kind == "smpg":
-            sub = _int_cert_from_record(mod, sub_rec)
-            sup = _int_cert_from_record(mod, sup_rec)
-        else:
-            sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
+        sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
         if ((sub.direction, sup.direction) != (SUB, SUPER)
                 or sub_rec.get("states") != sup_rec.get("states")):
             raise GameFormatError(
                 "certificates must come in (sub, super) pairs on one state set"
             )
-        target = _cert_target(kind, mod, game, sub_rec.get("states"))
+        if pairs and residual is not None:
+            # the solver's peel: a malformed residual holds no later pair
+            try:
+                residual = mod.remove_block(residual, state_indices(
+                    residual.d_ids, pairs[-1][0].d_ids))
+            except RuntimeError:
+                residual = None
+        target = _cert_target(kind, mod, game, residual,
+                              sub_rec.get("states"))
         if target is None:
-            return _CERT_FAILED
+            return _STATES_FAILED
         if kind == "smpg":
             failure = _smpg_failure(mod, report, target, sub, sup)
             if failure is not None:
                 return failure
-            pairs.append((target, sub[:2], sup[:2]))
         elif not mod.check_entropy_certificates(target, (sub, sup)):
             return _CERT_FAILED
-        else:
-            pairs.append((target, _ratio(sub.lam), _ratio(sup.lam)))
+        pairs.append((target, sub[:2], sup[:2]))
     if kind == "smpg":
         return _smpg_claims(report, pairs)
-    return _entropy_claims(report, pairs)
+    return _entropy_claims(game, report, pairs)
 
 
 @main.command(_arg("input_path", metavar="GAME"),

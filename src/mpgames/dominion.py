@@ -27,7 +27,6 @@ from .stochastic import (
     SepParams,
     StochasticGame,
     StrategyPair,
-    _over,
     _pair_chain,
     induced_subgame,
     make_game,
@@ -246,10 +245,12 @@ def winner(game: StochasticGame):
         c *= game.M
         u = _int_step(game, u, c)
         if max(u) <= 0:
-            return WinnerVerdict("MinWinsAll", it, _over(u, c))
+            return WinnerVerdict("MinWinsAll", it,
+                                 tuple(Fraction(v, c) for v in u))
         if min(u) >= 0:
-            return WinnerVerdict("MaxWinsAll", it, _over(u, c))
-    return Exhausted(cap, _over(u, c))
+            return WinnerVerdict("MaxWinsAll", it,
+                                 tuple(Fraction(v, c) for v in u))
+    return Exhausted(cap, tuple(Fraction(v, c) for v in u))
 
 
 # ---------------------------------------------------------------------------

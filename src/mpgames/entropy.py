@@ -63,7 +63,7 @@ from .graphs import (
     spanning_subgraph,
     state_indices,
 )
-from .linalg import integer_rank, integer_solve
+from .linalg import integer_rank, integer_solve_numerators
 from .numeric import SUB, SUPER, Certificate, RationalInterval, seen_image
 
 
@@ -181,13 +181,10 @@ def induced_entropy_subgame(game: EntropyGame, d_subset):
     Tribune.  Returns None when the subset is not a dominion."""
     d_set = set(d_subset)
     d_sel = sorted(d_set)
-    v_p = {
-        p
-        for p, row in enumerate(game.p_edges)
-        if any(l in d_set for l, _ in row)
-    }
+    v_p = {p for p, row in enumerate(game.p_edges) for l, _ in row
+           if l in d_set}
     t_sel = sorted({t for d in d_sel for t in game.d_edges[d]})
-    if not all(any(p in v_p for p in game.t_edges[t]) for t in t_sel):
+    if any(v_p.isdisjoint(game.t_edges[t]) for t in t_sel):
         return None
     p_sel = sorted({p for t in t_sel for p in game.t_edges[t] if p in v_p})
     return _spanned(game, (d_sel, t_sel, p_sel))
@@ -222,27 +219,25 @@ def check_entropy_certificate(game: EntropyGame, cert: Certificate) -> bool:
 
 def check_entropy_certificates(game: EntropyGame, certs) -> bool:
     """`check_entropy_certificate` for every certificate, evaluating T once
-    per distinct vector.  T is positively homogeneous, so each vector is
-    scaled to integers by the lcm of its denominators and T runs on ints;
-    lam = p/q is then compared by cross-multiplication, p * v against
-    q * T(v)."""
+    per distinct vector, on integers.  T is positively homogeneous, so T(u/L)
+    = T(u)/L, and the level p/q holds as sub when p u_d <= q T(u)_d for
+    every Despot d, and as super when >=: T runs on the numerators u and L
+    plays no part.  A vector with an -inf entry is not positive, and
+    fails."""
     images = []
-    for cert in certs:
-        if not cert.multiplicative:
+    for p, q, u, _, direction, multiplicative in certs:
+        if not multiplicative:
             raise ValueError("entropy certificates are multiplicative")
-        if any(v <= 0 for v in cert.vec):
+        if any(v <= 0 for v in u):
             return False
-        image = seen_image(images, cert.vec)
+        image = seen_image(images, u)
         if image is None:
-            den = math.lcm(*(v.denominator for v in cert.vec))
-            ints = [v.numerator * (den // v.denominator) for v in cert.vec]
-            image = ints, multiplicative_eval(game, ints)
-            images.append((cert.vec, image))
-        p, q = cert.lam.numerator, cert.lam.denominator
-        if cert.direction == SUB:
-            holds = all(p * v <= q * w for v, w in zip(*image))
+            image = multiplicative_eval(game, u)
+            images.append((u, image))
+        if direction == SUB:
+            holds = all(p * v <= q * w for v, w in zip(u, image))
         else:
-            holds = all(p * v >= q * w for v, w in zip(*image))
+            holds = all(p * v >= q * w for v, w in zip(u, image))
         if not holds:
             return False
     return True
@@ -346,6 +341,7 @@ def _finish_block(game, dmax, subgame, lo, hi, vec, **fields):
     certificate, with the strategies greedy at it: (block, sigma, tau).
     `fields` are the block's remaining fields."""
     bounds = value_bounds(game)
+    vec = tuple(vec)  # one vector, the sub and the super witness
     # the witness extended by zero off the block: a People sum is positive
     # iff the People has an edge into the block, a Tribune's largest sum iff
     # the Tribune has such a People; these People and Tribunes join the block
@@ -361,8 +357,8 @@ def _finish_block(game, dmax, subgame, lo, hi, vec, **fields):
         p_ids=tuple(game.p_ids[p] for p, s in enumerate(psum) if s),
         subgame=subgame,
         interval=RationalInterval(max(lo, bounds.lo), min(hi, bounds.hi)),
-        sub=Certificate(lo, tuple(vec), SUB, multiplicative=True),
-        sup=Certificate(hi, tuple(vec), SUPER, multiplicative=True),
+        sub=Certificate(lo.numerator, lo.denominator, vec, 1, SUB, True),
+        sup=Certificate(hi.numerator, hi.denominator, vec, 1, SUPER, True),
         **fields,
     )
     return (block, {game.d_ids[d]: game.t_ids[sigma[d]] for d in dmax},
@@ -521,13 +517,15 @@ def _integer_value_witness(subgame: EntropyGame, rows, rho, nu_hat):
     a = [[(x << b) + rho * (d == l) for l, x in enumerate(row)]
          for d, row in enumerate(shifted)]
     try:
-        y = integer_solve(a, [1 << b] * n)
+        m, d = integer_solve_numerators(a, [1 << b] * n)
     except ValueError:
         return None
-    if any(v <= 0 for v in y):
+    if any(v <= 0 for v in m):
         return None
-    den = math.lcm(*(v.denominator for v in y))
-    return [v.numerator * (den // v.denominator) for v in y]
+    # y = m/d, d > 0; positive multiples are equal witnesses, and this one
+    # is y over the lcm of its reduced denominators
+    g = math.gcd(d, *m)
+    return [v // g for v in m]
 
 
 def _people_rank(subgame: EntropyGame) -> int:
@@ -567,7 +565,7 @@ def _separated_block(game: EntropyGame):
       the block's value, and v is both the sub and the super witness.  The
       strategies greedy at v are then exactly optimal on D by the argument
       of `perron._top_slack`, with 1/nu_hat in place of the enumerated gap;
-    - `_remove_block` leaves a well-formed residual game (or none), and the
+    - `remove_block` leaves a well-formed residual game (or none), and the
       search iterate restricted to it is a super witness at a level below
       lo: every Despot left has a lower value, so D is the whole top class.
     The witnesses offered are the iterates of a second damped iteration on
@@ -632,7 +630,7 @@ def _separated_block(game: EntropyGame):
                     game, top, subgame, lo, hi, v, delta=1 / nu_hat,
                     iterations=0, decided_by=SEPARATION, rank=rank)
                 try:
-                    residual = _remove_block(game, found[0])
+                    residual = remove_block(game, top)
                 except RuntimeError:
                     subgame = None  # some Despot outside D must enter it
         if subgame is not None and found is not None:
@@ -650,23 +648,24 @@ def _separated_block(game: EntropyGame):
     return None
 
 
-def _remove_block(game: EntropyGame, block: BlockResult):
-    """Residual game after peeling a block: drop its Despots, its Tribunes
-    (every Tribune with a People successor feeding the block) and its People
-    (every People with an edge into the block).  None when no Despot is
-    left; RuntimeError when a Tribune or People is orphaned or a state left
-    loses every move."""
-    d_keep = [s for s in game.d_ids if s not in set(block.d_ids)]
-    t_keep = [s for s in game.t_ids if s not in set(block.t_ids)]
-    p_keep = [s for s in game.p_ids if s not in set(block.p_ids)]
-    if not d_keep:
-        if t_keep or p_keep:
-            raise RuntimeError(
-                "decomposition left orphan Tribune/People states"
-            )
+def remove_block(game: EntropyGame, dmax):
+    """Residual game after peeling the block of the Despot indices `dmax`:
+    drop those Despots, every People with an edge into them and every
+    Tribune with such a People (a block's People and Tribunes, those whose
+    sums are positive at its witness).  None when no Despot is left, and
+    then no People or Tribune either; RuntimeError when a state left loses
+    every move."""
+    d_out = set(dmax)
+    if len(d_out) == len(game.d_ids):
         return None
+    p_out = {p for p, row in enumerate(game.p_edges) for l, _ in row
+             if l in d_out}
+    t_out = {t for t, row in enumerate(game.t_edges)
+             if not p_out.isdisjoint(row)}
     try:
-        return subgraph_on(game, d_keep, t_keep, p_keep)
+        return _spanned(game, [[j for j in range(len(ids)) if j not in out]
+                               for ids, out in zip(game.ids,
+                                                   (d_out, t_out, p_out))])
     except GameFormatError as exc:
         raise RuntimeError(f"residual game is malformed: {exc}") from exc
 

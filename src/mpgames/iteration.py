@@ -75,8 +75,8 @@ def build_certificates(orbit, lam_lo: Fraction, lam_hi: Fraction, eps: Fraction)
         x = vec_sup(x, vec_add_scalar(-i * lam_lo, v))
         y = vec_inf(y, vec_add_scalar(-i * lam_hi, v))
     return (
-        Certificate(lam_lo - eps, x, SUB),
-        Certificate(lam_hi + eps, y, SUPER),
+        Certificate.from_fractions(lam_lo - eps, x, SUB),
+        Certificate.from_fractions(lam_hi + eps, y, SUPER),
     )
 
 
@@ -120,8 +120,8 @@ def approximate_constant_mean_payoff(oracle, delta: Fraction, max_iter: int):
     fast = getattr(oracle, "replay_loop", None)
     if fast is not None:
         x, y = fast(eps, ell, kappa, lam)
-        sub = Certificate(kappa - eps, x, SUB)
-        sup = Certificate(lam + eps, y, SUPER)
+        sub = Certificate.from_fractions(kappa - eps, x, SUB)
+        sup = Certificate.from_fractions(lam + eps, y, SUPER)
     else:
         sub, sup = build_certificates(
             _replayed_orbit(oracle, eps, ell), kappa, lam, eps

@@ -3,13 +3,10 @@ elimination: every intermediate entry is a minor of the input, so every
 division is exact and no rational arithmetic runs inside the loops.
 `integer_rank` eliminates below the pivots; `integer_solve_numerators`
 eliminates above them too (Gauss-Jordan) and reads the solution off the
-last column as numerators over one denominator, and `integer_solve` puts
-them in Fractions."""
+last column as numerators over one denominator, which its callers keep:
+no Fraction is built here."""
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 
 def integer_solve_numerators(a, b):
@@ -37,16 +34,6 @@ def integer_solve_numerators(a, b):
     if prev < 0:
         return [-row[n] for row in m], -prev
     return [row[n] for row in m], prev
-
-
-def integer_solve(a, b):
-    """`integer_solve_numerators` for a rational vector b (ints or
-    Fractions), scaled by the lcm D of its denominators.  Returns x as
-    Fractions; ValueError when A is singular."""
-    den = math.lcm(*(v.denominator for v in b))
-    m, d = integer_solve_numerators(
-        a, [v.numerator * (den // v.denominator) for v in b])
-    return [Fraction(x, d * den) for x in m]
 
 
 def integer_rank(matrix) -> int:

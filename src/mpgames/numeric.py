@@ -2,7 +2,8 @@
 the certificate record that both game kinds share.
 
 Vectors are plain tuples whose entries are either `fractions.Fraction` or the
-distinguished element `NEG_INF`.  All game-side arithmetic is exact; floating
+distinguished element `NEG_INF`; a `Certificate` holds integer numerators
+over one denominator instead.  All game-side arithmetic is exact; floating
 point never enters this module.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class _NegInf:
@@ -263,19 +265,45 @@ SUB = "sub"
 SUPER = "super"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """(lam, vec) witnessing a Collatz-Wielandt inequality.
+class Certificate(NamedTuple):
+    """(lam, vec) witnessing a Collatz-Wielandt inequality, on integers: the
+    level lam = p/q and the vector vec = u/L, numerators u over one
+    denominator L, with q, L > 0 and neither reduced (records compare term
+    by term; `lam` and `vec` are the values).  The solvers, the checks and
+    the report writer and reader of both game kinds share it.  An -inf
+    entry, which only a hand-written report carries, stays NEG_INF in u.
 
     Additive form (default): sub means lam + vec <= F(vec) coordinatewise,
     super means lam + vec >= F(vec).  The entropy backend issues its
     certificates in multiplicative form (lam * vec <= T(vec)), flagged by
     `multiplicative`: exact integer sub/super eigenvectors of T."""
 
-    lam: Fraction
-    vec: tuple
+    p: int
+    q: int
+    u: tuple | list
+    L: int
     direction: str
     multiplicative: bool = False
+
+    @classmethod
+    def from_fractions(cls, lam, vec, direction):
+        """The additive certificate at the rational level lam on the vector
+        vec of rationals (ints or Fractions) and NEG_INF entries, put over
+        the lcm of its finite entries' denominators."""
+        den = math.lcm(*(v.denominator for v in vec if v is not NEG_INF))
+        u = tuple(v if v is NEG_INF else v.numerator * (den // v.denominator)
+                  for v in vec)
+        return cls(lam.numerator, lam.denominator, u, den, direction)
+
+    @property
+    def lam(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    @property
+    def vec(self) -> tuple:
+        """The vector as Fractions and NEG_INF."""
+        return tuple(v if v is NEG_INF else Fraction(v, self.L)
+                     for v in self.u)
 
 
 def seen_image(images, vec):

@@ -40,11 +40,11 @@ from .entropy import (
     _nu_hat,
     _nu_value,
     _people_rows,
-    _remove_block,
     check_entropy_certificates,
     check_pair_budget,
     induced_entropy_subgame,
     multiplicative_eval,
+    remove_block,
 )
 from .graphs import tarjan_scc
 from .linalg import integer_rank
@@ -458,7 +458,7 @@ def _enumerated_block(game: EntropyGame, budget: int):
         decided_by=ENUMERATION, rank=brute.profile.rank)
     if not check_entropy_certificates(subgame, (block.sub, block.sup)):
         raise AssertionError("internal error: certificate failed verification")
-    return block, sigma, tau, _remove_block(game, block)
+    return block, sigma, tau, remove_block(game, dmax)
 
 
 # ---------------------------------------------------------------------------

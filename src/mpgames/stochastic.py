@@ -41,13 +41,13 @@ numerators of its gain and bias over one common denominator (a transient
 component of one state directly, every other component by
 `linalg.integer_solve_numerators`), each closed class anchored at the
 iterate's offset computed on integers; the half-line check and the top
-class argmax chi read those numerators, and `certificates_hold` checks the
-resulting fixed point and its strategies on them, levels compared by
-cross-multiplication.  Only the solution's value and witnesses become
-Fractions, once.  `check_certificates`, which `certify` shares through
-`certificates_hold`, puts a Certificate's vector over the lcm of its
-denominators; `markov_gain_bias` and `linalg.integer_solve` are the
-Fraction forms of the two cores, for `dominion`, `entropy` and the tests.
+class argmax chi read those numerators.  The solution's certificates are
+`numeric.Certificate`s on those integers, levels p/q and witnesses u/L,
+and `certificates_hold`, which `certify` calls on the certificates it
+reads, checks them and the strategies, levels compared by
+cross-multiplication.  Only the solution's value becomes a Fraction.
+`markov_gain_bias` is the Fraction form of the chain solve, for `dominion`
+and the tests.
 Every reported strategy pair comes from one greedy rule, `_greedy_pair` on
 integer numerators: at the half-line's witness h, or Max greedy at the sub
 witness and Min greedy at the super witness.  `shapley_eval` is the exact
@@ -62,7 +62,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from ._smpgfast import (
     Kernel,
@@ -309,32 +308,7 @@ class SepParams:
 
 def check_certificate(game: StochasticGame, cert: Certificate) -> bool:
     """Exact verification of lam + v <= F(v) (sub) or >= (super)."""
-    return check_certificates(game, (cert,))
-
-
-class IntCertificate(NamedTuple):
-    """A stochastic certificate on integers: level p/q and vector u/L, with
-    q, L > 0 and neither reduced.  L is None for a vector with -inf entries
-    (which only a hand-written report carries): u is then that vector."""
-
-    p: int
-    q: int
-    u: list
-    L: int | None
-    direction: str
-    multiplicative: bool = False
-
-
-def _int_certificate(cert: Certificate) -> IntCertificate:
-    """`cert` with its vector put over the lcm of its denominators."""
-    lam, vec = cert.lam, cert.vec
-    if any(v is NEG_INF for v in vec):
-        u, den = vec, None
-    else:
-        den = math.lcm(*(v.denominator for v in vec))
-        u = [v.numerator * (den // v.denominator) for v in vec]
-    return IntCertificate(lam.numerator, lam.denominator, u, den,
-                          cert.direction, cert.multiplicative)
+    return certificates_hold(game, (cert,))
 
 
 def _step_stages(game, x):
@@ -354,17 +328,9 @@ def _cut(rows, targets):
     return [[e for e in row if e[0] == t] for row, t in zip(rows, targets)]
 
 
-def check_certificates(game: StochasticGame, certs, sigma=None,
-                       tau=None) -> bool:
-    """`check_certificate` for every certificate, and the strategies as
-    `certificates_hold` checks them: each Certificate is put over the lcm
-    of its vector's denominators as it is reached."""
-    return certificates_hold(game, map(_int_certificate, certs), sigma, tau)
-
-
 def certificates_hold(game: StochasticGame, certs, sigma=None,
                       tau=None) -> bool:
-    """Whether every IntCertificate of `certs` holds, on integers,
+    """Whether every Certificate of `certs` holds, on integers,
     evaluating F once per distinct vector (an early sub/super pair shares
     its vector h): with x = u/L and F(x) = y/(L M) from `_step_stages`,
     level p/q holds as sub when p L M + q M u_j <= q y_j for every j, and
@@ -376,9 +342,7 @@ def certificates_hold(game: StochasticGame, certs, sigma=None,
     state, and F with Max fixed to it be at least lam + x at each sub
     vector x.  Those bound F itself, so they replace the plain checks.
     A vector with -inf entries is checked with the reference
-    `shapley_eval` and certifies no strategy.  The certificates are read
-    one at a time, in order, so an iterator of them is converted only as
-    far as the checks go."""
+    `shapley_eval`, on its Fractions, and certifies no strategy."""
     n, M = len(game.min_ids), game.M
     min_rows, max_rows = game.min_edges, None
     if sigma is not None:
@@ -390,20 +354,22 @@ def certificates_hold(game: StochasticGame, certs, sigma=None,
         if not all(max_rows):
             return False
     images = []
-    for p, q, u, den, direction, multiplicative in certs:
+    for cert in certs:
+        p, q, u, den, direction, multiplicative = cert
         if multiplicative:
             raise ValueError("stochastic certificates are additive")
         if len(u) != n:
             raise ValueError("vector length does not match Min state count")
         sub = direction == SUB
-        if den is None:
+        if NEG_INF in u:
             if (tau if sub else sigma) is not None:
                 return False
-            image = seen_image(images, u)
+            x = cert.vec
+            image = seen_image(images, x)
             if image is None:
-                image = shapley_eval(game, u)
-                images.append((u, image))
-            if not _reference_holds(p, q, u, image, sub):
+                image = shapley_eval(game, x)
+                images.append((x, image))
+            if not _reference_holds(p, q, x, image, sub):
                 return False
             continue
         x = (u, den)
@@ -596,47 +562,31 @@ def _half_line(game, mu2, cap):
         end = 2 * ell
 
 
-def _over(u, den):
-    """The vector of numerators u over den, as Fractions."""
-    return tuple(Fraction(v, den) for v in u)
-
-
 def _solution(game, value, sub, sup, steps, calls) -> GameSolution:
-    """The solution of `game` certified by `sub` and `sup`, found in
-    `steps` iterations; `calls` counts the whole solve.  Each certificate
-    is (lam, u, L): its level, a Fraction, and its witness u/L on integers;
-    one witness, when `sup` is `sub`.  Max plays greedy at the sub witness
-    and Min greedy at the super witness (smallest index on ties; one greedy
-    pass when they are one vector), and the certificates and both
-    strategies are checked exactly, on integers."""
-    (sub_lam, sub_u, sub_den), (sup_lam, sup_u, sup_den) = sub, sup
-    sigma, tau = _greedy_pair(game, sub_u, sub_den)
-    if (sup_u, sup_den) != (sub_u, sub_den):
-        sigma = _greedy_pair(game, sup_u, sup_den)[0]
-    certs = (IntCertificate(sub_lam.numerator, sub_lam.denominator, sub_u,
-                            sub_den, SUB),
-             IntCertificate(sup_lam.numerator, sup_lam.denominator, sup_u,
-                            sup_den, SUPER))
-    if not certificates_hold(game, certs, sigma, tau):
+    """The solution of `game` certified by the Certificates `sub` and `sup`,
+    found in `steps` iterations; `calls` counts the whole solve.  Max plays
+    greedy at the sub witness and Min greedy at the super witness (smallest
+    index on ties; one greedy pass when they are one vector), and the
+    certificates and both strategies are checked exactly, on integers."""
+    sigma, tau = _greedy_pair(game, sub.u, sub.L)
+    if (sup.u, sup.L) != (sub.u, sub.L):
+        sigma = _greedy_pair(game, sup.u, sup.L)[0]
+    if not certificates_hold(game, (sub, sup), sigma, tau):
         raise AssertionError("internal error: certificate failed verification")
     strategies = StrategyPair(
         sigma={game.min_ids[j]: game.max_ids[i] for j, i in enumerate(sigma)},
         tau={game.max_ids[i]: game.nat_ids[k] for i, k in enumerate(tau)},
     )
-    sub_vec = _over(sub_u, sub_den)
-    sup_vec = sub_vec if sup is sub else _over(sup_u, sup_den)
-    return GameSolution(game, value, strategies,
-                        Certificate(sub_lam, sub_vec, SUB),
-                        Certificate(sup_lam, sup_vec, SUPER), steps, calls)
+    return GameSolution(game, value, strategies, sub, sup, steps, calls)
 
 
 def _fixed_point_solution(game, top, h, den, steps, calls) -> GameSolution:
     """An exact fixed point F(h) = value + h of `game`, with value = top/den
     and h numerators over den: h is both the sub and the super witness at
     level value, checked with one evaluation."""
-    value = Fraction(top, den)
-    cert = (value, h, den)
-    return _solution(game, value, cert, cert, steps, calls)
+    sub = Certificate(top, den, h, den, SUB)
+    return _solution(game, Fraction(top, den), sub,
+                     sub._replace(direction=SUPER), steps, calls)
 
 
 def _replayed_solution(game, mu, u, ell, calls) -> GameSolution:
@@ -650,9 +600,9 @@ def _replayed_solution(game, mu, u, ell, calls) -> GameSolution:
     lo, hi = min(u), max(u)
     x, y = Kernel(game).replay_loop(q, ell, lo, hi)
     scale = q * ell
-    sub = (Fraction(2 * lo - ell, 2 * scale), x, scale)
-    sup = (Fraction(2 * hi + ell, 2 * scale), y, scale)
-    value = rational_in_interval(RationalInterval(sub[0], sup[0]), mu)
+    sub = Certificate(2 * lo - ell, 2 * scale, x, scale, SUB)
+    sup = Certificate(2 * hi + ell, 2 * scale, y, scale, SUPER)
+    value = rational_in_interval(RationalInterval(sub.lam, sup.lam), mu)
     if value is NOT_FOUND or value is NOT_UNIQUE:
         raise ValueError(_NOT_CONSTANT)
     return _solution(game, value, sub, sup, ell, calls + ell - 1)

@@ -7,8 +7,8 @@ import pytest
 import mpgames as mg
 
 
-class UnhashedFraction(Fraction):
-    """A Fraction that fails when hashed: a certificate check must find a
+class UnhashedInt(int):
+    """An int that fails when hashed: a certificate check must find a
     repeated vector without hashing it."""
 
     def __hash__(self):
@@ -16,9 +16,8 @@ class UnhashedFraction(Fraction):
 
 
 def unhashed_copy(cert):
-    """`cert` on an equal vector of new UnhashedFraction entries."""
-    return mg.Certificate(cert.lam, tuple(map(UnhashedFraction, cert.vec)),
-                          cert.direction, cert.multiplicative)
+    """`cert` on an equal vector of new UnhashedInt numerators."""
+    return cert._replace(u=tuple(map(UnhashedInt, cert.u)))
 
 
 def cycle_game(a=0, b=2, m=1):

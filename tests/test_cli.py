@@ -813,6 +813,159 @@ class TestCertify:
         assert "verification FAILED" in res.output
 
 
+def _cert_pair(lam, vec, states):
+    """A multiplicative (sub, super) record pair at one level on one vector,
+    named on `states` (Despots, Tribunes, People)."""
+    names = dict(zip(ent.KEYS, states))
+    return [{"direction": direction, "lam": lam, "vec": vec,
+             "multiplicative": True, "states": names}
+            for direction in ("sub", "super")]
+
+
+class TestEntropyStateSets:
+    """An entropy pair's states must be the subgame its Despots induce in
+    what the pairs before it leave of the game: a report that drops a
+    Tribune's better People certifies a lower value on a smaller
+    subgraph, and fails."""
+
+    def test_dropped_people_fails(self, runner, tmp_path):
+        """d0 -> t0 -> {p0, p1}, back to d0 with multiplicities 2 and 1:
+        the value is 2, and a pair on p1 alone certifies 1.  The pair at
+        the true level passes on {p0, p1} and fails on p0 alone."""
+        game = mg.make_entropy_game(["d0"], ["t0"], ["p0", "p1"], [[0]],
+                                    [[0, 1]], [[(0, 2)], [(0, 1)]])
+        path = write_game(tmp_path, "g.json", mg.entropy_to_json(game))
+        report = {"certificates": _cert_pair("1/1", ["1/1"],
+                                             (["d0"], ["t0"], ["p1"])),
+                  "values": {"d0": {"lo": "1/1", "hi": "1/1"}}}
+        res = _certify(runner, tmp_path, path, report)
+        assert res.exit_code == 1
+        assert res.output.strip() == (
+            "certificate verification FAILED: a certificate pair's states do "
+            "not name an induced subgame")
+        report["certificates"] = _cert_pair("2/1", ["1/1"],
+                                            (["d0"], ["t0"], ["p0", "p1"]))
+        report["values"]["d0"] = {"lo": "2/1", "hi": "2/1"}
+        assert _certify(runner, tmp_path, path, report).exit_code == 0
+        # the true levels, on states that are not the induced subgame
+        report["certificates"] = _cert_pair("2/1", ["1/1"],
+                                            (["d0"], ["t0"], ["p0"]))
+        assert _certify(runner, tmp_path, path, report).exit_code == 1
+
+    def _two_blocks(self, runner, tmp_path):
+        """(game path, solver report) of blocks d0 (value 3, d0 -> t0 ->
+        p0) and d1 (value 2): d1 picks t1, whose People p1 also feeds d0,
+        or t2 -> {p2, p3}, back to d1 with multiplicities 2 and 1.
+        Peeling d0 drops p1 and t1."""
+        game = mg.make_entropy_game(
+            ["d0", "d1"], ["t0", "t1", "t2"], ["p0", "p1", "p2", "p3"],
+            [[0], [1, 2]], [[0], [1], [2, 3]],
+            [[(0, 3)], [(0, 1), (1, 1)], [(1, 2)], [(1, 1)]])
+        path = write_game(tmp_path, "g.json", mg.entropy_to_json(game))
+        return path, json.loads(
+            runner.invoke(main, ["solve", path, "--json"]).output)
+
+    def test_second_block_without_a_tribune_edge_fails(self, runner,
+                                                       tmp_path):
+        """The solver's report of `_two_blocks` passes; a second pair at
+        level 1 fails when it names t2 -> p3 alone, or the subgame d1
+        induces in the whole game (t1 -> p1 kept, p1's edge into d0
+        dropped), on which both levels hold, or the first block's Despot
+        again."""
+        path, report = self._two_blocks(runner, tmp_path)
+        assert report["blocks"] == [["d0"], ["d1"]]
+        assert report["certificates"][2]["states"] == {
+            "d_states": ["d1"], "t_states": ["t2"],
+            "p_states": ["p2", "p3"]}
+        assert _certify(runner, tmp_path, path, report).exit_code == 0
+        for states in ((["d1"], ["t2"], ["p3"]),
+                       (["d1"], ["t1", "t2"], ["p1", "p2", "p3"]),
+                       (["d0"], ["t0"], ["p0"])):
+            forged_report = copy.deepcopy(report)
+            forged_report["certificates"][2:] = _cert_pair("1/1", ["1/1"],
+                                                           states)
+            forged_report["values"]["d1"] = {"lo": "1/1", "hi": "1/1"}
+            forged_report.pop("blocks")
+            res = _certify(runner, tmp_path, path, forged_report)
+            assert res.exit_code == 1
+            assert "verification FAILED" in res.output
+
+    _ORDER_FAILED = ("certificate verification FAILED: a certificate "
+                     "pair's levels lie above the pair's before it")
+
+    def test_super_levels_rising_fail(self, runner, tmp_path):
+        """On `_two_blocks`: d1's subgame in the whole game, on which level
+        1 holds both ways, then d0 at 3 on what is left.  Each pair holds,
+        and the blocks and values follow from their levels, but d1's value
+        is 2: d1's pair bounds it from above only once d0, which p1 feeds,
+        is peeled.  It fails, and so it does with d0's sub level at 1/2,
+        where only the super levels rise."""
+        path, report = self._two_blocks(runner, tmp_path)
+        d0_pair = report["certificates"][:2]
+        assert [rec["lam"] for rec in d0_pair] == ["3/1", "3/1"]
+        forged_report = {
+            "certificates": _cert_pair("1/1", ["1/1"], (
+                ["d1"], ["t1", "t2"], ["p1", "p2", "p3"])) + d0_pair,
+            "blocks": [["d1"], ["d0"]],
+            "values": {"d1": {"lo": "1/1", "hi": "1/1"},
+                       "d0": {"lo": "3/1", "hi": "3/1"}},
+        }
+        res = _certify(runner, tmp_path, path, forged_report)
+        assert res.exit_code == 1
+        assert res.output.strip() == self._ORDER_FAILED
+        forged_report["certificates"][2]["lam"] = "1/2"
+        res = _certify(runner, tmp_path, path, forged_report)
+        assert res.exit_code == 1
+        assert res.output.strip() == self._ORDER_FAILED
+
+    def test_sub_levels_rising_fail(self, runner, tmp_path):
+        """d0 -> t0 -> p0 -> d0 (value 1); d1 picks t1 -> p1 -> d0, or t2
+        -> p2 -> d1 with multiplicity 3, so its value is 1 too.  A pair on
+        d0 at [1, 3], then d1 at 3 on what is left (peeling d0 drops t1):
+        each pair holds, but d1's pair bounds it from below only if the
+        blocks it can escape to are no lower.  It fails on the sub levels
+        alone; the solver's one block passes."""
+        game = mg.make_entropy_game(
+            ["d0", "d1"], ["t0", "t1", "t2"], ["p0", "p1", "p2"],
+            [[0], [1, 2]], [[0], [1], [2]], [[(0, 1)], [(0, 1)], [(1, 3)]])
+        path = write_game(tmp_path, "g.json", mg.entropy_to_json(game))
+        report = json.loads(
+            runner.invoke(main, ["solve", path, "--json"]).output)
+        assert report["blocks"] == [["d0", "d1"]]
+        assert _certify(runner, tmp_path, path, report).exit_code == 0
+        forged_report = {
+            "certificates": [
+                *_cert_pair("1/1", ["1/1"], (["d0"], ["t0"], ["p0"])),
+                *_cert_pair("3/1", ["1/1"], (["d1"], ["t2"], ["p2"]))],
+            "blocks": [["d0"], ["d1"]],
+            "values": {"d0": {"lo": "1/1", "hi": "1/1"},
+                       "d1": {"lo": "3/1", "hi": "3/1"}},
+        }
+        forged_report["certificates"][1]["lam"] = "3/1"
+        res = _certify(runner, tmp_path, path, forged_report)
+        assert res.exit_code == 1
+        assert res.output.strip() == self._ORDER_FAILED
+
+    def test_pairs_that_leave_a_despot_out_fail(self, runner, tmp_path):
+        """On `_two_blocks`: d1's pair in the whole game at level 1 alone,
+        with no pair for d0, whose People p1 feeds d1's Tribune t1, would
+        certify 1 for d1.  It fails, and so does the solver's report
+        without its second pair, which leaves d1 out."""
+        path, report = self._two_blocks(runner, tmp_path)
+        for forged_report in (
+            {"certificates": _cert_pair("1/1", ["1/1"], (
+                ["d1"], ["t1", "t2"], ["p1", "p2", "p3"])),
+             "values": {"d1": {"lo": "1/1", "hi": "1/1"}}},
+            {"certificates": report["certificates"][:2],
+             "values": {"d0": report["values"]["d0"]}},
+        ):
+            res = _certify(runner, tmp_path, path, forged_report)
+            assert res.exit_code == 1
+            assert res.output.strip() == (
+                "certificate verification FAILED: the certificate pairs do "
+                "not cover every Despot")
+
+
 def _draw_report(runner, tmp_path, kind):
     """(game path, `solve --json` report) of random_smpg(Random(3)) or
     random_entropy_game(Random(7), 4, 4, 4)."""
@@ -972,9 +1125,9 @@ class TestIntegerCertify:
     def test_solve_and_certify_build_few_fractions(self, runner, tmp_path,
                                                    monkeypatch):
         """One `solve --json` + `certify` pair on random_smpg(Random(3))
-        builds a Fraction for the value and one per entry of the witness,
-        and none to check, read or write: 21 before the solve and certify
-        ran on integer numerators, 2 after."""
+        builds one Fraction, the value, and none to check, read or write
+        the certificates: 21 before the solve and certify ran on integer
+        numerators, 2 while the witness entries still became Fractions."""
         path, _ = _draw_report(runner, tmp_path, "smpg")
         built = []
         new = Fraction.__new__
@@ -990,8 +1143,38 @@ class TestIntegerCertify:
         res = runner.invoke(main, ["certify", path, str(rep)])
         monkeypatch.undo()
         assert res.exit_code == 0, res.output
-        witness = json.loads(rep.read_text())["certificates"][0]["vec"]
-        assert len(built) == 1 + len(witness) == 2
+        assert built == [(0, 1)]
+        assert json.loads(rep.read_text())["top_value"] == "0/1"
+
+    @pytest.mark.parametrize("kind, draws", [
+        ("smpg", lambda rng: mg.game_to_json(mg.random_smpg(rng))),
+        ("entropy",
+         lambda rng: mg.entropy_to_json(mg.random_entropy_game(rng)))])
+    def test_certify_builds_no_fraction(self, runner, tmp_path, monkeypatch,
+                                        kind, draws):
+        """`certify` of 40 default `full` reports of either kind builds no
+        Fraction: the certificates are read, checked and compared on
+        integers (an entropy report built 5.7 per report while its
+        certificates were read into Fractions)."""
+        rng = random.Random(3)
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        for t in range(40):
+            path = write_game(tmp_path, f"g{t}.json", draws(rng))
+            res = runner.invoke(main, ["solve", path, "--json"])
+            assert res.exit_code == 0, res.output
+            rep = tmp_path / f"rep{t}.json"
+            rep.write_text(res.output)
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+            res = runner.invoke(main, ["certify", path, str(rep)])
+            monkeypatch.undo()
+            assert res.exit_code == 0, res.output
+        assert built == []
 
 
 class TestBrute:

@@ -237,10 +237,20 @@ INTEGER_HOT_PATH = (
 )
 
 
+# the certificate path outside `stochastic`: the entropy check, and the
+# report writer and reader of either kind's certificates
+INTEGER_CERTIFICATE_PATH = {
+    "entropy.py": ("check_entropy_certificates",),
+    "cli.py": ("_cert_from_record", "_cert_record", "_ratio_str",
+               "_ends_record"),
+}
+
+
 def test_hot_path_is_integer():
     """The probe, the half-line check, the gain/bias core and the
-    certificate core of `stochastic`, and all of `_smpgfast`, reference no
-    Fraction."""
+    certificate core of `stochastic`, all of `_smpgfast`, the entropy
+    certificate check and `cli`'s certificate writer and reader reference
+    no Fraction."""
     users, defined = fraction_users(
         (SRC / "stochastic.py").read_text(encoding="utf-8"))
     assert set(INTEGER_HOT_PATH) <= defined
@@ -248,3 +258,8 @@ def test_hot_path_is_integer():
     users, defined = fraction_users(
         (SRC / "_smpgfast.py").read_text(encoding="utf-8"))
     assert defined and not users
+    for module, names in INTEGER_CERTIFICATE_PATH.items():
+        users, defined = fraction_users(
+            (SRC / module).read_text(encoding="utf-8"))
+        assert set(names) <= defined
+        assert users.isdisjoint(names)

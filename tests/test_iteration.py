@@ -135,8 +135,8 @@ class TestApproximateConstantMeanPayoff:
 class TestBuildCertificates:
     def test_singleton_orbit(self):
         sub, sup = build_certificates([zeros(2)], F(1), F(2), F(1, 8))
-        assert sub == Certificate(F(7, 8), zeros(2), SUB)
-        assert sup == Certificate(F(17, 8), zeros(2), SUPER)
+        assert sub == Certificate.from_fractions(F(7, 8), zeros(2), SUB)
+        assert sup == Certificate.from_fractions(F(17, 8), zeros(2), SUPER)
 
     def test_pure_shift_keeps_zero_witness(self):
         orbit = [vec([i]) for i in range(5)]  # orbit of F(x) = x + 1
