@@ -13,10 +13,10 @@ governed by the faster branch, so horizon-based play flips only after k*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import floor
+from typing import NamedTuple
 
 from .entropy import EntropyGame, make_entropy_game
 from .numeric import IterationCapExceeded, RationalInterval
@@ -119,8 +119,7 @@ def threshold_horizon(n: int, w: int) -> RationalInterval:
     raise RuntimeError("threshold bracket failed to stabilize")
 
 
-@dataclass(frozen=True)
-class CexInstance:
+class CexInstance(NamedTuple):
     game: EntropyGame
     n: int
     w: int

@@ -18,12 +18,15 @@ module of the file's "type" (`_load_game`), of `--kind` (`gen-random`), or
 `cex` (`gen-cex`).  Most games are certified within the first oracle
 call, so one command's time is mostly interpreter start-up, much of it
 compiling the imported source: a stochastic file never loads the entropy
-solver, nor an entropy file the stochastic one.  The reference and
-fallback modules of a kind load only with the commands that run them:
-`dominion` (with `iteration` and `oracle`) for `--mode winner`, `brute`
-and `gen-random` of a stochastic game, `perron` for `brute` of an entropy
-game, and either when a solve falls back to it.  `csv` loads only with
-the commands that write CSV: `brute`, `gen-cex` and `bench`.
+solver, nor an entropy file the stochastic one.  This module holds the
+`solve` and `certify` bodies and declares every command's arguments; the
+bodies of `brute`, `gen-random`, `gen-cex` and `bench`, with `csv` and
+`random`, are in `_tools`, which a deferred command (`_Group.deferred`)
+imports on its first lookup.  The reference and fallback modules of a
+kind load only with the commands that run them: `dominion` (with
+`iteration` and `oracle`) for `--mode winner`, `brute` and `gen-random` of
+a stochastic game, `perron` for `brute` and `gen-random` of an entropy
+game, and either when a solve falls back to it.
 
 A `--json` report is printed as json.dumps(report, indent=2,
 sort_keys=True) prints it, byte for byte, by a writer of its own
@@ -41,22 +44,20 @@ compares the claimed intervals and values with the certified levels by
 cross-multiplication.  An entropy pair's states must be the subgame its
 Despots induce in what the pairs before it leave of the game, the pairs
 must cover every Despot, and no pair's levels may lie above those of the
-pair before it, so the pairs peel the game from the top value down.  An
-interval record's `approx`, when present, must be the enclosure
-`_interval_record` writes for its ends, and a certificate's
+pair before it, so the pairs peel the game from the top value down.  A
+stochastic pair's Max and Nature states must be the subgame its Min
+states induce.  An interval record's `approx`, when present, must be the
+enclosure `_interval_record` writes for its ends, and a certificate's
 "multiplicative" a JSON boolean.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
-import random
 import sys
-import time
 from fractions import Fraction
 from importlib import import_module
 from json.encoder import encode_basestring_ascii
@@ -164,11 +165,12 @@ def _kind_module(kind):
 
 def _read_json(path):
     """The JSON value in file `path`.  A file that cannot be opened, decoded
-    or parsed is malformed input: "cannot read" and the reason."""
+    or parsed, or that nests too deep for the parser, is malformed input:
+    "cannot read" and the reason."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -180,17 +182,6 @@ def _load_game(path):
         raise GameFormatError(f'unsupported or missing "type" in {path}')
     mod = _kind_module(kind)
     return kind, mod, getattr(mod, _KINDS[kind][1])(obj)
-
-
-def _write_out(path, write):
-    """Open `path` for writing and hand the file to `write`.  A path that
-    cannot be written (a missing directory, a directory) is malformed
-    input: "cannot write" and the reason."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-    except OSError as exc:
-        raise GameFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _cert_record(cert: Certificate, states=None) -> dict:
@@ -352,17 +343,31 @@ class _Command:
     """One command: its body `callback`, which takes one keyword argument
     per declared argument, and the parser of its arguments, built on first
     use.  The parser holds no stream: argparse writes its usage errors and
-    help to sys.stderr and sys.stdout as they are when it writes."""
+    help to sys.stderr and sys.stdout as they are when it writes.  A
+    deferred command (`_Group.deferred`) has no callback until the first
+    lookup, which imports its body from `_tools`."""
 
     def __init__(self, name, callback, arguments):
         self.name = name
-        self.callback = callback
-        self.help = callback.__doc__
+        if callback is not None:
+            self.callback = callback
         self._arguments = arguments
         # a variadic positional may be split by options, as in
         # `bench a.json --budget 5 b.json`
         self._intermixed = any(kw.get("nargs") == "+" for _, kw in arguments)
         self._parser = None
+
+    def __getattr__(self, attr):
+        # called only for a missing attribute: a deferred command's body
+        if attr != "callback":
+            raise AttributeError(attr)
+        self.callback = getattr(import_module("._tools", __package__),
+                                self.name.replace("-", "_"))
+        return self.callback
+
+    @property
+    def help(self) -> str:
+        return self.callback.__doc__
 
     def parse(self, prog, args) -> dict:
         """The keyword arguments of the callback; a usage error, or --help,
@@ -399,6 +404,12 @@ class _Group:
             return callback
 
         return register
+
+    def deferred(self, name, *arguments):
+        """Register the command `name`, with one `_arg` per argument, whose
+        body is the function of that name, dashes as underscores, in
+        `_tools`."""
+        self.commands[name] = _Command(name, None, arguments)
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
         """Run the command `args` names (default: sys.argv) and exit with
@@ -596,20 +607,21 @@ def _report_ids(states, key):
 def _cert_target(kind, mod, game, residual, states):
     """The (sub)game a certificate pair holds on: `residual` when its
     records name no "states", else the subgame their Min states, or
-    Despots, induce.  An entropy pair's Despots D induce it in `residual`,
-    what the pairs before it leave of `game` (`remove_block`), and the
-    Tribunes and People its records name must be that subgame's.  None
-    when the states induce no subgame there, or name other states."""
+    Despots, induce.  Min states induce it in `game`; an entropy pair's
+    Despots D induce it in `residual`, what the pairs before it leave of
+    `game` (`remove_block`).  The other two state sets its records name
+    must be that subgame's.  None when the states induce no subgame there,
+    or name other states."""
     if states is None:
         return residual
     if not isinstance(states, dict):
         raise GameFormatError(f'"states" {states!r} is not an object')
-    if kind == "smpg":
-        return mod.induced_subgame(game, state_indices(
-            game.min_ids, _report_ids(states, mod.KEYS[0])))
     named = [_report_ids(states, key) for key in mod.KEYS]
     target = None
-    if residual is not None:
+    if kind == "smpg":
+        target = mod.induced_subgame(game, state_indices(game.min_ids,
+                                                         named[0]))
+    elif residual is not None:
         try:
             dmax = state_indices(residual.d_ids, named[0])
         except GameFormatError:
@@ -792,10 +804,11 @@ def certify(input_path, cert_path):
 
 
 # ---------------------------------------------------------------------------
-# brute
+# brute, generators and bench: their bodies are in `_tools`
 
 
-@main.command(
+main.deferred(
+    "brute",
     _arg("input_path", metavar="GAME"),
     _arg("--budget", type=int, default=10**6,
          help="strategy-pair budget; a game with more pairs is refused "
@@ -805,87 +818,16 @@ def certify(input_path, cert_path):
     _arg("--json", dest="as_json", action="store_true",
          help="machine-readable output"),
 )
-def brute(input_path, budget, pairs_path, as_json):
-    """Reference values by strategy enumeration (exact for stochastic games,
-    certified brackets for matrix-multiplicative ones)."""
-    kind, _, game = _load_game(input_path)
-    if kind == "smpg":
-        from .dominion import brute_force_values
-
-        res = brute_force_values(game, budget=budget)
-        report = {
-            "values": {
-                s: _frac_str(v) for s, v in zip(game.min_ids, res.chi)
-            },
-            "pairs": len(res.pair_gains),
-        }
-        header = ["min_strategy", "max_strategy", "state", "value"]
-        rows = (
-            [" ".join(map(str, sigma)), " ".join(map(str, tau)), s,
-             _frac_str(v)]
-            for sigma, tau, gains in res.pair_gains
-            for s, v in zip(game.min_ids, gains)
-        )
-    else:
-        from .perron import brute_force_entropy_values
-
-        res = brute_force_entropy_values(game, budget=budget)
-        report = {
-            "values": {
-                s: _interval_record(iv)
-                for s, iv in zip(game.d_ids, res.chi)
-            },
-            "pairs": res.pair_count,
-            "rank": res.profile.rank,
-        }
-        header = ["pair_matrix", "state", "lo", "hi"]
-        rows = (
-            [";".join(" ".join(map(str, row)) for row in key), s,
-             _frac_str(iv.lo), _frac_str(iv.hi)]
-            for key in res.registry.keys()
-            for s, iv in zip(game.d_ids,
-                             res.registry.values(key, res.fine_tol))
-        )
-    if pairs_path:
-        import csv
-
-        _write_out(pairs_path, lambda fh: csv.writer(fh).writerows(
-            itertools.chain([header], rows)))
-    _emit(report, as_json)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# generators
-
-
-@main.command(
+main.deferred(
+    "gen-random",
     _arg("--kind", choices=["smpg", "entropy"], default="smpg",
          help="game kind (default: %(default)s)"),
     _arg("--seed", type=int, default=0,
          help="random seed (default: %(default)s)"),
     _arg("--out", metavar="PATH", help="write to file instead of stdout"),
-    name="gen-random",
 )
-def gen_random(kind, seed, out):
-    """Emit a random small game instance as JSON."""
-    rng = random.Random(seed)
-    mod = _kind_module(kind)
-    if kind == "smpg":
-        from .dominion import random_smpg
-
-        obj = mod.game_to_json(random_smpg(rng))
-    else:
-        obj = mod.entropy_to_json(mod.random_entropy_game(rng))
-    text = json.dumps(obj, indent=2)
-    if out:
-        _write_out(out, lambda fh: fh.write(text + "\n"))
-    else:
-        _echo(text)
-    return EXIT_OK
-
-
-@main.command(
+main.deferred(
+    "gen-cex",
     _arg("--n", type=int, required=True, help="length of the fast chain"),
     _arg("--w", type=int, required=True, help="matrix weight"),
     _arg("--out", metavar="PATH",
@@ -896,72 +838,9 @@ def gen_random(kind, seed, out):
          help="trace CSV path (default: stdout)"),
     _arg("--json", dest="as_json", action="store_true",
          help="machine-readable output"),
-    name="gen-cex",
 )
-def gen_cex(n, w, out, flip_max, flip_out, as_json):
-    """Emit the two-branch slow-flip instance and its metadata."""
-    from . import cex as cexmod
-    from . import entropy as ent
-
-    inst = cexmod.build_cex_game(n, w)
-    obj = ent.entropy_to_json(inst.game)
-    text = json.dumps(obj, indent=2)
-    if out:
-        _write_out(out, lambda fh: fh.write(text + "\n"))
-    meta = {
-        "n": inst.n,
-        "w": inst.w,
-        "k_star": _interval_record(inst.k_star),
-        "flip_horizon": cexmod.flip_horizon(n, w),
-        "significant_people": inst.significant_people,
-        "expansion_factor": inst.expansion_factor,
-    }
-    if not out:
-        meta["game"] = obj
-    if flip_max is not None:
-        rows = [[k, left, right, "left" if left > right else "right"]
-                for k, (left, right) in zip(range(flip_max + 1),
-                                            cexmod.horizon_weights(n, w))]
-        if flip_out:
-            import csv
-
-            _write_out(flip_out, lambda fh: csv.writer(fh).writerows(
-                [["k", "left", "right", "winner"], *rows]))
-        else:
-            _echo("k,left,right,winner")
-            for row in rows:
-                _echo(",".join(map(str, row)))
-    _emit(meta, as_json)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _bench_one(path, budget):
-    """One bench row; `steps` counts the oracle calls of `solve_game` for a
-    stochastic file and the block iterations of `solve_entropy_game` for
-    an entropy file."""
-    start = time.perf_counter()
-    kind, mod, game = _load_game(path)
-    if kind == "smpg":
-        steps = mod.solve_game(game).oracle_calls
-        n = len(game.min_ids)
-    else:
-        sol = mod.solve_entropy_game(game, budget=budget)
-        steps = sum(b.iterations for b in sol.blocks)
-        n = len(game.d_ids)
-    return {
-        "path": path,
-        "kind": kind,
-        "states": n,
-        "steps": steps,
-        "seconds": round(time.perf_counter() - start, 6),
-    }
-
-
-@main.command(
+main.deferred(
+    "bench",
     _arg("inputs", nargs="+", metavar="GAME"),
     _arg("--budget", type=int, default=10**6,
          help="strategy-pair budget of an entropy game "
@@ -969,25 +848,6 @@ def _bench_one(path, budget):
     _arg("--trace", metavar="PATH",
          help="write a CSV trace instead of plain text"),
 )
-def bench(inputs, budget, trace):
-    """Time the solver on one or more game files, one after another."""
-    # import every module a row may run first, each kind's fallback module
-    # too, so that no row's time includes compiling one
-    for module in ("stochastic", "dominion", "entropy", "perron"):
-        import_module(f".{module}", __package__)
-    rows = [_bench_one(path, budget) for path in inputs]
-    if trace:
-        import csv
-
-        _write_out(trace, lambda fh: csv.writer(fh).writerows(
-            [list(rows[0]), *(row.values() for row in rows)]))
-    else:
-        for row in rows:
-            _echo(
-                f"{row['path']}: kind={row['kind']} states={row['states']} "
-                f"steps={row['steps']} seconds={row['seconds']}"
-            )
-    return EXIT_OK
 
 
 if __name__ == "__main__":

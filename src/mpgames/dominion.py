@@ -1,7 +1,9 @@
-"""The stochastic games' reference and fallback code: the paper's
-constancy decision, dominion extension and top-class extraction, the
-approximate oracles they query, the exact `winner` decision, brute force
-by strategy enumeration, and random instances.
+"""The stochastic games' reference and fallback code: the paper's a
+priori bounds and separation parameters, its constancy decision, dominion
+extension and top-class extraction, the approximate oracles they query,
+the exact `winner` decision, brute force by strategy enumeration (with
+`markov_gain_bias`, the Fraction form of the chain solve), and random
+instances.
 
 `stochastic` holds the solve and the certificate check, and imports this
 module only when a probe reaches its a priori cap and `top_class` takes
@@ -13,26 +15,67 @@ that run them.  The paper's procedures use only the oracle interface of
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from functools import cached_property
+from typing import NamedTuple
 
 from ._smpgfast import Kernel, _int_step
-from .iteration import Exhausted, WinnerVerdict, gap_iteration
-from .numeric import NEG_INF, bottom, zeros
+from .iteration import Exhausted, WinnerVerdict, bottom, gap_iteration, zeros
+from .numeric import NEG_INF
 from .oracle import ShapleyOracle, restrict
 from .stochastic import (
     GameStats,
-    SepParams,
     StochasticGame,
     StrategyPair,
+    _bias_bound,
     _pair_chain,
+    gain_bias_numerators,
     induced_subgame,
     make_game,
-    markov_gain_bias,
     shapley_eval,
 )
+
+
+# ---------------------------------------------------------------------------
+# the a priori bounds
+
+
+def separation_bound(stats: GameStats) -> Fraction:
+    return Fraction(1, stats.mu**2)
+
+
+def bias_norm_bound(stats: GameStats) -> Fraction:
+    return Fraction(_bias_bound(stats))
+
+
+class _SepParams(NamedTuple):
+    delta: Fraction
+    R: Fraction
+
+
+class SepParams(_SepParams):
+    """delta: a priori separation parameter (must be below sep(F));
+    R: seminorm bound for sub/super-eigenvectors of the top-class
+    restriction.  The instance dict holds the cached `cap`."""
+
+    def __new__(cls, delta, R):
+        if delta <= 0 or R <= 0:
+            raise ValueError("delta and R must be positive")
+        return tuple.__new__(cls, (delta, R))
+
+    @cached_property
+    def cap(self) -> int:
+        return 1 + math.ceil(Fraction(8) * self.R / self.delta)
+
+
+def _sep_params(stats: GameStats) -> SepParams:
+    delta = separation_bound(stats)
+    r = bias_norm_bound(stats)
+    if r <= 0:  # degenerate W = 0 games have zero bias; keep params legal
+        r = delta
+    return SepParams(delta=delta, R=Fraction(r))
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +178,11 @@ class RoundingOracle(ShapleyOracle):
 # the paper's top class
 
 
-@dataclass(frozen=True)
-class Dominion:
+class Dominion(NamedTuple):
     states: frozenset
 
 
-@dataclass(frozen=True)
-class DecideOutcome:
+class DecideOutcome(NamedTuple):
     low_set: frozenset | None  # None means Empty: the value is constant
     iterations: int  # oracle calls too: one per iteration
 
@@ -221,7 +262,7 @@ def top_class_call_budget(n: int, params: SepParams) -> int:
     """Guaranteed oracle-call bound for top_class at precision delta/8.
     Test oracle: the paper's bound of order R/sep on oracle calls
     (`TestCallBudget`)."""
-    return n * n + n * ceil(Fraction(8) * params.R / params.delta)
+    return n * n + n * math.ceil(Fraction(8) * params.R / params.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +298,30 @@ def winner(game: StochasticGame):
 # brute force
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     chi: tuple  # per Min state, exact rational value
     pair_gains: tuple  # ((sigma, tau, gains), ...) with index-based maps
+
+
+def markov_gain_bias(rows, r, M, anchor=None):
+    """Per-state long-run average reward (gain) g and bias h of the Markov
+    reward chain with transition rows `rows` (lists of (col, numerator),
+    denominator M) and rational per-step rewards r, as Fractions: g = P g
+    and g + h = r + P h, with h at the smallest state a of each closed
+    class 0, or anchor(a, g_a) when `anchor` is given.  g and h are linear
+    in the rewards and the anchors, so `gain_bias_numerators` solves the
+    chain with the rewards scaled by the lcm R of their denominators, and
+    the anchors by R too, and the result is divided by R."""
+    scale = math.lcm(*(x.denominator for x in r))
+    r_num = [x.numerator * (scale // x.denominator) for x in r]
+    int_anchor = None
+    if anchor is not None:
+        def int_anchor(a, g, den):
+            shift = anchor(a, Fraction(g, den * scale))
+            return shift.numerator * scale, shift.denominator
+    gain, bias, den = gain_bias_numerators(rows, r_num, M, int_anchor)
+    den *= scale
+    return [Fraction(x, den) for x in gain], [Fraction(x, den) for x in bias]
 
 
 def pair_gain(game: StochasticGame, sigma, tau):

@@ -49,11 +49,10 @@ iterate.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import import_module
+from typing import NamedTuple
 
 from .graphs import (
     GameFormatError,
@@ -61,7 +60,6 @@ from .graphs import (
     game_file,
     read_game_file,
     spanning_subgraph,
-    state_indices,
 )
 from .linalg import integer_rank, integer_solve_numerators
 from .numeric import SUB, SUPER, Certificate, RationalInterval, seen_image
@@ -76,14 +74,18 @@ _LABELS = (("despot", None, None), ("tribune", None, None),
            ("people", "m", 1))
 
 
-@dataclass(frozen=True)
-class EntropyGame:
+class _Game(NamedTuple):
     d_ids: tuple  # Despot state ids
     t_ids: tuple  # Tribune state ids
     p_ids: tuple  # People state ids
     d_edges: tuple  # per Despot: (tribune_idx, ...)
     t_edges: tuple  # per Tribune: (people_idx, ...)
     p_edges: tuple  # per People: ((despot_idx, multiplicity), ...)
+
+
+class EntropyGame(_Game):
+    """A matrix-multiplicative game.  The instance dict holds the cached
+    validity."""
 
     @property
     def ids(self):
@@ -125,8 +127,7 @@ class EntropyGame:
         return EntropyStats(n=len(self.d_ids), W=w)
 
 
-@dataclass(frozen=True)
-class EntropyStats:
+class EntropyStats(NamedTuple):
     n: int
     W: int
 
@@ -188,14 +189,6 @@ def induced_entropy_subgame(game: EntropyGame, d_subset):
         return None
     p_sel = sorted({p for t in t_sel for p in game.t_edges[t] if p in v_p})
     return _spanned(game, (d_sel, t_sel, p_sel))
-
-
-def subgraph_on(game: EntropyGame, d_ids, t_ids, p_ids) -> EntropyGame:
-    """The subgraph of `game` spanned by the given state ids (edges with both
-    endpoints inside survive).  Raises GameFormatError when some kept state
-    loses all its moves."""
-    return _spanned(game, [state_indices(ids, chosen) for ids, chosen
-                           in zip(game.ids, (d_ids, t_ids, p_ids))])
 
 
 def _spanned(game, keep):
@@ -282,7 +275,6 @@ def check_pair_budget(game: EntropyGame, budget: int) -> int:
     return count
 
 
-
 # ---------------------------------------------------------------------------
 # solver
 
@@ -300,8 +292,7 @@ _SEARCH_FLOOR = 64
 _MARGIN_BITS = 64
 
 
-@dataclass(frozen=True)
-class BlockResult:
+class BlockResult(NamedTuple):
     d_ids: tuple  # Despots of this block (top class of the residual game)
     t_ids: tuple  # Tribunes assigned to the block
     p_ids: tuple  # People assigned to the block
@@ -327,8 +318,7 @@ class BlockResult:
     rank: int
 
 
-@dataclass(frozen=True)
-class EntropySolution:
+class EntropySolution(NamedTuple):
     values: dict  # Despot id -> RationalInterval (multiplicative)
     sigma: dict  # Despot id -> Tribune id
     tau: dict  # Tribune id -> People id
@@ -642,7 +632,7 @@ def _separated_block(game: EntropyGame):
                     a * lo.denominator < lo.numerator * b
                     for a, b in zip(tw, w)):
                 block, sigma, tau = found
-                block = replace(block, iterations=work)
+                block = block._replace(iterations=work)
                 return block, sigma, tau, residual
         work += search.advance(tu, u_rows)
     return None
@@ -712,7 +702,7 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
 
 
 # ---------------------------------------------------------------------------
-# file format and random instances
+# file format
 
 
 def parse_entropy(obj) -> EntropyGame:
@@ -722,36 +712,6 @@ def parse_entropy(obj) -> EntropyGame:
 
 def entropy_to_json(game: EntropyGame) -> dict:
     return game_file("entropy", KEYS, _LABELS, game.ids, game.edges)
-
-
-def random_entropy_game(
-    rng: random.Random,
-    max_d: int = 3,
-    max_t: int = 3,
-    max_p: int = 3,
-    w_max: int = 3,
-) -> EntropyGame:
-    n_d = rng.randint(1, max_d)
-    n_t = rng.randint(1, max_t)
-    n_p = rng.randint(1, max_p)
-    d_edges = [
-        rng.sample(range(n_t), rng.randint(1, n_t)) for _ in range(n_d)
-    ]
-    t_edges = [
-        rng.sample(range(n_p), rng.randint(1, n_p)) for _ in range(n_t)
-    ]
-    p_edges = []
-    for _ in range(n_p):
-        targets = rng.sample(range(n_d), rng.randint(1, n_d))
-        p_edges.append([(l, rng.randint(1, w_max)) for l in targets])
-    return make_entropy_game(
-        tuple(f"d{j}" for j in range(n_d)),
-        tuple(f"t{j}" for j in range(n_t)),
-        tuple(f"p{j}" for j in range(n_p)),
-        d_edges,
-        t_edges,
-        p_edges,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,46 +1,95 @@
 """Generic value-iteration procedures: exact winner decision,
 constant-value approximation with certificates, and certificate
-construction from normalized orbits."""
+construction from normalized orbits, on vectors of Fractions and -inf
+entries, and the helpers of those vectors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numeric import (
+    NEG_INF,
     SUB,
     SUPER,
     Certificate,
     IterationCapExceeded,
     RationalInterval,
-    bottom,
-    top,
-    vec_add_scalar,
-    vec_inf,
-    vec_sup,
-    zeros,
 )
 
 
-@dataclass(frozen=True)
-class WinnerVerdict:
+class WinnerVerdict(NamedTuple):
     outcome: str  # "MinWinsAll" | "MaxWinsAll"
     iterations: int
     witness: tuple
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     iterations: int
     witness: tuple
 
 
-@dataclass(frozen=True)
-class ConstantValueResult:
+class ConstantValueResult(NamedTuple):
     interval: RationalInterval
     sub: Certificate
     sup: Certificate
     iterations: int
+
+
+# ---------------------------------------------------------------------------
+# vectors: tuples of Fractions and NEG_INF
+
+
+def as_fraction(v):
+    """Normalize a finite entry to Fraction; NEG_INF passes through."""
+    if v is NEG_INF:
+        return NEG_INF
+    return Fraction(v)
+
+
+def vec(entries) -> tuple:
+    return tuple(as_fraction(v) for v in entries)
+
+
+def zeros(n: int) -> tuple:
+    return (Fraction(0),) * n
+
+
+def top(x):
+    """Maximum entry of a nonempty vector."""
+    if not x:
+        raise ValueError("empty vector")
+    return max(x)
+
+
+def bottom(x):
+    """Minimum entry of a nonempty vector."""
+    if not x:
+        raise ValueError("empty vector")
+    return min(x)
+
+
+def hilbert_seminorm(x) -> Fraction:
+    """top(x) - bottom(x); rejects vectors with a -inf entry."""
+    if any(v is NEG_INF for v in x):
+        raise ValueError("hilbert_seminorm requires all entries finite")
+    return top(x) - bottom(x)
+
+
+def vec_add_scalar(c, x) -> tuple:
+    return tuple(v + c for v in x)
+
+
+def vec_sup(x, y) -> tuple:
+    return tuple(max(a, b) for a, b in zip(x, y, strict=True))
+
+
+def vec_inf(x, y) -> tuple:
+    return tuple(min(a, b) for a, b in zip(x, y, strict=True))
+
+
+# ---------------------------------------------------------------------------
+# procedures
 
 
 def value_iteration(oracle, max_iter: int):

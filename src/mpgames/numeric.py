@@ -1,16 +1,16 @@
-"""Exact extended-real arithmetic, seminorms, rational reconstruction, and
-the certificate record that both game kinds share.
+"""Exact extended-real arithmetic, rational reconstruction, and the
+certificate record that both game kinds share.
 
-Vectors are plain tuples whose entries are either `fractions.Fraction` or the
-distinguished element `NEG_INF`; a `Certificate` holds integer numerators
-over one denominator instead.  All game-side arithmetic is exact; floating
-point never enters this module.
+A vector of the exact reference path is a plain tuple whose entries are
+either `fractions.Fraction` or the distinguished element `NEG_INF` (its
+helpers, such as `vec` and `hilbert_seminorm`, are in `iteration`); a
+`Certificate` holds integer numerators over one denominator instead.  All
+game-side arithmetic is exact; floating point never enters this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -81,67 +81,25 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 
-def as_fraction(v):
-    """Normalize a finite entry to Fraction; NEG_INF passes through."""
-    if v is NEG_INF:
-        return NEG_INF
-    return Fraction(v)
-
-
-def vec(entries) -> tuple:
-    return tuple(as_fraction(v) for v in entries)
-
-
-def zeros(n: int) -> tuple:
-    return (Fraction(0),) * n
-
-
-def top(x):
-    """Maximum entry of a nonempty vector."""
-    if not x:
-        raise ValueError("empty vector")
-    return max(x)
-
-
-def bottom(x):
-    """Minimum entry of a nonempty vector."""
-    if not x:
-        raise ValueError("empty vector")
-    return min(x)
-
-
-def hilbert_seminorm(x) -> Fraction:
-    """top(x) - bottom(x); rejects vectors with a -inf entry."""
-    if any(v is NEG_INF for v in x):
-        raise ValueError("hilbert_seminorm requires all entries finite")
-    return top(x) - bottom(x)
-
-
-def vec_add_scalar(c, x) -> tuple:
-    return tuple(v + c for v in x)
-
-
-def vec_sup(x, y) -> tuple:
-    return tuple(max(a, b) for a, b in zip(x, y, strict=True))
-
-
-def vec_inf(x, y) -> tuple:
-    return tuple(min(a, b) for a, b in zip(x, y, strict=True))
-
-
-@dataclass(frozen=True)
-class RationalInterval:
+class _Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        # a Fraction end is kept, not copied
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+
+class RationalInterval(_Interval):
+    """The closed interval [lo, hi] of rationals, lo <= hi.  An end that is
+    not a Fraction is converted; a Fraction end is kept, not copied."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        if not isinstance(lo, Fraction):
+            lo = Fraction(lo)
+        if not isinstance(hi, Fraction):
+            hi = Fraction(hi)
+        if lo > hi:
             raise ValueError("interval requires lo <= hi")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def width(self) -> Fraction:

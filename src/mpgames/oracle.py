@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numeric import NEG_INF, zeros
+from .iteration import zeros
+from .numeric import NEG_INF
 
 
 class ShapleyOracle:

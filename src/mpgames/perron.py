@@ -18,20 +18,21 @@ separation never runs: the per-state growth rates of pair matrices (their
 rows from `entropy._people_rows`), brute force by strategy enumeration with
 the game's rank and separation profile, the solver's enumeration fallback
 (`_enumerated_block`, whose one damped witness goes to
-`entropy._finish_block`), and rational ln and exp brackets.  `entropy`
-imports this module only when a block's separation search runs past its
-budget.
+`entropy._finish_block`), rational ln and exp brackets, and random
+instances.  `entropy` imports this module only when a block's separation
+search runs past its budget; `brute` and `gen-random` import it too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .entropy import (
     ENUMERATION,
@@ -43,6 +44,7 @@ from .entropy import (
     check_entropy_certificates,
     check_pair_budget,
     induced_entropy_subgame,
+    make_entropy_game,
     multiplicative_eval,
     remove_block,
 )
@@ -216,8 +218,7 @@ def recession_eval(game: EntropyGame, x):
 # separation profile
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(NamedTuple):
     rank: int  # the game's rank: the maximal rank of its pair matrices
     selections: int  # the distinct pair matrices ranked
     nu: Fraction  # multiplicative separation factor for distinct pair values
@@ -292,8 +293,7 @@ class _ValueRegistry:
         return 0
 
 
-@dataclass
-class BruteEntropyResult:
+class BruteEntropyResult(NamedTuple):
     chi: tuple  # per Despot index, RationalInterval around the exact value
     candidates: tuple  # (matrix key, state) reference of each winning bracket
     registry: _ValueRegistry
@@ -593,3 +593,37 @@ def certified_log_sum_exp(terms, eps) -> Fraction:
         lo += m * e_lo
         hi += m * e_hi
     return shift_fr + (ln_bracket(lo, bits)[0] + ln_bracket(hi, bits)[1]) / 2
+
+
+# ---------------------------------------------------------------------------
+# random instances
+
+
+def random_entropy_game(
+    rng: random.Random,
+    max_d: int = 3,
+    max_t: int = 3,
+    max_p: int = 3,
+    w_max: int = 3,
+) -> EntropyGame:
+    n_d = rng.randint(1, max_d)
+    n_t = rng.randint(1, max_t)
+    n_p = rng.randint(1, max_p)
+    d_edges = [
+        rng.sample(range(n_t), rng.randint(1, n_t)) for _ in range(n_d)
+    ]
+    t_edges = [
+        rng.sample(range(n_p), rng.randint(1, n_p)) for _ in range(n_t)
+    ]
+    p_edges = []
+    for _ in range(n_p):
+        targets = rng.sample(range(n_d), rng.randint(1, n_d))
+        p_edges.append([(l, rng.randint(1, w_max)) for l in targets])
+    return make_entropy_game(
+        tuple(f"d{j}" for j in range(n_d)),
+        tuple(f"t{j}" for j in range(n_t)),
+        tuple(f"p{j}" for j in range(n_p)),
+        d_edges,
+        t_edges,
+        p_edges,
+    )

@@ -28,10 +28,10 @@ paper's `top_class` runs from 0 and peels dominions off, and the probe runs
 once more, on the subgame the top class induces.
 
 This module holds the solve, the certificate check and the file format.
-The paper's a priori path (`top_class` and the rounding oracle it
-drives), the exact `winner` decision, brute force and the random
-instances live in `dominion`, which a solve imports only when its probe
-reaches the cap.
+The paper's a priori path (`top_class`, the rounding oracle it drives and
+the separation parameters `SepParams` it reads), the exact `winner`
+decision, brute force and the random instances live in `dominion`, which
+a solve imports only when its probe reaches the cap.
 
 The exact half runs on integers too, from the greedy pair to the solution.
 Every loop iterates on integer numerators with the Python-int Shapley step
@@ -46,8 +46,7 @@ class argmax chi read those numerators.  The solution's certificates are
 and `certificates_hold`, which `certify` calls on the certificates it
 reads, checks them and the strategies, levels compared by
 cross-multiplication.  Only the solution's value becomes a Fraction.
-`markov_gain_bias` is the Fraction form of the chain solve, for `dominion`
-and the tests.
+`dominion.markov_gain_bias` is the Fraction form of the chain solve.
 Every reported strategy pair comes from one greedy rule, `_greedy_pair` on
 integer numerators: at the half-line's witness h, or Max greedy at the sub
 witness and Min greedy at the super witness.  `shapley_eval` is the exact
@@ -58,10 +57,10 @@ with it.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from ._smpgfast import (
     Kernel,
@@ -98,8 +97,7 @@ KEYS = ("min_states", "max_states", "nat_states")
 _LABELS = (("min", "a", 0), ("max", "b", 0), ("nat", "p_num", None))
 
 
-@dataclass(frozen=True)
-class StochasticGame:
+class _Game(NamedTuple):
     min_ids: tuple
     max_ids: tuple
     nat_ids: tuple
@@ -108,6 +106,11 @@ class StochasticGame:
     max_edges: tuple  # per Max state: ((nat_idx, B), ...)
     nat_edges: tuple  # per Nat state: ((min_idx, numerator), ...), sum = M
     M: int
+
+
+class StochasticGame(_Game):
+    """A stochastic mean-payoff game.  The instance dict holds the cached
+    properties."""
 
     @property
     def ids(self):
@@ -130,7 +133,7 @@ class StochasticGame:
                 )
         return self
 
-    @functools.cached_property
+    @cached_property
     def payoff_bound(self) -> int:
         """The largest |A| or |B| of an edge."""
         return max(abs(w) for rows in (self.min_edges, self.max_edges)
@@ -140,7 +143,7 @@ class StochasticGame:
         """The game's size parameters, computed on first use and kept."""
         return self._stats
 
-    @functools.cached_property
+    @cached_property
     def _stats(self):
         n = len(self.min_ids)
         # max |a - b| over the Max edges after a Min edge is at the
@@ -163,8 +166,7 @@ class StochasticGame:
         return GameStats(n=n, M=self.M, W=w, s=s, m_exp=m_exp, mu=mu)
 
 
-@dataclass(frozen=True)
-class GameStats:
+class GameStats(NamedTuple):
     n: int
     M: int
     W: int
@@ -173,8 +175,7 @@ class GameStats:
     mu: int
 
 
-@dataclass(frozen=True)
-class StrategyPair:
+class StrategyPair(NamedTuple):
     sigma: dict  # Min id -> Max id
     tau: dict  # Max id -> Nat id
 
@@ -272,34 +273,9 @@ def induced_subgame(game: StochasticGame, subset):
 # bounds
 
 
-def separation_bound(stats: GameStats) -> Fraction:
-    return Fraction(1, stats.mu**2)
-
-
 def _bias_bound(stats: GameStats) -> int:
+    """The a priori bound 8 n W M^min(s, n - 1) on the bias seminorm."""
     return 8 * stats.n * stats.W * stats.M**stats.m_exp
-
-
-def bias_norm_bound(stats: GameStats) -> Fraction:
-    return Fraction(_bias_bound(stats))
-
-
-@dataclass(frozen=True)
-class SepParams:
-    """delta: a priori separation parameter (must be below sep(F));
-    R: seminorm bound for sub/super-eigenvectors of the top-class
-    restriction."""
-
-    delta: Fraction
-    R: Fraction
-
-    def __post_init__(self):
-        if self.delta <= 0 or self.R <= 0:
-            raise ValueError("delta and R must be positive")
-
-    @functools.cached_property
-    def cap(self) -> int:
-        return 1 + math.ceil(Fraction(8) * self.R / self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +380,7 @@ def _reference_holds(p, q, x, y, sub) -> bool:
     return all(p + q * v >= q * w for v, w in zip(x, y))
 
 
-@dataclass(frozen=True)
-class GameSolution:
+class GameSolution(NamedTuple):
     """The subgame the top class induces (the game itself when every Min
     state is in the top class), that subgame's constant value with its
     strategies, certificates and bracket, the iterations that certified it,
@@ -433,18 +408,10 @@ class GameSolution:
 _NOT_CONSTANT = "value reconstruction failed; the game value is not constant"
 
 
-def _sep_params(stats: GameStats) -> SepParams:
-    delta = separation_bound(stats)
-    r = bias_norm_bound(stats)
-    if r <= 0:  # degenerate W = 0 games have zero bias; keep params legal
-        r = delta
-    return SepParams(delta=delta, R=Fraction(r))
-
-
 def _probe_cap(stats: GameStats) -> int:
-    """The cap of `_sep_params(stats)` on integers: with delta = 1/mu^2,
-    1 + ceil(8 R / delta) is 1 + 8 R mu^2, and 9 when R = 0 (R is then
-    delta)."""
+    """The cap of `dominion._sep_params(stats)` on integers: with delta =
+    1/mu^2, 1 + ceil(8 R / delta) is 1 + 8 R mu^2, and 9 when R = 0 (R is
+    then delta)."""
     r = _bias_bound(stats)
     return 1 + 8 * r * stats.mu**2 if r > 0 else 9
 
@@ -643,7 +610,7 @@ def solve_game(game: StochasticGame) -> GameSolution:
         if peeled:
             raise IterationCapExceeded(
                 f"no convergence within {cap} iterations")
-        from .dominion import RoundingOracle, top_class
+        from .dominion import RoundingOracle, _sep_params, top_class
 
         dom, top_calls = top_class(RoundingOracle(game, 4 * mu2),
                                    _sep_params(stats))
@@ -665,29 +632,8 @@ def solve_constant_value(game: StochasticGame) -> GameSolution:
 # strategy pairs: the Markov reward chain they induce
 
 
-def markov_gain_bias(rows, r, M, anchor=None):
-    """Per-state long-run average reward (gain) g and bias h of the Markov
-    reward chain with transition rows `rows` (lists of (col, numerator),
-    denominator M) and rational per-step rewards r, as Fractions: g = P g
-    and g + h = r + P h, with h at the smallest state a of each closed
-    class 0, or anchor(a, g_a) when `anchor` is given.  g and h are linear
-    in the rewards and the anchors, so `gain_bias_numerators` solves the
-    chain with the rewards scaled by the lcm R of their denominators, and
-    the anchors by R too, and the result is divided by R."""
-    scale = math.lcm(*(x.denominator for x in r))
-    r_num = [x.numerator * (scale // x.denominator) for x in r]
-    int_anchor = None
-    if anchor is not None:
-        def int_anchor(a, g, den):
-            shift = anchor(a, Fraction(g, den * scale))
-            return shift.numerator * scale, shift.denominator
-    gain, bias, den = gain_bias_numerators(rows, r_num, M, int_anchor)
-    den *= scale
-    return [Fraction(x, den) for x in gain], [Fraction(x, den) for x in bias]
-
-
 def gain_bias_numerators(rows, r, M, anchor=None):
-    """`markov_gain_bias` on integers: the rewards r are ints, and
+    """`dominion.markov_gain_bias` on integers: the rewards r are ints, and
     anchor(a, g, den), when given, takes the gain g/den of the closed class
     of smallest state a and returns the bias there as (p, q), q > 0.
     Returns (gain, bias, D): numerators over one common denominator D > 0,

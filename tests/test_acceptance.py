@@ -11,7 +11,7 @@ from math import floor
 import pytest
 
 import mpgames as mg
-from mpgames.numeric import zeros
+from mpgames.iteration import zeros
 
 from conftest import DEFECT_GAMES, defect_game
 

@@ -1,9 +1,11 @@
 """End-to-end command-line interface coverage."""
 
+import ast
 import contextlib
 import copy
 import csv
 import gc
+import importlib
 import io
 import json
 import os
@@ -978,6 +980,53 @@ def _draw_report(runner, tmp_path, kind):
     return path, json.loads(res.output)
 
 
+class TestStochasticStateSets:
+    """A stochastic pair's Max and Nature states must be those of the
+    subgame its Min states induce, as an entropy pair's are.
+    peel_game(6, 2) has the top class {m0, m1}, whose subgame keeps x0, x1,
+    n0 and n1 of the game's four states of each kind."""
+
+    @pytest.fixture
+    def solved(self, runner, tmp_path):
+        path = write_game(tmp_path, "g.json", mg.game_to_json(peel_game(6, 2)))
+        report = json.loads(runner.invoke(main, ["solve", path,
+                                                 "--json"]).output)
+        assert report["certificates"][0]["states"] == {
+            "min_states": ["m0", "m1"], "max_states": ["x0", "x1"],
+            "nat_states": ["n0", "n1"]}
+        assert _certify(runner, tmp_path, path, report).exit_code == 0
+        return path, report
+
+    @staticmethod
+    def named(report, key, ids):
+        for rec in report["certificates"]:
+            rec["states"][key] = ids
+        return report
+
+    @pytest.mark.parametrize("key", ["max_states", "nat_states"])
+    def test_unknown_state_exits_one(self, runner, tmp_path, solved, key):
+        path, report = solved
+        res = _certify(runner, tmp_path, path,
+                       self.named(report, key, ["bogus"]))
+        assert res.exit_code == 1
+        assert res.output.strip() == "error: unknown state id 'bogus'"
+
+    @pytest.mark.parametrize("key, ids", [
+        ("max_states", ["x0"]),
+        ("max_states", ["x0", "x1", "x2"]),
+        ("nat_states", ["n1"]),
+        ("nat_states", ["n0", "n1", "n2", "n3"]),
+    ])
+    def test_other_states_fail(self, runner, tmp_path, solved, key, ids):
+        """A state of the subgame left out, or one outside it named."""
+        path, report = solved
+        res = _certify(runner, tmp_path, path, self.named(report, key, ids))
+        assert res.exit_code == 1
+        assert res.output.strip() == (
+            "certificate verification FAILED: a certificate pair's states do "
+            "not name an induced subgame")
+
+
 def _certify(runner, tmp_path, path, report):
     rep = tmp_path / "rep.json"
     rep.write_text(json.dumps(report))
@@ -1358,6 +1407,22 @@ class TestUnreadableInput:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "{deep}"],
+        ["certify", "{deep}", "{game}"],
+        ["certify", "{game}", "{deep}"],
+    ], ids=" ".join)
+    def test_nesting_too_deep_one_line(self, smpg_file, tmp_path, args):
+        """A game or a report nested deeper than the JSON parser can
+        follow cannot be read either."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(
+            [a.format(game=smpg_file, deep=deep) for a in args])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {deep}: ")
+        assert err.count("\n") == 1
+
 # every option of each command, as its --help must name it
 OPTIONS = {
     "solve": ["--mode", "--json", "--budget"],
@@ -1489,6 +1554,20 @@ FALLBACK_MODULES = {
     "smpg": {"mpgames.dominion", "mpgames.iteration", "mpgames.oracle"},
     "entropy": {"mpgames.perron"},
 }
+# the bodies of brute, gen-random, gen-cex and bench, loaded on first use
+TOOLS_MODULES = {"mpgames._tools"}
+# the package source lines of SOLVE_MODULES per kind
+SOLVE_LINES = {"smpg": 2439, "entropy": 2243}
+
+
+def source_lines(modules):
+    """The source lines of the package modules `modules`."""
+    total = 0
+    for name in modules:
+        with open(importlib.import_module(name).__file__,
+                  encoding="utf-8") as fh:
+            total += len(fh.read().splitlines())
+    return total
 
 # scripts run after FRESH_PRELUDE with the stochastic game nature_half_game
 # (its value 3/2 at both Min states) or the entropy game
@@ -1558,19 +1637,56 @@ class TestStartup:
     @pytest.mark.parametrize("kind", ["smpg", "entropy"])
     def test_solve_and_certify_load_one_kind(self, smpg_file, entropy_file,
                                              kind):
-        """Only the solve path of the file's kind."""
+        """Only the solve path of the file's kind, SOLVE_LINES lines of
+        source in all, and not `dataclasses`."""
         game = smpg_file if kind == "smpg" else entropy_file
         loaded = fresh_modules("solve_and_certify(sys.argv[1])", game)
         assert package_modules(loaded) == SOLVE_MODULES[kind]
+        assert source_lines(SOLVE_MODULES[kind]) == SOLVE_LINES[kind]
+        assert "dataclasses" not in loaded
+
+    def test_no_module_imports_dataclasses(self):
+        """Records are NamedTuples: creating a dataclass costs far more
+        start-up time than creating a NamedTuple."""
+        package = os.path.dirname(mg.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    assert all(a.name != "dataclasses"
+                               for a in node.names), name
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.module != "dataclasses", name
 
     def test_gen_random_loads_its_kind(self):
-        """The stochastic generator lives with the reference code."""
-        for kind, extra in (("smpg", FALLBACK_MODULES["smpg"]),
-                            ("entropy", set())):
+        """Each kind's generator lives with its reference code."""
+        for kind in ("smpg", "entropy"):
             loaded = fresh_modules(f"""
                 assert "edges" in run("gen-random", "--kind", "{kind}")
             """)
-            assert package_modules(loaded) == SOLVE_MODULES[kind] | extra
+            assert package_modules(loaded) == (SOLVE_MODULES[kind]
+                                               | FALLBACK_MODULES[kind]
+                                               | TOOLS_MODULES)
+
+    def test_gen_cex_and_bench_load_their_modules(self, smpg_file,
+                                                  entropy_file):
+        """`gen-cex` loads the entropy modules and `cex`; `bench` loads
+        every module a solve of either kind may run."""
+        loaded = fresh_modules("""
+            assert "k_star" in run("gen-cex", "--n", "3", "--w", "2",
+                                   "--json")
+        """)
+        assert package_modules(loaded) == (
+            SOLVE_MODULES["entropy"] | FALLBACK_MODULES["entropy"]
+            | TOOLS_MODULES | {"mpgames.cex"})
+        loaded = fresh_modules('assert "kind=" in run("bench", *sys.argv[1:])',
+                               smpg_file, entropy_file)
+        assert package_modules(loaded) == set.union(
+            *SOLVE_MODULES.values(), *FALLBACK_MODULES.values(),
+            TOOLS_MODULES)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCRIPTS))
     def test_reference_commands_load_the_fallback(self, smpg_file,
@@ -1582,8 +1698,9 @@ class TestStartup:
         game = smpg_file if kind == "smpg" else entropy_file
         loaded = fresh_modules("from fractions import Fraction\n"
                                + textwrap.dedent(script), game)
+        tools = TOOLS_MODULES if name.endswith("-brute") else set()
         assert package_modules(loaded) == (SOLVE_MODULES[kind]
-                                           | FALLBACK_MODULES[kind])
+                                           | FALLBACK_MODULES[kind] | tools)
 
     def test_bench_clock_starts_after_the_import(self, smpg_file,
                                                  entropy_file):

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +21,7 @@ from mpgames.perron import (
     matrix_values,
     pair_matrix,
 )
-from mpgames.numeric import vec
+from mpgames.iteration import vec
 
 from conftest import (
     DEFECT_GAMES,
@@ -70,7 +69,7 @@ class TestConstruction:
         it once; a malformed game fails every call."""
         good = ent.EntropyGame(("d0",), ("t0",), ("p0",), ((0,),), ((0,),),
                                (((0, 2),),))
-        bad = replace(good, p_edges=(((0, 0),),))
+        bad = good._replace(p_edges=(((0, 0),),))
         calls = []
         check = ent.check_adjacency
         monkeypatch.setattr(ent, "check_adjacency",
@@ -412,11 +411,13 @@ class TestSolve:
         assert len(calls) == len(blocks) == 2
 
     def test_block_subgame_reconstructible(self):
+        """certify's rebuild: each block's Despots induce its subgame in
+        what `remove_block` leaves of the game after the blocks before it."""
         g = two_block_game()
         sol = mg.solve_entropy_game(g)
-        for block in sol.blocks:
-            rebuilt = mg.subgraph_on(g, block.d_ids, block.t_ids,
-                                     block.p_ids)
+        for game, block in peeled_games(g, sol):
+            dmax = [game.d_ids.index(d) for d in block.d_ids]
+            rebuilt = mg.induced_entropy_subgame(game, dmax)
             assert rebuilt == block.subgame
 
     def test_stitched_strategies_reproduce_values(self):
@@ -600,13 +601,13 @@ def brute_classes(g, brute):
 
 
 def peeled_games(g, sol):
-    """(the residual game the block was peeled from, block) per block."""
-    left = [list(ids) for ids in g.ids]
+    """(the residual game the block was peeled from, block) per block: the
+    solver's peel, `remove_block`."""
+    game = g
     for block in sol.blocks:
-        yield mg.subgraph_on(g, *left), block
-        taken = (block.d_ids, block.t_ids, block.p_ids)
-        left = [[s for s in ids if s not in out]
-                for ids, out in zip(left, taken)]
+        yield game, block
+        game = ent.remove_block(game, [game.d_ids.index(d)
+                                       for d in block.d_ids])
 
 
 def assert_greedy_at_witness(g, sol):
@@ -809,10 +810,11 @@ class TestCertifiedSeparation:
             top = [g.d_ids.index(d) for d in block.d_ids]
             brute = perron.brute_force_entropy_values(g)
             # the same pair matrices, with no bracket computed yet
-            brute.registry, reg = perron._ValueRegistry(), brute.registry
+            reg = brute.registry
+            brute = brute._replace(registry=perron._ValueRegistry(),
+                                   coarse_tol=F(1))
             for key in reg.keys():
                 brute.registry.add(key)
-            brute.coarse_tol = F(1)
             reg, values = brute.registry, brute.registry.values
 
             def spy(key, tol, fine=brute.fine_tol):

@@ -29,7 +29,7 @@ EXPORTED = """
     parse_entropy parse_smpg perron_root positive_root random_entropy_game
     random_smpg rank_profile rational_in_interval recession_eval restrict
     separation_bound shapley_eval solve_constant_value solve_entropy_game
-    solve_game subgraph_on threshold_horizon top top_class
+    solve_game threshold_horizon top top_class
     top_class_call_budget value_bounds value_iteration vec winner
     winner_iteration_bound zeros
 """.split()

@@ -16,7 +16,7 @@ from mpgames import (
     build_certificates,
     value_iteration,
 )
-from mpgames.numeric import hilbert_seminorm, vec, zeros
+from mpgames.iteration import hilbert_seminorm, vec, zeros
 
 F = Fraction
 

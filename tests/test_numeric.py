@@ -18,13 +18,8 @@ from mpgames import (
     top,
     vec,
 )
-from mpgames.numeric import (
-    _simplest_between,
-    vec_add_scalar,
-    vec_inf,
-    vec_sup,
-    zeros,
-)
+from mpgames.iteration import vec_add_scalar, vec_inf, vec_sup, zeros
+from mpgames.numeric import _simplest_between
 from mpgames.perron import exp_bracket, ln_bracket
 
 F = Fraction

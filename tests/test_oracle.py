@@ -6,7 +6,7 @@ import pytest
 
 import mpgames as mg
 from mpgames import NEG_INF, FunctionOracle, is_dominion, restrict
-from mpgames.numeric import vec, zeros
+from mpgames.iteration import vec, zeros
 from mpgames.oracle import RestrictedOracle
 
 from conftest import absorbing_game, drain_game

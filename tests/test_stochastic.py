@@ -16,7 +16,7 @@ from mpgames import stochastic as st
 from mpgames._smpgfast import Kernel
 from mpgames.graphs import tarjan_scc
 from mpgames.cli import main
-from mpgames.numeric import vec, zeros
+from mpgames.iteration import vec, zeros
 from mpgames import dominion
 from mpgames.dominion import ExactOracle, round_to_denominator
 
@@ -686,7 +686,7 @@ def _solved_chain(rows, r, M, anchor):
     """markov_gain_bias(rows, r, M, anchor), checked: M g = P' g and
     M (g + h) = M r + P' h with P' the row numerators, and h = anchor(a, g)
     (0 without an anchor) at the smallest state a of each closed class."""
-    gain, bias = st.markov_gain_bias(rows, r, M, anchor=anchor)
+    gain, bias = dominion.markov_gain_bias(rows, r, M, anchor=anchor)
     for v, row in enumerate(rows):
         assert M * gain[v] == sum(num * gain[l] for l, num in row)
         assert M * (gain[v] + bias[v]) == M * r[v] + sum(
@@ -931,7 +931,7 @@ class TestEarlyCertificate:
             tau = [rng.choice(row)[0] for row in g.max_edges]
             rows, r = st._pair_chain(g, sigma, tau)
             for anchor, int_anchor in ((None, None), (shifted, int_shifted)):
-                want = st.markov_gain_bias(rows, r, g.M, anchor)
+                want = dominion.markov_gain_bias(rows, r, g.M, anchor)
                 gain, bias, den = st.gain_bias_numerators(rows, r, g.M,
                                                           int_anchor)
                 assert den > 0 and math.gcd(den, *gain, *bias) == 1
@@ -949,7 +949,7 @@ class TestEarlyCertificate:
         for g in games:
             stats = g.stats()
             assert g.stats() is stats
-            params = st._sep_params(stats)
+            params = dominion._sep_params(stats)
             assert st._probe_cap(stats) == params.cap
             assert params.__dict__["cap"] == params.cap
 
@@ -1065,7 +1065,7 @@ class TestPaperPath:
         the earlier step ran on to step 27.)"""
         g = make()
         stats = g.stats()
-        params = st._sep_params(stats)
+        params = dominion._sep_params(stats)
         outcome = mg.decide_constant_value(
             mg.RoundingOracle(g, 4 * stats.mu**2), params)
         assert outcome.low_set is None and outcome.iterations == decided
@@ -1110,7 +1110,7 @@ class TestPaperPath:
         _refuse_first_probe(monkeypatch)
         g = make()
         stats = g.stats()
-        params = st._sep_params(stats)
+        params = dominion._sep_params(stats)
         oracle = mg.RoundingOracle(g, 4 * stats.mu**2)
         assert mg.decide_constant_value(oracle, params).low_set is not None
         assert mg.solve_game(g).top_class < frozenset(g.min_ids)
@@ -1165,14 +1165,14 @@ class TestPaperPath:
         certificate existed."""
         g = make()
         stats = g.stats()
-        params = st._sep_params(stats)
+        params = dominion._sep_params(stats)
         assert params.cap == cap
         oracle = mg.RoundingOracle(g, 4 * stats.mu**2)
         dom, n_calls = mg.top_class(oracle, params)
         assert (set(dom.states), n_calls) == (states, calls)
         sub = mg.induced_subgame(g, sorted(dom.states))
         sub_stats = sub.stats()
-        sub_params = st._sep_params(sub_stats)
+        sub_params = dominion._sep_params(sub_stats)
         res = mg.approximate_constant_mean_payoff(
             mg.RoundingOracle(sub, 4 * sub_stats.mu**2), sub_params.delta,
             sub_params.cap)
