@@ -47,7 +47,7 @@ _EXPORTS = {
         "BlockResult", "EntropyGame", "EntropySolution",
         "check_entropy_certificate", "entropy_to_json",
         "induced_entropy_subgame", "make_entropy_game", "multiplicative_eval",
-        "parse_entropy", "solve_entropy_game", "value_bounds",
+        "parse_entropy", "solve_entropy_game",
     ),
     "graphs": ("GameFormatError",),
     "iteration": (
@@ -66,7 +66,7 @@ _EXPORTS = {
     "perron": (
         "BracketingFailure", "RankProfile", "brute_force_entropy_values",
         "char_poly", "eval_poly", "pair_values", "pair_values_by_ids",
-        "perron_root", "random_entropy_game", "rank_profile",
+        "perron_root", "random_entropy_game", "rank_profile", "value_bounds",
     ),
     "stochastic": (
         "GameSolution", "GameStats", "StochasticGame", "StrategyPair",

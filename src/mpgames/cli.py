@@ -530,7 +530,9 @@ def _solve_entropy(ent, game, mode, budget):
             "iterations": sol.blocks[0].iterations,
         }
     report = {
-        "values": {d: _interval_record(iv) for d, iv in sol.values.items()},
+        # one interval record per block, shared by its Despots
+        "values": {d: rec for b in sol.blocks
+                   for rec in [_interval_record(b.interval)] for d in b.d_ids},
         "despot_strategy": sol.sigma,
         "tribune_strategy": sol.tau,
         "blocks": [sorted(b.d_ids) for b in sol.blocks],

@@ -40,10 +40,12 @@ That path, brute force and the log-domain arithmetic live in `perron`,
 which a solve imports only when a block falls back; this module holds what
 a solve certified by the separation and a certificate check run.
 
-On both paths one positive integer vector at levels lo <= hi is the sub and
-the super certificate of a block (`_finish_block`), and the strategies are
-the pair greedy at it (`_greedy`), the rule the search applies to every
-iterate.
+On both paths one positive integer vector at integer levels lo <= hi is the
+sub and the super certificate of a block (`_finish_block`), and the
+strategies are the pair greedy at it (`_greedy`), the rule the search
+applies to every iterate.  One evaluation per iterate (`_evaluate`) feeds
+the guess, the levels and the strategies; a guess whose subgame keeps every
+state uses the game itself; only a block's interval is made of Fractions.
 """
 
 from __future__ import annotations
@@ -123,6 +125,11 @@ class EntropyGame(_Game):
         return True
 
     def stats(self):
+        """The game's size parameters, computed on first use and kept."""
+        return self._stats
+
+    @cached_property
+    def _stats(self):
         w = max(m for row in self.p_edges for _, m in row)
         return EntropyStats(n=len(self.d_ids), W=w)
 
@@ -142,13 +149,6 @@ def _sorted_game(ids, edges):
     the solver's ties go to the first, the smallest, index."""
     return EntropyGame(*map(tuple, ids), *(
         tuple(tuple(sorted(row)) for row in rows) for rows in edges))
-
-
-def value_bounds(game: EntropyGame) -> RationalInterval:
-    """Every per-state value lies in [1, n*W]: each People row has at least
-    one unit entry, and row sums are at most n*W."""
-    stats = game.stats()
-    return RationalInterval(Fraction(1), Fraction(stats.n * stats.W))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,8 @@ def induced_entropy_subgame(game: EntropyGame, d_subset):
     """The subgame induced by a dominion D of Despot states: People keep
     their edges into D (surviving iff at least one remains), Tribunes keep
     their surviving People, and every Despot move must land on a surviving
-    Tribune.  Returns None when the subset is not a dominion."""
+    Tribune.  Returns None when the subset is not a dominion, and the game
+    itself when the subgame keeps every state."""
     d_set = set(d_subset)
     d_sel = sorted(d_set)
     v_p = {p for p, row in enumerate(game.p_edges) for l, _ in row
@@ -188,7 +189,10 @@ def induced_entropy_subgame(game: EntropyGame, d_subset):
     if any(v_p.isdisjoint(game.t_edges[t]) for t in t_sel):
         return None
     p_sel = sorted({p for t in t_sel for p in game.t_edges[t] if p in v_p})
-    return _spanned(game, (d_sel, t_sel, p_sel))
+    keep = (d_sel, t_sel, p_sel)
+    if list(map(len, keep)) == list(map(len, game.ids)):
+        return game
+    return _spanned(game, keep)
 
 
 def _spanned(game, keep):
@@ -240,23 +244,41 @@ def check_entropy_certificates(game: EntropyGame, certs) -> bool:
 # separation bound and strategy-pair budget
 
 
-_E_UPPER = Fraction(27182818285, 10**10)  # rational upper bound of e
+_E_NUM, _E_DEN = 27182818285, 10**10  # a rational upper bound of e
+
+
+def _nu_terms(n: int, w: int, r: int):
+    """nu(n, W, r) = 2^r (r+1)^(8r) (n e)^(4r^2) max(1, W/2)^(4r^2) /
+    r^(2r^2-r-1), e rounded up, as (numerator, denominator)."""
+    k = 4 * r * r
+    num = 2**r * (r + 1)**(8 * r) * (n * _E_NUM)**k
+    den = r**(2 * r * r - r - 1) * _E_DEN**k
+    if w > 2:
+        num, den = num * w**k, den * 2**k
+    return num, den
+
+
+def _nu_value(n: int, w: int, r: int) -> Fraction:
+    return Fraction(*_nu_terms(n, w, r))
+
+
+class _Separation(NamedTuple):
+    """The log-domain separation denominator nu_hat = n W nu(n, W, r) =
+    num/den in lowest terms, and what a search reads off it."""
+
+    num: int
+    den: int
+    log2: int  # the least b with 2^b >= nu_hat
+    delta: Fraction  # 1/nu_hat, the delta of a block it decides
 
 
 @lru_cache(maxsize=None)
-def _nu_value(n: int, w: int, r: int) -> Fraction:
-    nu = Fraction(2) ** r * Fraction(r + 1) ** (8 * r)
-    expo = 2 * r * r - r - 1
-    if expo > 0:
-        nu = nu / Fraction(r) ** expo
-    nu *= (Fraction(n) * _E_UPPER) ** (4 * r * r)
-    nu *= max(Fraction(1), Fraction(w, 2)) ** (4 * r * r)
-    return nu
-
-
-def _nu_hat(stats: EntropyStats, rank: int) -> Fraction:
-    """The log-domain separation denominator n * W * nu(n, W, rank)."""
-    return stats.n * stats.W * _nu_value(stats.n, stats.W, rank)
+def _separation(n: int, w: int, r: int) -> _Separation:
+    num, den = _nu_terms(n, w, r)
+    num *= n * w
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return _Separation(num, den, _log2_ceil(num, den), Fraction(den, num))
 
 
 def pair_count(game: EntropyGame) -> int:
@@ -325,30 +347,39 @@ class EntropySolution(NamedTuple):
     blocks: tuple
 
 
-def _finish_block(game, dmax, subgame, lo, hi, vec, **fields):
+def _finish_block(game, dmax, subgame, lo, hi, vec, greedy=None, **fields):
     """The block of the Despots `dmax` of `game`, whose subgame carries the
-    witness vec at the levels lo <= hi, as both the sub and the super
-    certificate, with the strategies greedy at it: (block, sigma, tau).
-    `fields` are the block's remaining fields."""
-    bounds = value_bounds(game)
+    witness vec at the levels lo <= hi, each (p, q) with q > 0, as both the
+    sub and the super certificate, with the strategies greedy at it:
+    (block, sigma, tau).  `greedy` is `_greedy` of `game` at vec, which a
+    block of every Despot may pass; `fields` are the block's remaining
+    fields."""
     vec = tuple(vec)  # one vector, the sub and the super witness
-    # the witness extended by zero off the block: a People sum is positive
-    # iff the People has an edge into the block, a Tribune's largest sum iff
-    # the Tribune has such a People; these People and Tribunes join the block
-    x = [0] * len(game.d_ids)
-    for d, v in zip(dmax, vec):
-        x[d] = v
+    if greedy is None:
+        # the witness extended by zero off the block: a People sum is
+        # positive iff the People has an edge into the block, a Tribune's
+        # largest sum iff the Tribune has such a People; these People and
+        # Tribunes join the block
+        x = [0] * len(game.d_ids)
+        for d, v in zip(dmax, vec):
+            x[d] = v
+        greedy = _greedy(game, x)
     # exact strategies, ties to the smallest index: those greedy at it
-    psum, tau, sigma = _greedy(game, x)
+    psum, tau, sigma = greedy
     v_t = [t for t, p in enumerate(tau) if psum[p]]
+    # the bracket: the levels within [1, n W], which holds every value
+    (lp, lq), (hp, hq) = lo, hi
+    top = len(game.d_ids) * game.stats().W
     block = BlockResult(
         d_ids=tuple(game.d_ids[d] for d in dmax),
         t_ids=tuple(game.t_ids[t] for t in v_t),
         p_ids=tuple(game.p_ids[p] for p, s in enumerate(psum) if s),
         subgame=subgame,
-        interval=RationalInterval(max(lo, bounds.lo), min(hi, bounds.hi)),
-        sub=Certificate(lo.numerator, lo.denominator, vec, 1, SUB, True),
-        sup=Certificate(hi.numerator, hi.denominator, vec, 1, SUPER, True),
+        interval=RationalInterval(
+            Fraction(lp, lq) if lp >= lq else Fraction(1),
+            Fraction(hp, hq) if hp <= top * hq else Fraction(top)),
+        sub=Certificate(lp, lq, vec, 1, SUB, True),
+        sup=Certificate(hp, hq, vec, 1, SUPER, True),
         **fields,
     )
     return (block, {game.d_ids[d]: game.t_ids[sigma[d]] for d in dmax},
@@ -365,12 +396,16 @@ def _greedy(game: EntropyGame, x):
     return psum, tau, [min(row, key=tsum.__getitem__) for row in game.d_edges]
 
 
-def _greedy_eval(game: EntropyGame, x):
-    """T(x) and the People row each Despot takes under the pair greedy at
-    x (`_greedy`): T(x) = A x for the pair matrix A of those rows."""
-    psum, tau, sigma = _greedy(game, x)
+def _evaluate(game: EntropyGame, x):
+    """One evaluation of T at the positive vector x, and all that the search
+    reads off it: (T(x), rows, greedy, lo, hi).  `greedy` is `_greedy` at
+    x, rows the People row each Despot takes under that pair, so that T(x)
+    = A x for the pair matrix A of those rows, and lo and hi
+    `_level_states` of x."""
+    greedy = psum, tau, sigma = _greedy(game, x)
     rows = tuple([tau[t] for t in sigma])
-    return tuple([psum[p] for p in rows]), rows
+    tx = tuple([psum[p] for p in rows])
+    return (tx, rows, greedy, *_level_states(x, tx))
 
 
 def _people_rows(game: EntropyGame, people):
@@ -399,25 +434,21 @@ class _DampedIterate:
     matrix greedy at u.  While the next iterate has the same greedy pair, B
     is squared instead, so that j squarings take 2^j steps at once.
 
-    The iterate keeps bits = bits(nu_hat) + `_MARGIN_BITS` bits on its
-    least entry, and the power of B twice that on its largest; the exact
-    checks accept any positive vector, so trimming costs precision, not
-    soundness.  Squaring stops while the iterate's entries span more than
-    `bits` bits: on a game of several classes that spread grows with the
-    steps taken, and a power would round the lower classes away.  nu_hat
-    may be set after construction, but before the first advance."""
+    The iterate keeps `bits` bits, those of nu_hat and `_MARGIN_BITS`, on
+    its least entry, and the power of B twice that on its largest; the
+    exact checks accept any positive vector, so trimming costs precision,
+    not soundness.  Squaring stops while the iterate's entries span more
+    than `bits` bits: on a game of several classes that spread grows with
+    the steps taken, and a power would round the lower classes away.
+    `bits` may be set after construction, but before the first advance."""
 
-    def __init__(self, game: EntropyGame, nu_hat=None, start=None):
+    def __init__(self, game: EntropyGame, bits=None, start=None):
         self.game = game
-        self.nu_hat = nu_hat
+        self.bits = bits
         self.vec = start or [1] * len(game.d_ids)
         self.steps = 0  # the damped steps behind the iterate
         self._rows = self._power = None  # the rows of A, and B^exponent
         self._exponent = 0
-
-    @property
-    def bits(self) -> int:
-        return _log2_ceil(self.nu_hat) + _MARGIN_BITS
 
     def advance(self, tx, rows) -> int:
         """Move past the iterate, whose image is tx under the pair greedy at
@@ -447,11 +478,10 @@ class _DampedIterate:
         return squarings
 
 
-def _growth_top(u, tu, k):
+def _growth_top(u, tu, best, k):
     """The top class guessed at cut k: the Despots whose growth ratio
-    T(u)_d / u_d is at least 1 - 1/k times the largest (every Despot at
-    k = 1), compared by cross-multiplication."""
-    best = _level_states(u, tu)[1]
+    T(u)_d / u_d is at least 1 - 1/k times the largest, that of the Despot
+    `best` (every Despot at k = 1), compared by cross-multiplication."""
     a, b = (k - 1) * tu[best], k * u[best]
     return tuple(d for d in range(len(u)) if b * tu[d] >= a * u[d])
 
@@ -468,27 +498,25 @@ def _level_states(v, tv):
     return lo, hi
 
 
-def _separated_levels(v, tv, nu_hat):
-    """The Collatz-Wielandt levels (min, max of T(v)_d / v_d) of the
-    positive vector v, or None unless max/min < 1 + 1/nu_hat.  Only the two
-    levels become Fractions."""
-    lo, hi = _level_states(v, tv)
+def _separated_levels(v, tv, lo, hi, sep):
+    """The Collatz-Wielandt levels (min, max of T(v)_d / v_d, taken at the
+    Despots lo and hi) of the positive vector v, each (p, q), or None
+    unless max/min < 1 + 1/nu_hat for the `_Separation` sep."""
     # max/min - 1 = (tv_hi v_lo - tv_lo v_hi) / (tv_lo v_hi) < 1/nu_hat
     gap = tv[hi] * v[lo] - tv[lo] * v[hi]
-    if gap * nu_hat.numerator >= tv[lo] * v[hi] * nu_hat.denominator:
+    if gap * sep.num >= tv[lo] * v[hi] * sep.den:
         return None
-    return Fraction(tv[lo], v[lo]), Fraction(tv[hi], v[hi])
+    return (tv[lo], v[lo]), (tv[hi], v[hi])
 
 
-def _single_integer(v, tv):
-    """The one integer between the Collatz-Wielandt levels of v, or None
-    when they hold none or several."""
-    lo, hi = _level_states(v, tv)
+def _single_integer(v, tv, lo, hi):
+    """The one integer between the Collatz-Wielandt levels of v, taken at
+    the Despots lo and hi, or None when they hold none or several."""
     rho = -(-tv[lo] // v[lo])
     return rho if rho * v[hi] <= tv[hi] < (rho + 1) * v[hi] else None
 
 
-def _integer_value_witness(subgame: EntropyGame, rows, rho, nu_hat):
+def _integer_value_witness(subgame: EntropyGame, rows, rho, sep):
     """The candidate witness of a block whose value is the integer rho: y
     with (mu I - A) y = 1 at mu = rho (1 + 2^-b), 2^-b <= 1/(2 nu_hat), A
     the pair matrix of the People `rows`, scaled to integers.  None unless
@@ -502,8 +530,8 @@ def _integer_value_witness(subgame: EntropyGame, rows, rho, nu_hat):
                for d, row in enumerate(_people_rows(subgame, rows))]
     if integer_rank(shifted) == n:
         return None
-    # 2^b (mu I - A) = 2^b (rho I - A) + rho I
-    b = _log2_ceil(2 * nu_hat)
+    # 2^b (mu I - A) = 2^b (rho I - A) + rho I, with 2^b >= 2 nu_hat
+    b = sep.log2 + 1
     a = [[(x << b) + rho * (d == l) for l, x in enumerate(row)]
          for d, row in enumerate(shifted)]
     try:
@@ -523,10 +551,10 @@ def _people_rank(subgame: EntropyGame) -> int:
     return integer_rank(_people_rows(subgame, range(len(subgame.p_ids))))
 
 
-def _log2_ceil(x: Fraction) -> int:
-    """The least b with 2^b >= x, for x >= 1."""
-    b = x.numerator.bit_length() - x.denominator.bit_length()
-    return b if x <= 1 << b else b + 1
+def _log2_ceil(num: int, den: int) -> int:
+    """The least b with 2^b >= num/den, for num >= den > 0."""
+    b = num.bit_length() - den.bit_length()
+    return b if num <= den << b else b + 1
 
 
 def _separated_block(game: EntropyGame):
@@ -573,51 +601,55 @@ def _separated_block(game: EntropyGame):
     work = 0
     while work < limit:
         u = search.vec
-        tu, u_rows = _greedy_eval(game, u)
+        u_eval = tu, u_rows, _, _, u_hi = _evaluate(game, u)
         work += 1
-        top = _growth_top(u, tu, math.isqrt(search.steps) + 1)
+        top = _growth_top(u, tu, u_hi, math.isqrt(search.steps) + 1)
         if top != guess:
             # a new guess: its subgame, separation bound and iterate
             guess, found = top, None
             subgame = induced_entropy_subgame(game, top)
             if subgame is not None:
                 rank = _people_rank(subgame)
-                nu_hat = _nu_hat(stats, rank)
+                sep = _separation(stats.n, stats.W, rank)
+                bits = sep.log2 + _MARGIN_BITS
                 if len(top) == nd:
                     # the first guess (the cut k = 1 keeps every Despot):
                     # its rank bounds that of every pair matrix of the game
-                    search.nu_hat, inner = nu_hat, search
+                    search.bits, inner = bits, search
                 else:
-                    inner = _DampedIterate(subgame, nu_hat,
+                    inner = _DampedIterate(subgame, bits,
                                            [u[d] for d in top])
                 tried = set()
         if subgame is not None and found is None:
             v = inner.vec
             if inner is search:
-                tv, v_rows = tu, u_rows
+                v_eval = u_eval
             else:
-                tv, v_rows = _greedy_eval(subgame, v)
+                v_eval = _evaluate(subgame, v)
                 work += 1
-            levels = _separated_levels(v, tv, nu_hat)
-            rho = None if levels else _single_integer(v, tv)
+            tv, v_rows, _, v_lo, v_hi = v_eval
+            levels = _separated_levels(v, tv, v_lo, v_hi, sep)
+            rho = None if levels else _single_integer(v, tv, v_lo, v_hi)
             if rho is not None and (rho, v_rows) not in tried:
                 # one exact solve per integer and greedy pair of the guess
                 tried.add((rho, v_rows))
-                y = _integer_value_witness(inner.game, v_rows, rho, nu_hat)
+                y = _integer_value_witness(inner.game, v_rows, rho, sep)
                 work += 1
                 if y is not None:
-                    levels = _separated_levels(
-                        y, multiplicative_eval(inner.game, y), nu_hat)
+                    y_eval = ty, _, _, y_lo, y_hi = _evaluate(inner.game, y)
                     work += 1
+                    levels = _separated_levels(y, ty, y_lo, y_hi, sep)
                     if levels is not None:
-                        v = y
+                        v, v_eval = y, y_eval
             if levels is None:
                 if inner is not search:
                     work += inner.advance(tv, v_rows)
             else:
                 lo, hi = levels
+                # the search's evaluations are of `game` itself
                 found = _finish_block(
-                    game, top, subgame, lo, hi, v, delta=1 / nu_hat,
+                    game, top, subgame, lo, hi, v,
+                    v_eval[2] if inner is search else None, delta=sep.delta,
                     iterations=0, decided_by=SEPARATION, rank=rank)
                 try:
                     residual = remove_block(game, top)
@@ -628,9 +660,9 @@ def _separated_block(game: EntropyGame):
                 w = [u[d] for d in range(nd) if d not in top]
                 tw = multiplicative_eval(residual, w)
                 work += 1
-            if residual is None or all(
-                    a * lo.denominator < lo.numerator * b
-                    for a, b in zip(tw, w)):
+            lp, lq = lo
+            if residual is None or all(a * lq < lp * b
+                                       for a, b in zip(tw, w)):
                 block, sigma, tau = found
                 block = block._replace(iterations=work)
                 return block, sigma, tau, residual

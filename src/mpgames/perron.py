@@ -38,9 +38,9 @@ from .entropy import (
     ENUMERATION,
     EntropyGame,
     _finish_block,
-    _nu_hat,
     _nu_value,
     _people_rows,
+    _separation,
     check_entropy_certificates,
     check_pair_budget,
     induced_entropy_subgame,
@@ -204,6 +204,13 @@ def pair_values_by_ids(game: EntropyGame, sigma_ids, tau_ids, tol):
     return pair_values(game, sigma, tau, tol)
 
 
+def value_bounds(game: EntropyGame) -> RationalInterval:
+    """Every per-state value lies in [1, n*W]: each People row has at least
+    one unit entry, and row sums are at most n*W."""
+    stats = game.stats()
+    return RationalInterval(Fraction(1), Fraction(stats.n * stats.W))
+
+
 def recession_eval(game: EntropyGame, x):
     """Recession operator in the log domain: multiplicities collapse to their
     support, sums collapse to maxima, so F^hat_d = min_t max_p max_l x_l.
@@ -236,11 +243,12 @@ def rank_profile(game: EntropyGame, matrices) -> RankProfile:
     `_top_slack`.  A principal submatrix has rank at most that of the
     matrix, so every such root is an eigenvalue of an integer matrix of rank
     at most r, and nu(n, W, r) separates any two distinct ones."""
-    stats = game.stats()
+    n, w = game.stats()
     r = max([1] + [integer_rank(m) for m in matrices])
+    sep = _separation(n, w, r)
     return RankProfile(rank=r, selections=len(matrices),
-                       nu=_nu_value(stats.n, stats.W, r),
-                       nu_hat=_nu_hat(stats, r))
+                       nu=_nu_value(n, w, r),
+                       nu_hat=Fraction(sep.num, sep.den))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +462,8 @@ def _enumerated_block(game: EntropyGame, budget: int):
     lo, hi = v_int.lo - delta / 4, v_int.hi + delta / 4
     u, steps = _witness_certificates(subgame, lo, hi)
     block, sigma, tau = _finish_block(
-        game, dmax, subgame, lo, hi, u, delta=delta, iterations=steps,
+        game, dmax, subgame, (lo.numerator, lo.denominator),
+        (hi.numerator, hi.denominator), u, delta=delta, iterations=steps,
         decided_by=ENUMERATION, rank=brute.profile.rank)
     if not check_entropy_certificates(subgame, (block.sub, block.sup)):
         raise AssertionError("internal error: certificate failed verification")

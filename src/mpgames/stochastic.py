@@ -305,12 +305,13 @@ def _cut(rows, targets):
 
 
 def certificates_hold(game: StochasticGame, certs, sigma=None,
-                      tau=None) -> bool:
+                      tau=None, images=None) -> bool:
     """Whether every Certificate of `certs` holds, on integers,
     evaluating F once per distinct vector (an early sub/super pair shares
     its vector h): with x = u/L and F(x) = y/(L M) from `_step_stages`,
     level p/q holds as sub when p L M + q M u_j <= q y_j for every j, and
-    as super when >=.
+    as super when >=.  `images`, a list of ((u, L), stages) pairs, holds
+    stages a caller has computed already.
     With index-based positional strategies it also checks them, on the
     same stages: sigma (Min idx -> Max idx) must name an edge at every Min
     state, and F with Min fixed to it be at most lam + y at each super
@@ -329,7 +330,7 @@ def certificates_hold(game: StochasticGame, certs, sigma=None,
         max_rows = _cut(game.max_edges, tau)
         if not all(max_rows):
             return False
-    images = []
+    images = [] if images is None else list(images)
     for cert in certs:
         p, q, u, den, direction, multiplicative = cert
         if multiplicative:
@@ -423,7 +424,8 @@ def _probe_cap(stats: GameStats) -> int:
 def _greedy_pair(game, u, q):
     """Index-based strategies greedy at x = u/q: tau maximises B + P x at
     each Max state, sigma minimises -A plus that maximum at each Min state,
-    ties to the smallest index (rows are sorted by target index)."""
+    ties to the smallest index (rows are sorted by target index).  Returns
+    (sigma, tau, stages), stages those of `_step_stages` at x."""
     c = q * game.M
     nat = _nature_stage(game.nat_edges, u)
     best, tau = [], []
@@ -443,7 +445,7 @@ def _greedy_pair(game, u, q):
             if m is None or v < m:
                 m, arg = v, i
         sigma.append(arg)
-    return sigma, tau
+    return sigma, tau, (c, nat, best)
 
 
 def _half_line_holds(game, chi, h, den) -> bool:
@@ -471,7 +473,7 @@ def _half_line_at(game, v, q, t2):
     """(chi, h, L) of the strategy pair greedy at x = v/q, numerators over
     one common denominator L, each closed class anchored at the offset
     v_a/q - t chi_a with t = t2/2, when the half-line holds; else None."""
-    sigma, tau = _greedy_pair(game, v, q)
+    sigma, tau, _ = _greedy_pair(game, v, q)
 
     def anchor(a, g, den):
         # v_a/q - (t2/2) (g/den)
@@ -534,11 +536,14 @@ def _solution(game, value, sub, sup, steps, calls) -> GameSolution:
     found in `steps` iterations; `calls` counts the whole solve.  Max plays
     greedy at the sub witness and Min greedy at the super witness (smallest
     index on ties; one greedy pass when they are one vector), and the
-    certificates and both strategies are checked exactly, on integers."""
-    sigma, tau = _greedy_pair(game, sub.u, sub.L)
+    certificates and both strategies are checked exactly, on integers, on
+    the stages of the greedy passes."""
+    sigma, tau, stages = _greedy_pair(game, sub.u, sub.L)
+    images = [((sub.u, sub.L), stages)]
     if (sup.u, sup.L) != (sub.u, sub.L):
-        sigma = _greedy_pair(game, sup.u, sup.L)[0]
-    if not certificates_hold(game, (sub, sup), sigma, tau):
+        sigma, _, stages = _greedy_pair(game, sup.u, sup.L)
+        images.append(((sup.u, sup.L), stages))
+    if not certificates_hold(game, (sub, sup), sigma, tau, images):
         raise AssertionError("internal error: certificate failed verification")
     strategies = StrategyPair(
         sigma={game.min_ids[j]: game.max_ids[i] for j, i in enumerate(sigma)},

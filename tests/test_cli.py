@@ -1195,6 +1195,37 @@ class TestIntegerCertify:
         assert built == [(0, 1)]
         assert json.loads(rep.read_text())["top_value"] == "0/1"
 
+    def test_entropy_solve_and_certify_build_few_fractions(
+            self, runner, tmp_path, monkeypatch):
+        """One `solve --json` + `certify` pair on the one-block game
+        random_entropy_game(Random(3)) builds the block interval's two ends
+        and the block's delta 1/nu_hat, once per (n, W, r) and kept: the
+        search, its levels and the certificates are integers.  The (n, W, r)
+        cache is cleared first, so the count does not depend on test order.
+        19 while the separation bound, the levels and the value bounds were
+        Fractions."""
+        obj = mg.entropy_to_json(mg.random_entropy_game(random.Random(3)))
+        path = write_game(tmp_path, "g.json", obj)
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        ent._separation.cache_clear()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        res = runner.invoke(main, ["solve", path, "--json"])
+        rep = tmp_path / "rep.json"
+        rep.write_text(res.output)
+        res = runner.invoke(main, ["certify", path, str(rep)])
+        monkeypatch.undo()
+        assert res.exit_code == 0, res.output
+        (block,) = mg.solve_entropy_game(mg.parse_entropy(obj)).blocks
+        interval = json.loads(rep.read_text())["values"][block.d_ids[0]]
+        assert [Fraction(*args) for args in built] == [
+            block.delta, Fraction(interval["lo"]), Fraction(interval["hi"])]
+
     @pytest.mark.parametrize("kind, draws", [
         ("smpg", lambda rng: mg.game_to_json(mg.random_smpg(rng))),
         ("entropy",
@@ -1557,7 +1588,7 @@ FALLBACK_MODULES = {
 # the bodies of brute, gen-random, gen-cex and bench, loaded on first use
 TOOLS_MODULES = {"mpgames._tools"}
 # the package source lines of SOLVE_MODULES per kind
-SOLVE_LINES = {"smpg": 2439, "entropy": 2243}
+SOLVE_LINES = {"smpg": 2446, "entropy": 2277}
 
 
 def source_lines(modules):
@@ -1670,6 +1701,40 @@ class TestStartup:
             assert package_modules(loaded) == (SOLVE_MODULES[kind]
                                                | FALLBACK_MODULES[kind]
                                                | TOOLS_MODULES)
+
+    def test_python_m_mpgames_loads_cli_once(self, runner):
+        """`python -m mpgames` prints what the in-process command prints,
+        and runs the code of `cli.py` once: `_tools` imports the module
+        that runs the command, not a second copy of it."""
+        args = ["gen-random", "--seed", "0"]
+        res = subprocess.run([sys.executable, "-m", "mpgames", *args],
+                             capture_output=True, env=fresh_env(),
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == runner.invoke(main, args).stdout_bytes
+        # the -m start-up (`runpy`), counting runs of module code
+        script = textwrap.dedent("""
+            import runpy, sys
+            runs = []
+
+            def hook(event, args):
+                if (event == "exec" and getattr(args[0], "co_filename",
+                                                "").endswith("cli.py")):
+                    runs.append(args[0])
+
+            sys.addaudithook(hook)
+            try:
+                runpy.run_module("mpgames", run_name="__main__",
+                                 alter_sys=True)
+            except SystemExit as exc:
+                assert not exc.code, exc.code
+            print(len(runs), file=sys.stderr)
+        """)
+        res = subprocess.run([sys.executable, "-c", script, *args],
+                             capture_output=True, text=True, env=fresh_env(),
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.splitlines()[-1] == "1"
 
     def test_gen_cex_and_bench_load_their_modules(self, smpg_file,
                                                   entropy_file):

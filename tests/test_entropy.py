@@ -86,6 +86,7 @@ class TestConstruction:
         g = entropy_tribune_choice()
         st = g.stats()
         assert (st.n, st.W) == (1, 3)
+        assert g.stats() is st  # computed once per game
         assert mg.value_bounds(g).lo == 1
         assert mg.value_bounds(g).hi == 3
 
@@ -203,6 +204,43 @@ class TestDominions:
         assert sub is not None
         assert sub.d_ids == ("a0",)
         assert mg.induced_entropy_subgame(g, [1]) is not None
+
+    @pytest.mark.parametrize("make", [
+        entropy_loop, entropy_tribune_choice, entropy_despot_choice,
+        entropy_pair_loop, entropy_shared_tribune, entropy_jordan,
+    ])
+    def test_whole_game_is_its_own_subgame(self, make):
+        g = make()
+        every = range(len(g.d_ids))
+        assert mg.induced_entropy_subgame(g, every) is g
+        assert ent.remove_block(g, every) is None
+
+    def test_unreached_states_are_cut_from_every_subgame(self, tmp_path):
+        """A Tribune that no Despot moves to, its People, and a People that
+        no Tribune moves to are in no subgame: the subgame of every Despot
+        is a copy without them, which the solve certifies and `certify`
+        rebuilds."""
+        g = mg.make_entropy_game(
+            ["d0"], ["t0", "tx"], ["p0", "px", "py"],
+            [[0]], [[0], [1]], [[(0, 2)], [(0, 5)], [(0, 7)]])
+        sub = mg.induced_entropy_subgame(g, [0])
+        assert sub is not g
+        assert sub.ids == (("d0",), ("t0",), ("p0",))
+        assert ent.remove_block(g, [0]) is None
+        (block,) = mg.solve_entropy_game(g).blocks
+        assert block.subgame == sub
+        assert block.interval == mg.RationalInterval(2, 2)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(mg.entropy_to_json(g)))
+        runner = CliRunner()
+        res = runner.invoke(main, ["solve", str(path), "--json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["certificates"][0]["states"] == {
+            "d_states": ["d0"], "t_states": ["t0"], "p_states": ["p0"]}
+        rep = tmp_path / "rep.json"
+        rep.write_text(res.output)
+        res = runner.invoke(main, ["certify", str(path), str(rep)])
+        assert res.exit_code == 0, res.output
 
     def test_induced_subgame_operator_agrees(self):
         """On every dominion D, T of the induced subgame is T of the game
@@ -380,21 +418,30 @@ class TestSolve:
         """A single block decided by separation, whose sub and super witness
         are one iterate: every evaluation of T in the solve, by the search's
         greedy evaluation or by the exact one, is a unit of its search, and
-        the levels read off that evaluation need no re-check."""
+        the levels read off that evaluation need no re-check.  The greedy
+        pair and the level states are computed once per evaluation: the
+        block's strategies are those the search read off its witness."""
         calls = []
 
-        def counted(real):
-            def run(game, x):
-                calls.append(x)
-                return real(game, x)
+        def counted(name):
+            real = getattr(ent, name)
+
+            def run(*args):
+                calls.append(name)
+                return real(*args)
             return run
 
-        for name in ("multiplicative_eval", "_greedy_eval"):
-            monkeypatch.setattr(ent, name, counted(getattr(ent, name)))
+        for name in ("multiplicative_eval", "_evaluate", "_greedy",
+                     "_level_states"):
+            monkeypatch.setattr(ent, name, counted(name))
         (block,) = mg.solve_entropy_game(make()).blocks
         assert block.decided_by == ent.SEPARATION
         assert block.sub.vec == block.sup.vec
-        assert len(calls) == block.iterations
+        evaluations = calls.count("multiplicative_eval") + calls.count(
+            "_evaluate")
+        assert evaluations == block.iterations
+        assert calls.count("_greedy") == calls.count("_level_states") == (
+            calls.count("_evaluate"))
 
     def test_report_pair_evaluated_once(self, monkeypatch):
         """A block's sub and super certificates read back from a report

@@ -237,10 +237,15 @@ INTEGER_HOT_PATH = (
 )
 
 
-# the certificate path outside `stochastic`: the entropy check, and the
-# report writer and reader of either kind's certificates
+# the certificate path outside `stochastic`: the entropy separation search
+# up to its certificates and the entropy check, and the report writer and
+# reader of either kind's certificates
 INTEGER_CERTIFICATE_PATH = {
-    "entropy.py": ("check_entropy_certificates",),
+    "entropy.py": ("_separated_block", "_evaluate", "_greedy",
+                   "_growth_top", "_level_states", "_separated_levels",
+                   "_single_integer", "_integer_value_witness",
+                   "_DampedIterate.advance", "_log2_ceil",
+                   "check_entropy_certificates"),
     "cli.py": ("_cert_from_record", "_cert_record", "_ratio_str",
                "_ends_record"),
 }
@@ -249,8 +254,8 @@ INTEGER_CERTIFICATE_PATH = {
 def test_hot_path_is_integer():
     """The probe, the half-line check, the gain/bias core and the
     certificate core of `stochastic`, all of `_smpgfast`, the entropy
-    certificate check and `cli`'s certificate writer and reader reference
-    no Fraction."""
+    separation search and certificate check and `cli`'s certificate writer
+    and reader reference no Fraction."""
     users, defined = fraction_users(
         (SRC / "stochastic.py").read_text(encoding="utf-8"))
     assert set(INTEGER_HOT_PATH) <= defined

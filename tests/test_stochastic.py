@@ -851,15 +851,15 @@ class TestEarlyCertificate:
 
     def test_fixed_point_is_evaluated_once(self, monkeypatch):
         """An early certificate checks F(h) = value + h with one exact
-        evaluation of F, not one per direction: one integer step, whose
-        stages also check both strategies."""
+        evaluation of F, not one per direction: the greedy pass at h, whose
+        stages also check the certificates and both strategies."""
         inside, calls = [], []
-        real_eval, real_solution = st._step_stages, st._fixed_point_solution
+        real_eval, real_solution = st._nature_stage, st._fixed_point_solution
 
-        def counted_eval(game, x):
+        def counted_eval(rows, u):
             if inside:
-                calls.append(x)
-            return real_eval(game, x)
+                calls.append(u)
+            return real_eval(rows, u)
 
         def tracked_solution(*args):
             inside.append(True)
@@ -868,11 +868,11 @@ class TestEarlyCertificate:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(st, "_step_stages", counted_eval)
+        monkeypatch.setattr(st, "_nature_stage", counted_eval)
         monkeypatch.setattr(st, "_fixed_point_solution", tracked_solution)
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(swap_shift_game())
-        assert [tuple(F(v, den) for v in u) for u, den in calls] == [
+        assert [tuple(F(v, sol.sub.L) for v in u) for u in calls] == [
             sol.sub.vec]
         assert sol.sub.vec == sol.sup.vec
 
