@@ -12,13 +12,14 @@ Importing the package loads none of its modules: each exported name is
 looked up in its defining module on access (PEP 562), and the module is
 imported then.  Compiling the imported source is much of a short
 command's run time when no bytecode cache is written, so a command that
-reads one game kind loads only that kind's modules, and a solve and a
-certificate check load only `cli`, `graphs`, `numeric` and the modules of
-the solve path: `stochastic`, `_smpgfast` and `linalg`, or `entropy` and
-`linalg`.  The reference and fallback code of each kind (`dominion`, with
-`iteration` and `oracle`, for stochastic games, and `perron` for entropy
-games) is imported when a command or a fallback runs it, and so are the
-bodies of the commands other than `solve` and `certify` (`_tools`).  No
+reads one game kind loads only that kind's modules.  A certificate check
+loads only `cli`, `graphs`, `numeric` and the kind's checker (`smpgcheck`
+or `entropycheck`), and a solve adds its solve path: `stochastic`,
+`_smpgfast` and `linalg`, or `entropy` and `linalg`.  The reference and
+fallback code of each kind (`dominion`, with `iteration` and `oracle`, for
+stochastic games, and `perron` for entropy games) is imported when a
+command or a fallback runs it, and so are the bodies of the commands
+other than `solve` and `certify` (`_tools`).  No
 module imports `dataclasses`: records are `typing.NamedTuple`s, whose
 classes cost a fraction of a dataclass's to create.  The lookup is not
 cached here, so a name always resolves to the module's current attribute,
@@ -29,7 +30,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# defining module -> the names the package exports from it
+# module -> the names the package exports from it, defined there or, for
+# the names the benchmark's tracer looks up in a solver, in its checker
 _EXPORTS = {
     "cex": (
         "CexInstance", "branch_weights", "build_cex_game", "companion_matrix",
@@ -44,10 +46,12 @@ _EXPORTS = {
         "winner_iteration_bound",
     ),
     "entropy": (
-        "BlockResult", "EntropyGame", "EntropySolution",
-        "check_entropy_certificate", "entropy_to_json",
-        "induced_entropy_subgame", "make_entropy_game", "multiplicative_eval",
+        "BlockResult", "EntropySolution", "check_entropy_certificate",
         "parse_entropy", "solve_entropy_game",
+    ),
+    "entropycheck": (
+        "EntropyGame", "entropy_to_json", "induced_entropy_subgame",
+        "make_entropy_game", "multiplicative_eval",
     ),
     "graphs": ("GameFormatError",),
     "iteration": (
@@ -68,10 +72,11 @@ _EXPORTS = {
         "char_poly", "eval_poly", "pair_values", "pair_values_by_ids",
         "perron_root", "random_entropy_game", "rank_profile", "value_bounds",
     ),
+    "smpgcheck": ("GameStats", "StochasticGame", "game_to_json", "make_game"),
     "stochastic": (
-        "GameSolution", "GameStats", "StochasticGame", "StrategyPair",
-        "check_certificate", "game_to_json", "induced_subgame", "make_game",
-        "parse_smpg", "shapley_eval", "solve_constant_value", "solve_game",
+        "GameSolution", "StrategyPair", "check_certificate",
+        "induced_subgame", "parse_smpg", "shapley_eval",
+        "solve_constant_value", "solve_game",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

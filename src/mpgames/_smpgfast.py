@@ -4,12 +4,12 @@ rounding oracle.
 The rounding oracle keeps every iterate on the grid (1/q) Z^n, so the whole
 first loop of the constant-value procedures, and the certificate replay,
 run on integer numerators with exact comparisons.  `_int_step` is the
-Shapley step on Python ints, which cannot overflow; `stochastic.shapley_eval`
-is the exact reference it agrees with.  The step runs in three stages
-(`_nature_stage`, `_max_stage`, `_min_stage`), which `stochastic` also
-calls on their own, to check certificates and strategies from one
-evaluation; its greedy pair takes its argmax and argmin in loops of its
-own.
+Shapley step on Python ints, which cannot overflow;
+`smpgcheck.shapley_eval` is the exact reference it agrees with.  The step
+chains the three stages of `smpgcheck` (`_nature_stage`, `_max_stage`,
+`_min_stage`), which the certificate check also calls on their own, to
+check certificates and strategies from one evaluation; the solver's greedy
+pair takes its argmax and argmin in loops of its own.
 
 `Kernel.gap_loop` and `Kernel.replay_loop` are one driver each over that
 step.  Both implement exactly the recurrence of the generic Fraction-based
@@ -20,6 +20,8 @@ checkpoints).
 """
 
 from __future__ import annotations
+
+from .smpgcheck import _max_stage, _min_stage, _nature_stage
 
 
 def _round_div_half_even(n, d):
@@ -34,46 +36,6 @@ def _round_div_half_even(n, d):
     if q0 % 2 == 0:
         return q0
     return q0 + 1
-
-
-def _nature_stage(rows, u):
-    """Per Nature state, sum_l num_l u_l: for x with numerators u over c/M,
-    the numerator over c of Nature's expectation of x."""
-    nat = []
-    for row in rows:
-        s = 0
-        for l, num in row:
-            s += num * u[l]
-        nat.append(s)
-    return nat
-
-
-def _max_stage(rows, nat, c):
-    """Per Max state, the maximum over its edges of B c + nat."""
-    best = []
-    for row in rows:
-        first = True
-        for k, b in row:
-            v = b * c + nat[k]
-            if first or v > m:
-                m = v
-                first = False
-        best.append(m)
-    return best
-
-
-def _min_stage(rows, best, c):
-    """Per Min state, the minimum over its edges of best - A c."""
-    out = []
-    for row in rows:
-        first = True
-        for i, a in row:
-            v = best[i] - a * c
-            if first or v < m:
-                m = v
-                first = False
-        out.append(m)
-    return out
 
 
 def _int_step(game, u, c):

@@ -117,10 +117,10 @@ def gen_random(kind, seed, out):
 def gen_cex(n, w, out, flip_max, flip_out, as_json):
     """Emit the two-branch slow-flip instance and its metadata."""
     from . import cex as cexmod
-    from . import entropy as ent
+    from .entropycheck import entropy_to_json
 
     inst = cexmod.build_cex_game(n, w)
-    obj = ent.entropy_to_json(inst.game)
+    obj = entropy_to_json(inst.game)
     text = json.dumps(obj, indent=2)
     if out:
         _write_out(out, lambda fh: fh.write(text + "\n"))
@@ -158,12 +158,13 @@ def _bench_one(path, budget):
     stochastic file and the block iterations of `solve_entropy_game` for
     an entropy file."""
     start = time.perf_counter()
-    kind, mod, game = _load_game(path)
+    kind, _, game = _load_game(path)
+    solver = _kind_module(kind, solver=True)
     if kind == "smpg":
-        steps = mod.solve_game(game).oracle_calls
+        steps = solver.solve_game(game).oracle_calls
         n = len(game.min_ids)
     else:
-        sol = mod.solve_entropy_game(game, budget=budget)
+        sol = solver.solve_entropy_game(game, budget=budget)
         steps = sum(b.iterations for b in sol.blocks)
         n = len(game.d_ids)
     return {

@@ -18,7 +18,7 @@ from itertools import islice
 from math import floor
 from typing import NamedTuple
 
-from .entropy import EntropyGame, make_entropy_game
+from .entropycheck import EntropyGame, make_entropy_game
 from .numeric import IterationCapExceeded, RationalInterval
 from .perron import ln_bracket
 

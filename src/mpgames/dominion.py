@@ -5,11 +5,11 @@ the exact `winner` decision, brute force by strategy enumeration (with
 `markov_gain_bias`, the Fraction form of the chain solve), and random
 instances.
 
-`stochastic` holds the solve and the certificate check, and imports this
-module only when a probe reaches its a priori cap and `top_class` takes
-over; `winner`, brute force and the generator are imported by the commands
-that run them.  The paper's procedures use only the oracle interface of
-`oracle`.
+`stochastic` holds the solve, and `smpgcheck` the game and the
+certificate check; `stochastic` imports this module only when a probe
+reaches its a priori cap and `top_class` takes over; `winner`, brute force
+and the generator are imported by the commands that run them.  The
+paper's procedures use only the oracle interface of `oracle`.
 """
 
 from __future__ import annotations
@@ -25,16 +25,18 @@ from ._smpgfast import Kernel, _int_step
 from .iteration import Exhausted, WinnerVerdict, bottom, gap_iteration, zeros
 from .numeric import NEG_INF
 from .oracle import ShapleyOracle, restrict
-from .stochastic import (
+from .smpgcheck import (
     GameStats,
     StochasticGame,
+    induced_subgame,
+    make_game,
+    shapley_eval,
+)
+from .stochastic import (
     StrategyPair,
     _bias_bound,
     _pair_chain,
     gain_bias_numerators,
-    induced_subgame,
-    make_game,
-    shapley_eval,
 )
 
 

@@ -1,13 +1,7 @@
-"""Matrix-multiplicative games with three alternating roles.
+"""The entropy-game solver: Despot/Tribune/People games, whose record,
+file format, operator T and certificate check are in `entropycheck`.
 
-A Despot state picks one of its Tribune successors (minimizing), a Tribune
-picks one of its People successors (maximizing), and a People state spreads
-into Despot states with integer multiplicities.  In the multiplicative
-domain the one-step operator on positive vectors indexed by Despot states is
-
-    T_d(x) = min_(d,t) max_(t,p) sum_(p,l) m_pl * x_l,
-
-and the per-state value is the growth rate lim T^k(1)_d^(1/k), a Perron root
+The per-state value is the growth rate lim T^k(1)_d^(1/k), a Perron root
 of an induced nonnegative matrix.  The solver peels top classes, searching
 approximately and certifying exactly, with no strategy enumeration: a
 damped iteration u <- T(u) + u on integer vectors guesses the top class D of
@@ -29,16 +23,18 @@ integer value whenever that value is rational; its vector comes from one
 exact solve of (mu I - A) y = 1 just above that integer.
 
 A block whose search runs past its budget of work falls back to strategy
-enumeration, the reference path: enumeration finds the top class, brackets
-its value, and compares brackets exactly by the separation bound of the
-game's rank (the maximal rank of its pair matrices, read off the same
-enumeration); the witness is then the first damped iterate whose levels
-lie in the value bracket widened by a slack, half an exact rational lower
-bound of the log-gap between the top value and the nearest distinct growth
-rate of a pair matrix restricted to the block.
+enumeration, the reference path (`perron._enumerated_block`): enumeration
+finds the top class, brackets its value, and compares brackets exactly by
+the separation bound of the game's rank (the maximal rank of its pair
+matrices, read off the same enumeration); the witness is then the first
+damped iterate whose levels lie in the value bracket widened by a slack
+(`perron._top_slack`), half an exact rational lower bound of the log-gap
+between the top value and the nearest distinct growth rate of a pair
+matrix restricted to the block.
 That path, brute force and the log-domain arithmetic live in `perron`,
 which a solve imports only when a block falls back; this module holds what
-a solve certified by the separation and a certificate check run.
+a solve certified by the separation runs, and `entropycheck` the
+certificate check.
 
 On both paths one positive integer vector at integer levels lo <= hi is the
 sub and the super certificate of a block (`_finish_block`), and the
@@ -52,192 +48,23 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import import_module
 from typing import NamedTuple
 
-from .graphs import (
-    GameFormatError,
-    check_adjacency,
-    game_file,
-    read_game_file,
-    spanning_subgraph,
+from . import entropycheck
+from .entropycheck import (
+    EntropyGame,
+    induced_entropy_subgame,
+    multiplicative_eval,
+    remove_block,
 )
 from .linalg import integer_rank, integer_solve_numerators
-from .numeric import SUB, SUPER, Certificate, RationalInterval, seen_image
+from .numeric import SUB, SUPER, Certificate, RationalInterval
 
-
-# ---------------------------------------------------------------------------
-# game structure
-
-# the game file's state-list keys, and (name, edge field, default) per kind
-KEYS = ("d_states", "t_states", "p_states")
-_LABELS = (("despot", None, None), ("tribune", None, None),
-           ("people", "m", 1))
-
-
-class _Game(NamedTuple):
-    d_ids: tuple  # Despot state ids
-    t_ids: tuple  # Tribune state ids
-    p_ids: tuple  # People state ids
-    d_edges: tuple  # per Despot: (tribune_idx, ...)
-    t_edges: tuple  # per Tribune: (people_idx, ...)
-    p_edges: tuple  # per People: ((despot_idx, multiplicity), ...)
-
-
-class EntropyGame(_Game):
-    """A matrix-multiplicative game.  The instance dict holds the cached
-    validity."""
-
-    @property
-    def ids(self):
-        return self.d_ids, self.t_ids, self.p_ids
-
-    @property
-    def edges(self):
-        return self.d_edges, self.t_edges, self.p_edges
-
-    def validate(self):
-        """The game itself; GameFormatError when it is malformed.  The
-        checks run once per game object: a CLI solve validates the game it
-        reads, and the solve validates it again."""
-        self._valid
-        return self
-
-    @cached_property
-    def _valid(self) -> bool:
-        ids = self.ids
-        check_adjacency(_LABELS, ids, self.edges)
-        for k, rows in enumerate(self.edges):
-            # a People row's dict keeps one multiplicity per Despot
-            distinct = dict if k == 2 else set
-            for sid, row in zip(ids[k], rows):
-                if len(row) > 1 and len(distinct(row)) < len(row):
-                    targets = [e[0] for e in row] if k == 2 else row
-                    dup = ids[(k + 1) % 3][max(targets, key=targets.count)]
-                    raise GameFormatError(f"duplicate edge {sid!r} -> {dup!r}")
-        for sid, row in zip(self.p_ids, self.p_edges):
-            for _, m in row:
-                if not isinstance(m, int) or m < 1:
-                    raise GameFormatError(
-                        f"multiplicity at state {sid!r} must be a positive integer"
-                    )
-        return True
-
-    def stats(self):
-        """The game's size parameters, computed on first use and kept."""
-        return self._stats
-
-    @cached_property
-    def _stats(self):
-        w = max(m for row in self.p_edges for _, m in row)
-        return EntropyStats(n=len(self.d_ids), W=w)
-
-
-class EntropyStats(NamedTuple):
-    n: int
-    W: int
-
-
-def make_entropy_game(d_ids, t_ids, p_ids, d_edges, t_edges, p_edges):
-    return _sorted_game((d_ids, t_ids, p_ids),
-                        (d_edges, t_edges, p_edges)).validate()
-
-
-def _sorted_game(ids, edges):
-    """The game on these state ids and edge rows, each row sorted by target:
-    the solver's ties go to the first, the smallest, index."""
-    return EntropyGame(*map(tuple, ids), *(
-        tuple(tuple(sorted(row)) for row in rows) for rows in edges))
-
-
-# ---------------------------------------------------------------------------
-# exact multiplicative evaluation
-
-
-def multiplicative_eval(game: EntropyGame, x):
-    """One exact application of T to a vector of nonnegative rationals (or
-    integers).  A zero entry plays the role of -inf in the log domain: People
-    sums ignore nothing (zero terms contribute zero), Tribunes maximize,
-    Despots minimize."""
-    if len(x) != len(game.d_ids):
-        raise ValueError("vector length does not match Despot state count")
-    if any(v < 0 for v in x):
-        raise ValueError("multiplicative evaluation requires nonnegative entries")
-    pvals = [
-        sum(m * x[l] for l, m in row) for row in game.p_edges
-    ]
-    tvals = [max(pvals[p] for p in row) for row in game.t_edges]
-    return tuple(min(tvals[t] for t in row) for row in game.d_edges)
-
-
-# ---------------------------------------------------------------------------
-# dominions and restrictions
-
-
-def induced_entropy_subgame(game: EntropyGame, d_subset):
-    """The subgame induced by a dominion D of Despot states: People keep
-    their edges into D (surviving iff at least one remains), Tribunes keep
-    their surviving People, and every Despot move must land on a surviving
-    Tribune.  Returns None when the subset is not a dominion, and the game
-    itself when the subgame keeps every state."""
-    d_set = set(d_subset)
-    d_sel = sorted(d_set)
-    v_p = {p for p, row in enumerate(game.p_edges) for l, _ in row
-           if l in d_set}
-    t_sel = sorted({t for d in d_sel for t in game.d_edges[d]})
-    if any(v_p.isdisjoint(game.t_edges[t]) for t in t_sel):
-        return None
-    p_sel = sorted({p for t in t_sel for p in game.t_edges[t] if p in v_p})
-    keep = (d_sel, t_sel, p_sel)
-    if list(map(len, keep)) == list(map(len, game.ids)):
-        return game
-    return _spanned(game, keep)
-
-
-def _spanned(game, keep):
-    """The subgraph of the validated `game` on the state indices `keep`: its
-    targets stay distinct and its multiplicities positive, so only a state
-    left with no move needs a check."""
-    ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges, keep)
-    check_adjacency(_LABELS, ids, edges)
-    return _sorted_game(ids, edges)
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-def check_entropy_certificate(game: EntropyGame, cert: Certificate) -> bool:
-    """Exact verification of lam * v <= T(v) (sub) or >= (super) for a
-    multiplicative certificate with positive rational entries."""
-    return check_entropy_certificates(game, (cert,))
-
-
-def check_entropy_certificates(game: EntropyGame, certs) -> bool:
-    """`check_entropy_certificate` for every certificate, evaluating T once
-    per distinct vector, on integers.  T is positively homogeneous, so T(u/L)
-    = T(u)/L, and the level p/q holds as sub when p u_d <= q T(u)_d for
-    every Despot d, and as super when >=: T runs on the numerators u and L
-    plays no part.  A vector with an -inf entry is not positive, and
-    fails."""
-    images = []
-    for p, q, u, _, direction, multiplicative in certs:
-        if not multiplicative:
-            raise ValueError("entropy certificates are multiplicative")
-        if any(v <= 0 for v in u):
-            return False
-        image = seen_image(images, u)
-        if image is None:
-            image = multiplicative_eval(game, u)
-            images.append((u, image))
-        if direction == SUB:
-            holds = all(p * v <= q * w for v, w in zip(u, image))
-        else:
-            holds = all(p * v >= q * w for v, w in zip(u, image))
-        if not holds:
-            return False
-    return True
+# the benchmark's tracer looks these up here
+check_entropy_certificate = entropycheck.check_entropy_certificate
+parse_entropy = entropycheck.parse_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -670,28 +497,6 @@ def _separated_block(game: EntropyGame):
     return None
 
 
-def remove_block(game: EntropyGame, dmax):
-    """Residual game after peeling the block of the Despot indices `dmax`:
-    drop those Despots, every People with an edge into them and every
-    Tribune with such a People (a block's People and Tribunes, those whose
-    sums are positive at its witness).  None when no Despot is left, and
-    then no People or Tribune either; RuntimeError when a state left loses
-    every move."""
-    d_out = set(dmax)
-    if len(d_out) == len(game.d_ids):
-        return None
-    p_out = {p for p, row in enumerate(game.p_edges) for l, _ in row
-             if l in d_out}
-    t_out = {t for t, row in enumerate(game.t_edges)
-             if not p_out.isdisjoint(row)}
-    try:
-        return _spanned(game, [[j for j in range(len(ids)) if j not in out]
-                               for ids, out in zip(game.ids,
-                                                   (d_out, t_out, p_out))])
-    except GameFormatError as exc:
-        raise RuntimeError(f"residual game is malformed: {exc}") from exc
-
-
 def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolution:
     """Per-state value brackets, uniformly optimal positional strategies, and
     exactly verified multiplicative certificates, by peeling top classes:
@@ -731,19 +536,6 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
     return EntropySolution(
         values=values, sigma=sigma, tau=tau, blocks=tuple(blocks)
     )
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def parse_entropy(obj) -> EntropyGame:
-    ids, edges = read_game_file(obj, "entropy", KEYS, _LABELS)
-    return make_entropy_game(*ids, *edges)
-
-
-def entropy_to_json(game: EntropyGame) -> dict:
-    return game_file("entropy", KEYS, _LABELS, game.ids, game.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,327 @@
+"""Matrix-multiplicative games with three alternating roles: the game
+record, its file format, the multiplicative operator, and what makes a
+solve report true.
+
+A Despot state picks one of its Tribune successors (minimizing), a Tribune
+picks one of its People successors (maximizing), and a People state spreads
+into Despot states with integer multiplicities.  In the multiplicative
+domain the one-step operator on positive vectors indexed by Despot states is
+
+    T_d(x) = min_(d,t) max_(t,p) sum_(p,l) m_pl * x_l.
+
+A solve peels the game block by block (`remove_block`), each certified by
+integer sub and super eigenvectors of T on its subgame.  `verify_report`
+is `certify`'s check of a report.  Only `graphs` and `numeric` are
+imported, so `certify` compiles no solver code.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import NamedTuple
+
+from .graphs import (
+    GameFormatError,
+    check_adjacency,
+    game_file,
+    read_game_file,
+    spanning_subgraph,
+    state_indices,
+)
+from .numeric import (
+    _CERT_FAILED,
+    _STATES_FAILED,
+    SUB,
+    Certificate,
+    _approx_holds,
+    _cert_pair,
+    _cert_records,
+    _inside,
+    _interval_ends,
+    _named_subgame,
+    seen_image,
+)
+
+# the game file's state-list keys, and (name, edge field, default) per kind
+KEYS = ("d_states", "t_states", "p_states")
+_LABELS = (("despot", None, None), ("tribune", None, None),
+           ("people", "m", 1))
+
+
+class _Game(NamedTuple):
+    d_ids: tuple  # Despot state ids
+    t_ids: tuple  # Tribune state ids
+    p_ids: tuple  # People state ids
+    d_edges: tuple  # per Despot: (tribune_idx, ...)
+    t_edges: tuple  # per Tribune: (people_idx, ...)
+    p_edges: tuple  # per People: ((despot_idx, multiplicity), ...)
+
+
+class EntropyGame(_Game):
+    """A matrix-multiplicative game.  The instance dict holds the cached
+    validity."""
+
+    @property
+    def ids(self):
+        return self.d_ids, self.t_ids, self.p_ids
+
+    @property
+    def edges(self):
+        return self.d_edges, self.t_edges, self.p_edges
+
+    def validate(self):
+        """The game itself; GameFormatError when it is malformed.  The
+        checks run once per game object: a CLI solve validates the game it
+        reads, and the solve validates it again."""
+        self._valid
+        return self
+
+    @cached_property
+    def _valid(self) -> bool:
+        ids = self.ids
+        check_adjacency(_LABELS, ids, self.edges)
+        for k, rows in enumerate(self.edges):
+            # a People row's dict keeps one multiplicity per Despot
+            distinct = dict if k == 2 else set
+            for sid, row in zip(ids[k], rows):
+                if len(row) > 1 and len(distinct(row)) < len(row):
+                    targets = [e[0] for e in row] if k == 2 else row
+                    dup = ids[(k + 1) % 3][max(targets, key=targets.count)]
+                    raise GameFormatError(f"duplicate edge {sid!r} -> {dup!r}")
+        for sid, row in zip(self.p_ids, self.p_edges):
+            for _, m in row:
+                if not isinstance(m, int) or m < 1:
+                    raise GameFormatError(
+                        f"multiplicity at state {sid!r} must be a positive integer"
+                    )
+        return True
+
+    def stats(self):
+        """The game's size parameters, computed on first use and kept."""
+        return self._stats
+
+    @cached_property
+    def _stats(self):
+        w = max(m for row in self.p_edges for _, m in row)
+        return EntropyStats(n=len(self.d_ids), W=w)
+
+
+class EntropyStats(NamedTuple):
+    n: int
+    W: int
+
+
+def make_entropy_game(d_ids, t_ids, p_ids, d_edges, t_edges, p_edges):
+    return _sorted_game((d_ids, t_ids, p_ids),
+                        (d_edges, t_edges, p_edges)).validate()
+
+
+def _sorted_game(ids, edges):
+    """The game on these state ids and edge rows, each row sorted by target:
+    the solver's ties go to the first, the smallest, index."""
+    return EntropyGame(*map(tuple, ids), *(
+        tuple(tuple(sorted(row)) for row in rows) for rows in edges))
+
+
+def parse_entropy(obj) -> EntropyGame:
+    ids, edges = read_game_file(obj, "entropy", KEYS, _LABELS)
+    return make_entropy_game(*ids, *edges)
+
+
+def entropy_to_json(game: EntropyGame) -> dict:
+    return game_file("entropy", KEYS, _LABELS, game.ids, game.edges)
+
+
+# ---------------------------------------------------------------------------
+# the operator, and the subgames a peel leaves
+
+
+def multiplicative_eval(game: EntropyGame, x):
+    """One exact application of T to a vector of nonnegative rationals (or
+    integers).  A zero entry plays the role of -inf in the log domain: People
+    sums ignore nothing (zero terms contribute zero), Tribunes maximize,
+    Despots minimize."""
+    if len(x) != len(game.d_ids):
+        raise ValueError("vector length does not match Despot state count")
+    if any(v < 0 for v in x):
+        raise ValueError("multiplicative evaluation requires nonnegative entries")
+    pvals = [
+        sum(m * x[l] for l, m in row) for row in game.p_edges
+    ]
+    tvals = [max(pvals[p] for p in row) for row in game.t_edges]
+    return tuple(min(tvals[t] for t in row) for row in game.d_edges)
+
+
+def induced_entropy_subgame(game: EntropyGame, d_subset):
+    """The subgame induced by a dominion D of Despot states: People keep
+    their edges into D (surviving iff at least one remains), Tribunes keep
+    their surviving People, and every Despot move must land on a surviving
+    Tribune.  Returns None when the subset is not a dominion, and the game
+    itself when the subgame keeps every state."""
+    d_set = set(d_subset)
+    d_sel = sorted(d_set)
+    v_p = {p for p, row in enumerate(game.p_edges) for l, _ in row
+           if l in d_set}
+    t_sel = sorted({t for d in d_sel for t in game.d_edges[d]})
+    if any(v_p.isdisjoint(game.t_edges[t]) for t in t_sel):
+        return None
+    p_sel = sorted({p for t in t_sel for p in game.t_edges[t] if p in v_p})
+    keep = (d_sel, t_sel, p_sel)
+    if list(map(len, keep)) == list(map(len, game.ids)):
+        return game
+    return _spanned(game, keep)
+
+
+def _spanned(game, keep):
+    """The subgraph of the validated `game` on the state indices `keep`: its
+    targets stay distinct and its multiplicities positive, so only a state
+    left with no move needs a check."""
+    ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges, keep)
+    check_adjacency(_LABELS, ids, edges)
+    return _sorted_game(ids, edges)
+
+
+def remove_block(game: EntropyGame, dmax):
+    """Residual game after peeling the block of the Despot indices `dmax`:
+    drop those Despots, every People with an edge into them and every
+    Tribune with such a People (a block's People and Tribunes, those whose
+    sums are positive at its witness).  None when no Despot is left, and
+    then no People or Tribune either; RuntimeError when a state left loses
+    every move."""
+    d_out = set(dmax)
+    if len(d_out) == len(game.d_ids):
+        return None
+    p_out = {p for p, row in enumerate(game.p_edges) for l, _ in row
+             if l in d_out}
+    t_out = {t for t, row in enumerate(game.t_edges)
+             if not p_out.isdisjoint(row)}
+    try:
+        return _spanned(game, [[j for j in range(len(ids)) if j not in out]
+                               for ids, out in zip(game.ids,
+                                                   (d_out, t_out, p_out))])
+    except GameFormatError as exc:
+        raise RuntimeError(f"residual game is malformed: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+def check_entropy_certificate(game: EntropyGame, cert: Certificate) -> bool:
+    """Exact verification of lam * v <= T(v) (sub) or >= (super) for a
+    multiplicative certificate with positive rational entries."""
+    return check_entropy_certificates(game, (cert,))
+
+
+def check_entropy_certificates(game: EntropyGame, certs) -> bool:
+    """`check_entropy_certificate` for every certificate, evaluating T once
+    per distinct vector, on integers.  T is positively homogeneous, so T(u/L)
+    = T(u)/L, and the level p/q holds as sub when p u_d <= q T(u)_d for
+    every Despot d, and as super when >=: T runs on the numerators u and L
+    plays no part.  A vector with an -inf entry is not positive, and
+    fails."""
+    images = []
+    for p, q, u, _, direction, multiplicative in certs:
+        if not multiplicative:
+            raise ValueError("entropy certificates are multiplicative")
+        if any(v <= 0 for v in u):
+            return False
+        image = seen_image(images, u)
+        if image is None:
+            image = multiplicative_eval(game, u)
+            images.append((u, image))
+        if direction == SUB:
+            holds = all(p * v <= q * w for v, w in zip(u, image))
+        else:
+            holds = all(p * v >= q * w for v, w in zip(u, image))
+        if not holds:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def verify_report(game: EntropyGame, report):
+    """Why the entropy solve report fails on `game`, or None: each pair
+    must hold on the subgame it names in what the pairs before it leave
+    (`remove_block`), and the claims follow from the pairs' levels."""
+    records = _cert_records(report)
+    pairs = []
+    residual = game  # what the pairs checked so far leave of the game
+    for sub_rec, sup_rec in zip(records[::2], records[1::2]):
+        states, sub, sup = _cert_pair(sub_rec, sup_rec)
+        if pairs and residual is not None:
+            # the solver's peel: a malformed residual holds no later pair
+            try:
+                residual = remove_block(residual, state_indices(
+                    residual.d_ids, pairs[-1][0].d_ids))
+            except RuntimeError:
+                residual = None
+        target = _cert_target(game, residual, states)
+        if target is None:
+            return _STATES_FAILED
+        if not check_entropy_certificates(target, (sub, sup)):
+            return _CERT_FAILED
+        pairs.append((target, sub[:2], sup[:2]))
+    return _entropy_claims(game, report, pairs)
+
+
+def _cert_target(game, residual, states):
+    """The subgame a certificate pair holds on: `residual`, what the pairs
+    before it leave of `game`, when its records name no "states", else the
+    subgame their Despots induce in `residual`, or None."""
+    if states is None:
+        return residual
+
+    def induce(named):
+        if residual is None:
+            return None
+        try:
+            dmax = state_indices(residual.d_ids, named)
+        except GameFormatError:
+            return None  # a Despot no longer in play, or unknown
+        return induced_entropy_subgame(residual, dmax)
+
+    return _named_subgame(game, states, KEYS, induce)
+
+
+def _entropy_claims(game, report, pairs):
+    """Why the pairs (target, lo, hi) do not peel the game from the top
+    value down, or the blocks or values claimed do not follow, or None."""
+    # the pairs must peel the whole game from the top value down: a pair's
+    # super level bounds its block's value only when every block its People
+    # feed comes after it at levels no higher, and its sub level only when
+    # every block its Despots can escape to comes before it at levels no
+    # lower
+    if sum(len(target.d_ids) for target, _, _ in pairs) != len(game.d_ids):
+        return "the certificate pairs do not cover every Despot"
+    for (_, (ap, aq), (bp, bq)), (_, (cp, cq), (dp, dq)) in zip(pairs,
+                                                                pairs[1:]):
+        if cp * aq > ap * cq or dp * bq > bp * dq:
+            return "a certificate pair's levels lie above the pair's before it"
+    if "blocks" in report and report["blocks"] != [
+        sorted(target.d_ids) for target, _, _ in pairs
+    ]:
+        return "blocks are not the Despot sets the certificates hold on"
+    values = report.get("values", {})
+    if not isinstance(values, dict):
+        raise GameFormatError(f'"values" {values!r} is not an object')
+    # JSON object keys are strings, and a game's ids are all strings or all
+    # integers, so str() names each Despot unambiguously
+    levels = {str(d): (lo, hi) for target, lo, hi in pairs
+              for d in target.d_ids}
+    read = []
+    for d, rec in values.items():
+        if d not in levels:
+            return f"the value of {d!r} is not inside its block's levels"
+        ends = _interval_ends(rec)
+        if not _inside(ends, *levels[d]):
+            return f"the value of {d!r} is not inside its block's levels"
+        read.append((d, rec, ends))
+    for d, rec, ends in read:
+        if not _approx_holds(rec, ends):
+            return (f"the approx of {d!r} is not the decimal enclosure of "
+                    "its lo and hi")
+    return None

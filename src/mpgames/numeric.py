@@ -1,11 +1,14 @@
-"""Exact extended-real arithmetic, rational reconstruction, and the
-certificate record that both game kinds share.
+"""Exact extended-real arithmetic, rational reconstruction, the
+certificate record that both game kinds share, and the report format both
+kinds' checkers read.
 
 A vector of the exact reference path is a plain tuple whose entries are
 either `fractions.Fraction` or the distinguished element `NEG_INF` (its
 helpers, such as `vec` and `hilbert_seminorm`, are in `iteration`); a
 `Certificate` holds integer numerators over one denominator instead.  All
 game-side arithmetic is exact; floating point never enters this module.
+The report readers (`_report_ratio`, `_cert_pair`) read rationals to
+integers, as written.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple
+
+from .graphs import GameFormatError, json_list, state_ids_error, state_indices
 
 
 class _NegInf:
@@ -277,3 +282,181 @@ def seen_image(images, vec):
 
 class IterationCapExceeded(RuntimeError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# the report format
+
+_CERT_FAILED = "a certificate inequality does not hold"
+_STATES_FAILED = "a certificate pair's states do not name an induced subgame"
+
+
+def _rational_digits(text):
+    """(numerator, denominator) digit strings of a "p/q" or "p" string, the
+    form the report writer prints (p may carry a "-"; a bare p has
+    denominator "1"); None for any other string."""
+    num, slash, den = text.partition("/")
+    if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+        return num, den if slash else "1"
+    return None
+
+
+def _report_ratio(value):
+    """A rational written in a report, a "p/q" string or an integer of any
+    size, as integers (p, q) with q > 0, not reduced."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise GameFormatError(f"{value!r} is not a rational")
+    # ASCII digits are read by int(), as written; any other string, and any
+    # that int() refuses, takes Fraction's path, to Fraction's value or
+    # error
+    digits = (_rational_digits(value)
+              if isinstance(value, str) and value.isascii() else None)
+    if digits is not None:
+        try:
+            p, q = int(digits[0]), int(digits[1])
+        except ValueError:
+            pass
+        else:
+            if q:
+                return p, q
+    try:
+        value = Fraction(value)
+    except ZeroDivisionError as exc:
+        raise GameFormatError(f"{value!r} is not a rational") from exc
+    except ValueError:
+        # past the interpreter's int/str digit limit: digits as the report
+        # writer prints them are read through Decimal; anything else keeps
+        # Fraction's error
+        digits = _rational_digits(value)
+        if digits is None:
+            raise
+        from decimal import Decimal
+
+        p, q = (int(Decimal(x)) for x in digits)
+        if not q:
+            raise GameFormatError(f"{value!r} is not a rational") from None
+        return p, q
+    return value.numerator, value.denominator
+
+
+def _field(record, key):
+    """record[key]; a missing key is a GameFormatError worded as the game
+    reader words it."""
+    try:
+        return record[key]
+    except KeyError as exc:
+        raise GameFormatError(f"missing key {exc}") from exc
+
+
+def _cert_from_record(rec) -> Certificate:
+    """A certificate record of either game kind as a Certificate: lam and
+    each entry of vec read by `_report_ratio`, as written, and the vector
+    put over the lcm of its finite entries' denominators; an "-inf" entry
+    stays NEG_INF.
+    "multiplicative" must be a JSON boolean; absent, it is false."""
+    if not isinstance(rec, dict):
+        raise GameFormatError(f"certificate record {rec!r} is not an object")
+    p, q = _report_ratio(_field(rec, "lam"))
+    vec = [NEG_INF if v == "-inf" else _report_ratio(v)
+           for v in json_list(_field(rec, "vec"), '"vec"')]
+    direction = _field(rec, "direction")
+    multiplicative = rec.get("multiplicative", False)
+    if not isinstance(multiplicative, bool):
+        raise GameFormatError(
+            f'"multiplicative" {multiplicative!r} is not a boolean')
+    den = math.lcm(*(v[1] for v in vec if v is not NEG_INF))
+    return Certificate(p, q, [v if v is NEG_INF else v[0] * (den // v[1])
+                              for v in vec], den, direction, multiplicative)
+
+
+def _cert_records(report) -> list:
+    """The certificate records of a report, an even number, at least two."""
+    if not isinstance(report, dict):
+        raise GameFormatError("a report must be a JSON object")
+    records = json_list(report.get("certificates", []), '"certificates"')
+    if not records:
+        raise GameFormatError("report carries no certificates")
+    if len(records) % 2:
+        raise GameFormatError("certificates must come in (sub, super) pairs")
+    return records
+
+
+def _cert_pair(sub_rec, sup_rec):
+    """(states, sub, sup) of one certificate pair: its records' "states",
+    or None, and the two Certificates, a sub then a super one."""
+    sub, sup = _cert_from_record(sub_rec), _cert_from_record(sup_rec)
+    if ((sub.direction, sup.direction) != (SUB, SUPER)
+            or sub_rec.get("states") != sup_rec.get("states")):
+        raise GameFormatError(
+            "certificates must come in (sub, super) pairs on one state set")
+    return sub_rec.get("states"), sub, sup
+
+
+def _named_subgame(game, states, keys, induce):
+    """`induce` of the ids a pair's "states" lists under the first of the
+    state-list `keys` when that subgame's other state sets are those listed
+    too; else None, once every listed id is known to be `game`'s."""
+    if not isinstance(states, dict):
+        raise GameFormatError(f'"states" {states!r} is not an object')
+    named = []
+    for key in keys:
+        ids = json_list(_field(states, key), f'"{key}"')
+        bad = state_ids_error(ids)
+        if bad:
+            raise GameFormatError(bad)
+        named.append(ids)
+    target = induce(named[0])
+    if target is None or any(set(chosen) != set(ids)
+                             for chosen, ids in zip(named, target.ids)):
+        for ids, chosen in zip(game.ids, named):
+            state_indices(ids, chosen)
+        return None
+    return target
+
+
+def _interval_ends(rec):
+    """(lo, hi) of an interval record of a report, each (p, q) with
+    q > 0."""
+    if not isinstance(rec, dict):
+        raise GameFormatError(f"interval {rec!r} is not an object")
+    return _report_ratio(_field(rec, "lo")), _report_ratio(_field(rec, "hi"))
+
+
+def _inside(ends, lo, hi) -> bool:
+    """Whether the interval ends (a, b) lie inside [lo, hi]: lo <= a <= b <=
+    hi, all (p, q) with q > 0, by cross-multiplication."""
+    (lp, lq), (ap, aq), (bp, bq), (hp, hq) = lo, *ends, hi
+    return lp * aq <= ap * lq and ap * bq <= bp * aq and bp * hq <= hp * bq
+
+
+_DECIMALS = 10**12  # an approx string's decimal places, as a scale
+
+
+def _dec_str(num: int, den: int, up: bool) -> str:
+    """num/den (den > 0) to 12 decimals, rounded up (toward +inf) or
+    down."""
+    whole = num * _DECIMALS
+    whole = -(-whole // den) if up else whole // den
+    if whole < 0:
+        units, frac = divmod(-whole, _DECIMALS)
+        return f"-{units}.{frac:012d}"
+    units, frac = divmod(whole, _DECIMALS)
+    return f"{units}.{frac:012d}"
+
+
+def _approx_text(lo, hi) -> str:
+    """The decimal enclosure of [lo, hi], each end (p, q) with q > 0: lo
+    rounded down, hi up."""
+    return f"[{_dec_str(*lo, up=False)}, {_dec_str(*hi, up=True)}]"
+
+
+def _approx_holds(rec, ends) -> bool:
+    """Whether the interval record's "approx", when it has one, is the
+    enclosure `_approx_text` writes for its ends."""
+    if "approx" not in rec:
+        return True
+    try:
+        return rec["approx"] == _approx_text(*ends)
+    except ValueError:
+        # an end past the int/str digit limit, which no report prints
+        return False

@@ -36,13 +36,15 @@ from typing import NamedTuple
 
 from .entropy import (
     ENUMERATION,
-    EntropyGame,
     _finish_block,
     _nu_value,
     _people_rows,
     _separation,
-    check_entropy_certificates,
     check_pair_budget,
+)
+from .entropycheck import (
+    EntropyGame,
+    check_entropy_certificates,
     induced_entropy_subgame,
     make_entropy_game,
     multiplicative_eval,

@@ -1,10 +1,5 @@
-"""Turn-based stochastic mean-payoff games.
-
-States alternate Min -> Max -> Nature -> Min.  Min receives A on its move
-(Max pays it), Max receives B on its move, Nature moves according to
-rational rows with common denominator M.  The per-turn reward of a path
-through edges (j,i), (i,k) is B_ik - A_ij; the value of a state is the
-long-run average reward under optimal play.
+"""The stochastic mean-payoff solver; the game, its Shapley operator and
+the certificate check it accepts its answers with are in `smpgcheck`.
 
 Solving searches approximately and certifies exactly.  `solve_game` is the
 one solve; `solve_constant_value` and the CLI's value, topclass, full and
@@ -25,62 +20,43 @@ gap condition (at most _WINDOW - 1 window steps past it) the value is
 constant, and the paper's second pass, replayed up to that first stop,
 brackets it within delta.  At the a priori cap 1 + ceil(8R/delta) the
 paper's `top_class` runs from 0 and peels dominions off, and the probe runs
-once more, on the subgame the top class induces.
-
-This module holds the solve, the certificate check and the file format.
-The paper's a priori path (`top_class`, the rounding oracle it drives and
-the separation parameters `SepParams` it reads), the exact `winner`
-decision, brute force and the random instances live in `dominion`, which
-a solve imports only when its probe reaches the cap.
+once more, on the subgame the top class induces.  That a priori path, the
+exact `winner` decision, brute force and the random instances live in
+`dominion`, which a solve imports only when its probe reaches the cap.
 
 The exact half runs on integers too, from the greedy pair to the solution.
 Every loop iterates on integer numerators with the Python-int Shapley step
-of `_smpgfast`, and the same step checks the half-line, certificates and
-strategies.  `gain_bias_numerators` solves the greedy pair's chain into
-numerators of its gain and bias over one common denominator (a transient
-component of one state directly, every other component by
+of `_smpgfast`, and the same step checks the half-line.
+`gain_bias_numerators` solves the greedy pair's chain into numerators of
+its gain and bias over one common denominator (a transient component of
+one state directly, every other component by
 `linalg.integer_solve_numerators`), each closed class anchored at the
 iterate's offset computed on integers; the half-line check and the top
 class argmax chi read those numerators.  The solution's certificates are
 `numeric.Certificate`s on those integers, levels p/q and witnesses u/L,
-and `certificates_hold`, which `certify` calls on the certificates it
-reads, checks them and the strategies, levels compared by
-cross-multiplication.  Only the solution's value becomes a Fraction.
-`dominion.markov_gain_bias` is the Fraction form of the chain solve.
-Every reported strategy pair comes from one greedy rule, `_greedy_pair` on
-integer numerators: at the half-line's witness h, or Max greedy at the sub
-witness and Min greedy at the super witness.  `shapley_eval` is the exact
-reference: `winner` and the oracles of `dominion` run on it, and a vector
-with -inf entries, which only a hand-written report carries, is checked
-with it.
+and `smpgcheck.certificates_hold`, which `certify` runs on the
+certificates it reads, checks them and the strategies on the stages of the
+greedy passes, levels compared by cross-multiplication.  Only the
+solution's value becomes a Fraction.  `dominion.markov_gain_bias` is the
+Fraction form of the chain solve.  Every reported strategy pair comes from
+one greedy rule, `_greedy_pair` on integer numerators: at the half-line's
+witness h, or Max greedy at the sub witness and Min greedy at the super
+witness.  `smpgcheck.shapley_eval` is the exact reference: `winner` and
+the oracles of `dominion` run on it, and a vector with -inf entries, which
+only a hand-written report carries, is checked with it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
-from ._smpgfast import (
-    Kernel,
-    _int_step,
-    _max_stage,
-    _min_stage,
-    _nature_stage,
-)
-from .graphs import (
-    GameFormatError,
-    check_adjacency,
-    game_file,
-    json_int,
-    read_game_file,
-    spanning_subgraph,
-    tarjan_scc,
-)
+from . import smpgcheck
+from ._smpgfast import Kernel, _int_step
+from .graphs import tarjan_scc
 from .linalg import integer_solve_numerators
 from .numeric import (
-    NEG_INF,
     NOT_FOUND,
     NOT_UNIQUE,
     SUB,
@@ -89,90 +65,19 @@ from .numeric import (
     IterationCapExceeded,
     RationalInterval,
     rational_in_interval,
-    seen_image,
+)
+from .smpgcheck import (
+    GameStats,
+    StochasticGame,
+    _nature_stage,
+    certificates_hold,
+    induced_subgame,
 )
 
-# the game file's state-list keys, and (name, edge field, default) per kind
-KEYS = ("min_states", "max_states", "nat_states")
-_LABELS = (("min", "a", 0), ("max", "b", 0), ("nat", "p_num", None))
-
-
-class _Game(NamedTuple):
-    min_ids: tuple
-    max_ids: tuple
-    nat_ids: tuple
-    # adjacency by index, sorted by target index:
-    min_edges: tuple  # per Min state: ((max_idx, A), ...)
-    max_edges: tuple  # per Max state: ((nat_idx, B), ...)
-    nat_edges: tuple  # per Nat state: ((min_idx, numerator), ...), sum = M
-    M: int
-
-
-class StochasticGame(_Game):
-    """A stochastic mean-payoff game.  The instance dict holds the cached
-    properties."""
-
-    @property
-    def ids(self):
-        return self.min_ids, self.max_ids, self.nat_ids
-
-    @property
-    def edges(self):
-        return self.min_edges, self.max_edges, self.nat_edges
-
-    def validate(self):
-        if self.M < 1:
-            raise GameFormatError("denominator must be >= 1")
-        check_adjacency(_LABELS, self.ids, self.edges)
-        for sid, row in zip(self.nat_ids, self.nat_edges):
-            if any(num <= 0 for _, num in row):
-                raise GameFormatError(f"nonpositive numerator at state {sid!r}")
-            if sum(num for _, num in row) != self.M:
-                raise GameFormatError(
-                    f"numerators at state {sid!r} do not sum to denominator"
-                )
-        return self
-
-    @cached_property
-    def payoff_bound(self) -> int:
-        """The largest |A| or |B| of an edge."""
-        return max(abs(w) for rows in (self.min_edges, self.max_edges)
-                   for row in rows for _, w in row)
-
-    def stats(self):
-        """The game's size parameters, computed on first use and kept."""
-        return self._stats
-
-    @cached_property
-    def _stats(self):
-        n = len(self.min_ids)
-        # max |a - b| over the Max edges after a Min edge is at the
-        # smallest or the largest b
-        b_range = []
-        for row in self.max_edges:
-            bs = [b for _, b in row]
-            b_range.append((min(bs), max(bs)))
-        w = 0
-        for row in self.min_edges:
-            for i, a in row:
-                lo, hi = b_range[i]
-                if a - lo > w:
-                    w = a - lo
-                if hi - a > w:
-                    w = hi - a
-        s = sum(1 for row in self.nat_edges if len(row) >= 2)
-        m_exp = min(s, n - 1) if n > 1 else 0
-        mu = n * self.M**m_exp
-        return GameStats(n=n, M=self.M, W=w, s=s, m_exp=m_exp, mu=mu)
-
-
-class GameStats(NamedTuple):
-    n: int
-    M: int
-    W: int
-    s: int
-    m_exp: int
-    mu: int
+# the benchmark's tracer looks these up here
+check_certificate = smpgcheck.check_certificate
+parse_smpg = smpgcheck.parse_smpg
+shapley_eval = smpgcheck.shapley_eval
 
 
 class StrategyPair(NamedTuple):
@@ -180,205 +85,9 @@ class StrategyPair(NamedTuple):
     tau: dict  # Max id -> Nat id
 
 
-def make_game(min_ids, max_ids, nat_ids, min_edges, max_edges, nat_edges, M):
-    """Build and validate a game from index-based adjacency (targets get
-    sorted by index for deterministic tie-breaking)."""
-    game = StochasticGame(
-        tuple(min_ids),
-        tuple(max_ids),
-        tuple(nat_ids),
-        tuple(tuple(sorted(row)) for row in min_edges),
-        tuple(tuple(sorted(row)) for row in max_edges),
-        tuple(tuple(sorted(row)) for row in nat_edges),
-        M,
-    )
-    return game.validate()
-
-
-# ---------------------------------------------------------------------------
-# operator evaluation
-
-
-def _nature_sum(row, x, M):
-    """sum_l (num_l / M) * x_l with the convention 0 * (-inf) = 0; only
-    positive numerators appear in `row`, so any -inf term forces -inf."""
-    acc = 0
-    for l, num in row:
-        v = x[l]
-        if v is NEG_INF:
-            return NEG_INF
-        acc += num * v
-    return Fraction(acc, M) if not isinstance(acc, Fraction) else acc / M
-
-
-def shapley_eval(game: StochasticGame, x):
-    """One exact application of the Shapley operator:
-    F_j(x) = min_(j,i) [ -A_ij + max_(i,k) ( B_ik + sum_l P_kl x_l ) ].
-    Each Nature sum and each Max maximum is computed once per call."""
-    if len(x) != len(game.min_ids):
-        raise ValueError("vector length does not match Min state count")
-    nat = [_nature_sum(row, x, game.M) for row in game.nat_edges]
-    maxima = []
-    for row in game.max_edges:
-        inner = NEG_INF
-        for k, b in row:
-            val = nat[k]
-            if val is NEG_INF:
-                continue
-            val = b + val
-            if inner is NEG_INF or val > inner:
-                inner = val
-        maxima.append(inner)
-    out = []
-    for row in game.min_edges:
-        best = None
-        for i, a in row:
-            inner = maxima[i]
-            branch = NEG_INF if inner is NEG_INF else -a + inner
-            if best is None:
-                best = branch
-            elif branch is NEG_INF or (best is not NEG_INF and branch < best):
-                best = branch
-            if best is NEG_INF:
-                break
-        out.append(best)
-    return tuple(out)
-
-
-def induced_subgame(game: StochasticGame, subset):
-    """The subgame induced by a dominion D (a set of Min-state indices):
-    Nature states with all mass in D survive, Max moves are restricted to
-    surviving Nature states, Min keeps all its moves.  Returns None when the
-    subset is not a dominion (some Min move would reach a Max state with no
-    surviving choice), and the game itself when the subset is every Min
-    state."""
-    subset = sorted(set(subset))
-    if subset == list(range(len(game.min_ids))):
-        return game
-    sub_set = set(subset)
-    nat_keep = {k for k, row in enumerate(game.nat_edges)
-                if all(l in sub_set for l, _ in row)}
-    max_used = sorted({i for j in subset for i, _ in game.min_edges[j]})
-    kept = [{k for k, _ in game.max_edges[i] if k in nat_keep}
-            for i in max_used]
-    if not all(kept):
-        return None
-    nat_used = sorted(set().union(*kept))
-    ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges,
-                                   (subset, max_used, nat_used))
-    return make_game(*ids, *edges, game.M)
-
-
-# ---------------------------------------------------------------------------
-# bounds
-
-
 def _bias_bound(stats: GameStats) -> int:
     """The a priori bound 8 n W M^min(s, n - 1) on the bias seminorm."""
     return 8 * stats.n * stats.W * stats.M**stats.m_exp
-
-
-# ---------------------------------------------------------------------------
-# solvers
-
-
-def check_certificate(game: StochasticGame, cert: Certificate) -> bool:
-    """Exact verification of lam + v <= F(v) (sub) or >= (super)."""
-    return certificates_hold(game, (cert,))
-
-
-def _step_stages(game, x):
-    """One integer Shapley step at the finite rational vector x = (u, L),
-    numerators u over L, kept by stage: c = L M, and the Nature sums and
-    Max maxima at u/L as numerators over c.  (c, nat, best); `_min_stage`
-    of best is F(u/L) over c."""
-    u, den = x
-    c = den * game.M
-    nat = _nature_stage(game.nat_edges, u)
-    return c, nat, _max_stage(game.max_edges, nat, c)
-
-
-def _cut(rows, targets):
-    """Each row cut to its edges into the state `targets` names for it
-    (parallel edges all kept): empty where it names none."""
-    return [[e for e in row if e[0] == t] for row, t in zip(rows, targets)]
-
-
-def certificates_hold(game: StochasticGame, certs, sigma=None,
-                      tau=None, images=None) -> bool:
-    """Whether every Certificate of `certs` holds, on integers,
-    evaluating F once per distinct vector (an early sub/super pair shares
-    its vector h): with x = u/L and F(x) = y/(L M) from `_step_stages`,
-    level p/q holds as sub when p L M + q M u_j <= q y_j for every j, and
-    as super when >=.  `images`, a list of ((u, L), stages) pairs, holds
-    stages a caller has computed already.
-    With index-based positional strategies it also checks them, on the
-    same stages: sigma (Min idx -> Max idx) must name an edge at every Min
-    state, and F with Min fixed to it be at most lam + y at each super
-    vector y; tau (Max idx -> Nat idx) must name an edge at every Max
-    state, and F with Max fixed to it be at least lam + x at each sub
-    vector x.  Those bound F itself, so they replace the plain checks.
-    A vector with -inf entries is checked with the reference
-    `shapley_eval`, on its Fractions, and certifies no strategy."""
-    n, M = len(game.min_ids), game.M
-    min_rows, max_rows = game.min_edges, None
-    if sigma is not None:
-        min_rows = _cut(game.min_edges, sigma)
-        if not all(min_rows):
-            return False
-    if tau is not None:
-        max_rows = _cut(game.max_edges, tau)
-        if not all(max_rows):
-            return False
-    images = [] if images is None else list(images)
-    for cert in certs:
-        p, q, u, den, direction, multiplicative = cert
-        if multiplicative:
-            raise ValueError("stochastic certificates are additive")
-        if len(u) != n:
-            raise ValueError("vector length does not match Min state count")
-        sub = direction == SUB
-        if NEG_INF in u:
-            if (tau if sub else sigma) is not None:
-                return False
-            x = cert.vec
-            image = seen_image(images, x)
-            if image is None:
-                image = shapley_eval(game, x)
-                images.append((x, image))
-            if not _reference_holds(p, q, x, image, sub):
-                return False
-            continue
-        x = (u, den)
-        image = seen_image(images, x)
-        if image is None:
-            image = _step_stages(game, x)
-            images.append((x, image))
-        c, nat, best = image
-        if sub:
-            if max_rows is not None:
-                best = _max_stage(max_rows, nat, c)
-            y = _min_stage(game.min_edges, best, c)
-        else:
-            y = _min_stage(min_rows, best, c)
-        pc, qM = p * c, q * M
-        if sub:
-            holds = all(pc + qM * v <= q * w for v, w in zip(u, y))
-        else:
-            holds = all(pc + qM * v >= q * w for v, w in zip(u, y))
-        if not holds:
-            return False
-    return True
-
-
-def _reference_holds(p, q, x, y, sub) -> bool:
-    """p/q + x <= y (sub) or >= y (super), cross-multiplied, with y = F(x)
-    from shapley_eval; an -inf entry of y fails."""
-    if any(v is NEG_INF for v in y):
-        return False
-    if sub:
-        return all(p + q * v <= q * w for v, w in zip(x, y))
-    return all(p + q * v >= q * w for v, w in zip(x, y))
 
 
 class GameSolution(NamedTuple):
@@ -764,30 +473,3 @@ def _pair_chain(game: StochasticGame, sigma, tau):
         b = max(b for t, b in game.max_edges[i] if t == k)
         r.append(b - a)
     return rows, r
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def parse_smpg(obj) -> StochasticGame:
-    ids, (min_edges, max_edges, nat_edges) = read_game_file(
-        obj, "smpg", KEYS, _LABELS)
-    try:
-        m = json_int(obj["denominator"], '"denominator"')
-    except KeyError as exc:
-        raise GameFormatError(f"missing key {exc}") from exc
-    for k, row in enumerate(nat_edges):
-        if len(row) == 1 and row[0][1] is None:
-            nat_edges[k] = [(row[0][0], m)]
-        elif any(num is None for _, num in row):
-            raise GameFormatError(
-                f'state {ids[2][k]!r}: "p_num" required when a Nature state '
-                "has several successors"
-            )
-    return make_game(*ids, min_edges, max_edges, nat_edges, m)
-
-
-def game_to_json(game: StochasticGame) -> dict:
-    return game_file("smpg", KEYS, _LABELS, game.ids, game.edges,
-                     denominator=game.M)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import mpgames as mg
 from mpgames import cli
 from mpgames import entropy as ent
+from mpgames import entropycheck, numeric, smpgcheck
 from mpgames.cli import main
 
 from conftest import (
@@ -45,7 +46,7 @@ F = Fraction
 
 def report_frac(text):
     """A report rational as the CLI reads it, as a Fraction."""
-    return F(*cli._report_ratio(text))
+    return F(*numeric._report_ratio(text))
 
 
 @pytest.fixture
@@ -310,11 +311,11 @@ class TestSolve:
         finally:
             sys.set_int_max_str_digits(limit)
         if isinstance(want, Fraction):
-            p, q = cli._report_ratio(text)
+            p, q = numeric._report_ratio(text)
             assert q > 0 and F(p, q) == want
         else:
             with pytest.raises(Exception) as info:
-                cli._report_ratio(text)
+                numeric._report_ratio(text)
             assert type(info.value) is (mg.GameFormatError if isinstance(
                 want, ZeroDivisionError) else type(want))
         assert sys.get_int_max_str_digits() == limit
@@ -596,13 +597,13 @@ class TestCertify:
         rep = tmp_path / "rep.json"
         rep.write_text(res.output)
         calls = []
-        real_eval = mg.stochastic._step_stages
+        real_eval = smpgcheck._step_stages
 
         def counted_eval(game, x):
             calls.append(x)
             return real_eval(game, x)
 
-        monkeypatch.setattr(mg.stochastic, "_step_stages", counted_eval)
+        monkeypatch.setattr(smpgcheck, "_step_stages", counted_eval)
         res2 = runner.invoke(main, ["certify", path, str(rep)])
         assert res2.exit_code == 0
         assert len(calls) == 1
@@ -652,13 +653,13 @@ class TestCertify:
         checkpoint passing), shapley_eval sees no finite vector.  A
         hand-written vector with an -inf entry still takes it."""
         seen = []
-        real_eval = mg.stochastic.shapley_eval
+        real_eval = smpgcheck.shapley_eval
 
         def counted_eval(game, x):
             seen.append(x)
             return real_eval(game, x)
 
-        monkeypatch.setattr(mg.stochastic, "shapley_eval", counted_eval)
+        monkeypatch.setattr(smpgcheck, "shapley_eval", counted_eval)
         rep = tmp_path / "rep.json"
 
         def solve_and_certify(games, replayed):
@@ -765,9 +766,10 @@ class TestCertify:
     def test_unknown_state_id_exit_one(self, runner, tmp_path, kind):
         """A certificate pair whose "states" names an unknown Min or Despot
         id is one error line naming that id."""
-        game, keys = ((mg.game_to_json(nature_half_game()), mg.stochastic.KEYS)
+        game, keys = ((mg.game_to_json(nature_half_game()), smpgcheck.KEYS)
                       if kind == "smpg" else
-                      (mg.entropy_to_json(entropy_tribune_choice()), ent.KEYS))
+                      (mg.entropy_to_json(entropy_tribune_choice()),
+                       entropycheck.KEYS))
         path = write_game(tmp_path, "g.json", game)
         report = json.loads(
             runner.invoke(main, ["solve", path, "--json"]).output)
@@ -818,7 +820,7 @@ class TestCertify:
 def _cert_pair(lam, vec, states):
     """A multiplicative (sub, super) record pair at one level on one vector,
     named on `states` (Despots, Tribunes, People)."""
-    names = dict(zip(ent.KEYS, states))
+    names = dict(zip(entropycheck.KEYS, states))
     return [{"direction": direction, "lam": lam, "vec": vec,
              "multiplicative": True, "states": names}
             for direction in ("sub", "super")]
@@ -1026,6 +1028,53 @@ class TestStochasticStateSets:
             "certificate verification FAILED: a certificate pair's states do "
             "not name an induced subgame")
 
+    @pytest.mark.parametrize("key, state, target", [
+        ("min_strategy", "m2", "x2"),
+        ("min_strategy", "bogus", "x0"),
+        ("max_strategy", "x3", "n3"),
+        ("max_strategy", "x0", None),
+    ], ids=["min-outside", "min-unknown", "max-outside", "max-left-out"])
+    def test_strategy_names_the_subgame_states(self, runner, tmp_path,
+                                               solved, key, state, target):
+        """A strategy must name exactly the certified subgame's Min or Max
+        states: a state of the game outside it, an unknown id, or one of
+        its states left out fails, even where each named choice holds."""
+        path, report = solved
+        if target is None:
+            del report[key][state]
+        else:
+            report[key][state] = target
+        res = _certify(runner, tmp_path, path, report)
+        assert res.exit_code == 1
+        player = "Min" if key == "min_strategy" else "Max"
+        assert res.output.strip() == (
+            f"certificate verification FAILED: {key} does not name the "
+            f"certified {player} states")
+
+    def test_forged_strategy_entries_fail(self, runner, tmp_path):
+        """The 75th draw of random_smpg(Random(7), 6, 6, 6, payoff_lo=-5,
+        payoff_hi=5) has the top class {m1}; its `full` report with
+        "m0": "bogus" added to min_strategy and "nonexistent": "alsobogus"
+        to max_strategy was accepted while certify read only the subgame's
+        entries, and fails now, each edit on its own too."""
+        rng = random.Random(7)
+        draws = [mg.random_smpg(rng, 6, 6, 6, payoff_lo=-5, payoff_hi=5)
+                 for _ in range(75)]
+        path = write_game(tmp_path, "g.json", mg.game_to_json(draws[-1]))
+        report = json.loads(runner.invoke(main, ["solve", path,
+                                                 "--json"]).output)
+        assert report["top_class"] == ["m1"]
+        assert _certify(runner, tmp_path, path, report).exit_code == 0
+        edits = [("min_strategy", "m0", "bogus"),
+                 ("max_strategy", "nonexistent", "alsobogus")]
+        for chosen in (edits, edits[:1], edits[1:]):
+            forged = copy.deepcopy(report)
+            for key, state, target in chosen:
+                forged[key][state] = target
+            res = _certify(runner, tmp_path, path, forged)
+            assert res.exit_code == 1
+            assert f"FAILED: {chosen[0][0]} does not name" in res.output
+
 
 def _certify(runner, tmp_path, path, report):
     rep = tmp_path / "rep.json"
@@ -1167,9 +1216,9 @@ class TestIntegerCertify:
     def test_report_ratio_keeps_the_written_terms(self):
         """`_report_ratio` reads "p/q" as written, unreduced, and an int
         report value over 1."""
-        assert cli._report_ratio("2/4") == (2, 4)
-        assert cli._report_ratio("-0/5") == (0, 5)
-        assert cli._report_ratio(7) == (7, 1)
+        assert numeric._report_ratio("2/4") == (2, 4)
+        assert numeric._report_ratio("-0/5") == (0, 5)
+        assert numeric._report_ratio(7) == (7, 1)
 
     def test_solve_and_certify_build_few_fractions(self, runner, tmp_path,
                                                    monkeypatch):
@@ -1557,7 +1606,7 @@ class TestInProcess:
             write_game(tmp_path, "g.json",
                        mg.game_to_json(nature_half_game())),
             write_game(tmp_path, "e.json",
-                       ent.entropy_to_json(entropy_tribune_choice())),
+                       mg.entropy_to_json(entropy_tribune_choice())),
         ]
         loaded = fresh_modules("""
             for game in sys.argv[1:]:
@@ -1574,11 +1623,19 @@ def package_modules(loaded):
 
 
 CLI_MODULES = {"mpgames", "mpgames.cli", "mpgames.graphs", "mpgames.numeric"}
+# the modules a standalone certify of each kind loads: the kind's checker
+CERTIFY_MODULES = {
+    "smpg": CLI_MODULES | {"mpgames.smpgcheck"},
+    "entropy": CLI_MODULES | {"mpgames.entropycheck"},
+}
+# the package source lines of CERTIFY_MODULES per kind
+CERTIFY_LINES = {"smpg": 1792, "entropy": 1643}
 # the modules a solve and certify of each kind that certifies early load
 SOLVE_MODULES = {
-    "smpg": CLI_MODULES | {"mpgames.stochastic", "mpgames._smpgfast",
-                           "mpgames.linalg"},
-    "entropy": CLI_MODULES | {"mpgames.entropy", "mpgames.linalg"},
+    "smpg": CERTIFY_MODULES["smpg"] | {"mpgames.stochastic",
+                                      "mpgames._smpgfast", "mpgames.linalg"},
+    "entropy": CERTIFY_MODULES["entropy"] | {"mpgames.entropy",
+                                            "mpgames.linalg"},
 }
 # each kind's reference and fallback modules, loaded on first use
 FALLBACK_MODULES = {
@@ -1588,7 +1645,7 @@ FALLBACK_MODULES = {
 # the bodies of brute, gen-random, gen-cex and bench, loaded on first use
 TOOLS_MODULES = {"mpgames._tools"}
 # the package source lines of SOLVE_MODULES per kind
-SOLVE_LINES = {"smpg": 2446, "entropy": 2277}
+SOLVE_LINES = {"smpg": 2431, "entropy": 2261}
 
 
 def source_lines(modules):
@@ -1675,6 +1732,22 @@ class TestStartup:
         assert package_modules(loaded) == SOLVE_MODULES[kind]
         assert source_lines(SOLVE_MODULES[kind]) == SOLVE_LINES[kind]
         assert "dataclasses" not in loaded
+
+    @pytest.mark.parametrize("kind", ["smpg", "entropy"])
+    def test_certify_loads_only_the_checker(self, runner, smpg_file,
+                                            entropy_file, tmp_path, kind):
+        """A standalone `certify` loads `cli`, `graphs`, `numeric` and the
+        kind's checker, CERTIFY_LINES lines of source in all and at most
+        1,800: no solver code."""
+        game = smpg_file if kind == "smpg" else entropy_file
+        report = tmp_path / "report.json"
+        report.write_text(runner.invoke(main, ["solve", game, "--json"]).output)
+        loaded = fresh_modules(
+            'assert "verified" in run("certify", *sys.argv[1:])',
+            game, str(report))
+        assert package_modules(loaded) == CERTIFY_MODULES[kind]
+        assert source_lines(CERTIFY_MODULES[kind]) == CERTIFY_LINES[kind]
+        assert CERTIFY_LINES[kind] <= 1800
 
     def test_no_module_imports_dataclasses(self):
         """Records are NamedTuples: creating a dataclass costs far more

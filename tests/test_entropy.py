@@ -12,9 +12,10 @@ from click.testing import CliRunner
 
 import mpgames as mg
 from mpgames import entropy as ent
+from mpgames import entropycheck
 from mpgames import perron
 from mpgames.cli import main
-from mpgames.entropy import GameFormatError
+from mpgames.graphs import GameFormatError
 from mpgames.perron import (
     certified_log_sum_exp,
     exp_bounds,
@@ -71,8 +72,8 @@ class TestConstruction:
                                (((0, 2),),))
         bad = good._replace(p_edges=(((0, 0),),))
         calls = []
-        check = ent.check_adjacency
-        monkeypatch.setattr(ent, "check_adjacency",
+        check = entropycheck.check_adjacency
+        monkeypatch.setattr(entropycheck, "check_adjacency",
                             lambda *args: calls.append(args) or check(*args))
         assert good.validate() is good
         assert good.validate() is good
@@ -449,12 +450,13 @@ class TestSolve:
         found by equality without hashing."""
         blocks = mg.solve_entropy_game(two_block_game()).blocks
         calls = []
-        real = ent.multiplicative_eval
-        monkeypatch.setattr(ent, "multiplicative_eval",
+        real = entropycheck.multiplicative_eval
+        monkeypatch.setattr(entropycheck, "multiplicative_eval",
                             lambda game, x: calls.append(x) or real(game, x))
         for block in blocks:
             pair = tuple(map(unhashed_copy, (block.sub, block.sup)))
-            assert ent.check_entropy_certificates(block.subgame, pair)
+            assert entropycheck.check_entropy_certificates(block.subgame,
+                                                           pair)
         assert len(calls) == len(blocks) == 2
 
     def test_block_subgame_reconstructible(self):

@@ -40,13 +40,24 @@ def test_table_holds_the_exported_names():
     assert mg.__all__ == sorted(EXPORTED)
 
 
+# names exported from a solver, where the benchmark's tracer looks them up
+# (perfbench/spans.py), and defined in the game kind's checker
+CHECKER_OF = {
+    "check_certificate": "smpgcheck", "induced_subgame": "smpgcheck",
+    "parse_smpg": "smpgcheck", "shapley_eval": "smpgcheck",
+    "check_entropy_certificate": "entropycheck",
+    "parse_entropy": "entropycheck",
+}
+
+
 @pytest.mark.parametrize("name", EXPORTED)
 def test_name_is_its_defining_module_attribute(name):
     module = importlib.import_module(f"mpgames.{mg._MODULE_OF[name]}")
     value = getattr(mg, name)
     assert value is getattr(module, name)
     if inspect.isfunction(value) or inspect.isclass(value):
-        assert value.__module__ == module.__name__
+        defining = CHECKER_OF.get(name, mg._MODULE_OF[name])
+        assert value.__module__ == f"mpgames.{defining}"
 
 
 def test_dir_version_and_unknown_names():
@@ -70,7 +81,7 @@ def test_submodules_are_attributes():
     it on that first access."""
     script = ("import sys, mpgames\n"
               "assert 'mpgames.linalg' not in sys.modules\n"
-              "print(mpgames.linalg.__name__, mpgames.stochastic.KEYS[0])\n")
+              "print(mpgames.linalg.__name__, mpgames.smpgcheck.KEYS[0])\n")
     src = os.path.dirname(os.path.dirname(mg.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -228,43 +228,96 @@ def test_scan_finds_fraction_users():
     assert defined == {"f", "g", "g.h", "C", "C.m"}
 
 
-# the functions between the greedy pair and the solve's certificates, and
-# the certificate check that solve and certify share: all on integers
-INTEGER_HOT_PATH = (
-    "_half_line", "_half_line_at", "_half_line_holds", "_greedy_pair",
-    "_pair_chain", "gain_bias_numerators", "certificates_hold",
-    "_step_stages", "_cut", "_reference_holds", "_probe_cap",
-)
-
-
-# the certificate path outside `stochastic`: the entropy separation search
-# up to its certificates and the entropy check, and the report writer and
-# reader of either kind's certificates
-INTEGER_CERTIFICATE_PATH = {
+# per module, the functions between the greedy pair and the solve's
+# certificates, the entropy separation search up to its certificates, each
+# kind's certificate check and report check, which solve and certify share,
+# and the report writer and reader of either kind's certificates: all on
+# integers
+INTEGER_PATH = {
+    "stochastic.py": ("_half_line", "_half_line_at", "_half_line_holds",
+                      "_greedy_pair", "_pair_chain", "gain_bias_numerators",
+                      "_probe_cap"),
+    "smpgcheck.py": ("certificates_hold", "_step_stages", "_cut",
+                     "_reference_holds", "_nature_stage", "_max_stage",
+                     "_min_stage", "verify_report", "_strategy",
+                     "_smpg_failure", "_smpg_claims"),
     "entropy.py": ("_separated_block", "_evaluate", "_greedy",
                    "_growth_top", "_level_states", "_separated_levels",
                    "_single_integer", "_integer_value_witness",
-                   "_DampedIterate.advance", "_log2_ceil",
-                   "check_entropy_certificates"),
-    "cli.py": ("_cert_from_record", "_cert_record", "_ratio_str",
-               "_ends_record"),
+                   "_DampedIterate.advance", "_log2_ceil"),
+    "entropycheck.py": ("check_entropy_certificates", "multiplicative_eval",
+                        "verify_report", "_cert_target", "_entropy_claims"),
+    "numeric.py": ("_cert_from_record", "_cert_records", "_cert_pair",
+                   "_interval_ends", "_inside", "_approx_holds",
+                   "_approx_text", "_dec_str"),
+    "cli.py": ("_cert_record", "_ratio_str", "_ends_record"),
 }
 
 
 def test_hot_path_is_integer():
-    """The probe, the half-line check, the gain/bias core and the
-    certificate core of `stochastic`, all of `_smpgfast`, the entropy
-    separation search and certificate check and `cli`'s certificate writer
-    and reader reference no Fraction."""
-    users, defined = fraction_users(
-        (SRC / "stochastic.py").read_text(encoding="utf-8"))
-    assert set(INTEGER_HOT_PATH) <= defined
-    assert users.isdisjoint(INTEGER_HOT_PATH)
+    """The probe, the half-line check and the gain/bias core of
+    `stochastic`, all of `_smpgfast`, the entropy separation search, both
+    kinds' certificate and report checks and the certificate writer and
+    reader reference no Fraction."""
     users, defined = fraction_users(
         (SRC / "_smpgfast.py").read_text(encoding="utf-8"))
     assert defined and not users
-    for module, names in INTEGER_CERTIFICATE_PATH.items():
+    for module, names in INTEGER_PATH.items():
         users, defined = fraction_users(
             (SRC / module).read_text(encoding="utf-8"))
-        assert set(names) <= defined
-        assert users.isdisjoint(names)
+        assert set(names) <= defined, module
+        assert users.isdisjoint(names), module
+
+
+# each game kind's checker: what `certify` loads besides `cli`
+CHECKERS = ("smpgcheck", "entropycheck")
+
+
+def package_imports(source):
+    """The package modules `source` imports (relative imports)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
+    return found
+
+
+def top_level_definitions(source):
+    """The names of the module-level functions and classes of `source`."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def test_scan_finds_imports_and_definitions():
+    source = ("from . import graphs\n"
+              "from .numeric import NEG_INF\n"
+              "from fractions import Fraction\n"
+              "def f():\n"
+              "    from .linalg import integer_rank\n"
+              "    def g():\n"
+              "        pass\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        pass\n")
+    assert package_imports(source) == {"graphs", "numeric", "linalg"}
+    assert top_level_definitions(source) == {"f", "C"}
+
+
+def test_checkers_import_only_graphs_and_numeric():
+    for checker in CHECKERS:
+        source = (SRC / f"{checker}.py").read_text(encoding="utf-8")
+        assert package_imports(source) <= {"graphs", "numeric"}, checker
+
+
+def test_each_check_is_defined_once():
+    """No module but the checkers defines a function or class that a
+    checker defines: the solvers import the checks, and keep no copy."""
+    checked = set().union(*(
+        top_level_definitions((SRC / f"{c}.py").read_text(encoding="utf-8"))
+        for c in CHECKERS))
+    for path in SOURCES:
+        if path.stem not in CHECKERS:
+            copies = top_level_definitions(path.read_text(encoding="utf-8"))
+            assert not copies & checked, (path.stem, copies & checked)

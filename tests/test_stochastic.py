@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import mpgames as mg
 from mpgames import NEG_INF, Exhausted
+from mpgames import smpgcheck
 from mpgames import stochastic as st
 from mpgames._smpgfast import Kernel
 from mpgames.graphs import tarjan_scc
@@ -427,8 +428,8 @@ class TestIntegerCertificates:
                 if st.certificates_hold(g, (c,))]
         assert {c.direction for c in held} == {mg.SUB, mg.SUPER}
         calls = []
-        step = st._step_stages
-        monkeypatch.setattr(st, "_step_stages",
+        step = smpgcheck._step_stages
+        monkeypatch.setattr(smpgcheck, "_step_stages",
                             lambda game, x: calls.append(x) or step(game, x))
         assert st.certificates_hold(g, [unhashed_copy(c) for c in held])
         assert len(calls) == 1
