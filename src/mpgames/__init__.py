@@ -15,11 +15,11 @@ command's run time when no bytecode cache is written, so a command that
 reads one game kind loads only that kind's modules.  A certificate check
 loads only `cli`, `graphs`, `numeric` and the kind's checker (`smpgcheck`
 or `entropycheck`), and a solve adds its solve path: `stochastic`,
-`_smpgfast` and `linalg`, or `entropy` and `linalg`.  The reference and
-fallback code of each kind (`dominion`, with `iteration` and `oracle`, for
-stochastic games, and `perron` for entropy games) is imported when a
-command or a fallback runs it, and so are the bodies of the commands
-other than `solve` and `certify` (`_tools`).  No
+`_smpgfast` and `linalg`, or `entropy` and `linalg`.  The reference code
+of each kind (`dominion`, with `iteration` and `oracle`, for stochastic
+games, and `perron` for entropy games) is imported when a command or the
+stochastic fallback runs it, and so are the bodies of the commands other
+than `solve` and `certify` (`_tools`).  No
 module imports `dataclasses`: records are `typing.NamedTuple`s, whose
 classes cost a fraction of a dataclass's to create.  The lookup is not
 cached here, so a name always resolves to the module's current attribute,

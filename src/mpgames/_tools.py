@@ -178,9 +178,9 @@ def _bench_one(path, budget):
 
 def bench(inputs, budget, trace):
     """Time the solver on one or more game files, one after another."""
-    # import every module a row may run first, each kind's fallback module
+    # import every module a row may run first, the stochastic fallback's
     # too, so that no row's time includes compiling one
-    for module in ("stochastic", "dominion", "entropy", "perron"):
+    for module in ("stochastic", "dominion", "entropy"):
         import_module(f".{module}", __package__)
     rows = [_bench_one(path, budget) for path in inputs]
     if trace:

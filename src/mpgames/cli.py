@@ -25,8 +25,8 @@ check, `verify_report`.  This module holds the `solve` and `certify`
 bodies and declares every command's arguments; the bodies of `brute`,
 `gen-random`, `gen-cex` and `bench` are in `_tools`, which a deferred
 command (`_Group.deferred`) imports on its first lookup.  A kind's
-reference and fallback modules load only with the commands that run them:
-`dominion` (with `iteration` and `oracle`) or `perron`.
+reference modules load only with the commands, or the stochastic fallback,
+that run them: `dominion` (with `iteration` and `oracle`) or `perron`.
 
 A `--json` report is printed as json.dumps(report, indent=2,
 sort_keys=True) prints it, byte for byte, by a writer of its own
@@ -448,7 +448,7 @@ def _solve_entropy(ent, keys, game, mode, budget):
          help="machine-readable output"),
     _arg("--budget", type=int, default=10**6,
          help="strategy-pair budget; an entropy game with more pairs is "
-              "refused (default: %(default)s)"),
+              "refused before solving (default: %(default)s)"),
 )
 def solve(input_path, mode, as_json, budget):
     """Solve a game file (winner / value / top class / full analysis)."""

@@ -18,26 +18,17 @@ arithmetic.
 The iteration takes logarithmic steps: while the pair greedy at the
 iterate stays the same, the damped step is the matrix A + I of that pair,
 which is squared, so that a geometric tail of k steps costs about log2(k)
-squarings.  A Jordan-type block, whose levels close only as 1/k, has an
-integer value whenever that value is rational; its vector comes from one
-exact solve of (mu I - A) y = 1 just above that integer.
+squarings.  A Jordan-type block, whose levels close only as 1/k, is
+certified by one exact solve of (mu I - A) y = 1 with mu just above the
+Perron root of A (`_exact_witness`): at that integer when the levels hold
+a single one, or at the search's limit above a Collatz-Wielandt bracket of
+the root.  A search that reaches its limit with no block certified raises
+IterationCapExceeded; no strategy is ever enumerated.
 
-A block whose search runs past its budget of work falls back to strategy
-enumeration, the reference path (`perron._enumerated_block`): enumeration
-finds the top class, brackets its value, and compares brackets exactly by
-the separation bound of the game's rank (the maximal rank of its pair
-matrices, read off the same enumeration); the witness is then the first
-damped iterate whose levels lie in the value bracket widened by a slack
-(`perron._top_slack`), half an exact rational lower bound of the log-gap
-between the top value and the nearest distinct growth rate of a pair
-matrix restricted to the block.
-That path, brute force and the log-domain arithmetic live in `perron`,
-which a solve imports only when a block falls back; this module holds what
-a solve certified by the separation runs, and `entropycheck` the
-certificate check.
-
-On both paths one positive integer vector at integer levels lo <= hi is the
-sub and the super certificate of a block (`_finish_block`), and the
+Brute force, the log-domain arithmetic and random instances live in
+`perron`, which a solve never imports; `entropycheck` holds the
+certificate check.  One positive integer vector at integer levels lo <= hi
+is the sub and the super certificate of a block (`_finish_block`), and the
 strategies are the pair greedy at it (`_greedy`), the rule the search
 applies to every iterate.  One evaluation per iterate (`_evaluate`) feeds
 the guess, the levels and the strategies; a guess whose subgame keeps every
@@ -59,8 +50,10 @@ from .entropycheck import (
     multiplicative_eval,
     remove_block,
 )
+from .graphs import tarjan_scc
 from .linalg import integer_rank, integer_solve_numerators
-from .numeric import SUB, SUPER, Certificate, RationalInterval
+from .numeric import (SUB, SUPER, Certificate, IterationCapExceeded,
+                      RationalInterval)
 
 # the benchmark's tracer looks these up here
 check_entropy_certificate = entropycheck.check_entropy_certificate
@@ -117,7 +110,8 @@ def pair_count(game: EntropyGame) -> int:
 
 
 def check_pair_budget(game: EntropyGame, budget: int) -> int:
-    """The game's strategy-pair count; ValueError when it exceeds `budget`."""
+    """The game's strategy-pair count; ValueError when it exceeds `budget`:
+    the up-front refusal of `solve_entropy_game` and of brute force."""
     count = pair_count(game)
     if count > budget:
         raise ValueError(f"strategy-pair count {count} exceeds budget {budget}")
@@ -128,13 +122,10 @@ def check_pair_budget(game: EntropyGame, budget: int) -> int:
 # solver
 
 
-SEPARATION = "separation"
-ENUMERATION = "enumeration"
-
 # a block's separation search may spend max(4 * pairs, _SEARCH_FLOOR) units
 # of work (evaluations of T, squarings, exact solves), pairs being the
-# strategy-pair count of the residual game, before that block falls back to
-# enumeration
+# strategy-pair count of the residual game, before its one exact solve above
+# a bracket of the Perron root
 _SEARCH_FLOOR = 64
 # bits kept beyond those of nu_hat when a search iterate or a power of its
 # step matrix is trimmed
@@ -149,22 +140,13 @@ class BlockResult(NamedTuple):
     interval: RationalInterval  # multiplicative value bracket
     sub: Certificate
     sup: Certificate
-    # log-domain separation behind the levels.  Decided by separation:
-    # 1/nu_hat at r = rank, the a priori log-gap between distinct rates, which
-    # the log-width of the levels stays below.  Decided by enumeration: half
-    # an exact lower bound of the log-gap between the block's value and the
-    # nearest distinct per-state rate of a pair matrix restricted to the
-    # block, in [1/nu_hat, 1/8]; the witness levels sit delta/4 outside a
-    # value bracket of width delta/64
+    # 1/nu_hat at r = rank: the a priori log-gap between distinct rates,
+    # which the log-width of the levels stays below
     delta: Fraction
-    # decided by separation: the units of work of its search (evaluations
-    # of T, squarings, exact solves); by enumeration: the damped witness
-    # steps
+    # the units of work of its search (evaluations of T, squarings, exact
+    # solves)
     iterations: int
-    decided_by: str  # SEPARATION or ENUMERATION
-    # r of nu(n, W, r): r_D, the rank of the subgame's People rows, or the
-    # residual game's rank read off its enumeration
-    rank: int
+    rank: int  # r of nu(n, W, r): r_D, the rank of the subgame's People rows
 
 
 class EntropySolution(NamedTuple):
@@ -174,13 +156,13 @@ class EntropySolution(NamedTuple):
     blocks: tuple
 
 
-def _finish_block(game, dmax, subgame, lo, hi, vec, greedy=None, **fields):
+def _finish_block(game, dmax, subgame, lo, hi, vec, greedy, sep, rank):
     """The block of the Despots `dmax` of `game`, whose subgame carries the
     witness vec at the levels lo <= hi, each (p, q) with q > 0, as both the
     sub and the super certificate, with the strategies greedy at it:
     (block, sigma, tau).  `greedy` is `_greedy` of `game` at vec, which a
-    block of every Despot may pass; `fields` are the block's remaining
-    fields."""
+    block of every Despot may pass, or None; the block's separation is that
+    of `sep` at r = `rank`, and its `iterations` are set by the caller."""
     vec = tuple(vec)  # one vector, the sub and the super witness
     if greedy is None:
         # the witness extended by zero off the block: a People sum is
@@ -207,7 +189,9 @@ def _finish_block(game, dmax, subgame, lo, hi, vec, greedy=None, **fields):
             Fraction(hp, hq) if hp <= top * hq else Fraction(top)),
         sub=Certificate(lp, lq, vec, 1, SUB, True),
         sup=Certificate(hp, hq, vec, 1, SUPER, True),
-        **fields,
+        delta=sep.delta,
+        iterations=0,
+        rank=rank,
     )
     return (block, {game.d_ids[d]: game.t_ids[sigma[d]] for d in dmax},
             {game.t_ids[t]: game.p_ids[tau[t]] for t in v_t})
@@ -255,6 +239,14 @@ def _shifted(rows, shift):
     return [[-(-v >> shift) for v in row] for row in rows]
 
 
+def _squared(p, bits):
+    """The square of the nonnegative integer matrix p, trimmed to 2 * bits
+    bits on its largest entry."""
+    cols = list(zip(*p))
+    p = [[sum(map(int.__mul__, row, col)) for col in cols] for row in p]
+    return _shifted(p, max(map(max, p)).bit_length() - 2 * bits)
+
+
 class _DampedIterate:
     """The damped iteration u <- T(u) + u on integer vectors from 1 (or
     from `start`), in logarithmic steps.  A damped step is u <- B u with B = A + I, A the pair
@@ -283,12 +275,7 @@ class _DampedIterate:
         bits = self.bits
         low, high = min(self.vec).bit_length(), max(self.vec).bit_length()
         if rows == self._rows and high - low <= bits:
-            p = self._power
-            cols = list(zip(*p))
-            p = [[sum(map(int.__mul__, row, col)) for col in cols]
-                 for row in p]
-            self._power = _shifted(
-                p, max(map(max, p)).bit_length() - 2 * bits)
+            self._power = _squared(self._power, bits)
             self._exponent *= 2
             nxt = [sum(map(int.__mul__, row, self.vec))
                    for row in self._power]
@@ -343,26 +330,71 @@ def _single_integer(v, tv, lo, hi):
     return rho if rho * v[hi] <= tv[hi] < (rho + 1) * v[hi] else None
 
 
-def _integer_value_witness(subgame: EntropyGame, rows, rho, sep):
-    """The candidate witness of a block whose value is the integer rho: y
-    with (mu I - A) y = 1 at mu = rho (1 + 2^-b), 2^-b <= 1/(2 nu_hat), A
-    the pair matrix of the People `rows`, scaled to integers.  None unless
-    rho is an eigenvalue of A (rho I - A singular, a cheap test on small
-    integers) and y is positive.  If rho is A's Perron root, then A y =
-    mu y - 1 gives levels in [rho, mu) even on a Jordan block, which has no
-    positive eigenvector.  The power of two keeps mu, and so y, far shorter
-    than nu_hat's own numerator and denominator."""
-    n = len(rows)
-    shifted = [[rho * (d == l) - m for l, m in enumerate(row)]
-               for d, row in enumerate(_people_rows(subgame, rows))]
-    if integer_rank(shifted) == n:
+def _root_bracket(a, bits):
+    """Collatz-Wielandt bounds lo <= rho(A) <= hi, each (p, q) with q > 0,
+    of the nonnegative integer matrix A with rows `a`, with hi - lo <= lo
+    2^-bits unless the squarings run out.  rho(A) is the largest root of
+    A's strongly connected components C, where B = A_CC + I is primitive:
+    the ratios (B x)_d / x_d at x = B^(2^j) 1 bracket rho(A_CC) + 1 ever
+    closer as the power is squared and trimmed.  Any positive x gives valid
+    bounds, so trimming costs precision, not soundness."""
+    lo = hi = (0, 1)
+    for comp in tarjan_scc([[j for j, m in enumerate(row) if m]
+                            for row in a]):
+        b = [[a[i][j] + (i == j) for j in comp] for i in comp]
+        power = b
+        for _ in range(bits.bit_length() + 64):
+            x = [sum(row) for row in power]
+            bx = [sum(map(int.__mul__, row, x)) for row in b]
+            l, h = _level_states(x, bx)
+            lp, lq, hp, hq = bx[l] - x[l], x[l], bx[h] - x[h], x[h]
+            if (hp * lq - lp * hq) << bits <= lp * hq:
+                break
+            power = _squared(power, bits + _MARGIN_BITS)
+        if lp * lo[1] > lo[0] * lq:
+            lo = lp, lq
+        if hp * hi[1] > hi[0] * hq:
+            hi = hp, hq
+    return lo, hi
+
+
+def _exact_witness(subgame: EntropyGame, rows, sep, rho=None):
+    """The candidate witness of a block whose pair matrix A is that of the
+    People `rows`: y with (mu I - A) y = 1 for mu just above rho(A), scaled
+    to integers, or None unless y is positive.  For mu > rho(A) the
+    Neumann series sum_k A^k / mu^(k+1) 1 makes y positive, and A y = mu y
+    - 1 puts its levels in [mu - 1/min y, mu), close to rho(A) even on a
+    Jordan block, which has no positive eigenvector.
+
+    mu is picked in one of two ways.  Given the one integer rho between an
+    iterate's levels, mu = rho (1 + 2^-b), 2^-b <= 1/(2 nu_hat), and None
+    unless rho is an eigenvalue of A (rho I - A singular, a cheap test on
+    small integers): a rational Perron root of an integer matrix is an
+    integer.  Given none, at the search's limit, mu is the dyadic rational
+    of log2(nu_hat) + 2 bits just above the upper end of a bracket of
+    rho(A) of relative width 2^-(log2(nu_hat) + 4) (`_root_bracket`); a
+    bracket that closes exactly is an integer rho, and mu is then the
+    integer case's.  The powers of two keep mu, and so y, far shorter than
+    nu_hat's own numerator and denominator."""
+    a = _people_rows(subgame, rows)
+    n = len(a)
+    if rho is None:
+        (lp, lq), (hp, hq) = _root_bracket(a, sep.log2 + 4)
+        if lp * hq == hp * lq:
+            rho = hp // hq
+        else:
+            c = sep.log2 + 2
+            num, den = -(-(hp << c) // hq), 1 << c
+    elif integer_rank([[rho * (d == l) - m for l, m in enumerate(row)]
+                       for d, row in enumerate(a)]) == n:
         return None
-    # 2^b (mu I - A) = 2^b (rho I - A) + rho I, with 2^b >= 2 nu_hat
-    b = sep.log2 + 1
-    a = [[(x << b) + rho * (d == l) for l, x in enumerate(row)]
-         for d, row in enumerate(shifted)]
+    if rho is not None:
+        b = sep.log2 + 1
+        num, den = rho * ((1 << b) + 1), 1 << b
     try:
-        m, d = integer_solve_numerators(a, [1 << b] * n)
+        m, d = integer_solve_numerators(
+            [[num * (i == l) - den * x for l, x in enumerate(row)]
+             for i, row in enumerate(a)], [den] * n)
     except ValueError:
         return None
     if any(v <= 0 for v in m):
@@ -386,11 +418,13 @@ def _log2_ceil(num: int, den: int) -> int:
 
 def _separated_block(game: EntropyGame):
     """The top class of `game` certified by the rank separation, with no
-    enumeration: (block, sigma, tau, residual), or None once the search has
-    spent max(4 * pairs, `_SEARCH_FLOOR`) units of work, pairs being the
-    strategy-pair count of `game`.  A unit is an evaluation of T, a
-    squaring of a step matrix or an exact solve, and the block's
-    `iterations` counts them.
+    enumeration: (block, sigma, tau, residual).  A unit of the search's work
+    is an evaluation of T, a squaring of a step matrix or an exact solve,
+    and the block's `iterations` counts them.  Once the search has spent
+    max(4 * pairs, `_SEARCH_FLOOR`) units, pairs being the strategy-pair
+    count of `game`, it makes one last exact solve (`_exact_witness` above
+    a bracket of the root) and raises IterationCapExceeded unless that
+    certifies the block.
 
     Search approximately: the damped iteration u <- T(u) + u runs on the
     game from 1 in logarithmic steps (`_DampedIterate`).  After m damped
@@ -408,8 +442,12 @@ def _separated_block(game: EntropyGame):
       two of its distinct rates, all at most n * W, lie a log-distance of
       at least 1/nu_hat apart.  So [lo, hi] holds exactly one such rate,
       the block's value, and v is both the sub and the super witness.  The
-      strategies greedy at v are then exactly optimal on D by the argument
-      of `perron._top_slack`, with 1/nu_hat in place of the enumerated gap;
+      strategies greedy at v are then exactly optimal on D: the Tribunes'
+      gives A_DD v >= lo v for every Despot strategy, and the Despots'
+      A_DD v <= hi v for every Tribune strategy, A_DD the D-principal
+      submatrix of the pair matrix.  Iterated, these bound every rate of
+      A_DD below by lo or above by hi, and no rate but the value lies in
+      [lo, hi];
     - `remove_block` leaves a well-formed residual game (or none), and the
       search iterate restricted to it is a super witness at a level below
       lo: every Despot left has a lower value, so D is the whole top class.
@@ -418,15 +456,17 @@ def _separated_block(game: EntropyGame):
     D is every Despot, the search iterate itself).  Their levels close
     geometrically on most blocks, but only as 1/m on a Jordan-type block.
     A rational Perron root of an integer matrix is an integer, so when the
-    levels hold a single integer rho, `_integer_value_witness` for the pair
-    greedy at the iterate is offered as well, once per (rho, pair)."""
+    levels hold a single integer rho, `_exact_witness` at rho for the pair
+    greedy at the iterate is offered as well, once per (rho, pair); at the
+    limit, `_exact_witness` above a bracket of that pair's root is."""
     nd = len(game.d_ids)
     stats = game.stats()
     limit = max(4 * pair_count(game), _SEARCH_FLOOR)
     search = _DampedIterate(game)
     guess = None
     work = 0
-    while work < limit:
+    while True:
+        last = work >= limit
         u = search.vec
         u_eval = tu, u_rows, _, _, u_hi = _evaluate(game, u)
         work += 1
@@ -456,11 +496,14 @@ def _separated_block(game: EntropyGame):
                 work += 1
             tv, v_rows, _, v_lo, v_hi = v_eval
             levels = _separated_levels(v, tv, v_lo, v_hi, sep)
-            rho = None if levels else _single_integer(v, tv, v_lo, v_hi)
-            if rho is not None and (rho, v_rows) not in tried:
-                # one exact solve per integer and greedy pair of the guess
+            rho = (None if levels or last
+                   else _single_integer(v, tv, v_lo, v_hi))
+            if (levels is None and last
+                    or rho is not None and (rho, v_rows) not in tried):
+                # one exact solve per integer and greedy pair of the guess,
+                # and one at the limit
                 tried.add((rho, v_rows))
-                y = _integer_value_witness(inner.game, v_rows, rho, sep)
+                y = _exact_witness(inner.game, v_rows, sep, rho)
                 work += 1
                 if y is not None:
                     y_eval = ty, _, _, y_lo, y_hi = _evaluate(inner.game, y)
@@ -476,8 +519,7 @@ def _separated_block(game: EntropyGame):
                 # the search's evaluations are of `game` itself
                 found = _finish_block(
                     game, top, subgame, lo, hi, v,
-                    v_eval[2] if inner is search else None, delta=sep.delta,
-                    iterations=0, decided_by=SEPARATION, rank=rank)
+                    v_eval[2] if inner is search else None, sep, rank)
                 try:
                     residual = remove_block(game, top)
                 except RuntimeError:
@@ -493,8 +535,11 @@ def _separated_block(game: EntropyGame):
                 block, sigma, tau = found
                 block = block._replace(iterations=work)
                 return block, sigma, tau, residual
+        if last:
+            raise IterationCapExceeded(
+                f"the entropy search certified no block within {limit} "
+                f"units of work, nor did its exact solve at that limit")
         work += search.advance(tu, u_rows)
-    return None
 
 
 def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolution:
@@ -503,11 +548,10 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
     certify the top class of the current residual game as a constant-value
     block, remove it together with the Tribunes and People attached to it,
     and recurse.  Each block is certified by the rank separation
-    (`_separated_block`); a block whose search runs out of evaluations
-    falls back to strategy enumeration (`perron._enumerated_block`, the
-    module imported then).  A game whose strategy-pair count exceeds
-    `budget` is refused before any other work, so every fallback fits the
-    budget."""
+    (`_separated_block`), which enumerates no strategy; a search that
+    reaches its limit uncertified raises IterationCapExceeded.  A game
+    whose strategy-pair count exceeds `budget` is refused with ValueError
+    before any other work, though the solve itself needs no such bound."""
     game.validate()
     check_pair_budget(game, budget)
     current = game
@@ -516,12 +560,7 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
     sigma = {}
     tau = {}
     for _ in range(len(game.d_ids) + 1):
-        found = _separated_block(current)
-        if found is None:
-            from .perron import _enumerated_block
-
-            found = _enumerated_block(current, budget)
-        block, blk_sigma, blk_tau, current = found
+        block, blk_sigma, blk_tau, current = _separated_block(current)
         blocks.append(block)
         for did in block.d_ids:
             values[did] = block.interval
@@ -539,7 +578,7 @@ def solve_entropy_game(game: EntropyGame, budget: int = 10**6) -> EntropySolutio
 
 
 # ---------------------------------------------------------------------------
-# the reference path, in `perron`
+# brute force and the log-domain arithmetic, in `perron`
 
 # names `perron` defines that perfbench/spans.py looks up in this module:
 # resolved there on access (PEP 562), which imports `perron`

@@ -13,14 +13,11 @@ such pairs, compared by cross-multiplication, and the stopping test
 hi - lo <= tol is one integer inequality.  The two endpoints become
 `Fraction`s only on return.
 
-The rest of the module is what an entropy solve certified by the rank
-separation never runs: the per-state growth rates of pair matrices (their
-rows from `entropy._people_rows`), brute force by strategy enumeration with
-the game's rank and separation profile, the solver's enumeration fallback
-(`_enumerated_block`, whose one damped witness goes to
-`entropy._finish_block`), rational ln and exp brackets, and random
-instances.  `entropy` imports this module only when a block's separation
-search runs past its budget; `brute` and `gen-random` import it too.
+The rest of the module is what an entropy solve never runs: the per-state
+growth rates of pair matrices (their rows from `entropy._people_rows`),
+brute force by strategy enumeration with the game's rank and separation
+profile, rational ln and exp brackets, and random instances.  A solve never
+imports this module; `brute`, `gen-random` and `gen-cex` do.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ from operator import mul
 from typing import NamedTuple
 
 from .entropy import (
-    ENUMERATION,
-    _finish_block,
     _nu_value,
     _people_rows,
     _separation,
@@ -44,15 +39,11 @@ from .entropy import (
 )
 from .entropycheck import (
     EntropyGame,
-    check_entropy_certificates,
-    induced_entropy_subgame,
     make_entropy_game,
-    multiplicative_eval,
-    remove_block,
 )
 from .graphs import tarjan_scc
 from .linalg import integer_rank
-from .numeric import IterationCapExceeded, RationalInterval
+from .numeric import RationalInterval
 
 
 class BracketingFailure(RuntimeError):
@@ -239,12 +230,11 @@ def rank_profile(game: EntropyGame, matrices) -> RankProfile:
     (the ambiguity matrices of its strategy pairs, the paper's rank), and
     the separation factors nu(n, W, r) derived from it.
 
-    Every value the solver compares is a Perron root of a principal
-    submatrix of a pair matrix of the game: the per-state rates of the pair
-    matrices themselves, and those of their restrictions to the top class in
-    `_top_slack`.  A principal submatrix has rank at most that of the
-    matrix, so every such root is an eigenvalue of an integer matrix of rank
-    at most r, and nu(n, W, r) separates any two distinct ones."""
+    Every value brute force compares is a per-state rate of a pair matrix,
+    a Perron root of one of its principal submatrices.  A principal
+    submatrix has rank at most that of the matrix, so every such root is an
+    eigenvalue of an integer matrix of rank at most r, and nu(n, W, r)
+    separates any two distinct ones."""
     n, w = game.stats()
     r = max([1] + [integer_rank(m) for m in matrices])
     sep = _separation(n, w, r)
@@ -278,8 +268,8 @@ class _ValueRegistry:
         """The per-state brackets of `key` at width <= tol.  The stored
         brackets are recomputed only when tol is finer than their own
         tolerance, so a bracket refined by `compare` serves every later
-        lookup at a coarser tolerance: `_top_slack` relies on that to see
-        fine brackets through its coarse reads."""
+        lookup at a coarser tolerance: `chi` reads the brackets `compare`
+        refined through coarse reads."""
         ent = self._store[key]
         stored = ent[0]
         if stored is not tol and (stored is None or stored > tol):
@@ -310,7 +300,7 @@ class BruteEntropyResult(NamedTuple):
     coarse_tol: Fraction
     fine_tol: Fraction
     pair_count: int
-    profile: RankProfile  # sets fine_tol and the slack floor of the solver
+    profile: RankProfile  # sets fine_tol
 
     def refine(self, state: int, tol) -> RationalInterval:
         key, st = self.candidates[state]
@@ -363,113 +353,6 @@ def brute_force_entropy_values(
         pair_count=count,
         profile=profile,
     )
-
-
-# ---------------------------------------------------------------------------
-# the solver's enumeration fallback
-
-
-def _top_slack(brute: BruteEntropyResult, best: int, top) -> Fraction:
-    """A certified log-domain slack for the witnesses of the top class D =
-    `top`, whose value v is that of state `best`: half an exact rational
-    lower bound (`ln_bracket` at 20 bits) of the smallest verified log-gap
-    between v and a distinct per-state growth rate of the D-principal
-    submatrix of an achievable pair matrix, floored at the a priori bound
-    1/nu_hat and capped at 1/8.
-
-    Only these rates matter.  The witnesses x, y > 0 on D satisfy
-    T(x) >= lam_lo * x and T(y) <= lam_hi * y on the block, at levels within
-    a log-distance delta/2 of v.  A Tribune strategy greedy at x gives
-    A_DD x >= lam_lo * x for every Despot strategy, and a Despot strategy
-    greedy at y gives A_DD y <= lam_hi * y for every Tribune strategy, where
-    A_DD is the D-principal submatrix of the pair matrix.  Iterating these
-    inequalities bounds every per-state rate of A_DD below by lam_lo and
-    above by lam_hi respectively.  No rate other than v lies that close to
-    v, so both greedy strategies are exactly optimal on D.
-
-    Each comparison goes to `compare`, which refines overlapping brackets to
-    the fine tolerance, and both brackets are read after it.  The registry
-    serves the stored fine bracket to a coarse lookup, so two distinct
-    values closer than the coarse width still give a ratio big.lo / small.hi
-    above 1.  Read before `compare`, such a pair would give a ratio of at
-    most 1 and drop delta to the floor: still sound, as any brackets bound
-    the ratio from below, but too small a slack for the witness search."""
-    reg, coarse, fine = brute.registry, brute.coarse_tol, brute.fine_tol
-    v = brute.candidates[best]
-    least = None  # the smallest verified ratio big.lo / small.hi
-    for key in reg.keys():
-        sub = reg.add([[key[i][j] for j in top] for i in top])
-        for s in range(len(top)):
-            c = reg.compare(v, (sub, s), coarse, fine)
-            if c == 0:
-                continue
-            a = reg.values(v[0], coarse)[v[1]]
-            b = reg.values(sub, coarse)[s]
-            small, big = (a, b) if c < 0 else (b, a)
-            if small.hi > 0 and (least is None or big.lo / small.hi < least):
-                least = big.lo / small.hi
-    half_gap = (ln_bracket(least, 20)[0] / 2 if least is not None
-                else Fraction(1, 8))
-    return min(Fraction(1, 8),
-               max(half_gap, Fraction(1) / brute.profile.nu_hat))
-
-
-def _witness_certificates(subgame, lo, hi, cap=30000):
-    """The witness of exact multiplicative sub/super certificates at the
-    levels lo <= hi: the first iterate u of the damped iteration
-    u <- T(u) + u on integer vectors from 1 with lo u <= T(u) <= hi u.
-    Along that orbit the least ratio T(u)_d/u_d never falls and the largest
-    never rises (a damped step is monotone and homogeneous), so each
-    inequality holds from its first iterate on.  Returns (u, steps), steps
-    counting the evaluations of T; raises IterationCapExceeded after `cap`
-    of them."""
-    u = [1] * len(subgame.d_ids)
-    for steps in range(1, cap + 1):
-        tu = multiplicative_eval(subgame, u)
-        if all(lo * uv <= tv <= hi * uv for tv, uv in zip(tu, u)):
-            return u, steps
-        u = [a + b for a, b in zip(tu, u)]
-        if steps % 32 == 0:
-            g = gcd(*u)
-            if g > 1:
-                u = [v // g for v in u]
-    raise IterationCapExceeded(
-        f"damped iteration found no eigenvector witnesses within {cap} steps"
-    )
-
-
-def _enumerated_block(game: EntropyGame, budget: int):
-    """The top class of `game` by strategy enumeration, certified by a damped
-    witness at a slack from `_top_slack`: (block, sigma, tau, residual)."""
-    brute = brute_force_entropy_values(game, budget)
-    reg, cands = brute.registry, brute.candidates
-    coarse, fine = brute.coarse_tol, brute.fine_tol
-    nd = len(game.d_ids)
-    best = 0
-    for d in range(1, nd):
-        if reg.compare(cands[d], cands[best], coarse, fine) > 0:
-            best = d
-    dmax = [
-        d
-        for d in range(nd)
-        if reg.compare(cands[d], cands[best], coarse, fine) == 0
-    ]
-    subgame = induced_entropy_subgame(game, dmax)
-    if subgame is None:
-        raise RuntimeError("top class candidate is not a dominion")
-    delta = _top_slack(brute, best, dmax)
-    v_int = brute.refine(best, delta / 64)
-    # delta is at most half the smallest log-gap between v and a distinct
-    # rate on the block, so levels delta/4 outside v_int still separate them
-    lo, hi = v_int.lo - delta / 4, v_int.hi + delta / 4
-    u, steps = _witness_certificates(subgame, lo, hi)
-    block, sigma, tau = _finish_block(
-        game, dmax, subgame, (lo.numerator, lo.denominator),
-        (hi.numerator, hi.denominator), u, delta=delta, iterations=steps,
-        decided_by=ENUMERATION, rank=brute.profile.rank)
-    if not check_entropy_certificates(subgame, (block.sub, block.sup)):
-        raise AssertionError("internal error: certificate failed verification")
-    return block, sigma, tau, remove_block(game, dmax)
 
 
 # ---------------------------------------------------------------------------

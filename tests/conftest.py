@@ -194,9 +194,8 @@ def entropy_jordan():
 
 
 # three default draws (draw k of random_entropy_game(Random(seed)), named
-# e<seed>-<k>) of value 3 everywhere, Jordan-type blocks: on the enumeration
-# fallback their witness search takes about 3,000 damped steps at a slack of
-# delta/4, and more than the 30,000-step cap at delta/64
+# e<seed>-<k>) of value 3 everywhere, Jordan-type blocks that the exact
+# solve at the integer 3 certifies
 DEFECT_GAMES = {
     "e11-54": (
         [[2], [0, 1, 2], [0, 1, 2]],
@@ -220,6 +219,58 @@ DEFECT_GAMES = {
 def defect_game(name):
     return mg.make_entropy_game(("d0", "d1", "d2"), ("t0", "t1", "t2"),
                                 ("p0", "p1", "p2"), *DEFECT_GAMES[name])
+
+
+def rows_game(rows):
+    """The game of one strategy pair whose pair matrix has the given rows:
+    Despot i -> Tribune i -> People i, the People of row i."""
+    n = len(rows)
+    return mg.make_entropy_game(
+        [f"d{i}" for i in range(n)], [f"t{i}" for i in range(n)],
+        [f"p{i}" for i in range(n)], [[i] for i in range(n)],
+        [[i] for i in range(n)],
+        [[(j, m) for j, m in enumerate(row) if m] for row in rows])
+
+
+def coupled_jordan_game(rng, k, choices=False):
+    """Two copies of one random irreducible k x k matrix A, the first fed
+    into the second: the pair matrix [[A, E], [0, A]] with E != 0 has a
+    Jordan-type top block of value rho(A), irrational on most draws, whose
+    levels close only as 1/m.  Weights lie in 1..3.  With `choices`, up to
+    two Tribunes gain a People of a random row, and up to two Despots a
+    Tribune of its own with such a People."""
+    a = [[0] * k for _ in range(k)]
+    order = rng.sample(range(k), k)
+    for i in range(k):  # a cycle through every state keeps A irreducible
+        a[order[i]][order[i - 1]] = rng.randint(1, 3)
+    for _ in range(rng.randint(0, k)):
+        a[rng.randrange(k)][rng.randrange(k)] = rng.randint(1, 3)
+    e = [[0] * k for _ in range(k)]
+    for _ in range(rng.randint(1, k)):
+        e[rng.randrange(k)][rng.randrange(k)] = rng.randint(1, 3)
+    rows = ([a[i] + e[i] for i in range(k)]
+            + [[0] * k + a[i] for i in range(k)])
+    g = rows_game(rows)
+    if not choices:
+        return g
+    n = 2 * k
+    d_edges, t_edges = [[i] for i in range(n)], [[i] for i in range(n)]
+    p_edges = list(g.p_edges)
+
+    def people():
+        p_edges.append([(j, rng.randint(1, 3))
+                        for j in sorted(rng.sample(range(n),
+                                                   rng.randint(1, 2)))])
+        return len(p_edges) - 1
+
+    for t in rng.sample(range(n), rng.randint(1, 2)):
+        t_edges[t].append(people())
+    for d in rng.sample(range(n), rng.randint(1, 2)):
+        d_edges[d].append(len(t_edges))
+        t_edges.append([people()])
+    return mg.make_entropy_game(
+        [f"d{i}" for i in range(n)], [f"t{i}" for i in range(len(t_edges))],
+        [f"p{i}" for i in range(len(p_edges))], d_edges, t_edges, p_edges)
 
 
 @pytest.fixture

@@ -38,6 +38,7 @@ from conftest import (
     entropy_tribune_choice,
     nature_half_game,
     peel_game,
+    rows_game,
     swap_shift_game,
 )
 
@@ -459,17 +460,19 @@ class TestSolve:
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_exhausted_witness_search_exit_three(self, runner, tmp_path,
                                                  monkeypatch, command):
-        """The enumeration fallback's witness search runs out of steps: the
-        separation search is refused, since it certifies this game."""
-        monkeypatch.setattr(ent, "_separated_block", lambda game: None)
-        monkeypatch.setattr(mg.perron, "_witness_certificates",
-                            partial(mg.perron._witness_certificates, cap=1))
-        path = write_game(tmp_path, "g.json",
-                          mg.entropy_to_json(defect_game("e11-54")))
+        """A search that reaches its limit, 64 units of work on a game of
+        one strategy pair, and whose exact solve there yields no witness:
+        the golden pair's levels never separate, and every exact solve is
+        refused."""
+        monkeypatch.setattr(ent, "_exact_witness", lambda *args: None)
+        g = rows_game([[1, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0]])
+        path = write_game(tmp_path, "g.json", mg.entropy_to_json(g))
         res = runner.invoke(main, [command, path])
         assert res.exit_code == 3
         assert isinstance(res.exception, SystemExit)
-        assert "error:" in res.output
+        assert res.output.splitlines()[-1] == (
+            "error: the entropy search certified no block within 64 units "
+            "of work, nor did its exact solve at that limit")
         assert "Traceback" not in res.output
 
     def test_entropy_winner_rejected(self, runner, entropy_file):
@@ -1637,15 +1640,17 @@ SOLVE_MODULES = {
     "entropy": CERTIFY_MODULES["entropy"] | {"mpgames.entropy",
                                             "mpgames.linalg"},
 }
-# each kind's reference and fallback modules, loaded on first use
-FALLBACK_MODULES = {
+# each kind's reference modules, loaded on first use: the stochastic
+# fallback and `--mode winner` run `dominion`; brute force and the entropy
+# generators run `perron`, which no entropy solve loads
+REFERENCE_MODULES = {
     "smpg": {"mpgames.dominion", "mpgames.iteration", "mpgames.oracle"},
     "entropy": {"mpgames.perron"},
 }
 # the bodies of brute, gen-random, gen-cex and bench, loaded on first use
 TOOLS_MODULES = {"mpgames._tools"}
 # the package source lines of SOLVE_MODULES per kind
-SOLVE_LINES = {"smpg": 2431, "entropy": 2261}
+SOLVE_LINES = {"smpg": 2431, "entropy": 2300}
 
 
 def source_lines(modules):
@@ -1660,7 +1665,10 @@ def source_lines(modules):
 # scripts run after FRESH_PRELUDE with the stochastic game nature_half_game
 # (its value 3/2 at both Min states) or the entropy game
 # entropy_tribune_choice (its value 3) as their argument; each checks the
-# answer of a command that runs a kind's reference or fallback code
+# answer of a command that runs a kind's reference or fallback code.  Every
+# stochastic script and the entropy brute script load the kind's
+# REFERENCE_MODULES; the entropy fallback script, a search that ends in the
+# exact solve at its limit, loads none
 REFERENCE_SCRIPTS = {
     "smpg-brute": ("smpg", """
         rep = json.loads(run("brute", sys.argv[1], "--json"))
@@ -1699,17 +1707,27 @@ REFERENCE_SCRIPTS = {
         assert rep["values"]["d0"]["lo"] == rep["values"]["d0"]["hi"] == "3/1"
     """),
     "entropy-fallback": ("entropy", """
-        import mpgames.entropy as ent
-
-        early = json.loads(run("solve", sys.argv[1], "--json"))
-        ent._separated_block = lambda game: None
-        solve_and_certify(sys.argv[1])
-        late = json.load(open(sys.argv[1] + ".report.json"))
-        assert late["blocks"] == early["blocks"] == [["d0"]]
-        assert late["despot_strategy"] == early["despot_strategy"]
-        assert late["tribune_strategy"] == early["tribune_strategy"]
-        value = late["values"]["d0"]
-        assert Fraction(value["lo"]) <= 3 <= Fraction(value["hi"])
+        # the golden pair, two components [[1, 1], [1, 0]] the first feeding
+        # the second, alone and with a loop of value 1: Jordan-type top
+        # blocks of irrational value, which the search certifies by its
+        # exact solve at the limit of 64 units
+        golden = [[1, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0]]
+        for rows in (golden, [r + [0] for r in golden] + [[0, 0, 0, 0, 1]]):
+            ids = range(len(rows))
+            edges = [{"from": f"{a}{i}", "to": f"{b}{i}"}
+                     for i in ids for a, b in ("dt", "tp")]
+            edges += [{"from": f"p{i}", "to": f"d{j}", "m": m}
+                      for i in ids for j, m in enumerate(rows[i]) if m]
+            game = f"{sys.argv[1]}.{len(rows)}.json"
+            with open(game, "w") as fh:
+                json.dump({"type": "entropy", "edges": edges,
+                           **{f"{k}_states": [f"{k}{i}" for i in ids]
+                              for k in "dtp"}}, fh)
+            solve_and_certify(game)
+            report = json.load(open(game + ".report.json"))
+            assert report["blocks"][0] == ["d0", "d1", "d2", "d3"]
+            assert report["iterations"] > 64
+        assert "mpgames.perron" not in sys.modules
     """),
 }
 
@@ -1772,7 +1790,7 @@ class TestStartup:
                 assert "edges" in run("gen-random", "--kind", "{kind}")
             """)
             assert package_modules(loaded) == (SOLVE_MODULES[kind]
-                                               | FALLBACK_MODULES[kind]
+                                               | REFERENCE_MODULES[kind]
                                                | TOOLS_MODULES)
 
     def test_python_m_mpgames_loads_cli_once(self, runner):
@@ -1812,41 +1830,44 @@ class TestStartup:
     def test_gen_cex_and_bench_load_their_modules(self, smpg_file,
                                                   entropy_file):
         """`gen-cex` loads the entropy modules and `cex`; `bench` loads
-        every module a solve of either kind may run."""
+        every module a solve of either kind may run, which `perron` is
+        not."""
         loaded = fresh_modules("""
             assert "k_star" in run("gen-cex", "--n", "3", "--w", "2",
                                    "--json")
         """)
         assert package_modules(loaded) == (
-            SOLVE_MODULES["entropy"] | FALLBACK_MODULES["entropy"]
+            SOLVE_MODULES["entropy"] | REFERENCE_MODULES["entropy"]
             | TOOLS_MODULES | {"mpgames.cex"})
         loaded = fresh_modules('assert "kind=" in run("bench", *sys.argv[1:])',
                                smpg_file, entropy_file)
         assert package_modules(loaded) == set.union(
-            *SOLVE_MODULES.values(), *FALLBACK_MODULES.values(),
-            TOOLS_MODULES)
+            *SOLVE_MODULES.values(), REFERENCE_MODULES["smpg"], TOOLS_MODULES)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCRIPTS))
     def test_reference_commands_load_the_fallback(self, smpg_file,
                                                   entropy_file, name):
-        """`brute`, `--mode winner` and a forced fallback load the kind's
-        reference and fallback modules, and answer as the solve path and
-        the pinned values do."""
+        """`brute`, `--mode winner` and a forced stochastic fallback load
+        the kind's reference modules, an entropy search that reaches its
+        limit loads none, and each answers as the solve path and the
+        pinned values do."""
         kind, script = REFERENCE_SCRIPTS[name]
         game = smpg_file if kind == "smpg" else entropy_file
         loaded = fresh_modules("from fractions import Fraction\n"
                                + textwrap.dedent(script), game)
         tools = TOOLS_MODULES if name.endswith("-brute") else set()
-        assert package_modules(loaded) == (SOLVE_MODULES[kind]
-                                           | FALLBACK_MODULES[kind] | tools)
+        reference = (REFERENCE_MODULES[kind]
+                     if kind == "smpg" or name.endswith("-brute") else set())
+        assert package_modules(loaded) == (SOLVE_MODULES[kind] | reference
+                                           | tools)
 
     def test_bench_clock_starts_after_the_import(self, smpg_file,
                                                  entropy_file):
         """Each bench row's clock starts with every module a solve of
-        either kind may run loaded, its fallback modules included, so no
-        row's seconds include compiling one."""
+        either kind may run loaded, the stochastic fallback's included, so
+        no row's seconds include compiling one."""
         every = sorted(set.union(*SOLVE_MODULES.values(),
-                                 *FALLBACK_MODULES.values()))
+                                 REFERENCE_MODULES["smpg"]))
         fresh_modules(f"""
             import time
             clock, started = time.perf_counter, []

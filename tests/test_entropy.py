@@ -33,6 +33,8 @@ from conftest import (
     entropy_pair_loop,
     entropy_shared_tribune,
     entropy_tribune_choice,
+    coupled_jordan_game,
+    rows_game,
     unhashed_copy,
 )
 
@@ -436,7 +438,6 @@ class TestSolve:
                      "_level_states"):
             monkeypatch.setattr(ent, name, counted(name))
         (block,) = mg.solve_entropy_game(make()).blocks
-        assert block.decided_by == ent.SEPARATION
         assert block.sub.vec == block.sup.vec
         evaluations = calls.count("multiplicative_eval") + calls.count(
             "_evaluate")
@@ -495,10 +496,10 @@ def sep(n, w, r):
     return 1 / (n * w * ent._nu_value(n, w, r))
 
 
-# (deciding path, rank, delta, units of search work) of each block and the
-# exact value brackets: any change to them is a change in the solver's
-# answers.  The defect games are integer-valued (Jordan-type) blocks that the
-# exact solve certifies, so their lower level is the value 3 itself
+# (rank, delta, units of search work) of each block and the exact value
+# brackets: any change to them is a change in the solver's answers.  The
+# defect games are integer-valued (Jordan-type) blocks that the exact solve
+# at that integer certifies, so their lower level is the value 3 itself
 CEX_LO = (
     "1054601832909406620000283285872250955805127/"
     "386011061722474655258468575193443828801980")
@@ -511,11 +512,10 @@ R2_666_1_LO = (
 R2_666_1_HI = (
     "5446187759261356658392289791606444362980367992460312429464321/"
     "470807287254333534364018350535274753084234114744250869239040")
-ENUM, SEPN = ent.ENUMERATION, ent.SEPARATION
 
 
 def defect_pins(units, hi):
-    return ([(SEPN, 3, sep(3, 3, 3), units)],
+    return ([(3, sep(3, 3, 3), units)],
             {d: ("3", hi) for d in ("d0", "d1", "d2")})
 
 
@@ -529,37 +529,29 @@ PINNED_ANSWERS = {
     "defect-e239-27": defect_pins(4, (
         "70152078591883340073776871970381584943484762062860/"
         "23384026197294446691258957323460528314494920687619")),
-    "r2-666-0": ([(SEPN, 1, sep(1, 3, 1), 1)], {"d0": ("3", "3")}),
+    "r2-666-0": ([(1, sep(1, 3, 1), 1)], {"d0": ("3", "3")}),
     "r2-666-1": (
-        [(SEPN, 3, sep(6, 3, 3), 12)],
+        [(3, sep(6, 3, 3), 12)],
         {f"d{i}": (R2_666_1_LO, R2_666_1_HI) for i in range(6)},
     ),
     "cex-2-2": (
-        [(SEPN, 2, sep(4, 8, 2), 36), (SEPN, 1, sep(1, 8, 1), 1)],
+        [(2, sep(4, 8, 2), 36), (1, sep(1, 8, 1), 1)],
         {"d*": (CEX_LO, CEX_HI), "dl0": (CEX_LO, CEX_HI),
          "dl1": (CEX_LO, CEX_HI), "dr0": ("2", "2")},
     ),
 }
-# the blocks and brackets of the enumeration fallback, on the defect games
-# with the separation search refused
-DEFECT_E11_E86 = (
-    [(ENUM, 3, F(251355953, 2147483648), 137)],
-    {d: ("25518447823/8589934592", "26021159729/8589934592")
-     for d in ("d0", "d1", "d2")},
-)
+# the blocks of the search's fallback, its one exact solve at the limit of
+# max(4 * pairs, 64) units, on the defect games with every other witness
+# refused (`limit_only`): the bracket of the root closes on the integer 3,
+# so the solve is the integer case's, with its brackets
 PINNED_FALLBACK = {
-    "defect-e11-54": DEFECT_E11_E86,
-    "defect-e86-57": DEFECT_E11_E86,
-    "defect-e239-27": (
-        [(ENUM, 3, F(19306017, 268435456), 220)],
-        {d: ("3201919455/1073741824", "3240531489/1073741824")
-         for d in ("d0", "d1", "d2")},
-    ),
-}
+    name: ([(3, sep(3, 3, 3), units)], PINNED_ANSWERS[name][1])
+    for name, units in [("defect-e11-54", 220), ("defect-e86-57", 220),
+                        ("defect-e239-27", 100)]}
 
 
 def block_pins(sol):
-    return [(b.decided_by, b.rank, b.delta, b.iterations) for b in sol.blocks]
+    return [(b.rank, b.delta, b.iterations) for b in sol.blocks]
 
 
 def pinned_game(name):
@@ -572,9 +564,21 @@ def pinned_game(name):
     return mg.build_cex_game(2, 2).game
 
 
-def refuse_separation(monkeypatch):
-    """Send every block to the enumeration fallback."""
-    monkeypatch.setattr(ent, "_separated_block", lambda game: None)
+def limit_only(monkeypatch):
+    """Refuse every witness but the exact solve at the search's limit: no
+    exact solve at an integer, and no levels but those of that solve."""
+    limit_ys = []
+    witness, levels = ent._exact_witness, ent._separated_levels
+
+    def at_limit(*args):
+        limit_ys.append(witness(*args))
+        return limit_ys[-1]
+
+    monkeypatch.setattr(ent, "_single_integer", lambda *args: None)
+    monkeypatch.setattr(ent, "_exact_witness", at_limit)
+    monkeypatch.setattr(ent, "_separated_levels", lambda v, *args: (
+        levels(v, *args) if any(v is y for y in limit_ys) else None))
+    return limit_ys
 
 
 PINS = pytest.mark.parametrize("pins, name", [
@@ -587,7 +591,7 @@ PINS = pytest.mark.parametrize("pins, name", [
 def pinned_solve(pins, name, monkeypatch):
     """The solve of a pinned game, on the fallback for the fallback's pins."""
     if pins is PINNED_FALLBACK:
-        refuse_separation(monkeypatch)
+        limit_only(monkeypatch)
     return mg.solve_entropy_game(pinned_game(name))
 
 
@@ -595,7 +599,8 @@ class TestPinnedAnswers:
     @PINS
     def test_delta_steps_and_values(self, pins, name, monkeypatch):
         """The pinned blocks and brackets, each bracket meeting brute
-        force's; the fallback's with the separation search refused."""
+        force's; the fallback's with every witness but the limit's
+        refused."""
         blocks, values = pins[name]
         sol = pinned_solve(pins, name, monkeypatch)
         assert block_pins(sol) == blocks
@@ -616,9 +621,8 @@ class TestPinnedAnswers:
 
     @PINS
     def test_no_float_logarithm(self, pins, name, monkeypatch):
-        """The fallback's slack comes from exact rational ln brackets, and
-        the search takes none: the solve gives its pinned answers with every
-        float logarithm refused."""
+        """The search and its exact solves take no logarithm: the solve
+        gives its pinned answers with every float logarithm refused."""
         def refuse(*args):
             raise AssertionError("float logarithm in the entropy solve")
 
@@ -689,11 +693,13 @@ def assert_greedy_at_witness(g, sol):
         assert block.p_ids == tuple(p for p in game.p_ids if psum[p])
 
 
-def assert_agrees_with_brute_force(g):
-    """The solve of g has brute force's blocks, and its brackets and the
-    pair values of its stitched strategies meet brute force's brackets;
-    its strategies are greedy at its witnesses (`assert_greedy_at_witness`)."""
-    sol = mg.solve_entropy_game(g)
+def assert_agrees_with_brute_force(g, sol=None):
+    """The solve of g (or `sol`, a solve of g) has brute force's blocks, and
+    its brackets and the pair values of its stitched strategies meet brute
+    force's brackets; its strategies are greedy at its witnesses
+    (`assert_greedy_at_witness`)."""
+    if sol is None:
+        sol = mg.solve_entropy_game(g)
     assert_greedy_at_witness(g, sol)
     brute = mg.brute_force_entropy_values(g)
     assert [sorted(b.d_ids) for b in sol.blocks] == brute_classes(g, brute)
@@ -704,20 +710,44 @@ def assert_agrees_with_brute_force(g):
     return sol
 
 
+def refuse_enumeration(monkeypatch):
+    """Make every strategy-enumeration entry point of `perron` fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration in an entropy solve")
+
+    for name in ("brute_force_entropy_values", "rank_profile",
+                 "matrix_values", "perron_root"):
+        monkeypatch.setattr(perron, name, refuse)
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call of `entropy.<name>` from now on."""
+    calls = []
+    real = getattr(ent, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ent, name, counted)
+    return calls
+
+
+# two golden-ratio components [[1, 1], [1, 0]], the first feeding the second
+GOLDEN_PAIR = [[1, 1, 1, 0], [1, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0]]
+
+
 class TestDecidedBy:
+    """What certifies each block: the levels of an iterate, or an exact
+    solve at an integer or at the search's limit; never enumeration."""
+
     @pytest.mark.parametrize("make", [entropy_pair_loop, two_block_game],
                              ids=["pair-loop", "two-blocks"])
     def test_separation_needs_no_enumeration(self, make, monkeypatch):
-        """Games whose blocks the rank separation decides solve with every
+        """Games whose blocks the levels certify solve with every
         enumeration entry point refused."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumeration in a separated solve")
-
-        for name in ("brute_force_entropy_values", "rank_profile",
-                     "_top_slack", "_enumerated_block"):
-            monkeypatch.setattr(perron, name, refuse)
+        refuse_enumeration(monkeypatch)
         sol = mg.solve_entropy_game(make())
-        assert {b.decided_by for b in sol.blocks} == {ent.SEPARATION}
         assert all(b.rank == 1 for b in sol.blocks)
 
     def test_jordan_block_certified_by_exact_solve(self, monkeypatch):
@@ -725,34 +755,44 @@ class TestDecidedBy:
         the levels of its damped iterates close only as 1/k; the exact
         solve of (mu I - A) y = 1 gives the witness, with the value 1 as
         its lower level."""
-        solves = []
-        real = ent._integer_value_witness
-
-        def counted(*args):
-            solves.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(ent, "_integer_value_witness", counted)
+        solves = count_calls(monkeypatch, "_exact_witness")
         g = entropy_jordan()
         sol = assert_agrees_with_brute_force(g)
         (block,) = sol.blocks
-        assert block.decided_by == ent.SEPARATION
-        assert len(solves) == 1
+        assert [args[3] for args in solves] == [1]
         assert block.interval.lo == 1 and sol.values["d0"].contains(F(1))
         assert block.sub.vec == block.sup.vec
         for cert in (block.sub, block.sup):
             assert mg.check_entropy_certificate(block.subgame, cert)
 
+    @staticmethod
+    def certified_at_limit(g, monkeypatch):
+        """The solve of g with enumeration refused, checked against brute
+        force after it: its top block is certified by the one exact solve
+        at the search's limit, above a bracket of its irrational root, the
+        golden ratio."""
+        solves = count_calls(monkeypatch, "_exact_witness")
+        with monkeypatch.context() as refused:
+            refuse_enumeration(refused)
+            sol = mg.solve_entropy_game(g)
+        assert_agrees_with_brute_force(g, sol)
+        top = sol.blocks[0]
+        assert [args[3] for args in solves].count(None) == 1
+        assert solves[-1][3] is None
+        assert top.iterations > max(4 * ent.pair_count(g), ent._SEARCH_FLOOR)
+        # the golden ratio phi, the root of x^2 = x + 1, lies in [lo, hi]
+        lo, hi = top.interval.lo, top.interval.hi
+        assert lo * lo < lo + 1 and hi * hi > hi + 1
+        return sol
 
-    def test_irrational_jordan_block_falls_back(self, monkeypatch):
-        """Two golden-ratio components [[1, 1], [1, 0]], the first feeding
-        the second, and a loop of value 1: the top block is Jordan-type
-        with an irrational value, which neither the levels nor the exact
-        solve certify within the search's budget, so it falls back.  The
-        loop's share of the search iterate shrinks with every step, and
-        squaring stops while the iterate spans more than its kept bits, so
-        the span stays below three times those bits (about 6,000 bits, 13
-        times them, without that stop)."""
+    def test_irrational_jordan_block_certified_at_limit(self, monkeypatch):
+        """The golden pair and a loop of value 1: the top block is
+        Jordan-type with an irrational value, which neither the levels nor
+        an exact solve at an integer certify, so the search reaches its
+        limit.  The loop's share of the search iterate shrinks with every
+        step, and squaring stops while the iterate spans more than its kept
+        bits, so the span stays below three times those bits (about 6,000
+        bits, 13 times them, without that stop)."""
         spans = []
         real = ent._DampedIterate.advance
 
@@ -763,16 +803,16 @@ class TestDecidedBy:
             return squarings
 
         monkeypatch.setattr(ent._DampedIterate, "advance", advance)
-        g = mg.make_entropy_game(
-            [f"d{i}" for i in range(5)], [f"t{i}" for i in range(5)],
-            [f"p{i}" for i in range(5)],
-            [[i] for i in range(5)], [[i] for i in range(5)],
-            [[(0, 1), (1, 1), (2, 1)], [(0, 1), (3, 1)], [(2, 1), (3, 1)],
-             [(2, 1)], [(4, 1)]])
-        sol = assert_agrees_with_brute_force(g)
-        assert [b.decided_by for b in sol.blocks] == [ent.ENUMERATION,
-                                                      ent.SEPARATION]
+        rows = [row + [0] for row in GOLDEN_PAIR] + [[0, 0, 0, 0, 1]]
+        sol = self.certified_at_limit(rows_game(rows), monkeypatch)
+        assert [len(b.d_ids) for b in sol.blocks] == [4, 1]
         assert 1 < max(spans) < 3
+
+    def test_golden_pair_certified_at_limit(self, monkeypatch):
+        """The golden pair alone: one Jordan-type block of value
+        (1 + sqrt 5)/2."""
+        sol = self.certified_at_limit(rows_game(GOLDEN_PAIR), monkeypatch)
+        assert [len(b.d_ids) for b in sol.blocks] == [4]
 
 
 SWEEPS = pytest.mark.parametrize("seed, size, count", [
@@ -780,27 +820,16 @@ SWEEPS = pytest.mark.parametrize("seed, size, count", [
     ids=["default", "444"])
 
 
-def sweep(seed, size, count, tmp_path):
-    """Each draw's solve against brute force, and `certify` on the CLI
-    report of every 25th draw; returns the deciding path of every block."""
-    runner = CliRunner()
-    rng = random.Random(seed)
-    decided = []
-    for i in range(count):
-        g = mg.random_entropy_game(rng, *size)
-        sol = assert_agrees_with_brute_force(g)
-        decided += [b.decided_by for b in sol.blocks]
-        if i % 25:
-            continue
-        game = tmp_path / "g.json"
-        game.write_text(json.dumps(mg.entropy_to_json(g)))
-        res = runner.invoke(main, ["solve", str(game), "--json"])
-        assert res.exit_code == 0
-        report = tmp_path / "report.json"
-        report.write_text(res.output)
-        res = runner.invoke(main, ["certify", str(game), str(report)])
-        assert res.exit_code == 0, res.output
-    return decided
+def assert_report_certified(runner, g, tmp_path):
+    """`certify` accepts the CLI report of `solve --json` on g."""
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps(mg.entropy_to_json(g)))
+    res = runner.invoke(main, ["solve", str(game), "--json"])
+    assert res.exit_code == 0
+    report = tmp_path / "report.json"
+    report.write_text(res.output)
+    res = runner.invoke(main, ["certify", str(game), str(report)])
+    assert res.exit_code == 0, res.output
 
 
 class TestSeparationSweep:
@@ -810,44 +839,55 @@ class TestSeparationSweep:
     `certify` accepts on every 25th draw."""
 
     @SWEEPS
-    def test_agrees_with_brute_force(self, seed, size, count, tmp_path):
-        """No block falls back to enumeration (24 and 3 did when the search
-        took one damped step per evaluation and Jordan-type blocks had no
-        exact solve): a search that needs the fallback again fails here."""
-        assert ent.ENUMERATION not in sweep(seed, size, count, tmp_path)
+    def test_agrees_with_brute_force(self, seed, size, count, tmp_path,
+                                     monkeypatch):
+        """No search reaches its limit (24 and 3 blocks fell back to
+        strategy enumeration there when the search took one damped step per
+        evaluation and Jordan-type blocks had no exact solve): a search
+        that needs its limit's exact solve again fails here."""
+        solves = count_calls(monkeypatch, "_exact_witness")
+        runner = CliRunner()
+        rng = random.Random(seed)
+        for i in range(count):
+            g = mg.random_entropy_game(rng, *size)
+            assert_agrees_with_brute_force(g)
+            if i % 25 == 0:
+                assert_report_certified(runner, g, tmp_path)
+        assert all(args[3] is not None for args in solves)
 
-    @SWEEPS
-    def test_fallback_agrees_with_brute_force(self, seed, size, count,
-                                              tmp_path, monkeypatch):
-        """The enumeration fallback, the reference path, on the same
-        draws with the separation search refused."""
-        refuse_separation(monkeypatch)
-        assert set(sweep(seed, size, count, tmp_path)) == {ent.ENUMERATION}
+
+class TestCoupledJordanSample:
+    """Games of two equal irreducible blocks, the first fed into the second
+    (`coupled_jordan_game`, k = 2 and 3), with one strategy pair and with
+    extra choices: their top blocks are Jordan-type, of irrational value on
+    most draws, so many searches end in the exact solve at their limit.
+    Each solve has brute force's blocks and brackets that meet brute
+    force's, and `certify` accepts its report."""
+
+    @pytest.mark.parametrize("choices", [False, True],
+                             ids=["one-pair", "choices"])
+    def test_agrees_with_brute_force(self, choices, tmp_path, monkeypatch):
+        solves = count_calls(monkeypatch, "_exact_witness")
+        runner = CliRunner()
+        rng = random.Random(3400 + choices)
+        for k in (2, 3):
+            for _ in range(20):
+                g = coupled_jordan_game(rng, k, choices)
+                assert_agrees_with_brute_force(g)
+                assert_report_certified(runner, g, tmp_path)
+        assert any(args[3] is None for args in solves)
 
 
 class TestCertifiedSeparation:
-    @staticmethod
-    def top_rates(g, top, tol):
-        """Brackets at width tol of the per-state growth rates of the
-        top-principal submatrices of every pair matrix of g."""
-        subs = {
-            tuple(tuple(m[i][j] for j in top) for i in top)
-            for sigma in itertools.product(*g.d_edges)
-            for tau in itertools.product(*g.t_edges)
-            for m in [pair_matrix(g, sigma, tau)]
-        }
-        return [iv for sub in subs for iv in matrix_values(sub, tol)]
-
     @pytest.mark.parametrize("name", sorted(DEFECT_GAMES) + ["seeds"])
     def test_fine_brackets_serve_coarse_reads(self, name):
         """With the coarse tolerance raised to 1 and no bracket computed
-        before the slack pass, the top value and the rates on the top class
-        overlap at the coarse level; the brackets
-        that `compare` refines are then read back through the coarse
-        lookups.  So delta is at most half the log-gap between v and every
-        distinct rate (seen at width 2^-60), and above the a priori floor
-        1/nu_hat: read before `compare`, an overlapping pair gives a ratio
-        big.lo / small.hi of at most 1, which drops delta to that floor."""
+        before, the top value and the per-state rates of the pair matrices
+        overlap at the coarse level, so `compare` refines them to the fine
+        tolerance.  The coarse lookups after it, such as those brute
+        force's `chi` makes, read the refined brackets: two values it
+        orders read as disjoint brackets at a width of 1, which would hold
+        both."""
         if name == "seeds":
             rng = random.Random(3)
             games = [mg.random_entropy_game(rng) for _ in range(40)]
@@ -855,39 +895,29 @@ class TestCertifiedSeparation:
             games = [defect_game(name)]
         refined = []
         for g in games:
-            block = mg.solve_entropy_game(g).blocks[0]
-            top = [g.d_ids.index(d) for d in block.d_ids]
             brute = perron.brute_force_entropy_values(g)
             # the same pair matrices, with no bracket computed yet
-            reg = brute.registry
-            brute = brute._replace(registry=perron._ValueRegistry(),
-                                   coarse_tol=F(1))
-            for key in reg.keys():
-                brute.registry.add(key)
-            reg, values = brute.registry, brute.registry.values
+            reg = perron._ValueRegistry()
+            for key in brute.registry.keys():
+                reg.add(key)
+            values, coarse, fine = reg.values, F(1), brute.fine_tol
 
-            def spy(key, tol, fine=brute.fine_tol):
+            def spy(key, tol):
                 if tol is fine:
                     refined.append(key)
                 return values(key, tol)
 
             reg.values = spy
-            delta = perron._top_slack(brute, top[0], top)
-            tol = F(1, 2**60)
-            key, state = brute.candidates[top[0]]
-            v = matrix_values(key, tol)[state]
-            bound = exp_bounds(2 * delta)[1]
-            distinct = False
-            for r in self.top_rates(g, top, tol):
-                small, big = (r, v) if r.hi < v.lo else (v, r)
-                if small.hi < big.lo and small.lo > 0:
-                    # delta <= ln(big / small) / 2
-                    assert bound <= big.lo / small.hi
-                    distinct = True
-            if distinct:
-                assert delta > 1 / brute.profile.nu_hat
-            else:
-                assert delta == F(1, 8)
+            top = g.d_ids.index(mg.solve_entropy_game(g).blocks[0].d_ids[0])
+            v = brute.candidates[top]
+            for key in reg.keys():
+                for state in range(len(key)):
+                    c = reg.compare(v, (key, state), coarse, fine)
+                    if c:
+                        a = reg.values(v[0], coarse)[v[1]]
+                        b = reg.values(key, coarse)[state]
+                        small, big = (a, b) if c < 0 else (b, a)
+                        assert small.hi < big.lo
         assert refined
 
 

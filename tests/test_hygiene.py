@@ -243,8 +243,8 @@ INTEGER_PATH = {
                      "_smpg_failure", "_smpg_claims"),
     "entropy.py": ("_separated_block", "_evaluate", "_greedy",
                    "_growth_top", "_level_states", "_separated_levels",
-                   "_single_integer", "_integer_value_witness",
-                   "_DampedIterate.advance", "_log2_ceil"),
+                   "_single_integer", "_exact_witness", "_root_bracket",
+                   "_squared", "_DampedIterate.advance", "_log2_ceil"),
     "entropycheck.py": ("check_entropy_certificates", "multiplicative_eval",
                         "verify_report", "_cert_target", "_entropy_claims"),
     "numeric.py": ("_cert_from_record", "_cert_records", "_cert_pair",
