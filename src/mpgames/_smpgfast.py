@@ -5,11 +5,11 @@ The rounding oracle keeps every iterate on the grid (1/q) Z^n, so the whole
 first loop of the constant-value procedures, and the certificate replay,
 run on integer numerators with exact comparisons.  `_int_step` is the
 Shapley step on Python ints, which cannot overflow;
-`smpgcheck.shapley_eval` is the exact reference it agrees with.  The step
+`stochastic.shapley_eval` is the exact reference it agrees with.  The step
 chains the three stages of `smpgcheck` (`_nature_stage`, `_max_stage`,
-`_min_stage`), which the certificate check also calls on their own, to
-check certificates and strategies from one evaluation; the solver's greedy
-pair takes its argmax and argmin in loops of its own.
+`_min_stage`), the one coding of the operator, which the certificate check
+runs on their own, to check certificates and strategies from one
+evaluation, and the solver's greedy pair reads its argmax and argmin off.
 
 `Kernel.gap_loop` and `Kernel.replay_loop` are one driver each over that
 step.  Both implement exactly the recurrence of the generic Fraction-based

@@ -30,13 +30,13 @@ from .smpgcheck import (
     StochasticGame,
     induced_subgame,
     make_game,
-    shapley_eval,
 )
 from .stochastic import (
     StrategyPair,
     _bias_bound,
     _pair_chain,
     gain_bias_numerators,
+    shapley_eval,
 )
 
 

@@ -27,10 +27,12 @@ IterationCapExceeded; no strategy is ever enumerated.
 
 Brute force, the log-domain arithmetic and random instances live in
 `perron`, which a solve never imports; `entropycheck` holds the
-certificate check.  One positive integer vector at integer levels lo <= hi
-is the sub and the super certificate of a block (`_finish_block`), and the
-strategies are the pair greedy at it (`_greedy`), the rule the search
-applies to every iterate.  One evaluation per iterate (`_evaluate`) feeds
+certificate check and the one coding of T, `_greedy`.  One positive
+integer vector at integer levels lo <= hi is the sub and the super
+certificate of a block (`_finish_block`), its interval the levels clamped
+as `certify` clamps them (`clamped_levels`), and the strategies are the
+pair greedy at it (`_greedy`), the rule the search applies to every
+iterate.  One evaluation per iterate (`_evaluate`) feeds
 the guess, the levels and the strategies; a guess whose subgame keeps every
 state uses the game itself; only a block's interval is made of Fractions.
 """
@@ -46,6 +48,8 @@ from typing import NamedTuple
 from . import entropycheck
 from .entropycheck import (
     EntropyGame,
+    _greedy,
+    clamped_levels,
     induced_entropy_subgame,
     multiplicative_eval,
     remove_block,
@@ -176,35 +180,22 @@ def _finish_block(game, dmax, subgame, lo, hi, vec, greedy, sep, rank):
     # exact strategies, ties to the smallest index: those greedy at it
     psum, tau, sigma = greedy
     v_t = [t for t, p in enumerate(tau) if psum[p]]
-    # the bracket: the levels within [1, n W], which holds every value
-    (lp, lq), (hp, hq) = lo, hi
-    top = len(game.d_ids) * game.stats().W
     block = BlockResult(
         d_ids=tuple(game.d_ids[d] for d in dmax),
         t_ids=tuple(game.t_ids[t] for t in v_t),
         p_ids=tuple(game.p_ids[p] for p, s in enumerate(psum) if s),
         subgame=subgame,
-        interval=RationalInterval(
-            Fraction(lp, lq) if lp >= lq else Fraction(1),
-            Fraction(hp, hq) if hp <= top * hq else Fraction(top)),
-        sub=Certificate(lp, lq, vec, 1, SUB, True),
-        sup=Certificate(hp, hq, vec, 1, SUPER, True),
+        # the levels within [1, n W], which holds every value
+        interval=RationalInterval(*(Fraction(*e) for e in
+                                    clamped_levels(game, lo, hi))),
+        sub=Certificate(*lo, vec, 1, SUB, True),
+        sup=Certificate(*hi, vec, 1, SUPER, True),
         delta=sep.delta,
         iterations=0,
         rank=rank,
     )
     return (block, {game.d_ids[d]: game.t_ids[sigma[d]] for d in dmax},
             {game.t_ids[t]: game.p_ids[tau[t]] for t in v_t})
-
-
-def _greedy(game: EntropyGame, x):
-    """The People sums at x and the pair greedy at x, ties to the smallest
-    index: (sums, tau, sigma), tau giving each Tribune's People of largest
-    sum and sigma each Despot's Tribune of least such sum."""
-    psum = [sum([m * x[l] for l, m in row]) for row in game.p_edges]
-    tau = [max(row, key=psum.__getitem__) for row in game.t_edges]
-    tsum = [psum[p] for p in tau]
-    return psum, tau, [min(row, key=tsum.__getitem__) for row in game.d_edges]
 
 
 def _evaluate(game: EntropyGame, x):
@@ -258,10 +249,9 @@ class _DampedIterate:
     exact checks accept any positive vector, so trimming costs precision,
     not soundness.  Squaring stops while the iterate's entries span more
     than `bits` bits: on a game of several classes that spread grows with
-    the steps taken, and a power would round the lower classes away.
-    `bits` may be set after construction, but before the first advance."""
+    the steps taken, and a power would round the lower classes away."""
 
-    def __init__(self, game: EntropyGame, bits=None, start=None):
+    def __init__(self, game: EntropyGame, bits: int, start=None):
         self.game = game
         self.bits = bits
         self.vec = start or [1] * len(game.d_ids)
@@ -462,8 +452,21 @@ def _separated_block(game: EntropyGame):
     nd = len(game.d_ids)
     stats = game.stats()
     limit = max(4 * pair_count(game), _SEARCH_FLOOR)
-    search = _DampedIterate(game)
-    guess = None
+
+    def guessed(top):
+        # a guess's subgame, its rank and separation bound, or None
+        subgame = induced_entropy_subgame(game, top)
+        if subgame is None:
+            return None, None, None
+        rank = _people_rank(subgame)
+        return subgame, rank, _separation(stats.n, stats.W, rank)
+
+    # the first guess: the cut k = 1 keeps every Despot, and the rank of
+    # the subgame they induce bounds that of every pair matrix of the game
+    guess = tuple(range(nd))
+    subgame, rank, sep = guessed(guess)
+    search = inner = _DampedIterate(game, sep.log2 + _MARGIN_BITS)
+    found, tried = None, set()
     work = 0
     while True:
         last = work >= limit
@@ -474,18 +477,10 @@ def _separated_block(game: EntropyGame):
         if top != guess:
             # a new guess: its subgame, separation bound and iterate
             guess, found = top, None
-            subgame = induced_entropy_subgame(game, top)
+            subgame, rank, sep = guessed(top)
             if subgame is not None:
-                rank = _people_rank(subgame)
-                sep = _separation(stats.n, stats.W, rank)
-                bits = sep.log2 + _MARGIN_BITS
-                if len(top) == nd:
-                    # the first guess (the cut k = 1 keeps every Despot):
-                    # its rank bounds that of every pair matrix of the game
-                    search.bits, inner = bits, search
-                else:
-                    inner = _DampedIterate(subgame, bits,
-                                           [u[d] for d in top])
+                inner = search if len(top) == nd else _DampedIterate(
+                    subgame, sep.log2 + _MARGIN_BITS, [u[d] for d in top])
                 tried = set()
         if subgame is not None and found is None:
             v = inner.vec

@@ -9,10 +9,13 @@ domain the one-step operator on positive vectors indexed by Despot states is
 
     T_d(x) = min_(d,t) max_(t,p) sum_(p,l) m_pl * x_l.
 
-A solve peels the game block by block (`remove_block`), each certified by
-integer sub and super eigenvectors of T on its subgame.  `verify_report`
-is `certify`'s check of a report.  Only `graphs` and `numeric` are
-imported, so `certify` compiles no solver code.
+`_greedy` is the one coding of T, off which T(x), the certificate and
+strategy checks and the solver's greedy rule read.  A solve peels the game
+block by block (`remove_block`), each certified by integer sub and super
+eigenvectors of T on its subgame, its interval the levels clamped to
+[1, n W] (`clamped_levels`).  `verify_report` is `certify`'s check of a
+report, strategies included.  Only `graphs` and `numeric` are imported, so
+`certify` compiles no solver code.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from .numeric import (
     _approx_holds,
     _cert_pair,
     _cert_records,
-    _inside,
     _interval_ends,
     _named_subgame,
+    _same_interval,
+    _strategy,
     seen_image,
 )
 
@@ -136,6 +140,17 @@ def entropy_to_json(game: EntropyGame) -> dict:
 # the operator, and the subgames a peel leaves
 
 
+def _greedy(game: EntropyGame, x):
+    """The People sums at x and the pair greedy at x, ties to the smallest
+    index: (sums, tau, sigma), tau giving each Tribune's People of largest
+    sum and sigma each Despot's Tribune of least such sum.  The one coding
+    of T: T(x)_d = sums[tau[sigma[d]]]."""
+    psum = [sum([m * x[l] for l, m in row]) for row in game.p_edges]
+    tau = [max(row, key=psum.__getitem__) for row in game.t_edges]
+    tsum = [psum[p] for p in tau]
+    return psum, tau, [min(row, key=tsum.__getitem__) for row in game.d_edges]
+
+
 def multiplicative_eval(game: EntropyGame, x):
     """One exact application of T to a vector of nonnegative rationals (or
     integers).  A zero entry plays the role of -inf in the log domain: People
@@ -145,11 +160,17 @@ def multiplicative_eval(game: EntropyGame, x):
         raise ValueError("vector length does not match Despot state count")
     if any(v < 0 for v in x):
         raise ValueError("multiplicative evaluation requires nonnegative entries")
-    pvals = [
-        sum(m * x[l] for l, m in row) for row in game.p_edges
-    ]
-    tvals = [max(pvals[p] for p in row) for row in game.t_edges]
-    return tuple(min(tvals[t] for t in row) for row in game.d_edges)
+    psum, tau, sigma = _greedy(game, x)
+    return tuple([psum[tau[t]] for t in sigma])
+
+
+def clamped_levels(game: EntropyGame, lo, hi):
+    """The levels lo <= hi of a block of `game`, each (p, q) with q > 0,
+    clamped to [1, n W]: every value of `game` lies there, so the clamped
+    levels bound the block's value too."""
+    (lp, lq), (hp, hq) = lo, hi
+    top = len(game.d_ids) * game.stats().W
+    return (lo if lp >= lq else (1, 1)), (hi if hp <= top * hq else (top, 1))
 
 
 def induced_entropy_subgame(game: EntropyGame, d_subset):
@@ -191,16 +212,23 @@ def remove_block(game: EntropyGame, dmax):
     d_out = set(dmax)
     if len(d_out) == len(game.d_ids):
         return None
-    p_out = {p for p, row in enumerate(game.p_edges) for l, _ in row
-             if l in d_out}
-    t_out = {t for t, row in enumerate(game.t_edges)
-             if not p_out.isdisjoint(row)}
+    p_out, t_out = _peeled(game, d_out)
     try:
         return _spanned(game, [[j for j in range(len(ids)) if j not in out]
                                for ids, out in zip(game.ids,
                                                    (d_out, t_out, p_out))])
     except GameFormatError as exc:
         raise RuntimeError(f"residual game is malformed: {exc}") from exc
+
+
+def _peeled(game: EntropyGame, d_out):
+    """The People and the Tribunes peeled with the Despot indices `d_out`:
+    every People with an edge into them, and every Tribune with such a
+    People."""
+    p_out = {p for p, row in enumerate(game.p_edges) for l, _ in row
+             if l in d_out}
+    return p_out, {t for t, row in enumerate(game.t_edges)
+                   if not p_out.isdisjoint(row)}
 
 
 # ---------------------------------------------------------------------------
@@ -213,27 +241,47 @@ def check_entropy_certificate(game: EntropyGame, cert: Certificate) -> bool:
     return check_entropy_certificates(game, (cert,))
 
 
-def check_entropy_certificates(game: EntropyGame, certs) -> bool:
+def check_entropy_certificates(game: EntropyGame, certs, sigma=None,
+                               tau=None) -> bool:
     """`check_entropy_certificate` for every certificate, evaluating T once
     per distinct vector, on integers.  T is positively homogeneous, so T(u/L)
     = T(u)/L, and the level p/q holds as sub when p u_d <= q T(u)_d for
     every Despot d, and as super when >=: T runs on the numerators u and L
     plays no part.  A vector with an -inf entry is not positive, and
-    fails."""
+    fails.
+    With index-based positional strategies it also checks them, on the
+    sums of the same evaluation: sigma (Despot idx -> Tribune idx) must
+    name an edge at every Despot, and T with the Despots fixed to it be at
+    most lam y at each super vector y; tau (Tribune idx -> People idx) must
+    name an edge at every Tribune, and T with the Tribunes fixed to it be
+    at least lam x at each sub vector x.  Those bound T itself, so they
+    replace the plain checks."""
+    for choice, rows in ((sigma, game.d_edges), (tau, game.t_edges)):
+        if choice is not None and not all(c in row
+                                          for c, row in zip(choice, rows)):
+            return False
     images = []
     for p, q, u, _, direction, multiplicative in certs:
         if not multiplicative:
             raise ValueError("entropy certificates are multiplicative")
+        if len(u) != len(game.d_ids):
+            raise ValueError("vector length does not match Despot state count")
         if any(v <= 0 for v in u):
             return False
         image = seen_image(images, u)
         if image is None:
-            image = multiplicative_eval(game, u)
+            image = _greedy(game, u)
             images.append((u, image))
+        psum, best, least = image
         if direction == SUB:
-            holds = all(p * v <= q * w for v, w in zip(u, image))
+            if tau is None:
+                tu = [psum[best[t]] for t in least]
+            else:
+                tu = [min([psum[tau[t]] for t in row]) for row in game.d_edges]
+            holds = all(p * v <= q * w for v, w in zip(u, tu))
         else:
-            holds = all(p * v >= q * w for v, w in zip(u, image))
+            tu = [psum[best[t]] for t in (least if sigma is None else sigma)]
+            holds = all(p * v >= q * w for v, w in zip(u, tu))
         if not holds:
             return False
     return True
@@ -246,7 +294,9 @@ def check_entropy_certificates(game: EntropyGame, certs) -> bool:
 def verify_report(game: EntropyGame, report):
     """Why the entropy solve report fails on `game`, or None: each pair
     must hold on the subgame it names in what the pairs before it leave
-    (`remove_block`), and the claims follow from the pairs' levels."""
+    (`remove_block`), the strategies the report names be optimal at the
+    pair that peels their states, and the claims follow from the pairs'
+    levels."""
     records = _cert_records(report)
     pairs = []
     residual = game  # what the pairs checked so far leave of the game
@@ -262,10 +312,47 @@ def verify_report(game: EntropyGame, report):
         target = _cert_target(game, residual, states)
         if target is None:
             return _STATES_FAILED
+        failure = _pair_failure(game, report, residual, target, sub, sup)
+        if failure is not None:
+            return failure
+        pairs.append((target, sub[:2], sup[:2],
+                      clamped_levels(residual, sub[:2], sup[:2])))
+    return _entropy_claims(game, report, pairs)
+
+
+def _pair_failure(game, report, residual, target, sub, sup):
+    """Why the Certificates sub and sup, or the strategies the report names,
+    fail on `target`, the subgame of `residual` they hold on, or None.  The
+    choices of the Despots and Tribunes of `target` are checked at sub and
+    sup, and every Tribune peeled with the pair must choose a People with
+    an edge into the pair's Despots."""
+    sigma = _strategy(report, "despot_strategy", target.d_ids, target.t_ids,
+                      game.d_ids)
+    tau = _strategy(report, "tribune_strategy", target.t_ids, target.p_ids,
+                    game.t_ids)
+    if sigma is False:
+        return "despot_strategy does not name every Despot"
+    if tau is False:
+        return "tribune_strategy does not name every Tribune"
+    if not check_entropy_certificates(target, (sub, sup), sigma, tau):
+        # the failure path only: find which check failed
         if not check_entropy_certificates(target, (sub, sup)):
             return _CERT_FAILED
-        pairs.append((target, sub[:2], sup[:2]))
-    return _entropy_claims(game, report, pairs)
+        if sigma is not None and not check_entropy_certificates(
+                target, (sup,), sigma=sigma):
+            return "despot_strategy fails at the super certificate"
+        return "tribune_strategy fails at the sub certificate"
+    if tau is not None and target is not residual:
+        # every Tribune peeled with the pair keeps to its People peeled with
+        # it (in `target`, the check above implies it)
+        p_out, t_out = _peeled(residual, set(state_indices(residual.d_ids,
+                                                           target.d_ids)))
+        choice = _strategy(report, "tribune_strategy", residual.t_ids,
+                           residual.p_ids, game.t_ids)
+        if any(choice[t] not in p_out or choice[t] not in residual.t_edges[t]
+               for t in t_out):
+            return "tribune_strategy leaves the block that peels a Tribune"
+    return None
 
 
 def _cert_target(game, residual, states):
@@ -288,21 +375,22 @@ def _cert_target(game, residual, states):
 
 
 def _entropy_claims(game, report, pairs):
-    """Why the pairs (target, lo, hi) do not peel the game from the top
-    value down, or the blocks or values claimed do not follow, or None."""
+    """Why the pairs (target, lo, hi, clamped levels) do not peel the game
+    from the top value down, or the blocks or values claimed do not follow,
+    or None."""
     # the pairs must peel the whole game from the top value down: a pair's
     # super level bounds its block's value only when every block its People
     # feed comes after it at levels no higher, and its sub level only when
     # every block its Despots can escape to comes before it at levels no
     # lower
-    if sum(len(target.d_ids) for target, _, _ in pairs) != len(game.d_ids):
+    if sum(len(pair[0].d_ids) for pair in pairs) != len(game.d_ids):
         return "the certificate pairs do not cover every Despot"
-    for (_, (ap, aq), (bp, bq)), (_, (cp, cq), (dp, dq)) in zip(pairs,
-                                                                pairs[1:]):
+    for (_, (ap, aq), (bp, bq), _), (_, (cp, cq), (dp, dq), _) in zip(
+            pairs, pairs[1:]):
         if cp * aq > ap * cq or dp * bq > bp * dq:
             return "a certificate pair's levels lie above the pair's before it"
     if "blocks" in report and report["blocks"] != [
-        sorted(target.d_ids) for target, _, _ in pairs
+        sorted(pair[0].d_ids) for pair in pairs
     ]:
         return "blocks are not the Despot sets the certificates hold on"
     values = report.get("values", {})
@@ -310,15 +398,15 @@ def _entropy_claims(game, report, pairs):
         raise GameFormatError(f'"values" {values!r} is not an object')
     # JSON object keys are strings, and a game's ids are all strings or all
     # integers, so str() names each Despot unambiguously
-    levels = {str(d): (lo, hi) for target, lo, hi in pairs
+    levels = {str(d): clamped for target, _, _, clamped in pairs
               for d in target.d_ids}
     read = []
     for d, rec in values.items():
         if d not in levels:
-            return f"the value of {d!r} is not inside its block's levels"
+            return f"the value of {d!r} is not its block's levels"
         ends = _interval_ends(rec)
-        if not _inside(ends, *levels[d]):
-            return f"the value of {d!r} is not inside its block's levels"
+        if not _same_interval(ends, *levels[d]):
+            return f"the value of {d!r} is not its block's levels"
         read.append((d, rec, ends))
     for d, rec, ends in read:
         if not _approx_holds(rec, ends):

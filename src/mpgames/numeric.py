@@ -7,8 +7,8 @@ either `fractions.Fraction` or the distinguished element `NEG_INF` (its
 helpers, such as `vec` and `hilbert_seminorm`, are in `iteration`); a
 `Certificate` holds integer numerators over one denominator instead.  All
 game-side arithmetic is exact; floating point never enters this module.
-The report readers (`_report_ratio`, `_cert_pair`) read rationals to
-integers, as written.
+The report readers (`_report_ratio`, `_cert_pair`, `_strategy`) read
+rationals to integers, as written, and strategies to state indices.
 """
 
 from __future__ import annotations
@@ -422,11 +422,33 @@ def _interval_ends(rec):
     return _report_ratio(_field(rec, "lo")), _report_ratio(_field(rec, "hi"))
 
 
-def _inside(ends, lo, hi) -> bool:
-    """Whether the interval ends (a, b) lie inside [lo, hi]: lo <= a <= b <=
-    hi, all (p, q) with q > 0, by cross-multiplication."""
+def _same_interval(ends, lo, hi) -> bool:
+    """Whether the interval ends (a, b) are the levels lo and hi, all (p, q)
+    with q > 0, in any terms: by cross-multiplication.  An interval strictly
+    inside the levels could exclude the value they bound."""
     (lp, lq), (ap, aq), (bp, bq), (hp, hq) = lo, *ends, hi
-    return lp * aq <= ap * lq and ap * bq <= bp * aq and bp * hq <= hp * bq
+    return lp * aq == ap * lq and bp * hq == hp * bq
+
+
+def _strategy(report, key, from_ids, to_ids, keys=None):
+    """The report's strategy `key`, an object from state ids to ids, as one
+    index into `to_ids` per state of `from_ids`, None where it names none:
+    None without `key`, False when its keys are other states than `keys`
+    (by default `from_ids`)."""
+    if key not in report:
+        return None
+    strategy = report[key]
+    if not isinstance(strategy, dict):
+        raise GameFormatError(f'"{key}" {strategy!r} is not an object')
+    # JSON object keys are strings, and a game's ids are all strings or all
+    # integers, so str() names each state unambiguously
+    if strategy.keys() != {str(s) for s in (from_ids if keys is None
+                                            else keys)}:
+        return False
+    index = {s: t for t, s in enumerate(to_ids)}
+    return [index.get(v) if isinstance(v, (str, int))
+            and not isinstance(v, bool) else None
+            for v in map(strategy.get, map(str, from_ids))]
 
 
 _DECIMALS = 10**12  # an approx string's decimal places, as a scale

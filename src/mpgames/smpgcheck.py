@@ -7,17 +7,16 @@ rational rows with common denominator M.  The per-turn reward of a path
 through edges (j,i), (i,k) is B_ik - A_ij; the value of a state is the
 long-run average reward under optimal play.
 
-The Shapley operator runs in three integer stages, which
-`_smpgfast._int_step` chains for the solver's loops and
-`certificates_hold`, the check the solver accepts its answers with, runs
-once per certificate vector; `shapley_eval` is the exact reference.
-`verify_report` is `certify`'s check of a report.  Only `graphs` and
-`numeric` are imported, so `certify` compiles no solver code.
+The Shapley operator is coded once, in three integer stages, which
+`_smpgfast._int_step` chains for the solver's loops, the solver's greedy
+pair reads its argmax and argmin off, and `certificates_hold`, the check
+the solver accepts its answers with, runs once per certificate vector,
+-inf entries included.  `verify_report` is `certify`'s check of a report.
+Only `graphs` and `numeric` are imported: `certify` compiles no solver code.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -41,10 +40,11 @@ from .numeric import (
     _approx_holds,
     _cert_pair,
     _cert_records,
-    _inside,
     _interval_ends,
     _named_subgame,
     _report_ratio,
+    _same_interval,
+    _strategy,
     rational_between,
     seen_image,
 )
@@ -198,55 +198,10 @@ def induced_subgame(game: StochasticGame, subset):
 # the Shapley operator
 
 
-def _nature_sum(row, x, M):
-    """sum_l (num_l / M) * x_l with the convention 0 * (-inf) = 0; only
-    positive numerators appear in `row`, so any -inf term forces -inf."""
-    acc = 0
-    for l, num in row:
-        v = x[l]
-        if v is NEG_INF:
-            return NEG_INF
-        acc += num * v
-    return Fraction(acc, M) if not isinstance(acc, Fraction) else acc / M
-
-
-def shapley_eval(game: StochasticGame, x):
-    """One exact application of the Shapley operator:
-    F_j(x) = min_(j,i) [ -A_ij + max_(i,k) ( B_ik + sum_l P_kl x_l ) ].
-    Each Nature sum and each Max maximum is computed once per call."""
-    if len(x) != len(game.min_ids):
-        raise ValueError("vector length does not match Min state count")
-    nat = [_nature_sum(row, x, game.M) for row in game.nat_edges]
-    maxima = []
-    for row in game.max_edges:
-        inner = NEG_INF
-        for k, b in row:
-            val = nat[k]
-            if val is NEG_INF:
-                continue
-            val = b + val
-            if inner is NEG_INF or val > inner:
-                inner = val
-        maxima.append(inner)
-    out = []
-    for row in game.min_edges:
-        best = None
-        for i, a in row:
-            inner = maxima[i]
-            branch = NEG_INF if inner is NEG_INF else -a + inner
-            if best is None:
-                best = branch
-            elif branch is NEG_INF or (best is not NEG_INF and branch < best):
-                best = branch
-            if best is NEG_INF:
-                break
-        out.append(best)
-    return tuple(out)
-
-
 def _nature_stage(rows, u):
     """Per Nature state, sum_l num_l u_l: for x with numerators u over c/M,
-    the numerator over c of Nature's expectation of x."""
+    the numerator over c of Nature's expectation of x.  An -inf entry
+    (NEG_INF) absorbs here and in the other two stages as in F."""
     nat = []
     for row in rows:
         s = 0
@@ -285,10 +240,10 @@ def _min_stage(rows, best, c):
 
 
 def _step_stages(game, x):
-    """One integer Shapley step at the finite rational vector x = (u, L),
-    numerators u over L, kept by stage: c = L M, and the Nature sums and
-    Max maxima at u/L as numerators over c.  (c, nat, best); `_min_stage`
-    of best is F(u/L) over c."""
+    """One integer Shapley step at the vector x = (u, L), numerators u over
+    L, kept by stage: c = L M, and the Nature sums and Max maxima at u/L as
+    numerators over c.  (c, nat, best); `_min_stage` of best is F(u/L) over
+    c."""
     u, den = x
     c = den * game.M
     nat = _nature_stage(game.nat_edges, u)
@@ -324,8 +279,8 @@ def certificates_hold(game: StochasticGame, certs, sigma=None,
     vector y; tau (Max idx -> Nat idx) must name an edge at every Max
     state, and F with Max fixed to it be at least lam + x at each sub
     vector x.  Those bound F itself, so they replace the plain checks.
-    A vector with -inf entries is checked with the reference
-    `shapley_eval`, on its Fractions, and certifies no strategy."""
+    A vector with -inf entries runs through the same stages; any -inf
+    entry of its F fails, and it certifies no strategy."""
     n, M = len(game.min_ids), game.M
     min_rows, max_rows = game.min_edges, None
     if sigma is not None:
@@ -344,17 +299,6 @@ def certificates_hold(game: StochasticGame, certs, sigma=None,
         if len(u) != n:
             raise ValueError("vector length does not match Min state count")
         sub = direction == SUB
-        if NEG_INF in u:
-            if (tau if sub else sigma) is not None:
-                return False
-            x = cert.vec
-            image = seen_image(images, x)
-            if image is None:
-                image = shapley_eval(game, x)
-                images.append((x, image))
-            if not _reference_holds(p, q, x, image, sub):
-                return False
-            continue
         x = (u, den)
         image = seen_image(images, x)
         if image is None:
@@ -367,6 +311,9 @@ def certificates_hold(game: StochasticGame, certs, sigma=None,
             y = _min_stage(game.min_edges, best, c)
         else:
             y = _min_stage(min_rows, best, c)
+        if NEG_INF in u and ((tau if sub else sigma) is not None
+                             or NEG_INF in y):
+            return False
         pc, qM = p * c, q * M
         if sub:
             holds = all(pc + qM * v <= q * w for v, w in zip(u, y))
@@ -375,16 +322,6 @@ def certificates_hold(game: StochasticGame, certs, sigma=None,
         if not holds:
             return False
     return True
-
-
-def _reference_holds(p, q, x, y, sub) -> bool:
-    """p/q + x <= y (sub) or >= y (super), cross-multiplied, with y = F(x)
-    from shapley_eval; an -inf entry of y fails."""
-    if any(v is NEG_INF for v in y):
-        return False
-    if sub:
-        return all(p + q * v <= q * w for v, w in zip(x, y))
-    return all(p + q * v >= q * w for v, w in zip(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -408,26 +345,6 @@ def verify_report(game: StochasticGame, report):
         return _STATES_FAILED
     return (_smpg_failure(report, target, sub, sup)
             or _smpg_claims(report, target, sub[:2], sup[:2]))
-
-
-def _strategy(report, key, from_ids, to_ids):
-    """The report's strategy `key`, an object from the ids `from_ids` to
-    ids, as one index into `to_ids` per state, None where it names none:
-    None without `key`, False when its keys are other states."""
-    if key not in report:
-        return None
-    strategy = report[key]
-    if not isinstance(strategy, dict):
-        raise GameFormatError(f'"{key}" {strategy!r} is not an object')
-    # JSON object keys are strings, and a game's ids are all strings or all
-    # integers, so str() names each state unambiguously
-    from_keys = [str(s) for s in from_ids]
-    if strategy.keys() != set(from_keys):
-        return False
-    index = {s: t for t, s in enumerate(to_ids)}
-    return [index.get(v) if isinstance(v, (str, int))
-            and not isinstance(v, bool) else None
-            for v in map(strategy.get, from_keys)]
 
 
 def _smpg_failure(report, target, sub, sup):
@@ -458,8 +375,8 @@ def _smpg_claims(report, target, lo, hi):
     ends = None
     if "interval" in report:
         ends = _interval_ends(report["interval"])
-        if not _inside(ends, lo, hi):
-            return "interval is not inside the certified levels"
+        if not _same_interval(ends, lo, hi):
+            return "interval is not the certified levels"
     value = None
     for key in ("value", "top_value"):
         if key not in report:

@@ -1,5 +1,5 @@
-"""The stochastic mean-payoff solver; the game, its Shapley operator and
-the certificate check it accepts its answers with are in `smpgcheck`.
+"""The stochastic mean-payoff solver; the game, its integer Shapley operator
+and the certificate check it accepts its answers with are in `smpgcheck`.
 
 Solving searches approximately and certifies exactly.  `solve_game` is the
 one solve; `solve_constant_value` and the CLI's value, topclass, full and
@@ -39,11 +39,11 @@ certificates it reads, checks them and the strategies on the stages of the
 greedy passes, levels compared by cross-multiplication.  Only the
 solution's value becomes a Fraction.  `dominion.markov_gain_bias` is the
 Fraction form of the chain solve.  Every reported strategy pair comes from
-one greedy rule, `_greedy_pair` on integer numerators: at the half-line's
-witness h, or Max greedy at the sub witness and Min greedy at the super
-witness.  `smpgcheck.shapley_eval` is the exact reference: `winner` and
-the oracles of `dominion` run on it, and a vector with -inf entries, which
-only a hand-written report carries, is checked with it.
+one greedy rule, `_greedy_pair`, read off the checker's integer stages:
+at the half-line's witness h, or Max greedy at the sub witness and Min
+greedy at the super witness.  `shapley_eval`, on Fractions and -inf, is
+the exact reference that `winner`, the oracles of `dominion` and the tests
+run; no certificate check calls it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from ._smpgfast import Kernel, _int_step
 from .graphs import tarjan_scc
 from .linalg import integer_solve_numerators
 from .numeric import (
+    NEG_INF,
     NOT_FOUND,
     NOT_UNIQUE,
     SUB,
@@ -69,7 +70,8 @@ from .numeric import (
 from .smpgcheck import (
     GameStats,
     StochasticGame,
-    _nature_stage,
+    _min_stage,
+    _step_stages,
     certificates_hold,
     induced_subgame,
 )
@@ -77,7 +79,53 @@ from .smpgcheck import (
 # the benchmark's tracer looks these up here
 check_certificate = smpgcheck.check_certificate
 parse_smpg = smpgcheck.parse_smpg
-shapley_eval = smpgcheck.shapley_eval
+
+
+# the exact reference of `winner`, `dominion`'s oracles and the tests
+def _nature_sum(row, x, M):
+    """sum_l (num_l / M) * x_l with the convention 0 * (-inf) = 0; only
+    positive numerators appear in `row`, so any -inf term forces -inf."""
+    acc = 0
+    for l, num in row:
+        v = x[l]
+        if v is NEG_INF:
+            return NEG_INF
+        acc += num * v
+    return Fraction(acc, M) if not isinstance(acc, Fraction) else acc / M
+
+
+def shapley_eval(game: StochasticGame, x):
+    """One exact application of the Shapley operator:
+    F_j(x) = min_(j,i) [ -A_ij + max_(i,k) ( B_ik + sum_l P_kl x_l ) ].
+    Each Nature sum and each Max maximum is computed once per call."""
+    if len(x) != len(game.min_ids):
+        raise ValueError("vector length does not match Min state count")
+    nat = [_nature_sum(row, x, game.M) for row in game.nat_edges]
+    maxima = []
+    for row in game.max_edges:
+        inner = NEG_INF
+        for k, b in row:
+            val = nat[k]
+            if val is NEG_INF:
+                continue
+            val = b + val
+            if inner is NEG_INF or val > inner:
+                inner = val
+        maxima.append(inner)
+    out = []
+    for row in game.min_edges:
+        best = None
+        for i, a in row:
+            inner = maxima[i]
+            branch = NEG_INF if inner is NEG_INF else -a + inner
+            if best is None:
+                best = branch
+            elif branch is NEG_INF or (best is not NEG_INF and branch < best):
+                best = branch
+            if best is NEG_INF:
+                break
+        out.append(best)
+    return tuple(out)
 
 
 class StrategyPair(NamedTuple):
@@ -131,30 +179,24 @@ def _probe_cap(stats: GameStats) -> int:
 
 
 def _greedy_pair(game, u, q):
-    """Index-based strategies greedy at x = u/q: tau maximises B + P x at
-    each Max state, sigma minimises -A plus that maximum at each Min state,
-    ties to the smallest index (rows are sorted by target index).  Returns
-    (sigma, tau, stages), stages those of `_step_stages` at x."""
-    c = q * game.M
-    nat = _nature_stage(game.nat_edges, u)
-    best, tau = [], []
-    for row in game.max_edges:
-        m = None
+    """Index-based strategies greedy at x = u/q: at each Max state (tau)
+    and Min state (sigma) the first edge of its sorted row that attains its
+    stage's value at x, the smallest index on ties.  Returns (sigma, tau,
+    stages), stages those of `_step_stages` at x."""
+    stages = c, nat, best = _step_stages(game, (u, q))
+    tau = []
+    for row, m in zip(game.max_edges, best):
         for k, b in row:
-            v = b * c + nat[k]
-            if m is None or v > m:
-                m, arg = v, k
-        best.append(m)
-        tau.append(arg)
+            if b * c + nat[k] == m:
+                tau.append(k)
+                break
     sigma = []
-    for row in game.min_edges:
-        m = None
+    for row, m in zip(game.min_edges, _min_stage(game.min_edges, best, c)):
         for i, a in row:
-            v = best[i] - a * c
-            if m is None or v < m:
-                m, arg = v, i
-        sigma.append(arg)
-    return sigma, tau, (c, nat, best)
+            if best[i] - a * c == m:
+                sigma.append(i)
+                break
+    return sigma, tau, stages
 
 
 def _half_line_holds(game, chi, h, den) -> bool:

@@ -44,7 +44,7 @@ def test_table_holds_the_exported_names():
 # (perfbench/spans.py), and defined in the game kind's checker
 CHECKER_OF = {
     "check_certificate": "smpgcheck", "induced_subgame": "smpgcheck",
-    "parse_smpg": "smpgcheck", "shapley_eval": "smpgcheck",
+    "parse_smpg": "smpgcheck",
     "check_entropy_certificate": "entropycheck",
     "parse_entropy": "entropycheck",
 }

@@ -238,18 +238,19 @@ INTEGER_PATH = {
                       "_greedy_pair", "_pair_chain", "gain_bias_numerators",
                       "_probe_cap"),
     "smpgcheck.py": ("certificates_hold", "_step_stages", "_cut",
-                     "_reference_holds", "_nature_stage", "_max_stage",
-                     "_min_stage", "verify_report", "_strategy",
-                     "_smpg_failure", "_smpg_claims"),
-    "entropy.py": ("_separated_block", "_evaluate", "_greedy",
-                   "_growth_top", "_level_states", "_separated_levels",
-                   "_single_integer", "_exact_witness", "_root_bracket",
-                   "_squared", "_DampedIterate.advance", "_log2_ceil"),
-    "entropycheck.py": ("check_entropy_certificates", "multiplicative_eval",
-                        "verify_report", "_cert_target", "_entropy_claims"),
+                     "_nature_stage", "_max_stage", "_min_stage",
+                     "verify_report", "_smpg_failure", "_smpg_claims"),
+    "entropy.py": ("_separated_block", "_evaluate", "_growth_top",
+                   "_level_states", "_separated_levels", "_single_integer",
+                   "_exact_witness", "_root_bracket", "_squared",
+                   "_DampedIterate.advance", "_log2_ceil"),
+    "entropycheck.py": ("_greedy", "check_entropy_certificates",
+                        "multiplicative_eval", "clamped_levels", "_peeled",
+                        "verify_report", "_cert_target", "_pair_failure",
+                        "_entropy_claims"),
     "numeric.py": ("_cert_from_record", "_cert_records", "_cert_pair",
-                   "_interval_ends", "_inside", "_approx_holds",
-                   "_approx_text", "_dec_str"),
+                   "_interval_ends", "_same_interval", "_strategy",
+                   "_approx_holds", "_approx_text", "_dec_str"),
     "cli.py": ("_cert_record", "_ratio_str", "_ends_record"),
 }
 
@@ -309,6 +310,27 @@ def test_checkers_import_only_graphs_and_numeric():
     for checker in CHECKERS:
         source = (SRC / f"{checker}.py").read_text(encoding="utf-8")
         assert package_imports(source) <= {"graphs", "numeric"}, checker
+
+
+def test_stochastic_checker_has_one_operator():
+    """`smpgcheck` codes the Shapley operator once, in its integer stages:
+    it neither defines nor calls the Fraction reference `shapley_eval`, and
+    imports no `fractions`."""
+    tree = ast.parse((SRC / "smpgcheck.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(a.name for a in node.names)
+    assert not names & {"shapley_eval", "fractions", "Fraction"}
 
 
 def test_each_check_is_defined_once():

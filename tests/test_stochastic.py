@@ -855,12 +855,12 @@ class TestEarlyCertificate:
         evaluation of F, not one per direction: the greedy pass at h, whose
         stages also check the certificates and both strategies."""
         inside, calls = [], []
-        real_eval, real_solution = st._nature_stage, st._fixed_point_solution
+        real_eval, real_solution = st._step_stages, st._fixed_point_solution
 
-        def counted_eval(rows, u):
+        def counted_eval(game, x):
             if inside:
-                calls.append(u)
-            return real_eval(rows, u)
+                calls.append(x[0])
+            return real_eval(game, x)
 
         def tracked_solution(*args):
             inside.append(True)
@@ -869,7 +869,7 @@ class TestEarlyCertificate:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(st, "_nature_stage", counted_eval)
+        monkeypatch.setattr(st, "_step_stages", counted_eval)
         monkeypatch.setattr(st, "_fixed_point_solution", tracked_solution)
         _refuse_paper_path(monkeypatch)
         sol = mg.solve_game(swap_shift_game())
