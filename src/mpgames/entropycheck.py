@@ -1,5 +1,6 @@
 """Matrix-multiplicative games with three alternating roles: the game
-record, its file format, the multiplicative operator, and what makes a
+record (which `graphs` builds, checks and restricts by the rule game files
+follow), its file format, the multiplicative operator, and what makes a
 solve report true.
 
 A Despot state picks one of its Tribune successors (minimizing), a Tribune
@@ -25,11 +26,12 @@ from typing import NamedTuple
 
 from .graphs import (
     GameFormatError,
-    check_adjacency,
+    check_rows,
     game_file,
+    game_record,
     read_game_file,
-    spanning_subgraph,
     state_indices,
+    subgame,
 )
 from .numeric import (
     _CERT_FAILED,
@@ -74,30 +76,20 @@ class EntropyGame(_Game):
         return self.d_edges, self.t_edges, self.p_edges
 
     def validate(self):
-        """The game itself; GameFormatError when it is malformed.  The
-        checks run once per game object: a CLI solve validates the game it
-        reads, and the solve validates it again."""
+        """The game itself; GameFormatError unless it keeps `check_rows` and
+        every multiplicity is at least 1.  The checks run once per game
+        object: a CLI solve validates the game it reads, and the solve
+        validates it again."""
         self._valid
         return self
 
     @cached_property
     def _valid(self) -> bool:
-        ids = self.ids
-        check_adjacency(_LABELS, ids, self.edges)
-        for k, rows in enumerate(self.edges):
-            # a People row's dict keeps one multiplicity per Despot
-            distinct = dict if k == 2 else set
-            for sid, row in zip(ids[k], rows):
-                if len(row) > 1 and len(distinct(row)) < len(row):
-                    targets = [e[0] for e in row] if k == 2 else row
-                    dup = ids[(k + 1) % 3][max(targets, key=targets.count)]
-                    raise GameFormatError(f"duplicate edge {sid!r} -> {dup!r}")
+        check_rows(_LABELS, self.ids, self.edges)
         for sid, row in zip(self.p_ids, self.p_edges):
-            for _, m in row:
-                if not isinstance(m, int) or m < 1:
-                    raise GameFormatError(
-                        f"multiplicity at state {sid!r} must be a positive integer"
-                    )
+            if any(m < 1 for _, m in row):
+                raise GameFormatError(
+                    f"multiplicity at state {sid!r} must be a positive integer")
         return True
 
     def stats(self):
@@ -116,15 +108,10 @@ class EntropyStats(NamedTuple):
 
 
 def make_entropy_game(d_ids, t_ids, p_ids, d_edges, t_edges, p_edges):
-    return _sorted_game((d_ids, t_ids, p_ids),
-                        (d_edges, t_edges, p_edges)).validate()
-
-
-def _sorted_game(ids, edges):
-    """The game on these state ids and edge rows, each row sorted by target:
-    the solver's ties go to the first, the smallest, index."""
-    return EntropyGame(*map(tuple, ids), *(
-        tuple(tuple(sorted(row)) for row in rows) for rows in edges))
+    """The validated game on index-based adjacency, each row sorted by
+    target (`graphs.game_record`)."""
+    return game_record(EntropyGame, _LABELS, (d_ids, t_ids, p_ids),
+                       (d_edges, t_edges, p_edges))
 
 
 def parse_entropy(obj) -> EntropyGame:
@@ -190,16 +177,7 @@ def induced_entropy_subgame(game: EntropyGame, d_subset):
     keep = (d_sel, t_sel, p_sel)
     if list(map(len, keep)) == list(map(len, game.ids)):
         return game
-    return _spanned(game, keep)
-
-
-def _spanned(game, keep):
-    """The subgraph of the validated `game` on the state indices `keep`: its
-    targets stay distinct and its multiplicities positive, so only a state
-    left with no move needs a check."""
-    ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges, keep)
-    check_adjacency(_LABELS, ids, edges)
-    return _sorted_game(ids, edges)
+    return subgame(game, _LABELS, keep)
 
 
 def remove_block(game: EntropyGame, dmax):
@@ -214,9 +192,9 @@ def remove_block(game: EntropyGame, dmax):
         return None
     p_out, t_out = _peeled(game, d_out)
     try:
-        return _spanned(game, [[j for j in range(len(ids)) if j not in out]
-                               for ids, out in zip(game.ids,
-                                                   (d_out, t_out, p_out))])
+        return subgame(game, _LABELS,
+                       [[j for j in range(len(ids)) if j not in out]
+                        for ids, out in zip(game.ids, (d_out, t_out, p_out))])
     except GameFormatError as exc:
         raise RuntimeError(f"residual game is malformed: {exc}") from exc
 

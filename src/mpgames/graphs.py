@@ -7,11 +7,14 @@ and a labels table of three (name, field, default) entries, one per kind,
 naming the kind, the integer field its edges carry (None for none) and
 that field's default.  By index, the edges of a kind are one row per
 state: (target, field) pairs, or bare targets for a kind without a field.
-`read_game_file`, `game_file`, `check_adjacency` and `spanning_subgraph`
-read, write, check and re-index these graphs for both kinds.
+`read_game_file`, `game_file`, `game_record` and `subgame` read, write,
+build and restrict these games for both kinds, and `check_rows` holds a
+record read from a file or built in code to one rule.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 
 class GameFormatError(ValueError):
@@ -64,9 +67,10 @@ def state_ids_error(ids):
 
 def read_game_file(obj, kind, keys, labels):
     """The state ids and the edges by index of a game file of type `kind`,
-    each a triple by kind.  Edges go from one kind to the next, at most
-    once; an absent field takes its default.  A field whose default is
-    None may also be null, and is left for the caller to resolve."""
+    each a triple by kind.  Edges go from one kind to the next; an absent
+    field takes its default.  Fields and repeated edges are left for
+    `check_rows` to judge when the caller builds its record, and a field
+    whose default is None may also be null, for the caller to resolve."""
     if not isinstance(obj, dict) or obj.get("type") != kind:
         raise GameFormatError(f'expected an object with "type": "{kind}"')
     try:
@@ -84,15 +88,11 @@ def read_game_file(obj, kind, keys, labels):
         raise GameFormatError("state identifiers must be unique across kinds")
     owners = {field: name for name, field, _ in labels if field is not None}
     edges = tuple([[] for _ in kind_ids] for kind_ids in ids)
-    seen = set()
     for rec in records:
         src, dst = rec.get("from"), rec.get("to")
         if not ((type(src) in _PLAIN_IDS or is_state_id(src))
                 and (type(dst) in _PLAIN_IDS or is_state_id(dst))):
             raise GameFormatError(f"edge record {rec!r} violates alternation")
-        if (src, dst) in seen:
-            raise GameFormatError(f"duplicate edge {src!r} -> {dst!r}")
-        seen.add((src, dst))
         s, t = where.get(src), where.get(dst)
         if s is None or t is None or t[0] != (s[0] + 1) % 3:
             raise GameFormatError(f"edge record {rec!r} violates alternation")
@@ -106,12 +106,7 @@ def read_game_file(obj, kind, keys, labels):
                             f'"{other}" belongs on {owner} edges only')
             edges[k][j].append(t[1])
             continue
-        value = rec.get(field, default)
-        # json_int formats its message eagerly: call it only to raise
-        if type(value) is not int and (value is not None
-                                       or default is not None):
-            json_int(value, f'"{field}" of edge {src!r} -> {dst!r}')
-        edges[k][j].append((t[1], value))
+        edges[k][j].append((t[1], rec.get(field, default)))
     return ids, edges
 
 
@@ -131,33 +126,68 @@ def game_file(kind, keys, labels, ids, edges, **fields):
             "edges": records}
 
 
-def check_adjacency(labels, ids, edges):
-    """GameFormatError unless each kind has one edge row per state and
-    every state has an outgoing edge."""
-    for (name, _, _), kind_ids, rows in zip(labels, ids, edges):
+def check_rows(labels, ids, edges):
+    """GameFormatError, in the game reader's words, unless each state has
+    one edge row, no row is empty, names a target twice or one that is no
+    state of the next kind, and every edge field is an int, not a bool."""
+    for k, ((name, field, _), kind_ids, rows) in enumerate(
+            zip(labels, ids, edges)):
         if len(kind_ids) != len(rows):
             raise GameFormatError(f"{name} adjacency length mismatch")
-        for sid, out in zip(kind_ids, rows):
-            if not out:
+        dst_ids = ids[(k + 1) % 3]
+        distinct = set if field is None else dict  # of targets
+        for sid, row in zip(kind_ids, rows):
+            if not row:
                 raise GameFormatError(f"state {sid!r} has no outgoing edge")
+            targets = distinct(row)
+            if min(targets) < 0 or max(targets) >= len(dst_ids):
+                raise GameFormatError(
+                    f"an edge of state {sid!r} violates alternation")
+            if len(targets) < len(row):
+                listed = row if field is None else [t for t, _ in row]
+                dup = dst_ids[max(listed, key=listed.count)]
+                raise GameFormatError(f"duplicate edge {sid!r} -> {dup!r}")
+            for t, value in () if field is None else row:
+                if type(value) is not int:  # json_int formats eagerly
+                    json_int(value, f'"{field}" of edge {sid!r} -> '
+                             f'{dst_ids[t]!r}')
 
 
-def spanning_subgraph(labels, ids, edges, keep):
-    """The state ids and edges by index of the subgraph on the state indices
-    `keep` (a list per kind): edges into dropped states are dropped, and
-    each kind's kept states are renumbered in the order of `keep`."""
+_TARGET = itemgetter(0)
+
+
+def game_record(cls, labels, ids, edges, *fields):
+    """The validated record `cls` on these state ids and edge rows, each row
+    sorted by target so that ties go to the smallest index."""
+    return cls(*map(tuple, ids), *(
+        tuple(tuple(sorted(row, key=None if field is None else _TARGET))
+              for row in rows)
+        for (_, field, _), rows in zip(labels, edges)), *fields).validate()
+
+
+def subgame(game, labels, keep):
+    """The subgame of the valid record `game` on the state indices `keep`, a
+    sorted list per kind: edges into dropped states are dropped, kept states
+    are renumbered in order, and the fields after the ids and rows are kept.
+    Its rows stay sorted and distinct, so only a state left with no move is
+    checked."""
     new = [{old: j for j, old in enumerate(sel)} for sel in keep]
-    sub_edges = []
+    ids = [tuple([kind_ids[j] for j in sel])
+           for kind_ids, sel in zip(game.ids, keep)]
+    edges = []
     for k, (_, field, _) in enumerate(labels):
-        rows, index = edges[k], new[(k + 1) % 3]
+        rows, index = game.edges[k], new[(k + 1) % 3]
         if field is None:
-            sub_edges.append([[index[t] for t in rows[j] if t in index]
-                              for j in keep[k]])
+            sub = tuple(tuple([index[t] for t in rows[j] if t in index])
+                        for j in keep[k])
         else:
-            sub_edges.append([[(index[t], w) for t, w in rows[j] if t in index]
-                              for j in keep[k]])
-    return (tuple(tuple(kind_ids[j] for j in sel)
-                  for kind_ids, sel in zip(ids, keep)), sub_edges)
+            sub = tuple(tuple([(index[t], w) for t, w in rows[j]
+                               if t in index]) for j in keep[k])
+        for sid, row in zip(ids[k], sub):
+            if not row:
+                raise GameFormatError(f"state {sid!r} has no outgoing edge")
+        edges.append(sub)
+    return type(game)(*ids, *edges, *game[6:])
 
 
 def state_indices(ids, chosen):

@@ -1,5 +1,6 @@
-"""Turn-based stochastic mean-payoff games: the game record, its file
-format, the Shapley operator, and what makes a solve report true.
+"""Turn-based stochastic mean-payoff games: the game record (which
+`graphs` builds, checks and restricts by the rule game files follow), its
+file format, the Shapley operator, and what makes a solve report true.
 
 States alternate Min -> Max -> Nature -> Min.  Min receives A on its move
 (Max pays it), Max receives B on its move, Nature moves according to
@@ -22,12 +23,13 @@ from typing import NamedTuple
 
 from .graphs import (
     GameFormatError,
-    check_adjacency,
+    check_rows,
     game_file,
+    game_record,
     json_int,
     read_game_file,
-    spanning_subgraph,
     state_indices,
+    subgame,
 )
 from .numeric import (
     _CERT_FAILED,
@@ -40,6 +42,7 @@ from .numeric import (
     _approx_holds,
     _cert_pair,
     _cert_records,
+    _field,
     _interval_ends,
     _named_subgame,
     _report_ratio,
@@ -78,9 +81,11 @@ class StochasticGame(_Game):
         return self.min_edges, self.max_edges, self.nat_edges
 
     def validate(self):
-        if self.M < 1:
+        """The game itself; GameFormatError unless it keeps `check_rows` and
+        each Nature row's numerators are positive and sum to M >= 1."""
+        if json_int(self.M, '"denominator"') < 1:
             raise GameFormatError("denominator must be >= 1")
-        check_adjacency(_LABELS, self.ids, self.edges)
+        check_rows(_LABELS, self.ids, self.edges)
         for sid, row in zip(self.nat_ids, self.nat_edges):
             if any(num <= 0 for _, num in row):
                 raise GameFormatError(f"nonpositive numerator at state {sid!r}")
@@ -133,27 +138,16 @@ class GameStats(NamedTuple):
 
 
 def make_game(min_ids, max_ids, nat_ids, min_edges, max_edges, nat_edges, M):
-    """Build and validate a game from index-based adjacency (targets get
-    sorted by index for deterministic tie-breaking)."""
-    game = StochasticGame(
-        tuple(min_ids),
-        tuple(max_ids),
-        tuple(nat_ids),
-        tuple(tuple(sorted(row)) for row in min_edges),
-        tuple(tuple(sorted(row)) for row in max_edges),
-        tuple(tuple(sorted(row)) for row in nat_edges),
-        M,
-    )
-    return game.validate()
+    """The validated game on index-based adjacency, each row sorted by
+    target (`graphs.game_record`)."""
+    return game_record(StochasticGame, _LABELS, (min_ids, max_ids, nat_ids),
+                       (min_edges, max_edges, nat_edges), M)
 
 
 def parse_smpg(obj) -> StochasticGame:
     ids, (min_edges, max_edges, nat_edges) = read_game_file(
         obj, "smpg", KEYS, _LABELS)
-    try:
-        m = json_int(obj["denominator"], '"denominator"')
-    except KeyError as exc:
-        raise GameFormatError(f"missing key {exc}") from exc
+    m = _field(obj, "denominator")  # `validate` checks it
     for k, row in enumerate(nat_edges):
         if len(row) == 1 and row[0][1] is None:
             nat_edges[k] = [(row[0][0], m)]
@@ -188,10 +182,8 @@ def induced_subgame(game: StochasticGame, subset):
             for i in max_used]
     if not all(kept):
         return None
-    nat_used = sorted(set().union(*kept))
-    ids, edges = spanning_subgraph(_LABELS, game.ids, game.edges,
-                                   (subset, max_used, nat_used))
-    return make_game(*ids, *edges, game.M)
+    return subgame(game, _LABELS,
+                   (subset, max_used, sorted(set().union(*kept))))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +243,8 @@ def _step_stages(game, x):
 
 
 def _cut(rows, targets):
-    """Each row cut to its edges into the state `targets` names for it
-    (parallel edges all kept): empty where it names none."""
+    """Each row cut to its edge into the state `targets` names for it:
+    empty where it names none."""
     return [[e for e in row if e[0] == t] for row, t in zip(rows, targets)]
 
 

@@ -504,14 +504,12 @@ def gain_bias_numerators(rows, r, M, anchor=None):
 def _pair_chain(game: StochasticGame, sigma, tau):
     """Transition rows and per-step rewards of the Markov reward chain on
     the Min states induced by index-based positional strategies sigma
-    (Min idx -> Max idx) and tau (Max idx -> Nat idx)."""
+    (Min idx -> Max idx) and tau (Max idx -> Nat idx); a row names each
+    target once, so each move carries one payoff."""
     rows = []
     r = []
     for j, i in enumerate(sigma):
         k = tau[i]
         rows.append(game.nat_edges[k])
-        # of parallel edges, which make_game allows, the last as sorted
-        a = max(a for t, a in game.min_edges[j] if t == i)
-        b = max(b for t, b in game.max_edges[i] if t == k)
-        r.append(b - a)
+        r.append(dict(game.max_edges[i])[k] - dict(game.min_edges[j])[i])
     return rows, r

@@ -535,6 +535,9 @@ class TestSolve:
         ("smpg", partial(set_field, ["edges", 0, "to"], "zzz"),
          "violates alternation"),
         ("smpg", partial(drop_key, "max_states"), "missing key 'max_states'"),
+        ("smpg", partial(set_field, ["edges", 0, "a"], 0.5),
+         "\"a\" of edge 'm0' -> 'x0' must be an integer, got 0.5"),
+        ("smpg", duplicate_edge, "duplicate edge 'm0' -> 'x0'"),
         ("entropy", partial(set_field, ["edges", 0, "to"], "p2"),
          "violates alternation"),
         ("entropy", partial(set_field, ["edges", 1, "to"], "d0"),
@@ -545,13 +548,15 @@ class TestSolve:
          '"m" belongs on people edges only'),
         ("entropy", partial(drop_key, "t_states"), "missing key 't_states'"),
     ], ids=["smpg-skips-a-kind", "smpg-backwards", "smpg-undeclared",
-            "smpg-missing-list", "entropy-skips-a-kind", "entropy-backwards",
+            "smpg-missing-list", "smpg-float-payoff", "smpg-parallel-edge",
+            "entropy-skips-a-kind", "entropy-backwards",
             "entropy-undeclared", "entropy-field-on-fieldless-kind",
             "entropy-missing-list"])
     def test_game_file_layout(self, runner, tmp_path, kind, mutate, message):
         """Both kinds' files are read by one reader: an edge must go from
-        one kind to the next, between declared states, and carry only its
-        own kind's field, and every state list must be present."""
+        one kind to the next, between declared states, at most once, and
+        carry only its own kind's field, an integer, and every state list
+        must be present."""
         obj = (mg.game_to_json(cycle_game()) if kind == "smpg"
                else mg.entropy_to_json(entropy_tribune_choice()))
         mutate(obj)
@@ -1631,7 +1636,7 @@ CERTIFY_MODULES = {
     "entropy": CLI_MODULES | {"mpgames.entropycheck"},
 }
 # the package source lines of CERTIFY_MODULES per kind
-CERTIFY_LINES = {"smpg": 1731, "entropy": 1753}
+CERTIFY_LINES = {"smpg": 1753, "entropy": 1761}
 # the modules a solve and certify of each kind that certifies early load
 SOLVE_MODULES = {
     "smpg": CERTIFY_MODULES["smpg"] | {"mpgames.stochastic",
@@ -1649,7 +1654,7 @@ REFERENCE_MODULES = {
 # the bodies of brute, gen-random, gen-cex and bench, loaded on first use
 TOOLS_MODULES = {"mpgames._tools"}
 # the package source lines of SOLVE_MODULES per kind
-SOLVE_LINES = {"smpg": 2412, "entropy": 2405}
+SOLVE_LINES = {"smpg": 2432, "entropy": 2413}
 
 
 def source_lines(modules):

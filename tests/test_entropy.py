@@ -54,11 +54,20 @@ class TestConstruction:
         (([[0, 0]], [[0]], [[(0, 1)]]), "duplicate edge 'd0' -> 't0'"),
         (([[0]], [[0, 0]], [[(0, 1)]]), "duplicate edge 't0' -> 'p0'"),
         (([[0]], [[0]], [[(0, 1), (0, 2)]]), "duplicate edge 'p0' -> 'd0'"),
-    ], ids=["despot", "tribune", "people"])
+        (([[0]], [[0]], [[(0, True)]]),
+         "\"m\" of edge 'p0' -> 'd0' must be an integer, got True"),
+        (([[1]], [[0]], [[(0, 1)]]),
+         "an edge of state 'd0' violates alternation"),
+        (([[0]], [[0]], [[(-1, 1)]]),
+         "an edge of state 'p0' violates alternation"),
+    ], ids=["despot", "tribune", "people", "bool-multiplicity",
+            "target-past-the-end", "negative-target"])
     def test_repeated_target_rejected(self, edges, message):
         """A row that names one target twice is refused, with the game
         reader's wording; a People row would otherwise count both
-        multiplicities in T but only one in a pair matrix."""
+        multiplicities in T but only one in a pair matrix.  So are a
+        multiplicity that is not an int and a target index that names no
+        state, as in a game file."""
         with pytest.raises(GameFormatError, match=message):
             mg.make_entropy_game(["d0"], ["t0"], ["p0"], *edges)
         game = ent.EntropyGame(("d0",), ("t0",), ("p0",),
@@ -74,8 +83,8 @@ class TestConstruction:
                                (((0, 2),),))
         bad = good._replace(p_edges=(((0, 0),),))
         calls = []
-        check = entropycheck.check_adjacency
-        monkeypatch.setattr(entropycheck, "check_adjacency",
+        check = entropycheck.check_rows
+        monkeypatch.setattr(entropycheck, "check_rows",
                             lambda *args: calls.append(args) or check(*args))
         assert good.validate() is good
         assert good.validate() is good
@@ -924,7 +933,7 @@ class TestCertifiedSeparation:
 class TestJsonRoundTrip:
     def test_round_trip(self):
         rng = random.Random(61)
-        for _ in range(10):
+        for _ in range(200):
             g = mg.random_entropy_game(rng)
             obj = mg.entropy_to_json(g)
             back = mg.parse_entropy(json.loads(json.dumps(obj)))

@@ -333,6 +333,49 @@ def test_stochastic_checker_has_one_operator():
     assert not names & {"shapley_eval", "fractions", "Fraction"}
 
 
+RECORD_RULE = {"game_record", "check_rows", "subgame"}
+
+
+def sorts_a_row(tree):
+    """Whether a comprehension of `tree` sorts the element it iterates,
+    as `tuple(sorted(row)) for row in rows` sorts each edge row."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            bound = {gen.target.id for gen in node.generators
+                     if isinstance(gen.target, ast.Name)}
+            for call in ast.walk(node.elt):
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "sorted"
+                        and getattr(call.args[0], "id", None) in bound):
+                    return True
+    return False
+
+
+def test_scan_finds_row_sorting():
+    assert sorts_a_row(ast.parse("[tuple(sorted(row)) for row in rows]"))
+    assert not sorts_a_row(ast.parse("[sorted(p.ids) for p in pairs]"))
+
+
+def test_game_records_are_built_in_graphs():
+    """`graphs` builds, checks and restricts every game record, by the one
+    rule game files follow: it alone defines `game_record`, `check_rows`
+    and `subgame`, each checker calls all three, and neither checker sorts
+    an edge row itself."""
+    defined = {path.stem: top_level_definitions(
+        path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert RECORD_RULE <= defined["graphs"]
+    for stem, names in defined.items():
+        if stem != "graphs":
+            assert not names & RECORD_RULE, stem
+    for checker in CHECKERS:
+        tree = ast.parse((SRC / f"{checker}.py").read_text(encoding="utf-8"))
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)}
+        assert RECORD_RULE <= called, checker
+        assert not sorts_a_row(tree), checker
+
+
 def test_each_check_is_defined_once():
     """No module but the checkers defines a function or class that a
     checker defines: the solvers import the checks, and keep no copy."""

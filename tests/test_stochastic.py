@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,36 @@ class TestConstruction:
         with pytest.raises(mg.GameFormatError):
             mg.make_game(["m0"], ["x0"], ["n0"], [[(0, 0)]], [[(0, 0)]],
                          [[(0, 1)]], 0)
+
+    # one Min, Max and Nature state: m0 -a-> x0 -b-> n0 -p_num-> m0, over M
+    @pytest.mark.parametrize("a, b, p_num, M, message", [
+        ([(0, 1), (0, 2)], [(0, 0)], [(0, 1)], 1,
+         "duplicate edge 'm0' -> 'x0'"),
+        ([(0, 0.5)], [(0, 0)], [(0, 1)], 1,
+         "\"a\" of edge 'm0' -> 'x0' must be an integer, got 0.5"),
+        ([(0, True)], [(0, 0)], [(0, 1)], 1,
+         "\"a\" of edge 'm0' -> 'x0' must be an integer, got True"),
+        ([(0, 0)], [(0, Fraction(1, 2))], [(0, 1)], 1,
+         "\"b\" of edge 'x0' -> 'n0' must be an integer, got Fraction(1, 2)"),
+        ([(0, 0)], [(0, 0)], [(0, True)], 1,
+         "\"p_num\" of edge 'n0' -> 'm0' must be an integer, got True"),
+        ([(0, 0)], [(0, 0)], [(0, Fraction(1))], 1,
+         "\"p_num\" of edge 'n0' -> 'm0' must be an integer, got Fraction(1, 1)"),
+        ([(0, 0)], [(0, 0)], [(0, 1)], True,
+         "\"denominator\" must be an integer, got True"),
+        ([(1, 0)], [(0, 0)], [(0, 1)], 1,
+         "an edge of state 'm0' violates alternation"),
+        ([(0, 0)], [(-1, 0)], [(0, 1)], 1,
+         "an edge of state 'x0' violates alternation"),
+    ], ids=["parallel-edge", "float-payoff", "bool-payoff", "fraction-payoff",
+            "bool-numerator", "fraction-numerator", "bool-denominator",
+            "target-past-the-end", "negative-target"])
+    def test_refuses_what_game_files_refuse(self, a, b, p_num, M, message):
+        """`make_game` holds a game to the game reader's rule, in its
+        words: a game it builds is one `game_to_json` can write and
+        `parse_smpg` read back."""
+        with pytest.raises(mg.GameFormatError, match=re.escape(message)):
+            mg.make_game(["m0"], ["x0"], ["n0"], [a], [b], [p_num], M)
 
     def test_stats(self):
         g = nature_half_game()
@@ -1232,7 +1263,7 @@ class TestDominionGraph:
 class TestJsonRoundTrip:
     def test_round_trip(self):
         rng = random.Random(53)
-        for _ in range(10):
+        for _ in range(200):
             g = mg.random_smpg(rng)
             obj = mg.game_to_json(g)
             back = mg.parse_smpg(json.loads(json.dumps(obj)))
