@@ -6,4 +6,4 @@ the one module object `mpgames.cli`, which `_tools` imports as well; `python
 from mpgames.cli import main
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m mpgames")

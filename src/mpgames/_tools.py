@@ -1,9 +1,12 @@
-"""The bodies of the `brute`, `gen-random`, `gen-cex` and `bench` commands.
+"""The bodies of the `brute`, `gen-random`, `gen-cex` and `bench` commands,
+and argparse's reading of the command lines that `cli` does not read.
 
 `cli` declares every command and its arguments, and imports this module
-the first time one of these four runs, or when the command list is
-printed: a `solve` or a `certify` never compiles it.  Each body returns
-its exit code and raises on error, as `cli`'s own do.
+the first time one of these four runs, or a command line goes to argparse:
+help, a usage error, `bench`, or any other line `cli` does not read.  A
+`solve` or a `certify` as the benchmark writes them compiles neither this
+module nor argparse.  Each body returns its exit code and raises on error,
+as `cli`'s own do.
 """
 
 from __future__ import annotations
@@ -36,6 +39,42 @@ def _write_out(path, write):
             write(fh)
     except OSError as exc:
         raise GameFormatError(f"cannot write {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# argparse
+
+
+def parse_args(command, prog, args):
+    """The keyword arguments of `command`'s body, read from `args` by
+    argparse; a usage error, or --help, exits as argparse does.  The parser
+    holds no stream: argparse writes to sys.stderr and sys.stdout as they
+    are when it writes."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=f"{prog} {command.name}",
+                                     description=command.help,
+                                     allow_abbrev=False)
+    for flags, kwargs in command._arguments:
+        parser.add_argument(*flags, **kwargs)
+    if command._intermixed:
+        return vars(parser.parse_intermixed_args(args))
+    return vars(parser.parse_args(args))
+
+
+def exit_usage(group, prog, args):
+    """Exit as argparse does when the first of `args` names no command of
+    `group`: the top-level help exits 0, anything else is a usage error."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=prog, description=group.help,
+                                     allow_abbrev=False)
+    names = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                  required=True)
+    for name, command in sorted(group.commands.items()):
+        names.add_parser(name, help=command.help.split(".")[0],
+                         add_help=False)
+    parser.parse_args(args[:1])
 
 
 # ---------------------------------------------------------------------------

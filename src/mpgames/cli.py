@@ -8,10 +8,14 @@ exhausted without a verdict or a usage error, 3 iteration cap exceeded (a
 body returns its exit code and raises on error; `_Group.main` holds the
 one exit policy that maps both to the process exit.
 
-Arguments are parsed by the standard library's argparse, so the package
-needs no third-party module to run.  Each command's parser is built the
-first time the command runs in a process and kept: a caller that runs
-many commands in-process parses each with a ready parser.
+Arguments are read without a third-party module.  `_Command._scan` reads
+a command line of positionals that do not start with "-" and declared
+options spelled in full, each option's value a next token that does not
+start with "-" and passes its `type` and `choices`: argparse reads those
+the same way.  The standard library's argparse, run from `_tools`, reads
+every other command line and `bench`'s, and prints help and usage errors,
+so these are argparse's byte for byte; a `solve` or `certify` as the
+benchmark writes them imports neither argparse nor `_tools`.
 
 Each command imports the game-kind modules it needs when it runs: the
 checker of the file's "type" (`_load_game`), which reads the file, with
@@ -55,7 +59,6 @@ JSON boolean.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -235,11 +238,15 @@ def _arg(*flags, **kwargs):
 
 class _Command:
     """One command: its body `callback`, which takes one keyword argument
-    per declared argument, and the parser of its arguments, built on first
-    use.  The parser holds no stream: argparse writes its usage errors and
-    help to sys.stderr and sys.stdout as they are when it writes.  A
-    deferred command (`_Group.deferred`) has no callback until the first
-    lookup, which imports its body from `_tools`."""
+    per declared argument, and the reading of its arguments.  `_scan`
+    reads a command line of positionals that do not start with "-" and
+    declared options spelled in full, each option's value the next token,
+    which does not start with "-" and passes the option's `type` and
+    `choices`, with every positional and required option there: argparse
+    reads it the same way.  `_tools.parse_args` reads every other command
+    line with argparse, which prints help and usage errors.  A deferred
+    command (`_Group.deferred`) has no callback until the first lookup,
+    which imports its body from `_tools`."""
 
     def __init__(self, name, callback, arguments):
         self.name = name
@@ -247,9 +254,18 @@ class _Command:
             self.callback = callback
         self._arguments = arguments
         # a variadic positional may be split by options, as in
-        # `bench a.json --budget 5 b.json`
+        # `bench a.json --budget 5 b.json`: argparse reads it
         self._intermixed = any(kw.get("nargs") == "+" for _, kw in arguments)
-        self._parser = None
+        # what `_scan` reads: the dests of the positionals, in order, each
+        # option's dest and declaration, and the defaults argparse gives
+        # options that are not required
+        self._positionals = [f for (f,), _ in arguments if f[0] != "-"]
+        self._options = {f: (kw.get("dest", f[2:].replace("-", "_")), kw)
+                         for (f,), kw in arguments if f[0] == "-"}
+        self._defaults = {
+            dest: kw.get("default",
+                         False if kw.get("action") == "store_true" else None)
+            for dest, kw in self._options.values() if not kw.get("required")}
 
     def __getattr__(self, attr):
         # called only for a missing attribute: a deferred command's body
@@ -266,16 +282,43 @@ class _Command:
     def parse(self, prog, args) -> dict:
         """The keyword arguments of the callback; a usage error, or --help,
         exits as argparse does."""
-        parser = self._parser
-        if parser is None:
-            parser = self._parser = argparse.ArgumentParser(
-                description=self.help, allow_abbrev=False)
-            for flags, kwargs in self._arguments:
-                parser.add_argument(*flags, **kwargs)
-        parser.prog = f"{prog} {self.name}"
-        if self._intermixed:
-            return vars(parser.parse_intermixed_args(args))
-        return vars(parser.parse_args(args))
+        kwargs = None if self._intermixed else self._scan(args)
+        if kwargs is None:
+            kwargs = import_module("._tools", __package__).parse_args(
+                self, prog, args)
+        return kwargs
+
+    def _scan(self, args):
+        """The keyword arguments argparse reads from `args`, for a command
+        line of the form the class docstring names; else None."""
+        kwargs, positionals = dict(self._defaults), []
+        tokens = iter(args)
+        for token in tokens:
+            if token[:1] != "-":
+                positionals.append(token)
+                continue
+            if token not in self._options:
+                return None
+            dest, kw = self._options[token]
+            if kw.get("action") == "store_true":
+                kwargs[dest] = True
+                continue
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", [value]):
+                return None
+            kwargs[dest] = value
+        # a missing required option leaves its dest out of kwargs
+        if (len(positionals) != len(self._positionals)
+                or len(kwargs) != len(self._options)):
+            return None
+        kwargs.update(zip(self._positionals, positionals))
+        return kwargs
 
 
 class _Group:
@@ -317,7 +360,7 @@ class _Group:
         command = self.commands.get(args[0]) if args else None
         if command is None:
             # --help exits 0, anything else is a usage error: exit 2
-            self._top_parser(prog).parse_args(args[:1])
+            import_module("._tools", __package__).exit_usage(self, prog, args)
         kwargs = command.parse(prog, args[1:])
         try:
             # looked up per call, so that a wrapped callback is the one run
@@ -336,18 +379,6 @@ class _Group:
         sys.exit(code)
 
     __call__ = main
-
-    def _top_parser(self, prog):
-        """The parser of the command name alone, for the top-level help and
-        usage errors."""
-        parser = argparse.ArgumentParser(prog=prog, description=self.help,
-                                         allow_abbrev=False)
-        names = parser.add_subparsers(title="commands", metavar="COMMAND",
-                                      required=True)
-        for cname, command in sorted(self.commands.items()):
-            names.add_parser(cname, help=command.help.split(".")[0],
-                             add_help=False)
-        return parser
 
 
 main = _Group("mpgames", "Solvers for stochastic mean-payoff and "
@@ -530,4 +561,4 @@ main.deferred(
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m mpgames.cli")

@@ -17,6 +17,7 @@ import textwrap
 import weakref
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpgames as mg
-from mpgames import cli
+from mpgames import _tools, cli
 from mpgames import entropy as ent
 from mpgames import entropycheck, numeric, smpgcheck
 from mpgames.cli import main
@@ -1561,6 +1562,22 @@ class TestUsage:
         for command in OPTIONS:
             assert re.search(rf"^ +{command}\b", out, re.M), command
 
+    @pytest.mark.parametrize("start, prog", [
+        (["-m", "mpgames"], "python -m mpgames"),
+        (["-m", "mpgames.cli"], "python -m mpgames.cli"),
+        # as the console script starts
+        (["-c", "import sys; sys.argv[0] = '/usr/bin/mpgames'; "
+                "from mpgames.cli import main; sys.exit(main())"], "mpgames"),
+    ], ids=["python-m-mpgames", "python-m-mpgames-cli", "console-script"])
+    def test_usage_names_the_program(self, start, prog):
+        """The usage line names the program as it was started, not the
+        file that `python -m` runs."""
+        res = subprocess.run([sys.executable, *start, "solve"],
+                             capture_output=True, text=True, env=fresh_env(),
+                             timeout=120)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"usage: {prog} solve [-h] ")
+
     def test_closed_stdout_exit_one(self, smpg_file):
         """A reader of stdout that went away (`mpgames ... | head`) ends the
         command with exit 1 and no traceback."""
@@ -1574,6 +1591,115 @@ class TestUsage:
         finally:
             os.close(write_end)
         assert (res.returncode, res.stderr) == (1, b"")
+
+
+# the vocabulary of the command lines the scanner is checked on: tokens
+# that argparse reads in ways of its own (abbreviations, help, "--", "-",
+# "", negative numbers, bad values, spaces), besides each command's own
+# flags, their `--flag=value` forms and their choices
+SCAN_WORDS = ["G", "R", "--mod", "-h", "--help", "--", "-", "", "-5", "5",
+              " 7", "1_000", "x", "a b"]
+
+
+def scan_words(command):
+    """SCAN_WORDS with `command`'s flags, their abbreviations and
+    `--flag=value` forms, and the choices of its options."""
+    words = list(SCAN_WORDS)
+    for (flag,), kwargs in command._arguments:
+        choices = [str(c) for c in kwargs.get("choices", ())]
+        words += choices
+        if flag.startswith("-"):
+            words += [flag, flag[:-1]] + [f"{flag}={v}"
+                                          for v in ["5", "x", *choices]]
+    return words
+
+
+@st.composite
+def command_lines(draw, command):
+    """A command line of `command`: about as many positionals as it
+    declares, each option up to twice, with a value when it takes one, in
+    any order.  A clean line's values are ones the option accepts; any
+    other line's come from the vocabulary, and it may get tokens more."""
+    words = scan_words(command)
+    clean = draw(st.booleans())
+    wanted = len([f for (f,), _ in command._arguments if f[0] != "-"])
+    chunks = [[draw(st.sampled_from(["G", "R", "", "a b"]))]
+              for _ in range(draw(st.sampled_from([wanted] * 3 + [0, 3])))]
+    for (flag,), kwargs in command._arguments:
+        if flag[0] != "-":
+            continue
+        good = [str(c) for c in kwargs.get("choices", ["5", " 7", "a b"])]
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+            chunks.append([flag] if kwargs.get("action") == "store_true"
+                          else [flag, draw(st.sampled_from(
+                              good if clean else words))])
+    line = [token for chunk in draw(st.permutations(chunks))
+            for token in chunk]
+    for _ in range(0 if clean else draw(st.integers(0, 2))):
+        line.insert(draw(st.integers(0, len(line))),
+                    draw(st.sampled_from(words)))
+    return line
+
+
+def argparse_reading(command, args):
+    """The keyword arguments argparse reads from `args` for `command`, or
+    None for a usage error or help."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _tools.parse_args(command, "mpgames", args)
+        except SystemExit:
+            return None
+
+
+def scanned(command, args):
+    """What `command.parse` reads from `args` without argparse, or None
+    when it hands `args` to argparse."""
+    with mock.patch.object(_tools, "parse_args", return_value=None):
+        return command.parse("mpgames", args)
+
+
+class TestScan:
+    """`_Command.parse` reads a command line without argparse only when
+    argparse reads it the same way."""
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_scan_reads_as_argparse(self, name, data):
+        command = main.commands[name]
+        args = data.draw(command_lines(command))
+        kwargs = scanned(command, args)
+        if kwargs is not None:
+            assert kwargs == argparse_reading(command, args)
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "G", "--mode", "full", "--json"],
+        ["solve", "G", "--json"],
+        ["certify", "G", "R"],
+        ["brute", "G", "--json"],
+        ["solve", "--budget", " 7", "G"],
+        ["gen-cex", "--w", "2", "--n", "1_000", "--json"],
+    ])
+    def test_common_forms_are_scanned(self, args):
+        """The forms the benchmark and the answer corpus run, and option
+        values that `int` reads."""
+        command = main.commands[args[0]]
+        kwargs = scanned(command, args[1:])
+        assert kwargs is not None
+        assert kwargs == argparse_reading(command, args[1:])
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "G", "--mode=full"], ["solve", "G", "--mod", "full"],
+        ["solve", "G", "-h"], ["solve", "--help"], ["solve", "--", "G"],
+        ["solve", "-"], ["solve", "G", "--budget", "-5"],
+        ["solve", "G", "--budget", "x"], ["solve", "G", "--mode", "bogus"],
+        ["solve", "G", "--mode"], ["solve", "G", "R"], ["solve"],
+        ["certify", "G"], ["gen-cex", "--n", "2"], ["bench", "G"],
+        ["gen-random", "--out", "--seed"],
+    ])
+    def test_other_forms_go_to_argparse(self, args):
+        assert scanned(main.commands[args[0]], args[1:]) is None
 
 
 class TestInProcess:
@@ -1636,7 +1762,7 @@ CERTIFY_MODULES = {
     "entropy": CLI_MODULES | {"mpgames.entropycheck"},
 }
 # the package source lines of CERTIFY_MODULES per kind
-CERTIFY_LINES = {"smpg": 1753, "entropy": 1761}
+CERTIFY_LINES = {"smpg": 1784, "entropy": 1792}
 # the modules a solve and certify of each kind that certifies early load
 SOLVE_MODULES = {
     "smpg": CERTIFY_MODULES["smpg"] | {"mpgames.stochastic",
@@ -1654,7 +1780,7 @@ REFERENCE_MODULES = {
 # the bodies of brute, gen-random, gen-cex and bench, loaded on first use
 TOOLS_MODULES = {"mpgames._tools"}
 # the package source lines of SOLVE_MODULES per kind
-SOLVE_LINES = {"smpg": 2432, "entropy": 2413}
+SOLVE_LINES = {"smpg": 2463, "entropy": 2444}
 
 
 def source_lines(modules):
@@ -1748,12 +1874,31 @@ class TestStartup:
     def test_solve_and_certify_load_one_kind(self, smpg_file, entropy_file,
                                              kind):
         """Only the solve path of the file's kind, SOLVE_LINES lines of
-        source in all, and not `dataclasses`."""
+        source in all, and none of `dataclasses`, `argparse` and `gettext`:
+        a `solve --json` and a `certify` are read without argparse."""
         game = smpg_file if kind == "smpg" else entropy_file
-        loaded = fresh_modules("solve_and_certify(sys.argv[1])", game)
+        loaded = fresh_modules("""
+            assert "certificates" in run("solve", sys.argv[1], "--json")
+            solve_and_certify(sys.argv[1])
+        """, game)
         assert package_modules(loaded) == SOLVE_MODULES[kind]
         assert source_lines(SOLVE_MODULES[kind]) == SOLVE_LINES[kind]
-        assert "dataclasses" not in loaded
+        assert not {"dataclasses", "argparse", "gettext"} & loaded
+
+    def test_usage_error_loads_argparse(self, smpg_file):
+        """A command line the scanner does not read goes to argparse, in
+        `_tools`, which prints the usage error."""
+        loaded = fresh_modules("""
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    main.main(args=["solve", sys.argv[1], "--mode", "bogus"],
+                              prog_name="mpgames")
+                except SystemExit as exc:
+                    assert exc.code == 2
+            assert err.getvalue().startswith("usage: mpgames solve [-h] ")
+        """, smpg_file)
+        assert {"argparse", "mpgames._tools"} <= loaded
 
     @pytest.mark.parametrize("kind", ["smpg", "entropy"])
     def test_certify_loads_only_the_checker(self, runner, smpg_file,
@@ -1770,6 +1915,7 @@ class TestStartup:
         assert package_modules(loaded) == CERTIFY_MODULES[kind]
         assert source_lines(CERTIFY_MODULES[kind]) == CERTIFY_LINES[kind]
         assert CERTIFY_LINES[kind] <= 1800
+        assert not {"argparse", "gettext"} & loaded
 
     def test_no_module_imports_dataclasses(self):
         """Records are NamedTuples: creating a dataclass costs far more
